@@ -107,8 +107,7 @@ impl SimPhaseStats {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsLedger {
     phases: Vec<PhaseMetrics>,
-    /// Host wall-clock per phase, milliseconds (`walls.len() == phases.len()`;
-    /// `0.0` for phases recorded without a timing).
+    /// Host wall-clock per phase, milliseconds (`walls.len() == phases.len()`).
     walls: Vec<f64>,
 }
 
@@ -118,18 +117,27 @@ impl MetricsLedger {
         Self::default()
     }
 
-    /// Records a finished phase (no wall-clock attribution).
-    pub fn push(&mut self, m: PhaseMetrics) {
-        self.phases.push(m);
-        self.walls.push(0.0);
-    }
-
     /// Records a finished phase together with its host wall-clock cost in
     /// milliseconds. The timing lives outside [`PhaseMetrics`] so the
     /// replay-exact payload metrics stay host-independent.
     pub fn push_timed(&mut self, m: PhaseMetrics, wall_ms: f64) {
         self.phases.push(m);
         self.walls.push(wall_ms);
+    }
+
+    /// Appends every phase of `other` in order, wall-clock timings
+    /// included — how drivers that run several networks merge their
+    /// ledgers. With `Some(prefix)`, each appended name that does not
+    /// already start with `prefix` becomes `{prefix}{name}`, so phases
+    /// born with the prefix are never prefixed twice.
+    pub fn extend_from(&mut self, other: &MetricsLedger, prefix: Option<&str>) {
+        for (p, &wall_ms) in other.phases.iter().zip(&other.walls) {
+            let mut p = p.clone();
+            if let Some(prefix) = prefix.filter(|&pre| !p.name.starts_with(pre)) {
+                p.name = format!("{prefix}{}", p.name);
+            }
+            self.push_timed(p, wall_ms);
+        }
     }
 
     /// All recorded phases in execution order.
@@ -364,9 +372,9 @@ mod tests {
     #[test]
     fn ledger_totals() {
         let mut l = MetricsLedger::new();
-        l.push(phase("a", 10, 100, 1000));
-        l.push(phase("b", 5, 50, 500));
-        l.push(phase("a2", 1, 2, 3));
+        l.push_timed(phase("a", 10, 100, 1000), 0.0);
+        l.push_timed(phase("b", 5, 50, 500), 0.0);
+        l.push_timed(phase("a2", 1, 2, 3), 0.0);
         assert_eq!(l.total_rounds(), 16);
         assert_eq!(l.total_messages(), 152);
         assert_eq!(l.total_bits(), 1503);
@@ -382,11 +390,11 @@ mod tests {
     #[test]
     fn grouping_by_stem_preserves_first_appearance_order() {
         let mut l = MetricsLedger::new();
-        l.push(phase("leader_bfs", 10, 100, 1000));
-        l.push(phase("mstA.l0.exch", 1, 20, 200));
-        l.push(phase("mstA.l0.cand", 2, 30, 300));
-        l.push(phase("s4a", 4, 5, 50));
-        l.push(phase("mstA.l1.exch", 1, 10, 100));
+        l.push_timed(phase("leader_bfs", 10, 100, 1000), 0.0);
+        l.push_timed(phase("mstA.l0.exch", 1, 20, 200), 0.0);
+        l.push_timed(phase("mstA.l0.cand", 2, 30, 300), 0.0);
+        l.push_timed(phase("s4a", 4, 5, 50), 0.0);
+        l.push_timed(phase("mstA.l1.exch", 1, 10, 100), 0.0);
         let groups = l.grouped_by_stem();
         assert_eq!(
             groups.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
@@ -406,11 +414,35 @@ mod tests {
     }
 
     #[test]
+    fn extend_from_keeps_walls_and_prefixes_once() {
+        let mut attempt = MetricsLedger::new();
+        attempt.push_timed(phase("recover.e1.resume.bfs", 3, 4, 5), 1.5);
+        attempt.push_timed(phase("mstA.l0.cd", 2, 3, 4), 2.5);
+        let mut merged = MetricsLedger::new();
+        merged.extend_from(&attempt, Some("recover.e1."));
+        merged.extend_from(&attempt, None);
+        let names: Vec<&str> = merged.phases().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "recover.e1.resume.bfs",
+                "recover.e1.mstA.l0.cd",
+                "recover.e1.resume.bfs",
+                "mstA.l0.cd"
+            ]
+        );
+        assert_eq!(merged.total_wall_ms(), 8.0);
+        assert_eq!(merged.wall_ms_of_stem("recover"), 5.5);
+        assert_eq!(merged.wall_ms_of_stem("mstA"), 2.5);
+        assert_eq!(merged.total_rounds(), 10);
+    }
+
+    #[test]
     fn phases_matching_counts_names() {
         let mut l = MetricsLedger::new();
-        l.push(phase("mstA.l0.cand", 1, 1, 1));
-        l.push(phase("mstA.l1.cand", 1, 1, 1));
-        l.push(phase("s4a", 1, 1, 1));
+        l.push_timed(phase("mstA.l0.cand", 1, 1, 1), 0.0);
+        l.push_timed(phase("mstA.l1.cand", 1, 1, 1), 0.0);
+        l.push_timed(phase("s4a", 1, 1, 1), 0.0);
         assert_eq!(l.phases_matching("mstA"), 2);
         assert_eq!(l.phases_matching("cand"), 2);
         assert_eq!(l.phases_matching("s4a"), 1);
@@ -433,9 +465,9 @@ mod tests {
             corrupted: 2,
         };
         let mut l = MetricsLedger::new();
-        l.push(faulty);
-        l.push(phase("mstA.l1.exch", 10, 5, 50)); // fault-free: sim zeros
-        l.push(phase("s4a", 6, 2, 20));
+        l.push_timed(faulty, 0.0);
+        l.push_timed(phase("mstA.l1.exch", 10, 5, 50), 0.0); // fault-free: sim zeros
+        l.push_timed(phase("s4a", 6, 2, 20), 0.0);
         let groups = l.grouped_by_stem();
         let msta = &groups[0].1;
         assert_eq!(msta.sim.phys_rounds, 40);

@@ -1,10 +1,10 @@
 //! Broadcast down a tree/forest: a single item, or a pipelined stream of
-//! `k` items in `O(k + height)` rounds.
+//! `k` items in `O(k + height)` rounds that every node folds into its own
+//! accumulator as the items pass through.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, ProtocolViolation, Step};
 use crate::message::{Message, TAG_BITS};
 use crate::node::{NodeCtx, Port, TreeInfo};
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// Single-item broadcast: each root's item reaches every node of its tree.
@@ -92,20 +92,32 @@ impl<T: Message> Message for StreamMsg<T> {
 }
 
 /// Pipelined multi-item broadcast: each root's item list reaches every node
-/// of its tree, in order, one item per edge per round. Rounds:
+/// of its tree, in order, one item per edge per round, and every node
+/// **folds** the items into its own accumulator as they arrive. Rounds:
 /// `k + height + 1`.
-#[derive(Clone, Debug, Default)]
-pub struct BroadcastItems<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
-    _marker: PhantomData<fn() -> T>,
+///
+/// A node never stores the list: the root folds its own items at boot and
+/// then streams them by index, and every other node folds the one item
+/// its parent sent this round and forwards it to its children in the
+/// same round (one item in per round, one out). Per-node memory is the
+/// accumulator, not `k` items — which is what lets the leader pipeline a
+/// `k`-row table over `n` nodes without `k·n` copies. A fold that pushes
+/// every item into a `Vec` recovers the plain list broadcast.
+#[derive(Clone)]
+pub struct BroadcastItems<T, A, F> {
+    fold: F,
+    // `fn() -> (T, A)` keeps the marker `Send + Sync` for any `T` and
+    // `A`: the protocol struct carries no values of either, and the
+    // parallel executor shares it across workers.
+    _marker: PhantomData<fn() -> (T, A)>,
 }
 
-impl<T> BroadcastItems<T> {
-    /// Creates the phase object.
-    pub fn new() -> Self {
+impl<T, A, F: Fn(&mut A, &T) + Sync> BroadcastItems<T, A, F> {
+    /// Creates the phase object; `fold` absorbs one item into a node's
+    /// accumulator.
+    pub fn new(fold: F) -> Self {
         BroadcastItems {
+            fold,
             _marker: PhantomData,
         }
     }
@@ -113,68 +125,83 @@ impl<T> BroadcastItems<T> {
 
 /// Node state for [`BroadcastItems`].
 #[derive(Debug)]
-pub struct BciState<T> {
+pub struct BciState<T, A> {
     tree: TreeInfo,
-    /// Items still to be sent downstream (roots: the input list).
-    queue: VecDeque<T>,
-    /// Everything seen (output).
-    received: Vec<T>,
-    /// The upstream marked end (roots: true from the start).
-    upstream_done: bool,
+    /// The folded items (output).
+    acc: A,
+    /// Roots: the input list, streamed by index. Empty elsewhere.
+    items: Vec<T>,
+    /// Roots: index of the next item to send.
+    next: usize,
 }
 
-impl<T: Message> Algorithm for BroadcastItems<T> {
-    /// Roots: the item list; non-roots must pass an empty list.
-    type Input = (TreeInfo, Vec<T>);
-    type State = BciState<T>;
+impl<T: Message, A: Send, F: Fn(&mut A, &T) + Sync> Algorithm for BroadcastItems<T, A, F> {
+    /// The tree, the item list (roots; non-roots must pass an empty
+    /// list) and the accumulator the node folds into.
+    type Input = (TreeInfo, Vec<T>, A);
+    type State = BciState<T, A>;
     type Msg = StreamMsg<T>;
-    type Output = Vec<T>;
+    type Output = A;
 
     fn boot(
         &self,
         _ctx: &NodeCtx<'_>,
-        (tree, items): Self::Input,
-    ) -> (BciState<T>, Outbox<StreamMsg<T>>) {
-        let is_root = tree.is_root();
-        debug_assert!(is_root || items.is_empty(), "only roots may hold items");
+        (tree, items, mut acc): Self::Input,
+    ) -> (BciState<T, A>, Outbox<StreamMsg<T>>) {
+        debug_assert!(
+            tree.is_root() || items.is_empty(),
+            "only roots may hold items"
+        );
+        for item in &items {
+            (self.fold)(&mut acc, item);
+        }
         let state = BciState {
             tree,
-            received: items.clone(),
-            queue: items.into(),
-            upstream_done: is_root,
+            acc,
+            items,
+            next: 0,
         };
         (state, Outbox::new())
     }
 
     fn round(
         &self,
-        s: &mut BciState<T>,
+        s: &mut BciState<T, A>,
         _ctx: &NodeCtx<'_>,
         inbox: &[(Port, StreamMsg<T>)],
     ) -> Step<StreamMsg<T>> {
-        for (_, msg) in inbox {
-            match msg {
-                StreamMsg::Item(t) => {
-                    s.received.push(t.clone());
-                    s.queue.push_back(t.clone());
+        let msg = if s.tree.is_root() {
+            let msg = s
+                .items
+                .get(s.next)
+                .map_or(StreamMsg::End, |item| StreamMsg::Item(item.clone()));
+            s.next += 1;
+            msg
+        } else {
+            // Only the parent speaks, at most once per round.
+            debug_assert!(inbox.len() <= 1, "one upstream message per round");
+            match inbox.first() {
+                Some((_, msg)) => {
+                    if let StreamMsg::Item(item) = msg {
+                        (self.fold)(&mut s.acc, item);
+                    }
+                    msg.clone()
                 }
-                StreamMsg::End => s.upstream_done = true,
+                None => return Step::idle(),
             }
-        }
+        };
+        let end = matches!(msg, StreamMsg::End);
         let mut out = Outbox::new();
-        if let Some(item) = s.queue.pop_front() {
-            out.send_all(s.tree.children.iter().copied(), StreamMsg::Item(item));
-            Step::Continue(out)
-        } else if s.upstream_done {
-            out.send_all(s.tree.children.iter().copied(), StreamMsg::End);
+        out.send_all(s.tree.children.iter().copied(), msg);
+        if end {
             Step::Halt(out)
         } else {
-            Step::idle()
+            Step::Continue(out)
         }
     }
 
-    fn finish(&self, s: BciState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<Vec<T>> {
-        Ok(s.received)
+    fn finish(&self, s: BciState<T, A>, _ctx: &NodeCtx<'_>) -> FinishResult<A> {
+        Ok(s.acc)
     }
 }
 
@@ -211,31 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_broadcast_delivers_all_items_in_order() {
-        let g = generators::path(10).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let items: Vec<u64> = (100..120).collect();
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = trees
-            .into_iter()
-            .enumerate()
-            .map(|(v, t)| (t, if v == 0 { items.clone() } else { vec![] }))
-            .collect();
-        let out = net
-            .run("bcast_items", &BroadcastItems::new(), inputs)
-            .unwrap();
-        for o in &out.outputs {
-            assert_eq!(o, &items);
-        }
-        // Pipelining: k + depth + slack, NOT k * depth.
-        assert!(
-            out.metrics.rounds <= 20 + 9 + 3,
-            "rounds = {}",
-            out.metrics.rounds
-        );
-    }
-
-    #[test]
     fn missing_broadcast_is_a_violation_not_a_panic() {
         // A node that never received the item reports a protocol
         // violation from `finish` instead of aborting the process.
@@ -264,29 +266,148 @@ mod tests {
         assert!(err.reason.contains("never received"));
     }
 
-    #[test]
-    fn forest_broadcast_stays_within_fragments() {
-        // Path of 6 split into {0,1,2} rooted at 0 and {3,4,5} rooted at 3.
-        let g = generators::path(6).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+    /// The collecting fold: recovers the plain list broadcast.
+    fn collect(acc: &mut Vec<u64>, item: &u64) {
+        acc.push(*item);
+    }
+
+    /// BFS trees of `g` with `items` at the root (node 0) and `acc` at
+    /// every node.
+    fn stream_inputs<A: Clone>(
+        g: &graphs::WeightedGraph,
+        net: &mut Network<'_>,
+        items: &[u64],
+        acc: A,
+    ) -> Vec<(TreeInfo, Vec<u64>, A)> {
+        bfs_trees(g, net)
+            .into_iter()
+            .enumerate()
+            .map(|(v, t)| {
+                let list = if v == 0 { items.to_vec() } else { vec![] };
+                (t, list, acc.clone())
+            })
+            .collect()
+    }
+
+    /// Path of 6 split into {0,1,2} rooted at 0 and {3,4,5} rooted at 3.
+    fn two_paths() -> Vec<TreeInfo> {
         let t = |parent: Option<u32>, children: Vec<u32>, depth: u32| TreeInfo {
             parent: parent.map(Port),
             children: children.into_iter().map(Port).collect(),
             depth,
         };
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = vec![
-            (t(None, vec![0], 0), vec![7, 8]),
-            (t(Some(0), vec![1], 1), vec![]),
-            (t(Some(0), vec![], 2), vec![]),
-            (t(None, vec![1], 0), vec![9]),
-            (t(Some(0), vec![1], 1), vec![]),
-            (t(Some(0), vec![], 2), vec![]),
-        ];
+        vec![
+            t(None, vec![0], 0),
+            t(Some(0), vec![1], 1),
+            t(Some(0), vec![], 2),
+            t(None, vec![1], 0),
+            t(Some(0), vec![1], 1),
+            t(Some(0), vec![], 2),
+        ]
+    }
+
+    #[test]
+    fn collecting_fold_delivers_all_items_in_order_on_a_path() {
+        let g = generators::path(10).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let items: Vec<u64> = (100..120).collect();
+        let inputs = stream_inputs(&g, &mut net, &items, Vec::new());
         let out = net
-            .run("forest_bcast", &BroadcastItems::new(), inputs)
+            .run("bcast_items", &BroadcastItems::new(collect), inputs)
             .unwrap();
-        assert_eq!(out.outputs[2], vec![7, 8]);
-        assert_eq!(out.outputs[5], vec![9]);
-        assert_eq!(out.outputs[4], vec![9]);
+        for o in &out.outputs {
+            assert_eq!(o, &items);
+        }
+        // Pipelining: k + depth + 1 rounds, NOT k * depth; every tree
+        // edge carries the k items and the end marker.
+        assert_eq!(out.metrics.rounds, 20 + 9 + 1);
+        assert_eq!(out.metrics.messages, 9 * 21);
+    }
+
+    #[test]
+    fn collecting_fold_stays_within_each_tree_of_a_forest() {
+        let g = generators::path(6).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let lists = [vec![7, 8], vec![], vec![], vec![9], vec![], vec![]];
+        let inputs: Vec<(TreeInfo, Vec<u64>, Vec<u64>)> = two_paths()
+            .into_iter()
+            .zip(lists)
+            .map(|(t, list)| (t, list, Vec::new()))
+            .collect();
+        let out = net
+            .run("forest_bcast", &BroadcastItems::new(collect), inputs)
+            .unwrap();
+        let want: [&[u64]; 6] = [&[7, 8], &[7, 8], &[7, 8], &[9], &[9], &[9]];
+        for (got, want) in out.outputs.iter().zip(want) {
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn every_node_folds_each_item_exactly_once() {
+        // (items folded, their sum): the root folds its own list at boot
+        // and must not fold it again while streaming it.
+        let g = generators::grid2d(3, 4).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let items: Vec<u64> = vec![5, 1, 4];
+        let inputs = stream_inputs(&g, &mut net, &items, (0u64, 0u64));
+        let count = |acc: &mut (u64, u64), item: &u64| {
+            acc.0 += 1;
+            acc.1 += item;
+        };
+        let out = net
+            .run("bcast_items", &BroadcastItems::new(count), inputs)
+            .unwrap();
+        assert!(out.outputs.iter().all(|&acc| acc == (3, 10)));
+    }
+
+    #[test]
+    fn an_empty_list_sends_only_the_end_marker() {
+        let g = generators::grid2d(3, 4).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let inputs = stream_inputs(&g, &mut net, &[], 7u64);
+        let add = |acc: &mut u64, item: &u64| *acc += item;
+        let out = net
+            .run("bcast_items", &BroadcastItems::new(add), inputs)
+            .unwrap();
+        assert!(out.outputs.iter().all(|&acc| acc == 7));
+        // One `End` per tree edge, nothing else.
+        let n = g.node_count() as u64;
+        assert_eq!(out.metrics.messages, n - 1);
+        assert_eq!(out.metrics.bits, (n - 1) * TAG_BITS as u64);
+    }
+
+    #[test]
+    fn every_executor_folds_the_same_accumulators() {
+        // 64 nodes: above the parallel executor's minimum chunk (32), so
+        // with the inline threshold off its workers really split sweeps.
+        let g = generators::torus2d(8, 8).unwrap();
+        let items: Vec<u64> = (0..12).map(|i| i * 7 + 3).collect();
+        let run = |executor: crate::ExecutorKind| {
+            let cfg = NetworkConfig {
+                parallel_inline_threshold: 0,
+                ..NetworkConfig::default()
+            }
+            .with_executor(executor);
+            let mut net = Network::new(&g, cfg).unwrap();
+            let inputs = stream_inputs(&g, &mut net, &items, Vec::new());
+            let out = net
+                .run("bcast_items", &BroadcastItems::new(collect), inputs)
+                .unwrap();
+            let mut m = out.metrics;
+            m.sim = Default::default();
+            (out.outputs, m)
+        };
+        let serial = run(crate::ExecutorKind::Serial);
+        assert!(serial.0.iter().all(|acc| acc == &items));
+        let plan = crate::sim::FaultPlan::with_drop(100, 7)
+            .delayed(2)
+            .duplicated(50);
+        for executor in [
+            crate::ExecutorKind::Parallel { threads: 2 },
+            crate::ExecutorKind::Faulty(plan),
+        ] {
+            assert_eq!(run(executor), serial);
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! * [`convergecast`] — aggregate one value per node up a tree/forest
 //!   (`O(height)` rounds).
 //! * [`broadcast`] — one item, or a pipelined stream of `k` items, from each
-//!   root down its tree (`O(k + height)` rounds).
+//!   root down its tree (`O(k + height)` rounds); stream items are folded
+//!   into a per-node accumulator on arrival, never stored as a list.
 //! * [`upcast`] — pipelined collection of all items at the root
 //!   (`O(k + height)` rounds).
 //! * [`merge`] — the shared pipelined sorted-stream merge core

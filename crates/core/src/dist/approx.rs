@@ -127,9 +127,7 @@ pub fn approx_mincut(
             Ok(outcome) => {
                 rounds += outcome.rounds;
                 messages += outcome.messages;
-                for ph in outcome.ledger.phases() {
-                    ledger.push(ph.clone());
-                }
+                ledger.extend_from(&outcome.ledger, None);
                 if best
                     .as_ref()
                     .is_none_or(|b| outcome.cut.value < b.cut.value)
@@ -169,9 +167,7 @@ pub fn approx_mincut(
             )?;
             rounds += outcome.rounds;
             messages += outcome.messages;
-            for ph in outcome.ledger.phases() {
-                ledger.push(ph.clone());
-            }
+            ledger.extend_from(&outcome.ledger, None);
             PipelineBest { cut: outcome.cut }
         }
     };

@@ -14,6 +14,12 @@
 //! bookkeeping on each node's [`NodeMem`] (the engine's documented
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
+//!
+//! The leader's table broadcasts (`mstB.i*.merge`, `orient.tf`,
+//! `s2c.down`, `s4b`, `s5d`) fold each row into the receiving node's
+//! memory as it arrives — each node computes its share of the table on
+//! the fly — so only the leader holds the `k` rows it streams, and the
+//! `k·n` per-node copies never exist.
 
 use crate::dist::mst::{
     ACand, BorCand, CandAgg, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragHook2, FragMsg,
@@ -115,6 +121,11 @@ pub struct DistMinCutResult {
     /// produce identical sets (the MST is unique under the
     /// weight-then-edge-id tie-break both modes share).
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
+    /// Fragments phase A handed to phase B, one entry per packed tree,
+    /// in packing order: the `k` of the fragment tree `T_F`, which sizes
+    /// the leader's table broadcasts (`orient.tf` carries `k − 1` rows,
+    /// `s5d` carries `k`).
+    pub phase_a_fragments: Vec<usize>,
 }
 
 /// Runs the paper's exact distributed minimum-cut pipeline on `g`.
@@ -158,6 +169,7 @@ pub fn exact_mincut(
         best_node: outcome.best_node,
         ledger: outcome.ledger,
         tree_edges: outcome.tree_edges,
+        phase_a_fragments: outcome.phase_a_fragments,
     })
 }
 
@@ -193,6 +205,7 @@ pub(crate) struct PipelineOutcome {
     pub messages: u64,
     pub ledger: MetricsLedger,
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
+    pub phase_a_fragments: Vec<usize>,
 }
 
 /// A driver-side snapshot of the pipeline's validated stage outputs,
@@ -362,7 +375,9 @@ struct NodeMem {
     cd_purge: bool,
     /// Last `(comp, frag)` announced (mstB delta exchange).
     ann_comp: Option<CompMsg>,
-    tf: Vec<TfRec>,
+    /// The child fragments of `T_F` attached at this node (kept from
+    /// the `orient.tf` stream: the rows whose attachment is this node).
+    attached: Vec<u32>,
     iv: Option<Intervals>,
     att: BTreeMap<u32, u32>,
     rho: u64,
@@ -411,6 +426,28 @@ impl NodeMem {
     }
 }
 
+/// Inputs of a table broadcast down the BFS tree: the leader streams
+/// `table`, and every node folds the rows into the accumulator `acc`
+/// builds from its id and memory.
+fn bfs_stream<'m, T, A>(
+    mems: &'m mut [NodeMem],
+    leader: NodeId,
+    mut table: Vec<T>,
+    mut acc: impl FnMut(usize, &'m mut NodeMem) -> A,
+) -> Vec<(TreeInfo, Vec<T>, A)> {
+    mems.iter_mut()
+        .enumerate()
+        .map(|(v, m)| {
+            let list = if v == leader.index() {
+                std::mem::take(&mut table)
+            } else {
+                Vec::new()
+            };
+            (m.bfs.clone(), list, acc(v, m))
+        })
+        .collect()
+}
+
 /// The pipeline state: the simulated network plus every node's memory.
 struct Pipeline<'g> {
     g: &'g WeightedGraph,
@@ -419,6 +456,12 @@ struct Pipeline<'g> {
     mems: Vec<NodeMem>,
     leader: NodeId,
     n: usize,
+    /// The current tree's `T_F` table: the leader's input to the
+    /// `orient.tf` broadcast. Every node receives the whole table in
+    /// that phase (its rounds and messages are paid), but keeps only its
+    /// own rows' consequences; the cut stage's chain analysis reads this
+    /// one copy instead of `n` identical ones.
+    tf: Vec<TfRec>,
 }
 
 impl<'g> Pipeline<'g> {
@@ -469,6 +512,7 @@ impl<'g> Pipeline<'g> {
             mems,
             leader,
             n,
+            tf: Vec::new(),
         })
     }
 
@@ -511,6 +555,7 @@ impl<'g> Pipeline<'g> {
             mems,
             leader: NodeId::new(leader),
             n,
+            tf: Vec::new(),
         })
     }
 
@@ -679,6 +724,7 @@ impl<'g> Pipeline<'g> {
     /// Resets the per-tree memory before packing the next tree.
     fn reset_tree(&mut self) {
         let g = self.g;
+        self.tf.clear();
         for (v, m) in self.mems.iter_mut().enumerate() {
             let deg = m.edge_ids.len();
             m.frag = v as u32;
@@ -707,7 +753,7 @@ impl<'g> Pipeline<'g> {
             m.cd_children = vec![None; deg];
             m.cd_purge = false;
             m.ann_comp = None;
-            m.tf.clear();
+            m.attached.clear();
             m.iv = None;
             m.att.clear();
             m.rho = 0;
@@ -1195,35 +1241,23 @@ impl<'g> Pipeline<'g> {
                 }
             }
             items.extend(chosen.iter().map(|&edge| MergeItem::Chosen { edge }));
-            let inputs: Vec<(TreeInfo, Vec<MergeItem>)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    let list = if v == self.leader.index() {
-                        items.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    (m.bfs.clone(), list)
-                })
-                .collect();
-            let name = format!("mstB.i{iter}.merge");
-            let out = self.net.run(&name, &BroadcastItems::new(), inputs)?;
-            for (m, received) in self.mems.iter_mut().zip(out.outputs) {
-                for item in &received {
-                    match *item {
-                        MergeItem::Remap { from, to } => {
-                            if m.comp == from {
-                                m.comp = to;
-                            }
-                        }
-                        MergeItem::Chosen { edge } => {
-                            if let Some(p) = m.port_of_edge(edge) {
-                                m.inter_ports.insert(p);
-                            }
-                        }
+            // Every node applies the table as it streams past: it
+            // remaps its component and marks its chosen ports.
+            let merge = |m: &mut &mut NodeMem, item: &MergeItem| match *item {
+                MergeItem::Remap { from, to } => {
+                    if m.comp == from {
+                        m.comp = to;
                     }
                 }
-            }
+                MergeItem::Chosen { edge } => {
+                    if let Some(p) = m.port_of_edge(edge) {
+                        m.inter_ports.insert(p);
+                    }
+                }
+            };
+            let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| m);
+            let name = format!("mstB.i{iter}.merge");
+            self.net.run(&name, &BroadcastItems::new(merge), inputs)?;
             iter += 1;
             if iter > self.n {
                 return Err(MinCutError::InvalidConfig {
@@ -1291,37 +1325,27 @@ impl<'g> Pipeline<'g> {
                 }
             }
         }
-        // Broadcast the table over the BFS tree.
-        let inputs: Vec<(TreeInfo, Vec<TfRec>)> = (0..self.n)
-            .map(|v| {
-                let list = if v == self.leader.index() {
-                    recs.clone()
-                } else {
-                    Vec::new()
-                };
-                (self.mems[v].bfs.clone(), list)
-            })
-            .collect();
-        let out = self.net.run("orient.tf", &BroadcastItems::new(), inputs)?;
-        for (m, table) in self.mems.iter_mut().zip(out.outputs) {
-            m.tf = table;
-        }
-        // Per-node roles derived from the table (local).
-        let leader_idx = self.leader.index();
-        for (v, m) in self.mems.iter_mut().enumerate() {
-            let me = v as u32;
-            m.inter_parent =
-                m.tf.iter()
-                    .find(|r| r.c == me)
-                    .map(|r| m.port_of_edge(r.edge).expect("connector owns its edge"));
-            m.inter_children =
-                m.tf.iter()
-                    .filter(|r| r.a == me)
-                    .map(|r| m.port_of_edge(r.edge).expect("attachment owns its edge"))
-                    .collect();
-            m.inter_children.sort_unstable();
-            let _ = leader_idx;
-        }
+        // Broadcast the table over the BFS tree. Each node derives its
+        // role from the rows as they pass: the connector edge of its own
+        // fragment, and the edge and id of every child fragment attached
+        // at it.
+        let roles = |(me, m): &mut (u32, &mut NodeMem), r: &TfRec| {
+            if r.c == *me {
+                m.inter_parent = Some(m.port_of_edge(r.edge).expect("connector owns its edge"));
+            }
+            if r.a == *me {
+                let p = m.port_of_edge(r.edge).expect("attachment owns its edge");
+                let at = m.inter_children.partition_point(|&q| q < p);
+                m.inter_children.insert(at, p);
+                m.attached.push(r.frag);
+            }
+        };
+        let inputs = bfs_stream(&mut self.mems, self.leader, recs.clone(), |v, m| {
+            (v as u32, m)
+        });
+        self.tf = recs;
+        self.net
+            .run("orient.tf", &BroadcastItems::new(roles), inputs)?;
         // Re-root every fragment at its connector (the leader for the
         // root fragment).
         let inputs: Vec<RerootInput> = (0..self.n)
@@ -1329,7 +1353,7 @@ impl<'g> Pipeline<'g> {
                 let m = &self.mems[v];
                 RerootInput {
                     tree_ports: m.tree_ports.iter().copied().collect(),
-                    initiator: v == leader_idx || m.inter_parent.is_some(),
+                    initiator: v == self.leader.index() || m.inter_parent.is_some(),
                 }
             })
             .collect();
@@ -1378,16 +1402,17 @@ impl<'g> Pipeline<'g> {
             })
             .collect();
         let up = self.net.run("s2c.up", &UpcastItems::new(), inputs)?.outputs;
-        let inputs: Vec<(TreeInfo, Vec<AttItem>)> = (0..n)
-            .map(|v| (self.mems[v].ftree(), up[v].clone().unwrap_or_default()))
+        let insert = |m: &mut &mut NodeMem, a: &AttItem| {
+            m.att.insert(a.node, a.in_t);
+        };
+        let inputs: Vec<(TreeInfo, Vec<AttItem>, &mut NodeMem)> = self
+            .mems
+            .iter_mut()
+            .zip(up)
+            .map(|(m, list)| (m.ftree(), list.unwrap_or_default(), m))
             .collect();
-        let down = self
-            .net
-            .run("s2c.down", &BroadcastItems::new(), inputs)?
-            .outputs;
-        for (m, list) in self.mems.iter_mut().zip(down) {
-            m.att = list.into_iter().map(|a| (a.node, a.in_t)).collect();
-        }
+        self.net
+            .run("s2c.down", &BroadcastItems::new(insert), inputs)?;
         // s3: per-edge exchange of in-times (fragments are already known
         // per port from the mstB delta exchanges).
         let out = self.net.run(
@@ -1409,10 +1434,9 @@ impl<'g> Pipeline<'g> {
                     .collect()
             })
             .collect();
-        // Local LCA case analysis (chains are derived from the broadcast
-        // T_F table, which every node holds).
-        let tf_table: Vec<TfRec> = self.mems[self.leader.index()].tf.clone();
-        let tf_parent: BTreeMap<u32, TfRec> = tf_table.iter().map(|r| (r.frag, *r)).collect();
+        // Local LCA case analysis (chains are derived from the T_F table
+        // every node received in `orient.tf`).
+        let tf_parent: BTreeMap<u32, TfRec> = self.tf.iter().map(|r| (r.frag, *r)).collect();
         let chain = |f: u32| -> Vec<u32> {
             let mut c = vec![f];
             let mut cur = f;
@@ -1524,36 +1548,31 @@ impl<'g> Pipeline<'g> {
                 w,
             })
             .collect();
-        let inputs: Vec<(TreeInfo, Vec<PairItem>)> = (0..n)
-            .map(|v| {
-                let list = if v == self.leader.index() {
-                    items.clone()
-                } else {
-                    Vec::new()
-                };
-                (self.mems[v].bfs.clone(), list)
-            })
-            .collect();
-        let out = self.net.run("s4b", &BroadcastItems::new(), inputs)?;
-        for (v, received) in out.outputs.into_iter().enumerate() {
-            let m = &mut self.mems[v];
-            let iv = m.iv.as_ref().expect("intervals set");
-            let mut add = 0u64;
-            for item in received {
-                let (Some(&i1), Some(&i2)) = (m.att.get(&item.a1), m.att.get(&item.a2)) else {
-                    continue;
-                };
-                let (i1, i2) = (i1 as u64, i2 as u64);
-                if iv.contains(i1) && iv.contains(i2) {
-                    let c1 = iv.child_containing(i1);
-                    let c2 = iv.child_containing(i2);
-                    if c1.is_none() || c1 != c2 {
-                        add += item.w;
-                    }
+        // Every node first lists the attachments of its own subtree, each
+        // with the child it lies under (`None`: the node itself), then
+        // adds, as the pairs stream past, those whose attachments it
+        // separates — the pairs whose LCA it is.
+        let add_pairs = |(below, rho): &mut (Vec<(u32, Option<Port>)>, &mut u64),
+                         item: &PairItem| {
+            let under = |a: u32| below.iter().find(|&&(x, _)| x == a).map(|&(_, c)| c);
+            if let (Some(c1), Some(c2)) = (under(item.a1), under(item.a2)) {
+                if c1.is_none() || c1 != c2 {
+                    **rho += item.w;
                 }
             }
-            m.rho += add;
-        }
+        };
+        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
+            let iv = m.iv.as_ref().expect("intervals set");
+            let below: Vec<(u32, Option<Port>)> = m
+                .att
+                .iter()
+                .filter(|&(_, &t)| iv.contains(t as u64))
+                .map(|(&a, &t)| (a, iv.child_containing(t as u64)))
+                .collect();
+            (below, &mut m.rho)
+        });
+        self.net
+            .run("s4b", &BroadcastItems::new(add_pairs), inputs)?;
         // s5: route case-1/3 tokens to their LCAs.
         let inputs: Vec<TokensInput> = (0..n)
             .map(|v| {
@@ -1598,7 +1617,7 @@ impl<'g> Pipeline<'g> {
             .clone()
             .expect("leader is the BFS root");
         // Leader-local: T_F subtree sums.
-        let tf = &self.mems[self.leader.index()].tf;
+        let tf = &self.tf;
         let tot_map: BTreeMap<u32, (u64, u64)> =
             tot_items.iter().map(|t| (t.frag, (t.d, t.r))).collect();
         let mut children_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -1627,50 +1646,39 @@ impl<'g> Pipeline<'g> {
                 }
             }
         }
-        // s5d: broadcast the subtree sums; attachments pick up their
-        // child fragments' masses.
+        // s5d: broadcast the subtree sums; attachments add up their
+        // child fragments' masses `(Wδ, Wρ)` as the sums stream past.
         let items: Vec<SumItem> = sums
             .iter()
             .map(|(&frag, &(sd, sr))| SumItem { frag, sd, sr })
             .collect();
-        let inputs: Vec<(TreeInfo, Vec<SumItem>)> = (0..n)
-            .map(|v| {
-                let list = if v == self.leader.index() {
-                    items.clone()
-                } else {
-                    Vec::new()
-                };
-                (self.mems[v].bfs.clone(), list)
-            })
-            .collect();
-        let out = self.net.run("s5d", &BroadcastItems::new(), inputs)?;
-        let mut wd = vec![0u64; n];
-        let mut wr = vec![0u64; n];
-        for (v, received) in out.outputs.into_iter().enumerate() {
-            let m = &self.mems[v];
-            let smap: BTreeMap<u32, (u64, u64)> = received
-                .into_iter()
-                .map(|s| (s.frag, (s.sd, s.sr)))
-                .collect();
-            for r in &m.tf {
-                if r.a == v as u32 {
-                    let s = smap[&r.frag];
-                    wd[v] += s.0;
-                    wr[v] += s.1;
-                }
+        let masses = |(attached, wd, wr): &mut (&[u32], u64, u64), s: &SumItem| {
+            if attached.contains(&s.frag) {
+                *wd += s.sd;
+                *wr += s.sr;
             }
-        }
+        };
+        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
+            (m.attached.as_slice(), 0, 0)
+        });
+        let w: Vec<(u64, u64)> = self
+            .net
+            .run("s5d", &BroadcastItems::new(masses), inputs)?
+            .outputs
+            .into_iter()
+            .map(|(_, wd, wr)| (wd, wr))
+            .collect();
         // s5e: in-fragment subtree sums of (δ + Wδ) and (ρ + Wρ) give
         // the global δ↓ and ρ↓ at every node.
         let inputs: Vec<(TreeInfo, u64)> = (0..n)
-            .map(|v| (self.mems[v].ftree(), self.mems[v].delta + wd[v]))
+            .map(|v| (self.mems[v].ftree(), self.mems[v].delta + w[v].0))
             .collect();
         let ddown = self
             .net
             .run("s5e.delta", &SubtreeSums::new(), inputs)?
             .outputs;
         let inputs: Vec<(TreeInfo, u64)> = (0..n)
-            .map(|v| (self.mems[v].ftree(), self.mems[v].rho + wr[v]))
+            .map(|v| (self.mems[v].ftree(), self.mems[v].rho + w[v].1))
             .collect();
         let rdown = self
             .net
@@ -1922,6 +1930,7 @@ fn drive_packing(
     let mut trees_to_best = 0usize;
     let mut packed = 0usize;
     let mut tree_edges: Vec<Vec<graphs::EdgeId>> = Vec::new();
+    let mut phase_a_fragments: Vec<usize> = Vec::new();
     // Restore the checkpointed trees before packing new ones. Trusted
     // entries (unchanged participant set) replay their bookkeeping —
     // loads, best-so-far, the side-flood snapshot — at zero rounds; the
@@ -1980,6 +1989,7 @@ fn drive_packing(
         pl.mst_phase_a()?;
         let reports = pl.mst_phase_b()?;
         pl.orient(reports)?;
+        phase_a_fragments.push(pl.tf.len() + 1);
         // Snapshot the finished tree's edge set (orientation installs
         // the inter-fragment links and re-roots the fragments, so only
         // now does every node but the leader hold its global-parent
@@ -2027,6 +2037,7 @@ fn drive_packing(
         messages: pl.net.ledger().total_messages(),
         ledger: pl.net.ledger().clone(),
         tree_edges,
+        phase_a_fragments,
     })
 }
 

@@ -39,6 +39,13 @@
 //! Every phase is `O(√n + D + k)` rounds (fragment diameter, BFS depth,
 //! or pipelined item count), which is the Theorem 2.1 bound; experiment
 //! E7 measures the depth-independence explicitly.
+//!
+//! The table broadcasts (`orient.tf`, `s2c.down`, `s4b`, `s5d`) are
+//! folding streams ([`congest::primitives::BroadcastItems`]): each node
+//! computes its share of the table as the rows pass through it — its
+//! connector and attachment roles, its attachment in-times, its
+//! merging-node ρ, its attached fragments' masses — and keeps no copy of
+//! the rows themselves.
 
 use congest::message::TAG_BITS;
 use congest::{

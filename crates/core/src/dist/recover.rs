@@ -461,13 +461,10 @@ pub fn recover_mincut(
                                 // waste, and the epoch retries from
                                 // scratch. Stale checkpoints can cost
                                 // rounds, never correctness.
-                                for p in outcome.ledger.phases() {
-                                    let mut q = p.clone();
-                                    if !q.name.starts_with("recover.") {
-                                        q.name = format!("recover.e{epoch}.{}", q.name);
-                                    }
-                                    merged.push(q);
-                                }
+                                merged.extend_from(
+                                    &outcome.ledger,
+                                    Some(&format!("recover.e{epoch}.")),
+                                );
                                 plan = plan.rebased(outcome.ledger.total_rounds());
                                 master = None;
                                 continue;
@@ -484,9 +481,7 @@ pub fn recover_mincut(
                     } else {
                         None
                     };
-                    for p in outcome.ledger.phases() {
-                        merged.push(p.clone());
-                    }
+                    merged.extend_from(&outcome.ledger, None);
                     dead.sort_unstable();
                     let wasted_rounds: Vec<u64> = (1..=epoch)
                         .map(|k| {
@@ -520,15 +515,9 @@ pub fn recover_mincut(
                     });
                 }
                 Err((e, attempt_ledger)) => {
-                    for p in attempt_ledger.phases() {
-                        let mut q = p.clone();
-                        // Resume validation phases are born with the
-                        // `recover.` prefix — never double-prefix.
-                        if !q.name.starts_with("recover.") {
-                            q.name = format!("recover.e{epoch}.{}", q.name);
-                        }
-                        merged.push(q);
-                    }
+                    // Resume validation phases are born with the
+                    // `recover.e{epoch}.` prefix and keep it once.
+                    merged.extend_from(&attempt_ledger, Some(&format!("recover.e{epoch}.")));
                     // Keep the richest coherent checkpoint snapshot: a
                     // deeper log supersedes; a shallower abort (it died
                     // before re-reaching the old depth) keeps the old one.
@@ -569,9 +558,7 @@ pub fn recover_mincut(
                 .outputs;
             let pass_rounds = net.ledger().total_rounds();
             net.obs_emit("census.pass", pass as u64);
-            for p in net.ledger().phases() {
-                merged.push(p.clone());
-            }
+            merged.extend_from(net.ledger(), None);
             let mid_pass_death = census_plan
                 .crashes
                 .iter()
@@ -714,9 +701,7 @@ pub fn recover_mincut(
             let outs = net.run(&name, &JoinEcho::new(nn as u64), inputs)?.outputs;
             let join_rounds = net.ledger().total_rounds();
             net.obs_emit("census.join", rejoining.len() as u64);
-            for p in net.ledger().phases() {
-                merged.push(p.clone());
-            }
+            merged.extend_from(net.ledger(), None);
             plan = plan.rebased(join_rounds);
             for &v in &rejoining {
                 if outs[v as usize] != Some(tag) {
@@ -809,6 +794,25 @@ mod tests {
         );
         assert!(r.ledger.total_suspicions() > 0);
         assert_eq!(r.ledger.total_false_suspicions(), 0, "lossless links");
+    }
+
+    #[test]
+    fn leader_kill_reports_a_wall_for_every_stem() {
+        // The merged ledger keeps each phase's wall clock: the aborted
+        // attempt (`recover.*`), the census, and the successful retry.
+        let g = generators::torus2d(4, 4).unwrap();
+        let crash_at = rounds_before_mst(&g) + 2;
+        let plan = FaultPlan::lossless().with_crash(0, crash_at);
+        let r = recover_mincut(&g, &RecoverConfig::default().with_plan(plan)).unwrap();
+        assert_eq!(r.epochs, 2);
+        let stems = r.ledger.grouped_by_stem();
+        for needle in ["recover", "census", "leader_bfs", "mstA", "s5d", "side"] {
+            assert!(stems.iter().any(|(s, _)| s == needle), "{needle} ran");
+        }
+        for (stem, _) in &stems {
+            let wall = r.ledger.wall_ms_of_stem(stem);
+            assert!(wall > 0.0, "stem {stem} reports wall_ms = {wall}");
+        }
     }
 
     #[test]

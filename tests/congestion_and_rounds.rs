@@ -4,6 +4,7 @@
 use mincut_repro::congest::NetworkConfig;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
 fn run(
     g: &mincut_repro::graphs::WeightedGraph,
@@ -90,4 +91,28 @@ fn low_diameter_family_is_fast() {
         r.rounds,
         r.trees_packed
     );
+}
+
+#[test]
+fn phase_a_fragment_counts_size_the_table_broadcasts() {
+    // The `chaos_torus` benchmark instance, crash-free: three packed
+    // trees, each recording the k fragments phase A handed to phase B.
+    // The leader streams T_F (k − 1 rows) in `orient.tf` and one subtree
+    // sum per fragment in `s5d` over the BFS tree's n − 1 edges, each
+    // stream closed by an end marker.
+    let g = generators::torus2d(24, 24).unwrap();
+    let cfg = ExactConfig {
+        packing: PackingConfig {
+            size: PackingSize::Fixed(3),
+            max_trees: 3,
+        },
+        ..Default::default()
+    };
+    let r = exact_mincut(&g, &cfg).unwrap();
+    assert_eq!(r.phase_a_fragments, [3, 22, 2]);
+    let k: u64 = r.phase_a_fragments.iter().map(|&k| k as u64).sum();
+    let trees = r.trees_packed as u64;
+    let edges = g.node_count() as u64 - 1;
+    assert_eq!(r.ledger.messages_matching("orient.tf"), k * edges);
+    assert_eq!(r.ledger.messages_matching("s5d"), (k + trees) * edges);
 }

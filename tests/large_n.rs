@@ -68,4 +68,14 @@ fn exact_mincut_above_the_old_u16_cap() {
         "s4a moved only end markers ({} messages for n = {n})",
         s4a.messages
     );
+
+    // Phase A hands phase B k = 42 fragments. k sizes the leader's table
+    // broadcasts over the BFS tree's n − 1 edges: `orient.tf` streams
+    // the k − 1 rows of T_F and `s5d` one subtree sum per fragment, each
+    // followed by an end marker.
+    assert_eq!(res.phase_a_fragments, [42]);
+    let k = res.phase_a_fragments[0] as u64;
+    let edges = n as u64 - 1;
+    assert_eq!(res.ledger.messages_matching("orient.tf"), k * edges);
+    assert_eq!(res.ledger.messages_matching("s5d"), (k + 1) * edges);
 }
