@@ -16,8 +16,8 @@
 //! the top-3 message-heavy and the top-3 round-heavy stems are printed
 //! per instance — so the trajectory shows *where* the traffic and the
 //! time go, not just how much there is. That is the accounting that
-//! proved (and now guards, see `message_gate`) the staged-election and
-//! phase-A wins.
+//! measured the election's and phase A's message cuts, which
+//! `message_gate` now guards.
 //!
 //! Runs in seconds — this is a trend probe, not a full E1–E10 evaluation
 //! (`run_all` remains that). Pass `--large` to append the 70602-node

@@ -11,10 +11,10 @@
 //!   contiguous node chunks from an atomic cursor.
 //!
 //! Both run the identical per-node code over the identical slot-arena
-//! delivery structures (see [`sweep`]), so outputs, round counts, and
-//! every [`PhaseMetrics`] field are **bit-identical** across executors —
-//! the executor parity suite asserts this on trees, tori, cliques, and
-//! the full min-cut pipeline.
+//! delivery structures (see `executor::sweep`), so outputs, round
+//! counts, and every [`PhaseMetrics`] field are **bit-identical** across
+//! executors — the executor parity suite asserts this on trees, tori,
+//! cliques, and the full min-cut pipeline.
 //!
 //! This trait is also the crate's extension seam:
 //! [`crate::Network::run_with`] accepts any `RoundExecutor`. The

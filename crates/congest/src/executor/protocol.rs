@@ -1,6 +1,6 @@
 //! The executors' shared-memory protocol, extracted behind a step-wise
 //! seam so the *same* logic is (a) executed by the real sweep drivers in
-//! [`super::sweep`] and (b) exhaustively model-checked by the
+//! `executor::sweep` and (b) exhaustively model-checked by the
 //! interleaving checker in `crates/analysis`.
 //!
 //! The parallel executor's soundness rests on three mechanisms:
@@ -31,7 +31,7 @@
 //! Nothing in this module is `unsafe` and nothing here touches the real
 //! arenas: the shared memory is abstracted behind [`ClaimCursor`] and
 //! [`SlotMem`], implemented over atomics/`UnsafeCell` by the executor
-//! ([`super::sweep`]) and over instrumented plain vectors by the model.
+//! (`executor::sweep`) and over instrumented plain vectors by the model.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,7 +82,7 @@ impl ChunkClaimer {
 /// pending count, and the cumulative per-edge load accumulators.
 ///
 /// The executor implements this over the real
-/// [`super::cells::SlotArena`]/[`super::cells::SyncCells`] pair (where
+/// `executor::cells::SlotArena`/`SyncCells` pair (where
 /// `slot_write`/`slot_take`/`edge_load_add` are the contract-bearing
 /// exclusive accesses); the model checker implements it over plain
 /// vectors with an operation journal.

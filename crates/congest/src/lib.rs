@@ -23,7 +23,7 @@
 //! are handed to the next phase as per-node inputs (modelling persistent
 //! local memory). The [`primitives`] module supplies the standard building
 //! blocks (leader election + BFS tree with echo termination, convergecast,
-//! broadcast, pipelined upcast/downcast, grouped aggregation, per-edge list
+//! broadcast, pipelined upcast/downcast, grouped aggregation, neighbor
 //! exchange) that the paper's algorithm is assembled from.
 //!
 //! # Example: weighted-degree sum via convergecast

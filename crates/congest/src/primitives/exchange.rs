@@ -1,20 +1,16 @@
-//! Neighbor exchange: one-round swap of a value with every neighbor, its
-//! delta variant (only *changed* values are announced), and pipelined
-//! per-edge list exchange (`O(k)` rounds for lists of length `k`).
+//! Neighbor exchange: one-round swap of a value with every neighbor, and
+//! its delta variants (only *changed* values are announced).
 //!
-//! The list exchange is the communication pattern of the paper's Step 5:
-//! the endpoints of every graph edge exchange their `O(√n)` ancestor lists
-//! through that edge, all edges in parallel. The delta exchange is the
-//! echo-suppression discipline of the repeated label exchanges (fragment
-//! ids in `mstA.*`, components in `mstB.*`): a node whose label did not
-//! change since its last announcement stays silent, and receivers keep
-//! their stored per-port view — identical information flow at a fraction
-//! of the messages once the labels start converging.
+//! The delta exchange is the echo-suppression discipline of the repeated
+//! label exchanges (fragment ids in `mstA.*`, components in `mstB.*`): a
+//! node whose label did not change since its last announcement stays
+//! silent, and receivers keep their stored per-port view — identical
+//! information flow at a fraction of the messages once the labels start
+//! converging.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::Message;
 use crate::node::{NodeCtx, Port};
-use crate::primitives::broadcast::StreamMsg;
 use std::marker::PhantomData;
 
 /// One-round exchange: every node sends one value to every neighbor and
@@ -193,126 +189,6 @@ impl<T: Message> Algorithm for PortDeltaExchange<T> {
     }
 }
 
-/// Pipelined per-edge list exchange: node `v` sends `input[p]` item by item
-/// through port `p` (ending with a marker) while collecting the symmetric
-/// stream from the other side. All edges proceed in parallel; rounds =
-/// `max_list_len + 2`.
-#[derive(Clone, Debug, Default)]
-pub struct EdgeListExchange<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> EdgeListExchange<T> {
-    /// Creates the phase object.
-    pub fn new() -> Self {
-        EdgeListExchange {
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// Node state for [`EdgeListExchange`].
-#[derive(Debug)]
-pub struct ElxState<T> {
-    /// Remaining items to send per port (reversed: pop from the back).
-    to_send: Vec<Vec<T>>,
-    /// Received items per port.
-    received: Vec<Vec<T>>,
-    /// Ports whose peer has finished sending.
-    peer_done: Vec<bool>,
-    /// Ports on which we have sent our end marker.
-    end_sent: Vec<bool>,
-}
-
-impl<T: Message> Algorithm for EdgeListExchange<T> {
-    /// Per-port send lists; `input.len()` must equal the degree.
-    type Input = Vec<Vec<T>>;
-    type State = ElxState<T>;
-    type Msg = StreamMsg<T>;
-    /// Per-port received lists.
-    type Output = Vec<Vec<T>>;
-
-    fn boot(&self, ctx: &NodeCtx<'_>, input: Self::Input) -> (ElxState<T>, Outbox<StreamMsg<T>>) {
-        assert_eq!(input.len(), ctx.degree(), "one send list per port required");
-        let deg = ctx.degree();
-        let mut to_send: Vec<Vec<T>> = input
-            .into_iter()
-            .map(|mut l| {
-                l.reverse();
-                l
-            })
-            .collect();
-        let mut end_sent = vec![false; deg];
-        let mut out = Outbox::new();
-        for p in ctx.ports() {
-            match to_send[p.index()].pop() {
-                Some(item) => {
-                    out.send(p, StreamMsg::Item(item));
-                }
-                None => {
-                    out.send(p, StreamMsg::End);
-                    end_sent[p.index()] = true;
-                }
-            }
-        }
-        (
-            ElxState {
-                to_send,
-                received: vec![Vec::new(); deg],
-                peer_done: vec![false; deg],
-                end_sent,
-            },
-            out,
-        )
-    }
-
-    fn round(
-        &self,
-        s: &mut ElxState<T>,
-        ctx: &NodeCtx<'_>,
-        inbox: &[(Port, StreamMsg<T>)],
-    ) -> Step<StreamMsg<T>> {
-        for (port, msg) in inbox {
-            match msg {
-                StreamMsg::Item(t) => s.received[port.index()].push(t.clone()),
-                StreamMsg::End => s.peer_done[port.index()] = true,
-            }
-        }
-        let mut out = Outbox::new();
-        for p in ctx.ports() {
-            if s.end_sent[p.index()] {
-                continue;
-            }
-            match s.to_send[p.index()].pop() {
-                Some(item) => {
-                    out.send(p, StreamMsg::Item(item));
-                }
-                None => {
-                    out.send(p, StreamMsg::End);
-                    s.end_sent[p.index()] = true;
-                }
-            }
-        }
-        let all_sent = s.end_sent.iter().all(|&b| b);
-        let all_recv = s.peer_done.iter().all(|&b| b);
-        if all_sent && all_recv && out.is_empty() {
-            Step::halt()
-        } else if all_sent && all_recv {
-            // Final end markers still going out this round.
-            Step::Continue(out)
-        } else {
-            Step::Continue(out)
-        }
-    }
-
-    fn finish(&self, s: ElxState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<Vec<Vec<T>>> {
-        Ok(s.received)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,62 +281,5 @@ mod tests {
         let out = net.run("pdx0", &PortDeltaExchange::new(), inputs).unwrap();
         assert!(out.outputs.iter().all(|o| o.iter().all(Option::is_none)));
         assert_eq!(out.metrics.messages, 0);
-    }
-
-    #[test]
-    fn list_exchange_swaps_lists() {
-        let g = generators::grid2d(3, 3).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        // Node v sends to each port the list [v, v, v] of varying length v % 3 + 1.
-        let inputs: Vec<Vec<Vec<u64>>> = (0..9usize)
-            .map(|v| {
-                let deg = g.degree(graphs::NodeId::from_index(v));
-                (0..deg).map(|_| vec![v as u64; v % 3 + 1]).collect()
-            })
-            .collect();
-        let out = net.run("elx", &EdgeListExchange::new(), inputs).unwrap();
-        for v in 0..9usize {
-            for (p, got) in out.outputs[v].iter().enumerate() {
-                let u = g.neighbors(graphs::NodeId::from_index(v))[p].neighbor;
-                assert_eq!(got, &vec![u.raw() as u64; u.index() % 3 + 1]);
-            }
-        }
-        // max list length 3 → constant rounds.
-        assert!(out.metrics.rounds <= 5);
-    }
-
-    #[test]
-    fn list_exchange_with_empty_lists() {
-        let g = generators::path(4).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let inputs: Vec<Vec<Vec<u64>>> = (0..4usize)
-            .map(|v| vec![Vec::new(); g.degree(graphs::NodeId::from_index(v))])
-            .collect();
-        let out = net
-            .run("elx_empty", &EdgeListExchange::new(), inputs)
-            .unwrap();
-        assert!(out
-            .outputs
-            .iter()
-            .all(|per_port| per_port.iter().all(|l| l.is_empty())));
-        assert!(out.metrics.rounds <= 2);
-    }
-
-    #[test]
-    fn list_exchange_pipelines() {
-        // Two nodes, one edge, long lists: rounds ≈ k.
-        let g = generators::path(2).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let k = 50u64;
-        let inputs = vec![
-            vec![(0..k).collect::<Vec<u64>>()],
-            vec![(100..100 + k).collect::<Vec<u64>>()],
-        ];
-        let out = net
-            .run("elx_long", &EdgeListExchange::new(), inputs)
-            .unwrap();
-        assert_eq!(out.outputs[0][0], (100..100 + k).collect::<Vec<u64>>());
-        assert_eq!(out.outputs[1][0], (0..k).collect::<Vec<u64>>());
-        assert!(out.metrics.rounds <= k + 3);
     }
 }

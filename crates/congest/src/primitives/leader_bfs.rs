@@ -1,37 +1,66 @@
 //! Leader election fused with BFS-tree construction.
 //!
-//! [`LeaderBfs`] is a thin compatibility wrapper over the unified
-//! election engine in [`crate::primitives::staged_election`]: the same
-//! phase name, input, and [`LeaderBfsOutput`] as always, with the
-//! **staged** protocol (local-minima candidacy, radius-doubling fronts)
-//! as the default and the legacy every-node flood available behind
-//! [`LeaderBfs::legacy`] for parity testing and ablation.
+//! [`LeaderBfs`] elects the minimum identifier and builds its BFS tree
+//! in `O(D)` rounds with `O(log n)`-bit messages.
 //!
-//! Protocol sketch (see the staged-election module docs for the full
-//! story): candidates flood the smallest identifier they have seen; the
-//! flood of the global minimum wins. The first port a node hears the
-//! eventual leader from becomes its parent (ties broken toward the
-//! smallest port), which yields a true BFS tree because the winning
-//! flood advances one hop per released round. Termination uses the
-//! classic echo: a node acknowledges to its parent once all of its other
-//! ports are resolved, and only the global minimum's echo can complete —
-//! a region that elects a *local* minimum can never resolve its ports
-//! toward the nodes that know a smaller identifier. The root's completed
-//! echo triggers a "done" wave that halts everyone.
+//! # Protocol
 //!
-//! Round complexity `O(D)` for both protocols (the staged schedule's
-//! windows sum geometrically); every message is `O(log n)` bits. The
-//! staged protocol cuts *message* volume by an order of magnitude on
-//! identifier layouts with few local minima — see `docs/elections.md`
-//! for measurements.
+//! **Candidates** flood probes carrying their own identifier. Every node
+//! adopts the smallest identifier it has seen ("best"), remembers the
+//! port it first heard that identifier from as its parent (the smallest
+//! depth, then the smallest port, among the round's arrivals), and
+//! forwards the probe on its other ports. Termination is the classic
+//! echo: a node acknowledges its parent once every other port is
+//! *resolved* (a crossing probe for the same best, or a child's ack).
+//! Only the global minimum's echo can complete — a region that adopted a
+//! *local* minimum can never resolve its ports toward the nodes that
+//! know a smaller identifier — and its completion fires a `Done` wave
+//! down the tree that halts everyone.
+//!
+//! Two rules keep the flood cheap:
+//!
+//! * **Local-minima candidacy.** Only nodes smaller than all their
+//!   neighbors flood. Neighbor identifiers are a-priori local knowledge
+//!   (see [`crate::node::NeighborInfo`]), so this costs no messages; it
+//!   is sound because a non-minimal node can never win, and complete
+//!   because the global minimum is always a local minimum. It removes
+//!   the `Θ(Σ deg)` boot flood, and on identifier layouts with one local
+//!   minimum the election is a single wave of `2m + n − 1` messages.
+//! * **Radius-doubling fronts.** A probe at distance `d` from its
+//!   candidate is forwarded only once the schedule releases radius
+//!   `> d`: stage `k` releases radius `r0·2^k` and lasts `r0·2^k + 2`
+//!   rounds, with `r0 = ⌈log₂ n⌉`. A front alternately advances one
+//!   annulus and pauses; a candidate that is not the minimum of its ball
+//!   is overrun by a smaller front while paused, so fronts that survive
+//!   to stage `k` are pairwise `≥ 2^k` apart and a node re-floods
+//!   `O(log D)` times in the worst case. The first radius is a diameter
+//!   lower bound on bounded-degree graphs (`D ≥ log_Δ n`), so the
+//!   skipped stages would only have paused; on low-diameter graphs
+//!   stage 0 already spans the graph.
+//!
+//! # Bounds
+//!
+//! Rounds are `O(D)`: radius `R` is released by round `O(R + log R)`,
+//! and the echo and done waves add `2D`. Messages are `O(m log D)` on
+//! any identifier layout.
+//!
+//! # Output
+//!
+//! The winning front advances one hop per released round, and the
+//! schedule depends only on the globally synchronized round number and
+//! `n`, so every node at depth `d − 1` forwards the winner in the same
+//! round: a node at depth `d` hears it from all its depth-`d − 1`
+//! neighbors at once and picks the smallest port. The output is
+//! therefore the BFS tree that [`oracle`] computes sequentially, and the
+//! tests compare every node's output against it. `docs/elections.md`
+//! records the measurements behind this design.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
-use crate::message::{value_bits, Message, TAG_BITS};
+use crate::message::{id_bits, value_bits, Message, TAG_BITS};
 use crate::node::{NodeCtx, Port, TreeInfo};
-use crate::primitives::staged_election::{ElectionState, StagedElection};
-use graphs::NodeId;
+use graphs::{NodeId, WeightedGraph};
 
-/// Messages of the leader/BFS phase (shared by both protocols).
+/// Messages of the leader/BFS phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LeaderMsg {
     /// "My current leader is `leader`, at distance `depth` from me."
@@ -75,45 +104,121 @@ pub struct LeaderBfsOutput {
     pub tree: TreeInfo,
 }
 
-/// Which election protocol a [`LeaderBfs`] phase runs. The two produce
-/// bit-identical outputs (leader, parent, depth, children — see the
-/// election parity suite); they differ only in message volume and round
-/// constants.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum Election {
-    /// Staged: local-minima candidates, radius-doubling fronts (default).
-    #[default]
-    Staged,
-    /// Legacy: every node floods, fronts unthrottled.
-    Legacy,
-}
-
 /// The leader-election + BFS-tree phase. See module docs.
 #[derive(Copy, Clone, Debug, Default)]
-pub struct LeaderBfs {
-    inner: StagedElection,
-}
+pub struct LeaderBfs;
 
 impl LeaderBfs {
-    /// The default (staged) election.
+    /// Creates the phase object.
     pub fn new() -> Self {
-        LeaderBfs {
-            inner: StagedElection::new(),
+        LeaderBfs
+    }
+}
+
+/// The sequential reference for [`LeaderBfs`] on a connected graph: the
+/// output every node must produce. Node 0, the minimum identifier,
+/// leads; depths are BFS distances from it
+/// ([`graphs::traversal::bfs`]); a node's parent is its smallest port
+/// one level up, and its children are the sorted ports whose neighbor
+/// chose it as parent.
+pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
+    let dist = graphs::traversal::bfs(g, NodeId::new(0)).dist;
+    let parent: Vec<Option<Port>> = g
+        .nodes()
+        .map(|v| {
+            g.neighbors(v)
+                .iter()
+                .position(|a| dist[a.neighbor.index()] + 1 == dist[v.index()])
+                .map(|p| Port(p as u32))
+        })
+        .collect();
+    g.nodes()
+        .map(|v| {
+            let children = g
+                .neighbors(v)
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| {
+                    parent[a.neighbor.index()]
+                        .is_some_and(|p| g.neighbors(a.neighbor)[p.index()].neighbor == v)
+                })
+                .map(|(p, _)| Port(p as u32))
+                .collect();
+            LeaderBfsOutput {
+                leader: NodeId::new(0),
+                tree: TreeInfo {
+                    parent: parent[v.index()],
+                    children,
+                    depth: dist[v.index()],
+                },
+            }
+        })
+        .collect()
+}
+
+/// The probe radius the schedule releases in `round`, for first radius
+/// `r0`: stage `k` spans `[T_k, T_{k+1})` with `T_{k+1} = T_k + R_k + 2`
+/// and `R_k = r0·2^k`. A node at depth `d` may forward iff
+/// `d < radius_at(r0, round)`.
+fn radius_at(r0: u64, round: u64) -> u64 {
+    let mut start = 0u64;
+    let mut radius = r0.max(1);
+    loop {
+        let next = start.saturating_add(radius.saturating_add(2));
+        if round < next || next == u64::MAX {
+            return radius;
         }
+        start = next;
+        radius = radius.saturating_mul(2);
+    }
+}
+
+/// Node state for [`LeaderBfs`].
+#[derive(Debug)]
+pub struct ElectionState {
+    /// Smallest identifier seen (the current tree's candidate).
+    best: u32,
+    depth: u32,
+    parent: Option<Port>,
+    /// Per-port resolution for the current `best`.
+    resolved: Vec<bool>,
+    /// Ports that acked us as their parent (our children).
+    children: Vec<bool>,
+    /// Probes for `best` not yet sent (awaiting the schedule's release).
+    probe_pending: bool,
+    acked: bool,
+}
+
+impl ElectionState {
+    fn adopt(&mut self, leader: u32, depth: u32, via: Port, degree: usize) {
+        self.best = leader;
+        self.depth = depth;
+        self.parent = Some(via);
+        self.resolved.clear();
+        self.resolved.resize(degree, false);
+        self.resolved[via.index()] = true;
+        self.children.clear();
+        self.children.resize(degree, false);
+        self.probe_pending = true;
+        self.acked = false;
     }
 
-    /// The legacy every-node flood election.
-    pub fn legacy() -> Self {
-        LeaderBfs {
-            inner: StagedElection::legacy(),
-        }
+    fn all_resolved(&self) -> bool {
+        self.resolved.iter().all(|&r| r)
     }
 
-    /// The phase for a named protocol (config-level selection).
-    pub fn with_election(election: Election) -> Self {
-        match election {
-            Election::Staged => Self::new(),
-            Election::Legacy => Self::legacy(),
+    /// Queues probes for `best` on all non-parent ports.
+    fn flood(&self, ctx: &NodeCtx<'_>, out: &mut Outbox<LeaderMsg>) {
+        for p in ctx.ports() {
+            if Some(p) != self.parent {
+                out.send(
+                    p,
+                    LeaderMsg::Probe {
+                        leader: self.best,
+                        depth: self.depth,
+                    },
+                );
+            }
         }
     }
 }
@@ -124,8 +229,26 @@ impl Algorithm for LeaderBfs {
     type Msg = LeaderMsg;
     type Output = LeaderBfsOutput;
 
-    fn boot(&self, ctx: &NodeCtx<'_>, input: ()) -> (ElectionState, Outbox<LeaderMsg>) {
-        self.inner.boot(ctx, input)
+    fn boot(&self, ctx: &NodeCtx<'_>, _input: ()) -> (ElectionState, Outbox<LeaderMsg>) {
+        let deg = ctx.degree();
+        let me = ctx.node.raw();
+        let candidate = ctx.neighbors().all(|(_, ni)| ni.id.raw() > me);
+        let state = ElectionState {
+            best: me,
+            depth: 0,
+            parent: None,
+            resolved: vec![false; deg],
+            children: vec![false; deg],
+            probe_pending: false,
+            acked: false,
+        };
+        let mut out = Outbox::new();
+        // Boot counts as round 0; every radius is ≥ 1 > 0, so a
+        // candidate's own probe is never gated.
+        if candidate {
+            state.flood(ctx, &mut out);
+        }
+        (state, out)
     }
 
     fn round(
@@ -134,11 +257,106 @@ impl Algorithm for LeaderBfs {
         ctx: &NodeCtx<'_>,
         inbox: &[(Port, LeaderMsg)],
     ) -> Step<LeaderMsg> {
-        self.inner.round(s, ctx, inbox)
+        let deg = ctx.degree();
+        let mut done: Option<u32> = None;
+        // Phase 1: adopt the best probe in this inbox, if it improves.
+        let mut best_new: Option<(u32, u32, Port)> = None;
+        for (port, msg) in inbox {
+            if let LeaderMsg::Probe { leader, depth } = msg {
+                if *leader < s.best {
+                    let cand = (*leader, *depth, *port);
+                    best_new = Some(match best_new {
+                        // Prefer the smaller leader; among equal leaders the
+                        // smaller depth, then the smaller port.
+                        Some(prev) if prev <= cand => prev,
+                        _ => cand,
+                    });
+                }
+            }
+        }
+        if let Some((leader, depth, port)) = best_new {
+            s.adopt(leader, depth + 1, port, deg);
+        }
+        // Phase 2: resolutions for the current leader.
+        for (port, msg) in inbox {
+            match msg {
+                LeaderMsg::Probe { leader, .. } => {
+                    if *leader == s.best && Some(*port) != s.parent {
+                        s.resolved[port.index()] = true;
+                    }
+                    // leader > best: ignore (our wave overruns theirs);
+                    // leader < best handled in phase 1 (parent port already
+                    // marked resolved by adopt).
+                }
+                LeaderMsg::Ack { leader } => {
+                    if *leader == s.best {
+                        s.resolved[port.index()] = true;
+                        s.children[port.index()] = true;
+                    }
+                }
+                LeaderMsg::Done { leader } => {
+                    debug_assert_eq!(*leader, s.best, "done wave carries the winner");
+                    done = Some(*leader);
+                }
+            }
+        }
+
+        let mut out = Outbox::new();
+        // Done wave: forward to children and halt.
+        if let Some(leader) = done {
+            for p in ctx.ports() {
+                if s.children[p.index()] {
+                    out.send(p, LeaderMsg::Done { leader });
+                }
+            }
+            return Step::Halt(out);
+        }
+        // Pending probes fire once the schedule releases this depth: a
+        // front pauses at each stage radius and resumes — on all
+        // non-parent ports, so the crossing probes the neighbors' echoes
+        // wait for are never skipped — when the next stage begins. The
+        // first radius is ⌈log₂ n⌉, and every node knows `n`, so the
+        // schedule is globally agreed.
+        if s.probe_pending && u64::from(s.depth) < radius_at(id_bits(ctx.n) as u64, ctx.round) {
+            s.probe_pending = false;
+            s.flood(ctx, &mut out);
+        }
+        // Echo: ack the parent once everything else is resolved.
+        if s.all_resolved() && !s.acked && !s.probe_pending {
+            match s.parent {
+                Some(p) => {
+                    s.acked = true;
+                    out.send(p, LeaderMsg::Ack { leader: s.best });
+                }
+                None => {
+                    // We are the root and our echo completed: we are the
+                    // global minimum (no other candidate's echo can ever
+                    // complete — any foreign tree has an unresolvable port
+                    // toward the region that knows a smaller id). Fire the
+                    // done wave and halt.
+                    debug_assert_eq!(s.best, ctx.node.raw());
+                    for p in ctx.ports() {
+                        if s.children[p.index()] {
+                            out.send(p, LeaderMsg::Done { leader: s.best });
+                        }
+                    }
+                    return Step::Halt(out);
+                }
+            }
+        }
+        Step::Continue(out)
     }
 
     fn finish(&self, s: ElectionState, ctx: &NodeCtx<'_>) -> FinishResult<LeaderBfsOutput> {
-        self.inner.finish(s, ctx)
+        let children: Vec<Port> = ctx.ports().filter(|p| s.children[p.index()]).collect();
+        Ok(LeaderBfsOutput {
+            leader: NodeId::new(s.best),
+            tree: TreeInfo {
+                parent: s.parent,
+                children,
+                depth: s.depth,
+            },
+        })
     }
 }
 
@@ -148,81 +366,37 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::engine::Network;
     use graphs::generators;
-    use graphs::WeightedGraph;
 
-    fn run_leader(g: &WeightedGraph, algo: &LeaderBfs) -> (Vec<LeaderBfsOutput>, u64, u64) {
+    /// Runs the election on `g`, checks every node's output against the
+    /// oracle, and returns `(rounds, messages)`.
+    fn run_checked(g: &WeightedGraph) -> (u64, u64) {
         let mut net = Network::new(g, NetworkConfig::default()).unwrap();
         let out = net
-            .run("leader_bfs", algo, vec![(); g.node_count()])
+            .run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
             .expect("leader election succeeds");
-        (out.outputs, out.metrics.rounds, out.metrics.messages)
-    }
-
-    fn check_bfs_tree(g: &WeightedGraph, outs: &[LeaderBfsOutput]) {
-        let n = g.node_count();
-        let dist = graphs::traversal::bfs(g, NodeId::new(0)).dist;
-        for (v, o) in outs.iter().enumerate() {
-            assert_eq!(o.leader, NodeId::new(0), "node {v} elected {:?}", o.leader);
-            assert_eq!(o.tree.depth, dist[v], "node {v} depth");
-            if v == 0 {
-                assert!(o.tree.is_root());
-            } else {
-                let p = o.tree.parent.expect("non-root has parent");
-                let parent_id = g.neighbors(NodeId::from_index(v))[p.index()].neighbor;
-                assert_eq!(dist[parent_id.index()] + 1, dist[v], "BFS parent");
-            }
-        }
-        // Children lists are consistent with parents.
-        let mut child_count = 0;
-        for (v, o) in outs.iter().enumerate() {
-            for &c in &o.tree.children {
-                let child_id = g.neighbors(NodeId::from_index(v))[c.index()].neighbor;
-                let cp = outs[child_id.index()]
-                    .tree
-                    .parent
-                    .expect("child has parent");
-                let back = g.neighbors(child_id)[cp.index()].neighbor;
-                assert_eq!(back, NodeId::from_index(v));
-                child_count += 1;
-            }
-        }
-        assert_eq!(child_count, n - 1, "tree has n-1 edges");
-    }
-
-    /// Both protocols on every test topology: identical outputs, valid
-    /// BFS trees.
-    fn check_both(g: &WeightedGraph) -> (u64, u64) {
-        let (staged, _, staged_msgs) = run_leader(g, &LeaderBfs::new());
-        check_bfs_tree(g, &staged);
-        let (legacy, _, legacy_msgs) = run_leader(g, &LeaderBfs::legacy());
-        assert_eq!(staged, legacy, "protocols must agree bit for bit");
-        (staged_msgs, legacy_msgs)
+        assert_eq!(out.outputs, oracle(g), "n = {}", g.node_count());
+        assert!(out.metrics.max_message_bits <= net.bandwidth_bits());
+        (out.metrics.rounds, out.metrics.messages)
     }
 
     #[test]
     fn elects_on_path() {
         let g = generators::path(12).unwrap();
-        let (outs, rounds, _) = run_leader(&g, &LeaderBfs::new());
-        check_bfs_tree(&g, &outs);
-        // Path diameter 11; staged: stage windows + echo + done ≈ 6D.
+        let (rounds, _) = run_checked(&g);
+        // Path diameter 11: stage windows + echo + done ≈ 6D.
         assert!(rounds <= 6 * 11 + 12, "rounds = {rounds}");
-        let (_, legacy_rounds, _) = run_leader(&g, &LeaderBfs::legacy());
-        // Legacy: flood + echo + done ≈ 3D.
-        assert!(legacy_rounds <= 3 * 11 + 6, "rounds = {legacy_rounds}");
-        check_both(&g);
     }
 
     #[test]
     fn elects_on_grid_and_torus() {
         for g in [
             generators::grid2d(5, 7).unwrap(),
+            generators::grid2d(6, 6).unwrap(),
             generators::torus2d(4, 4).unwrap(),
         ] {
-            let (outs, rounds, _) = run_leader(&g, &LeaderBfs::new());
-            check_bfs_tree(&g, &outs);
+            let (rounds, _) = run_checked(&g);
             let d = graphs::traversal::exact_diameter(&g) as u64;
             assert!(rounds <= 6 * d + 16, "rounds = {rounds}, D = {d}");
-            check_both(&g);
         }
     }
 
@@ -232,56 +406,80 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for n in [2usize, 3, 10, 50, 120] {
             let g = generators::erdos_renyi_connected(n, 0.08, &mut rng).unwrap();
-            check_both(&g);
+            run_checked(&g);
         }
     }
 
     #[test]
     fn single_node_network() {
         let g = WeightedGraph::from_edges(1, []).unwrap();
-        for algo in [LeaderBfs::new(), LeaderBfs::legacy()] {
-            let (outs, rounds, _) = run_leader(&g, &algo);
-            assert_eq!(outs[0].leader, NodeId::new(0));
-            assert!(outs[0].tree.is_root());
-            assert!(rounds <= 2);
-        }
+        let (rounds, _) = run_checked(&g);
+        assert!(rounds <= 2);
     }
 
     #[test]
     fn rounds_scale_with_diameter_not_n() {
-        // A star has D = 2 regardless of n: rounds must stay constant-ish
-        // under both protocols (the staged schedule releases radius 2 in
-        // its second stage).
+        // A star has D = 2 regardless of n, inside the first radius
+        // ⌈log₂ 200⌉ = 8: rounds stay constant.
         let g = generators::star(200).unwrap();
-        let (_, rounds, _) = run_leader(&g, &LeaderBfs::new());
+        let (rounds, _) = run_checked(&g);
         assert!(rounds <= 12, "rounds = {rounds} on a star");
-        let (_, legacy_rounds, _) = run_leader(&g, &LeaderBfs::legacy());
-        assert!(legacy_rounds <= 12, "rounds = {legacy_rounds} on a star");
     }
 
+    /// A row-major torus has one local minimum, so the election is one
+    /// wave: `2m − (n − 1)` probes (the root floods all its ports, every
+    /// other node its non-parent ports), `n − 1` acks and `n − 1` done
+    /// messages, `2m + n − 1 = 719` in all.
     #[test]
-    fn messages_are_small() {
-        let g = generators::grid2d(6, 6).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let out = net
-            .run("leader_bfs", &LeaderBfs::new(), vec![(); 36])
-            .unwrap();
-        assert!(out.metrics.max_message_bits <= net.bandwidth_bits());
-    }
-
-    /// The staged election's whole point: on a row-major torus (one local
-    /// minimum) it moves a small multiple of `m` messages while the
-    /// legacy flood re-floods every prefix minimum.
-    #[test]
-    fn staged_cuts_messages_on_torus() {
+    fn torus12x12_is_one_wave() {
         let g = generators::torus2d(12, 12).unwrap();
-        let (staged_msgs, legacy_msgs) = check_both(&g);
-        assert!(
-            staged_msgs * 3 <= legacy_msgs,
-            "staged {staged_msgs} vs legacy {legacy_msgs}"
-        );
-        // One wave + echo + done: ≤ ~4 messages per edge direction.
-        let m2 = 2 * g.edge_count() as u64;
-        assert!(staged_msgs <= 2 * m2, "staged {staged_msgs} on 2m = {m2}");
+        let (rounds, messages) = run_checked(&g);
+        let (n, m) = (g.node_count() as u64, g.edge_count() as u64);
+        assert_eq!(messages, 2 * m + n - 1);
+        assert_eq!((messages, rounds), (719, 38));
+    }
+
+    #[test]
+    fn schedule_windows() {
+        // Stage 0: rounds 0..3 (R = 1, window 3).
+        for r in 0..3 {
+            assert_eq!(radius_at(1, r), 1, "round {r}");
+        }
+        // Stage 1: rounds 3..7 (R = 2, window 4).
+        for r in 3..7 {
+            assert_eq!(radius_at(1, r), 2, "round {r}");
+        }
+        // Stage 2: rounds 7..13 (R = 4, window 6).
+        for r in 7..13 {
+            assert_eq!(radius_at(1, r), 4, "round {r}");
+        }
+        assert_eq!(radius_at(1, 13), 8);
+    }
+
+    #[test]
+    fn schedule_scales_with_r0_and_saturates() {
+        assert_eq!(radius_at(4, 0), 4);
+        assert_eq!(radius_at(4, 6), 8);
+        // A zero r0 is clamped to 1 (radius 0 would gate forever).
+        assert_eq!(radius_at(0, 0), 1);
+        // Enormous rounds terminate (saturating walk) with a huge radius.
+        assert!(radius_at(1, u64::MAX - 1) > 1 << 60);
+    }
+
+    #[test]
+    fn radius_release_round_grows_linearly() {
+        // The round at which radius R is first allowed must be O(R): the
+        // stage windows sum to R_k + 2k + const, which is what keeps the
+        // election inside the O(D) round envelope.
+        for k in 0..20u32 {
+            let radius = 1u64 << k;
+            let release = (0..u64::MAX)
+                .find(|&r| radius_at(1, r) > radius)
+                .expect("released");
+            assert!(
+                release <= 2 * radius + 2 * u64::from(k) + 3,
+                "radius {radius} released only at round {release}"
+            );
+        }
     }
 }

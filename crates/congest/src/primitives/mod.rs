@@ -1,11 +1,8 @@
 //! Standard CONGEST building blocks.
 //!
 //! * [`leader_bfs`] — minimum-id leader election fused with BFS-tree
-//!   construction and echo-based termination: `O(D)` rounds. A thin
-//!   wrapper over [`staged_election`], which owns the protocol engine.
-//! * [`staged_election`] — the unified election engine: legacy flood and
-//!   the message-frugal staged election (local-minima candidacy +
-//!   radius-doubling fronts) as two knob settings of one protocol.
+//!   construction and echo-based termination: local-minima candidates,
+//!   radius-doubling probe fronts, `O(D)` rounds.
 //! * [`convergecast`] — aggregate one value per node up a tree/forest
 //!   (`O(height)` rounds).
 //! * [`broadcast`] — one item, or a pipelined stream of `k` items, from each
@@ -22,8 +19,7 @@
 //!   bound (the Borůvka-over-BFS aggregation of the distributed MST).
 //! * [`exchange`] — one-round neighbor exchange (full, delta — only
 //!   changed values are announced — and per-port delta: only *selected
-//!   edges* carry the announcement), and pipelined per-edge list exchange
-//!   (`O(k)` rounds).
+//!   edges* carry the announcement).
 //! * [`failure_detector`] — the idle heartbeat census: under a
 //!   crash-scheduling fault plan, every live node reports which
 //!   neighbors the transport's timeout detector suspects (the recovery
@@ -43,19 +39,16 @@ pub mod grouped;
 pub mod grouped_min;
 pub mod leader_bfs;
 pub mod merge;
-pub mod staged_election;
 pub mod subtree;
 pub mod upcast;
 
 pub use broadcast::{Broadcast, BroadcastItems};
 pub use convergecast::{Aggregate, Convergecast, MaxU64, MinU64, SumU64};
-pub use exchange::DeltaExchange;
-pub use exchange::{EdgeListExchange, NeighborExchange, PortDeltaExchange};
+pub use exchange::{DeltaExchange, NeighborExchange, PortDeltaExchange};
 pub use failure_detector::{FailureDetector, FdReport, JoinEcho};
 pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
 pub use grouped_min::{BestMonoid, GroupedBest, KeyedItem, KeyedMin};
-pub use leader_bfs::{Election, LeaderBfs, LeaderBfsOutput};
+pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
-pub use staged_election::{Candidacy, Schedule, StagedElection};
 pub use subtree::{KeyedSubtreeSum, SubtreeSums};
 pub use upcast::UpcastItems;

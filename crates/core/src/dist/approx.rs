@@ -19,7 +19,6 @@ use crate::dist::packing::PackingTarget;
 use crate::seq::sampling::{sampling_probability, skeleton_target};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
-use congest::primitives::leader_bfs::Election;
 use congest::{MetricsLedger, NetworkConfig};
 use graphs::{CutResult, WeightedGraph};
 
@@ -121,7 +120,6 @@ pub fn approx_mincut(
                 PackingTarget::Fixed(rung_trees)
             },
             sample: (!exact_rung).then_some((p, config.seed ^ rung)),
-            election: Election::default(),
         };
         match run_pipeline(g, &opts) {
             Ok(outcome) => {
@@ -162,7 +160,6 @@ pub fn approx_mincut(
                     mst: config.mst.clone(),
                     target: PackingTarget::TrackBest(PackingConfig::default()),
                     sample: None,
-                    election: Election::default(),
                 },
             )?;
             rounds += outcome.rounds;

@@ -21,7 +21,6 @@ use crate::dist::mst::MstConfig;
 use crate::dist::packing::PackingTarget;
 use crate::seq::sampling::{sampling_probability, skeleton_target};
 use crate::MinCutError;
-use congest::primitives::leader_bfs::Election;
 use congest::{MetricsLedger, NetworkConfig};
 use graphs::{CutResult, WeightedGraph};
 
@@ -100,7 +99,6 @@ pub fn gk_baseline(
             mst: config.mst.clone(),
             target: PackingTarget::Fixed(config.tree_budget(g.node_count())),
             sample: None,
-            election: Election::default(),
         },
     )
 }
@@ -127,7 +125,6 @@ pub fn su_baseline(
         mst: config.mst.clone(),
         target: PackingTarget::Fixed(config.tree_budget(n)),
         sample: (p < 1.0).then_some((p, config.seed)),
-        election: Election::default(),
     };
     match run_baseline(g, &opts) {
         Err(MinCutError::Disconnected) if opts.sample.is_some() => run_baseline(

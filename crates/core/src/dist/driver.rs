@@ -11,7 +11,7 @@
 //! bit for bit, which the unit tests assert.
 //!
 //! Between phases the driver performs only **per-node-local**
-//! bookkeeping on each node's [`NodeMem`] (the engine's documented
+//! bookkeeping on each node's `NodeMem` (the engine's documented
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
 //!
@@ -33,7 +33,7 @@ use crate::dist::packing::{better, Cand, PackingTarget};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
-use congest::primitives::leader_bfs::{Election, LeaderBfs};
+use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::subtree::SubtreeSums;
 use congest::primitives::{
     Broadcast, BroadcastItems, DeltaExchange, GroupedBest, GroupedSum, NeighborExchange,
@@ -57,11 +57,6 @@ pub struct ExactConfig {
     pub packing: PackingConfig,
     /// Distributed MST stage knobs (fragment cap, coin seed).
     pub mst: MstConfig,
-    /// Which leader-election protocol opens the pipeline. The staged
-    /// election (default) and the legacy flood produce bit-identical
-    /// leaders, BFS trees, and downstream cuts (election parity suite);
-    /// the staged one moves an order of magnitude fewer messages.
-    pub election: Election,
 }
 
 impl ExactConfig {
@@ -150,27 +145,15 @@ pub fn exact_mincut(
     g: &WeightedGraph,
     config: &ExactConfig,
 ) -> Result<DistMinCutResult, MinCutError> {
-    let outcome = run_pipeline(
+    run_pipeline(
         g,
         &PipelineOpts {
             network: config.network.clone(),
             mst: config.mst.clone(),
             target: PackingTarget::TrackBest(config.packing.clone()),
             sample: None,
-            election: config.election,
         },
-    )?;
-    Ok(DistMinCutResult {
-        cut: outcome.cut,
-        rounds: outcome.rounds,
-        messages: outcome.messages,
-        trees_packed: outcome.trees_packed,
-        trees_to_best: outcome.trees_to_best,
-        best_node: outcome.best_node,
-        ledger: outcome.ledger,
-        tree_edges: outcome.tree_edges,
-        phase_a_fragments: outcome.phase_a_fragments,
-    })
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -190,22 +173,6 @@ pub(crate) struct PipelineOpts {
     /// probability `p` (shared coins keyed by `(seed, edge id)`); cuts
     /// are always *evaluated* with the original weights.
     pub sample: Option<(f64, u64)>,
-    /// Leader-election protocol (see [`ExactConfig::election`]).
-    pub election: Election,
-}
-
-/// Outcome of one pipeline run.
-#[derive(Clone, Debug)]
-pub(crate) struct PipelineOutcome {
-    pub cut: CutResult,
-    pub trees_packed: usize,
-    pub trees_to_best: usize,
-    pub best_node: Option<NodeId>,
-    pub rounds: u64,
-    pub messages: u64,
-    pub ledger: MetricsLedger,
-    pub tree_edges: Vec<Vec<graphs::EdgeId>>,
-    pub phase_a_fragments: Vec<usize>,
 }
 
 /// A driver-side snapshot of the pipeline's validated stage outputs,
@@ -467,22 +434,16 @@ struct Pipeline<'g> {
 impl<'g> Pipeline<'g> {
     /// Elects the leader, builds its BFS tree, and initialises every
     /// node's static memory. On failure the ledger accumulated so far
-    /// rides along with the error (see [`run_pipeline_traced`]).
+    /// rides along with the error (see [`run_pipeline_checkpointed`]).
     fn new(
         g: &'g WeightedGraph,
         network: NetworkConfig,
         mst: MstConfig,
-        election: Election,
         pack_edge: &[u64],
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
-        let n = g.node_count();
         let mut net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let bfs = match net.run(
-            "leader_bfs",
-            &LeaderBfs::with_election(election),
-            vec![(); n],
-        ) {
+        let bfs = match net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()]) {
             Ok(out) => out,
             Err(e) => {
                 let ledger = net.ledger().clone();
@@ -490,30 +451,8 @@ impl<'g> Pipeline<'g> {
             }
         };
         let leader = bfs.outputs[0].leader;
-        let mems = g
-            .nodes()
-            .map(|v| {
-                let adj = g.neighbors(v);
-                NodeMem {
-                    bfs: bfs.outputs[v.index()].tree.clone(),
-                    edge_ids: adj.iter().map(|a| a.edge.raw()).collect(),
-                    weights: adj.iter().map(|a| a.weight).collect(),
-                    pack_w: adj.iter().map(|a| pack_edge[a.edge.index()]).collect(),
-                    delta: g.weighted_degree(v),
-                    loads: vec![0; adj.len()],
-                    ..Default::default()
-                }
-            })
-            .collect();
-        Ok(Pipeline {
-            g,
-            net,
-            mst,
-            mems,
-            leader,
-            n,
-            tf: Vec::new(),
-        })
+        let trees = bfs.outputs.into_iter().map(|o| o.tree).collect();
+        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, trees))
     }
 
     /// [`Pipeline::new`] minus the election: restores a checkpointed
@@ -529,16 +468,37 @@ impl<'g> Pipeline<'g> {
         leader: u32,
         parents: &[Option<u32>],
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
-        let n = g.node_count();
         let net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let infos = tree_infos(g, parents);
+        let trees = tree_infos(g, parents);
+        Ok(Self::with_bfs(
+            g,
+            net,
+            mst,
+            pack_edge,
+            NodeId::new(leader),
+            trees,
+        ))
+    }
+
+    /// The pipeline over an established BFS tree (`bfs[v]` is node `v`'s
+    /// view of it): every node's static memory is its local knowledge
+    /// plus its BFS view.
+    fn with_bfs(
+        g: &'g WeightedGraph,
+        net: Network<'g>,
+        mst: MstConfig,
+        pack_edge: &[u64],
+        leader: NodeId,
+        bfs: Vec<TreeInfo>,
+    ) -> Self {
         let mems = g
             .nodes()
-            .map(|v| {
+            .zip(bfs)
+            .map(|(v, bfs)| {
                 let adj = g.neighbors(v);
                 NodeMem {
-                    bfs: infos[v.index()].clone(),
+                    bfs,
                     edge_ids: adj.iter().map(|a| a.edge.raw()).collect(),
                     weights: adj.iter().map(|a| a.weight).collect(),
                     pack_w: adj.iter().map(|a| pack_edge[a.edge.index()]).collect(),
@@ -548,15 +508,15 @@ impl<'g> Pipeline<'g> {
                 }
             })
             .collect();
-        Ok(Pipeline {
+        Pipeline {
             g,
             net,
             mst,
             mems,
-            leader: NodeId::new(leader),
-            n,
+            leader,
+            n: g.node_count(),
             tf: Vec::new(),
-        })
+        }
     }
 
     /// Distributed re-validation of a restored tree: one convergecast
@@ -1795,35 +1755,29 @@ impl<'g> Pipeline<'g> {
 pub(crate) fn run_pipeline(
     g: &WeightedGraph,
     opts: &PipelineOpts,
-) -> Result<PipelineOutcome, MinCutError> {
-    run_pipeline_traced(g, opts).map_err(|(e, _)| e)
+) -> Result<DistMinCutResult, MinCutError> {
+    run_pipeline_checkpointed(g, opts, None, None).map_err(|(e, _)| e)
 }
 
-/// [`run_pipeline`] that surrenders the metrics ledger accumulated up to
-/// the point of failure alongside the error. The self-healing driver
+/// [`run_pipeline`] with the self-healing driver's checkpoint seam:
+/// `resume` restores pre-validated structures from an earlier attempt's
+/// [`RecoveryLog`] (skipping the stages that produced them), and `log`
+/// captures this attempt's own stage outputs as they complete. Both
+/// default to off — `exact_mincut` and the baselines pay nothing for
+/// the seam.
+///
+/// On failure the metrics ledger accumulated up to that point rides
+/// along with the error. The self-healing driver
 /// ([`crate::dist::recover`]) needs both: the typed
 /// [`congest::CongestError::NodeSuspected`] carries the virtual-round
 /// clock for rebasing the crash schedule, and the partial ledger is what
 /// makes an aborted attempt's cost visible in the merged accounting.
-pub(crate) fn run_pipeline_traced(
-    g: &WeightedGraph,
-    opts: &PipelineOpts,
-) -> Result<PipelineOutcome, (MinCutError, MetricsLedger)> {
-    run_pipeline_checkpointed(g, opts, None, None)
-}
-
-/// [`run_pipeline_traced`] with the self-healing driver's checkpoint
-/// seam: `resume` restores pre-validated structures from an earlier
-/// attempt's [`RecoveryLog`] (skipping the stages that produced them),
-/// and `log` captures this attempt's own stage outputs as they
-/// complete. Both default to off — `exact_mincut` and the baselines pay
-/// nothing for the seam.
 pub(crate) fn run_pipeline_checkpointed(
     g: &WeightedGraph,
     opts: &PipelineOpts,
     resume: Option<&ResumeSpec>,
     log: Option<&mut RecoveryLog>,
-) -> Result<PipelineOutcome, (MinCutError, MetricsLedger)> {
+) -> Result<DistMinCutResult, (MinCutError, MetricsLedger)> {
     let n = g.node_count();
     if n < 2 {
         return Err((MinCutError::TooSmall { nodes: n }, MetricsLedger::new()));
@@ -1865,13 +1819,7 @@ pub(crate) fn run_pipeline_checkpointed(
             *leader,
             parents,
         )?,
-        None => Pipeline::new(
-            g,
-            opts.network.clone(),
-            opts.mst.clone(),
-            opts.election,
-            &pack_edge,
-        )?,
+        None => Pipeline::new(g, opts.network.clone(), opts.mst.clone(), &pack_edge)?,
     };
     // Fail-fast distributed re-validation of the restored structures: a
     // node that died since the checkpoint aborts here (cheaply), before
@@ -1911,14 +1859,14 @@ pub(crate) fn run_pipeline_checkpointed(
 
 /// The packing loop proper, on an initialised pipeline: packs trees until
 /// the target is met and assembles the outcome. Split out of
-/// [`run_pipeline_traced`] so a failure leaves `pl` — and its ledger —
-/// accessible to the caller.
+/// [`run_pipeline_checkpointed`] so a failure leaves `pl` — and its
+/// ledger — accessible to the caller.
 fn drive_packing(
     pl: &mut Pipeline<'_>,
     opts: &PipelineOpts,
     resume: Option<&ResumeSpec>,
     mut log: Option<&mut RecoveryLog>,
-) -> Result<PipelineOutcome, MinCutError> {
+) -> Result<DistMinCutResult, MinCutError> {
     let n = pl.n;
     if let Some(log) = log.as_deref_mut() {
         log.leader = Some(pl.leader.raw());
@@ -2028,7 +1976,7 @@ fn drive_packing(
         cut.value,
         "the announced side must evaluate to the announced value"
     );
-    Ok(PipelineOutcome {
+    Ok(DistMinCutResult {
         cut,
         trees_packed: packed,
         trees_to_best,
@@ -2056,7 +2004,6 @@ mod tests {
             mst: MstConfig::default(),
             target: PackingTarget::Fixed(k),
             sample: None,
-            election: Election::default(),
         }
     }
 
@@ -2080,7 +2027,6 @@ mod tests {
                 g,
                 NetworkConfig::default(),
                 MstConfig::default(),
-                Election::default(),
                 &pack_edge,
             )
             .unwrap();
@@ -2127,7 +2073,6 @@ mod tests {
                 g,
                 NetworkConfig::default(),
                 MstConfig::default(),
-                Election::default(),
                 &pack_edge,
             )
             .unwrap();

@@ -7,14 +7,31 @@
 //! [`trees::mst::kruskal_by`] tree):
 //!
 //! * **Phase A (`mstA.*`) — capped local growth.** Fragments grow by
-//!   Borůvka hooking with a size cap of `√n`: each level, every live
-//!   fragment finds its minimum outgoing edge (convergecast over the
-//!   fragment tree), flips a deterministic shared coin, and *tails*
-//!   fragments hook into their target when the target is *heads* or
-//!   already frozen (size ≥ cap). Heads/tails mating keeps hook chains at
-//!   length one, so a level costs `O(fragment diameter)` rounds and all
-//!   fragments run in parallel. After `O(log n)` levels every fragment
-//!   has ≥ `√n` nodes, so at most `√n` fragments remain.
+//!   Borůvka hooking with a size cap of `⌈√n⌉`: each level, every
+//!   unfrozen fragment finds its minimum outgoing edge (convergecast
+//!   over the fragment tree) and decides whether to hook along it, and a
+//!   fragment that reaches the cap *freezes* and stops proposing. The
+//!   two [`MstAMode`]s differ in the hook rule:
+//!   - `Optimized` (the default) uses no coins: a fragment hooks iff its
+//!     target is frozen or [`hooks_toward`] fires, and every fragment
+//!     that is not hooking itself accepts.
+//!   - `Legacy` flips a deterministic shared coin per fragment and level
+//!     ([`MstConfig::heads`]): *tails* fragments hook into *heads* or
+//!     frozen targets, and two tails fragments that choose each other
+//!     merge unconditionally.
+//!
+//!   In both modes hook chains have length one, so a level costs
+//!   `O(fragment diameter)` rounds with all fragments in parallel, and
+//!   every component of the fragment choice graph merges at least one
+//!   pair per level. That guarantees progress but does not bound the
+//!   levels by `O(log n)`: on the 70,602-node benchmark graph
+//!   (`√n ≈ 266`) the default mode takes 18 levels, and stopping after 9
+//!   leaves 567 fragments. Phase A ends once one fragment spans the
+//!   graph or every fragment is frozen — each then has at least `⌈√n⌉`
+//!   nodes, so at most `√n` fragments remain — or after
+//!   [`MstConfig::max_levels`] levels, which hands any still-small
+//!   fragments to phase B. `ROADMAP.md` ("Phase A: meet the paper's
+//!   level bound") tracks the missing level bound.
 //! * **Phase B (`mstB.*`) — Borůvka through the leader.** With `k ≤ √n`
 //!   fragments left, each iteration aggregates the per-component minimum
 //!   outgoing edge at the leader with one pipelined grouped argmin over
@@ -57,10 +74,11 @@ pub struct MstConfig {
     /// Smaller caps mean more (cheaper) fragments, larger caps fewer
     /// (deeper) ones — experiment E8 sweeps this.
     pub cap: Option<usize>,
-    /// Safety cap on phase-A levels (the heads/tails mating argument
-    /// finishes in `O(log n)` levels with overwhelming probability; any
-    /// fragments still small after `max_levels` are simply handed to
-    /// phase B, which remains correct).
+    /// Safety cap on phase-A levels. Neither mode bounds its level
+    /// count by `O(log n)` (each level merges at least one pair per
+    /// choice-graph component; see the module docs); fragments still
+    /// below the cap after `max_levels` levels are handed to phase B,
+    /// which remains correct.
     pub max_levels: usize,
     /// Seed of the deterministic shared fragment coins (legacy mating
     /// only; the optimized mode is coin-free).
@@ -121,8 +139,9 @@ impl MstConfig {
 ///   is the minimum outgoing edge of *both* endpoints (keys are a total
 ///   order), and by the point above exactly one endpoint hooks along it
 ///   and the other accepts — every component merges at least one pair
-///   per level, so phase A still finishes in `O(log n)` levels,
-///   deterministically.
+///   per level, deterministically. This guarantees progress, not an
+///   `O(log n)` level count: a component may merge only that one pair
+///   (see the module docs).
 pub fn hooks_toward(frag: u32, target: u32) -> bool {
     debug_assert_ne!(frag, target, "choice edges join distinct fragments");
     let i = (frag ^ target).trailing_zeros();

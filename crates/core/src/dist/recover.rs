@@ -130,7 +130,7 @@ pub enum Stage {
 #[derive(Clone, Debug)]
 pub struct RecoverConfig {
     /// The pipeline configuration (network model, packing policy, MST
-    /// knobs, election protocol). Its executor choice is overridden: the
+    /// knobs). Its executor choice is overridden: the
     /// attempts run under the fault-injecting executor with [`plan`]
     /// (with the abort-on-suspicion policy forced).
     ///
@@ -445,7 +445,6 @@ pub fn recover_mincut(
             mst: cfg.base.mst.clone(),
             target: PackingTarget::TrackBest(cfg.base.packing.clone()),
             sample: None,
-            election: cfg.base.election,
         };
         let mut attempt_log = RecoveryLog::default();
         let err =
@@ -888,7 +887,6 @@ mod tests {
             mst: base.mst.clone(),
             target: PackingTarget::TrackBest(base.packing.clone()),
             sample: None,
-            election: base.election,
         };
         let mut log = RecoveryLog::default();
         let clean = run_pipeline_checkpointed(&g, &opts, None, Some(&mut log))

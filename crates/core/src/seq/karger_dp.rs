@@ -1,5 +1,5 @@
 //! The sequential 1-respecting minimum cut — Karger's dynamic program
-//! (Lemma 5.9 of [Kar00], the paper's Lemma 2.2):
+//! (Lemma 5.9 of \[Kar00\], the paper's Lemma 2.2):
 //!
 //! > `C(v↓) = δ↓(v) − 2ρ↓(v)`
 //!

@@ -1,4 +1,4 @@
-//! Skeleton sampling (Karger [Kar94], as used by the paper and by
+//! Skeleton sampling (Karger \[Kar94\], as used by the paper and by
 //! [Tho07, Lemma 7]): sampling each unit of weight with probability `p`
 //! scales every cut to `≈ p·C` with `(1 ± ε)` relative error w.h.p. once
 //! `p·λ = Ω(log n / ε²)`. Running the exact small-λ algorithm on the

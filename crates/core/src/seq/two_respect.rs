@@ -1,5 +1,5 @@
 //! Minimum cuts that **2-respect** a spanning tree — the extension Karger
-//! [Kar00] uses for full exactness (and that the paper leaves implicit by
+//! \[Kar00\] uses for full exactness (and that the paper leaves implicit by
 //! quoting `poly(λ)`): if a tree packing has size `≥ λ/2`, some tree shares
 //! at most **two** edges with a minimum cut, so scanning 1- and 2-respecting
 //! cuts of `O(log n)` greedily packed trees finds the exact minimum with

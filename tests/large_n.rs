@@ -69,6 +69,14 @@ fn exact_mincut_above_the_old_u16_cap() {
         s4a.messages
     );
 
+    // The election is one wave from the single local minimum, node 0:
+    // 2m + n − 1 messages, and O(D) rounds on D ≈ 33.
+    let election = &res.ledger.phases()[0];
+    assert_eq!(election.name, "leader_bfs");
+    let m = g.edge_count() as u64;
+    assert_eq!(election.messages, 2 * m + n as u64 - 1);
+    assert_eq!((election.messages, election.rounds), (494_813, 102));
+
     // Phase A hands phase B k = 42 fragments. k sizes the leader's table
     // broadcasts over the BFS tree's n − 1 edges: `orient.tf` streams
     // the k − 1 rows of T_F and `s5d` one subtree sum per fragment, each
