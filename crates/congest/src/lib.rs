@@ -77,6 +77,6 @@ pub use error::CongestError;
 pub use executor::{ExecutorKind, ParallelExecutor, RoundExecutor, SerialExecutor};
 pub use message::{id_bits, value_bits, Message};
 pub use metrics::{MetricsLedger, PhaseGroup, PhaseMetrics, SimPhaseStats};
-pub use node::{NeighborInfo, NodeCtx, Port, TreeInfo};
+pub use node::{Intervals, NeighborInfo, NodeCtx, Port, TreeInfo};
 pub use obs::{ObsHandle, ObsReport, ObsSink, PhaseSummary};
 pub use sim::{CrashEvent, FaultPlan, FaultyExecutor, PartitionEvent, SuspicionPolicy};

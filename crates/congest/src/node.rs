@@ -157,6 +157,64 @@ impl TreeInfo {
     }
 }
 
+/// A node's pre-order interval in a rooted tree, and its children's: the
+/// labels that let a node test ancestorship, and route toward a
+/// descendant, from `O(log n)` bits. A subtree's nodes carry the in-times
+/// `in_t..=out_t`, the node itself `in_t`. Children are numbered in port
+/// order. [`crate::primitives::leader_bfs::LeaderBfs`] labels the BFS
+/// tree this way; the cut stage labels each fragment tree.
+///
+/// Excising nodes from a labelled tree only leaves gaps in the
+/// numbering: every interval still holds exactly the in-times of its
+/// surviving subtree.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub struct Intervals {
+    /// Pre-order entry time.
+    pub in_t: u32,
+    /// Last entry time of the subtree (`in_t + size − 1` without gaps).
+    pub out_t: u32,
+    /// `(port, in, out)` of every child.
+    pub children: Vec<(Port, u32, u32)>,
+}
+
+impl Intervals {
+    /// The labels of a node entered at `in_t` whose subtree has `size`
+    /// nodes, with its children's subtree sizes in port order: child
+    /// subtrees take consecutive ranges after `in_t`.
+    pub fn assign(
+        in_t: u32,
+        size: u32,
+        child_sizes: impl IntoIterator<Item = (Port, u32)>,
+    ) -> Self {
+        let mut next = in_t + 1;
+        let children = child_sizes
+            .into_iter()
+            .map(|(port, size)| {
+                next += size;
+                (port, next - size, next - 1)
+            })
+            .collect();
+        Intervals {
+            in_t,
+            out_t: in_t + size - 1,
+            children,
+        }
+    }
+
+    /// Does this node's subtree contain the entry time `t`?
+    pub fn contains(&self, t: u32) -> bool {
+        self.in_t <= t && t <= self.out_t
+    }
+
+    /// Is `t` inside a single child's subtree (returns that child)?
+    pub fn child_containing(&self, t: u32) -> Option<Port> {
+        self.children
+            .iter()
+            .find(|&&(_, lo, hi)| lo <= t && t <= hi)
+            .map(|&(p, _, _)| p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,10 +54,21 @@
 //! therefore the BFS tree that [`oracle`] computes sequentially, and the
 //! tests compare every node's output against it. `docs/elections.md`
 //! records the measurements behind this design.
+//!
+//! # Labels
+//!
+//! The election also numbers the tree in pre-order from the leader,
+//! children in port order, at no cost in rounds or messages: each `Ack`
+//! carries the sender's subtree size, and the `Done` wave carries each
+//! child's in-time. Every node ends with its own and its children's
+//! [`Intervals`], which is all a node needs to forward a message toward
+//! any labelled descendant — the leader's routed table rows
+//! ([`crate::primitives::broadcast::Route`]) travel by them. The sizes
+//! and in-times add their magnitudes to those two messages' bits.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::{id_bits, value_bits, Message, TAG_BITS};
-use crate::node::{NodeCtx, Port, TreeInfo};
+use crate::node::{Intervals, NodeCtx, Port, TreeInfo};
 use graphs::{NodeId, WeightedGraph};
 
 /// Messages of the leader/BFS phase.
@@ -74,34 +85,40 @@ pub enum LeaderMsg {
     Ack {
         /// Leader this ack refers to (stale acks are ignored).
         leader: u32,
+        /// The sender's subtree size.
+        size: u32,
     },
     /// "The election is over; halt after forwarding to your children."
     Done {
         /// The elected leader.
         leader: u32,
+        /// The receiver's pre-order in-time.
+        in_t: u32,
     },
 }
 
 impl Message for LeaderMsg {
     fn bit_len(&self) -> usize {
-        match self {
-            LeaderMsg::Probe { leader, depth } => {
-                TAG_BITS + value_bits(*leader as u64) + value_bits(*depth as u64)
-            }
-            LeaderMsg::Ack { leader } | LeaderMsg::Done { leader } => {
-                TAG_BITS + value_bits(*leader as u64)
-            }
-        }
+        let (leader, x) = match *self {
+            LeaderMsg::Probe { leader, depth } => (leader, depth),
+            LeaderMsg::Ack { leader, size } => (leader, size),
+            LeaderMsg::Done { leader, in_t } => (leader, in_t),
+        };
+        TAG_BITS + value_bits(u64::from(leader)) + value_bits(u64::from(x))
     }
 }
 
-/// Per-node output: the elected leader and this node's place in its BFS tree.
+/// Per-node output: the elected leader and this node's place in its BFS
+/// tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LeaderBfsOutput {
     /// The elected leader (the minimum identifier in the network).
     pub leader: NodeId,
     /// Parent/children/depth in the leader's BFS tree.
     pub tree: TreeInfo,
+    /// This node's and its children's pre-order intervals in the BFS
+    /// tree (the leader is entered at 0, children in port order).
+    pub iv: Intervals,
 }
 
 /// The leader-election + BFS-tree phase. See module docs.
@@ -120,7 +137,8 @@ impl LeaderBfs {
 /// leads; depths are BFS distances from it
 /// ([`graphs::traversal::bfs`]); a node's parent is its smallest port
 /// one level up, and its children are the sorted ports whose neighbor
-/// chose it as parent.
+/// chose it as parent. The intervals number the tree in pre-order from
+/// the leader, visiting children in port order.
 pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
     let dist = graphs::traversal::bfs(g, NodeId::new(0)).dist;
     let parent: Vec<Option<Port>> = g
@@ -132,7 +150,8 @@ pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
                 .map(|p| Port(p as u32))
         })
         .collect();
-    g.nodes()
+    let trees: Vec<TreeInfo> = g
+        .nodes()
         .map(|v| {
             let children = g
                 .neighbors(v)
@@ -144,14 +163,45 @@ pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
                 })
                 .map(|(p, _)| Port(p as u32))
                 .collect();
-            LeaderBfsOutput {
-                leader: NodeId::new(0),
-                tree: TreeInfo {
-                    parent: parent[v.index()],
-                    children,
-                    depth: dist[v.index()],
-                },
+            TreeInfo {
+                parent: parent[v.index()],
+                children,
+                depth: dist[v.index()],
             }
+        })
+        .collect();
+    let child = |v: usize, p: Port| {
+        g.neighbors(NodeId::from_index(v))[p.index()]
+            .neighbor
+            .index()
+    };
+    let mut order: Vec<usize> = (0..g.node_count()).collect();
+    order.sort_by_key(|&v| dist[v]);
+    // Subtree sizes deepest first, then intervals shallowest first.
+    let mut size = vec![1u32; order.len()];
+    for &v in order.iter().rev() {
+        size[v] += trees[v]
+            .children
+            .iter()
+            .map(|&p| size[child(v, p)])
+            .sum::<u32>();
+    }
+    let mut in_t = vec![0u32; order.len()];
+    let mut ivs = vec![Intervals::default(); order.len()];
+    for &v in &order {
+        let child_sizes = trees[v].children.iter().map(|&p| (p, size[child(v, p)]));
+        ivs[v] = Intervals::assign(in_t[v], size[v], child_sizes);
+        for &(p, lo, _) in &ivs[v].children {
+            in_t[child(v, p)] = lo;
+        }
+    }
+    trees
+        .into_iter()
+        .zip(ivs)
+        .map(|(tree, iv)| LeaderBfsOutput {
+            leader: NodeId::new(0),
+            tree,
+            iv,
         })
         .collect()
 }
@@ -182,11 +232,14 @@ pub struct ElectionState {
     parent: Option<Port>,
     /// Per-port resolution for the current `best`.
     resolved: Vec<bool>,
-    /// Ports that acked us as their parent (our children).
-    children: Vec<bool>,
+    /// Per port, the subtree size its ack reported: nonzero exactly on
+    /// the ports that acked us as their parent (our children).
+    child_size: Vec<u32>,
     /// Probes for `best` not yet sent (awaiting the schedule's release).
     probe_pending: bool,
     acked: bool,
+    /// Our BFS interval, set when the done wave reaches us.
+    iv: Option<Intervals>,
 }
 
 impl ElectionState {
@@ -197,14 +250,37 @@ impl ElectionState {
         self.resolved.clear();
         self.resolved.resize(degree, false);
         self.resolved[via.index()] = true;
-        self.children.clear();
-        self.children.resize(degree, false);
+        self.child_size.clear();
+        self.child_size.resize(degree, 0);
         self.probe_pending = true;
         self.acked = false;
     }
 
     fn all_resolved(&self) -> bool {
         self.resolved.iter().all(|&r| r)
+    }
+
+    /// Our subtree size, once every child has acked.
+    fn size(&self) -> u32 {
+        1 + self.child_size.iter().sum::<u32>()
+    }
+
+    /// Our interval, entered at `in_t`, and the done wave that hands
+    /// each child its own entry time.
+    fn done(&mut self, in_t: u32, out: &mut Outbox<LeaderMsg>) {
+        let child_sizes = self.child_size.iter().enumerate().filter(|(_, &s)| s > 0);
+        let child_sizes = child_sizes.map(|(p, &s)| (Port(p as u32), s));
+        let iv = Intervals::assign(in_t, self.size(), child_sizes);
+        for &(p, lo, _) in &iv.children {
+            out.send(
+                p,
+                LeaderMsg::Done {
+                    leader: self.best,
+                    in_t: lo,
+                },
+            );
+        }
+        self.iv = Some(iv);
     }
 
     /// Queues probes for `best` on all non-parent ports.
@@ -238,9 +314,10 @@ impl Algorithm for LeaderBfs {
             depth: 0,
             parent: None,
             resolved: vec![false; deg],
-            children: vec![false; deg],
+            child_size: vec![0; deg],
             probe_pending: false,
             acked: false,
+            iv: None,
         };
         let mut out = Outbox::new();
         // Boot counts as round 0; every radius is ≥ 1 > 0, so a
@@ -288,27 +365,23 @@ impl Algorithm for LeaderBfs {
                     // leader < best handled in phase 1 (parent port already
                     // marked resolved by adopt).
                 }
-                LeaderMsg::Ack { leader } => {
+                LeaderMsg::Ack { leader, size } => {
                     if *leader == s.best {
                         s.resolved[port.index()] = true;
-                        s.children[port.index()] = true;
+                        s.child_size[port.index()] = *size;
                     }
                 }
-                LeaderMsg::Done { leader } => {
+                LeaderMsg::Done { leader, in_t } => {
                     debug_assert_eq!(*leader, s.best, "done wave carries the winner");
-                    done = Some(*leader);
+                    done = Some(*in_t);
                 }
             }
         }
 
         let mut out = Outbox::new();
-        // Done wave: forward to children and halt.
-        if let Some(leader) = done {
-            for p in ctx.ports() {
-                if s.children[p.index()] {
-                    out.send(p, LeaderMsg::Done { leader });
-                }
-            }
+        // Done wave: take our interval, hand the children theirs, halt.
+        if let Some(in_t) = done {
+            s.done(in_t, &mut out);
             return Step::Halt(out);
         }
         // Pending probes fire once the schedule releases this depth: a
@@ -326,7 +399,11 @@ impl Algorithm for LeaderBfs {
             match s.parent {
                 Some(p) => {
                     s.acked = true;
-                    out.send(p, LeaderMsg::Ack { leader: s.best });
+                    let ack = LeaderMsg::Ack {
+                        leader: s.best,
+                        size: s.size(),
+                    };
+                    out.send(p, ack);
                 }
                 None => {
                     // We are the root and our echo completed: we are the
@@ -335,11 +412,7 @@ impl Algorithm for LeaderBfs {
                     // toward the region that knows a smaller id). Fire the
                     // done wave and halt.
                     debug_assert_eq!(s.best, ctx.node.raw());
-                    for p in ctx.ports() {
-                        if s.children[p.index()] {
-                            out.send(p, LeaderMsg::Done { leader: s.best });
-                        }
-                    }
+                    s.done(0, &mut out);
                     return Step::Halt(out);
                 }
             }
@@ -348,7 +421,10 @@ impl Algorithm for LeaderBfs {
     }
 
     fn finish(&self, s: ElectionState, ctx: &NodeCtx<'_>) -> FinishResult<LeaderBfsOutput> {
-        let children: Vec<Port> = ctx.ports().filter(|p| s.children[p.index()]).collect();
+        let children: Vec<Port> = ctx
+            .ports()
+            .filter(|p| s.child_size[p.index()] > 0)
+            .collect();
         Ok(LeaderBfsOutput {
             leader: NodeId::new(s.best),
             tree: TreeInfo {
@@ -356,6 +432,9 @@ impl Algorithm for LeaderBfs {
                 children,
                 depth: s.depth,
             },
+            // Every node that halted was reached by the done wave; only
+            // a crashed node's zombie output lacks labels.
+            iv: s.iv.unwrap_or_default(),
         })
     }
 }

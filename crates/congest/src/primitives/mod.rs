@@ -2,12 +2,14 @@
 //!
 //! * [`leader_bfs`] — minimum-id leader election fused with BFS-tree
 //!   construction and echo-based termination: local-minima candidates,
-//!   radius-doubling probe fronts, `O(D)` rounds.
+//!   radius-doubling probe fronts, `O(D)` rounds; the echo and done
+//!   waves also label the tree with pre-order [`crate::Intervals`].
 //! * [`convergecast`] — aggregate one value per node up a tree/forest
 //!   (`O(height)` rounds).
-//! * [`broadcast`] — one item, or a pipelined stream of `k` items, from each
-//!   root down its tree (`O(k + height)` rounds); stream items are folded
-//!   into a per-node accumulator on arrival, never stored as a list.
+//! * [`broadcast`] — one item, or a pipelined stream of `k` rows, from each
+//!   root down its tree (`O(k + height)` rounds); each row is routed to
+//!   every node or to one or two labelled targets, which fold it into a
+//!   per-node accumulator on arrival, never storing the list.
 //! * [`upcast`] — pipelined collection of all items at the root
 //!   (`O(k + height)` rounds).
 //! * [`merge`] — the shared pipelined sorted-stream merge core

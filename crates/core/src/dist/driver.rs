@@ -15,23 +15,30 @@
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
 //!
-//! The leader's table broadcasts (`mstB.i*.merge`, `orient.tf`,
+//! The leader's table streams (`mstB.i*.merge`, `orient.tf`,
 //! `s2c.down`, `s4b`, `s5d`) fold each row into the receiving node's
 //! memory as it arrives — each node computes its share of the table on
 //! the fly — so only the leader holds the `k` rows it streams, and the
-//! `k·n` per-node copies never exist.
+//! `k·n` per-node copies never exist. Rows that only a few nodes read
+//! travel only to them, along the BFS tree's pre-order intervals (the
+//! labels the election hands out): an `mstB` `Chosen` row to the
+//! edge's two endpoints, an `s4b` pair to its first attachment, an
+//! `s5d` sum to its fragment's attachment. Rows every node reads —
+//! `mstB` `Remap` rows, the `T_F` table of `orient.tf`, a fragment's
+//! attachment in-times in `s2c.down` — still reach every node.
 
 use crate::dist::mst::{
     ACand, BorCand, CandAgg, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragHook2, FragMsg,
     HookInput, HookInput2, HookRole, MergeItem, MstAMode, MstConfig, OptAgg, OptCand, ReportItem,
 };
 use crate::dist::one_respect::{
-    AttItem, FragReroot, IntervalDown, IntervalInput, Intervals, NbMsg, PairItem, RerootInput,
-    SideFlood, SideInput, SideMsg, SizesUp, SumItem, TfRec, Token, TokensInput, TokensUp, TotItem,
+    AttItem, FragReroot, IntervalDown, IntervalInput, NbMsg, PairItem, RerootInput, SideFlood,
+    SideInput, SideMsg, SizesUp, SumItem, TfRec, Token, TokensInput, TokensUp, TotItem,
 };
 use crate::dist::packing::{better, Cand, PackingTarget};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
+use congest::primitives::broadcast::{Route, StreamInput};
 use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::subtree::SubtreeSums;
@@ -39,7 +46,7 @@ use congest::primitives::{
     Broadcast, BroadcastItems, DeltaExchange, GroupedBest, GroupedSum, NeighborExchange,
     PortDeltaExchange, UpcastItems,
 };
-use congest::{ExecutorKind, MetricsLedger, Network, NetworkConfig, Port, TreeInfo};
+use congest::{ExecutorKind, Intervals, MetricsLedger, Network, NetworkConfig, Port, TreeInfo};
 use graphs::{CutResult, NodeId, WeightedGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -118,9 +125,14 @@ pub struct DistMinCutResult {
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
     /// Fragments phase A handed to phase B, one entry per packed tree,
     /// in packing order: the `k` of the fragment tree `T_F`, which sizes
-    /// the leader's table broadcasts (`orient.tf` carries `k − 1` rows,
-    /// `s5d` carries `k`).
+    /// the leader's table streams (`orient.tf` carries `k − 1` rows to
+    /// every node, `s5d` one row to each of `k − 1` attachments).
     pub phase_a_fragments: Vec<usize>,
+    /// The attachments of `T_F`, one list per entry of
+    /// `phase_a_fragments`: for every non-root fragment, in `orient.tf`
+    /// row order, the node of its parent fragment that it hangs from.
+    /// The leader routes that fragment's `s5d` row to it.
+    pub tf_attachments: Vec<Vec<NodeId>>,
 }
 
 /// Runs the paper's exact distributed minimum-cut pipeline on `g`.
@@ -189,11 +201,21 @@ pub(crate) struct PipelineOpts {
 pub(crate) struct RecoveryLog {
     /// The elected leader.
     pub leader: Option<u32>,
-    /// BFS-tree parent map: `bfs[v] = Some(u)` ⇒ `u` is `v`'s parent;
-    /// `None` at the leader.
-    pub bfs: Option<Vec<Option<u32>>>,
+    /// The BFS tree with its labels.
+    pub bfs: Option<LoggedBfs>,
     /// One entry per finished packed tree, in packing order.
     pub trees: Vec<LoggedTree>,
+}
+
+/// A checkpointed BFS tree: `parents[v] = Some(u)` ⇒ `u` is `v`'s
+/// parent (`None` at the leader), and `labels[v]` is `v`'s pre-order
+/// interval `(in, out)` from the election. Restoring keeps the labels —
+/// each node remembers its own — so excising nodes only leaves gaps in
+/// the numbering.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LoggedBfs {
+    pub parents: Vec<Option<u32>>,
+    pub labels: Vec<(u32, u32)>,
 }
 
 /// One checkpointed packed tree: the global tree's parent map plus its
@@ -210,11 +232,11 @@ pub(crate) type RestoredTree = (Vec<(u32, u32)>, Option<(u64, (u32, u32))>);
 /// to be restored instead of recomputed.
 #[derive(Clone, Debug)]
 pub(crate) struct ResumeSpec {
-    /// Restore the election stage: `(leader, BFS parent map)`, already
-    /// known to be a spanning tree of the current graph rooted at a
-    /// live leader. `None` ⇒ re-elect from scratch (the checkpointed
-    /// leader died).
-    pub bfs: Option<(u32, Vec<Option<u32>>)>,
+    /// Restore the election stage: `(leader, BFS tree)`, already known
+    /// to be a spanning tree of the current graph rooted at a live
+    /// leader. `None` ⇒ re-elect from scratch (the checkpointed leader
+    /// died).
+    pub bfs: Option<(u32, LoggedBfs)>,
     /// Checkpointed packed trees to restore, oldest first, as
     /// undirected edge lists (the driver re-roots them at whatever
     /// leader the attempt ends up with). `Some((value, (x, y)))` ⇒ the
@@ -306,6 +328,9 @@ fn tree_infos(g: &WeightedGraph, parents: &[Option<u32>]) -> Vec<TreeInfo> {
 struct NodeMem {
     // -- static for the run (local knowledge) --
     bfs: TreeInfo,
+    /// This node's and its children's pre-order intervals in the BFS
+    /// tree: the labels the leader's routed rows travel by.
+    bfs_iv: Intervals,
     edge_ids: Vec<u32>,
     weights: Vec<u64>,
     pack_w: Vec<u64>,
@@ -341,10 +366,10 @@ struct NodeMem {
     /// `.cd` pass — drop the caches and speak unconditionally.
     cd_purge: bool,
     /// Last `(comp, frag)` announced (mstB delta exchange).
-    ann_comp: Option<CompMsg>,
-    /// The child fragments of `T_F` attached at this node (kept from
-    /// the `orient.tf` stream: the rows whose attachment is this node).
-    attached: Vec<u32>,
+    ann_comp: Option<(u32, u32)>,
+    /// Per port, the neighbor's BFS in-time (from each tree's first
+    /// `mstB` announcement).
+    port_bfs_in: Vec<u32>,
     iv: Option<Intervals>,
     att: BTreeMap<u32, u32>,
     rho: u64,
@@ -393,15 +418,15 @@ impl NodeMem {
     }
 }
 
-/// Inputs of a table broadcast down the BFS tree: the leader streams
-/// `table`, and every node folds the rows into the accumulator `acc`
-/// builds from its id and memory.
+/// Inputs of a table stream down the BFS tree: the leader streams the
+/// routed rows of `table`, and the nodes each row reaches fold it into
+/// the accumulator `acc` builds from their id and memory.
 fn bfs_stream<'m, T, A>(
     mems: &'m mut [NodeMem],
     leader: NodeId,
-    mut table: Vec<T>,
+    mut table: Vec<(Route, T)>,
     mut acc: impl FnMut(usize, &'m mut NodeMem) -> A,
-) -> Vec<(TreeInfo, Vec<T>, A)> {
+) -> Vec<StreamInput<T, A>> {
     mems.iter_mut()
         .enumerate()
         .map(|(v, m)| {
@@ -410,7 +435,7 @@ fn bfs_stream<'m, T, A>(
             } else {
                 Vec::new()
             };
-            (m.bfs.clone(), list, acc(v, m))
+            (m.bfs.clone(), m.bfs_iv.clone(), list, acc(v, m))
         })
         .collect()
 }
@@ -429,6 +454,10 @@ struct Pipeline<'g> {
     /// own rows' consequences; the cut stage's chain analysis reads this
     /// one copy instead of `n` identical ones.
     tf: Vec<TfRec>,
+    /// The leader's view of the BFS in-times of the `T_F` edge
+    /// endpoints (from `mstB.report`): where it routes the `s4b` pairs
+    /// and the `s5d` sums.
+    tf_bfs_in: BTreeMap<u32, u32>,
 }
 
 impl<'g> Pipeline<'g> {
@@ -451,26 +480,48 @@ impl<'g> Pipeline<'g> {
             }
         };
         let leader = bfs.outputs[0].leader;
-        let trees = bfs.outputs.into_iter().map(|o| o.tree).collect();
+        let trees = bfs.outputs.into_iter().map(|o| (o.tree, o.iv)).collect();
         Ok(Self::with_bfs(g, net, mst, pack_edge, leader, trees))
     }
 
     /// [`Pipeline::new`] minus the election: restores a checkpointed
-    /// BFS tree (leader + parent map) instead of running `leader_bfs`.
-    /// The caller must follow up with [`Pipeline::validate_restored`] —
-    /// the distributed re-validation that every restored node is
-    /// actually alive and reachable along the restored edges.
+    /// BFS tree (leader, parent map and labels) instead of running
+    /// `leader_bfs`. The caller must follow up with
+    /// [`Pipeline::validate_restored`] — the distributed re-validation
+    /// that every restored node is actually alive and reachable along
+    /// the restored edges.
     fn new_restored(
         g: &'g WeightedGraph,
         network: NetworkConfig,
         mst: MstConfig,
         pack_edge: &[u64],
         leader: u32,
-        parents: &[Option<u32>],
+        bfs: &LoggedBfs,
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
         let net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let trees = tree_infos(g, parents);
+        let trees = tree_infos(g, &bfs.parents)
+            .into_iter()
+            .enumerate()
+            .map(|(v, tree)| {
+                let (in_t, out_t) = bfs.labels[v];
+                let adj = g.neighbors(NodeId::from_index(v));
+                let children = tree
+                    .children
+                    .iter()
+                    .map(|&p| {
+                        let (lo, hi) = bfs.labels[adj[p.index()].neighbor.index()];
+                        (p, lo, hi)
+                    })
+                    .collect();
+                let iv = Intervals {
+                    in_t,
+                    out_t,
+                    children,
+                };
+                (tree, iv)
+            })
+            .collect();
         Ok(Self::with_bfs(
             g,
             net,
@@ -481,24 +532,25 @@ impl<'g> Pipeline<'g> {
         ))
     }
 
-    /// The pipeline over an established BFS tree (`bfs[v]` is node `v`'s
-    /// view of it): every node's static memory is its local knowledge
-    /// plus its BFS view.
+    /// The pipeline over an established, labelled BFS tree (`bfs[v]` is
+    /// node `v`'s view of it): every node's static memory is its local
+    /// knowledge plus its BFS view.
     fn with_bfs(
         g: &'g WeightedGraph,
         net: Network<'g>,
         mst: MstConfig,
         pack_edge: &[u64],
         leader: NodeId,
-        bfs: Vec<TreeInfo>,
+        bfs: Vec<(TreeInfo, Intervals)>,
     ) -> Self {
         let mems = g
             .nodes()
             .zip(bfs)
-            .map(|(v, bfs)| {
+            .map(|(v, (bfs, bfs_iv))| {
                 let adj = g.neighbors(v);
                 NodeMem {
                     bfs,
+                    bfs_iv,
                     edge_ids: adj.iter().map(|a| a.edge.raw()).collect(),
                     weights: adj.iter().map(|a| a.weight).collect(),
                     pack_w: adj.iter().map(|a| pack_edge[a.edge.index()]).collect(),
@@ -516,6 +568,7 @@ impl<'g> Pipeline<'g> {
             leader,
             n: g.node_count(),
             tf: Vec::new(),
+            tf_bfs_in: BTreeMap::new(),
         }
     }
 
@@ -641,9 +694,9 @@ impl<'g> Pipeline<'g> {
             .collect()
     }
 
-    /// The BFS tree as a parent map (checkpoint capture).
-    fn bfs_parents(&self) -> Vec<Option<u32>> {
-        (0..self.n)
+    /// The labelled BFS tree (checkpoint capture).
+    fn logged_bfs(&self) -> LoggedBfs {
+        let parents = (0..self.n)
             .map(|v| {
                 self.mems[v].bfs.parent.map(|p| {
                     self.g.neighbors(NodeId::from_index(v))[p.index()]
@@ -651,7 +704,13 @@ impl<'g> Pipeline<'g> {
                         .raw()
                 })
             })
-            .collect()
+            .collect();
+        let labels = self
+            .mems
+            .iter()
+            .map(|m| (m.bfs_iv.in_t, m.bfs_iv.out_t))
+            .collect();
+        LoggedBfs { parents, labels }
     }
 
     /// The sorted edge ids of a parent map (the `tree_edges` outcome
@@ -685,6 +744,7 @@ impl<'g> Pipeline<'g> {
     fn reset_tree(&mut self) {
         let g = self.g;
         self.tf.clear();
+        self.tf_bfs_in.clear();
         for (v, m) in self.mems.iter_mut().enumerate() {
             let deg = m.edge_ids.len();
             m.frag = v as u32;
@@ -713,7 +773,6 @@ impl<'g> Pipeline<'g> {
             m.cd_children = vec![None; deg];
             m.cd_purge = false;
             m.ann_comp = None;
-            m.attached.clear();
             m.iv = None;
             m.att.clear();
             m.rho = 0;
@@ -1125,30 +1184,35 @@ impl<'g> Pipeline<'g> {
             // Exchange (component, fragment) labels — same delta
             // discipline as `mstA.*.exch`: iteration 0 announces
             // everywhere (and thereby refreshes the port fragment view
-            // with the final phase-A fragments); afterwards only nodes
-            // whose component was remapped speak.
+            // with the final phase-A fragments, and tells every neighbor
+            // the sender's BFS in-time); afterwards only nodes whose
+            // component was remapped speak.
             let name = format!("mstB.i{iter}.exch");
             let inputs: Vec<Option<CompMsg>> = self
                 .mems
                 .iter()
                 .map(|m| {
-                    let cur = CompMsg {
+                    (m.ann_comp != Some((m.comp, m.frag))).then_some(CompMsg {
                         comp: m.comp,
                         frag: m.frag,
-                    };
-                    (m.ann_comp != Some(cur)).then_some(cur)
+                        bfs_in: m.ann_comp.is_none().then_some(m.bfs_iv.in_t),
+                    })
                 })
                 .collect();
             let out = self.net.run(&name, &DeltaExchange::new(), inputs)?;
             for (m, o) in self.mems.iter_mut().zip(out.outputs) {
-                m.ann_comp = Some(CompMsg {
-                    comp: m.comp,
-                    frag: m.frag,
-                });
+                m.ann_comp = Some((m.comp, m.frag));
+                // Allocated here rather than with the static memory: on
+                // the 70,602-node instance, allocating it before phase A
+                // raised peak RSS by 10 MiB through the heap's layout.
+                m.port_bfs_in.resize(o.len(), 0);
                 for (p, got) in o.into_iter().enumerate() {
                     if let Some(c) = got {
                         m.port_comp[p] = c.comp;
                         m.port_frag[p] = c.frag;
+                        if let Some(t) = c.bfs_in {
+                            m.port_bfs_in[p] = t;
+                        }
                     }
                 }
             }
@@ -1163,6 +1227,7 @@ impl<'g> Pipeline<'g> {
                                 comp: m.comp,
                                 cand: c,
                                 other_comp: m.port_comp[p.index()],
+                                ends: (m.bfs_iv.in_t, m.port_bfs_in[p.index()]),
                             }]
                         })
                         .unwrap_or_default();
@@ -1181,10 +1246,10 @@ impl<'g> Pipeline<'g> {
             // The leader merges components and announces the result.
             let mut dsu = trees::DisjointSets::new(self.n);
             let live: BTreeSet<u32> = cands.iter().flat_map(|c| [c.comp, c.other_comp]).collect();
-            let mut chosen: BTreeSet<u32> = BTreeSet::new();
+            let mut chosen: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
             for c in &cands {
                 dsu.union(c.comp as usize, c.other_comp as usize);
-                chosen.insert(c.cand.edge);
+                chosen.insert(c.cand.edge, c.ends);
             }
             // Deterministic representative: the smallest member id.
             let mut rep: BTreeMap<usize, u32> = BTreeMap::new();
@@ -1193,16 +1258,21 @@ impl<'g> Pipeline<'g> {
                 let e = rep.entry(r).or_insert(c);
                 *e = (*e).min(c);
             }
-            let mut items: Vec<MergeItem> = Vec::new();
+            let mut items: Vec<(Route, MergeItem)> = Vec::new();
             for &c in &live {
                 let to = rep[&dsu.find(c as usize)];
                 if to != c {
-                    items.push(MergeItem::Remap { from: c, to });
+                    items.push((Route::All, MergeItem::Remap { from: c, to }));
                 }
             }
-            items.extend(chosen.iter().map(|&edge| MergeItem::Chosen { edge }));
-            // Every node applies the table as it streams past: it
-            // remaps its component and marks its chosen ports.
+            items.extend(
+                chosen
+                    .iter()
+                    .map(|(&edge, &(a, b))| (Route::Two(a, b), MergeItem::Chosen { edge })),
+            );
+            // Every node applies the remaps as they stream past, and the
+            // two endpoints of each chosen edge, the only nodes its row
+            // reaches, mark their port.
             let merge = |m: &mut &mut NodeMem, item: &MergeItem| match *item {
                 MergeItem::Remap { from, to } => {
                     if m.comp == from {
@@ -1238,6 +1308,7 @@ impl<'g> Pipeline<'g> {
                         edge: m.edge_ids[p.index()],
                         frag: m.frag,
                         node: v as u32,
+                        bfs_in: m.bfs_iv.in_t,
                     })
                     .collect();
                 (m.bfs.clone(), items)
@@ -1257,6 +1328,7 @@ impl<'g> Pipeline<'g> {
         let mut by_edge: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
         for r in &reports {
             by_edge.entry(r.edge).or_default().push((r.frag, r.node));
+            self.tf_bfs_in.insert(r.node, r.bfs_in);
         }
         let mut adj: BTreeMap<u32, Vec<(u32, u32, u32, u32)>> = BTreeMap::new();
         for (&edge, ends) in &by_edge {
@@ -1285,10 +1357,10 @@ impl<'g> Pipeline<'g> {
                 }
             }
         }
-        // Broadcast the table over the BFS tree. Each node derives its
-        // role from the rows as they pass: the connector edge of its own
-        // fragment, and the edge and id of every child fragment attached
-        // at it.
+        // Broadcast the table over the BFS tree: the cut stage reads all
+        // of `T_F` at every node. Each node also derives its role from
+        // the rows as they pass: the connector edge of its own fragment,
+        // and the edge of every child fragment attached at it.
         let roles = |(me, m): &mut (u32, &mut NodeMem), r: &TfRec| {
             if r.c == *me {
                 m.inter_parent = Some(m.port_of_edge(r.edge).expect("connector owns its edge"));
@@ -1297,12 +1369,10 @@ impl<'g> Pipeline<'g> {
                 let p = m.port_of_edge(r.edge).expect("attachment owns its edge");
                 let at = m.inter_children.partition_point(|&q| q < p);
                 m.inter_children.insert(at, p);
-                m.attached.push(r.frag);
             }
         };
-        let inputs = bfs_stream(&mut self.mems, self.leader, recs.clone(), |v, m| {
-            (v as u32, m)
-        });
+        let table = recs.iter().map(|&r| (Route::All, r)).collect();
+        let inputs = bfs_stream(&mut self.mems, self.leader, table, |v, m| (v as u32, m));
         self.tf = recs;
         self.net
             .run("orient.tf", &BroadcastItems::new(roles), inputs)?;
@@ -1355,7 +1425,7 @@ impl<'g> Pipeline<'g> {
                 } else {
                     vec![AttItem {
                         node: v as u32,
-                        in_t: m.iv.as_ref().expect("intervals set").in_t as u32,
+                        in_t: m.iv.as_ref().expect("intervals set").in_t,
                     }]
                 };
                 (m.ftree(), items)
@@ -1365,11 +1435,18 @@ impl<'g> Pipeline<'g> {
         let insert = |m: &mut &mut NodeMem, a: &AttItem| {
             m.att.insert(a.node, a.in_t);
         };
-        let inputs: Vec<(TreeInfo, Vec<AttItem>, &mut NodeMem)> = self
+        let inputs: Vec<_> = self
             .mems
             .iter_mut()
             .zip(up)
-            .map(|(m, list)| (m.ftree(), list.unwrap_or_default(), m))
+            .map(|(m, list)| {
+                let rows = list
+                    .into_iter()
+                    .flatten()
+                    .map(|a| (Route::All, a))
+                    .collect();
+                (m.ftree(), Intervals::default(), rows, m)
+            })
             .collect();
         self.net
             .run("s2c.down", &BroadcastItems::new(insert), inputs)?;
@@ -1381,7 +1458,7 @@ impl<'g> Pipeline<'g> {
             self.mems
                 .iter()
                 .map(|m| NbMsg {
-                    in_t: m.iv.as_ref().expect("intervals set").in_t as u32,
+                    in_t: m.iv.as_ref().expect("intervals set").in_t,
                 })
                 .collect(),
         )?;
@@ -1445,8 +1522,8 @@ impl<'g> Pipeline<'g> {
                 if other_frag == m.frag {
                     // Case 1 (same fragment): the deeper-in-preorder
                     // endpoint routes a token toward the LCA.
-                    if iv.in_t > other_in_t as u64 {
-                        if iv.contains(other_in_t as u64) {
+                    if iv.in_t > other_in_t {
+                        if iv.contains(other_in_t) {
                             add_rho += w;
                         } else {
                             tokens[v].push(Token {
@@ -1464,14 +1541,11 @@ impl<'g> Pipeline<'g> {
                     // attachment of the other side's chain.
                     let g_child = child_below(their_chain, fstar);
                     let a = tf_parent[&g_child].a;
-                    let a_in = *m.att.get(&a).expect("attachment table covers a") as u64;
+                    let a_in = *m.att.get(&a).expect("attachment table covers a");
                     if iv.contains(a_in) {
                         add_rho += w;
                     } else {
-                        tokens[v].push(Token {
-                            t_in: a_in as u32,
-                            w,
-                        });
+                        tokens[v].push(Token { t_in: a_in, w });
                     }
                 } else if fstar != other_frag {
                     // Case 2: the LCA is a merging node in a third
@@ -1500,40 +1574,31 @@ impl<'g> Pipeline<'g> {
         let pair_totals = out.outputs[self.leader.index()]
             .clone()
             .expect("leader is the BFS root");
-        let items: Vec<PairItem> = pair_totals
+        // Each pair travels to its first attachment, which holds the
+        // second's in-fragment in-time (both hang below the merging
+        // node, in its fragment) and turns the pair into an `s5` token
+        // aimed at it: the token stops at the pair's LCA, the merging
+        // node.
+        let items: Vec<(Route, PairItem)> = pair_totals
             .into_iter()
-            .map(|(key, w)| PairItem {
-                a1: (key / n as u64) as u32,
-                a2: (key % n as u64) as u32,
-                w,
+            .map(|(key, w)| {
+                let a1 = (key / n as u64) as u32;
+                let a2 = (key % n as u64) as u32;
+                (Route::One(self.tf_bfs_in[&a1]), PairItem { a2, w })
             })
             .collect();
-        // Every node first lists the attachments of its own subtree, each
-        // with the child it lies under (`None`: the node itself), then
-        // adds, as the pairs stream past, those whose attachments it
-        // separates — the pairs whose LCA it is.
-        let add_pairs = |(below, rho): &mut (Vec<(u32, Option<Port>)>, &mut u64),
-                         item: &PairItem| {
-            let under = |a: u32| below.iter().find(|&&(x, _)| x == a).map(|&(_, c)| c);
-            if let (Some(c1), Some(c2)) = (under(item.a1), under(item.a2)) {
-                if c1.is_none() || c1 != c2 {
-                    **rho += item.w;
-                }
-            }
+        let aim = |(att, toks): &mut (&BTreeMap<u32, u32>, Vec<Token>), item: &PairItem| {
+            let t_in = *att.get(&item.a2).expect("attachment table covers a2");
+            toks.push(Token { t_in, w: item.w });
         };
         let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
-            let iv = m.iv.as_ref().expect("intervals set");
-            let below: Vec<(u32, Option<Port>)> = m
-                .att
-                .iter()
-                .filter(|&(_, &t)| iv.contains(t as u64))
-                .map(|(&a, &t)| (a, iv.child_containing(t as u64)))
-                .collect();
-            (below, &mut m.rho)
+            (&m.att, Vec::new())
         });
-        self.net
-            .run("s4b", &BroadcastItems::new(add_pairs), inputs)?;
-        // s5: route case-1/3 tokens to their LCAs.
+        let out = self.net.run("s4b", &BroadcastItems::new(aim), inputs)?;
+        for (toks, (_, aimed)) in tokens.iter_mut().zip(out.outputs) {
+            toks.extend(aimed);
+        }
+        // s5: route the case-1/3 tokens and the pair tokens to their LCAs.
         let inputs: Vec<TokensInput> = (0..n)
             .map(|v| {
                 let m = &self.mems[v];
@@ -1606,28 +1671,26 @@ impl<'g> Pipeline<'g> {
                 }
             }
         }
-        // s5d: broadcast the subtree sums; attachments add up their
-        // child fragments' masses `(Wδ, Wρ)` as the sums stream past.
-        let items: Vec<SumItem> = sums
+        // s5d: route each non-root fragment's subtree sums to its
+        // attachment, which adds up its child fragments' masses
+        // `(Wδ, Wρ)`. (The root fragment hangs from no node.)
+        let items: Vec<(Route, SumItem)> = self
+            .tf
             .iter()
-            .map(|(&frag, &(sd, sr))| SumItem { frag, sd, sr })
+            .map(|r| {
+                let (sd, sr) = sums[&r.frag];
+                (Route::One(self.tf_bfs_in[&r.a]), SumItem { sd, sr })
+            })
             .collect();
-        let masses = |(attached, wd, wr): &mut (&[u32], u64, u64), s: &SumItem| {
-            if attached.contains(&s.frag) {
-                *wd += s.sd;
-                *wr += s.sr;
-            }
+        let masses = |(wd, wr): &mut (u64, u64), s: &SumItem| {
+            *wd += s.sd;
+            *wr += s.sr;
         };
-        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
-            (m.attached.as_slice(), 0, 0)
-        });
+        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, _| (0, 0));
         let w: Vec<(u64, u64)> = self
             .net
             .run("s5d", &BroadcastItems::new(masses), inputs)?
-            .outputs
-            .into_iter()
-            .map(|(_, wd, wr)| (wd, wr))
-            .collect();
+            .outputs;
         // s5e: in-fragment subtree sums of (δ + Wδ) and (ρ + Wρ) give
         // the global δ↓ and ρ↓ at every node.
         let inputs: Vec<(TreeInfo, u64)> = (0..n)
@@ -1811,13 +1874,13 @@ pub(crate) fn run_pipeline_checkpointed(
     }
 
     let mut pl = match resume.and_then(|s| s.bfs.as_ref()) {
-        Some((leader, parents)) => Pipeline::new_restored(
+        Some((leader, bfs)) => Pipeline::new_restored(
             g,
             opts.network.clone(),
             opts.mst.clone(),
             &pack_edge,
             *leader,
-            parents,
+            bfs,
         )?,
         None => Pipeline::new(g, opts.network.clone(), opts.mst.clone(), &pack_edge)?,
     };
@@ -1828,8 +1891,8 @@ pub(crate) fn run_pipeline_checkpointed(
     // cut stage runs in full), so the explicit phases only cover the
     // evidence path.
     if let Some(spec) = resume {
-        if let Some((_, parents)) = &spec.bfs {
-            if let Err(e) = pl.validate_restored(&format!("{}.bfs", spec.prefix), parents) {
+        if let Some((_, bfs)) = &spec.bfs {
+            if let Err(e) = pl.validate_restored(&format!("{}.bfs", spec.prefix), &bfs.parents) {
                 let ledger = pl.net.ledger().clone();
                 return Err((e, ledger));
             }
@@ -1870,7 +1933,7 @@ fn drive_packing(
     let n = pl.n;
     if let Some(log) = log.as_deref_mut() {
         log.leader = Some(pl.leader.raw());
-        log.bfs = Some(pl.bfs_parents());
+        log.bfs = Some(pl.logged_bfs());
         log.trees.clear();
     }
     let (mut best_value, singleton) = pl.init_deg()?;
@@ -1879,6 +1942,7 @@ fn drive_packing(
     let mut packed = 0usize;
     let mut tree_edges: Vec<Vec<graphs::EdgeId>> = Vec::new();
     let mut phase_a_fragments: Vec<usize> = Vec::new();
+    let mut tf_attachments: Vec<Vec<NodeId>> = Vec::new();
     // Restore the checkpointed trees before packing new ones. Trusted
     // entries (unchanged participant set) replay their bookkeeping —
     // loads, best-so-far, the side-flood snapshot — at zero rounds; the
@@ -1938,6 +2002,7 @@ fn drive_packing(
         let reports = pl.mst_phase_b()?;
         pl.orient(reports)?;
         phase_a_fragments.push(pl.tf.len() + 1);
+        tf_attachments.push(pl.tf.iter().map(|r| NodeId::new(r.a)).collect());
         // Snapshot the finished tree's edge set (orientation installs
         // the inter-fragment links and re-roots the fragments, so only
         // now does every node but the leader hold its global-parent
@@ -1986,6 +2051,7 @@ fn drive_packing(
         ledger: pl.net.ledger().clone(),
         tree_edges,
         phase_a_fragments,
+        tf_attachments,
     })
 }
 
@@ -2119,6 +2185,72 @@ mod tests {
             assert_eq!(dist.trees_packed, seq.trees_packed);
             assert_eq!(dist.trees_to_best, seq.trees_to_best);
             assert_eq!(dist.best_node, seq.best_node);
+        }
+    }
+
+    /// A restored BFS checkpoint keeps the labels the election handed
+    /// out. Excising a dead leaf leaves a gap in the numbering, and the
+    /// routed rows still reach exactly the nodes a fresh election's
+    /// labels would lead them to: same cut, same trees, same traffic.
+    #[test]
+    fn restored_bfs_labels_with_gaps_route_like_fresh_ones() {
+        let g = generators::torus2d(5, 5).unwrap();
+        let n = g.node_count();
+        // The checkpoint's graph: the torus plus a pendant leaf at node
+        // 7, which then dies and is excised (it has the largest id, so
+        // the survivors keep theirs).
+        let edges = g.edge_tuples().map(|(_, u, v, w)| (u.raw(), v.raw(), w));
+        let full = WeightedGraph::from_edges(n + 1, edges.chain([(7, n as u32, 1)])).unwrap();
+        let pack_edge: Vec<u64> = full.edges().map(|e| full.weight(e)).collect();
+        let pl = Pipeline::new(
+            &full,
+            NetworkConfig::default(),
+            MstConfig::default(),
+            &pack_edge,
+        )
+        .unwrap();
+        let logged = pl.logged_bfs();
+        let bfs = LoggedBfs {
+            parents: logged.parents[..n].to_vec(),
+            labels: logged.labels[..n].to_vec(),
+        };
+        let dead_in = logged.labels[n].0;
+        assert!(
+            bfs.labels.iter().all(|&(t, _)| t != dead_in) && dead_in < n as u32,
+            "the leaf's in-time is a gap inside the numbering"
+        );
+        let pack_g: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
+        let restored = Pipeline::new_restored(
+            &g,
+            NetworkConfig::default(),
+            MstConfig::default(),
+            &pack_g,
+            0,
+            &bfs,
+        )
+        .map_err(|(e, _)| e)
+        .unwrap();
+        assert_eq!(restored.logged_bfs().labels, bfs.labels);
+        let spec = ResumeSpec {
+            bfs: Some((0, bfs)),
+            trees: Vec::new(),
+            prefix: "recover.e1.resume".to_string(),
+        };
+        let opts = opts_fixed(2);
+        let fresh = run_pipeline(&g, &opts).unwrap();
+        let restored = run_pipeline_checkpointed(&g, &opts, Some(&spec), None)
+            .map_err(|(e, _)| e)
+            .unwrap();
+        assert_eq!(restored.cut.value, fresh.cut.value);
+        assert_eq!(restored.cut.side, fresh.cut.side);
+        assert_eq!(restored.tree_edges, fresh.tree_edges);
+        assert_eq!(restored.best_node, fresh.best_node);
+        for stem in ["mstB", "s4b", "s5d"] {
+            assert_eq!(
+                restored.ledger.messages_matching(stem),
+                fresh.ledger.messages_matching(stem),
+                "{stem}"
+            );
         }
     }
 

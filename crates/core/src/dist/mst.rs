@@ -944,18 +944,25 @@ impl Algorithm for FragHook2 {
 // ---------------------------------------------------------------------------
 
 /// The `mstB.*.exch` payload: current component and physical fragment of
-/// the sender.
+/// the sender, and — in a tree's first announcement, which goes out on
+/// every port — its BFS in-time, which the neighbor puts into the
+/// candidates it proposes across the edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompMsg {
     /// Sender's Borůvka component.
     pub comp: u32,
     /// Sender's physical fragment (phase-A).
     pub frag: u32,
+    /// Sender's BFS in-time (first announcement of a tree only).
+    pub bfs_in: Option<u32>,
 }
 
 impl Message for CompMsg {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.comp as u64) + value_bits(self.frag as u64)
+        TAG_BITS
+            + value_bits(self.comp as u64)
+            + value_bits(self.frag as u64)
+            + self.bfs_in.map_or(0, |t| value_bits(t.into()))
     }
 }
 
@@ -969,6 +976,9 @@ pub struct BorCand {
     pub cand: Cand,
     /// Component on the other side of the edge.
     pub other_comp: u32,
+    /// BFS in-times of the edge's endpoints (proposer first): where the
+    /// leader routes the edge's `Chosen` row.
+    pub ends: (u32, u32),
 }
 
 impl Message for BorCand {
@@ -977,6 +987,8 @@ impl Message for BorCand {
             + value_bits(self.comp as u64)
             + self.cand.bits()
             + value_bits(self.other_comp as u64)
+            + value_bits(self.ends.0.into())
+            + value_bits(self.ends.1.into())
     }
 }
 
@@ -999,7 +1011,8 @@ pub enum MergeItem {
         /// New (representative) component id.
         to: u32,
     },
-    /// This edge joined the tree; both endpoints mark it.
+    /// This edge joined the tree; both endpoints, the only nodes the
+    /// row is routed to, mark it.
     Chosen {
         /// Global edge id.
         edge: u32,
@@ -1027,6 +1040,9 @@ pub struct ReportItem {
     pub frag: u32,
     /// The reporting endpoint.
     pub node: u32,
+    /// Its BFS in-time: where the leader routes the `s4b` and `s5d` rows
+    /// meant for it.
+    pub bfs_in: u32,
 }
 
 impl Message for ReportItem {
@@ -1035,6 +1051,7 @@ impl Message for ReportItem {
             + value_bits(self.edge as u64)
             + value_bits(self.frag as u64)
             + value_bits(self.node as u64)
+            + value_bits(self.bfs_in.into())
     }
 }
 
@@ -1083,8 +1100,9 @@ mod tests {
                 edge: 250,
             },
             other_comp: 40,
+            ends: (130, 9),
         };
-        assert!(bc.bit_len() <= TAG_BITS + 7 + 2 + 4 + 8 + 6);
+        assert!(bc.bit_len() <= TAG_BITS + 7 + 2 + 4 + 8 + 6 + 8 + 4);
         assert_eq!(
             (HookMsg::Request.bit_len(), HookMsg::Keep.bit_len()),
             (TAG_BITS, TAG_BITS)
@@ -1105,6 +1123,7 @@ mod tests {
             comp: 1,
             cand: Cand { load, weight, edge },
             other_comp: 2,
+            ends: (0, 1),
         };
         // 1/4 beats 1/2; equal ratios fall back to weight then id.
         assert!(mk(1, 4, 9).better_than(&mk(1, 2, 0)));

@@ -23,34 +23,48 @@
 //!    fragment (case 3), or LCA in a third fragment — a *merging node*
 //!    (case 2).
 //! 5. `s4a`/`s4b` — case-2 contributions are keyed by the pair of
-//!    attachment points below the merging node, summed with one
-//!    pipelined grouped-sum to the leader, and broadcast back; the
-//!    merging node recognises itself by an interval test.
-//! 6. `s5` — case-1/3 contributions travel as [`Token`]s up the fragment
-//!    tree ([`TokensUp`]) and are absorbed by the first ancestor whose
-//!    interval contains the partner, i.e. exactly the LCA. Afterwards
+//!    attachment points below the merging node and summed with one
+//!    pipelined grouped-sum to the leader, which routes each pair back
+//!    to its first attachment only. That node holds the second
+//!    attachment's in-fragment in-time (both hang in the merging node's
+//!    fragment, whose attachment in-times `s2c` spread) and turns the
+//!    pair into an `s5` token aimed at it.
+//! 6. `s5` — case-1/3 contributions and the case-2 pair tokens travel as
+//!    [`Token`]s up the fragment tree ([`TokensUp`]) and are absorbed by
+//!    the first ancestor whose interval contains the partner, i.e.
+//!    exactly the LCA — for a pair token, the merging node. Afterwards
 //!    every node holds its ρ(v).
 //! 7. `s5b`–`s5f` — `(δ, ρ)` fragment totals converge to fragment
-//!    roots, `T_F`-subtree sums are formed at the leader and handed back
-//!    to the attachment points, and one in-fragment subtree-sum pass
-//!    yields `δ↓(v)` and `ρ↓(v)` — hence `C(v↓)` — at every node; a
-//!    final convergecast delivers the global argmin to the leader.
+//!    roots, `T_F`-subtree sums are formed at the leader and routed to
+//!    the attachment point of each non-root fragment (`s5d`, one row
+//!    per fragment, each crossing only the BFS edges toward its
+//!    attachment), and one in-fragment subtree-sum pass yields `δ↓(v)`
+//!    and `ρ↓(v)` — hence `C(v↓)` — at every node; a final convergecast
+//!    delivers the global argmin to the leader.
 //!
-//! Every phase is `O(√n + D + k)` rounds (fragment diameter, BFS depth,
-//! or pipelined item count), which is the Theorem 2.1 bound; experiment
-//! E7 measures the depth-independence explicitly.
+//! Rounds: every phase but `s5` is `O(√n + D + k)` — fragment height
+//! `h`, BFS depth `D`, or pipelined row count `k`. `s5` costs `h` plus
+//! its heaviest per-edge token load, because [`TokensUp`] forwards each
+//! token on its own: 3,131 rounds on the 70,602-node benchmark instance,
+//! against `h + D + k = 158`. The paper's step 5 pipelines per-ancestor
+//! counts instead; the ROADMAP's `s5` item tracks closing that gap.
+//! Experiment E7 measures the depth-independence of the other phases.
 //!
-//! The table broadcasts (`orient.tf`, `s2c.down`, `s4b`, `s5d`) are
-//! folding streams ([`congest::primitives::BroadcastItems`]): each node
-//! computes its share of the table as the rows pass through it — its
-//! connector and attachment roles, its attachment in-times, its
-//! merging-node ρ, its attached fragments' masses — and keeps no copy of
-//! the rows themselves.
+//! The leader's table streams (`orient.tf`, `s4b`, `s5d`) and the
+//! fragment-wide `s2c.down` are folding streams
+//! ([`congest::primitives::BroadcastItems`]): each node computes its
+//! share of the table as the rows pass through it — its connector and
+//! attachment roles, its attachment in-times, its pair tokens, its
+//! attached fragments' masses — and keeps no copy of the rows
+//! themselves. `orient.tf` and `s2c.down` reach every node, since every
+//! node reads all of `T_F` and its fragment's attachment in-times; the
+//! `s4b` and `s5d` rows travel only to the node that reads them, along
+//! the BFS tree's pre-order intervals.
 
 use congest::message::TAG_BITS;
 use congest::{
-    value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, ProtocolViolation, Step,
-    TreeInfo,
+    value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
+    ProtocolViolation, Step, TreeInfo,
 };
 use std::collections::VecDeque;
 
@@ -165,8 +179,8 @@ pub struct SizesUp;
 #[derive(Debug)]
 pub struct SizesState {
     tree: TreeInfo,
-    acc: u64,
-    child_sizes: Vec<(Port, u64)>,
+    acc: u32,
+    child_sizes: Vec<(Port, u32)>,
     waiting: usize,
     sent: bool,
 }
@@ -174,10 +188,10 @@ pub struct SizesState {
 impl Algorithm for SizesUp {
     type Input = TreeInfo;
     type State = SizesState;
-    type Msg = u64;
-    type Output = (u64, Vec<(Port, u64)>);
+    type Msg = u32;
+    type Output = (u32, Vec<(Port, u32)>);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, tree: TreeInfo) -> (SizesState, Outbox<u64>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, tree: TreeInfo) -> (SizesState, Outbox<u32>) {
         let waiting = tree.children.len();
         (
             SizesState {
@@ -191,7 +205,7 @@ impl Algorithm for SizesUp {
         )
     }
 
-    fn round(&self, s: &mut SizesState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u64)]) -> Step<u64> {
+    fn round(&self, s: &mut SizesState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
         for &(port, v) in inbox {
             s.acc += v;
             s.child_sizes.push((port, v));
@@ -216,7 +230,7 @@ impl Algorithm for SizesUp {
         &self,
         mut s: SizesState,
         _ctx: &NodeCtx<'_>,
-    ) -> FinishResult<(u64, Vec<(Port, u64)>)> {
+    ) -> FinishResult<(u32, Vec<(Port, u32)>)> {
         s.child_sizes.sort_unstable_by_key(|&(p, _)| p);
         Ok((s.acc, s.child_sizes))
     }
@@ -233,39 +247,13 @@ pub struct IntervalInput {
     /// In-fragment tree info.
     pub tree: TreeInfo,
     /// Own subtree size.
-    pub size: u64,
+    pub size: u32,
     /// Per-child subtree sizes (sorted by port).
-    pub child_sizes: Vec<(Port, u64)>,
+    pub child_sizes: Vec<(Port, u32)>,
 }
 
-/// Per-node output of [`IntervalDown`]: the node's in-fragment pre-order
-/// interval and its children's.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Intervals {
-    /// Pre-order entry time within the fragment.
-    pub in_t: u64,
-    /// Last entry time of the subtree (`in_t + size − 1`).
-    pub out_t: u64,
-    /// `(port, in, out)` of every in-fragment child.
-    pub children: Vec<(Port, u64, u64)>,
-}
-
-impl Intervals {
-    /// Does this node's in-fragment subtree contain the entry time `t`?
-    pub fn contains(&self, t: u64) -> bool {
-        self.in_t <= t && t <= self.out_t
-    }
-
-    /// Is `t` inside a single child's subtree (returns that child)?
-    pub fn child_containing(&self, t: u64) -> Option<Port> {
-        self.children
-            .iter()
-            .find(|&&(_, lo, hi)| lo <= t && t <= hi)
-            .map(|&(p, _, _)| p)
-    }
-}
-
-/// One top-down wave assigning pre-order intervals within each fragment:
+/// One top-down wave assigning pre-order intervals within each fragment
+/// (the [`Intervals`] the election also hands out for the BFS tree):
 /// each node receives its own entry time, computes its children's from
 /// the retained sizes, and forwards. Rounds: fragment height + 1.
 #[derive(Clone, Debug, Default)]
@@ -278,30 +266,23 @@ pub struct IntervalState {
     iv: Option<Intervals>,
 }
 
-fn assign_children(input: &IntervalInput, my_in: u64) -> Intervals {
-    let mut children = Vec::with_capacity(input.child_sizes.len());
-    let mut next = my_in + 1;
-    for &(port, size) in &input.child_sizes {
-        children.push((port, next, next + size - 1));
-        next += size;
-    }
-    Intervals {
-        in_t: my_in,
-        out_t: my_in + input.size - 1,
-        children,
+impl IntervalInput {
+    /// This node's intervals once it knows its entry time.
+    fn intervals(&self, in_t: u32) -> Intervals {
+        Intervals::assign(in_t, self.size, self.child_sizes.iter().copied())
     }
 }
 
 impl Algorithm for IntervalDown {
     type Input = IntervalInput;
     type State = IntervalState;
-    type Msg = u64;
+    type Msg = u32;
     type Output = Intervals;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: IntervalInput) -> (IntervalState, Outbox<u64>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: IntervalInput) -> (IntervalState, Outbox<u32>) {
         let mut out = Outbox::new();
         let iv = if input.tree.is_root() {
-            let iv = assign_children(&input, 0);
+            let iv = input.intervals(0);
             for &(port, lo, _) in &iv.children {
                 out.send(port, lo);
             }
@@ -312,12 +293,12 @@ impl Algorithm for IntervalDown {
         (IntervalState { input, iv }, out)
     }
 
-    fn round(&self, s: &mut IntervalState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u64)]) -> Step<u64> {
+    fn round(&self, s: &mut IntervalState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
         if s.iv.is_some() {
             return Step::halt();
         }
         if let Some(&(_, my_in)) = inbox.first() {
-            let iv = assign_children(&s.input, my_in);
+            let iv = s.input.intervals(my_in);
             let mut out = Outbox::new();
             for &(port, lo, _) in &iv.children {
                 out.send(port, lo);
@@ -372,13 +353,12 @@ impl Message for NbMsg {
     }
 }
 
-/// A resolved case-2 (merging node) contribution broadcast from the
-/// leader: total weight `w` of the edges whose LCA is the lowest common
-/// ancestor of attachments `a1`, `a2`.
+/// A resolved case-2 (merging node) contribution, routed from the leader
+/// to the pair's first attachment `a1` (the smaller id; the route names
+/// it, so the row does not): total weight `w` of the edges whose LCA is
+/// the lowest common ancestor of `a1` and `a2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairItem {
-    /// First attachment (smaller id).
-    pub a1: u32,
     /// Second attachment.
     pub a2: u32,
     /// Total crossing weight of the pair.
@@ -387,7 +367,7 @@ pub struct PairItem {
 
 impl Message for PairItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.a1 as u64) + value_bits(self.a2 as u64) + value_bits(self.w)
+        TAG_BITS + value_bits(self.a2 as u64) + value_bits(self.w)
     }
 }
 
@@ -395,9 +375,10 @@ impl Message for PairItem {
 // s5: token routing up the fragment trees
 // ---------------------------------------------------------------------------
 
-/// A case-1/3 contribution travelling up the fragment tree: `w` is
-/// absorbed (into ρ) by the first ancestor-or-self whose in-fragment
-/// interval contains `t_in` — exactly the LCA of the originating edge.
+/// A case-1/3 contribution, or a case-2 pair turned into a token at its
+/// first attachment, travelling up the fragment tree: `w` is absorbed
+/// (into ρ) by the first ancestor-or-self whose in-fragment interval
+/// contains `t_in` — exactly the LCA of the originating edge or pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Token {
     /// Entry time of the partner endpoint (or attachment) to look for.
@@ -418,7 +399,7 @@ pub struct TokensInput {
     /// In-fragment tree info.
     pub tree: TreeInfo,
     /// Own in-fragment interval.
-    pub iv: (u64, u64),
+    pub iv: (u32, u32),
     /// Tokens originating at this node (origination-time absorption
     /// already done by the caller).
     pub tokens: Vec<Token>,
@@ -433,7 +414,7 @@ pub struct TokensUp;
 #[derive(Debug)]
 pub struct TokensState {
     tree: TreeInfo,
-    iv: (u64, u64),
+    iv: (u32, u32),
     queue: VecDeque<Token>,
     open_children: usize,
     rho: u64,
@@ -442,7 +423,7 @@ pub struct TokensState {
 
 impl TokensState {
     fn take(&mut self, t: Token) {
-        if self.iv.0 <= t.t_in as u64 && t.t_in as u64 <= self.iv.1 {
+        if self.iv.0 <= t.t_in && t.t_in <= self.iv.1 {
             self.rho += t.w;
         } else {
             self.queue.push_back(t);
@@ -541,12 +522,11 @@ impl Message for TotItem {
     }
 }
 
-/// A fragment's `T_F`-subtree sums `(Sδ, Sρ)`, broadcast from the leader
-/// and consumed by the fragment's attachment point.
+/// A fragment's `T_F`-subtree sums `(Sδ, Sρ)`, routed from the leader to
+/// the fragment's attachment point, which adds up the sums of all the
+/// fragments hanging from it (so the row need not name the fragment).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SumItem {
-    /// The fragment.
-    pub frag: u32,
     /// `Σδ` over the fragment's `T_F` subtree.
     pub sd: u64,
     /// `Σρ` over the fragment's `T_F` subtree.
@@ -555,7 +535,7 @@ pub struct SumItem {
 
 impl Message for SumItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.sd) + value_bits(self.sr)
+        TAG_BITS + value_bits(self.sd) + value_bits(self.sr)
     }
 }
 
@@ -798,15 +778,7 @@ mod tests {
         };
         assert!(tf.bit_len() <= TAG_BITS + 4 * 7 + 8);
         assert!(Token { t_in: 140, w: 8 }.bit_len() <= TAG_BITS + 8 + 4);
-        assert!(
-            PairItem {
-                a1: 10,
-                a2: 20,
-                w: 300
-            }
-            .bit_len()
-                <= TAG_BITS + 4 + 5 + 9
-        );
+        assert!(PairItem { a2: 20, w: 300 }.bit_len() <= TAG_BITS + 5 + 9);
         assert!(
             SideMsg {
                 singleton: false,

@@ -97,8 +97,8 @@
 //! byte-identical merged ledgers (asserted in `tests/self_healing.rs`).
 
 use crate::dist::driver::{
-    run_pipeline_checkpointed, ExactConfig, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree,
-    ResumeSpec,
+    run_pipeline_checkpointed, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog,
+    RestoredTree, ResumeSpec,
 };
 use crate::dist::packing::PackingTarget;
 use crate::seq::stoer_wagner;
@@ -250,8 +250,8 @@ struct MasterLog {
     participants: Vec<u32>,
     /// Original id of the leader of that attempt.
     leader: Option<u32>,
-    /// BFS parent map, indexed by original id.
-    bfs: Option<Vec<Option<u32>>>,
+    /// The labelled BFS tree, indexed by original id.
+    bfs: Option<LoggedBfs>,
     /// Finished packed trees, in packing order: parent map (original
     /// ids) plus the tree's 1-respecting minimum `(value, argmin)`.
     trees: Vec<LoggedTree>,
@@ -270,7 +270,16 @@ fn to_orig(log: &RecoveryLog, orig: &[u32], n0: usize) -> MasterLog {
     MasterLog {
         participants: orig.to_vec(),
         leader: log.leader.map(|l| orig[l as usize]),
-        bfs: log.bfs.as_ref().map(|p| tr(p)),
+        bfs: log.bfs.as_ref().map(|b| {
+            let mut labels = vec![(0, 0); n0];
+            for (v, &l) in b.labels.iter().enumerate() {
+                labels[orig[v] as usize] = l;
+            }
+            LoggedBfs {
+                parents: tr(&b.parents),
+                labels,
+            }
+        }),
         trees: log
             .trees
             .iter()
@@ -326,21 +335,24 @@ fn build_resume(
         .leader
         .and_then(|l| cur_of[l as usize])
         .and_then(|leader_cur| {
-            let p = m.bfs.as_ref()?;
-            let mut out: Vec<Option<u32>> = vec![None; k];
+            let b = m.bfs.as_ref()?;
+            let mut parents: Vec<Option<u32>> = vec![None; k];
             for (v, &o) in orig.iter().enumerate() {
-                match p[o as usize] {
+                match b.parents[o as usize] {
                     None => {
                         if Some(o) != m.leader {
                             return None;
                         }
                     }
                     Some(u) => {
-                        out[v] = Some(cur_of[u as usize]?);
+                        parents[v] = Some(cur_of[u as usize]?);
                     }
                 }
             }
-            Some((leader_cur, out))
+            // Each survivor keeps its labels: the excised nodes only
+            // leave gaps in the numbering.
+            let labels = orig.iter().map(|&o| b.labels[o as usize]).collect();
+            Some((leader_cur, LoggedBfs { parents, labels }))
         });
     let mut kept: Vec<RestoredTree> = Vec::new();
     for (p, (c, a)) in &m.trees {

@@ -1,6 +1,7 @@
 //! Model compliance: every phase respects the CONGEST bandwidth in strict
 //! mode, and round totals scale like Õ(√n + D), not like n.
 
+use mincut_repro::congest::primitives::leader_bfs;
 use mincut_repro::congest::NetworkConfig;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
@@ -97,9 +98,11 @@ fn low_diameter_family_is_fast() {
 fn phase_a_fragment_counts_size_the_table_broadcasts() {
     // The `chaos_torus` benchmark instance, crash-free: three packed
     // trees, each recording the k fragments phase A handed to phase B.
-    // The leader streams T_F (k − 1 rows) in `orient.tf` and one subtree
-    // sum per fragment in `s5d` over the BFS tree's n − 1 edges, each
-    // stream closed by an end marker.
+    // The leader streams T_F (k − 1 rows) in `orient.tf` to every node,
+    // and in `s5d` one subtree sum per non-root fragment to that
+    // fragment's attachment only. Each stream closes every BFS edge with
+    // an end marker; a routed row crosses just the BFS edges from the
+    // leader down to its target.
     let g = generators::torus2d(24, 24).unwrap();
     let cfg = ExactConfig {
         packing: PackingConfig {
@@ -114,5 +117,20 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     let trees = r.trees_packed as u64;
     let edges = g.node_count() as u64 - 1;
     assert_eq!(r.ledger.messages_matching("orient.tf"), k * edges);
-    assert_eq!(r.ledger.messages_matching("s5d"), (k + trees) * edges);
+    // `s5d` carries k − 1 targeted rows per tree: the root fragment
+    // hangs from no node, so the leader drops its row.
+    for (rows, k) in r.tf_attachments.iter().zip(&r.phase_a_fragments) {
+        assert_eq!(rows.len(), k - 1);
+    }
+    let bfs = leader_bfs::oracle(&g);
+    let paths: u64 = r
+        .tf_attachments
+        .iter()
+        .flatten()
+        .map(|a| u64::from(bfs[a.index()].tree.depth))
+        .sum();
+    assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
+    // The whole pipeline, so that a saving in one stage cannot move cost
+    // into another unseen.
+    assert_eq!((r.rounds, r.messages), (2_565, 136_862));
 }

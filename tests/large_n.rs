@@ -8,6 +8,7 @@
 //! the case-2 pair aggregation (`s4a`) really carried keyed traffic — the
 //! code path the widening exists for.
 
+use mincut_repro::congest::primitives::leader_bfs;
 use mincut_repro::congest::ExecutorKind;
 use mincut_repro::graphs::generators::torus3d_with_chords;
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
@@ -77,13 +78,25 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert_eq!(election.messages, 2 * m + n as u64 - 1);
     assert_eq!((election.messages, election.rounds), (494_813, 102));
 
-    // Phase A hands phase B k = 42 fragments. k sizes the leader's table
-    // broadcasts over the BFS tree's n − 1 edges: `orient.tf` streams
-    // the k − 1 rows of T_F and `s5d` one subtree sum per fragment, each
-    // followed by an end marker.
+    // Phase A hands phase B k = 42 fragments. `orient.tf` streams the
+    // k − 1 rows of T_F to every node over the BFS tree's n − 1 edges,
+    // plus an end marker. `s5d` routes each non-root fragment's subtree
+    // sum to that fragment's attachment alone: n − 1 end markers plus
+    // the BFS depth of every attachment.
     assert_eq!(res.phase_a_fragments, [42]);
     let k = res.phase_a_fragments[0] as u64;
     let edges = n as u64 - 1;
     assert_eq!(res.ledger.messages_matching("orient.tf"), k * edges);
-    assert_eq!(res.ledger.messages_matching("s5d"), (k + 1) * edges);
+    let attachments = &res.tf_attachments[0];
+    assert_eq!(attachments.len() as u64, k - 1);
+    let bfs = leader_bfs::oracle(&g);
+    let paths: u64 = attachments
+        .iter()
+        .map(|a| u64::from(bfs[a.index()].tree.depth))
+        .sum();
+    assert_eq!(res.ledger.messages_matching("s5d"), edges + paths);
+
+    // The whole pipeline, so that a saving in one stage cannot move cost
+    // into another unseen.
+    assert_eq!((res.rounds, res.messages), (6_064, 14_065_586));
 }
