@@ -51,7 +51,7 @@ use std::process::ExitCode;
 const MAX_RECOVERY_ROUNDS: u64 = 400;
 
 /// Budget on recovery's share of the total message bill, in tenths of a
-/// percent. Measured: 0.25% — healing one crash costs a quarter of a
+/// percent. Measured: 0.26% — healing one crash costs a quarter of a
 /// percent of the session. Gated at 2%.
 const MAX_RECOVERY_MSG_PER_MILLE: u64 = 20;
 

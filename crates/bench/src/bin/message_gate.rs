@@ -41,7 +41,7 @@ const STAGED_BUDGET: u64 = 650_000;
 /// exact pipeline on torus24x24 under [`mincut_bench::SMOKE_FAULTS`],
 /// divided by the serial run's rounds, must stay below this factor
 /// (×100 — integer arithmetic on a deterministic measurement).
-/// Measured: 7.88× (the fault-free α-synchronizer floor is 3.09× — the
+/// Measured: 7.98× (the fault-free α-synchronizer floor is 3.06× — the
 /// data → ack → safe-announce chain is three ticks per round — and the
 /// plan's 5% drops at retransmit timeout 4 contribute the rest). The
 /// budget leaves ~25% headroom for benign protocol tweaks; a

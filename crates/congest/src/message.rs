@@ -53,6 +53,14 @@ impl Message for u32 {
     }
 }
 
+/// A pair of raw `u64` payloads, each charged by magnitude like two
+/// `u64` messages.
+impl Message for (u64, u64) {
+    fn bit_len(&self) -> usize {
+        value_bits(self.0) + value_bits(self.1)
+    }
+}
+
 /// A boolean flag.
 impl Message for bool {
     fn bit_len(&self) -> usize {

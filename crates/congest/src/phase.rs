@@ -55,7 +55,6 @@ pub const REGISTERED_STEMS: &[&str] = &[
     "s4a",
     "s4b",
     "s5",
-    "s5b",
     "s5c",
     "s5d",
     "s5e",
@@ -123,7 +122,7 @@ mod tests {
             "mstA.l4.cd",
             "mstB.i3.merge",
             "s2c.up",
-            "s5e.delta",
+            "orient.tf",
             "side.flood",
             "recover.e2.mstA.l0.hook",
             "recover.e1.resume.bfs",

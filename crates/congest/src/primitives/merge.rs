@@ -1,15 +1,14 @@
 //! The shared pipelined sorted-stream merge core.
 //!
-//! [`GroupedSum`](crate::primitives::GroupedSum),
-//! [`GroupedBest`](crate::primitives::GroupedBest), and
-//! [`KeyedSubtreeSum`](crate::primitives::KeyedSubtreeSum) are all the same
-//! protocol: every node merges its children's sorted keyed streams with its
-//! own pre-sorted input, reduces equal-key runs, and relays the result
-//! upward one item per round. This module owns that protocol **once** —
-//! the child-stream buffers, the readiness rule, the end-of-stream
-//! accounting, and the per-round emission budget — so a protocol fix lands
-//! in one place. The three public primitives are thin monoid
-//! instantiations over [`KeyedStreamReduce`].
+//! [`GroupedSum`](crate::primitives::GroupedSum) and
+//! [`GroupedBest`](crate::primitives::GroupedBest) are the same protocol:
+//! every node merges its children's sorted keyed streams with its own
+//! pre-sorted input, reduces equal-key runs, and relays the result upward
+//! one item per round. This module owns that protocol **once** — the
+//! child-stream buffers, the readiness rule, the end-of-stream accounting,
+//! and the per-round emission budget — so a protocol fix lands in one
+//! place. Both public primitives are thin monoid instantiations over
+//! [`KeyedStreamReduce`].
 //!
 //! # The monoid contract
 //!
@@ -164,7 +163,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     /// The next key that could be emitted: the minimum buffered key, but
     /// only once every stream is ready (otherwise a smaller key could
     /// still arrive).
-    pub fn peek_key(&self) -> Option<u64> {
+    fn peek_key(&self) -> Option<u64> {
         if !self.streams.iter().all(Stream::ready) {
             return None;
         }
@@ -176,7 +175,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
 
     /// If a key is decided ([`KeyedStreamReduce::peek_key`]), pops its
     /// whole equal-key run from every stream and reduces it to one item.
-    pub fn pop_min(&mut self) -> Option<M::Item> {
+    fn pop_min(&mut self) -> Option<M::Item> {
         let k = self.peek_key()?;
         let mut acc: Option<M::Item> = None;
         for s in &mut self.streams {
@@ -192,7 +191,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     }
 
     /// All streams ended and drained.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.streams.iter().all(|s| s.ended && s.buf.is_empty())
     }
 
@@ -205,8 +204,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     ///   round), or the node's single `End` once exhausted; `sink` is
     ///   not called.
     ///
-    /// Call [`KeyedStreamReduce::absorb`] (and any protocol-specific
-    /// interception, e.g. claiming own-key batches) before this.
+    /// Call [`KeyedStreamReduce::absorb`] before this.
     pub fn relay_round<F: FnMut(M::Item)>(&mut self, mut sink: F) -> Step<StreamMsg<M::Item>> {
         match self.parent {
             None => {

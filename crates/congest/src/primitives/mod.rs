@@ -14,7 +14,7 @@
 //!   (`O(k + height)` rounds).
 //! * [`merge`] — the shared pipelined sorted-stream merge core
 //!   ([`merge::KeyedStreamReduce`]): `u64` keys, monoid reduction, one
-//!   protocol implementation behind all three grouped primitives.
+//!   protocol implementation behind both grouped primitives.
 //! * [`grouped`] — pipelined grouped sums keyed by `u64`, merged in sorted
 //!   key order on the way up (`O(k + height)` rounds).
 //! * [`grouped_min`] — pipelined grouped argmin under the same pipelining
@@ -52,5 +52,5 @@ pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
 pub use grouped_min::{BestMonoid, GroupedBest, KeyedItem, KeyedMin};
 pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
-pub use subtree::{KeyedSubtreeSum, SubtreeSums};
+pub use subtree::SubtreeSums;
 pub use upcast::UpcastItems;

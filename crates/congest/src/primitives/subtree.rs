@@ -1,30 +1,17 @@
 //! Subtree aggregation with **per-node** outputs.
 //!
-//! * [`SubtreeSums`] — every node learns the sum of the input values over
-//!   its own subtree (`O(height)` rounds). The distributed counterpart of
-//!   `trees::subtree::subtree_sums`, used by the paper's Step 3
-//!   (`Σ_{u ∈ Fᵢ ∩ v↓} δ(u)`).
-//! * [`KeyedSubtreeSum`] — every node holds `(key, value)` tokens where
-//!   keys name **ancestors** (or the node itself) in the same tree; streams
-//!   merge upward in sorted key order and each node extracts the total for
-//!   its own key as the streams pass. `O(k + height)` rounds. This is the
-//!   paper's Step 5 type-(ii) counting: "every node `u` has to send the
-//!   number of messages `⟨v⟩` to its parent, for all `v` that is an
-//!   ancestor of `u` in the same fragment … by pipelining".
-//!
-//! The stream protocol of [`KeyedSubtreeSum`] lives in
-//! [`crate::primitives::merge`]; this module adds the per-node
-//! interception (claim the batches keyed by the node's own id before
-//! relaying the rest).
+//! [`SubtreeSums`] — every node learns the sums of the input pairs over
+//! its own subtree, component by component (`O(height)` rounds). The
+//! distributed counterpart of `trees::subtree::subtree_sums`, used by the
+//! paper's Step 3 (`Σ_{u ∈ Fᵢ ∩ v↓} δ(u)`): the cut stage sums δ and ρ
+//! in the same pass.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::node::{NodeCtx, Port, TreeInfo};
-use crate::primitives::broadcast::StreamMsg;
-use crate::primitives::grouped::{KeyedSum, SumMonoid};
-use crate::primitives::merge::KeyedStreamReduce;
 
-/// Per-node subtree sums over a tree/forest. Input: `(TreeInfo, u64)`;
-/// output at **every** node: the sum over its subtree.
+/// Per-node subtree sums over a tree/forest. Input: `(TreeInfo, (a, b))`;
+/// output at **every** node: `(Σa, Σb)` over its subtree. A partial sum
+/// costs its two components' bits, as two `u64` messages would.
 #[derive(Clone, Debug, Default)]
 pub struct SubtreeSums;
 
@@ -39,18 +26,18 @@ impl SubtreeSums {
 #[derive(Debug)]
 pub struct SsState {
     tree: TreeInfo,
-    acc: u64,
+    acc: (u64, u64),
     waiting: usize,
     sent: bool,
 }
 
 impl Algorithm for SubtreeSums {
-    type Input = (TreeInfo, u64);
+    type Input = (TreeInfo, (u64, u64));
     type State = SsState;
-    type Msg = u64;
-    type Output = u64;
+    type Msg = (u64, u64);
+    type Output = (u64, u64);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, (tree, value): Self::Input) -> (SsState, Outbox<u64>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, (tree, value): Self::Input) -> (SsState, Outbox<Self::Msg>) {
         let waiting = tree.children.len();
         (
             SsState {
@@ -63,9 +50,15 @@ impl Algorithm for SubtreeSums {
         )
     }
 
-    fn round(&self, s: &mut SsState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u64)]) -> Step<u64> {
-        for (_, v) in inbox {
-            s.acc += v;
+    fn round(
+        &self,
+        s: &mut SsState,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(Port, (u64, u64))],
+    ) -> Step<(u64, u64)> {
+        for &(_, (a, b)) in inbox {
+            s.acc.0 += a;
+            s.acc.1 += b;
             s.waiting -= 1;
         }
         if s.waiting == 0 && !s.sent {
@@ -83,94 +76,8 @@ impl Algorithm for SubtreeSums {
         }
     }
 
-    fn finish(&self, s: SsState, _ctx: &NodeCtx<'_>) -> FinishResult<u64> {
+    fn finish(&self, s: SsState, _ctx: &NodeCtx<'_>) -> FinishResult<(u64, u64)> {
         Ok(s.acc)
-    }
-}
-
-/// Keyed subtree sums with per-node extraction (see module docs).
-///
-/// Input: `(TreeInfo, tokens)` where every token's key is the **id of an
-/// ancestor in the same tree** (or the node's own id). Output at every
-/// node: the total of tokens keyed by *its own id* within its subtree.
-/// Tokens keyed by nodes outside the subtree's ancestor chain would be
-/// forwarded to the root and dropped there (a debug assertion catches
-/// misuse).
-#[derive(Clone, Debug, Default)]
-pub struct KeyedSubtreeSum;
-
-impl KeyedSubtreeSum {
-    /// Creates the phase object.
-    pub fn new() -> Self {
-        KeyedSubtreeSum
-    }
-}
-
-/// Node state for [`KeyedSubtreeSum`]: the shared reducer core plus the
-/// node's own running total.
-#[derive(Debug)]
-pub struct KsState {
-    core: KeyedStreamReduce<SumMonoid>,
-    is_root: bool,
-    my_total: u64,
-}
-
-impl Algorithm for KeyedSubtreeSum {
-    type Input = (TreeInfo, Vec<(u64, u64)>);
-    type State = KsState;
-    type Msg = StreamMsg<KeyedSum>;
-    type Output = u64;
-
-    fn boot(&self, ctx: &NodeCtx<'_>, (tree, items): Self::Input) -> (KsState, Outbox<Self::Msg>) {
-        let own = items
-            .into_iter()
-            .map(|(key, value)| KeyedSum { key, value })
-            .collect();
-        (
-            KsState {
-                is_root: tree.is_root(),
-                core: KeyedStreamReduce::new(ctx, &tree, own),
-                my_total: 0,
-            },
-            Outbox::new(),
-        )
-    }
-
-    fn round(
-        &self,
-        s: &mut KsState,
-        ctx: &NodeCtx<'_>,
-        inbox: &[(Port, StreamMsg<KeyedSum>)],
-    ) -> Step<Self::Msg> {
-        s.core.absorb(inbox);
-        let me = ctx.node.raw() as u64;
-        // Claim every decided batch for our own key before relaying one
-        // batch upward; our key never travels further.
-        while s.core.peek_key() == Some(me) {
-            let p = s.core.pop_min().expect("peeked key is decided");
-            s.my_total += p.value;
-        }
-        let my_total = &mut s.my_total;
-        let is_root = s.is_root;
-        s.core.relay_round(|p| {
-            // Only the root's sink is ever invoked: it drains and drops
-            // foreign keys (which should not exist when used per
-            // contract) while batches for its own id were claimed above
-            // or land here between foreign drains.
-            debug_assert!(is_root);
-            debug_assert_eq!(
-                p.key, me,
-                "token keyed by {} reached the root {} — key was not an ancestor",
-                p.key, me
-            );
-            if p.key == me {
-                *my_total += p.value;
-            }
-        })
-    }
-
-    fn finish(&self, s: KsState, _ctx: &NodeCtx<'_>) -> FinishResult<u64> {
-        Ok(s.my_total)
     }
 }
 
@@ -199,14 +106,17 @@ mod tests {
         let g = generators::erdos_renyi_connected(50, 0.08, &mut rng).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let outs = bfs_outputs(&g, &mut net);
-        let vals: Vec<u64> = (0..50).map(|_| rng.gen_range(0..100)).collect();
-        let inputs: Vec<(TreeInfo, u64)> = outs
+        let a: Vec<u64> = (0..50).map(|_| rng.gen_range(0..100)).collect();
+        let b: Vec<u64> = (0..50).map(|_| rng.gen_range(0..1 << 40)).collect();
+        let inputs: Vec<(TreeInfo, (u64, u64))> = outs
             .iter()
-            .zip(vals.iter())
-            .map(|(o, &v)| (o.tree.clone(), v))
+            .enumerate()
+            .map(|(v, o)| (o.tree.clone(), (a[v], b[v])))
             .collect();
-        let got = net.run("ss", &SubtreeSums::new(), inputs).unwrap().outputs;
-        // Sequential oracle over the same tree.
+        let out = net.run("ss", &SubtreeSums::new(), inputs).unwrap();
+        // One message per tree edge, each charged like two `u64`s.
+        assert_eq!(out.metrics.messages, 49);
+        // Sequential oracle over the same tree, component by component.
         let parent_ids: Vec<Option<NodeId>> = outs
             .iter()
             .enumerate()
@@ -217,110 +127,8 @@ mod tests {
             })
             .collect();
         let rt = trees::RootedTree::from_parents(NodeId::new(0), &parent_ids).unwrap();
-        let want = trees::subtree::subtree_sums(&rt, &vals);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn keyed_sums_deliver_to_each_ancestor() {
-        // Path 0-1-2-3-4 rooted at 0: tokens keyed by various ancestors.
-        let g = generators::path(5).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let outs = bfs_outputs(&g, &mut net);
-        // Node 4 holds tokens for ancestors 0, 2 and itself; node 3 for 1;
-        // node 2 for 2 (itself); node 1 for 0.
-        let tokens: Vec<Vec<(u64, u64)>> = vec![
-            vec![],
-            vec![(0, 5)],
-            vec![(2, 7)],
-            vec![(1, 11)],
-            vec![(0, 1), (2, 2), (4, 3)],
-        ];
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = outs
-            .iter()
-            .zip(tokens.iter())
-            .map(|(o, t)| (o.tree.clone(), t.clone()))
-            .collect();
-        let got = net
-            .run("ks", &KeyedSubtreeSum::new(), inputs)
-            .unwrap()
-            .outputs;
-        assert_eq!(got, vec![6, 11, 9, 0, 3]);
-    }
-
-    #[test]
-    fn keyed_sums_on_random_trees_match_oracle() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let g = generators::erdos_renyi_connected(40, 0.1, &mut rng).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let outs = bfs_outputs(&g, &mut net);
-        let parent_ids: Vec<Option<NodeId>> = outs
-            .iter()
-            .enumerate()
-            .map(|(v, o)| {
-                o.tree
-                    .parent
-                    .map(|p| g.neighbors(NodeId::from_index(v))[p.index()].neighbor)
-            })
-            .collect();
-        let rt = trees::RootedTree::from_parents(NodeId::new(0), &parent_ids).unwrap();
-        // Tokens: every node emits a token for each of up to 3 random
-        // ancestors (including itself).
-        let mut tokens: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 40];
-        let mut want = vec![0u64; 40];
-        for v in 0..40u32 {
-            let ancs: Vec<NodeId> = rt.ancestors(NodeId::new(v)).collect();
-            for _ in 0..rng.gen_range(0..4) {
-                let a = ancs[rng.gen_range(0..ancs.len())];
-                let w = rng.gen_range(1..50u64);
-                tokens[v as usize].push((a.raw() as u64, w));
-                want[a.index()] += w;
-            }
-        }
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = outs
-            .iter()
-            .zip(tokens.iter())
-            .map(|(o, t)| (o.tree.clone(), t.clone()))
-            .collect();
-        let got = net
-            .run("ks_rand", &KeyedSubtreeSum::new(), inputs)
-            .unwrap()
-            .outputs;
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn forest_variant_works_per_fragment() {
-        // Path of 6 split into {0,1,2} and {3,4,5}.
-        let g = generators::path(6).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let t = |parent: Option<u32>, children: Vec<u32>, depth: u32| TreeInfo {
-            parent: parent.map(Port),
-            children: children.into_iter().map(Port).collect(),
-            depth,
-        };
-        let trees = vec![
-            t(None, vec![0], 0),
-            t(Some(0), vec![1], 1),
-            t(Some(0), vec![], 2),
-            t(None, vec![1], 0),
-            t(Some(0), vec![1], 1),
-            t(Some(0), vec![], 2),
-        ];
-        let tokens: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 1)],
-            vec![(0, 2)],
-            vec![(1, 4), (0, 8)],
-            vec![(3, 16)],
-            vec![(3, 32)],
-            vec![(4, 64), (5, 128)],
-        ];
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = trees.into_iter().zip(tokens).collect();
-        let got = net
-            .run("ks_forest", &KeyedSubtreeSum::new(), inputs)
-            .unwrap()
-            .outputs;
-        assert_eq!(got, vec![11, 4, 0, 48, 64, 128]);
+        let (got_a, got_b): (Vec<u64>, Vec<u64>) = out.outputs.into_iter().unzip();
+        assert_eq!(got_a, trees::subtree::subtree_sums(&rt, &a));
+        assert_eq!(got_b, trees::subtree::subtree_sums(&rt, &b));
     }
 }

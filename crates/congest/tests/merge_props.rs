@@ -1,6 +1,6 @@
 //! Property tests of the shared keyed-stream reducer
 //! (`congest::primitives::merge::KeyedStreamReduce`), exercised through
-//! its three protocol instantiations over random trees.
+//! its two protocol instantiations over random trees.
 //!
 //! The edge cases that used to be untested *per copy* of the protocol —
 //! duplicate keys, empty child streams, single-node networks, and `End`
@@ -12,9 +12,9 @@
 //! in `merge.rs`.
 
 use congest::primitives::leader_bfs::LeaderBfs;
-use congest::primitives::{GroupedBest, GroupedSum, KeyedMin, KeyedSubtreeSum};
+use congest::primitives::{GroupedBest, GroupedSum, KeyedMin};
 use congest::{Network, NetworkConfig, TreeInfo};
-use graphs::{generators, NodeId, WeightedGraph};
+use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,41 +116,5 @@ proptest! {
             out.outputs[0].clone().expect("node 0 is the root"),
             want.into_values().collect::<Vec<_>>()
         );
-    }
-
-    /// KeyedSubtreeSum delivers, at every node, exactly the total of the
-    /// subtree's tokens keyed by that node — tokens keyed by ancestors at
-    /// random depths, duplicates included.
-    #[test]
-    fn keyed_subtree_sum_matches_oracle(seed in 0u64..5000, n in 1usize..29) {
-        let g = graph_from(seed, n);
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        // Reconstruct the rooted tree to enumerate ancestors.
-        let parent_ids: Vec<Option<NodeId>> = trees
-            .iter()
-            .enumerate()
-            .map(|(v, t)| {
-                t.parent
-                    .map(|p| g.neighbors(NodeId::from_index(v))[p.index()].neighbor)
-            })
-            .collect();
-        let rt = trees::RootedTree::from_parents(NodeId::new(0), &parent_ids).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA9C);
-        let mut tokens: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-        let mut want = vec![0u64; n];
-        for (v, node_tokens) in tokens.iter_mut().enumerate() {
-            let ancs: Vec<NodeId> = rt.ancestors(NodeId::from_index(v)).collect();
-            for _ in 0..rng.gen_range(0..4) {
-                let a = ancs[rng.gen_range(0..ancs.len())];
-                let w = rng.gen_range(1..30u64);
-                node_tokens.push((a.raw() as u64, w));
-                want[a.index()] += w;
-            }
-        }
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> =
-            trees.into_iter().zip(tokens).collect();
-        let out = net.run("ks_prop", &KeyedSubtreeSum::new(), inputs).unwrap();
-        prop_assert_eq!(out.outputs, want);
     }
 }

@@ -372,7 +372,6 @@ struct NodeMem {
     port_bfs_in: Vec<u32>,
     iv: Option<Intervals>,
     att: BTreeMap<u32, u32>,
-    rho: u64,
     cval: u64,
     // -- snapshot of the best tree seen so far --
     snap_parent: Option<Port>,
@@ -775,7 +774,6 @@ impl<'g> Pipeline<'g> {
             m.ann_comp = None;
             m.iv = None;
             m.att.clear();
-            m.rho = 0;
             m.cval = 0;
         }
     }
@@ -1515,7 +1513,6 @@ impl<'g> Pipeline<'g> {
             let m = &self.mems[v];
             let iv = m.iv.as_ref().expect("intervals set");
             let my_chain = &chains[&m.frag];
-            let mut add_rho = 0u64;
             for (p, &other_in_t) in nb[v].iter().enumerate() {
                 let w = m.weights[p];
                 let other_frag = m.port_frag[p];
@@ -1523,14 +1520,10 @@ impl<'g> Pipeline<'g> {
                     // Case 1 (same fragment): the deeper-in-preorder
                     // endpoint routes a token toward the LCA.
                     if iv.in_t > other_in_t {
-                        if iv.contains(other_in_t) {
-                            add_rho += w;
-                        } else {
-                            tokens[v].push(Token {
-                                t_in: other_in_t,
-                                w,
-                            });
-                        }
+                        tokens[v].push(Token {
+                            t_in: other_in_t,
+                            w,
+                        });
                     }
                     continue;
                 }
@@ -1542,11 +1535,7 @@ impl<'g> Pipeline<'g> {
                     let g_child = child_below(their_chain, fstar);
                     let a = tf_parent[&g_child].a;
                     let a_in = *m.att.get(&a).expect("attachment table covers a");
-                    if iv.contains(a_in) {
-                        add_rho += w;
-                    } else {
-                        tokens[v].push(Token { t_in: a_in, w });
-                    }
+                    tokens[v].push(Token { t_in: a_in, w });
                 } else if fstar != other_frag {
                     // Case 2: the LCA is a merging node in a third
                     // fragment; aggregate by the attachment pair. The
@@ -1564,7 +1553,6 @@ impl<'g> Pipeline<'g> {
                 }
                 // fstar == other_frag: the other endpoint originates.
             }
-            self.mems[v].rho += add_rho;
         }
         // s4a/s4b: merging-node contributions through the leader.
         let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = (0..n)
@@ -1598,7 +1586,8 @@ impl<'g> Pipeline<'g> {
         for (toks, (_, aimed)) in tokens.iter_mut().zip(out.outputs) {
             toks.extend(aimed);
         }
-        // s5: route the case-1/3 tokens and the pair tokens to their LCAs.
+        // s5: route the case-1/3 tokens and the pair tokens to their LCAs;
+        // the end wave brings each fragment's (Σδ, Σρ) to its root.
         let inputs: Vec<TokensInput> = (0..n)
             .map(|v| {
                 let m = &self.mems[v];
@@ -1606,33 +1595,23 @@ impl<'g> Pipeline<'g> {
                 TokensInput {
                     tree: m.ftree(),
                     iv: (iv.in_t, iv.out_t),
+                    delta: m.delta,
                     tokens: std::mem::take(&mut tokens[v]),
                 }
             })
             .collect();
-        let out = self.net.run("s5", &TokensUp, inputs)?;
-        for (m, r) in self.mems.iter_mut().zip(out.outputs) {
-            m.rho += r;
-        }
-        // s5b: fragment totals (Σδ, Σρ) at fragment roots.
-        let inputs: Vec<(TreeInfo, (SumU64, SumU64))> = self
-            .mems
-            .iter()
-            .map(|m| (m.ftree(), (SumU64(m.delta), SumU64(m.rho))))
-            .collect();
-        let tots = self.net.run("s5b", &Convergecast::new(), inputs)?.outputs;
+        let (rho, tots): (Vec<u64>, Vec<_>) = self
+            .net
+            .run("s5", &TokensUp, inputs)?
+            .outputs
+            .into_iter()
+            .unzip();
         // s5c: totals to the leader.
         let inputs: Vec<(TreeInfo, Vec<TotItem>)> = (0..n)
             .map(|v| {
                 let m = &self.mems[v];
                 let items = tots[v]
-                    .map(|(d, r)| {
-                        vec![TotItem {
-                            frag: m.frag,
-                            d: d.0,
-                            r: r.0,
-                        }]
-                    })
+                    .map(|(d, r)| vec![TotItem { frag: m.frag, d, r }])
                     .unwrap_or_default();
                 (m.bfs.clone(), items)
             })
@@ -1691,24 +1670,16 @@ impl<'g> Pipeline<'g> {
             .net
             .run("s5d", &BroadcastItems::new(masses), inputs)?
             .outputs;
-        // s5e: in-fragment subtree sums of (δ + Wδ) and (ρ + Wρ) give
-        // the global δ↓ and ρ↓ at every node.
-        let inputs: Vec<(TreeInfo, u64)> = (0..n)
-            .map(|v| (self.mems[v].ftree(), self.mems[v].delta + w[v].0))
+        // s5e: in-fragment subtree sums of (δ + Wδ, ρ + Wρ) give the
+        // global (δ↓, ρ↓) at every node.
+        let inputs: Vec<(TreeInfo, (u64, u64))> = (0..n)
+            .map(|v| {
+                let m = &self.mems[v];
+                (m.ftree(), (m.delta + w[v].0, rho[v] + w[v].1))
+            })
             .collect();
-        let ddown = self
-            .net
-            .run("s5e.delta", &SubtreeSums::new(), inputs)?
-            .outputs;
-        let inputs: Vec<(TreeInfo, u64)> = (0..n)
-            .map(|v| (self.mems[v].ftree(), self.mems[v].rho + w[v].1))
-            .collect();
-        let rdown = self
-            .net
-            .run("s5e.rho", &SubtreeSums::new(), inputs)?
-            .outputs;
-        for (v, m) in self.mems.iter_mut().enumerate() {
-            let (d, r) = (ddown[v], rdown[v]);
+        let down = self.net.run("s5e", &SubtreeSums::new(), inputs)?.outputs;
+        for (v, (m, (d, r))) in self.mems.iter_mut().zip(down).enumerate() {
             debug_assert!(d >= 2 * r, "Karger identity underflow at node {v}");
             m.cval = d - 2 * r;
         }

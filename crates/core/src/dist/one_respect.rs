@@ -32,22 +32,25 @@
 //! 6. `s5` — case-1/3 contributions and the case-2 pair tokens travel as
 //!    [`Token`]s up the fragment tree ([`TokensUp`]) and are absorbed by
 //!    the first ancestor whose interval contains the partner, i.e.
-//!    exactly the LCA — for a pair token, the merging node. Afterwards
-//!    every node holds its ρ(v).
-//! 7. `s5b`–`s5f` — `(δ, ρ)` fragment totals converge to fragment
-//!    roots, `T_F`-subtree sums are formed at the leader and routed to
-//!    the attachment point of each non-root fragment (`s5d`, one row
-//!    per fragment, each crossing only the BFS edges toward its
-//!    attachment), and one in-fragment subtree-sum pass yields `δ↓(v)`
-//!    and `ρ↓(v)` — hence `C(v↓)` — at every node; a final convergecast
-//!    delivers the global argmin to the leader.
+//!    exactly the LCA — for a pair token, the merging node. Tokens with
+//!    the same partner that meet at a node have the same LCA, so they
+//!    travel on as one. Afterwards every node holds its ρ(v), and the
+//!    end markers have carried each subtree's `(Σδ, Σρ)` up, so every
+//!    fragment root holds its fragment's totals.
+//! 7. `s5c`–`s5f` — the fragment totals are upcast to the leader,
+//!    `T_F`-subtree sums are formed there and routed to the attachment
+//!    point of each non-root fragment (`s5d`, one row per fragment, each
+//!    crossing only the BFS edges toward its attachment), and one
+//!    in-fragment subtree-sum pass over `(δ, ρ)` pairs (`s5e`) yields
+//!    `δ↓(v)` and `ρ↓(v)` — hence `C(v↓)` — at every node; a final
+//!    convergecast delivers the global argmin to the leader.
 //!
 //! Rounds: every phase but `s5` is `O(√n + D + k)` — fragment height
 //! `h`, BFS depth `D`, or pipelined row count `k`. `s5` costs `h` plus
-//! its heaviest per-edge token load, because [`TokensUp`] forwards each
-//! token on its own: 3,131 rounds on the 70,602-node benchmark instance,
-//! against `h + D + k = 158`. The paper's step 5 pipelines per-ancestor
-//! counts instead; the ROADMAP's `s5` item tracks closing that gap.
+//! its heaviest per-edge load of *distinct* keys, which nothing bounds
+//! by `h`: 989 rounds on the 70,602-node benchmark instance, against
+//! `h + D + k = 158`. The paper's step 5 pipelines per-ancestor counts,
+//! keyed by the LCA itself; the ROADMAP's `s5` item tracks that choice.
 //! Experiment E7 measures the depth-independence of the other phases.
 //!
 //! The leader's table streams (`orient.tf`, `s4b`, `s5d`) and the
@@ -66,7 +69,7 @@ use congest::{
     value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
     ProtocolViolation, Step, TreeInfo,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Orient
@@ -393,6 +396,25 @@ impl Message for Token {
     }
 }
 
+/// The `s5` wire message: one (merged) token, or the end of the sender's
+/// stream carrying its subtree's `(Σδ, Σρ)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenMsg {
+    /// A token; its weight sums every token of that key merged into it.
+    Item(Token),
+    /// No more tokens follow; `(Σδ, Σρ)` over the sender's subtree.
+    End(u64, u64),
+}
+
+impl Message for TokenMsg {
+    fn bit_len(&self) -> usize {
+        match self {
+            TokenMsg::Item(t) => TAG_BITS + t.bit_len(),
+            TokenMsg::End(d, r) => TAG_BITS + value_bits(*d) + value_bits(*r),
+        }
+    }
+}
+
 /// Input of [`TokensUp`].
 #[derive(Clone, Debug)]
 pub struct TokensInput {
@@ -400,13 +422,18 @@ pub struct TokensInput {
     pub tree: TreeInfo,
     /// Own in-fragment interval.
     pub iv: (u32, u32),
-    /// Tokens originating at this node (origination-time absorption
-    /// already done by the caller).
+    /// This node's weighted degree δ(v).
+    pub delta: u64,
+    /// Tokens originating at this node; those aimed inside its own
+    /// subtree are absorbed at boot.
     pub tokens: Vec<Token>,
 }
 
 /// Pipelined token routing: one token per tree edge per round, absorb at
-/// the LCA. Rounds: `O(max per-edge token load + fragment height)`.
+/// the LCA. Tokens of one key meeting at a node travel on as one: they
+/// all stop at the same ancestor. Each end marker carries its subtree's
+/// `(Σδ, Σρ)`, so fragment roots output the fragment totals. Rounds:
+/// `O(max per-edge distinct-key load + fragment height)`.
 #[derive(Clone, Debug, Default)]
 pub struct TokensUp;
 
@@ -415,10 +442,16 @@ pub struct TokensUp;
 pub struct TokensState {
     tree: TreeInfo,
     iv: (u32, u32),
-    queue: VecDeque<Token>,
+    /// Pending keys, in the order their entries opened.
+    queue: VecDeque<u32>,
+    /// The weight pending per queued key.
+    pending: BTreeMap<u32, u64>,
     open_children: usize,
     rho: u64,
-    end_sent: bool,
+    /// `(Σδ, Σρ)` over this node and its closed child streams. No token
+    /// leaves its fragment, so counting each token's weight at its
+    /// origin sums the final ρ.
+    totals: (u64, u64),
 }
 
 impl TokensState {
@@ -426,7 +459,11 @@ impl TokensState {
         if self.iv.0 <= t.t_in && t.t_in <= self.iv.1 {
             self.rho += t.w;
         } else {
-            self.queue.push_back(t);
+            let queue = &mut self.queue;
+            *self.pending.entry(t.t_in).or_insert_with(|| {
+                queue.push_back(t.t_in);
+                0
+            }) += t.w;
         }
     }
 }
@@ -434,17 +471,19 @@ impl TokensState {
 impl Algorithm for TokensUp {
     type Input = TokensInput;
     type State = TokensState;
-    type Msg = congest::primitives::broadcast::StreamMsg<Token>;
-    type Output = u64;
+    type Msg = TokenMsg;
+    /// ρ(v); at fragment roots also the fragment's `(Σδ, Σρ)`.
+    type Output = (u64, Option<(u64, u64)>);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: TokensInput) -> (TokensState, Outbox<Self::Msg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: TokensInput) -> (TokensState, Outbox<TokenMsg>) {
         let mut s = TokensState {
             open_children: input.tree.children.len(),
             tree: input.tree,
             iv: input.iv,
             queue: VecDeque::new(),
+            pending: BTreeMap::new(),
             rho: 0,
-            end_sent: false,
+            totals: (input.delta, input.tokens.iter().map(|t| t.w).sum()),
         };
         for t in input.tokens {
             s.take(t);
@@ -456,13 +495,16 @@ impl Algorithm for TokensUp {
         &self,
         s: &mut TokensState,
         ctx: &NodeCtx<'_>,
-        inbox: &[(Port, Self::Msg)],
-    ) -> Step<Self::Msg> {
-        use congest::primitives::broadcast::StreamMsg;
-        for (_, msg) in inbox {
+        inbox: &[(Port, TokenMsg)],
+    ) -> Step<TokenMsg> {
+        for &(_, msg) in inbox {
             match msg {
-                StreamMsg::Item(t) => s.take(*t),
-                StreamMsg::End => s.open_children -= 1,
+                TokenMsg::Item(t) => s.take(t),
+                TokenMsg::End(d, r) => {
+                    s.totals.0 += d;
+                    s.totals.1 += r;
+                    s.open_children -= 1;
+                }
             }
         }
         match s.tree.parent {
@@ -482,12 +524,12 @@ impl Algorithm for TokensUp {
             }
             Some(p) => {
                 let mut out = Outbox::new();
-                if let Some(t) = s.queue.pop_front() {
-                    out.send(p, StreamMsg::Item(t));
+                if let Some(t_in) = s.queue.pop_front() {
+                    let w = s.pending.remove(&t_in).expect("queued keys are pending");
+                    out.send(p, TokenMsg::Item(Token { t_in, w }));
                     Step::Continue(out)
-                } else if s.open_children == 0 && !s.end_sent {
-                    s.end_sent = true;
-                    out.send(p, StreamMsg::End);
+                } else if s.open_children == 0 {
+                    out.send(p, TokenMsg::End(s.totals.0, s.totals.1));
                     Step::Halt(out)
                 } else {
                     Step::idle()
@@ -496,8 +538,12 @@ impl Algorithm for TokensUp {
         }
     }
 
-    fn finish(&self, s: TokensState, _ctx: &NodeCtx<'_>) -> FinishResult<u64> {
-        Ok(s.rho)
+    fn finish(
+        &self,
+        s: TokensState,
+        _ctx: &NodeCtx<'_>,
+    ) -> FinishResult<(u64, Option<(u64, u64)>)> {
+        Ok((s.rho, s.tree.is_root().then_some(s.totals)))
     }
 }
 
@@ -627,7 +673,7 @@ impl Algorithm for SideFlood {
 mod tests {
     use super::*;
     use congest::{Network, NetworkConfig};
-    use graphs::generators;
+    use graphs::{generators, NodeId};
 
     /// A path 0-1-2-3-4-5 as one fragment rooted at node 2 (ports on a
     /// path: interior nodes have port 0 = left, port 1 = right).
@@ -715,11 +761,64 @@ mod tests {
             .map(|((tree, &(lo, hi)), toks)| TokensInput {
                 tree: tree.clone(),
                 iv: (lo, hi),
+                delta: 1,
                 tokens: toks.clone(),
             })
             .collect();
-        let rho = net.run("s5", &TokensUp, inputs).unwrap().outputs;
+        let out = net.run("s5", &TokensUp, inputs).unwrap().outputs;
+        let (rho, tots): (Vec<u64>, Vec<_>) = out.into_iter().unzip();
         assert_eq!(rho, vec![0, 0, 7, 0, 3, 0]);
+        assert_eq!(tots, vec![None, None, Some((6, 10)), None, None, None]);
+    }
+
+    #[test]
+    fn equal_keys_merge_in_flight_and_the_end_wave_carries_the_totals() {
+        // The tree 0-{1, 4}, 1-{2, 3}: one fragment rooted at node 0.
+        let g = graphs::WeightedGraph::from_edges(5, [(0, 1, 1), (1, 2, 2), (1, 3, 3), (0, 4, 4)])
+            .unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let bfs = congest::primitives::leader_bfs::oracle(&g);
+        let in_t = |v: usize| bfs[v].iv.in_t;
+        // Nodes 2 and 3 aim at node 4 (their LCA with it is the root),
+        // node 2 also at its sibling 3 (LCA = 1), node 4 at node 2.
+        let key4 = |w| Token { t_in: in_t(4), w };
+        let tokens: [Vec<Token>; 5] = [
+            vec![],
+            vec![],
+            vec![
+                key4(1),
+                Token {
+                    t_in: in_t(3),
+                    w: 16,
+                },
+                key4(2),
+            ],
+            vec![key4(4)],
+            vec![Token {
+                t_in: in_t(2),
+                w: 8,
+            }],
+        ];
+        let inputs: Vec<TokensInput> = (0..5)
+            .map(|v| TokensInput {
+                tree: bfs[v].tree.clone(),
+                iv: (bfs[v].iv.in_t, bfs[v].iv.out_t),
+                delta: g.weighted_degree(NodeId::from_index(v)),
+                tokens: tokens[v].clone(),
+            })
+            .collect();
+        let out = net.run("s5", &TokensUp, inputs).unwrap();
+        // Round 1: 2 sends key4 (1 + 2 merged at boot), 3 sends key4,
+        // 4 sends its token. Round 2: 1 sends the key4 tokens of both
+        // children as one item, 2 its token for 3, 3 and 4 their ends.
+        // Round 3: 2 ends. Round 4: 1 ends. Round 5: the root halts.
+        // Five items instead of the eight an unmerged stream sends, plus
+        // one end per tree edge.
+        assert_eq!((out.metrics.messages, out.metrics.rounds), (5 + 4, 5));
+        let (rho, tots): (Vec<u64>, Vec<_>) = out.outputs.into_iter().unzip();
+        assert_eq!(rho, vec![1 + 2 + 4 + 8, 16, 0, 0, 0]);
+        assert_eq!(tots[0], Some((2 * (1 + 2 + 3 + 4), 31)));
+        assert!(tots[1..].iter().all(Option::is_none));
     }
 
     #[test]

@@ -132,5 +132,5 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((r.rounds, r.messages), (2_565, 136_862));
+    assert_eq!((r.rounds, r.messages), (2_374, 133_362));
 }
