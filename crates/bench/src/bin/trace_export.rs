@@ -8,7 +8,12 @@
 //!    [`congest::MetricsLedger`] (payload and transport counters
 //!    alike) are bit-identical to the undecorated run's;
 //! 2. **Profiler coverage** — the cost-center profile attributes at
-//!    least 90% of the faulty executor's wall time to named centers.
+//!    least 90% of the faulty executor's wall time to named centers;
+//! 3. **Pinned transport** — the ledger's transport totals and a digest
+//!    of every phase's [`congest::SimPhaseStats`] equal values captured
+//!    before the executor's scheduling was last rewritten, so a change
+//!    to *when* frames move fails here on the full instance, not only
+//!    on tier-1's small grids (`tests/sim_parity.rs`).
 //!
 //! It then exports the decorated run's Chrome trace, re-parses it with
 //! the strict in-tree JSON parser (a malformed exporter fails here,
@@ -19,7 +24,7 @@
 //! transport and recovery tracks.
 
 use congest::obs::{export_chrome_trace, json, CostCenter};
-use congest::{MetricsLedger, ObsHandle};
+use congest::{MetricsLedger, ObsHandle, SimPhaseStats};
 use graphs::generators;
 use mincut::dist::{recover_mincut, ExactConfig, RecoverConfig, RecoveredMinCut};
 use mincut::seq::tree_packing::{PackingConfig, PackingSize};
@@ -43,6 +48,79 @@ fn run(obs: Option<&ObsHandle>) -> (RecoveredMinCut, MetricsLedger) {
     let r = recover_mincut(&g, &cfg).expect("chaos instance must recover");
     let ledger = r.ledger.clone();
     (r, ledger)
+}
+
+/// The canonical chaos instance's transport, as both runs must report
+/// it: ledger totals, then the FNV-1a digest of [`sim_digest`].
+const PINNED: [(&str, u64); 8] = [
+    ("ticks", 20_732),
+    ("ctrl_frames", 5_309_689),
+    ("data_frames", 223_096),
+    ("dropped", 275_412),
+    ("duplicated", 127_460),
+    ("retransmitted", 36_427),
+    ("suspicions", 4),
+    ("sim_digest", 0x4F8B_3658_AF9C_AFE7),
+];
+
+/// 64-bit FNV-1a over every phase's name and [`SimPhaseStats`] fields
+/// (inline: `DefaultHasher` is not stable across Rust releases). The
+/// destructuring is exhaustive, so a new transport counter fails to
+/// compile here instead of escaping the pin.
+fn sim_digest(ledger: &MetricsLedger) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for p in ledger.phases() {
+        let SimPhaseStats {
+            phys_rounds,
+            data_frames,
+            ctrl_frames,
+            retransmitted,
+            dropped,
+            duplicated,
+            suspicions,
+            false_suspicions,
+            partitioned,
+            corrupted,
+        } = p.sim;
+        eat(&(p.name.len() as u64).to_le_bytes());
+        eat(p.name.as_bytes());
+        for v in [
+            phys_rounds,
+            data_frames,
+            ctrl_frames,
+            retransmitted,
+            dropped,
+            duplicated,
+            suspicions,
+            false_suspicions,
+            partitioned,
+            corrupted,
+        ] {
+            eat(&v.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The values [`PINNED`] names, read off `ledger`.
+fn transport(ledger: &MetricsLedger) -> [(&'static str, u64); 8] {
+    let sum = |f: fn(&SimPhaseStats) -> u64| ledger.phases().iter().map(|p| f(&p.sim)).sum();
+    [
+        ("ticks", ledger.total_phys_rounds()),
+        ("ctrl_frames", sum(|s| s.ctrl_frames)),
+        ("data_frames", sum(|s| s.data_frames)),
+        ("dropped", ledger.total_dropped()),
+        ("duplicated", ledger.total_duplicated()),
+        ("retransmitted", ledger.total_retransmitted()),
+        ("suspicions", sum(|s| s.suspicions)),
+        ("sim_digest", sim_digest(ledger)),
+    ]
 }
 
 fn main() {
@@ -119,6 +197,21 @@ fn main() {
                 c.label(),
                 100.0 * *ns as f64 / profile.total_ns as f64
             ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+
+    // Contract 3: the transport schedule is the pinned one. Contract 1
+    // already made the observed ledger equal the plain one.
+    let got = transport(&plain_ledger);
+    assert_eq!(
+        got, PINNED,
+        "the chaos instance's transport moved (got left, pinned right)"
+    );
+    println!(
+        "transport: pinned ({})",
+        got.iter()
+            .map(|(k, v)| format!("{k} {v}"))
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -120,6 +120,17 @@ pub enum CongestError {
         /// clock a recovery driver rebases the crash schedule against.
         round: u64,
     },
+    /// The faulty executor's [`crate::sim::FaultPlan`] schedules more
+    /// partition windows than one plan may hold. Raised before the
+    /// phase's first tick, whether or not any window would open.
+    TooManyPartitions {
+        /// Phase that was refused.
+        phase: String,
+        /// Partition windows the plan schedules.
+        windows: usize,
+        /// The most one plan may schedule.
+        limit: usize,
+    },
     /// Node code reported a protocol violation from
     /// [`crate::Algorithm::finish`] (see
     /// [`crate::algorithm::ProtocolViolation`]).
@@ -198,6 +209,14 @@ impl fmt::Display for CongestError {
             } => write!(
                 f,
                 "phase {phase:?} round {round}: node {by} suspects node {node} of having crashed (silent for the full suspicion window)"
+            ),
+            CongestError::TooManyPartitions {
+                phase,
+                windows,
+                limit,
+            } => write!(
+                f,
+                "phase {phase:?}: the fault plan schedules {windows} partition windows, at most {limit} are supported"
             ),
             CongestError::Protocol {
                 phase,

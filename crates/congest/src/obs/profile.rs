@@ -31,9 +31,10 @@ pub enum CostCenter {
     /// Stepping the nodes whose round inputs are complete (the
     /// algorithm's own `round` code under the synchronizer).
     Execute,
-    /// The per-tick scan over all directed channels deciding what each
-    /// one transmits (excluding the retransmission sends, split out
-    /// below).
+    /// The per-tick visit of every due channel (those marked by state
+    /// changes, plus those whose resend timer expires this tick),
+    /// deciding what each one transmits and sending it (excluding the
+    /// retransmission sends, split out below).
     ChannelScan,
     /// Timeout-driven payload retransmissions — the slice of
     /// [`CostCenter::ChannelScan`] spent re-sending.
@@ -46,7 +47,8 @@ pub enum CostCenter {
     /// The finish sweep: per-node `finish` and output collection.
     Finish,
     /// Everything else the loop does per tick: partition-window
-    /// scheduling, error wind-down, completion checks.
+    /// scheduling, ordering the tick's arrivals, error wind-down,
+    /// completion checks.
     Bookkeeping,
 }
 

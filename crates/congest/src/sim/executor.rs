@@ -39,6 +39,44 @@
 //!   their virtual round, and inboxes are replayed in port order, so the
 //!   per-node state trajectory is the synchronous trajectory.
 //!
+//! # Scheduling
+//!
+//! Each tick visits only the channels (directed edges) that have work,
+//! in the order a rescan of every unconfirmed channel, sorted by sender,
+//! would visit them:
+//!
+//! * **The due set.** Every change that can give a channel something
+//!   to send — a payload enqueued, its sender's safety raised, an ack
+//!   or echo owed, a suspicion cleared — marks the channel due in a
+//!   bitset over *sender-side* slots (`write_slot[d]`, which lies in the
+//!   sender's CSR range). The transmit pass walks the bitset in
+//!   ascending order, so channels are visited lowest-sender-first, and
+//!   transmissions — and therefore budget errors — happen in the serial
+//!   sweep's order.
+//! * **The wheel.** A visited channel that is still unconfirmed (data
+//!   unacked or safety unechoed) but has nothing due before its resend
+//!   deadline `last_send + timeout` leaves the due set and waits in the
+//!   bucket of its deadline on a wheel of `timeout + 1` buckets; at
+//!   that tick the bucket empties back into the due set. An entry can
+//!   go stale — a keepalive or an ack-driven frame moves `last_send`
+//!   later, an ack confirms the channel — but it is never later than
+//!   the channel's real deadline: `last_send` only grows, and every
+//!   other change that can make a channel due sooner marks it due. A
+//!   stale visit finds nothing due and sends nothing; it files the
+//!   channel again or drops it. Debug builds check after every
+//!   transmit pass that each live channel owing a frame is due or on
+//!   the wheel in time.
+//! * **Arrivals.** A tick's arrivals are processed by slot, and the
+//!   frames of one slot in send order (a sort of `slot << 32 | push
+//!   index` keys), so the order does not depend on which channel sent
+//!   first.
+//!
+//! A channel therefore sends at exactly the ticks a full rescan would
+//! send on it, the sending channels of a tick come in the same order,
+//! and a visit that sends nothing changes no state: frames, fault
+//! coins, and ticks are those of the rescan, which `tests/sim_parity.rs`
+//! pins by digest of the full event stream.
+//!
 //! # Crash faults and failure detection
 //!
 //! When the plan schedules [`crate::sim::CrashEvent`]s, nodes
@@ -110,6 +148,10 @@ impl FaultyExecutor {
     }
 }
 
+/// Partition windows one plan may schedule: the executor tracks each
+/// slot's windows in one `u64` bitmask.
+const MAX_PARTITIONS: usize = 64;
+
 impl RoundExecutor for FaultyExecutor {
     fn run_phase<A: Algorithm>(
         &self,
@@ -117,6 +159,15 @@ impl RoundExecutor for FaultyExecutor {
         algo: &A,
         inputs: Vec<A::Input>,
     ) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
+        // `FaultPlan`'s fields are public, so only the executor can
+        // refuse a plan it cannot represent — before the first tick.
+        if self.plan.partitions.len() > MAX_PARTITIONS {
+            return Err(CongestError::TooManyPartitions {
+                phase: spec.name.to_string(),
+                windows: self.plan.partitions.len(),
+                limit: MAX_PARTITIONS,
+            });
+        }
         let sink = spec.obs;
         let total = obs::total_begin(sink);
         let out = Machine::new(&self.plan, spec, algo).run(inputs);
@@ -254,11 +305,17 @@ struct Machine<'a, A: Algorithm> {
     tx: Vec<ChanTx<A::Msg>>,
     rx: Vec<ChanRx>,
     /// Delivery ring buffer: arrivals at tick `t` live in slot
-    /// `t % calendar.len()`.
+    /// `t % calendar.len()`, in send order.
     calendar: Vec<Vec<(usize, Frame<A::Msg>)>>,
     in_flight: usize,
-    active: Vec<usize>,
-    is_active: Vec<bool>,
+    /// The due set: one bit per *sender-side* slot `write_slot[d]` of
+    /// every channel the next [`Machine::transmit`] must visit.
+    due: Vec<u64>,
+    /// The resend-timer wheel, `timeout + 1` buckets of sender-side
+    /// slots: bucket `t % len` holds the channels whose timer may expire
+    /// at tick `t`. An entry may be stale, never later than its
+    /// channel's deadline.
+    wheel: Vec<Vec<u32>>,
     ready: Vec<u32>,
     live: usize,
     unacked_total: u64,
@@ -291,7 +348,7 @@ struct Machine<'a, A: Algorithm> {
     /// Per directed slot, a bitmask of the plan's partition events
     /// whose cut set contains the slot's undirected edge (empty vec
     /// when the plan schedules no partitions — the hot path stays
-    /// untouched). At most 64 windows per plan.
+    /// untouched). At most [`MAX_PARTITIONS`] windows per plan.
     part_mask: Vec<u64>,
     /// Per partition event: the tick its window opened (`None` until
     /// the session clock reaches the event's onset round).
@@ -313,6 +370,11 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     fn new(plan: &'a FaultPlan, spec: &'a PhaseSpec<'a>, algo: &'a A) -> Self {
         let n = spec.n;
         let total = spec.slot_base[n];
+        // Wheel entries and arrival-order keys hold a slot in 32 bits.
+        assert!(
+            u32::try_from(total).is_ok(),
+            "the faulty executor supports at most u32::MAX directed edges"
+        );
         let mut slot_owner = vec![0u32; total];
         for v in 0..n {
             slot_owner[spec.slot_base[v]..spec.slot_base[v + 1]].fill(v as u32);
@@ -345,8 +407,8 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                 .map(|_| Vec::new())
                 .collect(),
             in_flight: 0,
-            active: Vec::new(),
-            is_active: vec![false; total],
+            due: vec![0; total.div_ceil(64)],
+            wheel: (0..=plan.timeout()).map(|_| Vec::new()).collect(),
             ready: Vec::new(),
             live: n,
             unacked_total: 0,
@@ -396,9 +458,9 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         if plan.partitions.is_empty() {
             return Vec::new();
         }
-        assert!(
-            plan.partitions.len() <= 64,
-            "at most 64 partition windows per plan"
+        debug_assert!(
+            plan.partitions.len() <= MAX_PARTITIONS,
+            "checked by run_phase"
         );
         let cut_sets: Vec<std::collections::BTreeSet<(u32, u32)>> = plan
             .partitions
@@ -521,11 +583,20 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         e
     }
 
+    /// Marks channel `d` due: the next [`Machine::transmit`] visits it.
     fn activate(&mut self, d: usize) {
-        if !self.is_active[d] {
-            self.is_active[d] = true;
-            self.active.push(d);
-        }
+        let s = self.rev(d);
+        self.due[s / 64] |= 1 << (s % 64);
+    }
+
+    /// Does channel `d`'s sender still owe its peer a safety
+    /// announcement? A suspected peer counts as done: it will never
+    /// echo, and without this the gossip path would burn its
+    /// retransmission budget against a dead node.
+    fn needs_safety(&self, d: usize) -> bool {
+        let rev = self.rev(d);
+        let peer_done = self.rx[rev].peer_safe == u64::MAX || self.suspected[rev];
+        !peer_done && self.tx[d].peer_safe_seen < self.nodes[self.sender(d)].safe
     }
 
     /// Raises `v`'s safe count and schedules the announcement toward
@@ -781,8 +852,9 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         }
     }
 
-    /// Processes one arriving frame on edge `d`.
-    fn process_arrival(&mut self, d: usize, f: Frame<A::Msg>) {
+    /// Processes one arriving frame on edge `d`. Only an accepted
+    /// payload is cloned out of the frame.
+    fn process_arrival(&mut self, d: usize, f: &Frame<A::Msg>) {
         let v = self.slot_owner[d] as usize;
         // A crashed receiver is gone: the frame vanishes — no ack, no
         // gossip, no inbox entry, and in particular no
@@ -832,7 +904,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             }
         }
         // The payload itself.
-        if let Some(dt) = f.data {
+        if let Some(dt) = &f.data {
             if dt.seq <= self.rx[d].rcv_seq {
                 // A duplicate (or a stale delayed copy): our ack was
                 // lost or is still in flight — re-ack.
@@ -865,7 +937,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                     self.inboxes[v]
                         .entry(dt.round + 1)
                         .or_default()
-                        .push((port, dt.msg));
+                        .push((port, dt.msg.clone()));
                 }
                 self.tx[out].dirty = true;
                 self.activate(out);
@@ -873,52 +945,105 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         }
     }
 
-    /// Emits frames on every active edge that is due, applying the
-    /// adversary to each transmission.
+    /// Visits every due channel in sender-slot order, emitting a frame
+    /// on each whose send is due and applying the adversary to it. A
+    /// visited channel that still owes a frame stays due when it must
+    /// be visited next tick, and otherwise waits on the wheel for its
+    /// resend deadline.
     fn transmit(&mut self, tick: u64) {
         let timeout = self.plan.timeout();
-        let mut edges = std::mem::take(&mut self.active);
-        // Sender-side order (sort by the reverse slot, which lives in the
-        // sender's CSR range): transmissions — and therefore budget
-        // errors — happen lowest-sender-first, echoing the serial sweep.
-        edges.sort_unstable_by_key(|&d| self.spec.write_slot[d]);
-        for d in edges {
-            let u = self.sender(d);
-            // Dead senders transmit nothing, ever.
-            if self.crashed[u] {
-                self.is_active[d] = false;
-                continue;
-            }
-            let rev = self.rev(d);
-            let t = &self.tx[d];
-            let timer_due = t.attempts == 0 || tick >= t.last_send + timeout;
-            let data_due = t.data.is_some() && timer_due;
-            // A suspected peer counts as done for *safety* purposes: it
-            // will never echo, and without this the gossip path would
-            // burn its retransmission budget against a dead node.
-            let peer_done = self.rx[rev].peer_safe == u64::MAX || self.suspected[rev];
-            let needs_safety = !peer_done && t.peer_safe_seen < self.nodes[u].safe;
-            let safety_due = needs_safety && (t.dirty || tick >= t.last_send + timeout);
-            if data_due || safety_due || t.dirty {
-                // A scheduled send of an already-attempted payload is a
-                // retransmission: time it separately so the enclosing
-                // channel-scan span can report itself net of it.
-                let retrans = data_due && t.attempts > 0;
-                let span = obs::cc_begin(if retrans { self.spec.obs } else { None });
-                self.send_frame(d, tick, needs_safety, data_due);
-                if retrans {
-                    self.retrans_ns += obs::cc_end(self.spec.obs, span, CostCenter::Retransmit);
+        let len = self.wheel.len() as u64;
+        // Channels whose timer may expire now rejoin the due set.
+        let bucket = (tick % len) as usize;
+        let mut expired = std::mem::take(&mut self.wheel[bucket]);
+        for &s in &expired {
+            self.due[s as usize / 64] |= 1 << (s % 64);
+        }
+        expired.clear();
+        self.wheel[bucket] = expired;
+        // Nothing below marks a channel due, so taking each word before
+        // walking its bits visits exactly this tick's due set, and a
+        // bit set back into the word is for the next tick.
+        for w in 0..self.due.len() {
+            let mut bits = std::mem::take(&mut self.due[w]);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let d = self.spec.write_slot[w * 64 + b];
+                // Dead senders transmit nothing, ever.
+                if self.crashed[self.sender(d)] {
+                    continue;
+                }
+                let needs_safety = self.needs_safety(d);
+                let t = &self.tx[d];
+                let timer_due = t.attempts == 0 || tick >= t.last_send + timeout;
+                let data_due = t.data.is_some() && timer_due;
+                let safety_due = needs_safety && (t.dirty || tick >= t.last_send + timeout);
+                if data_due || safety_due || t.dirty {
+                    // A scheduled send of an already-attempted payload is
+                    // a retransmission: time it separately so the
+                    // enclosing channel-scan span can report itself net
+                    // of it.
+                    let retrans = data_due && t.attempts > 0;
+                    let span = obs::cc_begin(if retrans { self.spec.obs } else { None });
+                    self.send_frame(d, tick, needs_safety, data_due);
+                    if retrans {
+                        self.retrans_ns += obs::cc_end(self.spec.obs, span, CostCenter::Retransmit);
+                    }
+                }
+                // Still unconfirmed (data unacked or safety unechoed):
+                // due again next tick while a control frame is pending
+                // (the budget refused it) or the deadline is that close,
+                // otherwise on the wheel until the deadline.
+                let t = &self.tx[d];
+                if t.data.is_some() || needs_safety {
+                    let deadline = t.last_send + timeout;
+                    if t.dirty || deadline <= tick + 1 {
+                        self.due[w] |= 1 << b;
+                    } else {
+                        self.wheel[(deadline % len) as usize].push((w * 64 + b) as u32);
+                    }
                 }
             }
-            // Stays active while something remains unconfirmed (data
-            // unacked or safety unechoed); throttled by the timeout.
-            let t = &self.tx[d];
-            if t.data.is_some() || (!peer_done && t.peer_safe_seen < self.nodes[u].safe) {
-                self.active.push(d);
-            } else {
-                self.is_active[d] = false;
+        }
+        debug_assert_eq!(
+            self.unscheduled_channel(tick),
+            None,
+            "a channel owing a frame is neither due nor on the wheel in time"
+        );
+    }
+
+    /// The schedule's completeness check, run after each
+    /// [`Machine::transmit`] in debug builds: the first live channel that
+    /// owes a frame — unacked data, unechoed safety, or a pending control
+    /// frame — but is neither due nor on the wheel at or before its
+    /// deadline `last_send + timeout`, or `None`. A pending control
+    /// frame (`dirty`) must be due outright.
+    fn unscheduled_channel(&self, tick: u64) -> Option<usize> {
+        let timeout = self.plan.timeout();
+        let len = self.wheel.len() as u64;
+        // After `transmit(tick)` every entry's tick lies in
+        // `tick + 1 ..= tick + timeout`, one per bucket other than the
+        // one just emptied; this is the earliest per sender-side slot.
+        let mut wake = vec![u64::MAX; self.tx.len()];
+        for (i, bucket) in self.wheel.iter().enumerate() {
+            let at = tick + (i as u64 + len - tick % len) % len;
+            for &s in bucket {
+                wake[s as usize] = wake[s as usize].min(at);
             }
         }
+        (0..self.tx.len()).find(|&s| {
+            let d = self.spec.write_slot[s];
+            let t = &self.tx[d];
+            let due = self.due[s / 64] >> (s % 64) & 1 == 1;
+            let on_time = due || (wake[s] > tick && wake[s] <= t.last_send + timeout);
+            !self.crashed[self.sender(d)]
+                && if t.dirty {
+                    !due
+                } else {
+                    (t.data.is_some() || self.needs_safety(d)) && !on_time
+                }
+        })
     }
 
     /// Crash-detection mode only: keeps every still-relevant channel
@@ -1270,21 +1395,30 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             if !self.part_onset.is_empty() {
                 self.open_partitions(tick);
             }
-            // 1. Deliver this tick's arrivals (sorted by edge so the
-            //    order is schedule-independent and destination-grouped).
+            // 1. Deliver this tick's arrivals by slot, then in send
+            //    order, so the order is schedule-independent and
+            //    destination-grouped.
             let window = self.calendar.len();
-            let mut arrivals = std::mem::take(&mut self.calendar[tick as usize % window]);
+            let bucket = tick as usize % window;
+            let mut arrivals = std::mem::take(&mut self.calendar[bucket]);
             self.in_flight -= arrivals.len();
-            arrivals.sort_by_key(|&(d, _)| d);
+            let mut keys: Vec<u64> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &(d, _))| (d as u64) << 32 | i as u64)
+                .collect();
+            keys.sort_unstable();
             let had_arrivals = !arrivals.is_empty();
             obs::cc_end(obs, span, CostCenter::Bookkeeping);
             let span = obs::cc_begin(obs);
-            for (d, frame) in arrivals {
+            for &key in &keys {
+                let (d, frame) = &arrivals[key as u32 as usize];
+                let d = *d;
                 // Transport checksum first: a frame the adversary
                 // bit-flipped is discarded whole — it earns no ack, no
                 // suspicion rehabilitation, no keepalive credit (an
                 // imposter frame must not vouch for a dead sender).
-                if frame.crc != frame_checksum(self.phase_salt, &frame) {
+                if frame.crc != frame_checksum(self.phase_salt, frame) {
                     self.sim.corrupted += 1;
                     self.obs_event(
                         EventKind::FrameCorrupt,
@@ -1316,6 +1450,10 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                 }
                 self.process_arrival(d, frame);
             }
+            // Nothing is sent during delivery, so the bucket is still
+            // empty: hand its allocation back.
+            arrivals.clear();
+            self.calendar[bucket] = arrivals;
             obs::cc_end(obs, span, CostCenter::AckBookkeeping);
             // 2. Execute every virtual round the α rule now allows
             //    (gated to rounds ≤ the earliest error round once an
@@ -1819,6 +1957,32 @@ mod tests {
             err,
             CongestError::MaxRoundsExceeded { cap: 40, .. }
         ));
+    }
+
+    /// A plan holds at most 64 partition windows: 64 run (none opens
+    /// here), and a 65th is refused with a typed error before the first
+    /// tick instead of a panic inside the run.
+    #[test]
+    fn partition_windows_beyond_the_limit_are_a_typed_error() {
+        let g = graphs::generators::path(3).unwrap();
+        let run = |windows: usize| {
+            let plan = (0..windows).fold(FaultPlan::lossless(), |p, _| {
+                p.with_partition(vec![(0, 1)], u64::MAX, 1)
+            });
+            let cfg = NetworkConfig::default().with_fault_plan(plan);
+            let mut net = Network::new(&g, cfg).unwrap();
+            net.run("flood", &MinFlood { ttl: 5 }, vec![(); 3])
+        };
+        let at_limit = run(MAX_PARTITIONS).expect("64 windows run");
+        assert_eq!(at_limit.outputs, vec![0, 0, 0]);
+        assert_eq!(
+            run(MAX_PARTITIONS + 1).unwrap_err(),
+            CongestError::TooManyPartitions {
+                phase: "flood".to_string(),
+                windows: 65,
+                limit: 64,
+            }
+        );
     }
 
     /// A single isolated node runs to completion without any transport.

@@ -103,12 +103,19 @@ proptest! {
         size in 4usize..28,
         drop_idx in 0usize..4,
         delay in 0u8..4,
+        resend_idx in 0usize..4,
     ) {
         let drop = [0u16, 50, 150, 300][drop_idx];
+        // The resend timeout sizes the executor's timer wheel
+        // (`timeout + 1` buckets), so every run covers one wheel size.
+        let resend_after = [1u16, 2, 4, 9][resend_idx];
         let g = make_graph(family, seed, size);
         let n = g.node_count();
         let lists = keyed_inputs(n, seed);
-        let plan = FaultPlan::with_drop(drop, seed ^ 0xDEAD).delayed(delay).duplicated(drop / 2);
+        let plan = FaultPlan {
+            resend_after,
+            ..FaultPlan::with_drop(drop, seed ^ 0xDEAD).delayed(delay).duplicated(drop / 2)
+        };
         let kind = ExecutorKind::Faulty(plan);
 
         let (out_a, ledger_a) = run_session(&g, kind.clone(), &lists);

@@ -8,7 +8,9 @@
 //! pipelined keyed-stream aggregations) survive an adversarial network
 //! without a single algorithm change; this suite pins that on the whole
 //! paper pipeline. The congest-level randomized suite lives in
-//! `crates/congest/tests/sim_determinism.rs`.
+//! `crates/congest/tests/sim_determinism.rs`. The transport's exact
+//! frame schedule, which parity alone does not fix, is pinned by digest
+//! in `transport_schedule_matches_pinned_digests`.
 
 use mincut_repro::congest::sim::FaultPlan;
 use mincut_repro::congest::ExecutorKind;
@@ -136,3 +138,290 @@ fn retransmit_exhaustion_names_the_starved_edge() {
     assert_eq!(*round, 0, "the stuck payload was sent at boot");
     assert_eq!(err, run(), "the starvation diagnosis is deterministic");
 }
+
+/// 64-bit FNV-1a, computed inline: `DefaultHasher` is not stable across
+/// Rust releases, and a pinned digest must move only when the transport
+/// does.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    /// Every field of every phase, `sim` included. The destructuring is
+    /// exhaustive, so a new metrics field fails to compile here instead
+    /// of silently escaping the digest.
+    fn ledger(&mut self, ledger: &mincut_repro::congest::MetricsLedger) {
+        use mincut_repro::congest::{PhaseMetrics, SimPhaseStats};
+        self.u64(ledger.phases().len() as u64);
+        for p in ledger.phases() {
+            let PhaseMetrics {
+                name,
+                rounds,
+                messages,
+                bits,
+                max_message_bits,
+                max_edge_load_bits,
+                violations,
+                sim,
+            } = p;
+            let SimPhaseStats {
+                phys_rounds,
+                data_frames,
+                ctrl_frames,
+                retransmitted,
+                dropped,
+                duplicated,
+                suspicions,
+                false_suspicions,
+                partitioned,
+                corrupted,
+            } = sim;
+            self.str(name);
+            for v in [
+                *rounds,
+                *messages,
+                *bits,
+                *max_message_bits as u64,
+                *max_edge_load_bits as u64,
+                *violations,
+                *phys_rounds,
+                *data_frames,
+                *ctrl_frames,
+                *retransmitted,
+                *dropped,
+                *duplicated,
+                *suspicions,
+                *false_suspicions,
+                *partitioned,
+                *corrupted,
+            ] {
+                self.u64(v);
+            }
+        }
+    }
+
+    /// The sink's full virtual event stream; the ring must not have
+    /// overwritten anything, or the digest would cover only a suffix.
+    fn stream(&mut self, obs: &mincut_repro::congest::ObsHandle) {
+        let stream = obs.sink().virtual_stream();
+        assert_eq!(
+            stream.lines().nth(1),
+            Some("dropped=0"),
+            "the sink must retain every event"
+        );
+        self.str(&stream);
+    }
+}
+
+/// Large enough that no pinned run overwrites an event.
+const GOLDEN_RING: usize = 1 << 24;
+
+/// The transport's exact schedule, pinned. The other suites compare a
+/// build only with itself or with the serial executor, so a transport
+/// rewrite that moved frames between ticks — same payloads, different
+/// schedule — would pass them all. Here every run's full virtual event
+/// stream (each send, drop, duplicate, ack, retransmission, keepalive,
+/// suspicion, with its tick) and every ledger field is folded into one
+/// FNV-1a digest per run and compared with values captured before the
+/// executor's scheduling was last rewritten. Runs: the election on
+/// three topologies under six fault plans at three retransmission
+/// timeouts, plus one self-healing min-cut session.
+#[test]
+fn transport_schedule_matches_pinned_digests() {
+    use mincut_repro::congest::primitives::leader_bfs::LeaderBfs;
+    use mincut_repro::congest::{Network, NetworkConfig, ObsHandle};
+    use mincut_repro::mincut::dist::{recover_mincut, RecoverConfig};
+    use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+
+    let graphs = [
+        ("torus6x6", generators::torus2d(6, 6).unwrap()),
+        ("cycle13", generators::cycle(13).unwrap()),
+        ("complete9", generators::complete(9, 2).unwrap()),
+    ];
+    let plans = |resend_after: u16| {
+        let timed = |p: FaultPlan| FaultPlan { resend_after, ..p };
+        [
+            (
+                "lossy",
+                timed(
+                    FaultPlan::with_drop(150, 0x60_1D)
+                        .delayed(2)
+                        .duplicated(80)
+                        .corrupted(40),
+                ),
+            ),
+            (
+                "crash_continue",
+                timed(
+                    FaultPlan::with_drop(40, 0x60_2D)
+                        .delayed(1)
+                        .with_crash(4, 3)
+                        .continue_on_suspicion(),
+                ),
+            ),
+            (
+                "crash_abort",
+                timed(
+                    FaultPlan::with_drop(40, 0x60_3D)
+                        .delayed(1)
+                        .with_crash(4, 3),
+                ),
+            ),
+            (
+                "partition",
+                timed(FaultPlan::with_drop(30, 0x60_4D).delayed(1).with_partition(
+                    vec![(0, 1), (2, 3), (4, 5)],
+                    2,
+                    6,
+                )),
+            ),
+            ("exhausted", timed(FaultPlan::with_drop(1000, 0x60_5D))),
+            ("lossless", timed(FaultPlan::lossless())),
+        ]
+    };
+
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (gname, g) in &graphs {
+        let n = g.node_count();
+        for resend_after in [1u16, 4, 9] {
+            for (pname, plan) in plans(resend_after) {
+                let obs = ObsHandle::with_capacity(GOLDEN_RING);
+                let cfg = NetworkConfig::default()
+                    .with_executor(ExecutorKind::Faulty(plan))
+                    .with_obs(obs.clone());
+                let mut net = Network::new(g, cfg).unwrap();
+                let mut h = Fnv::new();
+                match net.run("leader_bfs", &LeaderBfs::new(), vec![(); n]) {
+                    Ok(out) => {
+                        for o in &out.outputs {
+                            h.u64(u64::from(o.leader.raw()));
+                            h.u64(o.tree.parent.map_or(u64::MAX, |p| u64::from(p.0)));
+                            h.u64(u64::from(o.tree.depth));
+                        }
+                    }
+                    Err(e) => h.str(&e.to_string()),
+                }
+                h.ledger(net.ledger());
+                h.stream(&obs);
+                got.push((format!("{gname}/{pname}/r{resend_after}"), h.0));
+            }
+        }
+    }
+
+    let g = generators::torus2d(12, 12).unwrap();
+    let obs = ObsHandle::with_capacity(GOLDEN_RING);
+    let plan = FaultPlan::with_drop(50, 0x60_6D)
+        .delayed(2)
+        .duplicated(25)
+        .with_crash(0, 60);
+    let cfg = RecoverConfig {
+        base: ExactConfig {
+            packing: PackingConfig {
+                size: PackingSize::Fixed(2),
+                max_trees: 2,
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+    .with_plan(plan)
+    .with_obs(obs.clone());
+    let r = recover_mincut(&g, &cfg).expect("the crash is recoverable");
+    let mut h = Fnv::new();
+    h.u64(r.cut.value);
+    h.bytes(&r.cut.side.iter().map(|&b| u8::from(b)).collect::<Vec<_>>());
+    for v in &r.dead {
+        h.u64(u64::from(v.raw()));
+    }
+    h.ledger(&r.ledger);
+    h.stream(&obs);
+    got.push(("torus12x12/recover".to_string(), h.0));
+
+    let table: String = got
+        .iter()
+        .map(|(k, d)| format!("    (\"{k}\", 0x{d:016X}),\n"))
+        .collect();
+    assert_eq!(got.len(), GOLDEN.len(), "run count changed; got:\n{table}");
+    for ((k, d), (wk, wd)) in got.iter().zip(GOLDEN) {
+        assert_eq!(k, wk, "run order changed; got:\n{table}");
+        assert_eq!(*d, wd, "{k}: the transport schedule moved; got:\n{table}");
+    }
+}
+
+/// Digests of [`transport_schedule_matches_pinned_digests`], captured
+/// with the executor that sorted its active-channel list every tick.
+const GOLDEN: [(&str, u64); 55] = [
+    ("torus6x6/lossy/r1", 0x32DB3C0CF3B2EE14),
+    ("torus6x6/crash_continue/r1", 0xF54A137E57016AE4),
+    ("torus6x6/crash_abort/r1", 0xFA900DADE6B4261D),
+    ("torus6x6/partition/r1", 0x948AA32FC8F8288F),
+    ("torus6x6/exhausted/r1", 0x5616609A1F44D93E),
+    ("torus6x6/lossless/r1", 0xE2D1F7CA673CC87A),
+    ("torus6x6/lossy/r4", 0xED063B356EE68252),
+    ("torus6x6/crash_continue/r4", 0x644AF1EDC634CDA9),
+    ("torus6x6/crash_abort/r4", 0x2C6416F208E0B708),
+    ("torus6x6/partition/r4", 0x3B70E0FF5F3B570D),
+    ("torus6x6/exhausted/r4", 0x9279C22F4E990841),
+    ("torus6x6/lossless/r4", 0x92DCCCFB9692550F),
+    ("torus6x6/lossy/r9", 0x48098FAC67A1F366),
+    ("torus6x6/crash_continue/r9", 0x48488CD822D34EBF),
+    ("torus6x6/crash_abort/r9", 0x1B43B6CF94704E62),
+    ("torus6x6/partition/r9", 0xF1BDFC0AE430EB07),
+    ("torus6x6/exhausted/r9", 0x30D494A6E8FC47F1),
+    ("torus6x6/lossless/r9", 0x92DCCCFB9692550F),
+    ("cycle13/lossy/r1", 0x826012DFEABFD955),
+    ("cycle13/crash_continue/r1", 0xAC5765784C43F8E6),
+    ("cycle13/crash_abort/r1", 0xE0F877A4514C9305),
+    ("cycle13/partition/r1", 0xD0738372AC9B196F),
+    ("cycle13/exhausted/r1", 0x8AA0373921DA1839),
+    ("cycle13/lossless/r1", 0x253546CF268C7655),
+    ("cycle13/lossy/r4", 0x2ED5E15D91B03DB3),
+    ("cycle13/crash_continue/r4", 0x80D81AB34C4523D2),
+    ("cycle13/crash_abort/r4", 0x7E0BA2ECBD3E8E9F),
+    ("cycle13/partition/r4", 0x85A5FBB5A0CB4731),
+    ("cycle13/exhausted/r4", 0x011DD3EF612B036C),
+    ("cycle13/lossless/r4", 0x7AA8DC43BAFCAC45),
+    ("cycle13/lossy/r9", 0x94C32C92B4B48D57),
+    ("cycle13/crash_continue/r9", 0x07A05B8FDF291465),
+    ("cycle13/crash_abort/r9", 0x74B842A1C6FBC5F0),
+    ("cycle13/partition/r9", 0xEFAFBBBA7B7D8153),
+    ("cycle13/exhausted/r9", 0xFE48E7EA6BF76EA3),
+    ("cycle13/lossless/r9", 0x7AA8DC43BAFCAC45),
+    ("complete9/lossy/r1", 0x38AA166B561856AD),
+    ("complete9/crash_continue/r1", 0x3CC4EA46571EA909),
+    ("complete9/crash_abort/r1", 0x8D57439E6A92776A),
+    ("complete9/partition/r1", 0x0E52DF38D729BFF2),
+    ("complete9/exhausted/r1", 0xAE08490519DD87BA),
+    ("complete9/lossless/r1", 0x5536F4F49B5E71AA),
+    ("complete9/lossy/r4", 0x19CE1D63E6FBF3DC),
+    ("complete9/crash_continue/r4", 0xF85A8C89C5AF3895),
+    ("complete9/crash_abort/r4", 0x2F81084C30993BCC),
+    ("complete9/partition/r4", 0xEC1BEF82FEA04B1D),
+    ("complete9/exhausted/r4", 0x84F76EE18D3E0FD4),
+    ("complete9/lossless/r4", 0xEFED5A3F6666133F),
+    ("complete9/lossy/r9", 0x9C8F55008FCAE512),
+    ("complete9/crash_continue/r9", 0xB39E22E78FE4A6B3),
+    ("complete9/crash_abort/r9", 0x94D90F61A16AE954),
+    ("complete9/partition/r9", 0xF7ABCC9F98E9AFA1),
+    ("complete9/exhausted/r9", 0xF9F0387AD359676D),
+    ("complete9/lossless/r9", 0xEFED5A3F6666133F),
+    ("torus12x12/recover", 0xE73621DC11B4827E),
+];
