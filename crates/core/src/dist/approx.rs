@@ -30,7 +30,7 @@ pub struct ApproxConfig {
     /// CONGEST model parameters, including which round executor drives
     /// the phases (`network.executor`) — results are executor-independent.
     pub network: NetworkConfig,
-    /// Distributed MST stage knobs.
+    /// Distributed MST stage setting (phase A's fragment cap).
     pub mst: MstConfig,
     /// Shared-coin seed of the skeleton sampling.
     pub seed: u64,

@@ -32,7 +32,7 @@ pub struct BaselineConfig {
     /// CONGEST model parameters, including which round executor drives
     /// the phases (`network.executor`) — results are executor-independent.
     pub network: NetworkConfig,
-    /// Distributed MST stage knobs.
+    /// Distributed MST stage setting (phase A's fragment cap).
     pub mst: MstConfig,
     /// Shared-coin seed (Su-style sampling).
     pub seed: u64,

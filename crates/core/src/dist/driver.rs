@@ -28,8 +28,8 @@
 //! attachment in-times in `s2c.down` — still reach every node.
 
 use crate::dist::mst::{
-    ACand, BorCand, CandAgg, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragHook2, FragMsg,
-    HookInput, HookInput2, HookRole, MergeItem, MstAMode, MstConfig, OptAgg, OptCand, ReportItem,
+    BorCand, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragMsg, HookInput, HookRole, MergeItem,
+    MstConfig, OptAgg, OptCand, ReportItem,
 };
 use crate::dist::one_respect::{
     AttItem, FragReroot, IntervalDown, IntervalInput, NbMsg, PairItem, RerootInput, SideFlood,
@@ -51,7 +51,7 @@ use graphs::{CutResult, NodeId, WeightedGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of [`exact_mincut`]: the network model, the packing
-/// policy, and the MST stage knobs.
+/// policy, and the MST stage setting.
 #[derive(Clone, Debug, Default)]
 pub struct ExactConfig {
     /// CONGEST model parameters (bandwidth `β`, strictness, round cap,
@@ -62,7 +62,7 @@ pub struct ExactConfig {
     /// Greedy tree packing policy (how many trees, mirroring the
     /// sequential packing).
     pub packing: PackingConfig,
-    /// Distributed MST stage knobs (fragment cap, coin seed).
+    /// Distributed MST stage setting (phase A's fragment cap).
     pub mst: MstConfig,
 }
 
@@ -118,10 +118,10 @@ pub struct DistMinCutResult {
     /// Per-phase metrics of the whole run.
     pub ledger: MetricsLedger,
     /// Edge ids of every packed tree, sorted — one entry per tree, in
-    /// packing order. The mode-independent object the phase-A parity
-    /// suites compare: `MstAMode::Legacy` and `::Optimized` must
-    /// produce identical sets (the MST is unique under the
-    /// weight-then-edge-id tie-break both modes share).
+    /// packing order. The MST is unique under the relative-load,
+    /// weight, edge-id order, so each entry must equal the matching
+    /// tree of [`crate::seq::tree_packing::greedy_packing`]; the
+    /// `msta_parity` suites compare them tree by tree.
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
     /// Fragments phase A handed to phase B, one entry per packed tree,
     /// in packing order: the `k` of the fragment tree `T_F`, which sizes
@@ -177,7 +177,7 @@ pub fn exact_mincut(
 pub(crate) struct PipelineOpts {
     /// Network model parameters.
     pub network: NetworkConfig,
-    /// MST stage knobs.
+    /// MST stage setting.
     pub mst: MstConfig,
     /// Packing-size policy.
     pub target: PackingTarget,
@@ -348,22 +348,19 @@ struct NodeMem {
     port_frag: Vec<u32>,
     port_frozen: Vec<bool>,
     port_comp: Vec<u32>,
-    /// Last `(frag, frozen)` announced to the neighbors (legacy mstA
-    /// delta exchange); `None` before the first announcement of a tree.
-    ann_frag: Option<FragMsg>,
-    /// Optimized mstA: ports whose neighbor must still be told this
-    /// node's `(frag, frozen)` at the next `.exch` (boundary ports of a
+    /// mstA: ports whose neighbor must still be told this node's
+    /// `(frag, frozen)` at the next `.exch` (boundary ports of a
     /// relabel/freeze; old-fragment neighbors infer the change locally).
     ann_mask: Vec<bool>,
-    /// Optimized mstA: this node's fragment-tree depth (maintained by
-    /// the hook handshake; drives the `.cd` send schedule).
+    /// mstA: this node's fragment-tree depth (maintained by the hook
+    /// handshake; drives the `.cd` send schedule).
     depth: u32,
-    /// Optimized mstA: aggregate last sent up in `.cd` (delta cache).
+    /// mstA: aggregate last sent up in `.cd` (delta cache).
     cd_sent: Option<OptAgg>,
-    /// Optimized mstA: last aggregate received per port in `.cd`.
+    /// mstA: last aggregate received per port in `.cd`.
     cd_children: Vec<Option<OptAgg>>,
-    /// Optimized mstA: the fragment was restructured since the last
-    /// `.cd` pass — drop the caches and speak unconditionally.
+    /// mstA: the fragment was restructured since the last `.cd` pass —
+    /// drop the caches and speak unconditionally.
     cd_purge: bool,
     /// Last `(comp, frag)` announced (mstB delta exchange).
     ann_comp: Option<(u32, u32)>,
@@ -438,6 +435,13 @@ fn bfs_stream<'m, T, A>(
         })
         .collect()
 }
+
+/// Safety cap on phase-A levels. Phase A does not bound its level count
+/// by `O(log n)` (each level merges at least one pair per choice-graph
+/// component; see [`crate::dist::mst`]); fragments still below the size
+/// cap after this many levels are handed to phase B, which remains
+/// correct.
+const MAX_PHASE_A_LEVELS: usize = 96;
 
 /// The pipeline state: the simulated network plus every node's memory.
 struct Pipeline<'g> {
@@ -755,9 +759,8 @@ impl<'g> Pipeline<'g> {
             m.inter_parent = None;
             m.inter_children.clear();
             // Level-0 fragment ids are node ids, and neighbor ids are
-            // a-priori local knowledge in CONGEST — so the optimized
-            // mode's initial per-port view costs zero messages. (The
-            // legacy mode overwrites this with its level-0 broadcast.)
+            // a-priori local knowledge in CONGEST — so phase A's initial
+            // per-port view costs zero messages.
             m.port_frag = g
                 .neighbors(NodeId::from_index(v))
                 .iter()
@@ -765,7 +768,6 @@ impl<'g> Pipeline<'g> {
                 .collect();
             m.port_frozen = vec![false; deg];
             m.port_comp = vec![0; deg];
-            m.ann_frag = None;
             m.ann_mask = vec![false; deg];
             m.depth = 0;
             m.cd_sent = None;
@@ -800,20 +802,12 @@ impl<'g> Pipeline<'g> {
         best
     }
 
-    /// Phase A: capped fragment growth. See [`crate::dist::mst`] and,
-    /// for the optimized protocol, `docs/mst.md`.
-    fn mst_phase_a(&mut self) -> Result<(), MinCutError> {
-        match self.mst.mode {
-            MstAMode::Legacy => self.mst_phase_a_legacy(),
-            MstAMode::Optimized => self.mst_phase_a_opt(),
-        }
-    }
-
-    /// The optimized phase A: boundary-only label refresh, one fused
-    /// `.cd` pass per level (delta-convergecast up, decision broadcast
-    /// down only when the fragment hooks or freezes), deterministic
-    /// lowest-differing-bit mating, and frozen fragments out of the loop
-    /// entirely.
+    /// Phase A, capped fragment growth (see [`crate::dist::mst`] and
+    /// `docs/mst.md`): boundary-only label refresh, one fused `.cd` pass
+    /// per level (delta-convergecast up, decision broadcast down only
+    /// when the fragment hooks or freezes), deterministic
+    /// lowest-differing-bit mating, and frozen fragments out of the
+    /// loop entirely.
     ///
     /// The per-level `maxdepth` scalar handed to every node is driver
     /// control plane — a loop-scheduling decision a real deployment
@@ -821,7 +815,7 @@ impl<'g> Pipeline<'g> {
     /// checks above it (see the module docs).
     fn mst_phase_a_opt(&mut self) -> Result<(), MinCutError> {
         let cap = self.mst.effective_cap(self.n) as u64;
-        for level in 0..self.mst.max_levels {
+        for level in 0..MAX_PHASE_A_LEVELS {
             let frags: BTreeSet<u32> = self.mems.iter().map(|m| m.frag).collect();
             if frags.len() == 1 || self.mems.iter().all(|m| m.frozen) {
                 return Ok(());
@@ -929,8 +923,8 @@ impl<'g> Pipeline<'g> {
             }
             // 3. Hook handshake + re-root floods. Every fragment that is
             // not itself hooking accepts — deterministic mating admits
-            // no 2-cycles, so no coin filter is needed.
-            let inputs: Vec<HookInput2> = (0..self.n)
+            // no 2-cycles.
+            let inputs: Vec<HookInput> = (0..self.n)
                 .map(|v| {
                     let m = &self.mems[v];
                     let hook_edge = decs[v].and_then(|d| d.hook_edge);
@@ -944,7 +938,7 @@ impl<'g> Pipeline<'g> {
                         },
                         None => HookRole::Passive,
                     };
-                    HookInput2 {
+                    HookInput {
                         tree_ports: m.tree_ports.iter().copied().collect(),
                         role,
                         eligible: hook_edge.is_none(),
@@ -954,7 +948,7 @@ impl<'g> Pipeline<'g> {
                 })
                 .collect();
             let name = format!("mstA.l{level}.hook");
-            let out = self.net.run(&name, &FragHook2, inputs)?;
+            let out = self.net.run(&name, &FragHook, inputs)?;
             for (m, h) in self.mems.iter_mut().zip(out.outputs) {
                 if let Some((f, fz)) = h.new_frag {
                     let old = m.frag;
@@ -988,179 +982,6 @@ impl<'g> Pipeline<'g> {
                         } else {
                             m.ann_mask[p] = !m.port_frozen[p] && m.pack_w[p] > 0;
                         }
-                    }
-                }
-                for p in h.accepted {
-                    m.tree_ports.insert(p);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The legacy phase A (the parity oracle): full label
-    /// delta-exchange, counting convergecast + separate decision
-    /// broadcast, shared-coin mating.
-    ///
-    /// Frozen fragments sit out the candidate/decision sub-phases (their
-    /// members halt instantly on singleton forest inputs), so a level's
-    /// cost is bounded by the *unfrozen* fragment diameter — below the
-    /// cap by definition — plus the hook handshake.
-    fn mst_phase_a_legacy(&mut self) -> Result<(), MinCutError> {
-        let cap = self.mst.effective_cap(self.n);
-        for level in 0..self.mst.max_levels {
-            let frags: BTreeSet<u32> = self.mems.iter().map(|m| m.frag).collect();
-            if frags.len() == 1 || self.mems.iter().all(|m| m.frozen) {
-                return Ok(());
-            }
-            // Exchange fragment ids + frozen flags — delta discipline:
-            // a node re-announces only when its (frag, frozen) changed
-            // since its last announcement, and receivers keep their
-            // stored per-port view otherwise. Level 0 announces
-            // everywhere (nothing announced yet), so the view is always
-            // complete; afterwards only freshly hooked or frozen
-            // fragments speak, which is what keeps converged regions
-            // silent.
-            let name = format!("mstA.l{level}.exch");
-            let inputs: Vec<Option<FragMsg>> = self
-                .mems
-                .iter()
-                .map(|m| {
-                    let cur = FragMsg {
-                        frag: m.frag,
-                        frozen: m.frozen,
-                    };
-                    (m.ann_frag != Some(cur)).then_some(cur)
-                })
-                .collect();
-            let out = self.net.run(&name, &DeltaExchange::new(), inputs)?;
-            for (m, o) in self.mems.iter_mut().zip(out.outputs) {
-                m.ann_frag = Some(FragMsg {
-                    frag: m.frag,
-                    frozen: m.frozen,
-                });
-                for (p, got) in o.into_iter().enumerate() {
-                    if let Some(f) = got {
-                        m.port_frag[p] = f.frag;
-                        m.port_frozen[p] = f.frozen;
-                    }
-                }
-            }
-            // Fragment minimum outgoing candidates + sizes (unfrozen
-            // fragments only).
-            let inputs: Vec<(TreeInfo, CandAgg)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    if m.frozen {
-                        (
-                            TreeInfo::default(),
-                            CandAgg {
-                                size: 0,
-                                cand: None,
-                            },
-                        )
-                    } else {
-                        let cand = self
-                            .local_cand(v, m.frag, &m.port_frag)
-                            .map(|(p, c)| ACand {
-                                cand: c,
-                                target_frozen: m.port_frozen[p.index()],
-                            });
-                        (m.ftree(), CandAgg { size: 1, cand })
-                    }
-                })
-                .collect();
-            let name = format!("mstA.l{level}.cand");
-            let out = self.net.run(&name, &Convergecast::new(), inputs)?;
-            // Roots of unfrozen fragments decide: hook when tails (the
-            // mating coin) or when the target is frozen (always safe —
-            // frozen fragments never re-root).
-            let mut decisions: BTreeMap<u32, DecMsg> = BTreeMap::new();
-            let mut any_hook = false;
-            for (v, agg) in out.outputs.iter().enumerate() {
-                let m = &self.mems[v];
-                if let Some(agg) = agg {
-                    if m.frozen {
-                        continue;
-                    }
-                    let frozen = agg.size >= cap as u64;
-                    let tails = !self.mst.heads(m.frag, level);
-                    let hook_edge = if !frozen {
-                        agg.cand
-                            .filter(|c| tails || c.target_frozen)
-                            .map(|c| c.cand.edge)
-                    } else {
-                        None
-                    };
-                    any_hook |= hook_edge.is_some();
-                    decisions.insert(m.frag, DecMsg { frozen, hook_edge });
-                }
-            }
-            // Broadcast decisions down the unfrozen fragment trees
-            // (frozen members run a 1-round dummy and stay frozen).
-            let dummy = DecMsg {
-                frozen: true,
-                hook_edge: None,
-            };
-            let inputs: Vec<(TreeInfo, Option<DecMsg>)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    if m.frozen {
-                        (TreeInfo::default(), Some(dummy))
-                    } else {
-                        let dec = m.ftree().is_root().then(|| decisions[&m.frag]);
-                        (m.ftree(), dec)
-                    }
-                })
-                .collect();
-            let name = format!("mstA.l{level}.dec");
-            let out = self.net.run(&name, &Broadcast::new(), inputs)?;
-            let decs = out.outputs;
-            for (m, d) in self.mems.iter_mut().zip(decs.iter()) {
-                m.frozen = d.frozen;
-            }
-            if !any_hook {
-                continue;
-            }
-            // Hook handshake + re-root floods.
-            let inputs: Vec<(HookInput, u32)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    let dec = &decs[v];
-                    let role = match dec.hook_edge {
-                        Some(e) => match m.port_of_edge(e) {
-                            Some(p) if m.port_frag[p.index()] != m.frag => HookRole::Connector {
-                                port: p,
-                                target_frag: m.port_frag[p.index()],
-                            },
-                            _ => HookRole::Await,
-                        },
-                        None => HookRole::Passive,
-                    };
-                    // A fragment that is itself hooking must not accept
-                    // (that is what keeps hook chains at length one).
-                    let eligible =
-                        m.frozen || (self.mst.heads(m.frag, level) && dec.hook_edge.is_none());
-                    (
-                        HookInput {
-                            tree_ports: m.tree_ports.iter().copied().collect(),
-                            role,
-                            eligible,
-                            frozen: m.frozen,
-                        },
-                        m.frag,
-                    )
-                })
-                .collect();
-            let name = format!("mstA.l{level}.hook");
-            let out = self.net.run(&name, &FragHook, inputs)?;
-            for (m, h) in self.mems.iter_mut().zip(out.outputs) {
-                if let Some((f, fz)) = h.new_frag {
-                    m.frag = f;
-                    m.frozen = fz;
-                    m.parent = h.new_parent;
-                    if let Some(p) = h.new_parent {
-                        m.tree_ports.insert(p);
                     }
                 }
                 for p in h.accepted {
@@ -1969,7 +1790,7 @@ fn drive_packing(
     }
     while packed < opts.target.target(n, best_value) {
         pl.reset_tree();
-        pl.mst_phase_a()?;
+        pl.mst_phase_a_opt()?;
         let reports = pl.mst_phase_b()?;
         pl.orient(reports)?;
         phase_a_fragments.push(pl.tf.len() + 1);
@@ -2070,7 +1891,7 @@ mod tests {
             pl.init_deg().unwrap();
             for tree_want in want.iter().take(k) {
                 pl.reset_tree();
-                pl.mst_phase_a().unwrap();
+                pl.mst_phase_a_opt().unwrap();
                 let reports = pl.mst_phase_b().unwrap();
                 pl.orient(reports).unwrap();
                 let got = pl.tree_edges();
@@ -2115,7 +1936,7 @@ mod tests {
             .unwrap();
             pl.init_deg().unwrap();
             pl.reset_tree();
-            pl.mst_phase_a().unwrap();
+            pl.mst_phase_a_opt().unwrap();
             let reports = pl.mst_phase_b().unwrap();
             pl.orient(reports).unwrap();
             let (minc, argmin) = pl.cut_stage().unwrap();

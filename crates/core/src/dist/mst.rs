@@ -7,31 +7,30 @@
 //! [`trees::mst::kruskal_by`] tree):
 //!
 //! * **Phase A (`mstA.*`) — capped local growth.** Fragments grow by
-//!   Borůvka hooking with a size cap of `⌈√n⌉`: each level, every
-//!   unfrozen fragment finds its minimum outgoing edge (convergecast
-//!   over the fragment tree) and decides whether to hook along it, and a
-//!   fragment that reaches the cap *freezes* and stops proposing. The
-//!   two [`MstAMode`]s differ in the hook rule:
-//!   - `Optimized` (the default) uses no coins: a fragment hooks iff its
-//!     target is frozen or [`hooks_toward`] fires, and every fragment
-//!     that is not hooking itself accepts.
-//!   - `Legacy` flips a deterministic shared coin per fragment and level
-//!     ([`MstConfig::heads`]): *tails* fragments hook into *heads* or
-//!     frozen targets, and two tails fragments that choose each other
-//!     merge unconditionally.
+//!   Borůvka hooking with a size cap of `⌈√n⌉`. Each level has up to
+//!   three sub-phases:
+//!   - `.exch` refreshes the fragment labels across the boundary ports
+//!     whose view went stale (skipped when no label changed);
+//!   - `.cd` is one up-then-down pass over every unfrozen fragment tree
+//!     ([`CandDec`]): each fragment finds its minimum outgoing edge, and
+//!     its root freezes it at the cap or decides whether to hook;
+//!   - `.hook` is the handshake and re-root flood ([`FragHook`]), run
+//!     only when some fragment hooks.
 //!
-//!   In both modes hook chains have length one, so a level costs
+//!   A fragment hooks iff its target is frozen or [`hooks_toward`]
+//!   fires, and every fragment that is not hooking itself accepts. Hook
+//!   chains therefore have length one, so a level costs
 //!   `O(fragment diameter)` rounds with all fragments in parallel, and
 //!   every component of the fragment choice graph merges at least one
 //!   pair per level. That guarantees progress but does not bound the
 //!   levels by `O(log n)`: on the 70,602-node benchmark graph
-//!   (`√n ≈ 266`) the default mode takes 18 levels, and stopping after 9
-//!   leaves 567 fragments. Phase A ends once one fragment spans the
-//!   graph or every fragment is frozen — each then has at least `⌈√n⌉`
-//!   nodes, so at most `√n` fragments remain — or after
-//!   [`MstConfig::max_levels`] levels, which hands any still-small
-//!   fragments to phase B. `ROADMAP.md` ("Phase A: meet the paper's
-//!   level bound") tracks the missing level bound.
+//!   (`√n ≈ 266`) phase A takes 18 levels, and stopping after 9 leaves
+//!   567 fragments. Phase A ends once one fragment spans the graph or
+//!   every fragment is frozen — each then has at least `⌈√n⌉` nodes, so
+//!   at most `√n` fragments remain — or after a safety cap of 96 levels,
+//!   which hands any still-small fragments to phase B. `ROADMAP.md`
+//!   ("Phase A: meet the paper's level bound") tracks the missing level
+//!   bound, and `docs/mst.md` describes the protocol in full.
 //! * **Phase B (`mstB.*`) — Borůvka through the leader.** With `k ≤ √n`
 //!   fragments left, each iteration aggregates the per-component minimum
 //!   outgoing edge at the leader with one pipelined grouped argmin over
@@ -50,52 +49,14 @@ use congest::message::TAG_BITS;
 use congest::primitives::grouped_min::KeyedItem;
 use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
 
-/// Which phase-A engine [`crate::dist::driver`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MstAMode {
-    /// The PR 1–7 protocol: per-level full label delta-exchange, counting
-    /// convergecast (`.cand`), separate decision broadcast (`.dec`), and
-    /// shared-coin heads/tails mating. Kept as the parity oracle.
-    Legacy,
-    /// The fused protocol: per-port boundary-only label exchange with
-    /// local relabel inference, one up-then-down `.cd` pass with
-    /// depth-scheduled delta-convergecast (silence = unchanged, silence
-    /// down = no hook), frozen fragments out of the loop entirely, and
-    /// deterministic lowest-differing-bit fragment mating (no coins).
-    /// Same outputs, a fraction of the messages. See `docs/mst.md`.
-    #[default]
-    Optimized,
-}
-
-/// Configuration of the distributed MST stage.
-#[derive(Clone, Debug, PartialEq)]
+/// Configuration of the distributed MST stage: phase A's fragment size
+/// cap, the one setting experiment E8 sweeps.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MstConfig {
     /// Fragment size cap of phase A; `None` derives the paper's `⌈√n⌉`.
     /// Smaller caps mean more (cheaper) fragments, larger caps fewer
-    /// (deeper) ones — experiment E8 sweeps this.
+    /// (deeper) ones.
     pub cap: Option<usize>,
-    /// Safety cap on phase-A levels. Neither mode bounds its level
-    /// count by `O(log n)` (each level merges at least one pair per
-    /// choice-graph component; see the module docs); fragments still
-    /// below the cap after `max_levels` levels are handed to phase B,
-    /// which remains correct.
-    pub max_levels: usize,
-    /// Seed of the deterministic shared fragment coins (legacy mating
-    /// only; the optimized mode is coin-free).
-    pub seed: u64,
-    /// Which phase-A engine to run.
-    pub mode: MstAMode,
-}
-
-impl Default for MstConfig {
-    fn default() -> Self {
-        MstConfig {
-            cap: None,
-            max_levels: 96,
-            seed: 0x4d53_5431,
-            mode: MstAMode::default(),
-        }
-    }
 }
 
 impl MstConfig {
@@ -106,35 +67,22 @@ impl MstConfig {
             None => (n as f64).sqrt().ceil() as usize,
         }
     }
-
-    /// The deterministic shared coin of `frag` at `level`: `true` =
-    /// heads (accepts hooks), `false` = tails (tries to hook). Every
-    /// node can evaluate any fragment's coin locally — the coins are
-    /// public randomness derived from the seed, which is the standard
-    /// shared-coin assumption. Legacy mating only.
-    pub fn heads(&self, frag: u32, level: usize) -> bool {
-        crate::seq::sampling::splitmix64(
-            self.seed ^ (level as u64).wrapping_mul(0x9E37_79B9) ^ frag as u64,
-        ) & 1
-            == 0
-    }
 }
 
-/// The optimized mode's deterministic mating rule — a one-shot
-/// Cole–Vishkin-style symmetry breaker on the fragment choice graph.
+/// Phase A's deterministic mating rule — a one-shot Cole–Vishkin-style
+/// symmetry breaker on the fragment choice graph, with no coins.
 /// Fragment `frag`, whose minimum outgoing edge leads to (unfrozen)
 /// fragment `target`, hooks along it iff `frag`'s bit is `0` at the
 /// *lowest differing bit position* of the two ids.
 ///
-/// Two properties replace the coin argument:
+/// Two properties make the rule correct and live:
 ///
 /// * **No 2-cycles.** For any unordered pair `{F, T}` the rule fires in
 ///   exactly one direction (the differing bit is `0` on exactly one
 ///   side), so two fragments that choose each other — in particular the
 ///   two endpoints of a GHS *core* edge — never both hook: one hooks,
 ///   the other is not hooking and therefore accepts. Hook chains have
-///   length one, exactly the invariant the coins bought, but now on
-///   *every* level instead of in expectation.
+///   length one on *every* level.
 /// * **Progress.** In each choice-graph component the minimum-key edge
 ///   is the minimum outgoing edge of *both* endpoints (keys are a total
 ///   order), and by the point above exactly one endpoint hooks along it
@@ -167,52 +115,8 @@ impl Message for FragMsg {
     }
 }
 
-/// An annotated phase-A candidate: the edge's packing key plus whether
-/// the fragment across it is frozen (frozen targets accept hooks
-/// unconditionally, so tails/heads mating is unnecessary there).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ACand {
-    /// The candidate edge's key fields.
-    pub cand: Cand,
-    /// The fragment across the edge is frozen.
-    pub target_frozen: bool,
-}
-
-/// The better (smaller-key) of two optional annotated candidates.
-pub fn better_a(a: Option<ACand>, b: Option<ACand>) -> Option<ACand> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if x.cand.key() <= y.cand.key() { x } else { y }),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-/// Aggregate carried up the fragment tree in `mstA.*.cand`: subtree size
-/// plus the best outgoing candidate seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CandAgg {
-    /// Nodes in the subtree.
-    pub size: u64,
-    /// Best outgoing edge in the subtree, if any.
-    pub cand: Option<ACand>,
-}
-
-impl congest::primitives::Aggregate for CandAgg {
-    fn combine(&self, other: &Self) -> Self {
-        CandAgg {
-            size: self.size + other.size,
-            cand: better_a(self.cand, other.cand),
-        }
-    }
-
-    fn bits(&self) -> usize {
-        // Presence bit + candidate fields + frozen flag.
-        value_bits(self.size) + 1 + self.cand.map_or(0, |c| c.cand.bits() + 1)
-    }
-}
-
-/// The per-fragment decision broadcast down the fragment tree in
-/// `mstA.*.dec`.
+/// The per-fragment decision a root sends down its fragment tree in
+/// `mstA.*.cd` ([`CdMsg::Dec`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecMsg {
     /// The fragment has reached the size cap.
@@ -227,14 +131,10 @@ impl Message for DecMsg {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Phase A hook handshake + re-root flood
-// ---------------------------------------------------------------------------
-
 /// A node's role in one `mstA.*.hook` phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HookRole {
-    /// The chosen endpoint of a tails fragment's hook edge.
+    /// The chosen endpoint of a hooking fragment's hook edge.
     Connector {
         /// Port of the hook edge.
         port: Port,
@@ -247,226 +147,12 @@ pub enum HookRole {
     Passive,
 }
 
-/// Input of [`FragHook`].
-#[derive(Clone, Debug)]
-pub struct HookInput {
-    /// Current in-fragment tree ports (undirected set: parent + children).
-    pub tree_ports: Vec<Port>,
-    /// This node's role.
-    pub role: HookRole,
-    /// Whether this node's fragment accepts incoming hooks this level
-    /// (fragment is heads or frozen).
-    pub eligible: bool,
-    /// Whether this node's fragment is frozen (echoed in grants so the
-    /// absorbed fragment adopts the state).
-    pub frozen: bool,
-}
-
-/// Output of [`FragHook`].
-#[derive(Clone, Debug, Default)]
-pub struct HookOutput {
-    /// `Some((f, frozen))`: the fragment re-rooted, adopting fragment id
-    /// `f` and the target fragment's frozen state.
-    pub new_frag: Option<(u32, bool)>,
-    /// New parent port after a re-root (the hook port at the connector).
-    pub new_parent: Option<Port>,
-    /// Hook ports accepted from other fragments (new child tree edges).
-    pub accepted: Vec<Port>,
-}
-
-/// Messages of [`FragHook`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HookMsg {
-    /// "My (tails) fragment wants to merge along this edge."
-    Request,
-    /// "Granted — adopt my fragment id." Carries the granting fragment's
-    /// frozen state so absorbed members know whether to keep competing.
-    Accept {
-        /// The granting fragment is already frozen.
-        frozen: bool,
-    },
-    /// "Denied — my fragment is tails too, try another level."
-    Reject,
-    /// Re-root flood: adopt fragment `frag`, parent = arrival port.
-    Reroot {
-        /// The adopted fragment id.
-        frag: u32,
-        /// The adopted fragment's frozen state.
-        frozen: bool,
-    },
-    /// The hook was rejected: keep the old tree, stop waiting.
-    Keep,
-}
-
-impl Message for HookMsg {
-    fn bit_len(&self) -> usize {
-        TAG_BITS
-            + match self {
-                HookMsg::Accept { .. } => 1,
-                HookMsg::Reroot { frag, .. } => 1 + value_bits(*frag as u64),
-                _ => 0,
-            }
-    }
-}
-
-/// One level's hook handshake: connectors fire a request at boot, targets
-/// grant or deny in round 1 based on their fragment's coin, and granted
-/// fragments re-root toward the hook edge with an in-fragment flood.
-///
-/// **Mutual choices** (two tails fragments whose minimum outgoing edges
-/// coincide — GHS "core" edges) merge unconditionally: both connectors
-/// see each other's request on the hook edge in round 1 and the
-/// larger-id fragment re-roots into the smaller. Every choice-graph
-/// component contains such a core edge, so each level makes progress
-/// regardless of the coins.
-///
-/// Rounds: `2 + fragment diameter`; all fragments in parallel.
-#[derive(Clone, Debug, Default)]
-pub struct FragHook;
-
-/// Node state for [`FragHook`].
-#[derive(Debug)]
-pub struct HookState {
-    input: HookInput,
-    my_frag: u32,
-    out: HookOutput,
-}
-
-impl Algorithm for FragHook {
-    type Input = (HookInput, u32);
-    type State = HookState;
-    type Msg = HookMsg;
-    type Output = HookOutput;
-
-    fn boot(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        (input, my_frag): Self::Input,
-    ) -> (HookState, Outbox<HookMsg>) {
-        let mut out = Outbox::new();
-        if let HookRole::Connector { port, .. } = input.role {
-            out.send(port, HookMsg::Request);
-        }
-        (
-            HookState {
-                input,
-                my_frag,
-                out: HookOutput::default(),
-            },
-            out,
-        )
-    }
-
-    fn round(
-        &self,
-        s: &mut HookState,
-        _ctx: &NodeCtx<'_>,
-        inbox: &[(Port, HookMsg)],
-    ) -> Step<HookMsg> {
-        let mut out = Outbox::new();
-        let hook_port = match s.input.role {
-            HookRole::Connector { port, .. } => Some(port),
-            _ => None,
-        };
-        // Requests only ever arrive in round 1 (sent at boot). A request
-        // on the connector's own hook port is the mutual case, handled in
-        // the connector logic below instead of being answered.
-        for (port, msg) in inbox {
-            if matches!(msg, HookMsg::Request) && Some(*port) != hook_port {
-                if s.input.eligible {
-                    s.out.accepted.push(*port);
-                    out.send(
-                        *port,
-                        HookMsg::Accept {
-                            frozen: s.input.frozen,
-                        },
-                    );
-                } else {
-                    out.send(*port, HookMsg::Reject);
-                }
-            }
-        }
-        match s.input.role.clone() {
-            HookRole::Passive => {
-                // Nothing else can reach a passive node after round 1.
-                return Step::Halt(out);
-            }
-            HookRole::Connector { port, target_frag } => {
-                let mutual = inbox
-                    .iter()
-                    .any(|(p, m)| *p == port && matches!(m, HookMsg::Request));
-                if mutual {
-                    // Core edge: merge now, larger fragment id yields.
-                    // Both sides are tails, hence unfrozen.
-                    let flood = if s.my_frag > target_frag {
-                        s.out.new_frag = Some((target_frag, false));
-                        s.out.new_parent = Some(port);
-                        HookMsg::Reroot {
-                            frag: target_frag,
-                            frozen: false,
-                        }
-                    } else {
-                        s.out.accepted.push(port);
-                        HookMsg::Keep
-                    };
-                    for &p in &s.input.tree_ports {
-                        out.send(p, flood);
-                    }
-                    return Step::Halt(out);
-                }
-                let reply = inbox.iter().find_map(|(p, m)| {
-                    (*p == port && matches!(m, HookMsg::Accept { .. } | HookMsg::Reject))
-                        .then_some(*m)
-                });
-                if let Some(reply) = reply {
-                    let flood = if let HookMsg::Accept { frozen } = reply {
-                        s.out.new_frag = Some((target_frag, frozen));
-                        s.out.new_parent = Some(port);
-                        HookMsg::Reroot {
-                            frag: target_frag,
-                            frozen,
-                        }
-                    } else {
-                        HookMsg::Keep
-                    };
-                    for &p in &s.input.tree_ports {
-                        out.send(p, flood);
-                    }
-                    return Step::Halt(out);
-                }
-            }
-            HookRole::Await => {
-                let flood = inbox.iter().find_map(|(p, m)| {
-                    matches!(m, HookMsg::Reroot { .. } | HookMsg::Keep).then_some((*p, *m))
-                });
-                if let Some((from, msg)) = flood {
-                    if let HookMsg::Reroot { frag, frozen } = msg {
-                        s.out.new_frag = Some((frag, frozen));
-                        s.out.new_parent = Some(from);
-                    }
-                    for &p in &s.input.tree_ports {
-                        if p != from {
-                            out.send(p, msg);
-                        }
-                    }
-                    return Step::Halt(out);
-                }
-            }
-        }
-        Step::Continue(out)
-    }
-
-    fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
-        Ok(s.out)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Optimized phase A: fused cand/dec round-trip (`mstA.*.cd`)
+// Phase A: fused cand/dec round-trip (`mstA.*.cd`)
 // ---------------------------------------------------------------------------
 
-/// The optimized phase-A candidate: the edge's packing key plus the
-/// fragment across it — the root needs the target's *id* to evaluate
+/// A phase-A candidate: the edge's packing key plus the fragment
+/// across it — the root needs the target's *id* to evaluate
 /// [`hooks_toward`] and its frozen state for the unconditional-hook rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OptCand {
@@ -478,7 +164,7 @@ pub struct OptCand {
     pub target_frozen: bool,
 }
 
-/// The better (smaller-key) of two optional optimized candidates.
+/// The better (smaller-key) of two optional phase-A candidates.
 pub fn better_opt(a: Option<OptCand>, b: Option<OptCand>) -> Option<OptCand> {
     match (a, b) {
         (Some(x), Some(y)) => Some(if x.cand.key() <= y.cand.key() { x } else { y }),
@@ -488,9 +174,9 @@ pub fn better_opt(a: Option<OptCand>, b: Option<OptCand>) -> Option<OptCand> {
 }
 
 /// The subtree aggregate of the fused pass: size plus best outgoing
-/// candidate. Unlike [`CandAgg`] this is a *wire* type (the `.cd` pass
-/// does its own delta-scheduled aggregation instead of going through the
-/// counting [`congest::primitives::Convergecast`]).
+/// candidate. It is a *wire* type: the `.cd` pass does its own
+/// delta-scheduled aggregation instead of going through the counting
+/// [`congest::primitives::Convergecast`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OptAgg {
     /// Nodes in the subtree.
@@ -718,22 +404,21 @@ impl Algorithm for CandDec {
 }
 
 // ---------------------------------------------------------------------------
-// Optimized phase A: depth-carrying hook handshake (`mstA.*.hook`)
+// Phase A: depth-carrying hook handshake (`mstA.*.hook`)
 // ---------------------------------------------------------------------------
 
-/// Input of [`FragHook2`] — [`HookInput`] plus this node's fragment-tree
-/// depth (so grants and re-root floods can maintain depths for the next
-/// level's `.cd` schedule).
+/// Input of [`FragHook`]. It carries this node's fragment-tree depth, so
+/// grants and re-root floods can maintain depths for the next level's
+/// `.cd` schedule.
 #[derive(Clone, Debug)]
-pub struct HookInput2 {
+pub struct HookInput {
     /// Current in-fragment tree ports (undirected set: parent + children).
     pub tree_ports: Vec<Port>,
     /// This node's role.
     pub role: HookRole,
-    /// Whether this node's fragment accepts incoming hooks this level.
-    /// Optimized mating: *every* fragment that is not itself hooking
-    /// accepts (frozen included) — [`hooks_toward`] guarantees no
-    /// 2-cycles, so no coin filter is needed.
+    /// Whether this node's fragment accepts incoming hooks this level:
+    /// *every* fragment that is not itself hooking accepts (frozen
+    /// included) — [`hooks_toward`] guarantees no 2-cycles.
     pub eligible: bool,
     /// Whether this node's fragment is frozen (echoed in grants so the
     /// absorbed fragment adopts the state).
@@ -742,10 +427,9 @@ pub struct HookInput2 {
     pub depth: u32,
 }
 
-/// Output of [`FragHook2`]: [`HookOutput`] plus the node's new depth
-/// after a re-root.
+/// Output of [`FragHook`].
 #[derive(Clone, Debug, Default)]
-pub struct HookOutput2 {
+pub struct HookOutput {
     /// `Some((f, frozen))`: the fragment re-rooted, adopting fragment id
     /// `f` and the target fragment's frozen state.
     pub new_frag: Option<(u32, bool)>,
@@ -757,9 +441,9 @@ pub struct HookOutput2 {
     pub new_depth: Option<u32>,
 }
 
-/// Messages of [`FragHook2`].
+/// Messages of [`FragHook`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hook2Msg {
+pub enum HookMsg {
     /// "My fragment's mating rule chose this edge."
     Request,
     /// "Granted — adopt my fragment id." Carries the granting fragment's
@@ -787,12 +471,12 @@ pub enum Hook2Msg {
     Keep,
 }
 
-impl Message for Hook2Msg {
+impl Message for HookMsg {
     fn bit_len(&self) -> usize {
         TAG_BITS
             + match self {
-                Hook2Msg::Accept { depth, .. } => 1 + value_bits(*depth as u64),
-                Hook2Msg::Reroot { frag, depth, .. } => {
+                HookMsg::Accept { depth, .. } => 1 + value_bits(*depth as u64),
+                HookMsg::Reroot { frag, depth, .. } => {
                     1 + value_bits(*frag as u64) + value_bits(*depth as u64)
                 }
                 _ => 0,
@@ -800,37 +484,38 @@ impl Message for Hook2Msg {
     }
 }
 
-/// The optimized level's hook handshake: [`FragHook`] with deterministic
-/// mating and depth maintenance. Because [`hooks_toward`] admits no
-/// 2-cycles, the mutual (core-edge) special case of the legacy protocol
-/// cannot arise: on a core edge exactly one side is the connector and
-/// the other side accepts like any target. Rounds: `2 + fragment
-/// diameter`; all fragments in parallel.
+/// One level's hook handshake: connectors fire a request at boot,
+/// targets grant or deny in round 1, and granted fragments re-root
+/// toward the hook edge with an in-fragment flood that maintains
+/// fragment-tree depths. Because [`hooks_toward`] admits no 2-cycles,
+/// two fragments never hook into each other: on a core edge exactly one
+/// side is the connector and the other side accepts like any target.
+/// Rounds: `2 + fragment diameter`; all fragments in parallel.
 #[derive(Clone, Debug, Default)]
-pub struct FragHook2;
+pub struct FragHook;
 
-/// Node state for [`FragHook2`].
+/// Node state for [`FragHook`].
 #[derive(Debug)]
-pub struct Hook2State {
-    input: HookInput2,
-    out: HookOutput2,
+pub struct HookState {
+    input: HookInput,
+    out: HookOutput,
 }
 
-impl Algorithm for FragHook2 {
-    type Input = HookInput2;
-    type State = Hook2State;
-    type Msg = Hook2Msg;
-    type Output = HookOutput2;
+impl Algorithm for FragHook {
+    type Input = HookInput;
+    type State = HookState;
+    type Msg = HookMsg;
+    type Output = HookOutput;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput2) -> (Hook2State, Outbox<Hook2Msg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput) -> (HookState, Outbox<HookMsg>) {
         let mut out = Outbox::new();
         if let HookRole::Connector { port, .. } = input.role {
-            out.send(port, Hook2Msg::Request);
+            out.send(port, HookMsg::Request);
         }
         (
-            Hook2State {
+            HookState {
                 input,
-                out: HookOutput2::default(),
+                out: HookOutput::default(),
             },
             out,
         )
@@ -838,10 +523,10 @@ impl Algorithm for FragHook2 {
 
     fn round(
         &self,
-        s: &mut Hook2State,
+        s: &mut HookState,
         _ctx: &NodeCtx<'_>,
-        inbox: &[(Port, Hook2Msg)],
-    ) -> Step<Hook2Msg> {
+        inbox: &[(Port, HookMsg)],
+    ) -> Step<HookMsg> {
         let mut out = Outbox::new();
         let hook_port = match s.input.role {
             HookRole::Connector { port, .. } => Some(port),
@@ -851,7 +536,7 @@ impl Algorithm for FragHook2 {
         // rule fires in one direction per fragment pair, so a request can
         // never arrive on the connector's own hook port.
         for (port, msg) in inbox {
-            if matches!(msg, Hook2Msg::Request) {
+            if matches!(msg, HookMsg::Request) {
                 debug_assert_ne!(
                     Some(*port),
                     hook_port,
@@ -861,13 +546,13 @@ impl Algorithm for FragHook2 {
                     s.out.accepted.push(*port);
                     out.send(
                         *port,
-                        Hook2Msg::Accept {
+                        HookMsg::Accept {
                             frozen: s.input.frozen,
                             depth: s.input.depth,
                         },
                     );
                 } else {
-                    out.send(*port, Hook2Msg::Reject);
+                    out.send(*port, HookMsg::Reject);
                 }
             }
         }
@@ -878,21 +563,21 @@ impl Algorithm for FragHook2 {
             }
             HookRole::Connector { port, target_frag } => {
                 let reply = inbox.iter().find_map(|(p, m)| {
-                    (*p == port && matches!(m, Hook2Msg::Accept { .. } | Hook2Msg::Reject))
+                    (*p == port && matches!(m, HookMsg::Accept { .. } | HookMsg::Reject))
                         .then_some(*m)
                 });
                 if let Some(reply) = reply {
-                    let flood = if let Hook2Msg::Accept { frozen, depth } = reply {
+                    let flood = if let HookMsg::Accept { frozen, depth } = reply {
                         s.out.new_frag = Some((target_frag, frozen));
                         s.out.new_parent = Some(port);
                         s.out.new_depth = Some(depth + 1);
-                        Hook2Msg::Reroot {
+                        HookMsg::Reroot {
                             frag: target_frag,
                             frozen,
                             depth: depth + 1,
                         }
                     } else {
-                        Hook2Msg::Keep
+                        HookMsg::Keep
                     };
                     for &p in &s.input.tree_ports {
                         out.send(p, flood);
@@ -902,10 +587,10 @@ impl Algorithm for FragHook2 {
             }
             HookRole::Await => {
                 let flood = inbox.iter().find_map(|(p, m)| {
-                    matches!(m, Hook2Msg::Reroot { .. } | Hook2Msg::Keep).then_some((*p, *m))
+                    matches!(m, HookMsg::Reroot { .. } | HookMsg::Keep).then_some((*p, *m))
                 });
                 if let Some((from, msg)) = flood {
-                    let fwd = if let Hook2Msg::Reroot {
+                    let fwd = if let HookMsg::Reroot {
                         frag,
                         frozen,
                         depth,
@@ -914,7 +599,7 @@ impl Algorithm for FragHook2 {
                         s.out.new_frag = Some((frag, frozen));
                         s.out.new_parent = Some(from);
                         s.out.new_depth = Some(depth + 1);
-                        Hook2Msg::Reroot {
+                        HookMsg::Reroot {
                             frag,
                             frozen,
                             depth: depth + 1,
@@ -934,7 +619,7 @@ impl Algorithm for FragHook2 {
         Step::Continue(out)
     }
 
-    fn finish(&self, s: Hook2State, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput2> {
+    fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
         Ok(s.out)
     }
 }
@@ -1065,24 +750,9 @@ mod tests {
         assert_eq!(cfg.effective_cap(36), 6);
         assert_eq!(cfg.effective_cap(144), 12);
         assert_eq!(cfg.effective_cap(50), 8); // ⌈7.07⌉
-        let fixed = MstConfig {
-            cap: Some(1),
-            ..Default::default()
-        };
+        let fixed = MstConfig { cap: Some(1) };
         // A cap below 2 would freeze singletons instantly; clamped.
         assert_eq!(fixed.effective_cap(100), 2);
-    }
-
-    #[test]
-    fn coins_are_deterministic_and_mixed() {
-        let cfg = MstConfig::default();
-        assert_eq!(cfg.heads(5, 3), cfg.heads(5, 3));
-        // Over many (frag, level) pairs both sides appear.
-        let heads = (0..64u32)
-            .flat_map(|f| (0..8usize).map(move |l| (f, l)))
-            .filter(|&(f, l)| cfg.heads(f, l))
-            .count();
-        assert!((128..384).contains(&heads), "heads = {heads}/512");
     }
 
     #[test]
@@ -1108,12 +778,21 @@ mod tests {
             (TAG_BITS, TAG_BITS)
         );
         assert!(
-            HookMsg::Reroot {
-                frag: 7,
-                frozen: true
+            HookMsg::Accept {
+                frozen: true,
+                depth: 5
             }
             .bit_len()
                 <= TAG_BITS + 4
+        );
+        assert!(
+            HookMsg::Reroot {
+                frag: 7,
+                frozen: true,
+                depth: 5
+            }
+            .bit_len()
+                <= TAG_BITS + 7
         );
     }
 

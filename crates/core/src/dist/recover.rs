@@ -130,7 +130,7 @@ pub enum Stage {
 #[derive(Clone, Debug)]
 pub struct RecoverConfig {
     /// The pipeline configuration (network model, packing policy, MST
-    /// knobs). Its executor choice is overridden: the
+    /// fragment cap). Its executor choice is overridden: the
     /// attempts run under the fault-injecting executor with [`plan`]
     /// (with the abort-on-suspicion policy forced).
     ///

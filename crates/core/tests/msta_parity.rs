@@ -1,32 +1,21 @@
-//! Phase-A mode parity: the optimized `mstA` (frozen-level skip, fused
-//! cand/dec convergecast, deterministic fragment mating) is a pure
-//! message-complexity optimization — on every instance it must produce
-//! **the same trees and the same cut** as the legacy protocol, because
-//! both resolve MOE ties by the shared weight-then-edge-id order and
-//! the MST under a total edge order is unique.
+//! Phase A against the sequential oracle. The MST under the packing's
+//! relative-load, weight, edge-id order is unique, so on every drawn
+//! instance `exact_mincut` must pack **the same trees** as
+//! `seq::tree_packing::greedy_packing` and return the cut of
+//! `seq::tree_packing::packing_mincut` under the same `PackingConfig`.
 //!
 //! What is asserted per drawn instance:
-//!  - identical MST edge sets, tree by tree (`tree_edges`),
-//!  - identical λ, cut side, tree counts, and arg-min node,
-//!  - identical per-phase metrics for every *structure-independent*
-//!    phase stem (election, degree census, and the value-level cut
-//!    machinery `s5f`, `s5g`, `side`), plus identical rounds/messages
-//!    for `s3` (its message *count* is 2m by construction, but the
-//!    payloads are per-fragment Euler in-times, so its bit tally is
-//!    fragment-relative).
-//!
-//! Fragment-*dependent* stems (`mstA` itself, but also `mstB`, `orient`,
-//! `s2a`…`s5e`, `s4*`) are deliberately excluded from the ledger
-//! comparison: the two modes grow *different intermediate fragment
-//! decompositions* (deterministic mating hooks along different edges
-//! than the shared-coin heads/tails dance), so their per-level traffic
-//! differs even though the resulting tree — and everything computed
-//! from it — is identical. The suite proves exactly that boundary.
+//!  - identical MST edge sets, tree by tree (`tree_edges` against the
+//!    sorted greedy trees),
+//!  - identical λ, cut side, `trees_packed`, `trees_to_best`, and
+//!    arg-min node,
+//!  - phase A's structural postcondition: every tree's fragment count
+//!    `k` (`phase_a_fragments`) satisfies `k · ⌈√n⌉ ≤ n`, so at most √n
+//!    fragments reach phase B.
 
-use congest::PhaseMetrics;
-use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
-use mincut::dist::mst::{MstAMode, MstConfig};
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut::dist::mst::MstConfig;
+use mincut::seq::tree_packing::{greedy_packing, packing_mincut, PackingConfig, PackingSize};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,66 +27,36 @@ fn random_tree(n: usize, rng: &mut StdRng) -> graphs::WeightedGraph {
     graphs::WeightedGraph::from_edges(n, edges).expect("valid tree")
 }
 
-/// Phase stems whose traffic cannot depend on which fragment
-/// decomposition phase A moved through: the election and degree census
-/// run before any tree exists, and the `s5f`/`s5g`/`side` stages move
-/// cut *values* over the BFS tree — both identical across modes.
-const STRUCTURE_INDEPENDENT: [&str; 5] = ["leader_bfs", "init", "s5f", "s5g", "side"];
-
-fn run(g: &graphs::WeightedGraph, mode: MstAMode, trees: usize) -> DistMinCutResult {
+fn assert_parity(tag: &str, g: &graphs::WeightedGraph, trees: usize) {
+    let packing = PackingConfig {
+        size: PackingSize::Fixed(trees),
+        max_trees: trees,
+    };
     let cfg = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(trees),
-            max_trees: trees,
-        },
-        mst: MstConfig {
-            mode,
-            ..Default::default()
-        },
+        packing: packing.clone(),
         ..Default::default()
     };
-    exact_mincut(g, &cfg).expect("pipeline runs")
-}
-
-fn stem_slice(r: &DistMinCutResult) -> Vec<&PhaseMetrics> {
-    r.ledger
-        .phases()
-        .iter()
-        .filter(|p| {
-            let stem = p.name.split('.').next().unwrap_or(&p.name);
-            STRUCTURE_INDEPENDENT.contains(&stem)
-        })
-        .collect()
-}
-
-fn assert_parity(tag: &str, g: &graphs::WeightedGraph, trees: usize) {
-    let legacy = run(g, MstAMode::Legacy, trees);
-    let opt = run(g, MstAMode::Optimized, trees);
-    assert_eq!(opt.tree_edges, legacy.tree_edges, "{tag}: MST edge sets");
-    assert_eq!(opt.cut.value, legacy.cut.value, "{tag}: lambda");
-    assert_eq!(opt.cut.side, legacy.cut.side, "{tag}: cut side");
-    assert_eq!(opt.trees_packed, legacy.trees_packed, "{tag}: trees");
+    let got = exact_mincut(g, &cfg).expect("pipeline runs");
+    let want = packing_mincut(g, &packing).expect("oracle runs");
+    let mut want_trees = greedy_packing(g, want.trees_packed).expect("oracle packs");
+    want_trees.iter_mut().for_each(|t| t.sort_unstable());
+    assert_eq!(got.tree_edges, want_trees, "{tag}: MST edge sets");
+    assert_eq!(got.cut.value, want.cut.value, "{tag}: lambda");
+    assert_eq!(got.cut.side, want.cut.side, "{tag}: cut side");
+    assert_eq!(got.trees_packed, want.trees_packed, "{tag}: trees");
     assert_eq!(
-        opt.trees_to_best, legacy.trees_to_best,
+        got.trees_to_best, want.trees_to_best,
         "{tag}: trees_to_best"
     );
-    assert_eq!(opt.best_node, legacy.best_node, "{tag}: best_node");
-    assert_eq!(
-        stem_slice(&opt),
-        stem_slice(&legacy),
-        "{tag}: structure-independent phase metrics"
-    );
-    // s3's shape is graph-determined (one round, a message per directed
-    // edge) even though its payload bits are fragment-relative.
-    let s3 = |r: &DistMinCutResult| -> Vec<(u64, u64)> {
-        r.ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "s3")
-            .map(|p| (p.rounds, p.messages))
-            .collect()
-    };
-    assert_eq!(s3(&opt), s3(&legacy), "{tag}: s3 rounds/messages");
+    assert_eq!(got.best_node, want.best_node, "{tag}: best_node");
+    let n = g.node_count();
+    let cap = MstConfig::default().effective_cap(n);
+    for &k in &got.phase_a_fragments {
+        assert!(
+            k * cap <= n,
+            "{tag}: phase A left {k} fragments of cap {cap} on n = {n}"
+        );
+    }
 }
 
 proptest! {

@@ -3,8 +3,8 @@
 //! cooperatively compute the global minimum cut — the links whose failure
 //! partitions the network — using only `O(log n)`-bit messages. The walk
 //! then zooms into where the MST construction (phase A, the dominant
-//! message sink of each packed tree) spends its traffic, and what the
-//! optimized protocol's frozen-fragment skip saves over the legacy one.
+//! message sink of each packed tree) spends its traffic, and how many
+//! levels its frozen-fragment skip spares the boundary announcements.
 //!
 //! ```text
 //! cargo run --release --example network_bottleneck
@@ -13,7 +13,6 @@
 use mincut_repro::congest::MetricsLedger;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
-use mincut_repro::mincut::dist::mst::{MstAMode, MstConfig};
 
 /// Sums `(messages, rounds, phases)` of the `mstA` sub-phases ending in
 /// `suffix` ("" aggregates all of phase A).
@@ -28,12 +27,10 @@ fn msta(ledger: &MetricsLedger, suffix: &str) -> (u64, u64, usize) {
 }
 
 /// Number of phase-A growth levels the run went through (levels appear
-/// as `mstA.l{level}.…` sub-phases; every level runs its cand/dec leg,
-/// so counting those is exact for either mode).
+/// as `mstA.l{level}.…` sub-phases; every level runs its `.cd` pass, so
+/// counting those is exact).
 fn levels(ledger: &MetricsLedger) -> usize {
-    let (_, _, cd) = msta(ledger, ".cd");
-    let (_, _, cand) = msta(ledger, ".cand");
-    cd.max(cand)
+    msta(ledger, ".cd").2
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,14 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Where do the MST messages go? Phase A grows ⌈√n⌉-capped fragments
     // level by level; its three message species are the boundary
     // announcements (exch), the candidate/decision convergecast (fused
-    // into one `.cd` pass in the optimized protocol), and the hook
-    // handshake + re-root floods.
+    // into one `.cd` pass), and the hook handshake + re-root floods.
     let (a_msgs, a_rounds, a_phases) = msta(&result.ledger, "");
     println!();
-    println!(
-        "mstA breakdown (optimized, {} trees packed):",
-        result.trees_packed
-    );
+    println!("mstA breakdown ({} trees packed):", result.trees_packed);
     println!(
         "  total    : {a_msgs} msgs over {a_rounds} rounds in {a_phases} sub-phases ({} growth levels)",
         levels(&result.ledger)
@@ -102,25 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  freeze effect: {}/{lv} levels needed no boundary announcements at all",
         lv - exch_phases.min(lv)
-    );
-
-    // The same run under the legacy phase A (per-level exch + separate
-    // cand and dec convergecasts + shared-coin mating) — identical cut,
-    // identical trees, ~2× the phase-A traffic.
-    let legacy_cfg = ExactConfig {
-        mst: MstConfig {
-            mode: MstAMode::Legacy,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let legacy = exact_mincut(&g, &legacy_cfg)?;
-    assert_eq!(legacy.cut.value, result.cut.value);
-    let (l_msgs, l_rounds, _) = msta(&legacy.ledger, "");
-    println!();
-    println!(
-        "legacy phase A on the same network: {l_msgs} msgs / {l_rounds} rounds — the optimized protocol moves {:.2}x fewer mstA messages",
-        l_msgs as f64 / a_msgs.max(1) as f64
     );
     Ok(())
 }

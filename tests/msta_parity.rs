@@ -1,33 +1,46 @@
-//! Full-pipeline phase-A mode parity, crossed with the executor grid:
-//! `exact_mincut` with the optimized `mstA` (frozen-level skip, fused
-//! cand/dec convergecast, deterministic mating) returns **bit-identical
-//! cuts and trees** to the legacy phase A under the serial, parallel,
-//! and fault-injecting executors alike — while moving at most half the
-//! `mstA` messages. The randomized per-family parity suite lives in
-//! `crates/core/tests/msta_parity.rs`; this test pins the property on
-//! planted-cut instances end to end, including the α-synchronizer
-//! (whose payload-bit-parity the optimized protocol must preserve just
-//! like the legacy one does).
+//! Phase A against the sequential oracle, crossed with the executor
+//! grid: `exact_mincut` under the serial, parallel, and fault-injecting
+//! executors packs exactly the trees of the sequential greedy packing
+//! (`seq::tree_packing::greedy_packing`), returns the cut of
+//! `seq::tree_packing::packing_mincut` under the same packing policy,
+//! and leaves at most √n fragments per tree after phase A. The three
+//! executors also agree with each other on rounds and messages, the
+//! α-synchronizer's payload bit parity included. The randomized
+//! per-family suite lives in `crates/core/tests/msta_parity.rs`; this
+//! test pins the property on planted-cut instances end to end.
 
 use mincut_repro::congest::sim::FaultPlan;
 use mincut_repro::congest::ExecutorKind;
-use mincut_repro::graphs::generators;
-use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
-use mincut_repro::mincut::dist::mst::{MstAMode, MstConfig};
+use mincut_repro::graphs::{generators, WeightedGraph};
+use mincut_repro::mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
+use mincut_repro::mincut::dist::mst::MstConfig;
+use mincut_repro::mincut::seq::tree_packing::{greedy_packing, packing_mincut};
 
-fn cfg(mode: MstAMode, executor: ExecutorKind) -> ExactConfig {
-    ExactConfig {
-        mst: MstConfig {
-            mode,
-            ..Default::default()
-        },
-        ..Default::default()
+/// Asserts that `r` packed the sequential greedy trees, found the
+/// sequential packing's cut, and ended phase A with at most √n
+/// fragments on every tree.
+fn assert_matches_oracle(tag: &str, g: &WeightedGraph, r: &DistMinCutResult) {
+    let want = packing_mincut(g, &ExactConfig::default().packing).expect("oracle runs");
+    assert_eq!(r.cut.value, want.cut.value, "{tag}: lambda");
+    assert_eq!(r.cut.side, want.cut.side, "{tag}: side");
+    assert_eq!(r.trees_packed, want.trees_packed, "{tag}: trees");
+    assert_eq!(r.trees_to_best, want.trees_to_best, "{tag}: trees_to_best");
+    assert_eq!(r.best_node, want.best_node, "{tag}: best_node");
+    let mut trees = greedy_packing(g, r.trees_packed).expect("oracle packs");
+    trees.iter_mut().for_each(|t| t.sort_unstable());
+    assert_eq!(r.tree_edges, trees, "{tag}: MST edge sets");
+    let n = g.node_count();
+    let cap = MstConfig::default().effective_cap(n);
+    for &k in &r.phase_a_fragments {
+        assert!(
+            k * cap <= n,
+            "{tag}: phase A left {k} fragments of cap {cap} on n = {n}"
+        );
     }
-    .with_executor(executor)
 }
 
 #[test]
-fn optimized_phase_a_matches_legacy_across_executors() {
+fn phase_a_matches_the_sequential_oracle_across_executors() {
     let planted = generators::clique_pair(8, 3).unwrap();
     let cases = [
         ("clique_pair8", planted.graph),
@@ -47,58 +60,28 @@ fn optimized_phase_a_matches_legacy_across_executors() {
     ];
     for (name, g) in &cases {
         for (exec_name, executor) in &executors {
-            let tag = format!("{name} under {exec_name}");
-            let legacy = exact_mincut(g, &cfg(MstAMode::Legacy, executor.clone()))
-                .expect("legacy run succeeds");
-            let opt = exact_mincut(g, &cfg(MstAMode::Optimized, executor.clone()))
-                .expect("optimized run succeeds");
-            assert_eq!(opt.cut.value, legacy.cut.value, "{tag}: lambda");
-            assert_eq!(opt.cut.side, legacy.cut.side, "{tag}: side");
-            assert_eq!(opt.trees_packed, legacy.trees_packed, "{tag}: trees");
-            assert_eq!(
-                opt.trees_to_best, legacy.trees_to_best,
-                "{tag}: trees_to_best"
-            );
-            assert_eq!(opt.best_node, legacy.best_node, "{tag}: best_node");
-            assert_eq!(
-                opt.tree_edges, legacy.tree_edges,
-                "{tag}: MST edge sets must be identical"
-            );
-            // The win, not just the parity: optimized phase A moves at
-            // most ⅔ of the legacy mstA traffic on every instance and
-            // executor. (The ≥2× bar lives in `message_gate`, on the
-            // canonical torus24x24 and 70602-node instances — tiny
-            // graphs amortize fewer levels, so the floor here is
-            // looser.)
-            let (lm, om) = (
-                legacy.ledger.messages_matching("mstA"),
-                opt.ledger.messages_matching("mstA"),
-            );
-            assert!(
-                om * 3 <= lm * 2,
-                "{tag}: optimized mstA moved {om} msgs > 2/3 of legacy's {lm}"
-            );
+            let cfg = ExactConfig::default().with_executor(executor.clone());
+            let r = exact_mincut(g, &cfg).expect("pipeline runs");
+            assert_matches_oracle(&format!("{name} under {exec_name}"), g, &r);
         }
     }
 }
 
 #[test]
-fn executor_grid_is_mode_internally_consistent() {
-    // Within one mode, the three executors agree with each other on
-    // rounds/messages too (payload bit-parity) — so the cross-mode
-    // assertions above compare well-defined quantities.
+fn executor_grid_agrees_on_rounds_messages_and_trees() {
+    // The three executors agree with each other on rounds and messages
+    // too (payload bit parity), not only on the oracle-checked outputs.
     let g = generators::torus2d(6, 5).unwrap();
-    for mode in [MstAMode::Legacy, MstAMode::Optimized] {
-        let serial = exact_mincut(&g, &cfg(mode, ExecutorKind::Serial)).unwrap();
-        for executor in [
-            ExecutorKind::Parallel { threads: 2 },
-            ExecutorKind::Faulty(FaultPlan::with_drop(50, 0xA1_59).delayed(1)),
-        ] {
-            let other = exact_mincut(&g, &cfg(mode, executor)).unwrap();
-            assert_eq!(other.rounds, serial.rounds, "{mode:?}");
-            assert_eq!(other.messages, serial.messages, "{mode:?}");
-            assert_eq!(other.cut.value, serial.cut.value, "{mode:?}");
-            assert_eq!(other.tree_edges, serial.tree_edges, "{mode:?}");
-        }
+    let serial = exact_mincut(&g, &ExactConfig::default()).unwrap();
+    for executor in [
+        ExecutorKind::Parallel { threads: 2 },
+        ExecutorKind::Faulty(FaultPlan::with_drop(50, 0xA1_59).delayed(1)),
+    ] {
+        let tag = format!("{executor:?}");
+        let other = exact_mincut(&g, &ExactConfig::default().with_executor(executor)).unwrap();
+        assert_eq!(other.rounds, serial.rounds, "{tag}");
+        assert_eq!(other.messages, serial.messages, "{tag}");
+        assert_eq!(other.cut.value, serial.cut.value, "{tag}");
+        assert_eq!(other.tree_edges, serial.tree_edges, "{tag}");
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the core invariants.
 
 use mincut_repro::graphs::{cut::cut_of_side, generators, NodeId, WeightedGraph};
+use mincut_repro::mincut::dist::mst::MstConfig;
 use mincut_repro::mincut::seq::{self, one_respecting_cuts, skeleton, splitmix64, stoer_wagner};
 use mincut_repro::trees::spanning::{random_spanning_edges, to_rooted};
 use proptest::prelude::*;
@@ -120,5 +121,12 @@ proptest! {
         // n = 18 with λ ≤ 8 it holds for every seed we have ever observed —
         // treat a miss as a failure so regressions surface.
         prop_assert_eq!(got.cut.value, want);
+        // Phase A's structural postcondition: every fragment it hands to
+        // phase B reached the ⌈√n⌉ cap, so at most √n of them remain.
+        let n = g.node_count();
+        let cap = MstConfig::default().effective_cap(n);
+        for &k in &got.phase_a_fragments {
+            prop_assert!(k * cap <= n, "phase A left {k} fragments of cap {cap} on n = {n}");
+        }
     }
 }
