@@ -38,9 +38,10 @@ pub const REGISTERED_STEMS: &[&str] = &[
     // Election + static-memory bootstrap.
     "leader_bfs",
     "init",
-    // MST phase A (capped fragment growth) and phase B (Borůvka over
-    // the BFS tree), with their per-level/per-iteration sub-phases.
-    // Phase A emits `.l{level}.{exch,cd,hook}` (see `docs/mst.md`).
+    // MST phase A (capped fragment growth, per-level sub-phases
+    // `.l{level}.{exch,cd,hook}`) and phase B (the cycle-filtered upcast
+    // over the BFS tree: `.exch`, `.up`, `.chosen`, `.report`). See
+    // `docs/mst.md`.
     "mstA",
     "mstB",
     // Tree orientation (reroot at the fragment leader).
@@ -118,7 +119,7 @@ mod tests {
             "init.deg",
             "mstA.l12.exch",
             "mstA.l4.cd",
-            "mstB.i3.merge",
+            "mstB.chosen",
             "s2c.up",
             "orient.tf",
             "side.flood",

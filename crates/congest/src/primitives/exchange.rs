@@ -1,20 +1,20 @@
 //! Neighbor exchange: one-round swap of a value with every neighbor, and
-//! its delta variants (only *changed* values are announced).
+//! its per-port delta variant (only *changed* values are announced, and
+//! only on the edges that need them).
 //!
-//! The delta exchange is the echo-suppression discipline of the repeated
-//! label exchanges (fragment ids in `mstA.*`, components in `mstB.*`): a
-//! node whose label did not change since its last announcement stays
-//! silent, and receivers keep their stored per-port view — identical
-//! information flow at a fraction of the messages once the labels start
-//! converging.
+//! The delta exchange is the echo-suppression discipline of phase A's
+//! repeated fragment-label refresh (`mstA.*.exch`): a node whose label
+//! did not change since its last announcement stays silent, and
+//! receivers keep their stored per-port view — identical information
+//! flow at a fraction of the messages once the labels start converging.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::Message;
 use crate::node::{NodeCtx, Port};
 use std::marker::PhantomData;
 
-/// One-round exchange: every node sends one value to every neighbor and
-/// collects what its neighbors sent. Rounds: 2 (send + receive).
+/// One-round exchange: every node sends one value to every neighbor at
+/// boot and collects what its neighbors sent. Rounds: 1.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborExchange<T> {
     // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
@@ -69,64 +69,7 @@ impl<T: Message> Algorithm for NeighborExchange<T> {
     }
 }
 
-/// Delta (echo-suppressed) neighbor exchange: a node with input
-/// `Some(value)` announces it to every neighbor; a node with `None`
-/// stays silent. `output[port]` is `Some(value)` exactly for the ports
-/// whose neighbor announced — callers overlay it onto their stored
-/// per-port view, which stays correct because *unchanged means
-/// unannounced*. Rounds: 1, messages: `Σ degree(announcing nodes)`.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaExchange<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> DeltaExchange<T> {
-    /// Creates the phase object.
-    pub fn new() -> Self {
-        DeltaExchange {
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T: Message> Algorithm for DeltaExchange<T> {
-    /// `Some(value)` to announce `value`; `None` to stay silent.
-    type Input = Option<T>;
-    type State = NxState<T>;
-    type Msg = T;
-    /// `output[port] = Some(value)` for every announcing neighbor.
-    type Output = Vec<Option<T>>;
-
-    fn boot(&self, ctx: &NodeCtx<'_>, value: Option<T>) -> (NxState<T>, Outbox<T>) {
-        let mut out = Outbox::new();
-        if let Some(value) = value {
-            out.send_all(ctx.ports(), value);
-        }
-        (
-            NxState {
-                received: vec![None; ctx.degree()],
-            },
-            out,
-        )
-    }
-
-    fn round(&self, s: &mut NxState<T>, _ctx: &NodeCtx<'_>, inbox: &[(Port, T)]) -> Step<T> {
-        for (port, msg) in inbox {
-            s.received[port.index()] = Some(msg.clone());
-        }
-        Step::halt()
-    }
-
-    fn finish(&self, s: NxState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<Vec<Option<T>>> {
-        Ok(s.received)
-    }
-}
-
-/// Per-port delta exchange: the echo-suppression discipline of
-/// [`DeltaExchange`], refined from per-node to per-edge. The input is one
+/// Per-port delta exchange: echo suppression per edge. The input is one
 /// `Option<T>` *per port*: `Some(value)` announces `value` on exactly that
 /// edge, `None` keeps that edge silent. `output[port]` is `Some(value)`
 /// exactly for the ports whose neighbor announced on the shared edge.
@@ -209,38 +152,6 @@ mod tests {
             }
         }
         assert_eq!(out.metrics.rounds, 1);
-    }
-
-    #[test]
-    fn delta_exchange_only_announcers_are_heard() {
-        let g = generators::cycle(6).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        // Only even nodes announce.
-        let inputs: Vec<Option<u64>> = (0..6u64)
-            .map(|v| v.is_multiple_of(2).then_some(v * 7))
-            .collect();
-        let out = net.run("dx", &DeltaExchange::new(), inputs).unwrap();
-        for v in 0..6usize {
-            for (p, got) in out.outputs[v].iter().enumerate() {
-                let u = g.neighbors(graphs::NodeId::from_index(v))[p].neighbor;
-                let want = u.raw().is_multiple_of(2).then_some(u.raw() as u64 * 7);
-                assert_eq!(*got, want, "node {v} port {p}");
-            }
-        }
-        // 3 announcers × degree 2 = 6 messages, half the full exchange.
-        assert_eq!(out.metrics.messages, 6);
-        assert_eq!(out.metrics.rounds, 1);
-    }
-
-    #[test]
-    fn delta_exchange_all_silent_is_free() {
-        let g = generators::path(5).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let out = net
-            .run("dx0", &DeltaExchange::<u64>::new(), vec![None; 5])
-            .unwrap();
-        assert!(out.outputs.iter().all(|o| o.iter().all(Option::is_none)));
-        assert_eq!(out.metrics.messages, 0);
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub struct SumMonoid;
 
 impl KeyedMonoid for SumMonoid {
     type Item = KeyedSum;
+    type Key = u64;
 
     fn key(item: &KeyedSum) -> u64 {
         item.key
@@ -102,7 +103,7 @@ impl Algorithm for GroupedSum {
     ) -> Step<Self::Msg> {
         s.core.absorb(inbox);
         let out = &mut s.out;
-        s.core.relay_round(|p| out.push((p.key, p.value)))
+        s.core.relay_round(|_| true, |p| out.push((p.key, p.value)))
     }
 
     fn finish(&self, s: GsState, _ctx: &NodeCtx<'_>) -> FinishResult<Self::Output> {

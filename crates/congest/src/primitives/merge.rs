@@ -1,54 +1,69 @@
 //! The shared pipelined sorted-stream merge core.
 //!
-//! [`GroupedSum`](crate::primitives::GroupedSum) and
-//! [`GroupedBest`](crate::primitives::GroupedBest) are the same protocol:
-//! every node merges its children's sorted keyed streams with its own
-//! pre-sorted input, reduces equal-key runs, and relays the result upward
-//! one item per round. This module owns that protocol **once** — the
-//! child-stream buffers, the readiness rule, the end-of-stream accounting,
-//! and the per-round emission budget — so a protocol fix lands in one
-//! place. Both public primitives are thin monoid instantiations over
-//! [`KeyedStreamReduce`].
+//! Every node merges its children's sorted keyed streams with its own
+//! pre-sorted input, reduces equal-key runs, filters the result through
+//! a per-node keep predicate, and relays it upward one item per round.
+//! This module owns that protocol **once** — the child-stream buffers,
+//! the readiness rule, the end-of-stream accounting, and the per-round
+//! emission budget — so a protocol fix lands in one place. It has one
+//! in-crate instantiation, [`GroupedSum`](crate::primitives::GroupedSum),
+//! which keeps every item; the distributed MST's cycle-filtered upcast
+//! (`mincut::dist::mst`) is the other, and drops every edge that closes a
+//! cycle in the node's forest.
 //!
 //! # The monoid contract
 //!
-//! A [`KeyedMonoid`] names an item type, a `u64` grouping key, and a
-//! `combine` operation. `combine` must be **associative** and
-//! **commutative** on items of equal key: the core reduces an equal-key
-//! run in whatever order the streams deliver it, and different tree shapes
-//! reduce the same multiset in different orders. (For argmin-style monoids
-//! this means the preference order must be a *strict total* order — ties
-//! would make the result shape-dependent.) Under that contract the root's
-//! output is independent of the tree and equals the sequential fold of all
-//! inputs, which is what the per-protocol oracle tests assert.
+//! A [`KeyedMonoid`] names an item type, an [`Ord`] grouping key, and a
+//! `combine` operation. Keys need not be integers: the MST's key is the
+//! packing's relative load, a cross-multiplied ratio. `combine` must be
+//! **associative** and **commutative** on items of equal key: the core
+//! reduces an equal-key run in whatever order the streams deliver it,
+//! and different tree shapes reduce the same multiset in different
+//! orders. Under that contract the root's output is independent of the
+//! tree and equals the sequential fold of all inputs, which is what the
+//! per-protocol oracle tests assert. A monoid whose keys are unique
+//! (every key enters the network once) never sees `combine` called.
+//!
+//! # The keep predicate
+//!
+//! [`KeyedStreamReduce::relay_round`] takes a `keep` predicate and asks
+//! it about every reduced item as the item is popped, in key order. A
+//! kept item is relayed (or, at a root, handed to the sink); a dropped
+//! item vanishes on the spot, and the node pops the next decided item in
+//! the same round — a dropped item costs no round and no message. The
+//! predicate may carry per-node state: the MST's predicate is a union
+//! over fragment ids that succeeds only for an edge joining two classes.
 //!
 //! # Invariants owned here
 //!
 //! * **Sorted streams** — the node's own input is sorted and pre-reduced
 //!   at [`KeyedStreamReduce::new`]; each child's stream arrives sorted
 //!   because the child ran the same protocol. Merging sorted streams and
-//!   emitting the minimum key keeps the outgoing stream sorted.
+//!   emitting the minimum key keeps the outgoing stream sorted, and the
+//!   keep predicate sees every item in key order.
 //! * **Readiness** — a key may only be emitted when *every* stream is
 //!   ready (has a buffered item or has ended); otherwise a smaller key
 //!   could still arrive and break the sorted-output invariant.
 //! * **`End` accounting** — each child sends exactly one
 //!   [`StreamMsg::End`] after its last item; the node sends its own `End`
 //!   exactly once, after all streams are exhausted.
-//! * **Emission budget** — a non-root relays at most **one** item per
-//!   round, so a phase never puts more than one `StreamMsg` on an edge
-//!   per round and the per-message bound is the per-round bound.
+//! * **Emission budget** — a non-root relays at most **one** kept item
+//!   per round, so a phase never puts more than one `StreamMsg` on an
+//!   edge per round and the per-message bound is the per-round bound.
 //!
 //! # Bit-budget math
 //!
 //! With bandwidth `β·⌈log₂ n⌉` bits per edge per round (β = 8 by
-//! default), one `StreamMsg::Item` must fit in that budget. An item costs
-//! `TAG_BITS` (enum discriminants) plus its key and payload bits, where a
-//! key costs `⌈log₂(key + 1)⌉` bits. Keys are `u64` end-to-end: the
-//! widest key in the workspace is the driver's case-2 attachment-pair
-//! packing `lo·n + hi < n²`, i.e. at most `2⌈log₂ n⌉` key bits — within
-//! the default budget for every `n` (this is what lifts the old
-//! `n ≤ 65535` cap of the `u32` packing), leaving `(β − 2)⌈log₂ n⌉ −
-//! O(1)` bits for the payload, enough for `poly(n)` values.
+//! default), one `StreamMsg::Item` must fit in that budget: `TAG_BITS`
+//! (enum discriminants) plus the item's own bits. `GroupedSum`'s widest
+//! key is the driver's case-2 attachment-pair packing `lo·n + hi < n²`,
+//! i.e. at most `2⌈log₂ n⌉` key bits — within the default budget for
+//! every `n` (this is what lifts the old `n ≤ 65535` cap of the `u32`
+//! packing), leaving `(β − 2)⌈log₂ n⌉ − O(1)` bits for the payload,
+//! enough for `poly(n)` values. The MST upcast's item carries its key —
+//! load, weight, and an edge id of up to `2⌈log₂ n⌉` bits — plus two
+//! fragment ids and two BFS in-times of `⌈log₂ n⌉` bits each; it peaks
+//! at 65 bits on torus32x32, against an 80-bit budget.
 
 use crate::algorithm::{Outbox, Step};
 use crate::message::Message;
@@ -64,9 +79,11 @@ pub trait KeyedMonoid {
     /// The stream item carried on the wire.
     type Item: Message;
 
-    /// The `u64` grouping key of an item. Streams travel in increasing
-    /// key order.
-    fn key(item: &Self::Item) -> u64;
+    /// The grouping key. Streams travel in increasing key order.
+    type Key: Ord;
+
+    /// The grouping key of an item.
+    fn key(item: &Self::Item) -> Self::Key;
 
     /// Reduces two items of the same key into one. Must be associative
     /// and commutative for equal keys.
@@ -90,12 +107,14 @@ impl<T> Stream<T> {
 
 /// The pipelined keyed-stream reducer: merges the node's own sorted input
 /// with its children's sorted streams, reducing equal keys via
-/// [`KeyedMonoid::combine`], and relays the merged stream to the parent
-/// one item per round ([`KeyedStreamReduce::relay_round`]).
+/// [`KeyedMonoid::combine`], and relays the kept part of the merged
+/// stream to the parent one item per round
+/// ([`KeyedStreamReduce::relay_round`]).
 ///
 /// This is per-node *state*, not an [`crate::Algorithm`]: the thin
-/// protocol wrappers ([`crate::primitives::GroupedSum`] and friends)
-/// embed it and differ only in what they do with decided batches.
+/// protocol wrappers ([`crate::primitives::GroupedSum`] and the MST's
+/// filtered upcast) embed it and differ only in what they keep and what
+/// they do with decided items.
 #[derive(Debug)]
 pub struct KeyedStreamReduce<M: KeyedMonoid> {
     /// Port to the parent (`None` at a root).
@@ -163,7 +182,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     /// The next key that could be emitted: the minimum buffered key, but
     /// only once every stream is ready (otherwise a smaller key could
     /// still arrive).
-    fn peek_key(&self) -> Option<u64> {
+    fn peek_key(&self) -> Option<M::Key> {
         if !self.streams.iter().all(Stream::ready) {
             return None;
         }
@@ -179,7 +198,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
         let k = self.peek_key()?;
         let mut acc: Option<M::Item> = None;
         for s in &mut self.streams {
-            while s.buf.front().map(M::key) == Some(k) {
+            while s.buf.front().is_some_and(|f| M::key(f) == k) {
                 let item = s.buf.pop_front().expect("front exists");
                 acc = Some(match acc {
                     Some(a) => M::combine(a, item),
@@ -195,20 +214,32 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
         self.streams.iter().all(|s| s.ended && s.buf.is_empty())
     }
 
-    /// The shared per-round emission step.
+    /// The next decided batch that `keep` accepts; the decided batches
+    /// it rejects before that are dropped.
+    fn pop_kept(&mut self, keep: &mut impl FnMut(&M::Item) -> bool) -> Option<M::Item> {
+        std::iter::from_fn(|| self.pop_min()).find(|item| keep(item))
+    }
+
+    /// The shared per-round emission step. Every decided batch is
+    /// offered to `keep` in key order; a rejected batch is dropped
+    /// without using the round (see the module docs).
     ///
-    /// * **Root** (no parent): drains every decided batch into `sink`,
+    /// * **Root** (no parent): drains every kept batch into `sink`,
     ///   halting once all streams are exhausted.
-    /// * **Non-root**: relays at most one decided batch to the parent
-    ///   (the per-round emission budget — one `StreamMsg` per edge per
+    /// * **Non-root**: relays at most one kept batch to the parent (the
+    ///   per-round emission budget — one `StreamMsg` per edge per
     ///   round), or the node's single `End` once exhausted; `sink` is
     ///   not called.
     ///
     /// Call [`KeyedStreamReduce::absorb`] before this.
-    pub fn relay_round<F: FnMut(M::Item)>(&mut self, mut sink: F) -> Step<StreamMsg<M::Item>> {
+    pub fn relay_round(
+        &mut self,
+        mut keep: impl FnMut(&M::Item) -> bool,
+        mut sink: impl FnMut(M::Item),
+    ) -> Step<StreamMsg<M::Item>> {
         match self.parent {
             None => {
-                while let Some(item) = self.pop_min() {
+                while let Some(item) = self.pop_kept(&mut keep) {
                     sink(item);
                 }
                 if self.exhausted() {
@@ -219,7 +250,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
             }
             Some(parent) => {
                 let mut out = Outbox::new();
-                if let Some(item) = self.pop_min() {
+                if let Some(item) = self.pop_kept(&mut keep) {
                     out.send(parent, StreamMsg::Item(item));
                     Step::Continue(out)
                 } else if self.exhausted() && !self.end_sent {
@@ -328,7 +359,7 @@ mod tests {
         let ctx = ctx_with_degree(&neighbors);
         let mut root: KeyedStreamReduce<SumMonoid> =
             KeyedStreamReduce::new(&ctx, &TreeInfo::default(), vec![]);
-        assert!(matches!(root.relay_round(|_| ()), Step::Halt(o) if o.is_empty()));
+        assert!(matches!(root.relay_round(|_| true, |_| ()), Step::Halt(o) if o.is_empty()));
         let leaf_tree = TreeInfo {
             parent: Some(Port(0)),
             children: vec![],
@@ -336,7 +367,7 @@ mod tests {
         };
         let mut leaf: KeyedStreamReduce<SumMonoid> =
             KeyedStreamReduce::new(&ctx, &leaf_tree, vec![]);
-        match leaf.relay_round(|_| ()) {
+        match leaf.relay_round(|_| true, |_| ()) {
             Step::Halt(o) => assert_eq!(o.len(), 1), // the End marker
             Step::Continue(_) => panic!("leaf must halt after its End"),
         }
@@ -358,11 +389,45 @@ mod tests {
             (0..4).map(|k| KeyedSum { key: k, value: 1 }).collect(),
         );
         for _ in 0..4 {
-            match core.relay_round(|_| ()) {
+            match core.relay_round(|_| true, |_| ()) {
                 Step::Continue(o) => assert_eq!(o.len(), 1),
                 Step::Halt(_) => panic!("items remain"),
             }
         }
-        assert!(matches!(core.relay_round(|_| ()), Step::Halt(o) if o.len() == 1));
+        assert!(matches!(core.relay_round(|_| true, |_| ()), Step::Halt(o) if o.len() == 1));
+    }
+
+    /// A dropped item does not use up the round's one-item budget: the
+    /// node pops on to the next kept item in the same round, and sends
+    /// its `End` in the round its last item is dropped.
+    #[test]
+    fn dropped_items_cost_no_round() {
+        let neighbors = nbrs(1);
+        let ctx = ctx_with_degree(&neighbors);
+        let tree = TreeInfo {
+            parent: Some(Port(0)),
+            children: vec![],
+            depth: 1,
+        };
+        let mut core: KeyedStreamReduce<SumMonoid> = KeyedStreamReduce::new(
+            &ctx,
+            &tree,
+            (0..5).map(|k| KeyedSum { key: k, value: 1 }).collect(),
+        );
+        let mut asked = Vec::new();
+        let mut keep = |p: &KeyedSum| {
+            asked.push(p.key);
+            p.key == 2
+        };
+        // Keys 0 and 1 are dropped; key 2 goes out in the first round.
+        match core.relay_round(&mut keep, |_| ()) {
+            Step::Continue(o) => {
+                assert!(matches!(&o.msgs[..], [(_, StreamMsg::Item(p))] if p.key == 2));
+            }
+            Step::Halt(_) => panic!("key 2 is kept"),
+        }
+        // Keys 3 and 4 are dropped; the `End` goes out in the second.
+        assert!(matches!(core.relay_round(&mut keep, |_| ()), Step::Halt(o) if o.len() == 1));
+        assert_eq!(asked, [0, 1, 2, 3, 4]);
     }
 }

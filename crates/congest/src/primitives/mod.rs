@@ -13,15 +13,14 @@
 //! * [`upcast`] — pipelined collection of all items at the root
 //!   (`O(k + height)` rounds).
 //! * [`merge`] — the shared pipelined sorted-stream merge core
-//!   ([`merge::KeyedStreamReduce`]): `u64` keys, monoid reduction, one
-//!   protocol implementation behind both grouped primitives.
+//!   ([`merge::KeyedStreamReduce`]): `Ord` keys, monoid reduction, and a
+//!   per-node keep predicate that drops items at no round cost; behind
+//!   the grouped sum here and the distributed MST's cycle-filtered
+//!   upcast.
 //! * [`grouped`] — pipelined grouped sums keyed by `u64`, merged in sorted
 //!   key order on the way up (`O(k + height)` rounds).
-//! * [`grouped_min`] — pipelined grouped argmin under the same pipelining
-//!   bound (the Borůvka-over-BFS aggregation of the distributed MST).
-//! * [`exchange`] — one-round neighbor exchange (full, delta — only
-//!   changed values are announced — and per-port delta: only *selected
-//!   edges* carry the announcement).
+//! * [`exchange`] — one-round neighbor exchange (full, and per-port
+//!   delta: only *selected edges* carry an announcement).
 //! * [`failure_detector`] — the idle heartbeat census: under a
 //!   crash-scheduling fault plan, every live node reports which
 //!   neighbors the transport's timeout detector suspects (the recovery
@@ -38,7 +37,6 @@ pub mod convergecast;
 pub mod exchange;
 pub mod failure_detector;
 pub mod grouped;
-pub mod grouped_min;
 pub mod leader_bfs;
 pub mod merge;
 pub mod subtree;
@@ -46,10 +44,9 @@ pub mod upcast;
 
 pub use broadcast::{Broadcast, BroadcastItems};
 pub use convergecast::{Aggregate, Convergecast, MaxU64, MinU64, SumU64};
-pub use exchange::{DeltaExchange, NeighborExchange, PortDeltaExchange};
+pub use exchange::{NeighborExchange, PortDeltaExchange};
 pub use failure_detector::{FailureDetector, FdReport, JoinEcho};
 pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
-pub use grouped_min::{BestMonoid, GroupedBest, KeyedItem, KeyedMin};
 pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
 pub use subtree::SubtreeSums;

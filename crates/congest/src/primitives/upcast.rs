@@ -1,9 +1,10 @@
 //! Pipelined upcast: every node's items flow to the root of its tree,
 //! one item per edge per round — `O(k + height)` rounds for `k` items.
 //!
-//! This is the workhorse of the paper's Step 1 (collecting the `O(√n)`
-//! inter-fragment edges) and of the root-centralized Borůvka iterations of
-//! the MST's second phase.
+//! The pipeline uses it wherever every item must reach the root
+//! (`mstB.report`, `s2c.up`, `s5c`). The MST's phase-B edge collection
+//! drops items on the way up, so it runs on the keyed merge core
+//! ([`crate::primitives::merge`]) instead.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::Message;
@@ -56,16 +57,16 @@ impl<T: Message> Algorithm for UpcastItems<T> {
         (tree, items): Self::Input,
     ) -> (UpState<T>, Outbox<StreamMsg<T>>) {
         let open_children = tree.children.len();
-        let is_root = tree.is_root();
+        let (queue, collected) = if tree.is_root() {
+            (VecDeque::new(), items)
+        } else {
+            (items.into(), Vec::new())
+        };
         let state = UpState {
             tree,
-            queue: if is_root {
-                VecDeque::new()
-            } else {
-                items.clone().into()
-            },
+            queue,
             open_children,
-            collected: if is_root { items } else { Vec::new() },
+            collected,
         };
         (state, Outbox::new())
     }

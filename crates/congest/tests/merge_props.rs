@@ -1,18 +1,20 @@
 //! Property tests of the shared keyed-stream reducer
 //! (`congest::primitives::merge::KeyedStreamReduce`), exercised through
-//! its two protocol instantiations over random trees.
+//! its in-crate instantiation, `GroupedSum`, over random trees.
 //!
-//! The edge cases that used to be untested *per copy* of the protocol —
-//! duplicate keys, empty child streams, single-node networks, and `End`
-//! markers arriving in different orders across children — are all drawn
-//! here: random BFS trees mix leaf children (whose `End` arrives in round
-//! one) with deep chains that stream items long after, and a random
-//! subset of nodes contributes nothing at all. A directed adversarial
-//! `End`-ordering test at the state-machine level lives next to the core
-//! in `merge.rs`.
+//! The stream edge cases — duplicate keys, empty child streams,
+//! single-node networks, and `End` markers arriving in different orders
+//! across children — are all drawn here: random BFS trees mix leaf
+//! children (whose `End` arrives in round one) with deep chains that
+//! stream items long after, and a random subset of nodes contributes
+//! nothing at all. Directed state-machine tests of the core — an
+//! adversarial `End` ordering, and a dropped item that costs no round —
+//! live next to it in `merge.rs`. The core's other instantiation, the
+//! distributed MST's cycle-filtered upcast, has its own property test
+//! against sequential Kruskal in `crates/core/tests/mstb_up_props.rs`.
 
 use congest::primitives::leader_bfs::LeaderBfs;
-use congest::primitives::{GroupedBest, GroupedSum, KeyedMin};
+use congest::primitives::GroupedSum;
 use congest::{Network, NetworkConfig, TreeInfo};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
@@ -76,45 +78,6 @@ proptest! {
         prop_assert_eq!(
             out.outputs[0].clone().expect("node 0 is the root"),
             want.into_iter().collect::<Vec<_>>()
-        );
-    }
-
-    /// GroupedBest equals the sequential per-key argmin under a strict
-    /// total order (unique tags), over the same tree/stream shapes.
-    #[test]
-    fn grouped_best_matches_oracle(seed in 0u64..5000, n in 1usize..33, spread in 1u64..7) {
-        let g = graph_from(seed, n);
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBE57);
-        let lists: Vec<Vec<KeyedMin>> = (0..n)
-            .map(|v| {
-                (0..rng.gen_range(0usize..4))
-                    .map(|i| KeyedMin {
-                        key: rng.gen_range(0..spread),
-                        value: rng.gen_range(1..40u64),
-                        tag: (v * 8 + i) as u64, // unique → strict order
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut want: BTreeMap<u64, KeyedMin> = BTreeMap::new();
-        for l in &lists {
-            for item in l {
-                match want.get(&item.key) {
-                    Some(b) if (b.value, b.tag) <= (item.value, item.tag) => {}
-                    _ => {
-                        want.insert(item.key, item.clone());
-                    }
-                }
-            }
-        }
-        let inputs: Vec<(TreeInfo, Vec<KeyedMin>)> =
-            trees.into_iter().zip(lists).collect();
-        let out = net.run("gb_prop", &GroupedBest::new(), inputs).unwrap();
-        prop_assert_eq!(
-            out.outputs[0].clone().expect("node 0 is the root"),
-            want.into_values().collect::<Vec<_>>()
         );
     }
 }

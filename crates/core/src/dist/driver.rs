@@ -15,21 +15,21 @@
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
 //!
-//! The leader's table streams (`mstB.i*.merge`, `orient.tf`,
-//! `s2c.down`, `s4b`, `s5d`) fold each row into the receiving node's
-//! memory as it arrives — each node computes its share of the table on
-//! the fly — so only the leader holds the `k` rows it streams, and the
-//! `k·n` per-node copies never exist. Rows that only a few nodes read
-//! travel only to them, along the BFS tree's pre-order intervals (the
-//! labels the election hands out): an `mstB` `Chosen` row to the
-//! edge's two endpoints, an `s4b` pair to its first attachment, an
-//! `s5d` sum to its fragment's attachment. Rows every node reads —
-//! `mstB` `Remap` rows, the `T_F` table of `orient.tf`, a fragment's
-//! attachment in-times in `s2c.down` — still reach every node.
+//! The leader's table streams (`mstB.chosen`, `orient.tf`, `s2c.down`,
+//! `s4b`, `s5d`) fold each row into the receiving node's memory as it
+//! arrives — each node computes its share of the table on the fly — so
+//! only the leader holds the `k` rows it streams, and the `k·n` per-node
+//! copies never exist. Rows that only a few nodes read travel only to
+//! them, along the BFS tree's pre-order intervals (the labels the
+//! election hands out): an `mstB.chosen` edge id to the edge's two
+//! endpoints, an `s4b` pair to its first attachment, an `s5d` sum to its
+//! fragment's attachment. Rows every node reads — the `T_F` table of
+//! `orient.tf`, a fragment's attachment in-times in `s2c.down` — still
+//! reach every node.
 
 use crate::dist::mst::{
-    BorCand, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragMsg, HookInput, HookRole, MergeItem,
-    MstConfig, OptAgg, OptCand, ReportItem,
+    CandDec, CdInput, DecMsg, FilteredUpcast, FragHook, FragLabel, FragMsg, HookInput, HookRole,
+    InterEdge, MstConfig, OptAgg, OptCand, ReportItem,
 };
 use crate::dist::one_respect::{
     AttItem, FragReroot, IntervalDown, IntervalInput, NbMsg, PairItem, RerootInput, SideFlood,
@@ -43,8 +43,7 @@ use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::subtree::SubtreeSums;
 use congest::primitives::{
-    Broadcast, BroadcastItems, DeltaExchange, GroupedBest, GroupedSum, NeighborExchange,
-    PortDeltaExchange, UpcastItems,
+    Broadcast, BroadcastItems, GroupedSum, NeighborExchange, PortDeltaExchange, UpcastItems,
 };
 use congest::{ExecutorKind, Intervals, MetricsLedger, Network, NetworkConfig, Port, TreeInfo};
 use graphs::{CutResult, NodeId, WeightedGraph};
@@ -338,7 +337,6 @@ struct NodeMem {
     loads: Vec<u64>,
     // -- per packed tree --
     frag: u32,
-    comp: u32,
     frozen: bool,
     parent: Option<Port>,
     tree_ports: BTreeSet<Port>,
@@ -347,7 +345,6 @@ struct NodeMem {
     inter_children: Vec<Port>,
     port_frag: Vec<u32>,
     port_frozen: Vec<bool>,
-    port_comp: Vec<u32>,
     /// mstA: ports whose neighbor must still be told this node's
     /// `(frag, frozen)` at the next `.exch` (boundary ports of a
     /// relabel/freeze; old-fragment neighbors infer the change locally).
@@ -362,11 +359,6 @@ struct NodeMem {
     /// mstA: the fragment was restructured since the last `.cd` pass —
     /// drop the caches and speak unconditionally.
     cd_purge: bool,
-    /// Last `(comp, frag)` announced (mstB delta exchange).
-    ann_comp: Option<(u32, u32)>,
-    /// Per port, the neighbor's BFS in-time (from each tree's first
-    /// `mstB` announcement).
-    port_bfs_in: Vec<u32>,
     iv: Option<Intervals>,
     att: BTreeMap<u32, u32>,
     cval: u64,
@@ -751,7 +743,6 @@ impl<'g> Pipeline<'g> {
         for (v, m) in self.mems.iter_mut().enumerate() {
             let deg = m.edge_ids.len();
             m.frag = v as u32;
-            m.comp = v as u32;
             m.frozen = false;
             m.parent = None;
             m.tree_ports.clear();
@@ -767,28 +758,25 @@ impl<'g> Pipeline<'g> {
                 .map(|a| a.neighbor.raw())
                 .collect();
             m.port_frozen = vec![false; deg];
-            m.port_comp = vec![0; deg];
             m.ann_mask = vec![false; deg];
             m.depth = 0;
             m.cd_sent = None;
             m.cd_children = vec![None; deg];
             m.cd_purge = false;
-            m.ann_comp = None;
             m.iv = None;
             m.att.clear();
             m.cval = 0;
         }
     }
 
-    /// The local best packing candidate of node `v`: the minimum-key
-    /// incident edge leaving `v`'s group, where `mine` is `v`'s group
-    /// label and `port_labels[p]` the label across port `p` (fragments
-    /// in phase A, components in phase B). Returns the port too.
-    fn local_cand(&self, v: usize, mine: u32, port_labels: &[u32]) -> Option<(Port, Cand)> {
+    /// The local best phase-A candidate of node `v`: the minimum-key
+    /// incident edge with packing weight that leaves `v`'s fragment, and
+    /// its port.
+    fn local_cand(&self, v: usize) -> Option<(Port, Cand)> {
         let m = &self.mems[v];
         let mut best: Option<(Port, Cand)> = None;
-        for (p, &other) in port_labels.iter().enumerate() {
-            if other != mine && m.pack_w[p] > 0 {
+        for (p, &other) in m.port_frag.iter().enumerate() {
+            if other != m.frag && m.pack_w[p] > 0 {
                 let cand = Cand {
                     load: m.loads[p],
                     weight: m.pack_w[p],
@@ -866,12 +854,11 @@ impl<'g> Pipeline<'g> {
                     let local = if m.frozen {
                         None
                     } else {
-                        self.local_cand(v, m.frag, &m.port_frag)
-                            .map(|(p, c)| OptCand {
-                                cand: c,
-                                target_frag: m.port_frag[p.index()],
-                                target_frozen: m.port_frozen[p.index()],
-                            })
+                        self.local_cand(v).map(|(p, c)| OptCand {
+                            cand: c,
+                            target_frag: m.port_frag[p.index()],
+                            target_frozen: m.port_frozen[p.index()],
+                        })
                     };
                     CdInput {
                         tree: m.ftree(),
@@ -904,8 +891,8 @@ impl<'g> Pipeline<'g> {
                         // Fragment-internal neighbors froze with us (same
                         // broadcast); boundary neighbors hear it at the
                         // next refresh — unless they are frozen too (they
-                        // never consult their phase-A views again; mstB's
-                        // full i0 refresh picks them up) or the edge has
+                        // never consult their phase-A views again; the
+                        // full `mstB.exch` refreshes them) or the edge has
                         // no packing weight (it can never be a candidate
                         // of either side).
                         for p in 0..m.port_frag.len() {
@@ -992,129 +979,88 @@ impl<'g> Pipeline<'g> {
         Ok(())
     }
 
-    /// Phase B: Borůvka over the BFS tree, components merged at the
-    /// leader. Returns the leader's `T_F` edge reports.
+    /// Phase B (see [`crate::dist::mst`]): one label exchange, the
+    /// cycle-filtered upcast of the inter-fragment edges to the leader,
+    /// the chosen edges routed to their endpoints, and the endpoints'
+    /// reports. Returns the leader's `T_F` edge reports.
     fn mst_phase_b(&mut self) -> Result<Vec<ReportItem>, MinCutError> {
-        for m in self.mems.iter_mut() {
-            m.comp = m.frag;
+        // Every node tells every neighbor its final phase-A fragment,
+        // which refreshes the port views the cut stage reads, and its
+        // BFS in-time, which the neighbor's offered edge carries.
+        let inputs: Vec<FragLabel> = self
+            .mems
+            .iter()
+            .map(|m| FragLabel {
+                frag: m.frag,
+                bfs_in: m.bfs_iv.in_t,
+            })
+            .collect();
+        let out = self
+            .net
+            .run("mstB.exch", &NeighborExchange::new(), inputs)?;
+        // The lower-id endpoint of every inter-fragment edge with packing
+        // weight offers it (neighbor ids are local knowledge).
+        let g = self.g;
+        let inputs: Vec<(TreeInfo, Vec<InterEdge>)> = self
+            .mems
+            .iter_mut()
+            .zip(out.outputs)
+            .enumerate()
+            .map(|(v, (m, labels))| {
+                let adj = g.neighbors(NodeId::from_index(v));
+                let mut offered = Vec::new();
+                for (p, label) in labels.into_iter().enumerate() {
+                    let label = label.expect("every neighbor sends");
+                    m.port_frag[p] = label.frag;
+                    if label.frag != m.frag && m.pack_w[p] > 0 && (v as u32) < adj[p].neighbor.raw()
+                    {
+                        offered.push(InterEdge {
+                            cand: Cand {
+                                load: m.loads[p],
+                                weight: m.pack_w[p],
+                                edge: m.edge_ids[p],
+                            },
+                            frags: (m.frag, label.frag),
+                            ends: (m.bfs_iv.in_t, label.bfs_in),
+                        });
+                    }
+                }
+                (m.bfs.clone(), offered)
+            })
+            .collect();
+        let mut out = self.net.run("mstB.up", &FilteredUpcast, inputs)?;
+        let chosen = out.outputs[self.leader.index()]
+            .take()
+            .expect("leader is the BFS root");
+        let k = self
+            .mems
+            .iter()
+            .map(|m| m.frag)
+            .collect::<BTreeSet<_>>()
+            .len();
+        if chosen.len() + 1 < k {
+            return Err(MinCutError::InvalidConfig {
+                reason: format!(
+                    "distributed MST joined {} of {k} fragments (disconnected packing graph?)",
+                    chosen.len() + 1
+                ),
+            });
         }
-        let mut iter = 0usize;
-        loop {
-            // Exchange (component, fragment) labels — same delta
-            // discipline as `mstA.*.exch`: iteration 0 announces
-            // everywhere (and thereby refreshes the port fragment view
-            // with the final phase-A fragments, and tells every neighbor
-            // the sender's BFS in-time); afterwards only nodes whose
-            // component was remapped speak.
-            let name = format!("mstB.i{iter}.exch");
-            let inputs: Vec<Option<CompMsg>> = self
-                .mems
-                .iter()
-                .map(|m| {
-                    (m.ann_comp != Some((m.comp, m.frag))).then_some(CompMsg {
-                        comp: m.comp,
-                        frag: m.frag,
-                        bfs_in: m.ann_comp.is_none().then_some(m.bfs_iv.in_t),
-                    })
-                })
-                .collect();
-            let out = self.net.run(&name, &DeltaExchange::new(), inputs)?;
-            for (m, o) in self.mems.iter_mut().zip(out.outputs) {
-                m.ann_comp = Some((m.comp, m.frag));
-                // Allocated here rather than with the static memory: on
-                // the 70,602-node instance, allocating it before phase A
-                // raised peak RSS by 10 MiB through the heap's layout.
-                m.port_bfs_in.resize(o.len(), 0);
-                for (p, got) in o.into_iter().enumerate() {
-                    if let Some(c) = got {
-                        m.port_comp[p] = c.comp;
-                        m.port_frag[p] = c.frag;
-                        if let Some(t) = c.bfs_in {
-                            m.port_bfs_in[p] = t;
-                        }
-                    }
-                }
-            }
-            // Per-component minimum outgoing candidates to the leader.
-            let inputs: Vec<(TreeInfo, Vec<BorCand>)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    let items = self
-                        .local_cand(v, m.comp, &m.port_comp)
-                        .map(|(p, c)| {
-                            vec![BorCand {
-                                comp: m.comp,
-                                cand: c,
-                                other_comp: m.port_comp[p.index()],
-                                ends: (m.bfs_iv.in_t, m.port_bfs_in[p.index()]),
-                            }]
-                        })
-                        .unwrap_or_default();
-                    (m.bfs.clone(), items)
-                })
-                .collect();
-            let name = format!("mstB.i{iter}.cand");
-            let out = self.net.run(&name, &GroupedBest::new(), inputs)?;
-            let cands = out.outputs[self.leader.index()]
-                .clone()
-                .expect("leader is the BFS root");
-            if cands.is_empty() {
-                // No outgoing edge anywhere: the MST is complete.
-                break;
-            }
-            // The leader merges components and announces the result.
-            let mut dsu = trees::DisjointSets::new(self.n);
-            let live: BTreeSet<u32> = cands.iter().flat_map(|c| [c.comp, c.other_comp]).collect();
-            let mut chosen: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
-            for c in &cands {
-                dsu.union(c.comp as usize, c.other_comp as usize);
-                chosen.insert(c.cand.edge, c.ends);
-            }
-            // Deterministic representative: the smallest member id.
-            let mut rep: BTreeMap<usize, u32> = BTreeMap::new();
-            for &c in &live {
-                let r = dsu.find(c as usize);
-                let e = rep.entry(r).or_insert(c);
-                *e = (*e).min(c);
-            }
-            let mut items: Vec<(Route, MergeItem)> = Vec::new();
-            for &c in &live {
-                let to = rep[&dsu.find(c as usize)];
-                if to != c {
-                    items.push((Route::All, MergeItem::Remap { from: c, to }));
-                }
-            }
-            items.extend(
-                chosen
-                    .iter()
-                    .map(|(&edge, &(a, b))| (Route::Two(a, b), MergeItem::Chosen { edge })),
-            );
-            // Every node applies the remaps as they stream past, and the
-            // two endpoints of each chosen edge, the only nodes its row
-            // reaches, mark their port.
-            let merge = |m: &mut &mut NodeMem, item: &MergeItem| match *item {
-                MergeItem::Remap { from, to } => {
-                    if m.comp == from {
-                        m.comp = to;
-                    }
-                }
-                MergeItem::Chosen { edge } => {
-                    if let Some(p) = m.port_of_edge(edge) {
-                        m.inter_ports.insert(p);
-                    }
-                }
-            };
-            let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| m);
-            let name = format!("mstB.i{iter}.merge");
-            self.net.run(&name, &BroadcastItems::new(merge), inputs)?;
-            iter += 1;
-            if iter > self.n {
-                return Err(MinCutError::InvalidConfig {
-                    reason: "distributed MST failed to converge (disconnected packing graph?)"
-                        .to_string(),
-                });
-            }
-        }
+        // The leader routes each chosen edge to its two endpoints, the
+        // only nodes its row reaches, and they mark their port.
+        let rows = chosen
+            .iter()
+            .map(|e| (Route::Two(e.ends.0, e.ends.1), e.cand.edge))
+            .collect();
+        let mark = |m: &mut &mut NodeMem, &edge: &u32| {
+            let p = m
+                .port_of_edge(edge)
+                .expect("rows reach the edge's endpoints");
+            m.inter_ports.insert(p);
+        };
+        let inputs = bfs_stream(&mut self.mems, self.leader, rows, |_, m| m);
+        self.net
+            .run("mstB.chosen", &BroadcastItems::new(mark), inputs)?;
         // Chosen-edge endpoints report their side so the leader can
         // assemble T_F with exact endpoints.
         let inputs: Vec<(TreeInfo, Vec<ReportItem>)> = (0..self.n)
@@ -1270,7 +1216,7 @@ impl<'g> Pipeline<'g> {
         self.net
             .run("s2c.down", &BroadcastItems::new(insert), inputs)?;
         // s3: per-edge exchange of in-times (fragments are already known
-        // per port from the mstB delta exchanges).
+        // per port from `mstB.exch`).
         let out = self.net.run(
             "s3",
             &NeighborExchange::new(),

@@ -7,8 +7,9 @@
 //!   greedy trees (Thorup), runs the Section-2 1-respecting stage on each,
 //!   and returns the best cut with full per-phase metrics;
 //! * [`mst`] — the `Õ(√n + D)` distributed minimum spanning tree in the
-//!   Kutten–Peleg two-phase style: capped local fragment growth, then
-//!   Borůvka iterations coordinated through the leader's BFS tree;
+//!   Kutten–Peleg two-phase style: capped local fragment growth, then one
+//!   cycle-filtered upcast of the inter-fragment edges over the leader's
+//!   BFS tree;
 //! * [`packing`] — the wire/bookkeeping types of the greedy tree packing
 //!   (relative-load keys, per-node load memory, packing-size policy);
 //! * [`one_respect`] — Section 2: the minimum cut that 1-respects a tree
@@ -30,7 +31,8 @@
 //!
 //! Every [`congest::Network::run`] call is one metered phase; the ledger
 //! entries follow the paper's step structure: `leader_bfs`, `mstA.*`
-//! (fragment growth levels), `mstB.*` (Borůvka-over-BFS iterations),
+//! (fragment growth levels), `mstB.*` (the filtered upcast that joins
+//! the fragments),
 //! `orient.*` (rooting the tree and the fragment tree `T_F`), `s2a`–`s2c`
 //! (fragment-internal structure: subtree sizes, Euler intervals,
 //! attachment tables), `s3` (per-edge exchange and LCA case analysis),

@@ -31,22 +31,33 @@
 //!   which hands any still-small fragments to phase B. `ROADMAP.md`
 //!   ("Phase A: meet the paper's level bound") tracks the missing level
 //!   bound, and `docs/mst.md` describes the protocol in full.
-//! * **Phase B (`mstB.*`) — Borůvka through the leader.** With `k ≤ √n`
-//!   fragments left, each iteration aggregates the per-component minimum
-//!   outgoing edge at the leader with one pipelined grouped argmin over
-//!   the BFS tree (`O(k + D)` rounds), the leader merges components
-//!   locally and broadcasts the merge table (`O(k + D)`), and components
-//!   at least halve. Fragments stay *physical* (their internal trees are
-//!   untouched); phase-B edges become the inter-fragment edges of the
-//!   final tree, which is exactly the fragment decomposition Section 2
-//!   needs.
+//! * **Phase B (`mstB.*`) — one cycle-filtered upcast.** With
+//!   `k ≤ √n` fragments left, four fixed phases finish the tree, as in
+//!   Kutten–Peleg's pipelined second stage:
+//!   - `.exch` tells every neighbor the sender's fragment and BFS
+//!     in-time;
+//!   - `.up` ([`FilteredUpcast`]) carries the inter-fragment edges up
+//!     the BFS tree in key order, and every node drops each edge that
+//!     closes a cycle among the fragments it has seen, so the leader
+//!     receives the MST of the fragment graph — `k − 1` edges — in
+//!     `O(k + D)` rounds;
+//!   - `.chosen` routes each chosen edge id to its two endpoints, which
+//!     mark it;
+//!   - `.report` upcasts the chosen edges' endpoints ([`ReportItem`]),
+//!     from which the leader builds the fragment tree `T_F`.
+//!
+//!   Fragments stay *physical* (their internal trees are untouched);
+//!   phase-B edges become the inter-fragment edges of the final tree,
+//!   which is exactly the fragment decomposition Section 2 needs.
 //!
 //! This module holds the node-side algorithms and wire types; the phase
 //! sequencing lives in [`crate::dist::driver`].
 
 use crate::dist::packing::Cand;
+use crate::seq::tree_packing::LoadKey;
 use congest::message::TAG_BITS;
-use congest::primitives::grouped_min::KeyedItem;
+use congest::primitives::broadcast::StreamMsg;
+use congest::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
 use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
 
 /// Configuration of the distributed MST stage: phase A's fragment size
@@ -625,98 +636,172 @@ impl Algorithm for FragHook {
 }
 
 // ---------------------------------------------------------------------------
-// Phase B wire types
+// Phase B: the cycle-filtered upcast (`mstB.*`)
 // ---------------------------------------------------------------------------
 
-/// The `mstB.*.exch` payload: current component and physical fragment of
-/// the sender, and — in a tree's first announcement, which goes out on
-/// every port — its BFS in-time, which the neighbor puts into the
-/// candidates it proposes across the edge.
+/// The `mstB.exch` payload: the sender's phase-A fragment and its BFS
+/// in-time. The receiver puts both into the edge it offers across the
+/// port, and keeps the fragment as its port view for the cut stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompMsg {
-    /// Sender's Borůvka component.
-    pub comp: u32,
-    /// Sender's physical fragment (phase-A).
+pub(crate) struct FragLabel {
+    /// Sender's phase-A fragment.
     pub frag: u32,
-    /// Sender's BFS in-time (first announcement of a tree only).
-    pub bfs_in: Option<u32>,
+    /// Sender's BFS in-time.
+    pub bfs_in: u32,
 }
 
-impl Message for CompMsg {
+impl Message for FragLabel {
     fn bit_len(&self) -> usize {
-        TAG_BITS
-            + value_bits(self.comp as u64)
-            + value_bits(self.frag as u64)
-            + self.bfs_in.map_or(0, |t| value_bits(t.into()))
+        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.bfs_in.into())
     }
 }
 
-/// A Borůvka candidate flowing up the BFS tree in `mstB.*.cand`: the best
-/// outgoing edge proposal of one component.
+/// An inter-fragment edge on its way to the leader in `mstB.up`,
+/// offered by its lower-id endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BorCand {
-    /// The proposing component (grouping key).
-    pub comp: u32,
-    /// The candidate edge's packing key fields.
+pub struct InterEdge {
+    /// The edge's packing key fields.
     pub cand: Cand,
-    /// Component on the other side of the edge.
-    pub other_comp: u32,
-    /// BFS in-times of the edge's endpoints (proposer first): where the
-    /// leader routes the edge's `Chosen` row.
+    /// The endpoints' fragments, offering endpoint first.
+    pub frags: (u32, u32),
+    /// The endpoints' BFS in-times, offering endpoint first: where the
+    /// leader routes the edge's `mstB.chosen` row.
     pub ends: (u32, u32),
 }
 
-impl Message for BorCand {
+impl Message for InterEdge {
     fn bit_len(&self) -> usize {
         TAG_BITS
-            + value_bits(self.comp as u64)
             + self.cand.bits()
-            + value_bits(self.other_comp as u64)
+            + value_bits(self.frags.0 as u64)
+            + value_bits(self.frags.1 as u64)
             + value_bits(self.ends.0.into())
             + value_bits(self.ends.1.into())
     }
 }
 
-impl KeyedItem for BorCand {
-    fn key(&self) -> u64 {
-        self.comp as u64
+/// `mstB.up`'s stream order: inter-fragment edges by packing key. One
+/// endpoint offers each edge and the key ends in the edge id, so equal
+/// keys never meet and there is nothing to combine.
+#[derive(Debug)]
+struct KeyOrder;
+
+impl KeyedMonoid for KeyOrder {
+    type Item = InterEdge;
+    type Key = LoadKey;
+
+    fn key(item: &InterEdge) -> LoadKey {
+        item.cand.key()
     }
-    fn better_than(&self, other: &Self) -> bool {
-        self.cand.key() < other.cand.key()
+
+    fn combine(_: InterEdge, _: InterEdge) -> InterEdge {
+        unreachable!("one endpoint offers each edge, so edge keys never meet")
     }
 }
 
-/// Items of the `mstB.*.merge` broadcast.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeItem {
-    /// Component `from` is now part of component `to`.
-    Remap {
-        /// Old component id.
-        from: u32,
-        /// New (representative) component id.
-        to: u32,
-    },
-    /// This edge joined the tree; both endpoints, the only nodes the
-    /// row is routed to, mark it.
-    Chosen {
-        /// Global edge id.
-        edge: u32,
-    },
+/// A node's union-find over the fragment ids it has seen in `mstB.up`.
+/// It holds one `(fragment, parent)` link per fragment merged under
+/// another, sorted by fragment id; a fragment without a link is a class
+/// root. A node links at most `k − 1` fragments, so the memory is that
+/// of the edges it forwards, never `n`.
+#[derive(Debug, Default)]
+struct FragForest {
+    links: Vec<(u32, u32)>,
 }
 
-impl Message for MergeItem {
-    fn bit_len(&self) -> usize {
-        TAG_BITS
-            + match self {
-                MergeItem::Remap { from, to } => value_bits(*from as u64) + value_bits(*to as u64),
-                MergeItem::Chosen { edge } => value_bits(*edge as u64),
-            }
+impl FragForest {
+    fn link(&self, f: u32) -> Result<usize, usize> {
+        self.links.binary_search_by_key(&f, |&(c, _)| c)
+    }
+
+    /// The root of `f`'s class, halving the path on the way.
+    fn root(&mut self, mut f: u32) -> u32 {
+        while let Ok(i) = self.link(f) {
+            let p = self.links[i].1;
+            let Ok(j) = self.link(p) else { return p };
+            f = self.links[j].1;
+            self.links[i].1 = f;
+        }
+        f
+    }
+
+    /// Joins the classes of `a` and `b`. Returns `false` when they are
+    /// one class already, i.e. an edge between them closes a cycle.
+    fn union(&mut self, a: u32, b: u32) -> bool {
+        let (ra, rb) = (self.root(a), self.root(b));
+        if ra == rb {
+            return false;
+        }
+        let child = ra.max(rb);
+        let at = self.link(child).expect_err("a class root has no link");
+        self.links.insert(at, (child, ra.min(rb)));
+        true
+    }
+}
+
+/// `mstB.up`, the cycle-filtered upcast of phase B: every node merges
+/// its own key-sorted inter-fragment edges with its children's streams
+/// on the shared keyed-stream core, and forwards an edge only if it
+/// joins two classes of the node's `FragForest`. A node's output is
+/// therefore the minimum spanning forest of the fragment multigraph on
+/// its subtree's edges, in Kruskal order, and the root receives the MST
+/// of the whole fragment graph: `k − 1` edges for `k` connected
+/// fragments. No node forwards more than `k − 1` edges, so the phase
+/// takes `O(k + height)` rounds. Input per node: `(TreeInfo, offered
+/// edges)` in any order; output: `Some(the kept edges, in key order)`
+/// at each root, `None` elsewhere.
+#[derive(Clone, Debug, Default)]
+pub struct FilteredUpcast;
+
+/// Node state for [`FilteredUpcast`].
+#[derive(Debug)]
+pub struct FuState {
+    core: KeyedStreamReduce<KeyOrder>,
+    forest: FragForest,
+    is_root: bool,
+    /// Root only: the kept edges.
+    out: Vec<InterEdge>,
+}
+
+impl Algorithm for FilteredUpcast {
+    type Input = (congest::TreeInfo, Vec<InterEdge>);
+    type State = FuState;
+    type Msg = StreamMsg<InterEdge>;
+    type Output = Option<Vec<InterEdge>>;
+
+    fn boot(&self, ctx: &NodeCtx<'_>, (tree, own): Self::Input) -> (FuState, Outbox<Self::Msg>) {
+        let state = FuState {
+            is_root: tree.is_root(),
+            core: KeyedStreamReduce::new(ctx, &tree, own),
+            forest: FragForest::default(),
+            out: Vec::new(),
+        };
+        (state, Outbox::new())
+    }
+
+    fn round(
+        &self,
+        s: &mut FuState,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(Port, Self::Msg)],
+    ) -> Step<Self::Msg> {
+        s.core.absorb(inbox);
+        let (forest, out) = (&mut s.forest, &mut s.out);
+        s.core
+            .relay_round(|e| forest.union(e.frags.0, e.frags.1), |e| out.push(e))
+    }
+
+    fn finish(&self, s: FuState, _ctx: &NodeCtx<'_>) -> FinishResult<Self::Output> {
+        Ok(s.is_root.then_some(s.out))
     }
 }
 
 /// Items of the `mstB.report` upcast: an endpoint of a chosen
 /// inter-fragment edge reporting its side, so the leader can assemble the
-/// fragment tree `T_F` with exact endpoints.
+/// fragment tree `T_F` with exact endpoints. An [`InterEdge`] that also
+/// carried both endpoints' node ids would overrun the bit budget on
+/// small instances (85 bits against torus32x32's 80), so the leader
+/// learns them here instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReportItem {
     /// The chosen edge.
@@ -762,17 +847,21 @@ mod tests {
             hook_edge: Some(200),
         };
         assert!(dec.bit_len() <= TAG_BITS + 2 + 8);
-        let bc = BorCand {
-            comp: 100,
+        let e = InterEdge {
             cand: Cand {
                 load: 3,
                 weight: 9,
                 edge: 250,
             },
-            other_comp: 40,
+            frags: (100, 40),
             ends: (130, 9),
         };
-        assert!(bc.bit_len() <= TAG_BITS + 7 + 2 + 4 + 8 + 6 + 8 + 4);
+        assert_eq!(e.bit_len(), TAG_BITS + 2 + 4 + 8 + 7 + 6 + 8 + 4);
+        let l = FragLabel {
+            frag: 100,
+            bfs_in: 130,
+        };
+        assert_eq!(l.bit_len(), TAG_BITS + 7 + 8);
         assert_eq!(
             (HookMsg::Request.bit_len(), HookMsg::Keep.bit_len()),
             (TAG_BITS, TAG_BITS)
@@ -797,16 +886,18 @@ mod tests {
     }
 
     #[test]
-    fn bor_cand_orders_by_relative_load() {
-        let mk = |load, weight, edge| BorCand {
-            comp: 1,
-            cand: Cand { load, weight, edge },
-            other_comp: 2,
-            ends: (0, 1),
-        };
-        // 1/4 beats 1/2; equal ratios fall back to weight then id.
-        assert!(mk(1, 4, 9).better_than(&mk(1, 2, 0)));
-        assert!(mk(1, 2, 0).better_than(&mk(2, 4, 1)));
-        assert!(mk(1, 2, 0).better_than(&mk(1, 2, 1)));
+    fn frag_forest_keeps_exactly_the_spanning_edges() {
+        let mut f = FragForest::default();
+        assert!(f.union(7, 3));
+        assert!(f.union(9, 11));
+        assert!(!f.union(3, 7), "a repeated pair closes a cycle");
+        assert!(f.union(11, 3));
+        assert!(!f.union(9, 7), "9–11–3–7 is one class");
+        assert!(f.union(5, 9));
+        // One link per merged fragment: five fragments, four links.
+        assert_eq!(f.links.len(), 4);
+        let root = f.root(5);
+        assert!([3, 5, 7, 9, 11].iter().all(|&x| f.root(x) == root));
+        assert_eq!(f.root(42), 42, "an unseen fragment is its own class");
     }
 }

@@ -341,8 +341,8 @@ impl Message for AttItem {
 
 /// The `s3` per-edge exchange payload: the in-fragment entry time of the
 /// endpoint. The endpoint's *fragment* is deliberately not on the wire —
-/// every node already holds its neighbors' fragments from the `mstB.*`
-/// delta exchanges, so re-sending them would pay `⌈log₂ n⌉` bits per
+/// every node already holds its neighbors' fragments from the
+/// `mstB.exch` exchange, so re-sending them would pay `⌈log₂ n⌉` bits per
 /// edge direction for information the receiver has.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NbMsg {
