@@ -7,7 +7,7 @@
 //! construction (the parity suites assert it, faults included); the
 //! per-executor rows track *wall time* and — for the faulty rows — the
 //! α-synchronizer's round-overhead factor (`phys_rounds / rounds`),
-//! which `message_gate` budgets on torus24x24.
+//! which `trace_export` bounds on the torus24x24 chaos session.
 //!
 //! Besides the per-run totals, every (instance, executor) pair emits
 //! **per-phase rows** (`phase_rows`): the ledger grouped by phase-label
@@ -16,8 +16,9 @@
 //! the top-3 message-heavy and the top-3 round-heavy stems are printed
 //! per instance — so the trajectory shows *where* the traffic and the
 //! time go, not just how much there is. That is the accounting that
-//! measured the election's and phase A's message cuts, which
-//! `message_gate` now guards.
+//! measured the election's and phase A's message cuts, which the pinned
+//! tests (`tests/large_n.rs`, `tests/congestion_and_rounds.rs`) now
+//! guard.
 //!
 //! Runs in seconds — this is a trend probe, not a full E1–E10 evaluation
 //! (`run_all` remains that). Pass `--large` to append the 70602-node

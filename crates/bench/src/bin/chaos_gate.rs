@@ -20,9 +20,9 @@
 //!    leader is killed mid-`packing` after four of five trees finished.
 //!    The retry must resume from the MST checkpoint
 //!    (`resumed_from = Packed(k)`, k ≥ 1) and its rebuild epoch must
-//!    cost **≤ 50%** of the from-scratch rebuild
-//!    (`checkpoint: false`, the PR 6 path) in both rounds and
-//!    messages, at the same certified λ.
+//!    cost **≤ 50%** of rebuilding from scratch — the exact pipeline on
+//!    the survivor subgraph, which is the clique pair itself — in both
+//!    rounds and messages, at the same certified λ.
 //! 3. **Rejoin.** A non-leader node dies mid-MST and its
 //!    [`CrashEvent::rejoin`] comes due during the census; the driver
 //!    must re-admit it through the `census.e1.join` handshake: nobody
@@ -166,9 +166,7 @@ fn gate_leader_kill() -> bool {
 /// so the checkpointed argmin is a survivor edge, not the pendant's
 /// own cut (a dead argmin would — correctly — void the evidence).
 fn leafed_cliques() -> WeightedGraph {
-    let base = generators::clique_pair(16, 3)
-        .expect("valid clique pair")
-        .graph;
+    let base = cliques();
     let mut edges: Vec<(u32, u32, u64)> = base
         .edge_tuples()
         .map(|(_, u, v, w)| (u.raw() + 1, v.raw() + 1, w))
@@ -177,9 +175,17 @@ fn leafed_cliques() -> WeightedGraph {
     WeightedGraph::from_edges(base.node_count() + 1, edges).expect("valid leafed cliques")
 }
 
+/// The two 16-cliques over 3 bridges that [`leafed_cliques`] hangs its
+/// leader from: the survivor subgraph once the leader is excised.
+fn cliques() -> WeightedGraph {
+    generators::clique_pair(16, 3)
+        .expect("valid clique pair")
+        .graph
+}
+
 /// Scenario 2: the mid-packing leader kill must resume from the MST
-/// checkpoint, and the resumed rebuild must cost ≤ 50% of from-scratch
-/// in rounds AND messages.
+/// checkpoint, and the resumed rebuild must cost ≤ 50% of rebuilding
+/// from scratch (the pipeline on the survivors) in rounds AND messages.
 fn gate_checkpoint_halving() -> bool {
     let g = leafed_cliques();
     let base = ExactConfig {
@@ -212,73 +218,51 @@ fn gate_checkpoint_halving() -> bool {
     .with_plan(plan);
     let run_ckpt = || recover_mincut(&g, &cfg).expect("checkpointed recovery");
     let ckpt = run_ckpt();
-    let scratch =
-        recover_mincut(&g, &cfg.clone().with_checkpoint(false)).expect("from-scratch recovery");
+    let scratch = exact_mincut(&cliques(), &base).expect("from-scratch rebuild");
 
-    // Both paths abort once and excise the leader; the rebuild epoch is
-    // everything past epoch 1's booked waste.
-    let rebuild_rounds = |r: &RecoveredMinCut| r.rounds - r.wasted_rounds[0];
-    let rebuild_msgs = |r: &RecoveredMinCut| r.messages - r.wasted_messages[0];
+    // The recovery aborts once and excises the leader; its rebuild epoch
+    // is everything past epoch 1's booked waste.
+    let rebuild_rounds = ckpt.rounds - ckpt.wasted_rounds[0];
+    let rebuild_msgs = ckpt.messages - ckpt.wasted_messages[0];
     println!(
         "checkpoint halving on leafed clique pair: resumed_from {:?}, rebuild {} vs {} rounds, {} vs {} messages",
-        ckpt.resumed_from,
-        rebuild_rounds(&ckpt),
-        rebuild_rounds(&scratch),
-        rebuild_msgs(&ckpt),
-        rebuild_msgs(&scratch),
+        ckpt.resumed_from, rebuild_rounds, scratch.rounds, rebuild_msgs, scratch.messages,
     );
     let mut ok = true;
-    for (r, label, resumed) in [
-        (&ckpt, "checkpointed", true),
-        (&scratch, "from-scratch", false),
-    ] {
-        let dead: Vec<usize> = r.dead.iter().map(|v| v.index()).collect();
-        if r.epochs != 2 || dead != [0] || r.survivors.len() != 32 {
-            eprintln!(
-                "GATE FAILED: {label}: expected 2 epochs, dead [0], 32 survivors; got {} epochs, dead {dead:?}, {} survivors",
-                r.epochs,
-                r.survivors.len()
-            );
-            ok = false;
-        }
-        if r.oracle != Some(r.cut.value) || r.cut.value != 3 {
-            eprintln!(
-                "GATE FAILED: {label}: λ = {} (oracle {:?}); the clique-pair remnant has λ = 3",
-                r.cut.value, r.oracle
-            );
-            ok = false;
-        }
-        let want_resume = if resumed {
-            "Some(Packed(k ≥ 1))"
-        } else {
-            "None"
-        };
-        let got_ok = match (resumed, r.resumed_from) {
-            (true, Some(Stage::Packed(k))) => k >= 1,
-            (false, None) => true,
-            _ => false,
-        };
-        if !got_ok {
-            eprintln!(
-                "GATE FAILED: {label}: resumed_from = {:?}, want {want_resume}",
-                r.resumed_from
-            );
-            ok = false;
-        }
-    }
-    if 2 * rebuild_rounds(&ckpt) > rebuild_rounds(&scratch) {
+    let dead: Vec<usize> = ckpt.dead.iter().map(|v| v.index()).collect();
+    if ckpt.epochs != 2 || dead != [0] || ckpt.survivors.len() != 32 {
         eprintln!(
-            "GATE FAILED: checkpointed rebuild took {} rounds, over 50% of the {}-round from-scratch rebuild",
-            rebuild_rounds(&ckpt),
-            rebuild_rounds(&scratch)
+            "GATE FAILED: expected 2 epochs, dead [0], 32 survivors; got {} epochs, dead {dead:?}, {} survivors",
+            ckpt.epochs,
+            ckpt.survivors.len()
         );
         ok = false;
     }
-    if 2 * rebuild_msgs(&ckpt) > rebuild_msgs(&scratch) {
+    if ckpt.oracle != Some(ckpt.cut.value) || ckpt.cut.value != 3 || scratch.cut.value != 3 {
         eprintln!(
-            "GATE FAILED: checkpointed rebuild moved {} messages, over 50% of the {}-message from-scratch rebuild",
-            rebuild_msgs(&ckpt),
-            rebuild_msgs(&scratch)
+            "GATE FAILED: λ = {} (oracle {:?}, from scratch {}); the clique-pair remnant has λ = 3",
+            ckpt.cut.value, ckpt.oracle, scratch.cut.value
+        );
+        ok = false;
+    }
+    if !matches!(ckpt.resumed_from, Some(Stage::Packed(k)) if k >= 1) {
+        eprintln!(
+            "GATE FAILED: resumed_from = {:?}, want Some(Packed(k ≥ 1))",
+            ckpt.resumed_from
+        );
+        ok = false;
+    }
+    if 2 * rebuild_rounds > scratch.rounds {
+        eprintln!(
+            "GATE FAILED: checkpointed rebuild took {rebuild_rounds} rounds, over 50% of the {}-round from-scratch rebuild",
+            scratch.rounds
+        );
+        ok = false;
+    }
+    if 2 * rebuild_msgs > scratch.messages {
+        eprintln!(
+            "GATE FAILED: checkpointed rebuild moved {rebuild_msgs} messages, over 50% of the {}-message from-scratch rebuild",
+            scratch.messages
         );
         ok = false;
     }

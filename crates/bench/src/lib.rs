@@ -8,9 +8,9 @@ use mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
 /// The canonical deterministic fault plan of the CI harness: 5% drops,
 /// 2.5% duplication, delay window 2, fixed seed. `bench_smoke`'s faulty
-/// rows and `message_gate`'s synchronizer-overhead budget measure the
-/// *same* plan, so the tracked curve and the gated number cannot drift
-/// apart.
+/// rows and the chaos session that `trace_export` bounds by 10 transport
+/// ticks per virtual round measure the *same* link faults, so the
+/// tracked curve and the gated number cannot drift apart.
 pub const SMOKE_FAULTS: congest::sim::FaultPlan = congest::sim::FaultPlan {
     seed: 0xBE7C4,
     drop_per_mille: 50,
@@ -55,8 +55,7 @@ pub fn chaos_plan() -> congest::sim::FaultPlan {
 /// with certified λ = 6 that `tests/large_n.rs` gates (the umbrella
 /// crate cannot depend on this one, so that test re-states the
 /// constructor — keep them in sync). `bench_smoke --large` measures it
-/// and `message_gate` enforces its election message budget, so the
-/// guarded and the measured workloads cannot drift apart.
+/// and that test pins its exact election and phase-A traffic.
 pub fn large_n_graph() -> WeightedGraph {
     graphs::generators::torus3d_with_chords(42, 41, 41, 300).expect("valid torus construction")
 }

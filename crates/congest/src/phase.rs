@@ -12,7 +12,7 @@
 //! 2. **Registry** — the stems the min-cut pipeline (and the CI gates
 //!    built on it) may emit are enumerated in [`REGISTERED_STEMS`]. A
 //!    stem that drifts (a typo in a `format!`, a renamed phase that the
-//!    `message_gate`/`chaos_gate` budget literals no longer match)
+//!    `chaos_gate` checks no longer match)
 //!    breaks the accounting without breaking any test — unless it is
 //!    caught, which is the job of the `congest_lint` binary in
 //!    `crates/analysis`: it extracts every phase string literal in the
@@ -119,7 +119,7 @@ mod tests {
             "init.deg",
             "mstA.l12.exch",
             "mstA.l4.cd",
-            "mstB.chosen",
+            "mstB.up",
             "s2c.up",
             "orient.tf",
             "side.flood",

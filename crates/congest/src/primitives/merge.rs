@@ -56,7 +56,7 @@
 //! With bandwidth `β·⌈log₂ n⌉` bits per edge per round (β = 8 by
 //! default), one `StreamMsg::Item` must fit in that budget: `TAG_BITS`
 //! (enum discriminants) plus the item's own bits. `GroupedSum`'s widest
-//! key is the driver's case-2 attachment-pair packing `lo·n + hi < n²`,
+//! key is the driver's case-2 fragment-pair packing `lo·n + hi < n²`,
 //! i.e. at most `2⌈log₂ n⌉` key bits — within the default budget for
 //! every `n` (this is what lifts the old `n ≤ 65535` cap of the `u32`
 //! packing), leaving `(β − 2)⌈log₂ n⌉ − O(1)` bits for the payload,

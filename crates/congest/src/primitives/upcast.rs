@@ -2,7 +2,7 @@
 //! one item per edge per round — `O(k + height)` rounds for `k` items.
 //!
 //! The pipeline uses it wherever every item must reach the root
-//! (`mstB.report`, `s2c.up`, `s5c`). The MST's phase-B edge collection
+//! (`s2c.up`, `s5c`). The MST's phase-B edge collection (`mstB.up`)
 //! drops items on the way up, so it runs on the keyed merge core
 //! ([`crate::primitives::merge`]) instead.
 

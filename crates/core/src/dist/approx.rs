@@ -121,7 +121,7 @@ pub fn approx_mincut(
             },
             sample: (!exact_rung).then_some((p, config.seed ^ rung)),
         };
-        match run_pipeline(g, &opts) {
+        match run_pipeline(g, &opts, None, None).map_err(|(e, _)| e) {
             Ok(outcome) => {
                 rounds += outcome.rounds;
                 messages += outcome.messages;
@@ -153,15 +153,13 @@ pub fn approx_mincut(
                 lambda_hat: 1,
                 p: 1.0,
             });
-            let outcome = run_pipeline(
-                g,
-                &PipelineOpts {
-                    network: config.network.clone(),
-                    mst: config.mst.clone(),
-                    target: PackingTarget::TrackBest(PackingConfig::default()),
-                    sample: None,
-                },
-            )?;
+            let opts = PipelineOpts {
+                network: config.network.clone(),
+                mst: config.mst.clone(),
+                target: PackingTarget::TrackBest(PackingConfig::default()),
+                sample: None,
+            };
+            let outcome = run_pipeline(g, &opts, None, None).map_err(|(e, _)| e)?;
             rounds += outcome.rounds;
             messages += outcome.messages;
             ledger.extend_from(&outcome.ledger, None);

@@ -73,7 +73,7 @@ pub struct BaselineResult {
 }
 
 fn run_baseline(g: &WeightedGraph, opts: &PipelineOpts) -> Result<BaselineResult, MinCutError> {
-    let outcome = run_pipeline(g, opts)?;
+    let outcome = run_pipeline(g, opts, None, None).map_err(|(e, _)| e)?;
     Ok(BaselineResult {
         cut: outcome.cut,
         rounds: outcome.rounds,

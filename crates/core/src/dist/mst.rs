@@ -32,7 +32,7 @@
 //!   ("Phase A: meet the paper's level bound") tracks the missing level
 //!   bound, and `docs/mst.md` describes the protocol in full.
 //! * **Phase B (`mstB.*`) — one cycle-filtered upcast.** With
-//!   `k ≤ √n` fragments left, four fixed phases finish the tree, as in
+//!   `k ≤ √n` fragments left, two fixed phases finish the tree, as in
 //!   Kutten–Peleg's pipelined second stage:
 //!   - `.exch` tells every neighbor the sender's fragment and BFS
 //!     in-time;
@@ -40,11 +40,10 @@
 //!     the BFS tree in key order, and every node drops each edge that
 //!     closes a cycle among the fragments it has seen, so the leader
 //!     receives the MST of the fragment graph — `k − 1` edges — in
-//!     `O(k + D)` rounds;
-//!   - `.chosen` routes each chosen edge id to its two endpoints, which
-//!     mark it;
-//!   - `.report` upcasts the chosen edges' endpoints ([`ReportItem`]),
-//!     from which the leader builds the fragment tree `T_F`.
+//!     `O(k + D)` rounds. Each edge carries both fragments, from which
+//!     the leader builds the fragment tree `T_F` directly, and both
+//!     endpoints' BFS in-times, by which it routes the rows meant for an
+//!     attachment.
 //!
 //!   Fragments stay *physical* (their internal trees are untouched);
 //!   phase-B edges become the inter-fragment edges of the final tree,
@@ -665,7 +664,8 @@ pub struct InterEdge {
     /// The endpoints' fragments, offering endpoint first.
     pub frags: (u32, u32),
     /// The endpoints' BFS in-times, offering endpoint first: where the
-    /// leader routes the edge's `mstB.chosen` row.
+    /// leader routes the cut stage's rows for the endpoint that becomes
+    /// an attachment of `T_F`.
     pub ends: (u32, u32),
 }
 
@@ -793,35 +793,6 @@ impl Algorithm for FilteredUpcast {
 
     fn finish(&self, s: FuState, _ctx: &NodeCtx<'_>) -> FinishResult<Self::Output> {
         Ok(s.is_root.then_some(s.out))
-    }
-}
-
-/// Items of the `mstB.report` upcast: an endpoint of a chosen
-/// inter-fragment edge reporting its side, so the leader can assemble the
-/// fragment tree `T_F` with exact endpoints. An [`InterEdge`] that also
-/// carried both endpoints' node ids would overrun the bit budget on
-/// small instances (85 bits against torus32x32's 80), so the leader
-/// learns them here instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReportItem {
-    /// The chosen edge.
-    pub edge: u32,
-    /// The reporting endpoint's physical fragment.
-    pub frag: u32,
-    /// The reporting endpoint.
-    pub node: u32,
-    /// Its BFS in-time: where the leader routes the `s4b` and `s5d` rows
-    /// meant for it.
-    pub bfs_in: u32,
-}
-
-impl Message for ReportItem {
-    fn bit_len(&self) -> usize {
-        TAG_BITS
-            + value_bits(self.edge as u64)
-            + value_bits(self.frag as u64)
-            + value_bits(self.node as u64)
-            + value_bits(self.bfs_in.into())
     }
 }
 

@@ -8,27 +8,36 @@
 //! The stage then runs, per packed tree:
 //!
 //! 1. `orient.tf` / `orient.flood` — the leader roots `T_F` at its own
-//!    fragment and broadcasts one [`TfRec`] per fragment (child
-//!    connector, parent attachment, edge). Each fragment re-roots
-//!    internally at its connector ([`FragReroot`]), which globally roots
-//!    the tree at the leader without ever paying `Θ(depth)` rounds.
+//!    fragment and broadcasts one [`TfRec`] per non-root fragment: the
+//!    fragment, its parent fragment and the tree edge joining them. A
+//!    node incident to the edge marks that port and reads its role off
+//!    its own fragment: the *connector* if it lies in the row's
+//!    fragment, the *attachment* if it lies in the parent. Each fragment
+//!    re-roots internally at its connector ([`FragReroot`]), which
+//!    globally roots the tree at the leader without ever paying
+//!    `Θ(depth)` rounds.
 //! 2. `s2a`/`s2b` — in-fragment subtree sizes ([`SizesUp`]) and Euler
 //!    intervals ([`IntervalDown`]): afterwards every node can test
 //!    in-fragment ancestorship locally from `O(log n)` bits.
 //! 3. `s2c` — each fragment gathers and rebroadcasts the Euler in-times
-//!    of its *attachment points* (nodes where child fragments hang).
-//! 4. `s3` — every edge exchanges `(fragment, in-time)` across itself;
-//!    with the `T_F` table each endpoint classifies its edge into the
-//!    paper's LCA cases: same fragment (case 1), LCA in one endpoint's
-//!    fragment (case 3), or LCA in a third fragment — a *merging node*
-//!    (case 2).
-//! 5. `s4a`/`s4b` — case-2 contributions are keyed by the pair of
-//!    attachment points below the merging node and summed with one
+//!    of its *attachment points* (nodes where child fragments hang),
+//!    one row per child fragment, keyed by that child fragment: a node
+//!    names an attachment by the fragment hung there, never by node id.
+//! 4. `s3` — every edge exchanges in-times across itself (the
+//!    neighbors' fragments are known from `mstB.exch`); with the `T_F`
+//!    table each endpoint classifies its edge into the paper's LCA
+//!    cases: same fragment (case 1), LCA in one endpoint's fragment
+//!    (case 3, aimed at the in-time of the attachment of the child
+//!    fragment below the LCA), or LCA in a third fragment — a *merging
+//!    node* (case 2).
+//! 5. `s4a`/`s4b` — case-2 contributions are keyed by the pair of child
+//!    fragments below the merging node's fragment and summed with one
 //!    pipelined grouped-sum to the leader, which routes each pair back
-//!    to its first attachment only. That node holds the second
-//!    attachment's in-fragment in-time (both hang in the merging node's
-//!    fragment, whose attachment in-times `s2c` spread) and turns the
-//!    pair into an `s5` token aimed at it.
+//!    to the attachment of its first child fragment only. That node
+//!    holds the in-fragment in-time of the second child fragment's
+//!    attachment (both hang in the merging node's fragment, whose
+//!    attachment in-times `s2c` spread) and turns the pair into an `s5`
+//!    token aimed at it.
 //! 6. `s5` — case-1/3 contributions and the case-2 pair tokens travel as
 //!    [`Token`]s up the fragment tree ([`TokensUp`]) and are absorbed by
 //!    the first ancestor whose interval contains the partner, i.e.
@@ -75,19 +84,17 @@ use std::collections::{BTreeMap, VecDeque};
 // Orient
 // ---------------------------------------------------------------------------
 
-/// One row of the fragment tree `T_F`, broadcast to every node.
+/// One row of the fragment tree `T_F`, broadcast to every node. The row
+/// names no node: the endpoint of `edge` inside `frag` is the fragment's
+/// connector (its root after orientation), and the endpoint inside
+/// `parent` is the attachment (the connector's parent in the global
+/// tree). Each endpoint knows which it is from its own fragment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TfRec {
     /// The (physical) fragment this row describes.
     pub frag: u32,
     /// Its parent fragment in `T_F`.
     pub parent: u32,
-    /// The connector: the endpoint of the inter-fragment edge inside
-    /// `frag`; becomes the fragment's root after orientation.
-    pub c: u32,
-    /// The attachment: the endpoint inside the parent fragment; becomes
-    /// the connector's parent in the global tree.
-    pub a: u32,
     /// The inter-fragment tree edge.
     pub edge: u32,
 }
@@ -97,8 +104,6 @@ impl Message for TfRec {
         TAG_BITS
             + value_bits(self.frag as u64)
             + value_bits(self.parent as u64)
-            + value_bits(self.c as u64)
-            + value_bits(self.a as u64)
             + value_bits(self.edge as u64)
     }
 }
@@ -323,19 +328,21 @@ impl Algorithm for IntervalDown {
 // s2c / s3 / s4 wire types
 // ---------------------------------------------------------------------------
 
-/// An attachment point's identity and in-fragment entry time, gathered to
-/// the fragment root and rebroadcast fragment-wide.
+/// An attachment point's in-fragment entry time, named by a child
+/// fragment hung there, gathered to the fragment root and rebroadcast
+/// fragment-wide. An attachment hosting several child fragments sends
+/// one item per child fragment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AttItem {
-    /// The attachment node.
-    pub node: u32,
-    /// Its in-fragment entry time.
+    /// The child fragment hung at the attachment.
+    pub frag: u32,
+    /// The attachment's in-fragment entry time.
     pub in_t: u32,
 }
 
 impl Message for AttItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.node as u64) + value_bits(self.in_t as u64)
+        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.in_t as u64)
     }
 }
 
@@ -356,21 +363,22 @@ impl Message for NbMsg {
     }
 }
 
-/// A resolved case-2 (merging node) contribution, routed from the leader
-/// to the pair's first attachment `a1` (the smaller id; the route names
-/// it, so the row does not): total weight `w` of the edges whose LCA is
-/// the lowest common ancestor of `a1` and `a2`.
+/// A resolved case-2 (merging node) contribution for the child-fragment
+/// pair `(g1, g2)`, `g1 < g2`, routed from the leader to the attachment
+/// `a1` of `g1` (the route names it, so the row does not): total weight
+/// `w` of the edges whose LCA is the lowest common ancestor of `a1` and
+/// the attachment `a2` of `g2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairItem {
-    /// Second attachment.
-    pub a2: u32,
+    /// The second child fragment, `g2`.
+    pub frag: u32,
     /// Total crossing weight of the pair.
     pub w: u64,
 }
 
 impl Message for PairItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.a2 as u64) + value_bits(self.w)
+        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.w)
     }
 }
 
@@ -868,16 +876,16 @@ mod tests {
 
     #[test]
     fn message_sizes_are_logarithmic() {
+        // A `T_F` row is exactly its fragment, parent fragment and edge:
+        // it names no node.
         let tf = TfRec {
             frag: 100,
             parent: 90,
-            c: 101,
-            a: 91,
             edge: 250,
         };
-        assert!(tf.bit_len() <= TAG_BITS + 4 * 7 + 8);
+        assert_eq!(tf.bit_len(), TAG_BITS + 7 + 7 + 8);
         assert!(Token { t_in: 140, w: 8 }.bit_len() <= TAG_BITS + 8 + 4);
-        assert!(PairItem { a2: 20, w: 300 }.bit_len() <= TAG_BITS + 5 + 9);
+        assert!(PairItem { frag: 20, w: 300 }.bit_len() <= TAG_BITS + 5 + 9);
         assert!(
             SideMsg {
                 singleton: false,

@@ -75,10 +75,11 @@
 //!
 //! The loop ends when an attempt completes; the recovered cut is then
 //! **certified** against the sequential Stoer–Wagner oracle on the
-//! surviving subgraph (enabled by default). If a *resumed* attempt
-//! fails certification, the checkpoints are discarded and the epoch
-//! retries from scratch — stale evidence can cost rounds, never
-//! correctness; a from-scratch mismatch is a real error.
+//! surviving subgraph, always. If a *resumed* attempt fails
+//! certification, the checkpoints are discarded and the epoch retries
+//! from scratch — stale evidence can cost rounds, never correctness; a
+//! from-scratch mismatch is a real error. The loop gives up after eight
+//! attempts (`MAX_EPOCHS`).
 //!
 //! # Accounting
 //!
@@ -97,8 +98,8 @@
 //! byte-identical merged ledgers (asserted in `tests/self_healing.rs`).
 
 use crate::dist::driver::{
-    run_pipeline_checkpointed, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog,
-    RestoredTree, ResumeSpec,
+    run_pipeline, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree,
+    ResumeSpec,
 };
 use crate::dist::packing::PackingTarget;
 use crate::seq::stoer_wagner;
@@ -114,6 +115,12 @@ use std::collections::BTreeSet;
 /// is dead-from-boot in the next; two passes settle any single
 /// mid-census death and the third is slack for cascades.
 const MAX_CENSUS_PASSES: usize = 3;
+
+/// Maximum pipeline attempts before giving up. Each epoch either
+/// excises at least one node or consumes a one-shot adversary event (a
+/// partition window, a pending rejoin), so this caps how much adversity
+/// the driver absorbs before declaring the instance unrecoverable.
+const MAX_EPOCHS: usize = 8;
 
 /// The pipeline stage a resumed attempt restarted from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,33 +148,14 @@ pub struct RecoverConfig {
     /// across the whole recovery session (failed attempts, censuses and
     /// handshakes included).
     pub plan: FaultPlan,
-    /// Maximum pipeline attempts before giving up (min 1). Each epoch
-    /// either excises at least one node or consumes a one-shot
-    /// adversary event (a partition window, a pending rejoin), so this
-    /// caps how much adversity the driver absorbs before declaring the
-    /// instance unrecoverable.
-    pub max_epochs: usize,
-    /// Certify the recovered cut against the sequential Stoer–Wagner
-    /// oracle on the surviving subgraph (default `true`). Disable only
-    /// for benchmarks where the oracle's `O(nm + n² log n)` cost drowns
-    /// the signal.
-    pub certify: bool,
-    /// Resume aborted sessions from stage checkpoints (default `true`).
-    /// Disable to force every epoch to restart from round 0 — the
-    /// from-scratch baseline the chaos gate compares against.
-    pub checkpoint: bool,
 }
 
 impl Default for RecoverConfig {
-    /// Default pipeline config, a lossless crash-free plan, at most 8
-    /// epochs, certification and checkpointing on.
+    /// Default pipeline config and a lossless crash-free plan.
     fn default() -> Self {
         RecoverConfig {
             base: ExactConfig::default(),
             plan: FaultPlan::lossless(),
-            max_epochs: 8,
-            certify: true,
-            checkpoint: true,
         }
     }
 }
@@ -176,11 +164,6 @@ impl RecoverConfig {
     /// This config with the given fault plan.
     pub fn with_plan(self, plan: FaultPlan) -> Self {
         RecoverConfig { plan, ..self }
-    }
-
-    /// This config with checkpointed resume on or off.
-    pub fn with_checkpoint(self, checkpoint: bool) -> Self {
-        RecoverConfig { checkpoint, ..self }
     }
 
     /// This config with an observability sink attached to its base
@@ -216,8 +199,9 @@ pub struct RecoveredMinCut {
     /// The stage checkpoint the **successful** attempt resumed from
     /// (`None` = it ran from scratch — also the crash-free case).
     pub resumed_from: Option<Stage>,
-    /// The Stoer–Wagner λ of the surviving subgraph, when certification
-    /// ran (it always equals `cut.value` — a mismatch is an error).
+    /// The Stoer–Wagner λ of the surviving subgraph. Certification
+    /// always runs, so this is always `Some`, and it equals `cut.value`
+    /// (a mismatch is an error).
     pub oracle: Option<u64>,
     /// Total virtual rounds across the whole session, recovery included.
     pub rounds: u64,
@@ -418,12 +402,12 @@ fn build_resume(
 ///
 /// Everything [`crate::dist::driver::exact_mincut`] can return, plus
 /// [`MinCutError::InvalidConfig`] when recovery does not converge
-/// within [`RecoverConfig::max_epochs`] epochs, when a from-scratch
-/// attempt fails certification, or when the rejoin handshake misses a
-/// rejoiner, and [`MinCutError::TooSmall`] when fewer than two nodes
-/// survive. Errors other than [`CongestError::NodeSuspected`] —
-/// bandwidth violations, retransmission exhaustion — are *not*
-/// recoverable and propagate from the failing attempt unchanged.
+/// within eight epochs, when a from-scratch attempt fails
+/// certification, or when the rejoin handshake misses a rejoiner, and
+/// [`MinCutError::TooSmall`] when fewer than two nodes survive. Errors
+/// other than [`CongestError::NodeSuspected`] — bandwidth violations,
+/// retransmission exhaustion — are *not* recoverable and propagate from
+/// the failing attempt unchanged.
 pub fn recover_mincut(
     g: &WeightedGraph,
     cfg: &RecoverConfig,
@@ -437,17 +421,12 @@ pub fn recover_mincut(
     let mut rejoined: BTreeSet<u32> = BTreeSet::new();
     let mut plan = cfg.plan.clone();
     plan.on_suspect = SuspicionPolicy::Abort;
-    let max_epochs = cfg.max_epochs.max(1);
     let mut master: Option<MasterLog> = None;
 
-    for epoch in 1..=max_epochs {
-        let resume = if cfg.checkpoint {
-            master
-                .as_ref()
-                .and_then(|m| build_resume(g, m, &orig, n0, epoch))
-        } else {
-            None
-        };
+    for epoch in 1..=MAX_EPOCHS {
+        let resume = master
+            .as_ref()
+            .and_then(|m| build_resume(g, m, &orig, n0, epoch));
         let (spec, stage) = match resume {
             Some((spec, stage)) => (Some(spec), Some(stage)),
             None => (None, None),
@@ -459,89 +438,79 @@ pub fn recover_mincut(
             sample: None,
         };
         let mut attempt_log = RecoveryLog::default();
-        let err =
-            match run_pipeline_checkpointed(&cur, &opts, spec.as_ref(), Some(&mut attempt_log)) {
-                Ok(outcome) => {
-                    let oracle = if cfg.certify {
-                        let sw = stoer_wagner(&cur)?;
-                        if sw.value != outcome.cut.value {
-                            if spec.is_some() {
-                                // The safety valve: resumed evidence that
-                                // fails the oracle is discarded, the
-                                // poisoned attempt is booked as recovery
-                                // waste, and the epoch retries from
-                                // scratch. Stale checkpoints can cost
-                                // rounds, never correctness.
-                                merged.extend_from(
-                                    &outcome.ledger,
-                                    Some(&format!("recover.e{epoch}.")),
-                                );
-                                plan = plan.rebased(outcome.ledger.total_rounds());
-                                master = None;
-                                continue;
-                            }
-                            return Err(MinCutError::InvalidConfig {
-                                reason: format!(
-                                    "survivor certification failed: recovered λ = {} but the \
-                                 sequential oracle finds {} on the surviving subgraph",
-                                    outcome.cut.value, sw.value
-                                ),
-                            });
-                        }
-                        Some(sw.value)
-                    } else {
-                        None
-                    };
-                    merged.extend_from(&outcome.ledger, None);
-                    dead.sort_unstable();
-                    let wasted_rounds: Vec<u64> = (1..=epoch)
-                        .map(|k| {
-                            merged.rounds_matching(&format!("recover.e{k}."))
-                                + merged.rounds_matching(&format!("census.e{k}."))
-                        })
-                        .collect();
-                    let wasted_messages: Vec<u64> = (1..=epoch)
-                        .map(|k| {
-                            merged.messages_matching(&format!("recover.e{k}."))
-                                + merged.messages_matching(&format!("census.e{k}."))
-                        })
-                        .collect();
-                    return Ok(RecoveredMinCut {
-                        cut: outcome.cut,
-                        survivors: orig.iter().map(|&v| NodeId::new(v)).collect(),
-                        dead: dead.iter().map(|&v| NodeId::new(v)).collect(),
-                        rejoined: rejoined.iter().map(|&v| NodeId::new(v)).collect(),
-                        epochs: epoch,
-                        resumed_from: stage,
-                        oracle,
-                        rounds: merged.total_rounds(),
-                        messages: merged.total_messages(),
-                        recovery_rounds: merged.rounds_matching("recover.")
-                            + merged.rounds_matching("census."),
-                        recovery_messages: merged.messages_matching("recover.")
-                            + merged.messages_matching("census."),
-                        wasted_rounds,
-                        wasted_messages,
-                        ledger: merged,
+        let err = match run_pipeline(&cur, &opts, spec.as_ref(), Some(&mut attempt_log)) {
+            Ok(outcome) => {
+                let oracle = stoer_wagner(&cur)?.value;
+                if oracle != outcome.cut.value {
+                    if spec.is_some() {
+                        // The safety valve: resumed evidence that fails
+                        // the oracle is discarded, the poisoned attempt
+                        // is booked as recovery waste, and the epoch
+                        // retries from scratch. Stale checkpoints can
+                        // cost rounds, never correctness.
+                        merged.extend_from(&outcome.ledger, Some(&format!("recover.e{epoch}.")));
+                        plan = plan.rebased(outcome.ledger.total_rounds());
+                        master = None;
+                        continue;
+                    }
+                    return Err(MinCutError::InvalidConfig {
+                        reason: format!(
+                            "survivor certification failed: recovered λ = {} but the \
+                             sequential oracle finds {oracle} on the surviving subgraph",
+                            outcome.cut.value
+                        ),
                     });
                 }
-                Err((e, attempt_ledger)) => {
-                    // Resume validation phases are born with the
-                    // `recover.e{epoch}.` prefix and keep it once.
-                    merged.extend_from(&attempt_ledger, Some(&format!("recover.e{epoch}.")));
-                    // Keep the richest coherent checkpoint snapshot: a
-                    // deeper log supersedes; a shallower abort (it died
-                    // before re-reaching the old depth) keeps the old one.
-                    if attempt_log.bfs.is_some()
-                        && master
-                            .as_ref()
-                            .is_none_or(|m| attempt_log.trees.len() >= m.trees.len())
-                    {
-                        master = Some(to_orig(&attempt_log, &orig, n0));
-                    }
-                    e
+                merged.extend_from(&outcome.ledger, None);
+                dead.sort_unstable();
+                let wasted_rounds: Vec<u64> = (1..=epoch)
+                    .map(|k| {
+                        merged.rounds_matching(&format!("recover.e{k}."))
+                            + merged.rounds_matching(&format!("census.e{k}."))
+                    })
+                    .collect();
+                let wasted_messages: Vec<u64> = (1..=epoch)
+                    .map(|k| {
+                        merged.messages_matching(&format!("recover.e{k}."))
+                            + merged.messages_matching(&format!("census.e{k}."))
+                    })
+                    .collect();
+                return Ok(RecoveredMinCut {
+                    cut: outcome.cut,
+                    survivors: orig.iter().map(|&v| NodeId::new(v)).collect(),
+                    dead: dead.iter().map(|&v| NodeId::new(v)).collect(),
+                    rejoined: rejoined.iter().map(|&v| NodeId::new(v)).collect(),
+                    epochs: epoch,
+                    resumed_from: stage,
+                    oracle: Some(oracle),
+                    rounds: merged.total_rounds(),
+                    messages: merged.total_messages(),
+                    recovery_rounds: merged.rounds_matching("recover.")
+                        + merged.rounds_matching("census."),
+                    recovery_messages: merged.messages_matching("recover.")
+                        + merged.messages_matching("census."),
+                    wasted_rounds,
+                    wasted_messages,
+                    ledger: merged,
+                });
+            }
+            Err((e, attempt_ledger)) => {
+                // Resume validation phases are born with the
+                // `recover.e{epoch}.` prefix and keep it once.
+                merged.extend_from(&attempt_ledger, Some(&format!("recover.e{epoch}.")));
+                // Keep the richest coherent checkpoint snapshot: a
+                // deeper log supersedes; a shallower abort (it died
+                // before re-reaching the old depth) keeps the old one.
+                if attempt_log.bfs.is_some()
+                    && master
+                        .as_ref()
+                        .is_none_or(|m| attempt_log.trees.len() >= m.trees.len())
+                {
+                    master = Some(to_orig(&attempt_log, &orig, n0));
                 }
-            };
+                e
+            }
+        };
         let MinCutError::Congest(CongestError::NodeSuspected { round, .. }) = &err else {
             // Non-crash failures (bandwidth, retransmission exhaustion,
             // degenerate inputs) are not recoverable by excision.
@@ -728,7 +697,7 @@ pub fn recover_mincut(
         }
     }
     Err(MinCutError::InvalidConfig {
-        reason: format!("crash recovery did not converge within {max_epochs} epochs"),
+        reason: format!("crash recovery did not converge within {MAX_EPOCHS} epochs"),
     })
 }
 
@@ -750,6 +719,18 @@ mod tests {
             .take_while(|p| !p.name.starts_with("mstA"))
             .map(|p| p.rounds)
             .sum()
+    }
+
+    /// `g` with node `dead` excised and the ids above it shifted down:
+    /// the survivor subgraph of a recovery that excises `dead`, on which
+    /// a from-scratch rebuild runs the plain pipeline.
+    fn excised(g: &WeightedGraph, dead: u32) -> WeightedGraph {
+        let id = |v: NodeId| v.raw() - u32::from(v.raw() > dead);
+        let edges = g
+            .edge_tuples()
+            .filter(|(_, u, v, _)| u.raw() != dead && v.raw() != dead)
+            .map(|(_, u, v, w)| (id(u), id(v), w));
+        WeightedGraph::from_edges(g.node_count() - 1, edges.collect::<Vec<_>>()).unwrap()
     }
 
     #[test]
@@ -889,9 +870,9 @@ mod tests {
         // Kill a node that is a LEAF of the first packed tree, after
         // that tree finished — the checkpointed tree minus a leaf still
         // spans the survivors, so the retry must restore it — and
-        // compare checkpointed resume against the from-scratch
-        // baseline: same certified answer, strictly fewer post-abort
-        // rounds.
+        // compare checkpointed resume against rebuilding from scratch,
+        // i.e. the pipeline on the survivor subgraph: same certified
+        // answer, strictly fewer post-abort rounds.
         let g = generators::torus2d(4, 4).unwrap();
         let base = ExactConfig::default();
         let opts = PipelineOpts {
@@ -901,7 +882,7 @@ mod tests {
             sample: None,
         };
         let mut log = RecoveryLog::default();
-        let clean = run_pipeline_checkpointed(&g, &opts, None, Some(&mut log))
+        let clean = run_pipeline(&g, &opts, None, Some(&mut log))
             .map_err(|(e, _)| e)
             .unwrap();
         assert!(!log.trees.is_empty(), "the clean run checkpoints its trees");
@@ -927,30 +908,22 @@ mod tests {
             }
         }
         let plan = FaultPlan::lossless().with_crash(victim, crash_at + 1);
-        let ckpt = recover_mincut(&g, &RecoverConfig::default().with_plan(plan.clone())).unwrap();
-        let scratch = recover_mincut(
-            &g,
-            &RecoverConfig::default()
-                .with_plan(plan)
-                .with_checkpoint(false),
-        )
-        .unwrap();
+        let ckpt = recover_mincut(&g, &RecoverConfig::default().with_plan(plan)).unwrap();
+        let scratch = exact_mincut(&excised(&g, victim), &base).unwrap();
         assert_eq!(ckpt.cut.value, scratch.cut.value);
-        assert_eq!(ckpt.oracle, scratch.oracle);
+        assert_eq!(ckpt.oracle, Some(scratch.cut.value));
         assert_eq!(ckpt.dead, vec![NodeId::new(victim)]);
-        assert_eq!(scratch.resumed_from, None);
         assert!(
             matches!(ckpt.resumed_from, Some(Stage::Packed(k)) if k >= 1),
             "at least the finished tree must be restored, got {:?}",
             ckpt.resumed_from
         );
         // The resumed epoch skips the restored trees' MST stages.
-        let work = |r: &RecoveredMinCut| r.rounds - r.wasted_rounds[0];
+        let work = ckpt.rounds - ckpt.wasted_rounds[0];
         assert!(
-            work(&ckpt) < work(&scratch),
-            "resume must be cheaper: {} vs {}",
-            work(&ckpt),
-            work(&scratch)
+            work < scratch.rounds,
+            "resume must be cheaper: {work} vs {}",
+            scratch.rounds
         );
     }
 
@@ -999,7 +972,7 @@ mod tests {
         }
         .with_plan(plan);
         let ckpt = recover_mincut(&g, &cfg).unwrap();
-        let scratch = recover_mincut(&g, &cfg.clone().with_checkpoint(false)).unwrap();
+        let scratch = exact_mincut(&excised(&g, 0), &cfg.base).unwrap();
         assert_eq!(ckpt.dead, vec![NodeId::new(0)]);
         assert_eq!(ckpt.survivors.len(), 16);
         assert_eq!(ckpt.cut.value, 4, "λ of the bare torus remnant");
@@ -1019,20 +992,19 @@ mod tests {
         );
         // Evidence replay runs no cut stage for the restored tree: the
         // final epoch books one fewer `s5g` than the from-scratch path.
-        let final_s5g =
-            |r: &RecoveredMinCut| r.ledger.phases().iter().filter(|p| p.name == "s5g").count();
+        // (The aborted attempt's phases carry a `recover.` prefix.)
+        let s5g = |l: &MetricsLedger| l.phases().iter().filter(|p| p.name == "s5g").count();
         assert!(
-            final_s5g(&ckpt) < final_s5g(&scratch),
+            s5g(&ckpt.ledger) < s5g(&scratch.ledger),
             "a replayed tree must not re-run its cut stage: {} vs {}",
-            final_s5g(&ckpt),
-            final_s5g(&scratch)
+            s5g(&ckpt.ledger),
+            s5g(&scratch.ledger)
         );
-        let work = |r: &RecoveredMinCut| r.rounds - r.wasted_rounds[0];
+        let work = ckpt.rounds - ckpt.wasted_rounds[0];
         assert!(
-            2 * work(&ckpt) <= work(&scratch),
-            "evidence replay must at least halve the rebuild: {} vs {}",
-            work(&ckpt),
-            work(&scratch)
+            2 * work <= scratch.rounds,
+            "evidence replay must at least halve the rebuild: {work} vs {}",
+            scratch.rounds
         );
     }
 

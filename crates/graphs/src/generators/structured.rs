@@ -125,7 +125,7 @@ pub fn torus2d(rows: usize, cols: usize) -> Result<WeightedGraph, GeneratorError
 /// the large-`n` regression test and its benchmark row, which must
 /// measure the *same* instance (hence one shared builder). Chord
 /// endpoints come from a fixed xorshift stream restricted to the
-/// high-id half, so attachment pairs land on large ids (large packed
+/// high-id half, so case-2 pair keys land on large ids (large packed
 /// keys).
 ///
 /// # Errors

@@ -130,7 +130,15 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
         .map(|a| u64::from(bfs[a.index()].tree.depth))
         .sum();
     assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
-    // Phase B is four fixed phases per tree, and its filtered upcast
+    // Phase A, the capped fragment growth, exactly.
+    assert_eq!(
+        (
+            r.ledger.rounds_matching("mstA"),
+            r.ledger.messages_matching("mstA")
+        ),
+        (608, 26_046)
+    );
+    // Phase B is two fixed phases per tree, and its filtered upcast
     // meets the paper's O(k + D) bound as h + k rounds: h the BFS
     // height, k the tree's phase-A fragments.
     let phases = r.ledger.phases();
@@ -139,7 +147,7 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
         .map(|p| p.name.as_str())
         .filter(|name| name.starts_with("mstB"))
         .collect();
-    let per_tree = ["mstB.exch", "mstB.up", "mstB.chosen", "mstB.report"];
+    let per_tree = ["mstB.exch", "mstB.up"];
     assert_eq!(mst_b, per_tree.repeat(r.trees_packed));
     let h = bfs.iter().map(|o| u64::from(o.tree.depth)).max().unwrap();
     let up = phases.iter().filter(|p| p.name == "mstB.up");
@@ -152,5 +160,5 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     }
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((r.rounds, r.messages), (2_270, 112_346));
+    assert_eq!((r.rounds, r.messages), (2_110, 108_375));
 }
