@@ -27,6 +27,15 @@
 //! `--out <path>`) — the artifact the large-n CI job uploads. Load it
 //! at <https://ui.perfetto.dev> for one track per phase stem plus the
 //! transport and recovery tracks.
+//!
+//! The trace is not the whole session. The sink keeps its events in a
+//! ring of [`congest::obs::DEFAULT_CAPACITY`] = 65,536, and the session
+//! records about 5.35M (the run prints how many the ring dropped), so
+//! the file holds every phase slice but only the instants of the
+//! session's last 65,536 events: the leader kill and most of the
+//! transport and recovery instants are not in it. A complete trace
+//! would be about 0.76 GB of JSON at the measured 143 bytes per event;
+//! keeping the instants that matter needs a filter, not a larger ring.
 
 use congest::obs::{export_chrome_trace, json, CostCenter};
 use congest::{MetricsLedger, ObsHandle, SimPhaseStats};
@@ -58,14 +67,14 @@ fn run(obs: Option<&ObsHandle>) -> (RecoveredMinCut, MetricsLedger) {
 /// The canonical chaos instance's transport, as both runs must report
 /// it: ledger totals, then the FNV-1a digest of [`sim_digest`].
 const PINNED: [(&str, u64); 8] = [
-    ("ticks", 18_516),
-    ("ctrl_frames", 4_736_703),
-    ("data_frames", 183_209),
-    ("dropped", 244_846),
-    ("duplicated", 113_352),
-    ("retransmitted", 29_582),
+    ("ticks", 18_408),
+    ("ctrl_frames", 4_652_664),
+    ("data_frames", 165_270),
+    ("dropped", 239_722),
+    ("duplicated", 110_937),
+    ("retransmitted", 26_205),
     ("suspicions", 4),
-    ("sim_digest", 0xA61B_17CC_2DE5_7392),
+    ("sim_digest", 0x63A0_F599_7654_B34B),
 ];
 
 /// Transport ticks allowed per virtual round of the chaos session.

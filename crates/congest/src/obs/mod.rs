@@ -45,8 +45,12 @@ pub use profile::{
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default event-ring capacity: enough for every event of the bench
-/// instances, while bounding a chaos run on a large graph to a few MiB.
+/// Default event-ring capacity: 65,536 events, which bounds a chaos run
+/// on a large graph to a few MiB. It does not hold a whole faulty
+/// session: the torus24x24 chaos session of `trace_export` records about
+/// 5.35M events, so its ring keeps only the last 65,536 (the phase
+/// slices survive; almost all transport and recovery instants, the
+/// leader kill among them, are overwritten and counted as dropped).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// A cheap, clonable handle to a shared [`ObsSink`]. The handle is what

@@ -18,7 +18,8 @@ use crate::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyedSum {
     /// Group key. Full `u64` range: wide enough for packed id pairs
-    /// (`lo·n + hi`), which cost `2⌈log₂ n⌉` bits on the wire.
+    /// (`lo·k + hi` for `k` ids), which cost `2⌈log₂ k⌉` bits on the
+    /// wire.
     pub key: u64,
     /// Partial sum for that key.
     pub value: u64,

@@ -56,14 +56,15 @@
 //! With bandwidth `β·⌈log₂ n⌉` bits per edge per round (β = 8 by
 //! default), one `StreamMsg::Item` must fit in that budget: `TAG_BITS`
 //! (enum discriminants) plus the item's own bits. `GroupedSum`'s widest
-//! key is the driver's case-2 fragment-pair packing `lo·n + hi < n²`,
-//! i.e. at most `2⌈log₂ n⌉` key bits — within the default budget for
-//! every `n` (this is what lifts the old `n ≤ 65535` cap of the `u32`
-//! packing), leaving `(β − 2)⌈log₂ n⌉ − O(1)` bits for the payload,
-//! enough for `poly(n)` values. The MST upcast's item carries its key —
-//! load, weight, and an edge id of up to `2⌈log₂ n⌉` bits — plus two
-//! fragment ids and two BFS in-times of `⌈log₂ n⌉` bits each; it peaks
-//! at 65 bits on torus32x32, against an 80-bit budget.
+//! key is the driver's case-2 pair of `T_F` fragment numbers,
+//! `lo·k + hi < k²` for `k ≤ n` fragments, i.e. at most `2⌈log₂ n⌉` key
+//! bits — within the default budget for every `n` (the old node-id pair
+//! key in a `u32` capped `n` at 65535), leaving `(β − 2)⌈log₂ n⌉ − O(1)`
+//! bits for the payload, enough for `poly(n)` values. The MST upcast's
+//! item carries its key — load, weight, and an edge id of up to
+//! `2⌈log₂ n⌉` bits — plus two fragment ids and two BFS in-times of
+//! `⌈log₂ n⌉` bits each; it peaks at 65 bits on torus32x32, against an
+//! 80-bit budget.
 
 use crate::algorithm::{Outbox, Step};
 use crate::message::Message;

@@ -18,31 +18,35 @@
 //! Phase B of the MST ends at its upcast: the chosen inter-fragment
 //! edges reach the leader with both fragments and both endpoints' BFS
 //! in-times, and the leader builds the fragment tree `T_F` from them
-//! alone. Its rows name fragments and edges, never nodes; the leader
-//! knows each attachment only by its BFS in-time. The outcome's
+//! alone, numbering its fragments in pre-order. Its rows name fragments,
+//! edges and numbers, never nodes; the leader knows each attachment and
+//! connector only by its BFS in-time. The outcome's
 //! [`DistMinCutResult::tf_attachments`] names the attachments by node id
 //! driver-side, from the nodes' fragments, as
 //! [`DistMinCutResult::tree_edges`] is read off the per-node port
 //! markings.
 //!
-//! The leader's table streams (`orient.tf`, `s2c.down`, `s4b`, `s5d`)
-//! fold each row into the receiving node's memory as it arrives — each
-//! node computes its share of the table on the fly — so only the leader
-//! holds the `k` rows it streams, and the `k·n` per-node copies never
-//! exist. Rows that only a few nodes read travel only to them, along the
-//! BFS tree's pre-order intervals (the labels the election hands out):
-//! an `s4b` pair to its first child fragment's attachment, an `s5d` sum
-//! to its fragment's attachment. Rows every node reads — the `T_F` table
-//! of `orient.tf`, a fragment's attachment in-times in `s2c.down` —
-//! still reach every node.
+//! The leader's table streams (`orient.tf`, `s4b`, `s5d`) and the
+//! fragment-wide `s2c.down` fold each row into the receiving node's
+//! memory as it arrives — each node computes its share of the table on
+//! the fly — so only the leader holds the rows it streams, and no
+//! per-node copies exist. Rows that only a few nodes read travel only to
+//! them, along the BFS tree's pre-order intervals (the labels the
+//! election hands out): a fragment's `orient.tf` row to its attachment
+//! and its connector, an `s4b` pair to its first child fragment's
+//! attachment, an `s5d` sum to its fragment's attachment. Every node
+//! reads `T_F`'s shape, which `orient.tf` packs into a few rows of
+//! `⌈log₂ k⌉`-bit parent numbers, and its fragment's attachment in-times
+//! in `s2c.down`.
 
 use crate::dist::mst::{
     CandDec, CdInput, DecMsg, FilteredUpcast, FragHook, FragLabel, FragMsg, HookInput, HookRole,
     InterEdge, MstConfig, OptAgg, OptCand,
 };
 use crate::dist::one_respect::{
-    AttItem, FragReroot, IntervalDown, IntervalInput, NbMsg, PairItem, RerootInput, SideFlood,
-    SideInput, SideMsg, SizesUp, SumItem, TfRec, Token, TokensInput, TokensUp, TotItem,
+    AttItem, FragReroot, IntervalDown, IntervalInput, LcaCase, NbMsg, PairItem, RerootInput,
+    SideFlood, SideInput, SideMsg, SizesUp, SumItem, TfItem, TfShape, Token, TokensInput, TokensUp,
+    TotItem,
 };
 use crate::dist::packing::{better, Cand, PackingTarget};
 use crate::seq::tree_packing::PackingConfig;
@@ -133,14 +137,16 @@ pub struct DistMinCutResult {
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
     /// Fragments phase A handed to phase B, one entry per packed tree,
     /// in packing order: the `k` of the fragment tree `T_F`, which sizes
-    /// the leader's table streams (`orient.tf` carries `k − 1` rows to
-    /// every node, `s5d` one row to each of `k − 1` attachments).
+    /// the leader's table streams (`orient.tf` carries `T_F`'s shape to
+    /// every node in rows of `⌈log₂ k⌉`-bit parent numbers and one row to
+    /// each of the `k − 1` attachments and connectors, `s5d` one row to
+    /// each attachment).
     pub phase_a_fragments: Vec<usize>,
     /// The attachments of `T_F`, one list per entry of
-    /// `phase_a_fragments`: for every non-root fragment, in `orient.tf`
-    /// row order, the node of its parent fragment that it hangs from.
-    /// The leader routes that fragment's `s5d` row to it by its BFS
-    /// in-time.
+    /// `phase_a_fragments`: for every non-root fragment, in the pre-order
+    /// of its number (1 to `k − 1`), the node of its parent fragment that
+    /// it hangs from. The leader routes that fragment's `orient.tf` and
+    /// `s5d` rows to it by its BFS in-time.
     pub tf_attachments: Vec<Vec<NodeId>>,
 }
 
@@ -159,9 +165,10 @@ pub struct DistMinCutResult {
 /// [`MinCutError::TooSmall`] for `n < 2`, [`MinCutError::Disconnected`]
 /// for disconnected inputs, and [`MinCutError::Congest`] when the
 /// simulated network rejects the run (bandwidth violation in strict
-/// mode, round cap). There is no upper bound on `n`: pair aggregation
-/// keys are `u64`-wide, so every `n` addressable by `u32` node ids is
-/// supported.
+/// mode, round cap). There is no upper bound on `n`: the case-2 pair
+/// aggregation keys pairs of `T_F` fragment numbers, `lo·k + hi < k²`
+/// for `k ≤ n` fragments, in `u64`, so every `n` addressable by `u32`
+/// node ids is supported.
 pub fn exact_mincut(
     g: &WeightedGraph,
     config: &ExactConfig,
@@ -350,7 +357,12 @@ struct NodeMem {
     tree_ports: BTreeSet<Port>,
     inter_ports: BTreeSet<Port>,
     inter_parent: Option<Port>,
-    inter_children: Vec<Port>,
+    /// The ports of the child-fragment connectors attached here, sorted,
+    /// each with that child fragment's number.
+    inter_children: Vec<(Port, u32)>,
+    /// This node's fragment's number in `T_F`'s pre-order (from
+    /// `orient`; the root fragment is 0).
+    num: u32,
     port_frag: Vec<u32>,
     port_frozen: Vec<bool>,
     /// mstA: ports whose neighbor must still be told this node's
@@ -369,7 +381,7 @@ struct NodeMem {
     cd_purge: bool,
     iv: Option<Intervals>,
     /// s2c: the in-fragment in-times of this fragment's attachments,
-    /// keyed by the child fragment hung at each.
+    /// keyed by the number of the child fragment hung at each.
     att: BTreeMap<u32, u32>,
     cval: u64,
     // -- snapshot of the best tree seen so far --
@@ -402,7 +414,7 @@ impl NodeMem {
     /// child-fragment connectors).
     fn t_children(&self) -> Vec<Port> {
         let mut c = self.ftree().children;
-        c.extend(self.inter_children.iter().copied());
+        c.extend(self.inter_children.iter().map(|&(p, _)| p));
         c.sort_unstable();
         c
     }
@@ -453,14 +465,29 @@ struct Pipeline<'g> {
     mems: Vec<NodeMem>,
     leader: NodeId,
     n: usize,
-    /// The current tree's `T_F` table, in `orient.tf` row order: each
-    /// row with the BFS in-time of its attachment, which only the leader
-    /// keeps (it routes the row's `s4b` pairs and `s5d` sums there).
-    /// Every node receives the rows in `orient.tf` (their rounds and
-    /// messages are paid), but keeps only their consequences; the cut
-    /// stage's chain analysis reads this one copy instead of `n`
+    /// The current tree's `T_F` shape, numbered in pre-order. Every node
+    /// receives it in `orient.tf` (its rounds and messages are paid), but
+    /// keeps only its own and its neighbors' fragment numbers; the cut
+    /// stage's classification reads this one copy instead of `n`
     /// identical ones.
-    tf: Vec<(TfRec, u32)>,
+    shape: TfShape,
+    /// The leader's row of each non-root fragment, fragment `f` at
+    /// `f − 1`.
+    tf: Vec<TfRow>,
+}
+
+/// The leader's row of one non-root fragment of `T_F`: what `orient.tf`
+/// routes to the two endpoints of the fragment's tree edge, by the BFS
+/// in-times the chosen edge carried up.
+#[derive(Clone, Copy, Debug)]
+struct TfRow {
+    frag: u32,
+    edge: u32,
+    /// The attachment's BFS in-time: the fragment's `s4b` pairs and its
+    /// `s5d` sum are routed there.
+    att: u32,
+    /// The connector's BFS in-time.
+    conn: u32,
 }
 
 impl<'g> Pipeline<'g> {
@@ -570,6 +597,7 @@ impl<'g> Pipeline<'g> {
             mems,
             leader,
             n: g.node_count(),
+            shape: TfShape::new(&[]),
             tf: Vec::new(),
         }
     }
@@ -616,11 +644,12 @@ impl<'g> Pipeline<'g> {
     }
 
     /// Installs a restored spanning tree as **one fragment** rooted at
-    /// the leader: every node carries the same fragment label and there
-    /// are no inter-fragment edges, so `cut_stage` on this memory
-    /// computes the exact global 1-respecting minimum of the restored
-    /// tree (the single-fragment degradation of the fragment
-    /// decomposition — every incident edge is a same-fragment case).
+    /// the leader: after the reset every node carries fragment number 0
+    /// in the one-fragment `T_F`, and there are no inter-fragment edges,
+    /// so `cut_stage` on this memory computes the exact global
+    /// 1-respecting minimum of the restored tree (the single-fragment
+    /// degradation of the fragment decomposition — every incident edge
+    /// is a same-fragment case).
     fn install_tree(&mut self, parents: &[Option<u32>]) {
         debug_assert_eq!(
             parents[self.leader.index()],
@@ -628,7 +657,6 @@ impl<'g> Pipeline<'g> {
             "re-rooted at the leader"
         );
         self.reset_tree();
-        let root = self.leader.raw();
         let mut child_ports: Vec<Vec<Port>> = vec![Vec::new(); self.n];
         let mut parent_ports: Vec<Option<Port>> = vec![None; self.n];
         for v in 0..self.n {
@@ -638,8 +666,6 @@ impl<'g> Pipeline<'g> {
             }
         }
         for (v, m) in self.mems.iter_mut().enumerate() {
-            m.frag = root;
-            m.port_frag = vec![root; m.edge_ids.len()];
             m.parent = parent_ports[v];
             m.tree_ports = child_ports[v]
                 .iter()
@@ -745,6 +771,7 @@ impl<'g> Pipeline<'g> {
     /// Resets the per-tree memory before packing the next tree.
     fn reset_tree(&mut self) {
         let g = self.g;
+        self.shape = TfShape::new(&[]);
         self.tf.clear();
         for (v, m) in self.mems.iter_mut().enumerate() {
             let deg = m.edge_ids.len();
@@ -755,6 +782,7 @@ impl<'g> Pipeline<'g> {
             m.inter_ports.clear();
             m.inter_parent = None;
             m.inter_children.clear();
+            m.num = 0;
             // Level-0 fragment ids are node ids, and neighbor ids are
             // a-priori local knowledge in CONGEST — so phase A's initial
             // per-port view costs zero messages.
@@ -989,9 +1017,8 @@ impl<'g> Pipeline<'g> {
     /// cycle-filtered upcast of the inter-fragment edges to the leader.
     /// Returns the leader's chosen edges, the `T_F` edges.
     fn mst_phase_b(&mut self) -> Result<Vec<InterEdge>, MinCutError> {
-        // Every node tells every neighbor its final phase-A fragment,
-        // which refreshes the port views the cut stage reads, and its
-        // BFS in-time, which the neighbor's offered edge carries.
+        // Every node tells every neighbor its final phase-A fragment and
+        // its BFS in-time, which the neighbor's offered edge carries.
         let inputs: Vec<FragLabel> = self
             .mems
             .iter()
@@ -1008,7 +1035,7 @@ impl<'g> Pipeline<'g> {
         let g = self.g;
         let inputs: Vec<(TreeInfo, Vec<InterEdge>)> = self
             .mems
-            .iter_mut()
+            .iter()
             .zip(out.outputs)
             .enumerate()
             .map(|(v, (m, labels))| {
@@ -1016,7 +1043,6 @@ impl<'g> Pipeline<'g> {
                 let mut offered = Vec::new();
                 for (p, label) in labels.into_iter().enumerate() {
                     let label = label.expect("every neighbor sends");
-                    m.port_frag[p] = label.frag;
                     if label.frag != m.frag && m.pack_w[p] > 0 && (v as u32) < adj[p].neighbor.raw()
                     {
                         offered.push(InterEdge {
@@ -1054,73 +1080,114 @@ impl<'g> Pipeline<'g> {
         Ok(chosen)
     }
 
-    /// Orientation: the leader roots `T_F` at its own fragment,
-    /// broadcasts the table, and every fragment re-roots at its
-    /// connector.
+    /// Orientation: the leader roots `T_F` at its own fragment and
+    /// numbers it in pre-order, streams its shape to every node and each
+    /// fragment's row to the fragment's two ends, and every fragment
+    /// re-roots at its connector, which hands its members the number.
     fn orient(&mut self, chosen: Vec<InterEdge>) -> Result<(), MinCutError> {
-        // Leader-local: root T_F. Each chosen edge names both fragments
-        // and both endpoints' BFS in-times; whichever fragment ends up
-        // the parent, its endpoint is the attachment.
-        let mut adj: BTreeMap<u32, Vec<(u32, u32, u32)>> = BTreeMap::new();
+        // Leader-local: number T_F in pre-order from the leader's
+        // fragment. Each chosen edge names both fragments and both
+        // endpoints' BFS in-times; whichever fragment ends up the parent,
+        // its endpoint is the attachment and the other the connector.
+        let mut adj: BTreeMap<u32, Vec<TfRow>> = BTreeMap::new();
         for e in &chosen {
             let ((f0, f1), (b0, b1)) = (e.frags, e.ends);
-            adj.entry(f0).or_default().push((f1, e.cand.edge, b0));
-            adj.entry(f1).or_default().push((f0, e.cand.edge, b1));
+            let edge = e.cand.edge;
+            adj.entry(f0).or_default().push(TfRow {
+                frag: f1,
+                edge,
+                att: b0,
+                conn: b1,
+            });
+            adj.entry(f1).or_default().push(TfRow {
+                frag: f0,
+                edge,
+                att: b1,
+                conn: b0,
+            });
         }
         let root_frag = self.mems[self.leader.index()].frag;
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
-        seen.insert(root_frag);
-        let mut queue: std::collections::VecDeque<u32> = [root_frag].into();
-        while let Some(parent) = queue.pop_front() {
-            for &(frag, edge, att) in adj.get(&parent).into_iter().flatten() {
-                if seen.insert(frag) {
-                    self.tf.push((TfRec { frag, parent, edge }, att));
-                    queue.push_back(frag);
+        let mut seen = BTreeSet::from([root_frag]);
+        let mut parents = Vec::new();
+        let mut stack: Vec<(u32, Option<TfRow>)> = vec![(0, None)];
+        while let Some((parent, row)) = stack.pop() {
+            let frag = row.map_or(root_frag, |r| r.frag);
+            if let Some(r) = row {
+                parents.push(parent);
+                self.tf.push(r);
+            }
+            let num = self.tf.len() as u32;
+            for &child in adj.get(&frag).into_iter().flatten().rev() {
+                if seen.insert(child.frag) {
+                    stack.push((num, Some(child)));
                 }
             }
         }
-        // Broadcast the table over the BFS tree: the cut stage reads all
-        // of `T_F` at every node. The two endpoints of each row's edge
-        // mark its port as it passes; the one inside the row's fragment
-        // is that fragment's connector, the one inside the parent its
-        // attachment. (Edge ids are local knowledge: the graph's
-        // endpoint table answers each node's "is this edge mine?" in
-        // O(1), without a scan of its ports.)
-        let g = self.g;
-        let roles = |(me, m): &mut (u32, &mut NodeMem), r: &TfRec| {
-            let (a, b) = g.endpoints(graphs::EdgeId::new(r.edge));
-            if a.raw() != *me && b.raw() != *me {
+        self.shape = TfShape::new(&parents);
+        // One stream over the BFS tree. The shape rows reach every node;
+        // the cut stage reads the leader's copy of them. Each fragment's
+        // row reaches only the two endpoints of its edge, which mark the
+        // port: the one inside the row's fragment is its connector and
+        // takes the number, the other is the attachment and notes the
+        // child fragment's number beside the port.
+        let roles = |m: &mut &mut NodeMem, item: &TfItem| {
+            let TfItem::Row { frag, edge, num } = *item else {
                 return;
-            }
-            let p = m.port_of_edge(r.edge).expect("an endpoint owns its edge");
+            };
+            let p = m
+                .port_of_edge(edge)
+                .expect("a row reaches its edge's endpoints");
             m.inter_ports.insert(p);
-            if m.frag == r.frag {
+            if m.frag == frag {
                 m.inter_parent = Some(p);
+                m.num = num;
             } else {
-                let at = m.inter_children.partition_point(|&q| q < p);
-                m.inter_children.insert(at, p);
+                let at = m.inter_children.partition_point(|&(q, _)| q < p);
+                m.inter_children.insert(at, (p, num));
             }
         };
-        let table = self.tf.iter().map(|&(r, _)| (Route::All, r)).collect();
-        let inputs = bfs_stream(&mut self.mems, self.leader, table, |v, m| (v as u32, m));
+        let table = self.tf_stream();
+        let inputs = bfs_stream(&mut self.mems, self.leader, table, |_, m| m);
         self.net
             .run("orient.tf", &BroadcastItems::new(roles), inputs)?;
         // Re-root every fragment at its connector (the leader for the
-        // root fragment).
+        // root fragment, number 0), flooding the fragment's number.
         let inputs: Vec<RerootInput> = (0..self.n)
             .map(|v| {
                 let m = &self.mems[v];
+                let starts = v == self.leader.index() || m.inter_parent.is_some();
                 RerootInput {
                     tree_ports: m.tree_ports.iter().copied().collect(),
-                    initiator: v == self.leader.index() || m.inter_parent.is_some(),
+                    initiator: starts.then_some(m.num),
                 }
             })
             .collect();
         let out = self.net.run("orient.flood", &FragReroot, inputs)?;
-        for (m, parent) in self.mems.iter_mut().zip(out.outputs) {
+        for (m, (parent, num)) in self.mems.iter_mut().zip(out.outputs) {
             m.parent = parent;
+            m.num = num;
         }
         Ok(())
+    }
+
+    /// The `orient.tf` stream: the shape rows to every node, packed to
+    /// the network's bandwidth, then each non-root fragment's row routed
+    /// to its attachment and its connector.
+    fn tf_stream(&self) -> Vec<(Route, TfItem)> {
+        let shape = self.shape.rows(self.net.bandwidth_bits());
+        let rows = self.tf.iter().zip(1..).map(|(r, num)| {
+            let row = TfItem::Row {
+                frag: r.frag,
+                edge: r.edge,
+                num,
+            };
+            (Route::Two(r.att, r.conn), row)
+        });
+        shape
+            .into_iter()
+            .map(|s| (Route::All, s))
+            .chain(rows)
+            .collect()
     }
 
     /// The Section-2 cut stage on the current tree: every node ends up
@@ -1146,7 +1213,7 @@ impl<'g> Pipeline<'g> {
             m.iv = Some(iv);
         }
         // s2c: gather + spread the attachment in-times per fragment,
-        // keyed by the child fragment hung at each attachment.
+        // keyed by the number of the child fragment hung at each.
         let inputs: Vec<(TreeInfo, Vec<AttItem>)> = self
             .mems
             .iter()
@@ -1155,17 +1222,14 @@ impl<'g> Pipeline<'g> {
                 let items = m
                     .inter_children
                     .iter()
-                    .map(|p| AttItem {
-                        frag: m.port_frag[p.index()],
-                        in_t,
-                    })
+                    .map(|&(_, num)| AttItem { num, in_t })
                     .collect();
                 (m.ftree(), items)
             })
             .collect();
         let up = self.net.run("s2c.up", &UpcastItems::new(), inputs)?.outputs;
         let insert = |m: &mut &mut NodeMem, a: &AttItem| {
-            m.att.insert(a.frag, a.in_t);
+            m.att.insert(a.num, a.in_t);
         };
         let inputs: Vec<_> = self
             .mems
@@ -1182,8 +1246,7 @@ impl<'g> Pipeline<'g> {
             .collect();
         self.net
             .run("s2c.down", &BroadcastItems::new(insert), inputs)?;
-        // s3: per-edge exchange of in-times (fragments are already known
-        // per port from `mstB.exch`).
+        // s3: per-edge exchange of in-times and fragment numbers.
         let out = self.net.run(
             "s3",
             &NeighborExchange::new(),
@@ -1191,106 +1254,59 @@ impl<'g> Pipeline<'g> {
                 .iter()
                 .map(|m| NbMsg {
                     in_t: m.iv.as_ref().expect("intervals set").in_t,
+                    num: m.num,
                 })
                 .collect(),
         )?;
-        let nb: Vec<Vec<u32>> = out
-            .outputs
-            .into_iter()
-            .map(|o| {
-                o.into_iter()
-                    .map(|x| x.expect("every neighbor sends").in_t)
-                    .collect()
-            })
-            .collect();
-        // Local LCA case analysis (chains are derived from the T_F table
-        // every node received in `orient.tf`).
-        let tf_parent: BTreeMap<u32, u32> =
-            self.tf.iter().map(|(r, _)| (r.frag, r.parent)).collect();
-        let chain = |f: u32| -> Vec<u32> {
-            let mut c = vec![f];
-            let mut cur = f;
-            while let Some(&p) = tf_parent.get(&cur) {
-                cur = p;
-                c.push(cur);
-            }
-            c
-        };
-        let chains: BTreeMap<u32, Vec<u32>> = self
-            .mems
-            .iter()
-            .map(|m| m.frag)
-            .chain(self.mems.iter().flat_map(|m| m.port_frag.iter().copied()))
-            .map(|f| (f, chain(f)))
-            .collect();
-        let deepest_common = |a: &[u32], b: &[u32]| -> u32 {
-            let mut last = *a.last().expect("chains end at the root fragment");
-            let mut i = a.len();
-            let mut j = b.len();
-            while i > 0 && j > 0 && a[i - 1] == b[j - 1] {
-                last = a[i - 1];
-                i -= 1;
-                j -= 1;
-            }
-            last
-        };
-        let child_below = |chain: &[u32], fstar: u32| -> u32 {
-            let pos = chain
-                .iter()
-                .position(|&f| f == fstar)
-                .expect("fstar on chain");
-            debug_assert!(pos > 0, "child_below of the chain's own fragment");
-            chain[pos - 1]
-        };
+        // Local LCA case analysis: each endpoint places its edge in `T_F`
+        // from the two fragment numbers and the shape `orient.tf`
+        // delivered.
+        let k = self.shape.k() as u64;
         let mut tokens: Vec<Vec<Token>> = vec![Vec::new(); n];
         let mut pairs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-        for v in 0..n {
+        for (v, nb) in out.outputs.into_iter().enumerate() {
             let m = &self.mems[v];
             let iv = m.iv.as_ref().expect("intervals set");
-            let my_chain = &chains[&m.frag];
-            for (p, &other_in_t) in nb[v].iter().enumerate() {
+            for (p, other) in nb.into_iter().enumerate() {
+                let other = other.expect("every neighbor sends");
                 let w = m.weights[p];
-                let other_frag = m.port_frag[p];
-                if other_frag == m.frag {
+                if other.num == m.num {
                     // Case 1 (same fragment): the deeper-in-preorder
                     // endpoint routes a token toward the LCA.
-                    if iv.in_t > other_in_t {
+                    if iv.in_t > other.in_t {
                         tokens[v].push(Token {
-                            t_in: other_in_t,
+                            t_in: other.in_t,
                             w,
                         });
                     }
                     continue;
                 }
-                let their_chain = &chains[&other_frag];
-                let fstar = deepest_common(my_chain, their_chain);
-                if fstar == m.frag {
+                match self.shape.classify(m.num, other.num) {
                     // Case 3 with the LCA in my fragment: target the
-                    // attachment of the child fragment on the other
-                    // side's chain.
-                    let g_child = child_below(their_chain, fstar);
-                    let a_in = *m
-                        .att
-                        .get(&g_child)
-                        .expect("attachment table covers g_child");
-                    tokens[v].push(Token { t_in: a_in, w });
-                } else if fstar != other_frag {
+                    // attachment of the child fragment toward the other
+                    // side.
+                    LcaCase::InMine { child } => {
+                        let a_in = *m
+                            .att
+                            .get(&child)
+                            .expect("attachment table covers the child");
+                        tokens[v].push(Token { t_in: a_in, w });
+                    }
                     // Case 2: the LCA is a merging node in a third
                     // fragment; aggregate by the pair of child fragments
                     // below it. The smaller endpoint id emits.
-                    let nbr_id = self.g.neighbors(NodeId::from_index(v))[p].neighbor.raw();
-                    if (v as u32) < nbr_id {
-                        let g1 = child_below(my_chain, fstar);
-                        let g2 = child_below(their_chain, fstar);
-                        let (lo, hi) = (g1.min(g2), g1.max(g2));
-                        // Pack the fragment pair into one u64 key:
-                        // fragment ids are node ids, so `lo·n + hi < n²`
-                        // costs 2⌈log₂ n⌉ key bits, and any n addressable
-                        // by u32 node ids fits.
-                        pairs[v].push((lo as u64 * n as u64 + hi as u64, w));
+                    LcaCase::Merging { g1, g2 } => {
+                        let nbr_id = self.g.neighbors(NodeId::from_index(v))[p].neighbor.raw();
+                        if (v as u32) < nbr_id {
+                            let (lo, hi) = (g1.min(g2), g1.max(g2));
+                            // Fragment numbers are below k, so one u64
+                            // key `lo·k + hi < k²` holds the pair.
+                            pairs[v].push((u64::from(lo) * k + u64::from(hi), w));
+                        }
                     }
+                    // The other endpoint originates.
+                    LcaCase::InTheirs => {}
                 }
-                // fstar == other_frag: the other endpoint originates.
             }
         }
         // s4a/s4b: merging-node contributions through the leader.
@@ -1307,17 +1323,15 @@ impl<'g> Pipeline<'g> {
         // and turns the pair into an `s5` token aimed at it: the token
         // stops at the pair's LCA, the merging node. The leader knows
         // each attachment by its BFS in-time.
-        let att_label: BTreeMap<u32, u32> = self.tf.iter().map(|&(r, att)| (r.frag, att)).collect();
         let items: Vec<(Route, PairItem)> = pair_totals
             .into_iter()
             .map(|(key, w)| {
-                let g1 = (key / n as u64) as u32;
-                let g2 = (key % n as u64) as u32;
-                (Route::One(att_label[&g1]), PairItem { frag: g2, w })
+                let (g1, g2) = ((key / k) as usize, (key % k) as u32);
+                (Route::One(self.tf[g1 - 1].att), PairItem { num: g2, w })
             })
             .collect();
         let aim = |(att, toks): &mut (&BTreeMap<u32, u32>, Vec<Token>), item: &PairItem| {
-            let t_in = *att.get(&item.frag).expect("attachment table covers g2");
+            let t_in = *att.get(&item.num).expect("attachment table covers g2");
             toks.push(Token { t_in, w: item.w });
         };
         let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
@@ -1352,43 +1366,27 @@ impl<'g> Pipeline<'g> {
             .map(|v| {
                 let m = &self.mems[v];
                 let items = tots[v]
-                    .map(|(d, r)| vec![TotItem { frag: m.frag, d, r }])
+                    .map(|(d, r)| vec![TotItem { num: m.num, d, r }])
                     .unwrap_or_default();
                 (m.bfs.clone(), items)
             })
             .collect();
-        let out = self.net.run("s5c", &UpcastItems::new(), inputs)?;
+        let mut out = self.net.run("s5c", &UpcastItems::new(), inputs)?;
         let tot_items = out.outputs[self.leader.index()]
-            .clone()
+            .take()
             .expect("leader is the BFS root");
-        // Leader-local: T_F subtree sums.
-        let tot_map: BTreeMap<u32, (u64, u64)> =
-            tot_items.iter().map(|t| (t.frag, (t.d, t.r))).collect();
-        let mut children_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (r, _) in &self.tf {
-            children_of.entry(r.parent).or_default().push(r.frag);
+        // Leader-local: T_F subtree sums, in one reverse pass over the
+        // pre-order numbers (each fragment's subtree is complete before
+        // it is added to its parent).
+        let mut sums = vec![(0u64, 0u64); self.shape.k()];
+        for t in tot_items {
+            sums[t.num as usize] = (t.d, t.r);
         }
-        let mut sums: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        // Process fragments bottom-up: repeated passes are unnecessary —
-        // recurse iteratively with an explicit stack.
-        let root_frag = self.mems[self.leader.index()].frag;
-        let mut stack = vec![(root_frag, false)];
-        while let Some((f, expanded)) = stack.pop() {
-            if expanded {
-                let base = tot_map[&f];
-                let mut acc = base;
-                for c in children_of.get(&f).into_iter().flatten() {
-                    let s = sums[c];
-                    acc.0 += s.0;
-                    acc.1 += s.1;
-                }
-                sums.insert(f, acc);
-            } else {
-                stack.push((f, true));
-                for &c in children_of.get(&f).into_iter().flatten() {
-                    stack.push((c, false));
-                }
-            }
+        for f in (1..sums.len()).rev() {
+            let (d, r) = sums[f];
+            let parent = &mut sums[self.shape.parent(f as u32) as usize];
+            parent.0 += d;
+            parent.1 += r;
         }
         // s5d: route each non-root fragment's subtree sums to its
         // attachment, which adds up its child fragments' masses
@@ -1396,10 +1394,8 @@ impl<'g> Pipeline<'g> {
         let items: Vec<(Route, SumItem)> = self
             .tf
             .iter()
-            .map(|&(r, att)| {
-                let (sd, sr) = sums[&r.frag];
-                (Route::One(att), SumItem { sd, sr })
-            })
+            .zip(&sums[1..])
+            .map(|(r, &(sd, sr))| (Route::One(r.att), SumItem { sd, sr }))
             .collect();
         let masses = |(wd, wr): &mut (u64, u64), s: &SumItem| {
             *wd += s.sd;
@@ -1550,10 +1546,10 @@ pub(crate) fn run_pipeline(
     if n < 2 {
         return Err((MinCutError::TooSmall { nodes: n }, MetricsLedger::new()));
     }
-    // No upper bound on n here: the case-2 pair aggregation packs
-    // child-fragment pairs into u64 stream keys (2⌈log₂ n⌉ bits), so every
-    // n addressable by u32 node ids is in range for exact and approx
-    // drivers alike.
+    // No upper bound on n here: the case-2 pair aggregation packs pairs
+    // of child-fragment numbers into u64 stream keys (`lo·k + hi < k²`,
+    // at most 2⌈log₂ n⌉ bits), so every n addressable by u32 node ids is
+    // in range for exact and approx drivers alike.
     if !graphs::traversal::is_connected(g) {
         return Err((MinCutError::Disconnected, MetricsLedger::new()));
     }
@@ -1706,16 +1702,16 @@ fn drive_packing(
         pl.mst_phase_a_opt()?;
         let chosen = pl.mst_phase_b()?;
         pl.orient(chosen)?;
-        phase_a_fragments.push(pl.tf.len() + 1);
+        phase_a_fragments.push(pl.shape.k());
         // The leader knows each attachment by its BFS in-time; the
         // outcome names it by node id, the endpoint of the row's edge
-        // inside the parent fragment.
-        let attachment = |(r, _): &(TfRec, u32)| {
+        // outside the row's fragment.
+        let attachment = |r: &TfRow| {
             let (a, b) = pl.g.endpoints(graphs::EdgeId::new(r.edge));
-            if pl.mems[a.index()].frag == r.parent {
-                a
-            } else {
+            if pl.mems[a.index()].frag == r.frag {
                 b
+            } else {
+                a
             }
         };
         tf_attachments.push(pl.tf.iter().map(attachment).collect());
@@ -1885,6 +1881,62 @@ mod tests {
             shared_attachment,
             "some attachment must host two child fragments"
         );
+    }
+
+    /// Strict bandwidth at the largest fragment count: a cap of 2 leaves
+    /// up to n/2 fragments, so `T_F`'s shape takes the most rows, of the
+    /// widest numbers. Every `orient.tf` item fits the edge, the shape
+    /// takes ⌈(k − 1)/c⌉ rows of c numbers, c is as many as fit, and the
+    /// whole strict pipeline stays within the budget.
+    #[test]
+    fn strict_bandwidth_holds_at_the_largest_fragment_count() {
+        use congest::primitives::broadcast::StreamMsg;
+        use congest::Message;
+        // (graph, budget, k, numbers a row): 11 numbers of 4 bits fill
+        // one 64-bit row; 494 of 9 bits go 7 to an 80-bit row.
+        for (g, budget, want_k, want_c) in [
+            (generators::torus2d(6, 6).unwrap(), 64, 12, 11),
+            (generators::torus2d(32, 32).unwrap(), 80, 495, 7),
+        ] {
+            let network = NetworkConfig::default();
+            assert!(network.strict);
+            assert_eq!(network.bandwidth_bits(g.node_count()), budget);
+            let mst = MstConfig { cap: Some(2) };
+            let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
+            let mut pl = Pipeline::new(&g, network, mst.clone(), &pack_edge).unwrap();
+            pl.init_deg().unwrap();
+            pl.reset_tree();
+            pl.mst_phase_a_opt().unwrap();
+            let chosen = pl.mst_phase_b().unwrap();
+            pl.orient(chosen).unwrap();
+            let k = pl.shape.k();
+            assert_eq!(k, want_k);
+            let stream = pl.tf_stream();
+            for item in &stream {
+                let bits = StreamMsg::Item(item.clone()).bit_len();
+                assert!(bits <= budget, "{item:?} takes {bits} bits");
+            }
+            let c = crate::dist::one_respect::shape_row_capacity(k, budget);
+            assert_eq!(c, want_c);
+            let rows = stream.iter().filter(|(r, _)| *r == Route::All).count();
+            assert_eq!(rows, (k - 1).div_ceil(c), "k = {k}, {c} numbers a row");
+            if c < k - 1 {
+                let wider = TfItem::Shape {
+                    width: congest::id_bits(k) as u32,
+                    parents: vec![0; c + 1].into(),
+                };
+                assert!(StreamMsg::Item((Route::All, wider)).bit_len() > budget);
+            }
+
+            let cfg = ExactConfig {
+                mst,
+                ..Default::default()
+            };
+            let r = exact_mincut(&g, &cfg).unwrap();
+            assert_eq!(r.phase_a_fragments[0], k);
+            assert!(r.ledger.max_message_bits() <= budget);
+            assert_eq!(r.ledger.total_violations(), 0);
+        }
     }
 
     /// Full parity with the sequential packing pipeline: same value,

@@ -8,36 +8,45 @@
 //! The stage then runs, per packed tree:
 //!
 //! 1. `orient.tf` / `orient.flood` — the leader roots `T_F` at its own
-//!    fragment and broadcasts one [`TfRec`] per non-root fragment: the
-//!    fragment, its parent fragment and the tree edge joining them. A
-//!    node incident to the edge marks that port and reads its role off
-//!    its own fragment: the *connector* if it lies in the row's
-//!    fragment, the *attachment* if it lies in the parent. Each fragment
-//!    re-roots internally at its connector ([`FragReroot`]), which
-//!    globally roots the tree at the leader without ever paying
-//!    `Θ(depth)` rounds.
+//!    fragment and numbers it in pre-order, so each fragment's `T_F`
+//!    subtree is a range of numbers ([`TfShape`]). One stream carries
+//!    two kinds of [`TfItem`]: the shape, `k − 1` parent numbers of
+//!    `⌈log₂ k⌉` bits packed as many to a row as fit the edge, to every
+//!    node; and one row per non-root fragment — the fragment, the tree
+//!    edge it hangs by and its number — to that edge's two endpoints
+//!    only, by the BFS in-times the chosen edge carried up. Each
+//!    endpoint marks the port and reads its role off its own fragment:
+//!    the *connector* if it lies in the row's fragment (it takes the
+//!    number), the *attachment* otherwise (it notes the child's number).
+//!    Each fragment re-roots internally at its connector
+//!    ([`FragReroot`]), whose flood hands every member the fragment's
+//!    number; this globally roots the tree at the leader without ever
+//!    paying `Θ(depth)` rounds.
 //! 2. `s2a`/`s2b` — in-fragment subtree sizes ([`SizesUp`]) and Euler
 //!    intervals ([`IntervalDown`]): afterwards every node can test
 //!    in-fragment ancestorship locally from `O(log n)` bits.
 //! 3. `s2c` — each fragment gathers and rebroadcasts the Euler in-times
 //!    of its *attachment points* (nodes where child fragments hang),
-//!    one row per child fragment, keyed by that child fragment: a node
-//!    names an attachment by the fragment hung there, never by node id.
-//! 4. `s3` — every edge exchanges in-times across itself (the
-//!    neighbors' fragments are known from `mstB.exch`); with the `T_F`
-//!    table each endpoint classifies its edge into the paper's LCA
-//!    cases: same fragment (case 1), LCA in one endpoint's fragment
-//!    (case 3, aimed at the in-time of the attachment of the child
-//!    fragment below the LCA), or LCA in a third fragment — a *merging
-//!    node* (case 2).
+//!    one row per child fragment, keyed by that child fragment's
+//!    number: a node names an attachment by the fragment hung there,
+//!    never by node id.
+//! 4. `s3` — every edge exchanges in-times and fragment numbers across
+//!    itself; from the two numbers and the shape each endpoint
+//!    classifies its edge into the paper's LCA cases
+//!    ([`TfShape::classify`]: two interval tests and parent walks):
+//!    same fragment (case 1), LCA in one endpoint's fragment (case 3,
+//!    aimed at the in-time of the attachment of the child fragment
+//!    below the LCA), or LCA in a third fragment — a *merging node*
+//!    (case 2).
 //! 5. `s4a`/`s4b` — case-2 contributions are keyed by the pair of child
-//!    fragments below the merging node's fragment and summed with one
-//!    pipelined grouped-sum to the leader, which routes each pair back
-//!    to the attachment of its first child fragment only. That node
-//!    holds the in-fragment in-time of the second child fragment's
-//!    attachment (both hang in the merging node's fragment, whose
-//!    attachment in-times `s2c` spread) and turns the pair into an `s5`
-//!    token aimed at it.
+//!    fragments below the merging node's fragment, by number
+//!    (`lo·k + hi < k²`), and summed with one pipelined grouped-sum to
+//!    the leader, which reads both numbers off the key and routes each
+//!    pair back to the attachment of its first child fragment only.
+//!    That node holds the in-fragment in-time of the second child
+//!    fragment's attachment (both hang in the merging node's fragment,
+//!    whose attachment in-times `s2c` spread) and turns the pair into an
+//!    `s5` token aimed at it.
 //! 6. `s5` — case-1/3 contributions and the case-2 pair tokens travel as
 //!    [`Token`]s up the fragment tree ([`TokensUp`]) and are absorbed by
 //!    the first ancestor whose interval contains the partner, i.e.
@@ -47,7 +56,8 @@
 //!    end markers have carried each subtree's `(Σδ, Σρ)` up, so every
 //!    fragment root holds its fragment's totals.
 //! 7. `s5c`–`s5f` — the fragment totals are upcast to the leader,
-//!    `T_F`-subtree sums are formed there and routed to the attachment
+//!    `T_F`-subtree sums are formed there (one reverse pass over the
+//!    pre-order numbers) and routed to the attachment
 //!    point of each non-root fragment (`s5d`, one row per fragment, each
 //!    crossing only the BFS edges toward its attachment), and one
 //!    in-fragment subtree-sum pass over `(δ, ρ)` pairs (`s5e`) yields
@@ -66,51 +76,225 @@
 //! fragment-wide `s2c.down` are folding streams
 //! ([`congest::primitives::BroadcastItems`]): each node computes its
 //! share of the table as the rows pass through it — its connector and
-//! attachment roles, its attachment in-times, its pair tokens, its
-//! attached fragments' masses — and keeps no copy of the rows
-//! themselves. `orient.tf` and `s2c.down` reach every node, since every
-//! node reads all of `T_F` and its fragment's attachment in-times; the
-//! `s4b` and `s5d` rows travel only to the node that reads them, along
-//! the BFS tree's pre-order intervals.
+//! attachment roles and numbers, its attachment in-times, its pair
+//! tokens, its attached fragments' masses — and keeps no copy of the
+//! rows themselves. The shape rows of `orient.tf` and the rows of
+//! `s2c.down` reach every node, since every node reads `T_F`'s shape and
+//! its fragment's attachment in-times; a fragment's `orient.tf` row
+//! travels only to the two endpoints of its edge, and the `s4b` and
+//! `s5d` rows only to the node that reads them, along the BFS tree's
+//! pre-order intervals.
 
-use congest::message::TAG_BITS;
+use congest::message::{id_bits, TAG_BITS};
 use congest::{
     value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
     ProtocolViolation, Step, TreeInfo,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Orient
 // ---------------------------------------------------------------------------
 
-/// One row of the fragment tree `T_F`, broadcast to every node. The row
-/// names no node: the endpoint of `edge` inside `frag` is the fragment's
-/// connector (its root after orientation), and the endpoint inside
-/// `parent` is the attachment (the connector's parent in the global
-/// tree). Each endpoint knows which it is from its own fragment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TfRec {
-    /// The (physical) fragment this row describes.
-    pub frag: u32,
-    /// Its parent fragment in `T_F`.
-    pub parent: u32,
-    /// The inter-fragment tree edge.
-    pub edge: u32,
+/// The shape of the fragment tree `T_F`, numbered in pre-order: the root
+/// fragment is 0, every parent's number is below its children's, and so
+/// fragment `f`'s `T_F` subtree is the number range `f..=end(f)`. This is
+/// all a node needs to place an edge's LCA in `T_F` (see
+/// [`TfShape::classify`]); `orient.tf` streams it to every node as the
+/// `k − 1` parent numbers, a few to a [`TfItem::Shape`] row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TfShape {
+    /// `parent[f]` for `f ≥ 1`; `parent[0] = 0`.
+    parent: Vec<u32>,
+    /// The last number in each fragment's subtree.
+    end: Vec<u32>,
 }
 
-impl Message for TfRec {
-    fn bit_len(&self) -> usize {
-        TAG_BITS
-            + value_bits(self.frag as u64)
-            + value_bits(self.parent as u64)
-            + value_bits(self.edge as u64)
+/// Where the LCA of an edge between two fragments lies, seen from one
+/// endpoint: the paper's cases 3 and 2 (case 1, both endpoints in one
+/// fragment, needs no `T_F`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LcaCase {
+    /// Case 3 with the LCA in this endpoint's fragment: the token aims
+    /// at the attachment of `child`, this fragment's child toward the
+    /// other endpoint's fragment.
+    InMine {
+        /// The child fragment's number.
+        child: u32,
+    },
+    /// Case 3 with the LCA in the other endpoint's fragment: the other
+    /// endpoint originates the token.
+    InTheirs,
+    /// Case 2: the LCA is a merging node in a third fragment, where the
+    /// child fragments `g1` (toward this endpoint) and `g2` (toward the
+    /// other) hang.
+    Merging {
+        /// The LCA fragment's child toward this endpoint.
+        g1: u32,
+        /// The LCA fragment's child toward the other endpoint.
+        g2: u32,
+    },
+}
+
+impl TfShape {
+    /// The shape in which fragment `f ≥ 1` hangs from `parents[f − 1]`.
+    ///
+    /// # Panics
+    ///
+    /// If the numbering is not a pre-order, i.e. some fragment's parent
+    /// is not an ancestor-or-self of the fragment numbered just before it.
+    pub fn new(parents: &[u32]) -> Self {
+        let k = parents.len() + 1;
+        let mut parent = Vec::with_capacity(k);
+        parent.push(0);
+        parent.extend_from_slice(parents);
+        for f in 1..k {
+            let mut a = f as u32 - 1;
+            while a > parent[f] {
+                a = parent[a as usize];
+            }
+            assert_eq!(
+                a, parent[f],
+                "fragment {f}: T_F is not numbered in pre-order"
+            );
+        }
+        let mut end: Vec<u32> = (0..k as u32).collect();
+        for f in (1..k).rev() {
+            let p = parent[f] as usize;
+            end[p] = end[p].max(end[f]);
+        }
+        TfShape { parent, end }
+    }
+
+    /// The number of fragments.
+    pub fn k(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The parent number of fragment `f ≥ 1`.
+    pub fn parent(&self, f: u32) -> u32 {
+        debug_assert!(f > 0, "the root fragment has no parent");
+        self.parent[f as usize]
+    }
+
+    /// Is fragment `a` an ancestor-or-self of fragment `b`?
+    fn contains(&self, a: u32, b: u32) -> bool {
+        a <= b && b <= self.end[a as usize]
+    }
+
+    /// The child of `anc` on the path down to its proper descendant `f`.
+    fn child_toward(&self, anc: u32, mut f: u32) -> u32 {
+        while self.parent[f as usize] != anc {
+            f = self.parent[f as usize];
+        }
+        f
+    }
+
+    /// Places the LCA of an edge between a node of fragment `mine` and
+    /// one of fragment `theirs` (distinct numbers): two interval tests,
+    /// and parent walks for the child fragments below the LCA fragment.
+    pub fn classify(&self, mine: u32, theirs: u32) -> LcaCase {
+        debug_assert_ne!(mine, theirs, "case 1 needs no T_F");
+        if self.contains(mine, theirs) {
+            return LcaCase::InMine {
+                child: self.child_toward(mine, theirs),
+            };
+        }
+        if self.contains(theirs, mine) {
+            return LcaCase::InTheirs;
+        }
+        let mut g1 = mine;
+        while !self.contains(self.parent[g1 as usize], theirs) {
+            g1 = self.parent[g1 as usize];
+        }
+        let lca = self.parent[g1 as usize];
+        LcaCase::Merging {
+            g1,
+            g2: self.child_toward(lca, theirs),
+        }
+    }
+
+    /// The `orient.tf` shape rows under a `budget`-bit edge: the parent
+    /// numbers of fragments `1..k` in order, [`shape_row_capacity`] to a
+    /// row.
+    pub fn rows(&self, budget: usize) -> Vec<TfItem> {
+        let width = id_bits(self.k()) as u32;
+        let c = shape_row_capacity(self.k(), budget);
+        self.parent[1..]
+            .chunks(c)
+            .map(|parents| TfItem::Shape {
+                width,
+                parents: parents.into(),
+            })
+            .collect()
     }
 }
 
-/// Re-roots each fragment's internal tree at its connector: connectors
-/// flood over the fragment's (undirected) tree edges; every member's new
-/// parent is the port the flood arrived on. Rounds: fragment diameter +1.
+/// Bits of a [`TfItem::Shape`] row of `count` parent numbers, `width`
+/// bits each: the item tag, then the width and the count the receiver
+/// needs to parse the row, then the numbers.
+fn shape_bits(width: usize, count: usize) -> usize {
+    TAG_BITS + value_bits(width as u64) + value_bits(count as u64) + count * width
+}
+
+/// Parent numbers per `orient.tf` shape row for `k` fragments under a
+/// `budget`-bit edge: as many `⌈log₂ k⌉`-bit numbers as fit beside the
+/// stream's tag, at most `k − 1`, and at least one (a budget too small
+/// for any row fails the bandwidth check rather than stall the stream).
+pub fn shape_row_capacity(k: usize, budget: usize) -> usize {
+    let width = id_bits(k);
+    (1..k)
+        .take_while(|&c| TAG_BITS + shape_bits(width, c) <= budget)
+        .last()
+        .unwrap_or(1)
+}
+
+/// One item of the `orient.tf` stream. Every node receives the shape
+/// rows; each fragment's row names no node and travels only to the two
+/// endpoints of its edge: the one inside `frag` is the fragment's
+/// connector (its root after orientation), the other the attachment
+/// (the connector's parent in the global tree). Each endpoint knows
+/// which it is from its own fragment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TfItem {
+    /// The parent numbers of the next fragments in pre-order, each
+    /// `width` bits on the wire.
+    Shape {
+        /// Bits per parent number, `⌈log₂ k⌉`.
+        width: u32,
+        /// The parent numbers (shared, so forwarding copies no list).
+        parents: Arc<[u32]>,
+    },
+    /// A non-root fragment and the `T_F` edge it hangs by.
+    Row {
+        /// The fragment.
+        frag: u32,
+        /// The inter-fragment tree edge.
+        edge: u32,
+        /// The fragment's pre-order number.
+        num: u32,
+    },
+}
+
+impl Message for TfItem {
+    fn bit_len(&self) -> usize {
+        match self {
+            TfItem::Shape { width, parents } => shape_bits(*width as usize, parents.len()),
+            TfItem::Row { frag, edge, num } => {
+                TAG_BITS
+                    + value_bits(u64::from(*frag))
+                    + value_bits(u64::from(*edge))
+                    + value_bits(u64::from(*num))
+            }
+        }
+    }
+}
+
+/// Re-roots each fragment's internal tree at its connector and hands
+/// every member its fragment's number: connectors flood the number over
+/// the fragment's (undirected) tree edges; every member's new parent is
+/// the port the flood arrived on. Rounds: fragment diameter +1.
 #[derive(Clone, Debug, Default)]
 pub struct FragReroot;
 
@@ -119,9 +303,9 @@ pub struct FragReroot;
 pub struct RerootInput {
     /// In-fragment tree ports (undirected set).
     pub tree_ports: Vec<Port>,
-    /// Whether this node starts the flood (it is a connector, or the
-    /// leader inside the root fragment).
-    pub initiator: bool,
+    /// The fragment's number if this node starts the flood (it is a
+    /// connector, or the leader inside the root fragment).
+    pub initiator: Option<u32>,
 }
 
 /// Node state for [`FragReroot`].
@@ -129,21 +313,24 @@ pub struct RerootInput {
 pub struct RerootState {
     input: RerootInput,
     parent: Option<Port>,
+    num: Option<u32>,
 }
 
 impl Algorithm for FragReroot {
     type Input = RerootInput;
     type State = RerootState;
-    type Msg = ();
-    type Output = Option<Port>;
+    type Msg = u32;
+    /// The new in-fragment parent port and the fragment's number.
+    type Output = (Option<Port>, u32);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: RerootInput) -> (RerootState, Outbox<()>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: RerootInput) -> (RerootState, Outbox<u32>) {
         let mut out = Outbox::new();
-        if input.initiator {
-            out.send_all(input.tree_ports.iter().copied(), ());
+        if let Some(num) = input.initiator {
+            out.send_all(input.tree_ports.iter().copied(), num);
         }
         (
             RerootState {
+                num: input.initiator,
                 input,
                 parent: None,
             },
@@ -151,16 +338,17 @@ impl Algorithm for FragReroot {
         )
     }
 
-    fn round(&self, s: &mut RerootState, _ctx: &NodeCtx<'_>, inbox: &[(Port, ())]) -> Step<()> {
-        if s.input.initiator {
+    fn round(&self, s: &mut RerootState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
+        if s.num.is_some() {
             return Step::halt();
         }
-        if let Some((from, ())) = inbox.first().copied() {
+        if let Some(&(from, num)) = inbox.first() {
             s.parent = Some(from);
+            s.num = Some(num);
             let mut out = Outbox::new();
             for &p in &s.input.tree_ports {
                 if p != from {
-                    out.send(p, ());
+                    out.send(p, num);
                 }
             }
             return Step::Halt(out);
@@ -168,8 +356,11 @@ impl Algorithm for FragReroot {
         Step::idle()
     }
 
-    fn finish(&self, s: RerootState, _ctx: &NodeCtx<'_>) -> FinishResult<Option<Port>> {
-        Ok(s.parent)
+    fn finish(&self, s: RerootState, _ctx: &NodeCtx<'_>) -> FinishResult<(Option<Port>, u32)> {
+        let num = s.num.ok_or_else(|| {
+            ProtocolViolation::new("never reached by its fragment's flood (no connector?)")
+        })?;
+        Ok((s.parent, num))
     }
 }
 
@@ -328,57 +519,57 @@ impl Algorithm for IntervalDown {
 // s2c / s3 / s4 wire types
 // ---------------------------------------------------------------------------
 
-/// An attachment point's in-fragment entry time, named by a child
-/// fragment hung there, gathered to the fragment root and rebroadcast
-/// fragment-wide. An attachment hosting several child fragments sends
-/// one item per child fragment.
+/// An attachment point's in-fragment entry time, named by the number of
+/// a child fragment hung there, gathered to the fragment root and
+/// rebroadcast fragment-wide. An attachment hosting several child
+/// fragments sends one item per child fragment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AttItem {
-    /// The child fragment hung at the attachment.
-    pub frag: u32,
+    /// The number of the child fragment hung at the attachment.
+    pub num: u32,
     /// The attachment's in-fragment entry time.
     pub in_t: u32,
 }
 
 impl Message for AttItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.in_t as u64)
+        TAG_BITS + value_bits(self.num as u64) + value_bits(self.in_t as u64)
     }
 }
 
-/// The `s3` per-edge exchange payload: the in-fragment entry time of the
-/// endpoint. The endpoint's *fragment* is deliberately not on the wire —
-/// every node already holds its neighbors' fragments from the
-/// `mstB.exch` exchange, so re-sending them would pay `⌈log₂ n⌉` bits per
-/// edge direction for information the receiver has.
+/// The `s3` per-edge exchange payload: the endpoint's in-fragment entry
+/// time and its fragment's number, which places the fragment in the
+/// [`TfShape`] every node holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NbMsg {
     /// Sender's in-fragment entry time.
     pub in_t: u32,
+    /// Sender's fragment number.
+    pub num: u32,
 }
 
 impl Message for NbMsg {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.in_t as u64)
+        TAG_BITS + value_bits(self.in_t as u64) + value_bits(self.num as u64)
     }
 }
 
 /// A resolved case-2 (merging node) contribution for the child-fragment
-/// pair `(g1, g2)`, `g1 < g2`, routed from the leader to the attachment
-/// `a1` of `g1` (the route names it, so the row does not): total weight
-/// `w` of the edges whose LCA is the lowest common ancestor of `a1` and
-/// the attachment `a2` of `g2`.
+/// pair `(g1, g2)`, `g1 < g2` by number, routed from the leader to the
+/// attachment `a1` of `g1` (the route names it, so the row does not):
+/// total weight `w` of the edges whose LCA is the lowest common ancestor
+/// of `a1` and the attachment `a2` of `g2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairItem {
-    /// The second child fragment, `g2`.
-    pub frag: u32,
+    /// The second child fragment's number, `g2`.
+    pub num: u32,
     /// Total crossing weight of the pair.
     pub w: u64,
 }
 
 impl Message for PairItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.w)
+        TAG_BITS + value_bits(self.num as u64) + value_bits(self.w)
     }
 }
 
@@ -562,8 +753,8 @@ impl Algorithm for TokensUp {
 /// A fragment's `(Σδ, Σρ)` totals, upcast from its root to the leader.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TotItem {
-    /// The fragment.
-    pub frag: u32,
+    /// The fragment's number.
+    pub num: u32,
     /// Sum of weighted degrees over the fragment.
     pub d: u64,
     /// Sum of ρ over the fragment.
@@ -572,7 +763,7 @@ pub struct TotItem {
 
 impl Message for TotItem {
     fn bit_len(&self) -> usize {
-        TAG_BITS + value_bits(self.frag as u64) + value_bits(self.d) + value_bits(self.r)
+        TAG_BITS + value_bits(self.num as u64) + value_bits(self.d) + value_bits(self.r)
     }
 }
 
@@ -851,7 +1042,7 @@ mod tests {
     fn reroot_flood_orients_toward_the_initiator() {
         let g = generators::path(5).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        // One fragment spanning the path; initiator = node 3.
+        // One fragment spanning the path, number 6; initiator = node 3.
         let inputs: Vec<RerootInput> = (0..5)
             .map(|v| RerootInput {
                 tree_ports: match v {
@@ -859,13 +1050,14 @@ mod tests {
                     4 => vec![Port(0)],
                     _ => vec![Port(0), Port(1)],
                 },
-                initiator: v == 3,
+                initiator: (v == 3).then_some(6),
             })
             .collect();
-        let parents = net
-            .run("orient.flood", &FragReroot, inputs)
-            .unwrap()
-            .outputs;
+        let out = net.run("orient.flood", &FragReroot, inputs).unwrap();
+        // One message per tree edge: the number rides on the flood.
+        assert_eq!((out.metrics.messages, out.metrics.rounds), (4, 3));
+        let (parents, nums): (Vec<_>, Vec<_>) = out.outputs.into_iter().unzip();
+        assert_eq!(nums, [6; 5]);
         assert_eq!(parents[3], None);
         // 2's parent is its right port (toward 3), 4's parent is its left.
         assert_eq!(parents[2], Some(Port(1)));
@@ -875,17 +1067,71 @@ mod tests {
     }
 
     #[test]
+    fn tf_shape_classifies_every_case() {
+        // 0 ─┬─ 1 ─┬─ 2
+        //    │     └─ 3
+        //    └─ 4 ── 5
+        let shape = TfShape::new(&[0, 1, 1, 0, 4]);
+        assert_eq!(shape.k(), 6);
+        assert_eq!(shape.classify(0, 3), LcaCase::InMine { child: 1 });
+        assert_eq!(shape.classify(1, 3), LcaCase::InMine { child: 3 });
+        assert_eq!(shape.classify(3, 0), LcaCase::InTheirs);
+        assert_eq!(shape.classify(2, 3), LcaCase::Merging { g1: 2, g2: 3 });
+        assert_eq!(shape.classify(3, 5), LcaCase::Merging { g1: 1, g2: 4 });
+        assert_eq!(shape.classify(5, 2), LcaCase::Merging { g1: 4, g2: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "not numbered in pre-order")]
+    fn tf_shape_rejects_a_numbering_that_is_not_pre_order() {
+        // Fragment 3 hangs from 1, but 2 (a child of 0) closed 1's
+        // subtree before it.
+        TfShape::new(&[0, 0, 1]);
+    }
+
+    #[test]
+    fn shape_rows_fill_the_budget() {
+        // 41 parent numbers of ⌈log₂ 42⌉ = 6 bits under a 136-bit edge:
+        // 4 + 4 + 3 + 5 + 6·20 = 136 bits, so 20 to a row and 3 rows.
+        assert_eq!(shape_row_capacity(42, 136), 20);
+        let parents: Vec<u32> = (0..41).collect();
+        let rows = TfShape::new(&parents).rows(136);
+        let lens: Vec<usize> = rows
+            .iter()
+            .map(|r| match r {
+                TfItem::Shape { width: 6, parents } => parents.len(),
+                other => panic!("not a 6-bit shape row: {other:?}"),
+            })
+            .collect();
+        assert_eq!(lens, [20, 20, 1]);
+        assert_eq!(TAG_BITS + rows[0].bit_len(), 136);
+        // Fewer numbers than fit: one row of all of them; a budget below
+        // one number: one number per row.
+        assert_eq!(shape_row_capacity(3, 136), 2);
+        assert_eq!(shape_row_capacity(42, 8), 1);
+    }
+
+    #[test]
     fn message_sizes_are_logarithmic() {
-        // A `T_F` row is exactly its fragment, parent fragment and edge:
-        // it names no node.
-        let tf = TfRec {
+        // A `T_F` row is exactly its fragment, edge and number: it names
+        // no node.
+        let row = TfItem::Row {
             frag: 100,
-            parent: 90,
             edge: 250,
+            num: 9,
         };
-        assert_eq!(tf.bit_len(), TAG_BITS + 7 + 7 + 8);
+        assert_eq!(row.bit_len(), TAG_BITS + 7 + 8 + 4);
+        // A shape row: tag, width (6 → 3 bits), count (20 → 5 bits),
+        // then 20 numbers of 6 bits.
+        let shape = TfItem::Shape {
+            width: 6,
+            parents: vec![0; 20].into(),
+        };
+        assert_eq!(shape.bit_len(), TAG_BITS + 3 + 5 + 120);
+        // `s3` carries the fragment number beside the in-time.
+        assert_eq!(NbMsg { in_t: 140, num: 9 }.bit_len(), TAG_BITS + 8 + 4);
         assert!(Token { t_in: 140, w: 8 }.bit_len() <= TAG_BITS + 8 + 4);
-        assert!(PairItem { frag: 20, w: 300 }.bit_len() <= TAG_BITS + 5 + 9);
+        assert!(PairItem { num: 20, w: 300 }.bit_len() <= TAG_BITS + 5 + 9);
         assert!(
             SideMsg {
                 singleton: false,

@@ -5,6 +5,7 @@ use mincut_repro::congest::primitives::leader_bfs;
 use mincut_repro::congest::NetworkConfig;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut_repro::mincut::dist::one_respect::shape_row_capacity;
 use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
 fn run(
@@ -98,11 +99,14 @@ fn low_diameter_family_is_fast() {
 fn phase_a_fragment_counts_size_the_table_broadcasts() {
     // The `chaos_torus` benchmark instance, crash-free: three packed
     // trees, each recording the k fragments phase A handed to phase B.
-    // The leader streams T_F (k − 1 rows) in `orient.tf` to every node,
-    // and in `s5d` one subtree sum per non-root fragment to that
-    // fragment's attachment only. Each stream closes every BFS edge with
-    // an end marker; a routed row crosses just the BFS edges from the
-    // leader down to its target.
+    // In `orient.tf` the leader streams T_F's shape to every node, in
+    // rows of as many parent numbers as fit the edge, and each non-root
+    // fragment's row to its attachment and its connector only; in `s5d`
+    // one subtree sum per non-root fragment to that fragment's
+    // attachment only. Each stream closes every BFS edge with an end
+    // marker; a routed row crosses just the BFS edges from the leader
+    // down to its targets (a connector neighbors its attachment, so it
+    // lies at most one level deeper).
     let g = generators::torus2d(24, 24).unwrap();
     let cfg = ExactConfig {
         packing: PackingConfig {
@@ -113,12 +117,10 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     };
     let r = exact_mincut(&g, &cfg).unwrap();
     assert_eq!(r.phase_a_fragments, [3, 22, 2]);
-    let k: u64 = r.phase_a_fragments.iter().map(|&k| k as u64).sum();
     let trees = r.trees_packed as u64;
     let edges = g.node_count() as u64 - 1;
-    assert_eq!(r.ledger.messages_matching("orient.tf"), k * edges);
-    // `s5d` carries k − 1 targeted rows per tree: the root fragment
-    // hangs from no node, so the leader drops its row.
+    // `orient.tf` and `s5d` carry k − 1 targeted rows per tree: the root
+    // fragment hangs from no node, so the leader drops its row.
     for (rows, k) in r.tf_attachments.iter().zip(&r.phase_a_fragments) {
         assert_eq!(rows.len(), k - 1);
     }
@@ -129,6 +131,18 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
         .flatten()
         .map(|a| u64::from(bfs[a.index()].tree.depth))
         .sum();
+    let budget = NetworkConfig::default().bandwidth_bits(g.node_count());
+    let shape_rows: Vec<u64> = r
+        .phase_a_fragments
+        .iter()
+        .map(|&k| (k as u64 - 1).div_ceil(shape_row_capacity(k, budget) as u64))
+        .collect();
+    assert_eq!(shape_rows, [1, 2, 1]);
+    let routed: u64 = r.phase_a_fragments.iter().map(|&k| k as u64 - 1).sum();
+    let s: u64 = shape_rows.iter().sum();
+    let orient_tf = r.ledger.messages_matching("orient.tf");
+    assert!(orient_tf <= (s + trees) * edges + 2 * paths + routed);
+    assert_eq!(orient_tf, 4_215);
     assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
     // Phase A, the capped fragment growth, exactly.
     assert_eq!(
@@ -160,5 +174,5 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     }
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((r.rounds, r.messages), (2_110, 108_375));
+    assert_eq!((r.rounds, r.messages), (2_100, 97_064));
 }

@@ -1,17 +1,20 @@
 //! The large-`n` regime: the pipeline above the old `n ≤ 65535` cap.
 //!
-//! Until the stream keys were widened to `u64`, the case-2 attachment-pair
-//! aggregation packed `lo·n + hi` into a `u32` and `run_pipeline`
-//! hard-errored for `n > 65535`. This test runs the full exact pipeline on
-//! a sparse ~70k-node graph with a certified minimum cut, in **strict**
-//! CONGEST mode with the default `8·⌈log₂ n⌉`-bit budget, and checks that
-//! the case-2 pair aggregation (`s4a`) really carried keyed traffic — the
-//! code path the widening exists for.
+//! The case-2 pair aggregation once keyed its sums by node-id pairs,
+//! `lo·n + hi` packed into a `u32`, and `run_pipeline` hard-errored for
+//! `n > 65535`. Its keys are now pairs of `T_F` fragment numbers,
+//! `lo·k + hi < k²`, whose width depends on the fragment count `k`, not
+//! on `n`. This test runs the full exact pipeline on a sparse ~70k-node
+//! graph with a certified minimum cut, in **strict** CONGEST mode with
+//! the default `8·⌈log₂ n⌉`-bit budget, checks that the case-2 pair
+//! aggregation (`s4a`) really carried keyed traffic, and pins the whole
+//! pipeline's cost.
 
 use mincut_repro::congest::primitives::leader_bfs;
-use mincut_repro::congest::ExecutorKind;
+use mincut_repro::congest::{ExecutorKind, NetworkConfig};
 use mincut_repro::graphs::generators::torus3d_with_chords;
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut_repro::mincut::dist::one_respect::shape_row_capacity;
 use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
 #[test]
@@ -56,8 +59,7 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert_eq!(res.ledger.total_violations(), 0);
 
     // The case-2 pair aggregation really ran: `s4a` moved more than the
-    // n − 1 end-of-stream markers, i.e. actual `lo·n + hi` keyed items
-    // (with n > 2¹⁶, exactly the keys a u32 packing could not carry).
+    // n − 1 end-of-stream markers, i.e. actual `lo·k + hi` keyed items.
     let s4a = res
         .ledger
         .phases()
@@ -78,15 +80,17 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert_eq!(election.messages, 2 * m + n as u64 - 1);
     assert_eq!((election.messages, election.rounds), (494_813, 102));
 
-    // Phase A hands phase B k = 42 fragments. `orient.tf` streams the
-    // k − 1 rows of T_F to every node over the BFS tree's n − 1 edges,
-    // plus an end marker. `s5d` routes each non-root fragment's subtree
-    // sum to that fragment's attachment alone: n − 1 end markers plus
-    // the BFS depth of every attachment.
+    // Phase A hands phase B k = 42 fragments. `orient.tf` streams T_F's
+    // shape to every node over the BFS tree's n − 1 edges, in s rows of
+    // as many 6-bit parent numbers as fit the edge (20 of the 41), plus
+    // an end marker; each fragment's row crosses only the BFS edges to
+    // its attachment and its connector, a neighbor of the attachment
+    // and so at most one level deeper. `s5d` routes each non-root
+    // fragment's subtree sum to that fragment's attachment alone: n − 1
+    // end markers plus the BFS depth of every attachment.
     assert_eq!(res.phase_a_fragments, [42]);
     let k = res.phase_a_fragments[0] as u64;
     let edges = n as u64 - 1;
-    assert_eq!(res.ledger.messages_matching("orient.tf"), k * edges);
     let attachments = &res.tf_attachments[0];
     assert_eq!(attachments.len() as u64, k - 1);
     let bfs = leader_bfs::oracle(&g);
@@ -94,6 +98,12 @@ fn exact_mincut_above_the_old_u16_cap() {
         .iter()
         .map(|a| u64::from(bfs[a.index()].tree.depth))
         .sum();
+    let budget = NetworkConfig::default().bandwidth_bits(n);
+    let s = (k - 1).div_ceil(shape_row_capacity(k as usize, budget) as u64);
+    assert_eq!(s, 3);
+    let orient_tf = res.ledger.messages_matching("orient.tf");
+    assert!(orient_tf <= (s + 1) * edges + 2 * paths + (k - 1));
+    assert_eq!(orient_tf, 283_247);
     assert_eq!(res.ledger.messages_matching("s5d"), edges + paths);
 
     // `s5` forwards one item per distinct key and edge: tokens of one
@@ -149,5 +159,5 @@ fn exact_mincut_above_the_old_u16_cap() {
 
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((res.rounds, res.messages), (3_560, 10_105_790));
+    assert_eq!((res.rounds, res.messages), (3_546, 7_423_796));
 }
