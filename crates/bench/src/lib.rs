@@ -7,10 +7,10 @@ use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
 use mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
 /// The canonical deterministic fault plan of the CI harness: 5% drops,
-/// 2.5% duplication, delay window 2, fixed seed. `bench_smoke`'s faulty
-/// rows and the chaos session that `trace_export` bounds by 10 transport
-/// ticks per virtual round measure the *same* link faults, so the
-/// tracked curve and the gated number cannot drift apart.
+/// 2.5% duplication, delay window 2, fixed seed. The chaos session that
+/// `trace_export` gates (it bounds it by 10 transport ticks per virtual
+/// round) and perfbench's `chaos_torus` workload both layer
+/// [`SMOKE_CRASHES`] on these link faults through [`chaos_plan`].
 pub const SMOKE_FAULTS: congest::sim::FaultPlan = congest::sim::FaultPlan {
     seed: 0xBE7C4,
     drop_per_mille: 50,
@@ -31,10 +31,10 @@ pub const SMOKE_FAULTS: congest::sim::FaultPlan = congest::sim::FaultPlan {
 /// instance. On `torus24x24` the pipeline's virtual-round schedule puts
 /// `leader_bfs` at rounds 0..86, `init.deg` at 86..111, and the first
 /// MST fragment-growth level `mstA.l0.*` at 111..116, so round 114 lands
-/// inside `mstA.l0.hook`; `chaos_gate` asserts the aborted phase on
+/// inside `mstA.l0.hook`; `trace_export` asserts the aborted phase on
 /// every CI run, so a drift in the phase spans is caught, not silently
-/// tolerated. Layered on [`SMOKE_FAULTS`] by [`chaos_plan`] so the chaos
-/// rows and the CI gate measure the same adversary.
+/// tolerated. Layered on [`SMOKE_FAULTS`] by [`chaos_plan`] so the
+/// benchmark and the CI gate measure the same adversary.
 pub const SMOKE_CRASHES: &[congest::sim::CrashEvent] = &[congest::sim::CrashEvent {
     node: 0,
     at_round: 114,
@@ -42,8 +42,8 @@ pub const SMOKE_CRASHES: &[congest::sim::CrashEvent] = &[congest::sim::CrashEven
 }];
 
 /// [`SMOKE_FAULTS`] with the [`SMOKE_CRASHES`] schedule armed — the
-/// adversary of `bench_smoke`'s chaos rows and of the `chaos_gate` CI
-/// binary.
+/// adversary of the `trace_export` CI binary and of perfbench's
+/// `chaos_torus` workload.
 pub fn chaos_plan() -> congest::sim::FaultPlan {
     congest::sim::FaultPlan {
         crashes: SMOKE_CRASHES.to_vec(),
@@ -54,8 +54,9 @@ pub fn chaos_plan() -> congest::sim::FaultPlan {
 /// The canonical large-`n` instance: the 70602-node 3D torus + chords
 /// with certified λ = 6 that `tests/large_n.rs` gates (the umbrella
 /// crate cannot depend on this one, so that test re-states the
-/// constructor — keep them in sync). `bench_smoke --large` measures it
-/// and that test pins its exact election and phase-A traffic.
+/// constructor — keep them in sync). `bench_smoke` times it serial
+/// against parallel, perfbench runs it as `large_sparse`, and that test
+/// pins its exact traffic.
 pub fn large_n_graph() -> WeightedGraph {
     graphs::generators::torus3d_with_chords(42, 41, 41, 300).expect("valid torus construction")
 }

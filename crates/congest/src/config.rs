@@ -25,10 +25,11 @@ pub struct NetworkConfig {
     /// (live nodes + touched halted nodes) is smaller than this many
     /// nodes runs inline on the calling thread instead of spawning
     /// workers — per-sweep thread costs dwarf the per-node work at small
-    /// scale (`bench_smoke`'s `clique_pair32` ran ~7× slower parallel
-    /// than serial before this fallback). Results are identical either
-    /// way (the sweep code is shared); only wall time differs. `0`
-    /// disables the fallback; the serial executor ignores this knob.
+    /// scale (the exact pipeline on `clique_pair32` ran ~7× slower
+    /// parallel than serial before this fallback). Results are
+    /// identical either way (the sweep code is shared); only wall time
+    /// differs. `0` disables the fallback; the serial executor ignores
+    /// this knob.
     pub parallel_inline_threshold: usize,
     /// The observability sink this network records into (`None` — the
     /// default — disables tracing entirely: no events, no clock reads,

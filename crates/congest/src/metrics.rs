@@ -284,8 +284,8 @@ impl MetricsLedger {
     /// Aggregates the recorded phases by label *stem* — the phase name up
     /// to the first `'.'` (`"mstA.l3.cand"` → `"mstA"`, `"leader_bfs"` →
     /// `"leader_bfs"`) — in order of first appearance. This is the
-    /// breakdown `bench_smoke` emits per instance and the quickest answer
-    /// to "where does the traffic go".
+    /// breakdown perfbench records per stem and the quickest answer to
+    /// "where does the traffic go".
     pub fn grouped_by_stem(&self) -> Vec<(String, PhaseGroup)> {
         let mut order: Vec<String> = Vec::new();
         let mut groups: std::collections::BTreeMap<&str, PhaseGroup> =

@@ -26,9 +26,8 @@
 //!   [`Profile`], which the stream never includes.
 //!
 //! This module also owns the session's single tracing switch: the
-//! `CONGEST_OBS` environment variable (with `CONGEST_TRACE` kept as a
-//! compatible alias) turns on the per-phase stderr summary lines that
-//! used to be an ad-hoc path in the engine.
+//! `CONGEST_OBS` environment variable turns on the per-phase stderr
+//! summary lines.
 
 mod chrome;
 mod event;
@@ -379,19 +378,15 @@ impl ObsSink {
 }
 
 /// Whether the stderr phase-trace lines are enabled: the `CONGEST_OBS`
-/// environment variable, or its pre-obs alias `CONGEST_TRACE`
-/// (checked once per process).
+/// environment variable (checked once per process).
 pub fn stderr_trace_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var_os("CONGEST_OBS").is_some() || std::env::var_os("CONGEST_TRACE").is_some()
-    })
+    *ENABLED.get_or_init(|| std::env::var_os("CONGEST_OBS").is_some())
 }
 
 /// Prints the per-phase stderr summary line when
 /// [`stderr_trace_enabled`] — the single tracing switch the engine
-/// calls after every phase (format unchanged from the pre-obs
-/// `CONGEST_TRACE` path).
+/// calls after every phase.
 pub(crate) fn trace_phase_line(name: &str, metrics: &crate::metrics::PhaseMetrics, wall_ms: f64) {
     if stderr_trace_enabled() {
         eprintln!(

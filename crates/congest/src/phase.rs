@@ -11,9 +11,9 @@
 //!    the grammar would silently fall out of the stem aggregation.
 //! 2. **Registry** — the stems the min-cut pipeline (and the CI gates
 //!    built on it) may emit are enumerated in [`REGISTERED_STEMS`]. A
-//!    stem that drifts (a typo in a `format!`, a renamed phase that the
-//!    `chaos_gate` checks no longer match)
-//!    breaks the accounting without breaking any test — unless it is
+//!    stem that drifts (a typo in a `format!`, a renamed phase that
+//!    `trace_export`'s aborted-phase check no longer matches) breaks
+//!    the accounting without breaking any test — unless it is
 //!    caught, which is the job of the `congest_lint` binary in
 //!    `crates/analysis`: it extracts every phase string literal in the
 //!    pipeline and the gates and checks it against this module.
@@ -40,8 +40,7 @@ pub const REGISTERED_STEMS: &[&str] = &[
     "init",
     // MST phase A (capped fragment growth, per-level sub-phases
     // `.l{level}.{exch,cd,hook}`) and phase B (the cycle-filtered upcast
-    // over the BFS tree: `.exch`, `.up`, `.chosen`, `.report`). See
-    // `docs/mst.md`.
+    // over the BFS tree: `.exch`, `.up`). See `docs/mst.md`.
     "mstA",
     "mstB",
     // Tree orientation (reroot at the fragment leader).

@@ -297,7 +297,9 @@ fn reroot(n: usize, edges: &[(u32, u32)], root: u32) -> Vec<Option<u32>> {
 
 /// Per-node [`TreeInfo`] views of a parent map (ports and depths
 /// derived locally — every node knows its neighbors a priori, so the
-/// restoration costs zero messages).
+/// restoration costs zero messages). The driver's one conversion from a
+/// checkpointed parent map to ports: every restored tree is installed
+/// from its output.
 fn tree_infos(g: &WeightedGraph, parents: &[Option<u32>]) -> Vec<TreeInfo> {
     let n = parents.len();
     let port_to = |v: usize, u: u32| -> Port {
@@ -632,17 +634,6 @@ impl<'g> Pipeline<'g> {
         Ok(())
     }
 
-    /// The port of `v` toward neighbor `u`.
-    fn port_to(&self, v: usize, u: u32) -> Port {
-        Port(
-            self.g
-                .neighbors(NodeId::from_index(v))
-                .iter()
-                .position(|a| a.neighbor.raw() == u)
-                .expect("tree edges are graph edges") as u32,
-        )
-    }
-
     /// Installs a restored spanning tree as **one fragment** rooted at
     /// the leader: after the reset every node carries fragment number 0
     /// in the one-fragment `T_F`, and there are no inter-fragment edges,
@@ -650,28 +641,16 @@ impl<'g> Pipeline<'g> {
     /// 1-respecting minimum of the restored tree (the single-fragment
     /// degradation of the fragment decomposition — every incident edge
     /// is a same-fragment case).
-    fn install_tree(&mut self, parents: &[Option<u32>]) {
+    fn install_tree(&mut self, tree: &[TreeInfo]) {
         debug_assert_eq!(
-            parents[self.leader.index()],
+            tree[self.leader.index()].parent,
             None,
             "re-rooted at the leader"
         );
         self.reset_tree();
-        let mut child_ports: Vec<Vec<Port>> = vec![Vec::new(); self.n];
-        let mut parent_ports: Vec<Option<Port>> = vec![None; self.n];
-        for v in 0..self.n {
-            if let Some(u) = parents[v] {
-                parent_ports[v] = Some(self.port_to(v, u));
-                child_ports[u as usize].push(self.port_to(u as usize, v as u32));
-            }
-        }
-        for (v, m) in self.mems.iter_mut().enumerate() {
-            m.parent = parent_ports[v];
-            m.tree_ports = child_ports[v]
-                .iter()
-                .copied()
-                .chain(parent_ports[v])
-                .collect();
+        for (m, t) in self.mems.iter_mut().zip(tree) {
+            m.parent = t.parent;
+            m.tree_ports = t.children.iter().copied().chain(t.parent).collect();
         }
     }
 
@@ -679,33 +658,21 @@ impl<'g> Pipeline<'g> {
     /// `finish_tree` did when it originally completed): both endpoints
     /// of every tree edge count one more use. Evidence-resume
     /// bookkeeping — zero rounds.
-    fn replay_tree_loads(&mut self, parents: &[Option<u32>]) {
-        for (v, &p) in parents.iter().enumerate().take(self.n) {
-            if let Some(u) = p {
-                let pv = self.port_to(v, u);
-                let pu = self.port_to(u as usize, v as u32);
-                self.mems[v].loads[pv.index()] += 1;
-                self.mems[u as usize].loads[pu.index()] += 1;
+    fn replay_tree_loads(&mut self, tree: &[TreeInfo]) {
+        for (m, t) in self.mems.iter_mut().zip(tree) {
+            for p in t.children.iter().copied().chain(t.parent) {
+                m.loads[p.index()] += 1;
             }
         }
     }
 
     /// Re-installs the best-tree snapshot (`side()`'s flood scaffold)
-    /// from a checkpointed parent map — what `finish_tree(true)` stored
-    /// when that tree originally improved the bound.
-    fn install_snap(&mut self, parents: &[Option<u32>]) {
-        let mut child_ports: Vec<Vec<Port>> = vec![Vec::new(); self.n];
-        let mut parent_ports: Vec<Option<Port>> = vec![None; self.n];
-        for v in 0..self.n {
-            if let Some(u) = parents[v] {
-                parent_ports[v] = Some(self.port_to(v, u));
-                child_ports[u as usize].push(self.port_to(u as usize, v as u32));
-            }
-        }
-        for (v, m) in self.mems.iter_mut().enumerate() {
-            m.snap_parent = parent_ports[v];
-            m.snap_children = std::mem::take(&mut child_ports[v]);
-            m.snap_children.sort_unstable();
+    /// from a checkpointed tree — what `finish_tree(true)` stored when
+    /// that tree originally improved the bound.
+    fn install_snap(&mut self, tree: &[TreeInfo]) {
+        for (m, t) in self.mems.iter_mut().zip(tree) {
+            m.snap_parent = t.parent;
+            m.snap_children = t.children.clone();
         }
     }
 
@@ -741,14 +708,14 @@ impl<'g> Pipeline<'g> {
         LoggedBfs { parents, labels }
     }
 
-    /// The sorted edge ids of a parent map (the `tree_edges` outcome
-    /// entry for restored trees).
-    fn edge_ids_of(&self, parents: &[Option<u32>]) -> Vec<graphs::EdgeId> {
-        let mut ids: Vec<graphs::EdgeId> = (0..self.n)
-            .filter_map(|v| {
-                parents[v]
-                    .map(|u| graphs::EdgeId::new(self.mems[v].edge_ids[self.port_to(v, u).index()]))
-            })
+    /// The sorted edge ids of a tree (the `tree_edges` outcome entry for
+    /// restored trees).
+    fn edge_ids_of(&self, tree: &[TreeInfo]) -> Vec<graphs::EdgeId> {
+        let mut ids: Vec<graphs::EdgeId> = self
+            .mems
+            .iter()
+            .zip(tree)
+            .filter_map(|(m, t)| t.parent.map(|p| graphs::EdgeId::new(m.edge_ids[p.index()])))
             .collect();
         ids.sort_unstable();
         ids
@@ -1651,14 +1618,15 @@ fn drive_packing(
     // stages, the expensive part, are skipped either way).
     if let Some(spec) = resume {
         pl.net.obs_emit("recover.resume", spec.trees.len() as u64);
-        let mut snap: Option<Vec<Option<u32>>> = None;
+        let mut snap: Option<Vec<TreeInfo>> = None;
         for (edges, cut) in &spec.trees {
             let parents = reroot(n, edges, pl.leader.raw());
-            tree_edges.push(pl.edge_ids_of(&parents));
+            let tree = tree_infos(pl.g, &parents);
+            tree_edges.push(pl.edge_ids_of(&tree));
             packed += 1;
             let (minc, argmin, replayed) = match cut {
                 Some((c, (x, y))) => {
-                    pl.replay_tree_loads(&parents);
+                    pl.replay_tree_loads(&tree);
                     // The checkpointed argmin names a tree edge; its
                     // argmin *node* is whichever endpoint is the child
                     // under this attempt's rooting (a fresh leader may
@@ -1672,7 +1640,7 @@ fn drive_packing(
                     (*c, NodeId::new(a), true)
                 }
                 None => {
-                    pl.install_tree(&parents);
+                    pl.install_tree(&tree);
                     let (minc, argmin) = pl.cut_stage()?;
                     pl.finish_tree(minc < best_value)?;
                     (minc, argmin, false)
@@ -1686,15 +1654,15 @@ fn drive_packing(
                 // itself inside `finish_tree`; a replayed one runs no
                 // phases, so the driver re-installs its snapshot after
                 // the loop (only if it is still the best).
-                snap = replayed.then(|| parents.clone());
+                snap = replayed.then_some(tree);
             }
             if let Some(log) = log.as_deref_mut() {
                 log.trees.push((parents, (minc, argmin.raw())));
                 pl.net.obs_emit("recover.checkpoint", packed as u64);
             }
         }
-        if let Some(parents) = &snap {
-            pl.install_snap(parents);
+        if let Some(tree) = &snap {
+            pl.install_snap(tree);
         }
     }
     while packed < opts.target.target(n, best_value) {
@@ -1886,16 +1854,16 @@ mod tests {
     /// Strict bandwidth at the largest fragment count: a cap of 2 leaves
     /// up to n/2 fragments, so `T_F`'s shape takes the most rows, of the
     /// widest numbers. Every `orient.tf` item fits the edge, the shape
-    /// takes ⌈(k − 1)/c⌉ rows of c numbers, c is as many as fit, and the
+    /// takes ⌈(k − 2)/c⌉ rows of c numbers, c is as many as fit, and the
     /// whole strict pipeline stays within the budget.
     #[test]
     fn strict_bandwidth_holds_at_the_largest_fragment_count() {
         use congest::primitives::broadcast::StreamMsg;
         use congest::Message;
-        // (graph, budget, k, numbers a row): 11 numbers of 4 bits fill
-        // one 64-bit row; 494 of 9 bits go 7 to an 80-bit row.
+        // (graph, budget, k, numbers a row): the 10 numbers of 4 bits
+        // fit one 64-bit row; 493 of 9 bits go 7 to an 80-bit row.
         for (g, budget, want_k, want_c) in [
-            (generators::torus2d(6, 6).unwrap(), 64, 12, 11),
+            (generators::torus2d(6, 6).unwrap(), 64, 12, 10),
             (generators::torus2d(32, 32).unwrap(), 80, 495, 7),
         ] {
             let network = NetworkConfig::default();
@@ -1919,8 +1887,8 @@ mod tests {
             let c = crate::dist::one_respect::shape_row_capacity(k, budget);
             assert_eq!(c, want_c);
             let rows = stream.iter().filter(|(r, _)| *r == Route::All).count();
-            assert_eq!(rows, (k - 1).div_ceil(c), "k = {k}, {c} numbers a row");
-            if c < k - 1 {
+            assert_eq!(rows, (k - 2).div_ceil(c), "k = {k}, {c} numbers a row");
+            if c < k - 2 {
                 let wider = TfItem::Shape {
                     width: congest::id_bits(k) as u32,
                     parents: vec![0; c + 1].into(),
@@ -2031,6 +1999,44 @@ mod tests {
         assert_eq!(restored.ledger.phases()[0].name, "recover.e1.resume.bfs");
         assert_eq!(fresh.ledger.phases()[0].name, "leader_bfs");
         assert_eq!(stems(&restored), stems(&fresh));
+    }
+
+    /// Restored trees install from [`tree_infos`], and the trees packed
+    /// after them see the loads they leave: resuming an uninterrupted
+    /// run's first two trees, with their cut values replayed as
+    /// evidence or their cut stage re-run on the restored structure,
+    /// packs the same later trees and finds the same cut and side.
+    #[test]
+    fn resumed_trees_leave_the_loads_of_an_uninterrupted_run() {
+        let g = generators::clique_pair(6, 2).unwrap().graph;
+        let opts = opts_fixed(4);
+        let mut log = RecoveryLog::default();
+        let fresh = run_pipeline(&g, &opts, None, Some(&mut log))
+            .map_err(|(e, _)| e)
+            .unwrap();
+        for trusted in [true, false] {
+            let trees = log.trees[..2]
+                .iter()
+                .map(|(parents, (value, argmin))| {
+                    let edges = (0..parents.len() as u32)
+                        .filter_map(|v| parents[v as usize].map(|u| (v, u)))
+                        .collect();
+                    let cut = parents[*argmin as usize].map(|u| (*value, (*argmin, u)));
+                    (edges, cut.filter(|_| trusted))
+                })
+                .collect();
+            let spec = ResumeSpec {
+                bfs: Some((log.leader.unwrap(), log.bfs.clone().unwrap())),
+                trees,
+                prefix: "recover.e1.resume".to_string(),
+            };
+            let resumed = run_pipeline(&g, &opts, Some(&spec), None)
+                .map_err(|(e, _)| e)
+                .unwrap();
+            assert_eq!(resumed.tree_edges, fresh.tree_edges, "trusted: {trusted}");
+            assert_eq!(resumed.cut.value, fresh.cut.value, "trusted: {trusted}");
+            assert_eq!(resumed.cut.side, fresh.cut.side, "trusted: {trusted}");
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! 1. `orient.tf` / `orient.flood` — the leader roots `T_F` at its own
 //!    fragment and numbers it in pre-order, so each fragment's `T_F`
 //!    subtree is a range of numbers ([`TfShape`]). One stream carries
-//!    two kinds of [`TfItem`]: the shape, `k − 1` parent numbers of
-//!    `⌈log₂ k⌉` bits packed as many to a row as fit the edge, to every
-//!    node; and one row per non-root fragment — the fragment, the tree
-//!    edge it hangs by and its number — to that edge's two endpoints
-//!    only, by the BFS in-times the chosen edge carried up. Each
-//!    endpoint marks the port and reads its role off its own fragment:
+//!    two kinds of [`TfItem`]: the shape, the parent numbers of
+//!    fragments `2..k` (fragment 1's is always 0), `⌈log₂ k⌉` bits
+//!    packed as many to a row as fit the edge, to every node; and one
+//!    row per non-root fragment — the fragment, the tree edge it hangs
+//!    by and its number — to that edge's two endpoints only, by the BFS
+//!    in-times the chosen edge carried up. Each endpoint marks the port
+//!    and reads its role off its own fragment:
 //!    the *connector* if it lies in the row's fragment (it takes the
 //!    number), the *attachment* otherwise (it notes the child's number).
 //!    Each fragment re-roots internally at its connector
@@ -102,7 +103,9 @@ use std::sync::Arc;
 /// fragment `f`'s `T_F` subtree is the number range `f..=end(f)`. This is
 /// all a node needs to place an edge's LCA in `T_F` (see
 /// [`TfShape::classify`]); `orient.tf` streams it to every node as the
-/// `k − 1` parent numbers, a few to a [`TfItem::Shape`] row.
+/// parent numbers of fragments `2..k`, a few to a [`TfItem::Shape`] row
+/// (pre-order makes fragment 1 a child of the root, so its parent is
+/// never sent).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TfShape {
     /// `parent[f]` for `f ≥ 1`; `parent[0] = 0`.
@@ -216,12 +219,15 @@ impl TfShape {
     }
 
     /// The `orient.tf` shape rows under a `budget`-bit edge: the parent
-    /// numbers of fragments `1..k` in order, [`shape_row_capacity`] to a
-    /// row.
+    /// numbers of fragments `2..k` in order, [`shape_row_capacity`] to a
+    /// row. Fragment 1's parent is 0 in every pre-order, so a tree of
+    /// at most two fragments sends no shape row.
     pub fn rows(&self, budget: usize) -> Vec<TfItem> {
         let width = id_bits(self.k()) as u32;
         let c = shape_row_capacity(self.k(), budget);
-        self.parent[1..]
+        self.parent
+            .get(2..)
+            .unwrap_or_default()
             .chunks(c)
             .map(|parents| TfItem::Shape {
                 width,
@@ -240,11 +246,12 @@ fn shape_bits(width: usize, count: usize) -> usize {
 
 /// Parent numbers per `orient.tf` shape row for `k` fragments under a
 /// `budget`-bit edge: as many `⌈log₂ k⌉`-bit numbers as fit beside the
-/// stream's tag, at most `k − 1`, and at least one (a budget too small
-/// for any row fails the bandwidth check rather than stall the stream).
+/// stream's tag, at most `k − 2` (the numbers [`TfShape::rows`] sends),
+/// and at least one (a budget too small for any row fails the bandwidth
+/// check rather than stall the stream).
 pub fn shape_row_capacity(k: usize, budget: usize) -> usize {
     let width = id_bits(k);
-    (1..k)
+    (1..k.saturating_sub(1))
         .take_while(|&c| TAG_BITS + shape_bits(width, c) <= budget)
         .last()
         .unwrap_or(1)
@@ -1091,8 +1098,9 @@ mod tests {
 
     #[test]
     fn shape_rows_fill_the_budget() {
-        // 41 parent numbers of ⌈log₂ 42⌉ = 6 bits under a 136-bit edge:
-        // 4 + 4 + 3 + 5 + 6·20 = 136 bits, so 20 to a row and 3 rows.
+        // The 40 parent numbers of fragments 2..42, ⌈log₂ 42⌉ = 6 bits
+        // each, under a 136-bit edge: 4 + 4 + 3 + 5 + 6·20 = 136 bits,
+        // so 20 to a row and 2 rows.
         assert_eq!(shape_row_capacity(42, 136), 20);
         let parents: Vec<u32> = (0..41).collect();
         let rows = TfShape::new(&parents).rows(136);
@@ -1103,12 +1111,13 @@ mod tests {
                 other => panic!("not a 6-bit shape row: {other:?}"),
             })
             .collect();
-        assert_eq!(lens, [20, 20, 1]);
+        assert_eq!(lens, [20, 20]);
         assert_eq!(TAG_BITS + rows[0].bit_len(), 136);
         // Fewer numbers than fit: one row of all of them; a budget below
-        // one number: one number per row.
-        assert_eq!(shape_row_capacity(3, 136), 2);
+        // one number: one number per row; two fragments: no row.
+        assert_eq!(shape_row_capacity(4, 136), 2);
         assert_eq!(shape_row_capacity(42, 8), 1);
+        assert_eq!(TfShape::new(&[0]).rows(136), []);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! `SMOKE_FAULTS` link faults — 5% drops, 2.5% duplication, delay
 //! window 2 — plus the `SMOKE_CRASHES` leader kill); this example
 //! re-states it literally so the umbrella crate needs no bench
-//! dependency. The same adversary is budgeted by the `chaos_gate` CI
-//! binary, so what the demo narrates is what CI enforces.
+//! dependency. The same adversary, on three packed trees, is gated by
+//! the `trace_export` CI binary (exact λ, the aborted phase and the
+//! exact healing cost), so what the demo narrates is what CI enforces.
 
 use mincut_repro::congest::sim::{CrashEvent, FaultPlan};
 use mincut_repro::graphs::generators;

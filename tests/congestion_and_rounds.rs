@@ -100,7 +100,9 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     // The `chaos_torus` benchmark instance, crash-free: three packed
     // trees, each recording the k fragments phase A handed to phase B.
     // In `orient.tf` the leader streams T_F's shape to every node, in
-    // rows of as many parent numbers as fit the edge, and each non-root
+    // rows of as many parent numbers as fit the edge (those of fragments
+    // 2 to k − 1: fragment 1's is always 0, so the k = 2 tree sends no
+    // shape row), and each non-root
     // fragment's row to its attachment and its connector only; in `s5d`
     // one subtree sum per non-root fragment to that fragment's
     // attachment only. Each stream closes every BFS edge with an end
@@ -135,14 +137,14 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     let shape_rows: Vec<u64> = r
         .phase_a_fragments
         .iter()
-        .map(|&k| (k as u64 - 1).div_ceil(shape_row_capacity(k, budget) as u64))
+        .map(|&k| (k as u64 - 2).div_ceil(shape_row_capacity(k, budget) as u64))
         .collect();
-    assert_eq!(shape_rows, [1, 2, 1]);
+    assert_eq!(shape_rows, [1, 2, 0]);
     let routed: u64 = r.phase_a_fragments.iter().map(|&k| k as u64 - 1).sum();
     let s: u64 = shape_rows.iter().sum();
     let orient_tf = r.ledger.messages_matching("orient.tf");
     assert!(orient_tf <= (s + trees) * edges + 2 * paths + routed);
-    assert_eq!(orient_tf, 4_215);
+    assert_eq!(orient_tf, 3_640);
     assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
     // Phase A, the capped fragment growth, exactly.
     assert_eq!(
@@ -174,5 +176,5 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     }
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((r.rounds, r.messages), (2_100, 97_064));
+    assert_eq!((r.rounds, r.messages), (2_099, 96_489));
 }

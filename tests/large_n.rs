@@ -22,9 +22,9 @@ fn exact_mincut_above_the_old_u16_cap() {
     // λ = 6 by vertex-transitivity; the chords scatter the fragment
     // tree and force case-2 edges (LCA in a third fragment), whose
     // contributions travel through the pair-keyed grouped sum this test
-    // is about. The same instance is benchmarked per executor by
-    // `bench_smoke --large` (one shared generator, so the guarded and
-    // the measured workloads cannot drift apart).
+    // is about. The same instance is `mincut_bench::large_n_graph`,
+    // which `bench_smoke` times serial against parallel and perfbench
+    // runs as `large_sparse`; keep the constructors in sync.
     let g = torus3d_with_chords(42, 41, 41, 300).expect("valid torus construction");
     let n = g.node_count();
     assert!(n > 65535 + 4000, "n = {n} must be ≥ 70000");
@@ -82,8 +82,8 @@ fn exact_mincut_above_the_old_u16_cap() {
 
     // Phase A hands phase B k = 42 fragments. `orient.tf` streams T_F's
     // shape to every node over the BFS tree's n − 1 edges, in s rows of
-    // as many 6-bit parent numbers as fit the edge (20 of the 41), plus
-    // an end marker; each fragment's row crosses only the BFS edges to
+    // as many 6-bit parent numbers as fit the edge (20 of the 40 of
+    // fragments 2 to 41; fragment 1's is always 0), plus an end marker; each fragment's row crosses only the BFS edges to
     // its attachment and its connector, a neighbor of the attachment
     // and so at most one level deeper. `s5d` routes each non-root
     // fragment's subtree sum to that fragment's attachment alone: n − 1
@@ -99,11 +99,11 @@ fn exact_mincut_above_the_old_u16_cap() {
         .map(|a| u64::from(bfs[a.index()].tree.depth))
         .sum();
     let budget = NetworkConfig::default().bandwidth_bits(n);
-    let s = (k - 1).div_ceil(shape_row_capacity(k as usize, budget) as u64);
-    assert_eq!(s, 3);
+    let s = (k - 2).div_ceil(shape_row_capacity(k as usize, budget) as u64);
+    assert_eq!(s, 2);
     let orient_tf = res.ledger.messages_matching("orient.tf");
     assert!(orient_tf <= (s + 1) * edges + 2 * paths + (k - 1));
-    assert_eq!(orient_tf, 283_247);
+    assert_eq!(orient_tf, 212_646);
     assert_eq!(res.ledger.messages_matching("s5d"), edges + paths);
 
     // `s5` forwards one item per distinct key and edge: tokens of one
@@ -159,5 +159,5 @@ fn exact_mincut_above_the_old_u16_cap() {
 
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((res.rounds, res.messages), (3_546, 7_423_796));
+    assert_eq!((res.rounds, res.messages), (3_545, 7_353_195));
 }

@@ -426,5 +426,5 @@ const GOLDEN: [(&str, u64); 55] = [
     ("complete9/partition/r9", 0xF7ABCC9F98E9AFA1),
     ("complete9/exhausted/r9", 0xF9F0387AD359676D),
     ("complete9/lossless/r9", 0xEFED5A3F6666133F),
-    ("torus12x12/recover", 0xD18F8357247AD73A),
+    ("torus12x12/recover", 0x81343BE8AFBC4994),
 ];
