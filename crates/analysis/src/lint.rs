@@ -19,10 +19,13 @@
 //!   stem. A typo'd stem silently falls out of the metrics aggregation
 //!   and the message/chaos budget gates — this is the lint that makes
 //!   that a build failure instead.
-//! * **`determinism`** — replay-exact code paths (`sim/`, `dist/`)
-//!   must not use wall-clock time, hash-order iteration, or ambient
-//!   randomness ([`DETERMINISM_BANNED`]); those paths back the fault
-//!   injector's byte-for-byte reproducibility claims.
+//! * **`determinism`** — replay-exact code paths ([`replay_exact`]:
+//!   `sim/`, `dist/`, and the CONGEST primitives under
+//!   `crates/congest/src/primitives/`) must not use wall-clock time,
+//!   hash-order iteration, or ambient randomness
+//!   ([`DETERMINISM_BANNED`]); those paths back the fault injector's
+//!   byte-for-byte reproducibility claims, and the primitives' streams
+//!   run inside its replays.
 //! * **`stub-drift`** — the offline dependency stand-ins under
 //!   `crates/stubs/` stay in sync with their README contract: every
 //!   stub crate has a README row, every README-documented item exists
@@ -44,7 +47,7 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/congest/src/executor/sweep.rs",
 ];
 
-/// Identifiers banned in replay-exact paths (`sim/`, `dist/`):
+/// Identifiers banned in replay-exact paths ([`replay_exact`]):
 /// hash-order iteration and wall-clock/entropy sources.
 pub const DETERMINISM_BANNED: &[&str] = &[
     "HashMap",
@@ -103,7 +106,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     for (rel, src, pieces) in &sources {
         unsafe_lints(rel, src, pieces, &mut out);
-        if rel.contains("/sim/") || rel.contains("/dist/") {
+        if replay_exact(rel) {
             determinism_lints(rel, pieces, &mut out);
         }
         if rel.starts_with("crates/core/src/") || rel.starts_with("crates/bench/src/") {
@@ -243,6 +246,15 @@ fn unsafe_lints(rel: &str, src: &str, pieces: &[Piece], out: &mut Vec<Violation>
 // determinism
 // ---------------------------------------------------------------------
 
+/// Is the workspace-relative file `rel` on a replay-exact path: the
+/// faulty executor (`sim/`), the distributed pipeline (`dist/`), or the
+/// CONGEST primitives whose streams both of them replay?
+pub fn replay_exact(rel: &str) -> bool {
+    rel.contains("/sim/")
+        || rel.contains("/dist/")
+        || rel.starts_with("crates/congest/src/primitives/")
+}
+
 fn determinism_lints(rel: &str, pieces: &[Piece], out: &mut Vec<Violation>) {
     for w in code_words(pieces) {
         if DETERMINISM_BANNED.contains(&w.text.as_str()) {
@@ -251,8 +263,8 @@ fn determinism_lints(rel: &str, pieces: &[Piece], out: &mut Vec<Violation>) {
                 line: w.line,
                 rule: "determinism",
                 msg: format!(
-                    "`{}` in a replay-exact path (sim/, dist/): use BTree* \
-                     collections, metered virtual time, and seeded RNG instead",
+                    "`{}` in a replay-exact path (sim/, dist/, primitives/): use \
+                     BTree* collections, metered virtual time, and seeded RNG instead",
                     w.text
                 ),
             });
@@ -815,6 +827,25 @@ mod tests {
         determinism_lints("crates/congest/src/sim/x.rs", &lex(src), &mut out);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.rule == "determinism"));
+    }
+
+    #[test]
+    fn determinism_scope_covers_the_primitives() {
+        for rel in [
+            "crates/congest/src/sim/executor.rs",
+            "crates/core/src/dist/driver.rs",
+            "crates/congest/src/primitives/stream.rs",
+            "crates/congest/src/primitives/merge.rs",
+        ] {
+            assert!(replay_exact(rel), "{rel}");
+        }
+        for rel in [
+            "crates/congest/src/engine.rs",
+            "crates/congest/tests/merge_props.rs",
+            "crates/bench/src/bin/trace_export.rs",
+        ] {
+            assert!(!replay_exact(rel), "{rel}");
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ fn the_fixture_tree_trips_every_rule() {
     assert_eq!(count("unsafe-allowlist"), 1, "{stdout}");
     assert_eq!(count("safety-comment"), 1, "{stdout}");
     assert_eq!(count("phase-registry"), 7, "{stdout}");
-    assert_eq!(count("determinism"), 5, "{stdout}");
+    assert_eq!(count("determinism"), 6, "{stdout}");
     assert_eq!(count("stub-drift"), 3, "{stdout}");
-    assert!(stdout.contains("17 violation(s)"), "{stdout}");
+    assert!(stdout.contains("18 violation(s)"), "{stdout}");
 
     // Findings are sorted by (file, line) — stable output for CI diffing.
     let locs: Vec<(&str, usize)> = stdout

@@ -19,6 +19,14 @@ pub trait Message: Clone + Send + std::fmt::Debug {
     /// The size of this message in bits, charged against the per-edge
     /// bandwidth budget.
     fn bit_len(&self) -> usize;
+
+    /// The bits this value costs as one entry of a packed stream batch
+    /// (see [`crate::primitives::stream`]). The default is
+    /// [`Message::bit_len`]; a type whose lone form names its kind in
+    /// the message tag (a routed row) adds the bits that name it here.
+    fn entry_bits(&self) -> usize {
+        self.bit_len()
+    }
 }
 
 /// Bits needed to name one of `n` distinct things (`⌈log₂ n⌉`, minimum 1).

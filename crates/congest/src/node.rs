@@ -205,14 +205,6 @@ impl Intervals {
     pub fn contains(&self, t: u32) -> bool {
         self.in_t <= t && t <= self.out_t
     }
-
-    /// Is `t` inside a single child's subtree (returns that child)?
-    pub fn child_containing(&self, t: u32) -> Option<Port> {
-        self.children
-            .iter()
-            .find(|&&(_, lo, hi)| lo <= t && t <= hi)
-            .map(|&(p, _, _)| p)
-    }
 }
 
 #[cfg(test)]

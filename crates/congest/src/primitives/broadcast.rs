@@ -4,8 +4,10 @@
 //! accumulator as it passes through.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, ProtocolViolation, Step};
-use crate::message::{value_bits, Message, TAG_BITS};
+use crate::message::{value_bits, Message};
 use crate::node::{Intervals, NodeCtx, Port, TreeInfo};
+use crate::primitives::stream::{Fill, StreamMsg};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// Single-item broadcast: each root's item reaches every node of its tree.
@@ -73,25 +75,6 @@ impl<T: Message> Algorithm for Broadcast<T> {
     }
 }
 
-/// Messages of the pipelined stream primitives: a data item or the
-/// end-of-stream marker.
-#[derive(Clone, Debug)]
-pub enum StreamMsg<T> {
-    /// One data item.
-    Item(T),
-    /// No more items will follow on this edge.
-    End,
-}
-
-impl<T: Message> Message for StreamMsg<T> {
-    fn bit_len(&self) -> usize {
-        match self {
-            StreamMsg::Item(t) => TAG_BITS + t.bit_len(),
-            StreamMsg::End => TAG_BITS,
-        }
-    }
-}
-
 /// Which nodes of the tree fold a streamed row: every node, or the one
 /// or two nodes with the given pre-order in-times (see [`Intervals`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,6 +87,12 @@ pub enum Route {
     Two(u32, u32),
 }
 
+/// Bits that name a routed row's [`Route`] kind inside a packed batch.
+/// A lone row names it in the stream tag instead: `End`, the three
+/// routes and the two batch kinds are six message kinds, within
+/// [`TAG_BITS`](crate::message::TAG_BITS).
+const ROUTE_KIND_BITS: usize = 2;
+
 impl Route {
     /// Does the node labelled `iv` fold a row on this route?
     fn folds_at(self, iv: &Intervals) -> bool {
@@ -114,63 +103,98 @@ impl Route {
         }
     }
 
-    /// Sends the row on to the children whose subtrees need it: every
-    /// child for [`Route::All`], otherwise the children whose interval
-    /// holds a target, each with the targets inside its interval.
-    fn forward(self, tree: &TreeInfo, iv: &Intervals, mut send: impl FnMut(Port, Route)) {
+    /// The route the row takes into the child subtree entered at times
+    /// `lo..=hi`, if that subtree needs the row: every child's for
+    /// [`Route::All`], otherwise the targets inside the interval.
+    fn toward(self, (lo, hi): (u32, u32)) -> Option<Route> {
+        let inside = |t: u32| lo <= t && t <= hi;
         match self {
-            Route::All => tree.children.iter().for_each(|&p| send(p, Route::All)),
-            Route::One(t) => {
-                if let Some(p) = iv.child_containing(t) {
-                    send(p, self);
-                }
-            }
-            Route::Two(a, b) => match (iv.child_containing(a), iv.child_containing(b)) {
-                (Some(p), Some(q)) if p == q => send(p, self),
-                (pa, pb) => {
-                    pa.into_iter().for_each(|p| send(p, Route::One(a)));
-                    pb.into_iter().for_each(|q| send(q, Route::One(b)));
-                }
+            Route::All => Some(Route::All),
+            Route::One(t) => inside(t).then_some(self),
+            Route::Two(a, b) => match (inside(a), inside(b)) {
+                (true, true) => Some(self),
+                (true, false) => Some(Route::One(a)),
+                (false, true) => Some(Route::One(b)),
+                (false, false) => None,
             },
+        }
+    }
+
+    /// The bits of the route's targets: their magnitudes.
+    fn target_bits(self) -> usize {
+        match self {
+            Route::All => 0,
+            Route::One(t) => value_bits(t.into()),
+            Route::Two(a, b) => value_bits(a.into()) + value_bits(b.into()),
         }
     }
 }
 
-/// A routed row on the wire: its targets cost their magnitude, and the
-/// route's kind shares the stream tag (`End` and the three routes are
-/// four message kinds, within [`TAG_BITS`]), so a [`Route::All`] row
-/// costs exactly what the bare row does.
+/// The pre-order interval of each child of `tree`, in `tree.children`
+/// order; empty intervals on an unlabelled tree, which only
+/// [`Route::All`] rows cross.
+fn child_intervals<'a>(
+    tree: &'a TreeInfo,
+    iv: &'a Intervals,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    tree.children
+        .iter()
+        .enumerate()
+        .map(|(c, &p)| match iv.children.get(c) {
+            Some(&(q, lo, hi)) => {
+                debug_assert_eq!(p, q, "labels list the children in port order");
+                (lo, hi)
+            }
+            None => (1, 0),
+        })
+}
+
+/// A routed row on the wire: its targets cost their magnitude, and a
+/// lone row's route kind shares the stream tag, so a lone [`Route::All`]
+/// row costs exactly what the bare row does. In a batch each row names
+/// its kind in 2 more bits.
 impl<T: Message> Message for (Route, T) {
     fn bit_len(&self) -> usize {
-        let targets = match self.0 {
-            Route::All => 0,
-            Route::One(t) => value_bits(t.into()),
-            Route::Two(a, b) => value_bits(a.into()) + value_bits(b.into()),
-        };
-        targets + self.1.bit_len()
+        self.0.target_bits() + self.1.bit_len()
+    }
+
+    fn entry_bits(&self) -> usize {
+        row_entry_bits(self.0, &self.1)
     }
 }
 
+/// [`Message::entry_bits`] of the row `(route, item)`, without building
+/// it.
+fn row_entry_bits<T: Message>(route: Route, item: &T) -> usize {
+    ROUTE_KIND_BITS + route.target_bits() + item.bit_len()
+}
+
 /// Pipelined multi-row broadcast: each root streams its rows down its
-/// tree, one row per edge per round, each row along its [`Route`], and
-/// the nodes a row is meant for **fold** it into their own accumulator
-/// as it passes.
+/// tree, each row along its [`Route`], packed by the stream rule
+/// ([`crate::primitives::stream`]), and the nodes a row is meant for
+/// **fold** it into their own accumulator as it passes.
 ///
 /// A [`Route::All`] row crosses every tree edge and every node folds
 /// it. A targeted row crosses only the edges toward its targets (its
-/// Steiner tree) and only the targets fold it: the root keeps one queue
+/// Steiner tree) and only the targets fold it. The root keeps one queue
 /// per child, holding the rows routed into that child's subtree, and
-/// every other node forwards each arriving row, in the round it
-/// arrives, to the children whose interval holds a target. Each tree
-/// edge carries one `End` after its last row, so every node knows when
-/// to halt. Messages: `(n − 1)` end markers plus each row's Steiner
-/// edges. Rounds: the maximum over the root's children of the rows
-/// routed into that subtree plus its height (counted from the root),
-/// plus one — at most `k + height + 1` for `k` rows.
+/// sends each child as many of them per round as fit the edge, the end
+/// marker riding in the last message when it fits. Every other node
+/// forwards each arriving message, in the round it arrives, as one
+/// sub-batch per child whose interval holds a target of its rows. A
+/// sub-batch is never wider than the message it came in: it holds fewer
+/// rows, on the same or narrower routes. Each tree edge carries one end
+/// marker, so every node knows when to halt. Rounds: the maximum over
+/// the root's children of the messages the root sends that child plus
+/// its subtree's height (counted from the root) — at most
+/// `k + height + 1` for `k` rows, and nearer `height` plus the packed
+/// load when many rows share an edge. Messages: at most `(n − 1)` end
+/// markers plus each row's Steiner edges; rows that share a root
+/// message share a message on every edge they both cross.
 ///
 /// A node never stores the list: the root folds its own rows at boot
-/// and streams them by index, and every other node folds the one row
-/// its parent sent this round. Per-node memory is the accumulator, not
+/// and streams them by index, and every other node folds the rows its
+/// parent sent this round. Per-node memory is the accumulator, not
 /// `k` rows — which is what lets the leader pipeline a `k`-row table
 /// over `n` nodes without `k·n` copies. A fold that pushes every row
 /// into a `Vec` recovers the plain list broadcast.
@@ -204,10 +228,10 @@ pub struct BciState<T, A> {
     /// Roots: the input rows, streamed by index. Empty elsewhere.
     items: Vec<(Route, T)>,
     /// Roots: per child (in `tree.children` order), the rows routed
-    /// into its subtree — `(row index, route inside the subtree)`.
-    queues: Vec<Vec<(usize, Route)>>,
-    /// Roots: the queue position sent this round.
-    next: usize,
+    /// into its subtree that have not left yet — `(row index, route
+    /// inside the subtree)` — or `None` once the child's end marker
+    /// has left.
+    queues: Vec<Option<VecDeque<(usize, Route)>>>,
 }
 
 /// Per-node input of [`BroadcastItems`]: the tree, the node's pre-order
@@ -232,23 +256,29 @@ impl<T: Message, A: Send, F: Fn(&mut A, &T) + Sync> Algorithm for BroadcastItems
             tree.is_root() || items.is_empty(),
             "only roots may hold items"
         );
-        let mut queues = vec![Vec::new(); tree.children.len()];
-        for (i, (route, item)) in items.iter().enumerate() {
+        for (route, item) in &items {
             if route.folds_at(&iv) {
                 (self.fold)(&mut acc, item);
             }
-            route.forward(&tree, &iv, |p, r| {
-                let c = tree.children.binary_search(&p).expect("a child port");
-                queues[c].push((i, r));
-            });
         }
+        let queues = if tree.is_root() {
+            child_intervals(&tree, &iv)
+                .map(|child| {
+                    let rows = items.iter().enumerate();
+                    let routed =
+                        |(i, (route, _)): (usize, &(Route, T))| Some((i, route.toward(child)?));
+                    Some(rows.filter_map(routed).collect())
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let state = BciState {
             tree,
             iv,
             acc,
             items,
             queues,
-            next: 0,
         };
         (state, Outbox::new())
     }
@@ -256,24 +286,35 @@ impl<T: Message, A: Send, F: Fn(&mut A, &T) + Sync> Algorithm for BroadcastItems
     fn round(
         &self,
         s: &mut BciState<T, A>,
-        _ctx: &NodeCtx<'_>,
+        ctx: &NodeCtx<'_>,
         inbox: &[(Port, Self::Msg)],
     ) -> Step<Self::Msg> {
         let mut out = Outbox::new();
         if s.tree.is_root() {
-            // Every child's queue advances one row per round and is
-            // closed by an `End` the round after its last row.
-            let k = s.next;
-            s.next += 1;
-            for (&p, queue) in s.tree.children.iter().zip(&s.queues) {
-                let msg = match queue.get(k) {
-                    Some(&(i, route)) => StreamMsg::Item((route, s.items[i].1.clone())),
-                    None if k == queue.len() => StreamMsg::End,
-                    None => continue,
-                };
-                out.send(p, msg);
+            // Each child's queue leaves as fast as its edge takes it,
+            // and the end marker closes it in or after its last message.
+            let items = &s.items;
+            for (&p, slot) in s.tree.children.iter().zip(&mut s.queues) {
+                let Some(queue) = slot else { continue };
+                let mut fill = Fill::new(ctx.bandwidth_bits);
+                let c = queue
+                    .iter()
+                    .take_while(|&&(i, r)| fill.take(row_entry_bits(r, &items[i].1)))
+                    .count();
+                let end = c == queue.len() && fill.ends(0);
+                let rows = (0..c).map(|_| {
+                    let (i, r) = queue.pop_front().expect("c rows are queued");
+                    (r, items[i].1.clone())
+                });
+                out.send(
+                    p,
+                    StreamMsg::pack(c, rows, end).expect("an open queue sends"),
+                );
+                if end {
+                    *slot = None;
+                }
             }
-            return if s.queues.iter().all(|q| q.len() <= k) {
+            return if s.queues.iter().all(Option::is_none) {
                 Step::Halt(out)
             } else {
                 Step::Continue(out)
@@ -281,21 +322,33 @@ impl<T: Message, A: Send, F: Fn(&mut A, &T) + Sync> Algorithm for BroadcastItems
         }
         // Only the parent speaks, at most once per round.
         debug_assert!(inbox.len() <= 1, "one upstream message per round");
-        match inbox.first() {
-            Some((_, StreamMsg::Item((route, item)))) => {
-                if route.folds_at(&s.iv) {
-                    (self.fold)(&mut s.acc, item);
-                }
-                route.forward(&s.tree, &s.iv, |p, r| {
-                    out.send(p, StreamMsg::Item((r, item.clone())));
-                });
-                Step::Continue(out)
+        let Some((_, msg)) = inbox.first() else {
+            return Step::idle();
+        };
+        let rows = msg.items();
+        for (route, item) in rows {
+            if route.folds_at(&s.iv) {
+                (self.fold)(&mut s.acc, item);
             }
-            Some((_, StreamMsg::End)) => {
-                out.send_all(s.tree.children.iter().copied(), StreamMsg::End);
-                Step::Halt(out)
+        }
+        // One sub-batch per child, its rows in arrival order; the end
+        // marker goes on to every child with the message that brought it.
+        let end = msg.ends();
+        for (&p, child) in s.tree.children.iter().zip(child_intervals(&s.tree, &s.iv)) {
+            let sub = || {
+                rows.iter()
+                    .filter_map(move |(r, x)| Some((r.toward(child)?, x)))
+            };
+            let count = sub().count();
+            let sub = sub().map(|(r, x)| (r, x.clone()));
+            if let Some(m) = StreamMsg::pack(count, sub, end) {
+                out.send(p, m);
             }
-            None => Step::idle(),
+        }
+        if end {
+            Step::Halt(out)
+        } else {
+            Step::Continue(out)
         }
     }
 
@@ -309,6 +362,7 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::engine::Network;
+    use crate::message::TAG_BITS;
     use crate::primitives::leader_bfs::{self, LeaderBfs};
     use graphs::generators;
 
@@ -412,19 +466,28 @@ mod tests {
     #[test]
     fn collecting_fold_delivers_all_items_in_order_on_a_path() {
         let g = generators::path(10).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let items: Vec<u64> = (100..120).collect();
-        let inputs = stream_inputs(&g, &to_all(&items), Vec::new());
-        let out = net
-            .run("bcast_items", &BroadcastItems::new(collect), inputs)
-            .unwrap();
-        for o in &out.outputs {
-            assert_eq!(o, &items);
+        // Each row costs 2 route-kind bits and 7 value bits in a batch.
+        // Under the default 64-bit budget six share a message
+        // (4 + 3 + 6·9 = 61 bits), so the 20 rows and the end marker
+        // take 4 messages per edge; under 16 bits each row travels
+        // alone, and the end marker rides the last (4 + 1 + 9 = 14).
+        for (factor, per_edge) in [(8, 4u64), (2, 20)] {
+            let cfg = NetworkConfig::with_bandwidth_factor(factor);
+            let mut net = Network::new(&g, cfg).unwrap();
+            let inputs = stream_inputs(&g, &to_all(&items), Vec::new());
+            let out = net
+                .run("bcast_items", &BroadcastItems::new(collect), inputs)
+                .unwrap();
+            for o in &out.outputs {
+                assert_eq!(o, &items);
+            }
+            // Pipelining: messages per edge + depth rounds, NOT
+            // k · depth.
+            assert_eq!(out.metrics.rounds, per_edge + 9);
+            assert_eq!(out.metrics.messages, 9 * per_edge);
+            assert!(out.metrics.max_message_bits <= net.bandwidth_bits());
         }
-        // Pipelining: k + depth + 1 rounds, NOT k * depth; every tree
-        // edge carries the k items and the end marker.
-        assert_eq!(out.metrics.rounds, 20 + 9 + 1);
-        assert_eq!(out.metrics.messages, 9 * 21);
     }
 
     #[test]
@@ -481,22 +544,21 @@ mod tests {
     }
 
     /// What the routed-stream contract predicts for `rows` streamed from
-    /// node 0 over the oracle's BFS tree of `g`: every node's folded
-    /// rows (in stream order), the messages, and the rounds.
+    /// node 0 over the oracle's BFS tree of `g` under a `budget`-bit
+    /// edge: every node's folded rows (in stream order), the messages,
+    /// and the rounds. The root packs each child's rows greedily, in
+    /// order — a batch of `c` rows costs 4 tag bits, the bits of `c`, 2
+    /// route-kind bits per row and each row's own bits — with the end
+    /// marker in the last message when it fits; every message then
+    /// crosses each edge that one of its rows crosses, and the ending
+    /// message every edge of the subtree.
     fn routed_contract(
         g: &graphs::WeightedGraph,
         rows: &[(Route, u64)],
+        budget: usize,
     ) -> (Vec<Vec<u64>>, u64, u64) {
         let bfs = leader_bfs::oracle(g);
         let n = bfs.len();
-        let parent = |v: usize| {
-            bfs[v].tree.parent.map(|p| {
-                g.neighbors(graphs::NodeId::from_index(v))[p.index()]
-                    .neighbor
-                    .index()
-            })
-        };
-        let node_at = |t: u32| (0..n).find(|&v| bfs[v].iv.in_t == t).expect("a label");
         let targets = |r: Route| match r {
             Route::All => (0..n as u32).collect(),
             Route::One(t) => vec![t],
@@ -511,39 +573,77 @@ mod tests {
                     .collect()
             })
             .collect();
-        // Steiner edges: the non-root nodes on the root-target paths.
-        let steiner: u64 = rows
-            .iter()
-            .map(|&(r, _)| {
-                let mut on_path = std::collections::BTreeSet::new();
-                for t in targets(r) {
-                    let mut v = node_at(t);
-                    while let Some(u) = parent(v) {
-                        on_path.insert(v);
-                        v = u;
-                    }
+        let vb = |x: u64| (64 - x.leading_zeros()).max(1) as usize;
+        let mut messages = 0;
+        let mut rounds = 1;
+        for &(_, lo, hi) in &bfs[0].iv.children {
+            let inside = |t: u32| (lo..=hi).contains(&t);
+            // The rows routed into this subtree, each with its route
+            // narrowed to the targets inside it.
+            let sub: Vec<(Route, u64)> = rows
+                .iter()
+                .filter_map(|&(r, x)| {
+                    let r = match r {
+                        Route::All => Route::All,
+                        Route::One(t) if inside(t) => r,
+                        Route::Two(a, b) => match (inside(a), inside(b)) {
+                            (true, true) => r,
+                            (true, false) => Route::One(a),
+                            (false, true) => Route::One(b),
+                            (false, false) => return None,
+                        },
+                        Route::One(_) => return None,
+                    };
+                    Some((r, x))
+                })
+                .collect();
+            let entry = |&(r, x): &(Route, u64)| {
+                let named: usize = match r {
+                    Route::All => 0,
+                    _ => targets(r).iter().map(|&t| vb(t.into())).sum(),
+                };
+                2 + named + vb(x)
+            };
+            // The root's messages to this child: (rows, whether it ends).
+            let mut sent: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
+            let mut at = 0;
+            loop {
+                let (mut c, mut bits) = (0, 0);
+                while at + c < sub.len()
+                    && (c == 0 || 4 + vb(c as u64 + 1) + bits + entry(&sub[at + c]) <= budget)
+                {
+                    bits += entry(&sub[at + c]);
+                    c += 1;
                 }
-                on_path.len() as u64
-            })
-            .sum();
-        let rounds = bfs[0]
-            .iv
-            .children
-            .iter()
-            .map(|&(_, lo, hi)| {
-                let inside = |t: &u32| (lo..=hi).contains(t);
-                let rows_in = rows.iter().filter(|(r, _)| targets(*r).iter().any(inside));
-                let height = (0..n)
-                    .filter(|&v| inside(&bfs[v].iv.in_t))
-                    .map(|v| u64::from(bfs[v].tree.depth))
-                    .max()
-                    .unwrap_or(0);
-                rows_in.count() as u64 + height
-            })
-            .max()
-            .unwrap_or(0)
-            + 1;
-        (folds, n as u64 - 1 + steiner, rounds)
+                let end = at + c == sub.len() && (c == 0 || 4 + vb(c as u64) + bits <= budget);
+                sent.push((at..at + c, end));
+                at += c;
+                if end {
+                    break;
+                }
+            }
+            // Every node of the subtree: the edge to its parent carries
+            // the messages with a row for its own subtree, and the
+            // ending message.
+            let subtree: Vec<usize> = (0..n).filter(|&v| inside(bfs[v].iv.in_t)).collect();
+            for &v in &subtree {
+                let (a, b) = (bfs[v].iv.in_t, bfs[v].iv.out_t);
+                let below = |&(r, _): &(Route, u64)| {
+                    r == Route::All || targets(r).iter().any(|t| (a..=b).contains(t))
+                };
+                messages += sent
+                    .iter()
+                    .filter(|(rows, end)| *end || sub[rows.clone()].iter().any(below))
+                    .count() as u64;
+            }
+            let height = subtree
+                .iter()
+                .map(|&v| u64::from(bfs[v].tree.depth))
+                .max()
+                .unwrap_or(0);
+            rounds = rounds.max(sent.len() as u64 + height);
+        }
+        (folds, messages, rounds)
     }
 
     /// A mixed table: `All` rows, single targets (the root, leaves,
@@ -576,22 +676,30 @@ mod tests {
         ] {
             let n = g.node_count() as u32;
             let rows = mixed_rows(n);
-            let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-            let inputs = stream_inputs(&g, &rows, Vec::new());
-            let out = net
-                .run("bcast_routed", &BroadcastItems::new(collect), inputs)
-                .unwrap();
-            let (folds, messages, rounds) = routed_contract(&g, &rows);
-            assert_eq!(out.outputs, folds, "n = {n}");
-            assert_eq!(out.metrics.messages, messages, "n = {n}");
-            assert_eq!(out.metrics.rounds, rounds, "n = {n}");
-            // Never slower than broadcasting every row to everyone.
             let height = leader_bfs::oracle(&g)
                 .iter()
                 .map(|o| o.tree.depth)
                 .max()
                 .unwrap();
-            assert!(rounds <= rows.len() as u64 + u64::from(height) + 1);
+            // 24 bits carry about one row a message, 64 a few, 256 most
+            // of the table.
+            for factor in [3, 8, 32] {
+                let cfg = NetworkConfig::with_bandwidth_factor(factor);
+                let mut net = Network::new(&g, cfg).unwrap();
+                let budget = net.bandwidth_bits();
+                let inputs = stream_inputs(&g, &rows, Vec::new());
+                let out = net
+                    .run("bcast_routed", &BroadcastItems::new(collect), inputs)
+                    .unwrap();
+                let (folds, messages, rounds) = routed_contract(&g, &rows, budget);
+                let tag = format!("n = {n}, {budget} bits");
+                assert_eq!(out.outputs, folds, "{tag}");
+                assert_eq!(out.metrics.messages, messages, "{tag}");
+                assert_eq!(out.metrics.rounds, rounds, "{tag}");
+                assert!(out.metrics.max_message_bits <= budget, "{tag}");
+                // Never slower than broadcasting every row to everyone.
+                assert!(rounds <= rows.len() as u64 + u64::from(height) + 1);
+            }
         }
     }
 
@@ -601,12 +709,7 @@ mod tests {
         // for node 6 crosses 6 edges, and a row for nodes 3 and 8 crosses
         // 8 — the second target's path contains the first's.
         let g = generators::path(10).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let rows = vec![(Route::One(6), 60), (Route::Two(3, 8), 38)];
-        let inputs = stream_inputs(&g, &rows, Vec::new());
-        let out = net
-            .run("bcast_routed", &BroadcastItems::new(collect), inputs)
-            .unwrap();
         let want: Vec<Vec<u64>> = (0..10)
             .map(|v| match v {
                 3 | 8 => vec![38],
@@ -614,14 +717,35 @@ mod tests {
                 _ => vec![],
             })
             .collect();
-        assert_eq!(out.outputs, want);
-        assert_eq!(out.metrics.messages, 9 + 6 + 8);
-        // Two rows and the end marker down a path of height 9.
-        assert_eq!(out.metrics.rounds, 2 + 9 + 1);
-        // An `All` row costs its bare size; a targeted row adds only its
-        // targets' magnitudes.
+        // Under 16 bits each row travels alone (13 and 16 bits), and so
+        // does the end marker: every row costs its own path, and the
+        // stream the two rows, the end marker and the height. Under the
+        // default 64 bits both rows and the end marker share one message
+        // (4 + 2 + 11 + 14 = 31 bits), which crosses every edge once.
+        for (factor, messages, rounds) in [(2, 9 + 6 + 8, 2 + 9 + 1), (8, 9, 1 + 9)] {
+            let cfg = NetworkConfig::with_bandwidth_factor(factor);
+            let mut net = Network::new(&g, cfg).unwrap();
+            let inputs = stream_inputs(&g, &rows, Vec::new());
+            let out = net
+                .run("bcast_routed", &BroadcastItems::new(collect), inputs)
+                .unwrap();
+            assert_eq!(out.outputs, want);
+            assert_eq!(
+                (out.metrics.messages, out.metrics.rounds),
+                (messages, rounds)
+            );
+        }
+        // A lone `All` row costs its bare size; a targeted row adds only
+        // its targets' magnitudes, and in a batch each row adds the two
+        // bits that name its route's kind.
         assert_eq!((Route::All, 5u64).bit_len(), 5u64.bit_len());
         assert_eq!((Route::Two(3, 8), 5u64).bit_len(), 2 + 4 + 3);
+        assert_eq!(
+            (Route::Two(3, 8), 5u64).entry_bits(),
+            ROUTE_KIND_BITS + 2 + 4 + 3
+        );
+        let lone = StreamMsg::pack(1, [(Route::One(6), 60u64)], false).unwrap();
+        assert_eq!(lone.bit_len(), TAG_BITS + 3 + 6);
     }
 
     #[test]
@@ -647,7 +771,7 @@ mod tests {
             (out.outputs, m)
         };
         let serial = run(crate::ExecutorKind::Serial);
-        assert_eq!(serial.0, routed_contract(&g, &rows).0);
+        assert_eq!(serial.0, routed_contract(&g, &rows, 64).0);
         let plan = crate::sim::FaultPlan::with_drop(100, 7)
             .delayed(2)
             .duplicated(50);

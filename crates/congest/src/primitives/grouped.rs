@@ -5,14 +5,14 @@
 //! merging node `v`, the `⟨v⟩` messages of Step 5 "by pipelining".
 //!
 //! The stream protocol itself (buffers, readiness, `End` accounting, the
-//! one-item-per-round budget) lives in [`crate::primitives::merge`]; this
+//! per-round emission budget) lives in [`crate::primitives::merge`]; this
 //! module only supplies the sum monoid and the root-side output handling.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::{value_bits, Message, TAG_BITS};
 use crate::node::{NodeCtx, Port, TreeInfo};
-use crate::primitives::broadcast::StreamMsg;
 use crate::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
+use crate::primitives::stream::StreamMsg;
 
 /// One `(key, partial sum)` pair in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,12 +99,13 @@ impl Algorithm for GroupedSum {
     fn round(
         &self,
         s: &mut GsState,
-        _ctx: &NodeCtx<'_>,
+        ctx: &NodeCtx<'_>,
         inbox: &[(Port, StreamMsg<KeyedSum>)],
     ) -> Step<Self::Msg> {
         s.core.absorb(inbox);
         let out = &mut s.out;
-        s.core.relay_round(|_| true, |p| out.push((p.key, p.value)))
+        s.core
+            .relay_round(ctx.bandwidth_bits, |_| true, |p| out.push((p.key, p.value)))
     }
 
     fn finish(&self, s: GsState, _ctx: &NodeCtx<'_>) -> FinishResult<Self::Output> {

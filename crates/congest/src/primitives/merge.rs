@@ -2,10 +2,11 @@
 //!
 //! Every node merges its children's sorted keyed streams with its own
 //! pre-sorted input, reduces equal-key runs, filters the result through
-//! a per-node keep predicate, and relays it upward one item per round.
-//! This module owns that protocol **once** — the child-stream buffers,
-//! the readiness rule, the end-of-stream accounting, and the per-round
-//! emission budget — so a protocol fix lands in one place. It has one
+//! a per-node keep predicate, and relays it upward, as many items per
+//! round as fit the edge. This module owns that protocol **once** — the
+//! child-stream buffers, the readiness rule, the end-of-stream
+//! accounting, and the per-round emission budget — so a protocol fix
+//! lands in one place. It has one
 //! in-crate instantiation, [`GroupedSum`](crate::primitives::GroupedSum),
 //! which keeps every item; the distributed MST's cycle-filtered upcast
 //! (`mincut::dist::mst`) is the other, and drops every edge that closes a
@@ -30,7 +31,8 @@
 //! it about every reduced item as the item is popped, in key order. A
 //! kept item is relayed (or, at a root, handed to the sink); a dropped
 //! item vanishes on the spot, and the node pops the next decided item in
-//! the same round — a dropped item costs no round and no message. The
+//! the same round — a dropped item costs no round, no message and no
+//! bit. The
 //! predicate may carry per-node state: the MST's predicate is a union
 //! over fragment ids that succeeds only for an edge joining two classes.
 //!
@@ -44,32 +46,40 @@
 //! * **Readiness** — a key may only be emitted when *every* stream is
 //!   ready (has a buffered item or has ended); otherwise a smaller key
 //!   could still arrive and break the sorted-output invariant.
-//! * **`End` accounting** — each child sends exactly one
-//!   [`StreamMsg::End`] after its last item; the node sends its own `End`
-//!   exactly once, after all streams are exhausted.
-//! * **Emission budget** — a non-root relays at most **one** kept item
-//!   per round, so a phase never puts more than one `StreamMsg` on an
-//!   edge per round and the per-message bound is the per-round bound.
+//! * **`End` accounting** — each child sends exactly one end marker,
+//!   alone or riding its last batch ([`StreamMsg::ends`]); the node
+//!   sends its own exactly once, after all streams are exhausted.
+//! * **Emission budget** — a non-root relays per round the kept items
+//!   that fit one message under the edge's budget, in key order, by the
+//!   stream rule ([`crate::primitives::stream::Fill`]), and its end
+//!   marker with the last of them when it fits. A phase therefore puts
+//!   at most one `StreamMsg` on an edge per round, and no message over
+//!   the budget unless a lone item exceeds it. A kept item that does not
+//!   fit waits, already kept, at the front of the next round's message.
 //!
 //! # Bit-budget math
 //!
 //! With bandwidth `β·⌈log₂ n⌉` bits per edge per round (β = 8 by
-//! default), one `StreamMsg::Item` must fit in that budget: `TAG_BITS`
-//! (enum discriminants) plus the item's own bits. `GroupedSum`'s widest
-//! key is the driver's case-2 pair of `T_F` fragment numbers,
-//! `lo·k + hi < k²` for `k ≤ n` fragments, i.e. at most `2⌈log₂ n⌉` key
-//! bits — within the default budget for every `n` (the old node-id pair
-//! key in a `u32` capped `n` at 65535), leaving `(β − 2)⌈log₂ n⌉ − O(1)`
-//! bits for the payload, enough for `poly(n)` values. The MST upcast's
-//! item carries its key — load, weight, and an edge id of up to
-//! `2⌈log₂ n⌉` bits — plus two fragment ids and two BFS in-times of
+//! default), one lone `StreamMsg::Item` must fit in that budget:
+//! `TAG_BITS` (enum discriminants) plus the item's own bits. A batch of
+//! `c` items costs `TAG_BITS + value_bits(c)` plus the items' own bits,
+//! so it holds about `(β⌈log₂ n⌉ − 4)/b` items of `b` bits each.
+//! `GroupedSum`'s widest key is the driver's case-2 pair of `T_F`
+//! fragment numbers, `lo·k + hi < k²` for `k ≤ n` fragments, i.e. at
+//! most `2⌈log₂ n⌉` key bits — within the default budget for every `n`
+//! (the old node-id pair key in a `u32` capped `n` at 65535), leaving
+//! `(β − 2)⌈log₂ n⌉ − O(1)` bits for the payload, enough for `poly(n)`
+//! values. On the 70,602-node benchmark instance the `s4a` batches fill
+//! the 136-bit edge: its widest message is exactly 136 bits. The MST
+//! upcast's item carries its key — load, weight, and an edge id of up
+//! to `2⌈log₂ n⌉` bits — plus two fragment ids and two BFS in-times of
 //! `⌈log₂ n⌉` bits each; it peaks at 65 bits on torus32x32, against an
-//! 80-bit budget.
+//! 80-bit budget, so there the widest items travel alone.
 
 use crate::algorithm::{Outbox, Step};
 use crate::message::Message;
 use crate::node::{NodeCtx, Port, TreeInfo};
-use crate::primitives::broadcast::StreamMsg;
+use crate::primitives::stream::{Fill, StreamMsg};
 use std::collections::VecDeque;
 
 /// The reduction contract of [`KeyedStreamReduce`]: a keyed item type
@@ -109,7 +119,7 @@ impl<T> Stream<T> {
 /// The pipelined keyed-stream reducer: merges the node's own sorted input
 /// with its children's sorted streams, reducing equal keys via
 /// [`KeyedMonoid::combine`], and relays the kept part of the merged
-/// stream to the parent one item per round
+/// stream to the parent, as many items per round as fit the edge
 /// ([`KeyedStreamReduce::relay_round`]).
 ///
 /// This is per-node *state*, not an [`crate::Algorithm`]: the thin
@@ -124,8 +134,9 @@ pub struct KeyedStreamReduce<M: KeyedMonoid> {
     streams: Vec<Stream<M::Item>>,
     /// Port index → stream slot (`usize::MAX` for non-child ports).
     slot_of_port: Vec<usize>,
-    /// The node's own `End` has been relayed.
-    end_sent: bool,
+    /// Non-roots: the kept item that did not fit last round's message,
+    /// after its entry bits; it leaves first in the next.
+    held: Option<(usize, M::Item)>,
 }
 
 impl<M: KeyedMonoid> KeyedStreamReduce<M> {
@@ -162,20 +173,26 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
             parent: tree.parent,
             streams,
             slot_of_port,
-            end_sent: false,
+            held: None,
         }
     }
 
     /// Feeds one round's inbox into the stream buffers. Items append to
-    /// the sender's stream; `End` closes it. Messages may only arrive
-    /// from child ports.
+    /// the sender's stream; its end marker closes it. Messages may only
+    /// arrive from child ports.
     pub fn absorb(&mut self, inbox: &[(Port, StreamMsg<M::Item>)]) {
         for (port, msg) in inbox {
             let slot = self.slot_of_port[port.index()];
             debug_assert_ne!(slot, usize::MAX, "messages only arrive from children");
+            let stream = &mut self.streams[slot];
+            // The lone forms skip the batch path: most messages are one.
             match msg {
-                StreamMsg::Item(p) => self.streams[slot].buf.push_back(p.clone()),
-                StreamMsg::End => self.streams[slot].ended = true,
+                StreamMsg::Item(x) => stream.buf.push_back(x.clone()),
+                StreamMsg::End => stream.ended = true,
+                batch => {
+                    stream.buf.extend(batch.items().iter().cloned());
+                    stream.ended |= batch.ends();
+                }
             }
         }
     }
@@ -227,41 +244,64 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     ///
     /// * **Root** (no parent): drains every kept batch into `sink`,
     ///   halting once all streams are exhausted.
-    /// * **Non-root**: relays at most one kept batch to the parent (the
-    ///   per-round emission budget — one `StreamMsg` per edge per
-    ///   round), or the node's single `End` once exhausted; `sink` is
-    ///   not called.
+    /// * **Non-root**: relays to the parent the kept batches that fit
+    ///   one message under `budget` bits, in key order, and the node's
+    ///   single `End` with the last of them, or alone, once exhausted
+    ///   (the per-round emission budget — one `StreamMsg` per edge per
+    ///   round); `sink` is not called.
     ///
     /// Call [`KeyedStreamReduce::absorb`] before this.
     pub fn relay_round(
         &mut self,
+        budget: usize,
         mut keep: impl FnMut(&M::Item) -> bool,
         mut sink: impl FnMut(M::Item),
     ) -> Step<StreamMsg<M::Item>> {
-        match self.parent {
-            None => {
-                while let Some(item) = self.pop_kept(&mut keep) {
-                    sink(item);
-                }
-                if self.exhausted() {
-                    Step::halt()
-                } else {
-                    Step::idle()
-                }
+        let Some(parent) = self.parent else {
+            while let Some(item) = self.pop_kept(&mut keep) {
+                sink(item);
             }
-            Some(parent) => {
-                let mut out = Outbox::new();
-                if let Some(item) = self.pop_kept(&mut keep) {
-                    out.send(parent, StreamMsg::Item(item));
-                    Step::Continue(out)
-                } else if self.exhausted() && !self.end_sent {
-                    self.end_sent = true;
-                    out.send(parent, StreamMsg::End);
-                    Step::Halt(out)
-                } else {
-                    Step::idle()
-                }
+            return if self.exhausted() {
+                Step::halt()
+            } else {
+                Step::idle()
+            };
+        };
+        // The held item goes first; then pop kept items until one does
+        // not fit, which is held for the next round. A lone item
+        // allocates nothing.
+        let mut fill = Fill::new(budget);
+        let mut first = None;
+        let mut more = Vec::new();
+        loop {
+            let (bits, item) = match self.held.take() {
+                Some(held) => held,
+                None => match self.pop_kept(&mut keep) {
+                    Some(item) => (item.entry_bits(), item),
+                    None => break,
+                },
+            };
+            if !fill.take(bits) {
+                self.held = Some((bits, item));
+                break;
             }
+            match first {
+                None => first = Some(item),
+                Some(_) => more.push(item),
+            }
+        }
+        let end = self.held.is_none() && self.exhausted() && fill.ends(0);
+        if first.is_none() && !end {
+            return Step::idle();
+        }
+        let msg = StreamMsg::pack(fill.count(), first.into_iter().chain(more), end)
+            .expect("an item or the end marker");
+        let mut out = Outbox::new();
+        out.send(parent, msg);
+        if end {
+            Step::Halt(out)
+        } else {
+            Step::Continue(out)
         }
     }
 }
@@ -269,6 +309,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::TAG_BITS;
     use crate::node::NeighborInfo;
     use crate::primitives::grouped::{KeyedSum, SumMonoid};
     use graphs::{EdgeId, NodeId};
@@ -360,75 +401,135 @@ mod tests {
         let ctx = ctx_with_degree(&neighbors);
         let mut root: KeyedStreamReduce<SumMonoid> =
             KeyedStreamReduce::new(&ctx, &TreeInfo::default(), vec![]);
-        assert!(matches!(root.relay_round(|_| true, |_| ()), Step::Halt(o) if o.is_empty()));
-        let leaf_tree = TreeInfo {
-            parent: Some(Port(0)),
-            children: vec![],
-            depth: 1,
-        };
+        assert!(matches!(root.relay_round(64, |_| true, |_| ()), Step::Halt(o) if o.is_empty()));
         let mut leaf: KeyedStreamReduce<SumMonoid> =
-            KeyedStreamReduce::new(&ctx, &leaf_tree, vec![]);
-        match leaf.relay_round(|_| true, |_| ()) {
-            Step::Halt(o) => assert_eq!(o.len(), 1), // the End marker
+            KeyedStreamReduce::new(&ctx, &leaf_tree(), vec![]);
+        match leaf.relay_round(64, |_| true, |_| ()) {
+            Step::Halt(o) => assert!(matches!(&o.msgs[..], [(_, StreamMsg::End)])),
             Step::Continue(_) => panic!("leaf must halt after its End"),
         }
     }
 
-    /// Non-roots emit at most one item per round (the emission budget).
+    fn leaf_tree() -> TreeInfo {
+        TreeInfo {
+            parent: Some(Port(0)),
+            children: vec![],
+            depth: 1,
+        }
+    }
+
+    /// A childless non-root holding `(key, 1)` for every key in `keys`.
+    fn leaf_with(ctx: &NodeCtx<'_>, keys: std::ops::Range<u64>) -> KeyedStreamReduce<SumMonoid> {
+        let own = keys.map(|key| KeyedSum { key, value: 1 }).collect();
+        KeyedStreamReduce::new(ctx, &leaf_tree(), own)
+    }
+
+    /// Runs `core` to its halt under `budget`: every message it sends,
+    /// in round order, as (keys carried, whether the stream ends there,
+    /// bits).
+    fn relay_all(
+        core: &mut KeyedStreamReduce<SumMonoid>,
+        budget: usize,
+        mut keep: impl FnMut(&KeyedSum) -> bool,
+    ) -> Vec<(Vec<u64>, bool, usize)> {
+        let mut sent = Vec::new();
+        for _ in 0..2000 {
+            let (halted, out) = match core.relay_round(budget, &mut keep, |_| ()) {
+                Step::Continue(o) => (false, o),
+                Step::Halt(o) => (true, o),
+            };
+            assert!(out.len() <= 1, "one message per edge per round");
+            for (_, msg) in out.msgs {
+                let keys = msg.items().iter().map(|p| p.key).collect();
+                sent.push((keys, msg.ends(), msg.bit_len()));
+            }
+            if halted {
+                return sent;
+            }
+        }
+        panic!("the stream never ended");
+    }
+
+    /// The emission budget is the stream rule: under a budget that fits
+    /// one item, a non-root still relays one item per round; at 64 bits
+    /// the four keys and the end marker leave in one message.
     #[test]
     fn non_root_relays_one_item_per_round() {
         let neighbors = nbrs(1);
         let ctx = ctx_with_degree(&neighbors);
-        let tree = TreeInfo {
-            parent: Some(Port(0)),
-            children: vec![],
-            depth: 1,
-        };
-        let mut core: KeyedStreamReduce<SumMonoid> = KeyedStreamReduce::new(
-            &ctx,
-            &tree,
-            (0..4).map(|k| KeyedSum { key: k, value: 1 }).collect(),
-        );
-        for _ in 0..4 {
-            match core.relay_round(|_| true, |_| ()) {
-                Step::Continue(o) => assert_eq!(o.len(), 1),
-                Step::Halt(_) => panic!("items remain"),
-            }
-        }
-        assert!(matches!(core.relay_round(|_| true, |_| ()), Step::Halt(o) if o.len() == 1));
+        // Keys 0..4 with value 1 cost 6, 6, 7 and 7 bits; a lone item
+        // costs 4 more, and two in a batch cost 4 + 2 + 12 = 18 bits.
+        let one = relay_all(&mut leaf_with(&ctx, 0..4), 11, |_| true);
+        let want: Vec<(Vec<u64>, bool, usize)> = vec![
+            (vec![0], false, 10),
+            (vec![1], false, 10),
+            (vec![2], false, 11),
+            (vec![3], false, 11),
+            (vec![], true, TAG_BITS),
+        ];
+        assert_eq!(one, want);
+        let all = relay_all(&mut leaf_with(&ctx, 0..4), 64, |_| true);
+        assert_eq!(all, [(vec![0, 1, 2, 3], true, 4 + 3 + 26)]);
     }
 
-    /// A dropped item does not use up the round's one-item budget: the
-    /// node pops on to the next kept item in the same round, and sends
-    /// its `End` in the round its last item is dropped.
+    /// A dropped item takes no room: the node pops on to the next kept
+    /// item in the same round, and its end marker leaves in the round its
+    /// last item is dropped — riding with the kept item when it fits.
     #[test]
     fn dropped_items_cost_no_round() {
         let neighbors = nbrs(1);
         let ctx = ctx_with_degree(&neighbors);
-        let tree = TreeInfo {
-            parent: Some(Port(0)),
-            children: vec![],
-            depth: 1,
-        };
-        let mut core: KeyedStreamReduce<SumMonoid> = KeyedStreamReduce::new(
-            &ctx,
-            &tree,
-            (0..5).map(|k| KeyedSum { key: k, value: 1 }).collect(),
-        );
-        let mut asked = Vec::new();
-        let mut keep = |p: &KeyedSum| {
-            asked.push(p.key);
-            p.key == 2
-        };
-        // Keys 0 and 1 are dropped; key 2 goes out in the first round.
-        match core.relay_round(&mut keep, |_| ()) {
-            Step::Continue(o) => {
-                assert!(matches!(&o.msgs[..], [(_, StreamMsg::Item(p))] if p.key == 2));
-            }
-            Step::Halt(_) => panic!("key 2 is kept"),
+        // Keys 0, 1, 3 and 4 are dropped: key 2 and the end marker leave
+        // in the first round. Under a one-item budget key 2 leaves alone,
+        // and the end marker, which would not fit beside it, in the
+        // second round.
+        for (budget, want) in [
+            (64, vec![(vec![2], true, 4 + 1 + 7)]),
+            (11, vec![(vec![2], false, 11), (vec![], true, TAG_BITS)]),
+        ] {
+            let mut asked = Vec::new();
+            let keep = |p: &KeyedSum| {
+                asked.push(p.key);
+                p.key == 2
+            };
+            assert_eq!(relay_all(&mut leaf_with(&ctx, 0..5), budget, keep), want);
+            assert_eq!(asked, [0, 1, 2, 3, 4]);
         }
-        // Keys 3 and 4 are dropped; the `End` goes out in the second.
-        assert!(matches!(core.relay_round(&mut keep, |_| ()), Step::Halt(o) if o.len() == 1));
-        assert_eq!(asked, [0, 1, 2, 3, 4]);
+    }
+
+    /// The end marker rides only when it fits: a last item that fills
+    /// the edge alone leaves the end marker to the next round, one bit
+    /// more of budget lets them share the message.
+    #[test]
+    fn the_end_marker_rides_only_when_it_fits() {
+        let neighbors = nbrs(1);
+        let ctx = ctx_with_degree(&neighbors);
+        let sent = relay_all(&mut leaf_with(&ctx, 3..4), 11, |_| true);
+        assert_eq!(sent, [(vec![3], false, 11), (vec![], true, TAG_BITS)]);
+        let sent = relay_all(&mut leaf_with(&ctx, 3..4), 12, |_| true);
+        assert_eq!(sent, [(vec![3], true, 12)]);
+    }
+
+    /// Under every budget that fits a lone item, no message exceeds the
+    /// budget, the keys leave in order, each once, and the end marker
+    /// exactly once, last.
+    #[test]
+    fn the_packer_never_emits_a_message_over_budget() {
+        let neighbors = nbrs(1);
+        let ctx = ctx_with_degree(&neighbors);
+        // Keys up to 999 cost up to 4 + 10 + 1 = 15 bits, 19 alone.
+        for budget in 19..=96 {
+            let sent = relay_all(&mut leaf_with(&ctx, 0..1000), budget, |p| p.key % 7 != 3);
+            assert!(
+                sent.iter().all(|&(_, _, bits)| bits <= budget),
+                "budget {budget}"
+            );
+            let keys: Vec<u64> = sent.iter().flat_map(|(k, _, _)| k.clone()).collect();
+            let want: Vec<u64> = (0..1000).filter(|k| k % 7 != 3).collect();
+            assert_eq!(keys, want, "budget {budget}");
+            let ends: Vec<bool> = sent.iter().map(|&(_, end, _)| end).collect();
+            assert_eq!(ends.iter().filter(|&&e| e).count(), 1);
+            assert_eq!(ends.last(), Some(&true));
+        }
     }
 }

@@ -6,6 +6,10 @@
 //!   waves also label the tree with pre-order [`crate::Intervals`].
 //! * [`convergecast`] — aggregate one value per node up a tree/forest
 //!   (`O(height)` rounds).
+//! * [`stream`] — the pipelined streams' wire format ([`StreamMsg`]:
+//!   one item, the end marker, or a batch) and the one packing rule
+//!   ([`Fill`]) by which every stream puts as many ready items on an
+//!   edge per round as fit its bandwidth budget.
 //! * [`broadcast`] — one item, or a pipelined stream of `k` rows, from each
 //!   root down its tree (`O(k + height)` rounds); each row is routed to
 //!   every node or to one or two labelled targets, which fold it into a
@@ -39,6 +43,7 @@ pub mod failure_detector;
 pub mod grouped;
 pub mod leader_bfs;
 pub mod merge;
+pub mod stream;
 pub mod subtree;
 pub mod upcast;
 
@@ -49,5 +54,6 @@ pub use failure_detector::{FailureDetector, FdReport, JoinEcho};
 pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
 pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
+pub use stream::{Fill, StreamMsg};
 pub use subtree::SubtreeSums;
 pub use upcast::UpcastItems;

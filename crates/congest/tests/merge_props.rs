@@ -7,15 +7,20 @@
 //! across children — are all drawn here: random BFS trees mix leaf
 //! children (whose `End` arrives in round one) with deep chains that
 //! stream items long after, and a random subset of nodes contributes
-//! nothing at all. Directed state-machine tests of the core — an
-//! adversarial `End` ordering, and a dropped item that costs no round —
-//! live next to it in `merge.rs`. The core's other instantiation, the
-//! distributed MST's cycle-filtered upcast, has its own property test
-//! against sequential Kruskal in `crates/core/tests/mstb_up_props.rs`.
+//! nothing at all. Every instance runs under the model's β = 8 budget
+//! (at most 64 bits here, a few items a message) and at β = 32, where
+//! whole streams share a message, on the serial, parallel and faulty
+//! executors. Directed state-machine tests of the core — an adversarial
+//! `End` ordering, the emission rule, and a dropped item that takes no
+//! room — live next to it in `merge.rs`. The core's other
+//! instantiation, the distributed MST's cycle-filtered upcast, has its
+//! own property test against sequential Kruskal in
+//! `crates/core/tests/mstb_up_props.rs`.
 
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::GroupedSum;
-use congest::{Network, NetworkConfig, TreeInfo};
+use congest::sim::FaultPlan;
+use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, TreeInfo};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,7 +56,9 @@ proptest! {
 
     /// GroupedSum equals the sequential per-key fold for every tree
     /// shape: duplicate keys merge, empty nodes only contribute `End`s,
-    /// and `End` markers race items across sibling streams.
+    /// and `End` markers race items across sibling streams. At both
+    /// budgets the serial, parallel and faulty executors agree on the
+    /// outputs and counters, and no message exceeds the budget.
     #[test]
     fn grouped_sum_matches_oracle(seed in 0u64..5000, n in 1usize..33, spread in 1u64..9) {
         let g = graph_from(seed, n);
@@ -72,12 +79,29 @@ proptest! {
                 *want.entry(k).or_insert(0) += v;
             }
         }
+        let want: Vec<(u64, u64)> = want.into_iter().collect();
         let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> =
             trees.into_iter().zip(lists).collect();
-        let out = net.run("gs_prop", &GroupedSum::new(), inputs).unwrap();
-        prop_assert_eq!(
-            out.outputs[0].clone().expect("node 0 is the root"),
-            want.into_iter().collect::<Vec<_>>()
-        );
+        for factor in [8, 32] {
+            let run = |executor: ExecutorKind| -> RunOutcome<Option<Vec<(u64, u64)>>> {
+                let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);
+                let mut net = Network::new(&g, cfg).unwrap();
+                net.run("gs_prop", &GroupedSum::new(), inputs.clone()).unwrap()
+            };
+            let serial = run(ExecutorKind::Serial);
+            prop_assert_eq!(serial.outputs[0].as_ref().expect("node 0 is the root"), &want);
+            let budget = NetworkConfig::with_bandwidth_factor(factor).bandwidth_bits(n);
+            prop_assert!(serial.metrics.max_message_bits <= budget);
+            let counters = |o: &RunOutcome<_>| {
+                let m = &o.metrics;
+                (m.rounds, m.messages, m.bits, m.max_message_bits)
+            };
+            let plan = FaultPlan::with_drop(150, seed).delayed(2).duplicated(80);
+            for executor in [ExecutorKind::Parallel { threads: 2 }, ExecutorKind::Faulty(plan)] {
+                let other = run(executor);
+                prop_assert_eq!(&other.outputs, &serial.outputs);
+                prop_assert_eq!(counters(&other), counters(&serial));
+            }
+        }
     }
 }

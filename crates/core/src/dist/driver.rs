@@ -1858,7 +1858,7 @@ mod tests {
     /// whole strict pipeline stays within the budget.
     #[test]
     fn strict_bandwidth_holds_at_the_largest_fragment_count() {
-        use congest::primitives::broadcast::StreamMsg;
+        use congest::primitives::StreamMsg;
         use congest::Message;
         // (graph, budget, k, numbers a row): the 10 numbers of 4 bits
         // fit one 64-bit row; 493 of 9 bits go 7 to an 80-bit row.

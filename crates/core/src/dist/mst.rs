@@ -55,8 +55,8 @@
 use crate::dist::packing::Cand;
 use crate::seq::tree_packing::LoadKey;
 use congest::message::TAG_BITS;
-use congest::primitives::broadcast::StreamMsg;
 use congest::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
+use congest::primitives::StreamMsg;
 use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
 
 /// Configuration of the distributed MST stage: phase A's fragment size
@@ -782,13 +782,16 @@ impl Algorithm for FilteredUpcast {
     fn round(
         &self,
         s: &mut FuState,
-        _ctx: &NodeCtx<'_>,
+        ctx: &NodeCtx<'_>,
         inbox: &[(Port, Self::Msg)],
     ) -> Step<Self::Msg> {
         s.core.absorb(inbox);
         let (forest, out) = (&mut s.forest, &mut s.out);
-        s.core
-            .relay_round(|e| forest.union(e.frags.0, e.frags.1), |e| out.push(e))
+        s.core.relay_round(
+            ctx.bandwidth_bits,
+            |e| forest.union(e.frags.0, e.frags.1),
+            |e| out.push(e),
+        )
     }
 
     fn finish(&self, s: FuState, _ctx: &NodeCtx<'_>) -> FinishResult<Self::Output> {

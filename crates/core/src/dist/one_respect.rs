@@ -52,10 +52,13 @@
 //!    [`Token`]s up the fragment tree ([`TokensUp`]) and are absorbed by
 //!    the first ancestor whose interval contains the partner, i.e.
 //!    exactly the LCA — for a pair token, the merging node. Tokens with
-//!    the same partner that meet at a node have the same LCA, so they
-//!    travel on as one. Afterwards every node holds its ρ(v), and the
-//!    end markers have carried each subtree's `(Σδ, Σρ)` up, so every
-//!    fragment root holds its fragment's totals.
+//!    the same partner that meet at a node while it is pending have the
+//!    same LCA, so they travel on as one, and each edge carries per
+//!    round as many tokens as fit its budget
+//!    ([`congest::primitives::stream`]). Afterwards every node holds its
+//!    ρ(v), and the end markers, riding the last batches, have carried
+//!    each subtree's `(Σδ, Σρ)` up, so every fragment root holds its
+//!    fragment's totals.
 //! 7. `s5c`–`s5f` — the fragment totals are upcast to the leader,
 //!    `T_F`-subtree sums are formed there (one reverse pass over the
 //!    pre-order numbers) and routed to the attachment
@@ -65,13 +68,14 @@
 //!    `δ↓(v)` and `ρ↓(v)` — hence `C(v↓)` — at every node; a final
 //!    convergecast delivers the global argmin to the leader.
 //!
-//! Rounds: every phase but `s5` is `O(√n + D + k)` — fragment height
-//! `h`, BFS depth `D`, or pipelined row count `k`. `s5` costs `h` plus
-//! its heaviest per-edge load of *distinct* keys, which nothing bounds
-//! by `h`: 989 rounds on the 70,602-node benchmark instance, against
-//! `h + D + k = 158`. The paper's step 5 pipelines per-ancestor counts,
-//! keyed by the LCA itself; the ROADMAP's `s5` item tracks that choice.
-//! Experiment E7 measures the depth-independence of the other phases.
+//! Rounds: every phase is `O(√n + D + k)` — fragment height `h`, BFS
+//! depth `D`, or pipelined row count `k`. Every stream packs as many
+//! items into each message as fit the edge, so a stream takes its depth
+//! plus its heaviest edge's load in messages, not in items. `s5` costs
+//! `h` plus its heaviest per-edge load of *distinct* keys, packed: 161
+//! rounds on the 70,602-node benchmark instance, within the paper's
+//! step-5 bound `2(h + D + k) = 316` that `tests/large_n.rs` checks.
+//! Experiment E7 measures the depth-independence of the phases.
 //!
 //! The leader's table streams (`orient.tf`, `s4b`, `s5d`) and the
 //! fragment-wide `s2c.down` are folding streams
@@ -87,6 +91,7 @@
 //! pre-order intervals.
 
 use congest::message::{id_bits, TAG_BITS};
+use congest::primitives::stream::{batch_bits, Fill};
 use congest::{
     value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
     ProtocolViolation, Step, TreeInfo,
@@ -602,21 +607,73 @@ impl Message for Token {
     }
 }
 
-/// The `s5` wire message: one (merged) token, or the end of the sender's
-/// stream carrying its subtree's `(Σδ, Σρ)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The `s5` wire message: one (merged) token, the end of the sender's
+/// stream carrying its subtree's `(Σδ, Σρ)`, or a batch of them packed
+/// by the stream rule ([`congest::primitives::stream`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenMsg {
     /// A token; its weight sums every token of that key merged into it.
     Item(Token),
     /// No more tokens follow; `(Σδ, Σρ)` over the sender's subtree.
     End(u64, u64),
+    /// Two or more `Item`s, or one or more and then the `End`, in stream
+    /// order. A batch whose last entry is the `End` is its own message
+    /// kind and carries the end's totals.
+    Batch(Box<[TokenMsg]>),
+}
+
+impl TokenMsg {
+    /// The message carrying `tokens` in order, and the end marker with
+    /// `totals` after them if there are any; `None` for neither.
+    fn pack(
+        tokens: impl ExactSizeIterator<Item = Token>,
+        totals: Option<(u64, u64)>,
+    ) -> Option<Self> {
+        let end = totals.map(|(d, r)| TokenMsg::End(d, r));
+        let mut tokens = tokens.map(TokenMsg::Item);
+        match (tokens.len(), end) {
+            (0, end) => end,
+            (1, None) => tokens.next(),
+            (n, end) => {
+                // One allocation, of exactly the entries.
+                let mut entries = Vec::with_capacity(n + usize::from(end.is_some()));
+                entries.extend(tokens.chain(end));
+                Some(TokenMsg::Batch(entries.into_boxed_slice()))
+            }
+        }
+    }
+
+    /// The lone messages this one carries, in stream order.
+    fn entries(&self) -> &[TokenMsg] {
+        match self {
+            TokenMsg::Batch(b) => b,
+            lone => std::slice::from_ref(lone),
+        }
+    }
+
+    /// Bits of the end marker's payload.
+    fn end_payload(d: u64, r: u64) -> usize {
+        value_bits(d) + value_bits(r)
+    }
 }
 
 impl Message for TokenMsg {
     fn bit_len(&self) -> usize {
         match self {
             TokenMsg::Item(t) => TAG_BITS + t.bit_len(),
-            TokenMsg::End(d, r) => TAG_BITS + value_bits(*d) + value_bits(*r),
+            TokenMsg::End(d, r) => TAG_BITS + Self::end_payload(*d, *r),
+            TokenMsg::Batch(b) => {
+                let ends = matches!(b.last(), Some(TokenMsg::End(..)));
+                let entries = b
+                    .iter()
+                    .map(|e| match e {
+                        TokenMsg::Item(t) => t.bit_len(),
+                        TokenMsg::End(d, r) => Self::end_payload(*d, *r),
+                        TokenMsg::Batch(_) => unreachable!("batches do not nest"),
+                    })
+                    .sum();
+                batch_bits(b.len() - usize::from(ends), entries)
+            }
         }
     }
 }
@@ -635,11 +692,16 @@ pub struct TokensInput {
     pub tokens: Vec<Token>,
 }
 
-/// Pipelined token routing: one token per tree edge per round, absorb at
-/// the LCA. Tokens of one key meeting at a node travel on as one: they
-/// all stop at the same ancestor. Each end marker carries its subtree's
-/// `(Σδ, Σρ)`, so fragment roots output the fragment totals. Rounds:
-/// `O(max per-edge distinct-key load + fragment height)`.
+/// Pipelined token routing, absorbed at the LCA: each round a node
+/// sends its parent as many pending tokens as fit the edge, in the
+/// order their keys opened ([`congest::primitives::Fill`]). Tokens of
+/// one key meeting at a node while the key is pending travel on as one:
+/// they all stop at the same ancestor. Each end marker carries its
+/// subtree's `(Σδ, Σρ)`, riding the node's last batch when it fits, so
+/// fragment roots output the fragment totals. Rounds: about the
+/// fragment height plus the heaviest edge's distinct-key load in
+/// messages — 161 on the 70,602-node benchmark instance, within
+/// `2(h + D + k) = 316` (see `tests/large_n.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct TokensUp;
 
@@ -648,10 +710,13 @@ pub struct TokensUp;
 pub struct TokensState {
     tree: TreeInfo,
     iv: (u32, u32),
-    /// Pending keys, in the order their entries opened.
-    queue: VecDeque<u32>,
-    /// The weight pending per queued key.
-    pending: BTreeMap<u32, u64>,
+    /// Pending tokens, one per distinct key, in the order their keys
+    /// opened.
+    queue: VecDeque<Token>,
+    /// Per pending key, its token's position in `queue` plus `sent`.
+    pending: BTreeMap<u32, usize>,
+    /// Tokens sent so far.
+    sent: usize,
     open_children: usize,
     rho: u64,
     /// `(Σδ, Σρ)` over this node and its closed child streams. No token
@@ -664,12 +729,14 @@ impl TokensState {
     fn take(&mut self, t: Token) {
         if self.iv.0 <= t.t_in && t.t_in <= self.iv.1 {
             self.rho += t.w;
+            return;
+        }
+        let at = self.sent + self.queue.len();
+        let pos = *self.pending.entry(t.t_in).or_insert(at);
+        if pos == at {
+            self.queue.push_back(t);
         } else {
-            let queue = &mut self.queue;
-            *self.pending.entry(t.t_in).or_insert_with(|| {
-                queue.push_back(t.t_in);
-                0
-            }) += t.w;
+            self.queue[pos - self.sent].w += t.w;
         }
     }
 }
@@ -688,6 +755,7 @@ impl Algorithm for TokensUp {
             iv: input.iv,
             queue: VecDeque::new(),
             pending: BTreeMap::new(),
+            sent: 0,
             rho: 0,
             totals: (input.delta, input.tokens.iter().map(|t| t.w).sum()),
         };
@@ -703,44 +771,59 @@ impl Algorithm for TokensUp {
         ctx: &NodeCtx<'_>,
         inbox: &[(Port, TokenMsg)],
     ) -> Step<TokenMsg> {
-        for &(_, msg) in inbox {
-            match msg {
-                TokenMsg::Item(t) => s.take(t),
-                TokenMsg::End(d, r) => {
-                    s.totals.0 += d;
-                    s.totals.1 += r;
-                    s.open_children -= 1;
+        for (_, msg) in inbox {
+            for entry in msg.entries() {
+                match *entry {
+                    TokenMsg::Item(t) => s.take(t),
+                    TokenMsg::End(d, r) => {
+                        s.totals.0 += d;
+                        s.totals.1 += r;
+                        s.open_children -= 1;
+                    }
+                    TokenMsg::Batch(_) => unreachable!("batches do not nest"),
                 }
             }
         }
-        match s.tree.parent {
-            None => {
-                // The fragment root's interval spans the whole fragment,
-                // so every token has been absorbed on arrival.
-                debug_assert!(
-                    s.queue.is_empty(),
-                    "token escaped its fragment at node {}",
-                    ctx.node
-                );
-                if s.open_children == 0 {
-                    Step::halt()
-                } else {
-                    Step::idle()
-                }
-            }
-            Some(p) => {
-                let mut out = Outbox::new();
-                if let Some(t_in) = s.queue.pop_front() {
-                    let w = s.pending.remove(&t_in).expect("queued keys are pending");
-                    out.send(p, TokenMsg::Item(Token { t_in, w }));
-                    Step::Continue(out)
-                } else if s.open_children == 0 {
-                    out.send(p, TokenMsg::End(s.totals.0, s.totals.1));
-                    Step::Halt(out)
-                } else {
-                    Step::idle()
-                }
-            }
+        let Some(p) = s.tree.parent else {
+            // The fragment root's interval spans the whole fragment, so
+            // every token has been absorbed on arrival.
+            debug_assert!(
+                s.queue.is_empty(),
+                "token escaped its fragment at node {}",
+                ctx.node
+            );
+            return if s.open_children == 0 {
+                Step::halt()
+            } else {
+                Step::idle()
+            };
+        };
+        if s.queue.is_empty() && s.open_children > 0 {
+            return Step::idle();
+        }
+        let mut fill = Fill::new(ctx.bandwidth_bits);
+        let c = s
+            .queue
+            .iter()
+            .take_while(|t| fill.take(t.bit_len()))
+            .count();
+        let (d, r) = s.totals;
+        let end =
+            c == s.queue.len() && s.open_children == 0 && fill.ends(TokenMsg::end_payload(d, r));
+        s.sent += c;
+        let (queue, pending) = (&mut s.queue, &mut s.pending);
+        let sent = (0..c).map(|_| {
+            let t = queue.pop_front().expect("c tokens are queued");
+            pending.remove(&t.t_in);
+            t
+        });
+        let msg = TokenMsg::pack(sent, end.then_some(s.totals)).expect("a token or the end marker");
+        let mut out = Outbox::new();
+        out.send(p, msg);
+        if end {
+            Step::Halt(out)
+        } else {
+            Step::Continue(out)
         }
     }
 
@@ -933,7 +1016,7 @@ mod tests {
         // Ancestor tests work from intervals alone.
         assert!(ivs[3].contains(ivs[5].in_t));
         assert!(!ivs[1].contains(ivs[5].in_t));
-        assert_eq!(ivs[2].child_containing(ivs[0].in_t), Some(Port(0)));
+        assert_eq!(ivs[2].children[0], (Port(0), ivs[1].in_t, ivs[1].out_t));
     }
 
     #[test]
@@ -982,7 +1065,6 @@ mod tests {
         // The tree 0-{1, 4}, 1-{2, 3}: one fragment rooted at node 0.
         let g = graphs::WeightedGraph::from_edges(5, [(0, 1, 1), (1, 2, 2), (1, 3, 3), (0, 4, 4)])
             .unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let bfs = congest::primitives::leader_bfs::oracle(&g);
         let in_t = |v: usize| bfs[v].iv.in_t;
         // Nodes 2 and 3 aim at node 4 (their LCA with it is the root),
@@ -1013,18 +1095,51 @@ mod tests {
                 tokens: tokens[v].clone(),
             })
             .collect();
-        let out = net.run("s5", &TokensUp, inputs).unwrap();
-        // Round 1: 2 sends key4 (1 + 2 merged at boot), 3 sends key4,
-        // 4 sends its token. Round 2: 1 sends the key4 tokens of both
-        // children as one item, 2 its token for 3, 3 and 4 their ends.
-        // Round 3: 2 ends. Round 4: 1 ends. Round 5: the root halts.
-        // Five items instead of the eight an unmerged stream sends, plus
-        // one end per tree edge.
-        assert_eq!((out.metrics.messages, out.metrics.rounds), (5 + 4, 5));
-        let (rho, tots): (Vec<u64>, Vec<_>) = out.outputs.into_iter().unzip();
-        assert_eq!(rho, vec![1 + 2 + 4 + 8, 16, 0, 0, 0]);
-        assert_eq!(tots[0], Some((2 * (1 + 2 + 3 + 4), 31)));
-        assert!(tots[1..].iter().all(Option::is_none));
+        // Under 16 bits every token travels alone (13–15 bits) and no end
+        // marker fits beside one. Round 1: 2 sends key4 (1 + 2 merged at
+        // boot), 3 sends key4, 4 sends its token. Round 2: 1 sends the
+        // key4 tokens of both children as one item, 2 its token for 3, 3
+        // and 4 their ends. Round 3: 2 ends. Round 4: 1 ends. Round 5:
+        // the root halts. Five items instead of the eight an unmerged
+        // stream sends, plus one end per tree edge.
+        //
+        // Under the default 64 bits each node's tokens and end marker
+        // share one message. Round 1: 2 sends its two tokens and its end
+        // (4 + 2 + 9 + 11 + 7 = 33 bits), 3 and 4 their token and end.
+        // Round 2: 1 sends the merged key4 token and its end. Round 3:
+        // the root halts.
+        for (factor, messages, rounds) in [(2, 5 + 4, 5), (8, 4, 3)] {
+            let mut net = Network::new(&g, NetworkConfig::with_bandwidth_factor(factor)).unwrap();
+            let out = net.run("s5", &TokensUp, inputs.clone()).unwrap();
+            assert_eq!(
+                (out.metrics.messages, out.metrics.rounds),
+                (messages, rounds)
+            );
+            assert!(out.metrics.max_message_bits <= net.bandwidth_bits());
+            let (rho, tots): (Vec<u64>, Vec<_>) = out.outputs.into_iter().unzip();
+            assert_eq!(rho, vec![1 + 2 + 4 + 8, 16, 0, 0, 0]);
+            assert_eq!(tots[0], Some((2 * (1 + 2 + 3 + 4), 31)));
+            assert!(tots[1..].iter().all(Option::is_none));
+        }
+    }
+
+    /// A lone token and a lone end marker cost what they did before
+    /// packing; a batch adds one tag, its token count and, when it
+    /// carries the end, the end's totals.
+    #[test]
+    fn token_batches_cost_one_tag_a_count_and_their_entries() {
+        let t = |t_in, w| Token { t_in, w };
+        let lone = TokenMsg::pack([t(140, 8)].into_iter(), None).unwrap();
+        assert_eq!(lone, TokenMsg::Item(t(140, 8)));
+        assert_eq!(lone.bit_len(), TAG_BITS + TAG_BITS + 8 + 4);
+        let end = TokenMsg::pack(std::iter::empty(), Some((300, 5))).unwrap();
+        assert_eq!(end, TokenMsg::End(300, 5));
+        assert_eq!(end.bit_len(), TAG_BITS + 9 + 3);
+        assert!(TokenMsg::pack(std::iter::empty(), None).is_none());
+        let batch = TokenMsg::pack([t(140, 8), t(3, 1)].into_iter(), Some((300, 5))).unwrap();
+        assert_eq!(batch.entries().len(), 3);
+        let tokens = t(140, 8).bit_len() + t(3, 1).bit_len();
+        assert_eq!(batch.bit_len(), TAG_BITS + 2 + tokens + 9 + 3);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! * the leader's output is sequential Kruskal over the fragment
 //!   multigraph under `LoadKey`, edge for edge and in key order;
 //! * the serial, parallel and faulty executors agree on the outputs and
-//!   on rounds, messages and bits (the faulty one on fixed seeds);
-//! * no message exceeds the model's `8⌈log₂ n⌉`-bit budget, whose
-//!   `⌈log₂ n⌉` the model floors at 8 bits for small `n`.
+//!   on rounds, messages and bits;
+//! * no message exceeds the `β⌈log₂ n⌉`-bit budget, whose `⌈log₂ n⌉`
+//!   the model floors at 8 bits for small `n`.
+//!
+//! Every instance runs at the model's β = 8, where an edge's message
+//! holds one edge or a few, and at β = 32, where many share a message.
 
 use congest::primitives::leader_bfs::{LeaderBfs, LeaderBfsOutput};
 use congest::sim::FaultPlan;
@@ -104,36 +107,42 @@ fn instance(seed: u64, n: usize) -> Instance {
     Instance { g, inputs, want }
 }
 
-fn run(inst: &Instance, executor: ExecutorKind) -> RunOutcome<Option<Vec<InterEdge>>> {
-    let cfg = NetworkConfig::default().with_executor(executor);
+fn run(
+    inst: &Instance,
+    factor: usize,
+    executor: ExecutorKind,
+) -> RunOutcome<Option<Vec<InterEdge>>> {
+    let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);
     let mut net = Network::new(&inst.g, cfg).unwrap();
     net.run("mstB.up", &FilteredUpcast, inst.inputs.clone())
         .unwrap()
 }
 
-/// Runs the serial executor plus `others`, and checks the oracle, the
-/// agreement, and the bit budget.
+/// Runs the serial executor plus `others` at β = 8 and β = 32, and
+/// checks the oracle, the agreement, and the bit budget.
 fn check(seed: u64, n: usize, others: &[ExecutorKind]) {
     let inst = instance(seed, n);
-    let serial = run(&inst, ExecutorKind::Serial);
-    let tag = format!("seed {seed}, n = {n}");
-    assert_eq!(
-        serial.outputs[0].as_ref().expect("node 0 leads"),
-        &inst.want,
-        "{tag}"
-    );
-    assert!(serial.outputs[1..].iter().all(Option::is_none), "{tag}");
-    let budget = NetworkConfig::default().bandwidth_bits(n);
-    assert!(
-        serial.metrics.max_message_bits <= budget,
-        "{tag}: {} bits against a budget of {budget}",
-        serial.metrics.max_message_bits
-    );
-    let counters = |o: &RunOutcome<_>| (o.metrics.rounds, o.metrics.messages, o.metrics.bits);
-    for executor in others {
-        let other = run(&inst, executor.clone());
-        assert_eq!(other.outputs, serial.outputs, "{tag}, {executor:?}");
-        assert_eq!(counters(&other), counters(&serial), "{tag}, {executor:?}");
+    for factor in [8, 32] {
+        let serial = run(&inst, factor, ExecutorKind::Serial);
+        let tag = format!("seed {seed}, n = {n}, β = {factor}");
+        assert_eq!(
+            serial.outputs[0].as_ref().expect("node 0 leads"),
+            &inst.want,
+            "{tag}"
+        );
+        assert!(serial.outputs[1..].iter().all(Option::is_none), "{tag}");
+        let budget = NetworkConfig::with_bandwidth_factor(factor).bandwidth_bits(n);
+        assert!(
+            serial.metrics.max_message_bits <= budget,
+            "{tag}: {} bits against a budget of {budget}",
+            serial.metrics.max_message_bits
+        );
+        let counters = |o: &RunOutcome<_>| (o.metrics.rounds, o.metrics.messages, o.metrics.bits);
+        for executor in others {
+            let other = run(&inst, factor, executor.clone());
+            assert_eq!(other.outputs, serial.outputs, "{tag}, {executor:?}");
+            assert_eq!(counters(&other), counters(&serial), "{tag}, {executor:?}");
+        }
     }
 }
 
@@ -142,7 +151,12 @@ proptest! {
 
     #[test]
     fn filtered_upcast_is_sequential_kruskal(seed in 0u64..5000, n in 1usize..41) {
-        check(seed, n, &[ExecutorKind::Parallel { threads: 2 }]);
+        let faulty = FaultPlan::with_drop(150, seed).delayed(2).duplicated(80);
+        check(
+            seed,
+            n,
+            &[ExecutorKind::Parallel { threads: 2 }, ExecutorKind::Faulty(faulty)],
+        );
     }
 }
 

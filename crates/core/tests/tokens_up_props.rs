@@ -10,12 +10,18 @@
 //! * every node's ρ is the weight of the tokens whose origin and partner
 //!   have it as their LCA (`trees::lca`);
 //! * every fragment root's end-wave totals are its fragment's `(Σδ, Σρ)`;
-//! * the serial and the parallel executor agree on outputs and counters;
-//! * merging never adds a message: at most one end marker per tree edge
-//!   plus one message per hop of every token.
+//! * the serial, parallel and faulty executors agree on outputs and
+//!   counters;
+//! * merging and packing never add a message: at most one end marker per
+//!   tree edge plus one message per hop of every token;
+//! * no message exceeds the budget.
+//!
+//! Every instance runs at the model's β = 8, where a message holds a
+//! few tokens, and at β = 32, where a node's whole queue often fits one.
 
 use congest::primitives::leader_bfs::LeaderBfs;
-use congest::{ExecutorKind, Network, NetworkConfig, TreeInfo};
+use congest::sim::FaultPlan;
+use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, TreeInfo};
 use graphs::{generators, NodeId, WeightedGraph};
 use mincut::dist::one_respect::{
     IntervalDown, IntervalInput, SizesUp, Token, TokensInput, TokensUp,
@@ -128,25 +134,35 @@ proptest! {
             })
             .collect();
 
-        let serial = net.run("s5", &TokensUp, inputs.clone()).unwrap();
-        let (rho, tot): (Vec<u64>, Vec<_>) = serial.outputs.iter().copied().unzip();
-        prop_assert_eq!(rho, want_rho);
-        prop_assert_eq!(tot, want_tot);
         let roots = (0..n).filter(|&v| frag[v] == v).count() as u64;
-        prop_assert!(
-            serial.metrics.messages <= (n as u64 - roots) + hops,
-            "{} messages for {} tree edges and {hops} token hops",
-            serial.metrics.messages,
-            n as u64 - roots
-        );
-
-        let cfg = NetworkConfig::default().with_executor(ExecutorKind::Parallel { threads: 2 });
-        let mut par = Network::new(&g, cfg).unwrap();
-        let parallel = par.run("s5", &TokensUp, inputs).unwrap();
-        prop_assert_eq!(&parallel.outputs, &serial.outputs);
-        prop_assert_eq!(
-            (parallel.metrics.rounds, parallel.metrics.messages, parallel.metrics.bits),
-            (serial.metrics.rounds, serial.metrics.messages, serial.metrics.bits)
-        );
+        for factor in [8, 32] {
+            let run = |executor: ExecutorKind| -> RunOutcome<(u64, Option<(u64, u64)>)> {
+                let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);
+                let mut net = Network::new(&g, cfg).unwrap();
+                net.run("s5", &TokensUp, inputs.clone()).unwrap()
+            };
+            let serial = run(ExecutorKind::Serial);
+            let (rho, tot): (Vec<u64>, Vec<_>) = serial.outputs.iter().copied().unzip();
+            prop_assert_eq!(&rho, &want_rho);
+            prop_assert_eq!(&tot, &want_tot);
+            prop_assert!(
+                serial.metrics.messages <= (n as u64 - roots) + hops,
+                "{} messages for {} tree edges and {hops} token hops",
+                serial.metrics.messages,
+                n as u64 - roots
+            );
+            let budget = NetworkConfig::with_bandwidth_factor(factor).bandwidth_bits(n);
+            prop_assert!(serial.metrics.max_message_bits <= budget);
+            let counters = |o: &RunOutcome<_>| {
+                let m = &o.metrics;
+                (m.rounds, m.messages, m.bits, m.max_message_bits)
+            };
+            let plan = FaultPlan::with_drop(150, seed).delayed(2).duplicated(80);
+            for executor in [ExecutorKind::Parallel { threads: 2 }, ExecutorKind::Faulty(plan)] {
+                let other = run(executor);
+                prop_assert_eq!(&other.outputs, &serial.outputs);
+                prop_assert_eq!(counters(&other), counters(&serial));
+            }
+        }
     }
 }

@@ -48,15 +48,20 @@ fn lax_mode_completes_and_counts_violations() {
 #[test]
 fn budget_sweep_at_and_above_the_model_constant() {
     // The default β = 8 runs strictly; larger factors must too, and the
-    // answers agree bit-for-bit (determinism).
+    // answers agree bit-for-bit (determinism). A wider edge packs more
+    // stream items per message, so rounds may fall as β grows, never
+    // rise.
     let g = generators::clique_pair(8, 3).unwrap().graph;
-    let mut values = Vec::new();
+    let mut cuts = Vec::new();
+    let mut rounds = Vec::new();
     for factor in [8usize, 12, 32] {
         let r = exact_mincut(&g, &config_with_factor(factor, true)).unwrap();
-        values.push((r.cut.value, r.rounds, r.cut.side.clone()));
+        cuts.push((r.cut.value, r.cut.side.clone()));
+        rounds.push(r.rounds);
     }
-    assert!(values.windows(2).all(|w| w[0] == w[1]));
-    assert_eq!(values[0].0, 3);
+    assert!(cuts.windows(2).all(|w| w[0] == w[1]));
+    assert!(rounds.windows(2).all(|w| w[1] <= w[0]), "rounds {rounds:?}");
+    assert_eq!(cuts[0].0, 3);
 }
 
 #[test]

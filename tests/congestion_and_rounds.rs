@@ -108,7 +108,9 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     // attachment only. Each stream closes every BFS edge with an end
     // marker; a routed row crosses just the BFS edges from the leader
     // down to its targets (a connector neighbors its attachment, so it
-    // lies at most one level deeper).
+    // lies at most one level deeper). Rows and end markers that share
+    // an edge share its messages as far as the budget allows, so these
+    // counts are bounds, and the exact values are pinned beside them.
     let g = generators::torus2d(24, 24).unwrap();
     let cfg = ExactConfig {
         packing: PackingConfig {
@@ -144,8 +146,10 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     let s: u64 = shape_rows.iter().sum();
     let orient_tf = r.ledger.messages_matching("orient.tf");
     assert!(orient_tf <= (s + trees) * edges + 2 * paths + routed);
-    assert_eq!(orient_tf, 3_640);
-    assert_eq!(r.ledger.messages_matching("s5d"), trees * edges + paths);
+    assert_eq!(orient_tf, 2_697);
+    let s5d = r.ledger.messages_matching("s5d");
+    assert!(s5d <= trees * edges + paths);
+    assert_eq!(s5d, 1_782);
     // Phase A, the capped fragment growth, exactly.
     assert_eq!(
         (
@@ -176,5 +180,5 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     }
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((r.rounds, r.messages), (2_099, 96_489));
+    assert_eq!((r.rounds, r.messages), (2_021, 88_639));
 }

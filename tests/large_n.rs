@@ -10,6 +10,7 @@
 //! aggregation (`s4a`) really carried keyed traffic, and pins the whole
 //! pipeline's cost.
 
+use mincut_repro::congest::message::TAG_BITS;
 use mincut_repro::congest::primitives::leader_bfs;
 use mincut_repro::congest::{ExecutorKind, NetworkConfig};
 use mincut_repro::graphs::generators::torus3d_with_chords;
@@ -58,19 +59,23 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert!(res.ledger.max_message_bits() <= 8 * 17);
     assert_eq!(res.ledger.total_violations(), 0);
 
-    // The case-2 pair aggregation really ran: `s4a` moved more than the
-    // n − 1 end-of-stream markers, i.e. actual `lo·k + hi` keyed items.
+    // The case-2 pair aggregation really ran: `s4a` carried more bits
+    // than the n − 1 end markers alone would (one tag each), i.e. actual
+    // `lo·k + hi` keyed items. (Counting messages no longer shows it:
+    // the end markers ride the batches.)
     let s4a = res
         .ledger
         .phases()
         .iter()
         .find(|p| p.name == "s4a")
         .expect("pair aggregation phase ran");
+    let ends_only = (n as u64 - 1) * TAG_BITS as u64;
     assert!(
-        s4a.messages > (n as u64) - 1,
-        "s4a moved only end markers ({} messages for n = {n})",
-        s4a.messages
+        s4a.bits > ends_only,
+        "s4a moved only end markers ({} bits for n = {n})",
+        s4a.bits
     );
+    assert_eq!((s4a.rounds, s4a.bits), (47, 1_327_302));
 
     // The election is one wave from the single local minimum, node 0:
     // 2m + n − 1 messages, and O(D) rounds on D ≈ 33.
@@ -83,11 +88,13 @@ fn exact_mincut_above_the_old_u16_cap() {
     // Phase A hands phase B k = 42 fragments. `orient.tf` streams T_F's
     // shape to every node over the BFS tree's n − 1 edges, in s rows of
     // as many 6-bit parent numbers as fit the edge (20 of the 40 of
-    // fragments 2 to 41; fragment 1's is always 0), plus an end marker; each fragment's row crosses only the BFS edges to
-    // its attachment and its connector, a neighbor of the attachment
-    // and so at most one level deeper. `s5d` routes each non-root
-    // fragment's subtree sum to that fragment's attachment alone: n − 1
-    // end markers plus the BFS depth of every attachment.
+    // fragments 2 to 41; fragment 1's is always 0), plus an end marker;
+    // each fragment's row crosses only the BFS edges to its attachment
+    // and its connector, a neighbor of the attachment and so at most
+    // one level deeper. `s5d` routes each non-root fragment's subtree
+    // sum to that fragment's attachment alone: at most n − 1 end
+    // markers plus the BFS depth of every attachment, fewer where rows
+    // share a message.
     assert_eq!(res.phase_a_fragments, [42]);
     let k = res.phase_a_fragments[0] as u64;
     let edges = n as u64 - 1;
@@ -103,14 +110,18 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert_eq!(s, 2);
     let orient_tf = res.ledger.messages_matching("orient.tf");
     assert!(orient_tf <= (s + 1) * edges + 2 * paths + (k - 1));
-    assert_eq!(orient_tf, 212_646);
-    assert_eq!(res.ledger.messages_matching("s5d"), edges + paths);
+    assert_eq!(orient_tf, 212_424);
+    let s5d = res.ledger.messages_matching("s5d");
+    assert!(s5d <= edges + paths);
+    assert_eq!(s5d, 71_066);
 
-    // `s5` forwards one item per distinct key and edge: tokens of one
-    // key that meet at a node travel on as one, so its rounds are the
-    // fragment height plus the heaviest per-edge distinct-key load. Its
-    // end wave carries the fragment totals, and `s5e` sums δ and ρ in
-    // one pass of h + 1 rounds.
+    // `s5` sends each edge as many tokens per round as fit, one item per
+    // distinct key: tokens of one key that meet at a node while it is
+    // pending travel on as one. Its rounds are the fragment height plus
+    // the heaviest edge's load in messages, and meet the paper's step-5
+    // bound, 2(h + D + k): h the fragment height (`s2a` takes h + 1
+    // rounds), D the BFS height. Its end wave carries the fragment
+    // totals, and `s5e` sums δ and ρ in one pass of h + 1 rounds.
     let rounds_of = |name: &str| {
         res.ledger
             .phases()
@@ -119,7 +130,15 @@ fn exact_mincut_above_the_old_u16_cap() {
             .unwrap_or_else(|| panic!("phase {name} ran"))
             .rounds
     };
-    assert_eq!((rounds_of("s5"), rounds_of("s5e")), (989, 84));
+    let h = rounds_of("s2a") - 1;
+    let depth = bfs.iter().map(|o| u64::from(o.tree.depth)).max().unwrap();
+    assert_eq!((h, depth, k), (83, 33, 42));
+    assert!(
+        rounds_of("s5") <= 2 * (h + depth + k),
+        "s5 took {} rounds, 2(h + D + k) = 2({h} + {depth} + {k})",
+        rounds_of("s5")
+    );
+    assert_eq!((rounds_of("s5"), rounds_of("s5e")), (161, 84));
 
     // Phase A, the capped fragment growth, exactly.
     assert_eq!(
@@ -133,7 +152,7 @@ fn exact_mincut_above_the_old_u16_cap() {
     // Phase B is two fixed phases: one label exchange on every edge and
     // the cycle-filtered upcast, whose chosen edges name both fragments,
     // so the leader builds T_F from them alone. The upcast meets the
-    // paper's O(k + D) bound as h + k rounds, h the BFS height.
+    // paper's O(k + D) bound as D + k rounds.
     let mst_b: Vec<&str> = res
         .ledger
         .phases()
@@ -143,10 +162,9 @@ fn exact_mincut_above_the_old_u16_cap() {
         .collect();
     assert_eq!(mst_b, ["mstB.exch", "mstB.up"]);
     assert_eq!(res.ledger.messages_matching("mstB.exch"), 2 * m);
-    let h = bfs.iter().map(|o| u64::from(o.tree.depth)).max().unwrap();
     assert!(
-        rounds_of("mstB.up") <= h + k,
-        "mstB.up took {} rounds, h + k = {h} + {k}",
+        rounds_of("mstB.up") <= depth + k,
+        "mstB.up took {} rounds, D + k = {depth} + {k}",
         rounds_of("mstB.up")
     );
     assert_eq!(
@@ -154,10 +172,10 @@ fn exact_mincut_above_the_old_u16_cap() {
             res.ledger.rounds_matching("mstB"),
             res.ledger.messages_matching("mstB")
         ),
-        (76, 597_742)
+        (69, 537_631)
     );
 
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
-    assert_eq!((res.rounds, res.messages), (3_545, 7_353_195));
+    assert_eq!((res.rounds, res.messages), (2_567, 5_779_703));
 }
