@@ -1,27 +1,18 @@
-//! Static analysis + model checking for the min-cut workspace.
+//! Static analysis for the min-cut workspace.
 //!
-//! Two subsystems, both runnable as binaries and exercised by CI:
-//!
-//! * [`lint`] (binary `congest_lint`) — a hand-rolled source linter (the
-//!   container is offline; there is no `syn`) enforcing the workspace's
-//!   *conventional* invariants, the ones the compiler cannot see:
-//!   unsafe code confined to the executor-core allowlist with a
-//!   `SAFETY:` justification at every site, phase-name literals
-//!   conforming to the `stem.sub` grammar and the central registry in
-//!   [`congest::phase`], no nondeterminism primitives in replay-exact
-//!   code paths, and the offline dependency stubs in sync with their
-//!   README contract.
-//! * [`mc`] (binary `interleave_check`) — a loom-lite interleaving
-//!   model checker for the parallel executor's shared-memory protocol
-//!   ([`congest::executor::protocol`]): miniature sweeps are run under
-//!   a deterministic scheduler that exhaustively enumerates thread
-//!   interleavings, asserting the disjointness contract the executor's
-//!   `unsafe` relies on — and *falsifying* the variant the discipline
-//!   exists to prevent.
+//! [`lint`] (binary `congest_lint`, run by CI) is a hand-rolled source
+//! linter (the container is offline; there is no `syn`) enforcing the
+//! workspace's *conventional* invariants, the ones the compiler cannot
+//! see: no `unsafe` in any file it walks, phase-name literals
+//! conforming to the `stem.sub` grammar and the central registry in
+//! [`congest::phase`], no nondeterminism primitives in replay-exact
+//! code paths, and the offline dependency stubs in sync with their
+//! README contract.
 //!
 //! See `docs/analysis.md` for the invariant catalogue and how CI wires
-//! both in.
+//! it in.
+
+#![forbid(unsafe_code)]
 
 pub mod lint;
-pub mod mc;
 pub mod scan;

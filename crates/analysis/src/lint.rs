@@ -3,13 +3,11 @@
 //! Each lint enforces a convention that carries real correctness weight
 //! but that `rustc` cannot check:
 //!
-//! * **`unsafe-allowlist`** — `unsafe` appears only in the executor
-//!   core ([`UNSAFE_ALLOWLIST`]). The crate root's `#![deny(unsafe_code)]`
-//!   enforces this *inside* `congest`; the lint extends it to every
-//!   crate in the workspace, including future ones.
-//! * **`safety-comment`** — every `unsafe` keyword (block, fn, impl)
-//!   is introduced by a comment block mentioning `SAFETY`/`# Safety`,
-//!   so each site states the discipline it relies on.
+//! * **`unsafe-allowlist`** — no file the lint walks contains the
+//!   `unsafe` keyword. Every library crate root is
+//!   `#![forbid(unsafe_code)]`; the lint extends that to the bins,
+//!   tests and examples a crate-level attribute does not reach, and to
+//!   future crates.
 //! * **`phase-registry`** — every phase-name string literal in the
 //!   pipeline (`crates/core/src`) and the CI gates (`crates/bench/src`)
 //!   parses under the `stem.sub` grammar and carries a stem registered
@@ -39,13 +37,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Files allowed to contain the `unsafe` keyword (workspace-relative,
-/// forward slashes): the executor core and nothing else.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/congest/src/executor/cells.rs",
-    "crates/congest/src/executor/sweep.rs",
-];
 
 /// Identifiers banned in replay-exact paths ([`replay_exact`]):
 /// hash-order iteration and wall-clock/entropy sources.
@@ -98,14 +89,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut sources = Vec::new();
     for path in &files {
         let rel = rel_path(root, path);
-        let src = fs::read_to_string(path)?;
-        let pieces = lex(&src);
-        sources.push((rel, src, pieces));
+        let pieces = lex(&fs::read_to_string(path)?);
+        sources.push((rel, pieces));
     }
 
     let mut out = Vec::new();
-    for (rel, src, pieces) in &sources {
-        unsafe_lints(rel, src, pieces, &mut out);
+    for (rel, pieces) in &sources {
+        unsafe_lints(rel, pieces, &mut out);
         if replay_exact(rel) {
             determinism_lints(rel, pieces, &mut out);
         }
@@ -145,100 +135,23 @@ fn rel_path(root: &Path, path: &Path) -> String {
 }
 
 // ---------------------------------------------------------------------
-// unsafe-allowlist + safety-comment
+// unsafe-allowlist
 // ---------------------------------------------------------------------
 
-fn unsafe_lints(rel: &str, src: &str, pieces: &[Piece], out: &mut Vec<Violation>) {
+fn unsafe_lints(rel: &str, pieces: &[Piece], out: &mut Vec<Violation>) {
     let mut unsafe_lines: Vec<usize> = code_words(pieces)
         .into_iter()
         .filter(|w| w.text == "unsafe")
         .map(|w| w.line)
         .collect();
     unsafe_lines.dedup();
-    if unsafe_lines.is_empty() {
-        return;
-    }
-    if !UNSAFE_ALLOWLIST.contains(&rel) {
-        for line in unsafe_lines {
-            out.push(Violation {
-                file: rel.to_string(),
-                line,
-                rule: "unsafe-allowlist",
-                msg: format!(
-                    "`unsafe` outside the executor-core allowlist ({})",
-                    UNSAFE_ALLOWLIST.join(", ")
-                ),
-            });
-        }
-        return;
-    }
-
-    // Allowlisted file: every `unsafe` needs a SAFETY justification in
-    // the contiguous comment/attribute block introducing it.
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let mut comment_at: BTreeMap<usize, String> = BTreeMap::new();
-    let mut code_on: BTreeSet<usize> = BTreeSet::new();
-    for p in pieces {
-        match p {
-            Piece::Comment { text, line, .. } => {
-                for (i, _) in text.split('\n').enumerate() {
-                    comment_at
-                        .entry(line + i)
-                        .or_default()
-                        .push_str(&text.to_lowercase());
-                }
-            }
-            Piece::Code { text, line } => {
-                for (i, seg) in text.split('\n').enumerate() {
-                    if !seg.trim().is_empty() {
-                        code_on.insert(line + i);
-                    }
-                }
-            }
-            Piece::Str { text, line } => {
-                for i in 0..=text.matches('\n').count() {
-                    code_on.insert(line + i);
-                }
-            }
-        }
-    }
-
-    let has_safety =
-        |l: usize| -> bool { comment_at.get(&l).is_some_and(|c| c.contains("safety")) };
-
     for line in unsafe_lines {
-        let mut found = has_safety(line);
-        let mut k = line;
-        while !found && k > 1 {
-            k -= 1;
-            let raw = raw_lines.get(k - 1).map(|l| l.trim()).unwrap_or("");
-            if raw.is_empty() {
-                continue;
-            }
-            if has_safety(k) {
-                found = true;
-                break;
-            }
-            if code_on.contains(&k) {
-                // Attributes between the comment and the item are fine;
-                // any other code ends the introducing block.
-                if raw.starts_with("#[") || raw.starts_with("#![") {
-                    continue;
-                }
-                break;
-            }
-            // A non-SAFETY comment line: keep walking the block.
-        }
-        if !found {
-            out.push(Violation {
-                file: rel.to_string(),
-                line,
-                rule: "safety-comment",
-                msg: "`unsafe` without a `// SAFETY:` (or `# Safety`) comment \
-                      in its introducing comment block"
-                    .to_string(),
-            });
-        }
+        out.push(Violation {
+            file: rel.to_string(),
+            line,
+            rule: "unsafe-allowlist",
+            msg: "`unsafe` in the workspace: no file may use it".to_string(),
+        });
     }
 }
 
@@ -585,7 +498,7 @@ fn documented(chunks: &[String], name: &str) -> bool {
 
 fn stub_lints(
     root: &Path,
-    sources: &[(String, String, Vec<Piece>)],
+    sources: &[(String, Vec<Piece>)],
     out: &mut Vec<Violation>,
 ) -> io::Result<()> {
     let stubs_dir = root.join("crates/stubs");
@@ -615,7 +528,7 @@ fn stub_lints(
     // The words used anywhere in the workspace outside the stubs — the
     // consumers whose imports the README must describe.
     let mut used_words: BTreeSet<&str> = BTreeSet::new();
-    for (rel, _, pieces) in sources {
+    for (rel, pieces) in sources {
         if rel.starts_with("crates/stubs/") {
             continue;
         }
@@ -664,7 +577,7 @@ fn stub_lints(
         let prefix = format!("crates/stubs/{stub}/");
         let mut stub_words: BTreeSet<String> = BTreeSet::new();
         let mut items: Vec<PubItem> = Vec::new();
-        for (rel, _, pieces) in sources {
+        for (rel, pieces) in sources {
             if !rel.starts_with(&prefix) {
                 continue;
             }
@@ -781,43 +694,19 @@ mod tests {
 
     #[test]
     fn unsafe_lint_allowlists_and_requires_safety() {
-        let bad = "fn f() { unsafe { g(); } }";
-        let mut out = Vec::new();
-        unsafe_lints("crates/other/src/m.rs", bad, &lex(bad), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "unsafe-allowlist");
-
-        let missing = "fn f() {\n    unsafe { g(); }\n}";
-        let mut out = Vec::new();
-        unsafe_lints(
+        // The allowlist is empty: the former executor core is flagged
+        // like any other file, SAFETY comment or not.
+        let src = "fn f() {\n    // SAFETY: g is safe here.\n    unsafe { g(); }\n}";
+        for rel in [
+            "crates/other/src/m.rs",
             "crates/congest/src/executor/cells.rs",
-            missing,
-            &lex(missing),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "safety-comment");
-
-        let ok = "fn f() {\n    // SAFETY: g is safe here.\n    unsafe { g(); }\n}";
-        let mut out = Vec::new();
-        unsafe_lints(
-            "crates/congest/src/executor/cells.rs",
-            ok,
-            &lex(ok),
-            &mut out,
-        );
-        assert!(out.is_empty(), "{out:#?}");
-
-        // Doc-comment `# Safety` sections and intervening attributes count.
-        let doc = "/// Does things.\n///\n/// # Safety\n///\n/// Caller guarantees x.\n#[allow(clippy::mut_from_ref)]\npub unsafe fn g() {}";
-        let mut out = Vec::new();
-        unsafe_lints(
-            "crates/congest/src/executor/cells.rs",
-            doc,
-            &lex(doc),
-            &mut out,
-        );
-        assert!(out.is_empty(), "{out:#?}");
+            "crates/congest/src/executor/sweep.rs",
+        ] {
+            let mut out = Vec::new();
+            unsafe_lints(rel, &lex(src), &mut out);
+            assert_eq!(out.len(), 1, "{rel}: {out:#?}");
+            assert_eq!((out[0].rule, out[0].line), ("unsafe-allowlist", 3), "{rel}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Fixture: an allowlisted path whose `unsafe` lacks a SAFETY comment.
+//! Fixture: the former executor-core path, whose `unsafe` is flagged
+//! like any other file's.
 
 pub fn poke(p: *mut u32) {
     unsafe {

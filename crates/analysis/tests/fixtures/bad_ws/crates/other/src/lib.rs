@@ -1,8 +1,8 @@
-//! Fixture: `unsafe` outside the executor-core allowlist. The SAFETY
-//! comment does not save it — the *location* is the violation.
+//! Fixture: `unsafe` with a SAFETY comment. The comment does not save
+//! it: no file may use `unsafe`.
 
 pub fn touch(p: *mut u32) {
-    // SAFETY: p is valid — but this file is not allowlisted.
+    // SAFETY: p is valid — but no file may use `unsafe`.
     unsafe {
         *p = 1;
     }

@@ -39,8 +39,7 @@ fn the_fixture_tree_trips_every_rule() {
             .filter(|l| l.contains(&format!("[{rule}]")))
             .count()
     };
-    assert_eq!(count("unsafe-allowlist"), 1, "{stdout}");
-    assert_eq!(count("safety-comment"), 1, "{stdout}");
+    assert_eq!(count("unsafe-allowlist"), 2, "{stdout}");
     assert_eq!(count("phase-registry"), 7, "{stdout}");
     assert_eq!(count("determinism"), 6, "{stdout}");
     assert_eq!(count("stub-drift"), 3, "{stdout}");

@@ -2,6 +2,8 @@
 //! experiment binaries (E1–E9) that regenerate the evaluation described in
 //! DESIGN.md / EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use graphs::WeightedGraph;
 use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
 use mincut::seq::tree_packing::{PackingConfig, PackingSize};
@@ -54,9 +56,8 @@ pub fn chaos_plan() -> congest::sim::FaultPlan {
 /// The canonical large-`n` instance: the 70602-node 3D torus + chords
 /// with certified λ = 6 that `tests/large_n.rs` gates (the umbrella
 /// crate cannot depend on this one, so that test re-states the
-/// constructor — keep them in sync). `bench_smoke` times it serial
-/// against parallel, perfbench runs it as `large_sparse`, and that test
-/// pins its exact traffic.
+/// constructor — keep them in sync). perfbench runs it as
+/// `large_sparse`, and that test pins its exact traffic.
 pub fn large_n_graph() -> WeightedGraph {
     graphs::generators::torus3d_with_chords(42, 41, 41, 300).expect("valid torus construction")
 }

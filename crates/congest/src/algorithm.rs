@@ -106,18 +106,11 @@ impl<M: Message> Step<M> {
 /// Node code receives only `&mut` its own state, the local [`NodeCtx`], and
 /// its inbox — it cannot observe the graph or other nodes, which is what
 /// makes simulated round counts meaningful.
-///
-/// The `Sync` supertrait and the `Send` bounds on `Input` and `State`
-/// exist for the parallel round executor: the algorithm is shared by
-/// reference across worker threads, and a node's input/state may be
-/// booted, stepped, and finished on different threads (never
-/// concurrently — the engine hands each node to exactly one worker per
-/// round). Plain-data algorithms satisfy them automatically.
-pub trait Algorithm: Sync {
+pub trait Algorithm {
     /// Per-node input (local knowledge from previous phases).
-    type Input: Send;
+    type Input;
     /// Per-node mutable state.
-    type State: Send;
+    type State;
     /// Message type for this phase.
     type Msg: Message;
     /// Per-node output.

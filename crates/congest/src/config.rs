@@ -21,16 +21,6 @@ pub struct NetworkConfig {
     /// Which round executor drives the phases. Outputs, round counts, and
     /// metrics are identical across executors; only wall time differs.
     pub executor: ExecutorKind,
-    /// Adaptive fallback of the parallel executor: a sweep whose domain
-    /// (live nodes + touched halted nodes) is smaller than this many
-    /// nodes runs inline on the calling thread instead of spawning
-    /// workers — per-sweep thread costs dwarf the per-node work at small
-    /// scale (the exact pipeline on `clique_pair32` ran ~7× slower
-    /// parallel than serial before this fallback). Results are
-    /// identical either way (the sweep code is shared); only wall time
-    /// differs. `0` disables the fallback; the serial executor ignores
-    /// this knob.
-    pub parallel_inline_threshold: usize,
     /// The observability sink this network records into (`None` — the
     /// default — disables tracing entirely: no events, no clock reads,
     /// no locking; ledger and outputs are byte-identical either way).
@@ -41,15 +31,13 @@ pub struct NetworkConfig {
 
 impl Default for NetworkConfig {
     /// β = 8 (room for one tag + two ids + one value per message),
-    /// strict enforcement, auto round cap, serial executor, inline
-    /// fallback below 1024-node sweeps.
+    /// strict enforcement, auto round cap, serial executor, no sink.
     fn default() -> Self {
         NetworkConfig {
             bandwidth_factor: 8,
             strict: true,
             max_rounds: 0,
             executor: ExecutorKind::Serial,
-            parallel_inline_threshold: 1024,
             obs: None,
         }
     }
@@ -118,13 +106,6 @@ mod tests {
         assert_eq!(c.bandwidth_bits(1024), 8 * 10);
         assert_eq!(c.bandwidth_bits(1025), 8 * 11);
         assert!(c.strict);
-    }
-
-    #[test]
-    fn inline_threshold_default() {
-        // The adaptive-fallback knob ships enabled: small sweeps run
-        // inline even under the parallel executor.
-        assert_eq!(NetworkConfig::default().parallel_inline_threshold, 1024);
     }
 
     #[test]

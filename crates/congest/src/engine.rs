@@ -9,7 +9,7 @@
 use crate::algorithm::Algorithm;
 use crate::config::NetworkConfig;
 use crate::error::CongestError;
-use crate::executor::{ExecutorKind, ParallelExecutor, PhaseSpec, RoundExecutor, SerialExecutor};
+use crate::executor::{ExecutorKind, PhaseSpec, RoundExecutor, SerialExecutor};
 use crate::metrics::{MetricsLedger, PhaseMetrics};
 use crate::node::NeighborInfo;
 use graphs::WeightedGraph;
@@ -181,8 +181,8 @@ impl<'g> Network<'g> {
     /// (strict mode), or when the round cap is exceeded. When several
     /// nodes err in the same round, the lowest-id node's error is
     /// returned, under every executor; the rest of that round still
-    /// executes (errors are collected, not short-circuited — that is
-    /// what makes error selection schedule-independent).
+    /// executes (errors are collected, not short-circuited, so the
+    /// choice does not depend on the order nodes are stepped in).
     pub fn run<A: Algorithm>(
         &mut self,
         name: &str,
@@ -195,9 +195,6 @@ impl<'g> Network<'g> {
         let kind = self.config.executor.clone();
         match kind {
             ExecutorKind::Serial => self.run_with(&SerialExecutor, name, algo, inputs),
-            ExecutorKind::Parallel { threads } => {
-                self.run_with(&ParallelExecutor::with_threads(threads), name, algo, inputs)
-            }
             ExecutorKind::Faulty(plan) => {
                 self.run_with(&crate::sim::FaultyExecutor::new(plan), name, algo, inputs)
             }
@@ -244,7 +241,6 @@ impl<'g> Network<'g> {
             strict: self.config.strict,
             cap: self.config.effective_max_rounds(n),
             max_degree: self.max_degree,
-            parallel_inline_threshold: self.config.parallel_inline_threshold,
             base_round,
             obs,
         };
@@ -343,36 +339,6 @@ mod tests {
         assert_eq!(out.metrics.rounds, 12);
         assert!(out.metrics.messages > 0);
         assert_eq!(net.ledger().total_rounds(), 12);
-    }
-
-    /// The parallel executor produces the same outputs and metrics as the
-    /// serial one, at every thread count (including more threads than
-    /// chunks). The broader randomized suite lives in
-    /// `tests/executor_parity.rs`.
-    #[test]
-    fn parallel_executor_is_bit_identical_to_serial() {
-        let g = graphs::generators::grid2d(5, 7).unwrap();
-        let n = g.node_count();
-        let mut serial = Network::new(&g, NetworkConfig::default()).unwrap();
-        let want = serial
-            .run("min_flood", &MinFlood { ttl: 15 }, vec![(); n])
-            .unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            // Threshold 0 keeps the 35-node sweeps on the real
-            // multi-worker path (the inline fallback is exercised — and
-            // trivially bit-identical — everywhere else).
-            let cfg = NetworkConfig {
-                executor: ExecutorKind::Parallel { threads },
-                parallel_inline_threshold: 0,
-                ..Default::default()
-            };
-            let mut par = Network::new(&g, cfg).unwrap();
-            let got = par
-                .run("min_flood", &MinFlood { ttl: 15 }, vec![(); n])
-                .unwrap();
-            assert_eq!(got.outputs, want.outputs, "threads = {threads}");
-            assert_eq!(got.metrics, want.metrics, "threads = {threads}");
-        }
     }
 
     /// Sends a `ttl`-round drumbeat of 7s (3 bits each) from node 0 to
@@ -589,6 +555,123 @@ mod tests {
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let err = net.run("late", &LateSender, vec![(); 3]).unwrap_err();
         assert!(matches!(err, CongestError::MessageToHalted { .. }));
+    }
+
+    /// Two nodes err in round 3: node 1 (halted) receives a message, and
+    /// node 150 double-sends. Node 1 sits in the round's halted segment,
+    /// which is swept after the live one, so node 150's error is found
+    /// first; the engine must still report the lowest node's, under
+    /// every executor.
+    #[test]
+    fn strict_error_parity_picks_the_lowest_node_across_chunks() {
+        struct TwoFaults;
+        impl Algorithm for TwoFaults {
+            type Input = ();
+            type State = ();
+            type Msg = u32;
+            type Output = ();
+            fn boot(&self, _c: &NodeCtx<'_>, _i: ()) -> ((), Outbox<u32>) {
+                ((), Outbox::new())
+            }
+            fn round(&self, _s: &mut (), ctx: &NodeCtx<'_>, _i: &[(Port, u32)]) -> Step<u32> {
+                // Node 1 halts at once; node 0 messages it in round 2
+                // (arriving in round 3); node 150 double-sends in round 3.
+                if ctx.node.raw() == 1 {
+                    return Step::halt();
+                }
+                if ctx.round == 2 && ctx.node.raw() == 0 {
+                    let mut o = Outbox::new();
+                    o.send(Port(0), 9);
+                    return Step::Halt(o);
+                }
+                if ctx.round == 3 && ctx.node.raw() == 150 {
+                    let mut o = Outbox::new();
+                    o.send(Port(0), 1).send(Port(0), 2);
+                    return Step::Halt(o);
+                }
+                if ctx.round >= 3 {
+                    return Step::halt();
+                }
+                Step::idle()
+            }
+            fn finish(&self, _s: (), _c: &NodeCtx<'_>) -> FinishResult<()> {
+                Ok(())
+            }
+        }
+
+        let g = graphs::generators::path(200).unwrap();
+        let errs: Vec<_> = [
+            ExecutorKind::Serial,
+            ExecutorKind::Faulty(crate::sim::FaultPlan::default()),
+        ]
+        .into_iter()
+        .map(|kind| {
+            let mut net = Network::new(&g, NetworkConfig::default().with_executor(kind)).unwrap();
+            net.run("late", &TwoFaults, vec![(); 200]).unwrap_err()
+        })
+        .collect();
+        assert!(
+            matches!(
+                errs[0],
+                CongestError::MessageToHalted { node, round: 3, .. } if node.raw() == 1
+            ),
+            "expected MessageToHalted at node 1, got {:?}",
+            errs[0]
+        );
+        assert_eq!(errs[0], errs[1]);
+    }
+
+    /// Node 0 messages node 1, halted since round 1, on the same port
+    /// in rounds 2, 3 and 4.
+    struct HaltedDrummer;
+    impl Algorithm for HaltedDrummer {
+        type Input = ();
+        type State = ();
+        type Msg = u32;
+        type Output = ();
+        fn boot(&self, _c: &NodeCtx<'_>, _i: ()) -> ((), Outbox<u32>) {
+            ((), Outbox::new())
+        }
+        fn round(&self, _s: &mut (), ctx: &NodeCtx<'_>, _i: &[(Port, u32)]) -> Step<u32> {
+            match (ctx.node.raw(), ctx.round) {
+                (1, _) => Step::halt(),
+                (0, 2..=4) => {
+                    let mut o = Outbox::new();
+                    o.send(Port(0), 9);
+                    Step::Continue(o)
+                }
+                (_, r) if r >= 5 => Step::halt(),
+                _ => Step::idle(),
+            }
+        }
+        fn finish(&self, _s: (), _c: &NodeCtx<'_>) -> FinishResult<()> {
+            Ok(())
+        }
+    }
+
+    /// Lax mode drops a message at its halted destination and frees its
+    /// slot: the round-4 send reuses the slot of the round-2 one (same
+    /// arena half) without a `DoubleSend`.
+    #[test]
+    fn message_to_halted_is_dropped_in_lax_mode() {
+        let g = graphs::generators::path(3).unwrap();
+        let lax = NetworkConfig {
+            strict: false,
+            ..Default::default()
+        };
+        let out = Network::new(&g, lax)
+            .unwrap()
+            .run("late", &HaltedDrummer, vec![(); 3])
+            .unwrap();
+        assert_eq!((out.metrics.rounds, out.metrics.messages), (5, 3));
+        let err = Network::new(&g, NetworkConfig::default())
+            .unwrap()
+            .run("late", &HaltedDrummer, vec![(); 3])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CongestError::MessageToHalted { round: 3, .. }
+        ));
     }
 
     #[test]

@@ -1,25 +1,17 @@
-//! The shared per-round node sweep: boot/round execution over a chunk of
-//! nodes, slot-arena routing, and the serial/parallel sweep drivers.
+//! The per-round node sweep: boot and round execution over the nodes,
+//! slot-arena routing and the per-sweep stats.
 //!
-//! Both executors run the *same* per-node code on the *same* data
-//! structures; they differ only in who runs the chunks. The serial
-//! executor sweeps `0..n` inline; the parallel executor spawns scoped
-//! workers that claim contiguous chunks from an atomic cursor. Because
-//! every per-node effect lands in per-node cells, per-directed-edge slots,
-//! or commutatively-merged [`SweepStats`], the two schedules are
-//! bit-identical by construction — the parity suite asserts it.
+//! A phase owns two [`SlotArena`]s, one slot per directed edge each: a
+//! round drains the half the previous round wrote and routes its own
+//! sends into the other half, so a round's sends are the next round's
+//! inboxes. Everything is plain data written through `&mut`.
 
-#![allow(unsafe_code)]
-
-use super::cells::{SlotArena, SyncCells};
-use super::protocol::{ChunkClaimer, DrainSm, DrainStep, SendSm, SendStep, SlotMem};
 use super::PhaseSpec;
 use crate::algorithm::{Algorithm, Step};
 use crate::error::CongestError;
 use crate::message::Message;
 use crate::node::Port;
 use graphs::NodeId;
-use std::sync::atomic::AtomicUsize;
 
 /// Per-node executor state: the algorithm state plus the halted flag.
 pub(crate) struct NodeCell<S> {
@@ -27,142 +19,48 @@ pub(crate) struct NodeCell<S> {
     pub(crate) halted: bool,
 }
 
-/// Everything a worker touches while sweeping: the phase geometry, the
-/// algorithm, per-node cells, the double-buffered slot arenas, and the
-/// cumulative per-directed-edge load accumulators.
-pub(crate) struct PhaseState<'a, A: Algorithm> {
-    pub(crate) spec: &'a PhaseSpec<'a>,
-    pub(crate) algo: &'a A,
-    pub(crate) nodes: SyncCells<NodeCell<A::State>>,
-    pub(crate) arenas: [SlotArena<A::Msg>; 2],
-    /// Cumulative bits routed over each directed edge this phase
-    /// (slot-indexed; single writer per round — the edge's sender).
-    pub(crate) edge_load: SyncCells<u64>,
+/// One half of the double-buffered message arena: a fixed slot per
+/// directed edge (CSR by destination: node `v`'s inbox occupies slots
+/// `slot_base[v]..slot_base[v + 1]`, one per port) plus a
+/// per-destination count of occupied slots, so halted and idle nodes
+/// are checked in `O(1)` instead of scanning their slot range.
+pub(crate) struct SlotArena<M> {
+    slots: Vec<Option<M>>,
+    pending: Vec<u32>,
 }
 
-impl<'a, A: Algorithm> PhaseState<'a, A> {
-    pub(crate) fn new(spec: &'a PhaseSpec<'a>, algo: &'a A) -> Self {
-        let n = spec.n;
-        let total = spec.slot_base[n];
-        PhaseState {
-            spec,
-            algo,
-            nodes: SyncCells::new(
-                (0..n)
-                    .map(|_| NodeCell {
-                        state: None,
-                        halted: false,
-                    })
-                    .collect(),
-            ),
-            arenas: [SlotArena::new(total, n), SlotArena::new(total, n)],
-            edge_load: SyncCells::new(vec![0; total]),
+impl<M> SlotArena<M> {
+    /// An empty arena with `total_slots` message slots over `n` nodes.
+    fn new(total_slots: usize, n: usize) -> Self {
+        SlotArena {
+            slots: (0..total_slots).map(|_| None).collect(),
+            pending: vec![0; n],
         }
     }
 
-    /// The phase's `max_edge_load_bits`: the heaviest cumulative load on
-    /// any single (edge, direction). Takes `&mut self` — called after the
-    /// last sweep, when no workers exist.
-    pub(crate) fn max_edge_load_bits(&mut self) -> usize {
-        self.edge_load.iter_exclusive().copied().max().unwrap_or(0) as usize
+    /// Index of the first node with a non-empty inbox (error reporting
+    /// for undeliverable messages once every node has halted).
+    pub(crate) fn first_pending(&self) -> Option<usize> {
+        self.pending.iter().position(|&p| p > 0)
     }
 }
 
-/// The real executors' [`SlotMem`]: one arena half plus the phase's
-/// cumulative edge-load accumulators, stamped with the sweep epoch for
-/// the debug-build exclusivity tags. This is the *only* place the slot
-/// protocol meets the `unsafe` cells — the protocol state machines in
-/// [`super::protocol`] are themselves safe code, shared verbatim with
-/// the interleaving model checker in `crates/analysis`.
-///
-/// Soundness of every `unsafe` block below rests on the callers obeying
-/// the protocol discipline of [`super::cells`]: a slot is written only
-/// by its unique sender in the writing round (after the occupancy check
-/// that doubles as the `DoubleSend` rule), and read only by the unique
-/// worker owning its destination in the reading round, on the other
-/// half of the double buffer; the inter-sweep join is the
-/// happens-before edge between the two. Debug builds additionally
-/// *check* the discipline via the epoch claims.
-struct ArenaSlotMem<'x, M> {
-    arena: &'x SlotArena<M>,
-    edge_load: &'x SyncCells<u64>,
-    /// The sweep epoch claims are stamped with (boot = 0, else the
-    /// round number).
-    epoch: u64,
+/// Everything a sweep touches: the phase geometry, the algorithm,
+/// per-node cells, the double-buffered slot arenas, and the cumulative
+/// per-directed-edge loads.
+pub(crate) struct PhaseState<'a, A: Algorithm> {
+    spec: &'a PhaseSpec<'a>,
+    algo: &'a A,
+    pub(crate) nodes: Vec<NodeCell<A::State>>,
+    pub(crate) arenas: [SlotArena<A::Msg>; 2],
+    /// Cumulative bits routed over each directed edge this phase
+    /// (slot-indexed).
+    edge_load: Vec<u64>,
+    /// The inbox handed to `round`, reused across nodes and rounds.
+    scratch: Vec<(Port, A::Msg)>,
 }
 
-impl<M> SlotMem for ArenaSlotMem<'_, M> {
-    type Payload = M;
-
-    fn slot_occupied(&self, slot: usize) -> bool {
-        // SAFETY: the occupancy check is part of the sender's send
-        // sequence, and the sender holds exclusive write access to
-        // `slot` for this round (sender-unique `write_slot` mapping);
-        // no reader exists because reads go to the other arena of the
-        // double buffer. The borrow ends at the `is_some()`.
-        unsafe { self.arena.slot_mut(slot) }.is_some()
-    }
-
-    fn slot_write(&self, slot: usize, payload: M) {
-        self.arena.claim_slot(slot, self.epoch);
-        // SAFETY: only `slot`'s unique sender reaches a write — the
-        // protocol abandons the send machine when the occupancy check
-        // fails — and reads go to the other arena half this round, so
-        // this `&mut` is exclusive. (The debug claim above turns any
-        // violation of that argument into an assertion failure.)
-        *unsafe { self.arena.slot_mut(slot) } = Some(payload);
-    }
-
-    fn slot_take(&self, slot: usize) -> Option<M> {
-        self.arena.claim_slot(slot, self.epoch);
-        // SAFETY: `slot` lies in the inbox range of a destination owned
-        // by the calling worker this sweep (disjoint chunk claims), and
-        // senders write the other arena half this round, so this `&mut`
-        // is exclusive.
-        unsafe { self.arena.slot_mut(slot) }.take()
-    }
-
-    fn edge_load_add(&self, slot: usize, bits: u64) {
-        self.edge_load.claim(slot, self.epoch);
-        // SAFETY: the edge-load accumulator of a directed edge is
-        // written only by that edge's unique sender (same single-writer
-        // argument as the slot itself), at most once per round thanks
-        // to the occupancy check.
-        *unsafe { self.edge_load.get_mut(slot) } += bits;
-    }
-
-    fn pending_read(&self, dest: usize) -> u32 {
-        self.arena.pending(dest)
-    }
-
-    fn pending_fetch_add(&self, dest: usize) -> u32 {
-        self.arena.add_pending(dest)
-    }
-
-    fn pending_reset(&self, dest: usize) {
-        self.arena.reset_pending(dest);
-    }
-}
-
-/// One sweep over all nodes: the boot sweep or a numbered round.
-pub(crate) enum Sweep<'s, A: Algorithm> {
-    /// Round 0: take each node's input, `boot` it, route its outbox.
-    Boot {
-        inputs: &'s SyncCells<Option<A::Input>>,
-        write: &'s SlotArena<A::Msg>,
-    },
-    /// Round `round ≥ 1`: deliver inboxes from `read`, step live nodes,
-    /// route outboxes into `write`.
-    Round {
-        round: u64,
-        read: &'s SlotArena<A::Msg>,
-        write: &'s SlotArena<A::Msg>,
-    },
-}
-
-/// What one worker accumulates over its chunks. Every field merges
-/// commutatively (sums, maxes, min-node error, set union), so the merged
-/// totals are independent of the chunk schedule.
+/// What one sweep accumulates.
 #[derive(Default)]
 pub(crate) struct SweepStats {
     pub(crate) messages: u64,
@@ -178,8 +76,9 @@ pub(crate) struct SweepStats {
     /// The next round sweeps `live ∪ (touched ∩ halted)` instead of all
     /// `n` nodes, so fully-halted regions cost nothing per round.
     pub(crate) touched: Vec<u32>,
-    /// The sweep's error at the smallest node index, if any — exactly the
-    /// error the serial schedule would have hit first.
+    /// The sweep's error at the smallest node index, if any. The halted
+    /// segment runs after the live one, so the first error found need
+    /// not be the lowest node's.
     pub(crate) err: Option<(usize, CongestError)>,
 }
 
@@ -190,298 +89,160 @@ impl SweepStats {
             _ => self.err = Some((node, e)),
         }
     }
+}
 
-    fn merge(&mut self, other: SweepStats) {
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.violations += other.violations;
-        self.halts += other.halts;
-        self.delivered += other.delivered;
-        self.touched.extend_from_slice(&other.touched);
-        if let Some((node, e)) = other.err {
-            self.record_err(node, e);
+impl<'a, A: Algorithm> PhaseState<'a, A> {
+    pub(crate) fn new(spec: &'a PhaseSpec<'a>, algo: &'a A) -> Self {
+        let n = spec.n;
+        let total = spec.slot_base[n];
+        PhaseState {
+            spec,
+            algo,
+            nodes: (0..n)
+                .map(|_| NodeCell {
+                    state: None,
+                    halted: false,
+                })
+                .collect(),
+            arenas: [SlotArena::new(total, n), SlotArena::new(total, n)],
+            edge_load: vec![0; total],
+            scratch: Vec::with_capacity(spec.max_degree),
         }
     }
-}
 
-/// The node set one sweep covers.
-pub(crate) enum Domain<'d> {
-    /// Every node `0..n` (the boot sweep).
-    All(usize),
-    /// Round sweeps: the live nodes (ascending ids; may contain nodes
-    /// that halted since the last compaction — they are skipped in O(1))
-    /// plus the halted nodes with a non-empty inbox, which only need
-    /// their messages-to-halted check. The two segments never make a
-    /// worker touch a node cell another worker owns: a stale-halted
-    /// node's cell is read (not written) in the live segment, and its
-    /// inbox is consumed only in the halted segment.
-    Lists { live: &'d [u32], halted: &'d [u32] },
-}
-
-impl Domain<'_> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Domain::All(n) => *n,
-            Domain::Lists { live, halted } => live.len() + halted.len(),
-        }
+    /// The phase's `max_edge_load_bits`: the heaviest cumulative load on
+    /// any single (edge, direction).
+    pub(crate) fn max_edge_load_bits(&self) -> usize {
+        self.edge_load.iter().copied().max().unwrap_or(0) as usize
     }
-}
 
-/// How a sweep is scheduled across nodes.
-pub(crate) enum ExecMode {
-    /// One inline pass over `0..n`.
-    Serial,
-    /// `threads` scoped workers claiming `chunk`-sized ranges from an
-    /// atomic cursor; sweeps smaller than `inline_below` run inline
-    /// (see [`crate::NetworkConfig::parallel_inline_threshold`]).
-    Parallel {
-        threads: usize,
-        chunk: usize,
-        inline_below: usize,
-    },
-}
-
-/// Runs one sweep under `mode` and returns the merged stats.
-pub(crate) fn execute_sweep<A: Algorithm>(
-    ps: &PhaseState<'_, A>,
-    sweep: &Sweep<'_, A>,
-    domain: &Domain<'_>,
-    mode: &ExecMode,
-) -> SweepStats {
-    let len = domain.len();
-    match *mode {
-        // A sweep that does not fill at least two chunks has nothing to
-        // parallelize, and one below the configured inline threshold is
-        // too small for the per-sweep thread costs to pay off: run
-        // either inline and skip the thread spawns. Identical results by
-        // construction (same per-node code, commutative stats); this is
-        // what keeps long pipelined tails — thousands of rounds with a
-        // handful of live nodes — and small-`n` phases from paying
-        // per-round spawn costs.
-        ExecMode::Parallel {
-            threads,
-            chunk,
-            inline_below,
-        } if len > chunk && len >= inline_below && threads > 1 => {
-            let claimer = ChunkClaimer { chunk, len };
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let (claimer, cursor) = (&claimer, &cursor);
-                let handles: Vec<_> = (0..threads)
-                    .map(|widx| {
-                        scope.spawn(move || {
-                            // Worker utilization is a host measurement:
-                            // chunk claiming races by design, so these
-                            // numbers go to the obs profile only, never
-                            // the deterministic stats or event stream.
-                            let obs = ps.spec.obs;
-                            let span = crate::obs::worker_begin(obs);
-                            let (mut chunks, mut nodes) = (0u64, 0u64);
-                            let mut stats = SweepStats::default();
-                            let mut scratch = Vec::with_capacity(ps.spec.max_degree);
-                            while let Some(range) = claimer.claim(cursor) {
-                                chunks += 1;
-                                nodes += range.len() as u64;
-                                run_nodes(
-                                    ps,
-                                    sweep,
-                                    domain,
-                                    range.start,
-                                    range.end,
-                                    &mut scratch,
-                                    &mut stats,
-                                );
-                            }
-                            crate::obs::worker_end(obs, span, widx, chunks, nodes);
-                            stats
-                        })
-                    })
-                    .collect();
-                let mut merged = SweepStats::default();
-                for h in handles {
-                    match h.join() {
-                        Ok(s) => merged.merge(s),
-                        // A panicking algorithm panics the caller, as it
-                        // does under the serial executor.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                merged
-            })
+    /// Round 0: boots every node with its input and routes its outbox
+    /// into arena 0.
+    pub(crate) fn boot(&mut self, inputs: Vec<A::Input>) -> SweepStats {
+        let (spec, algo) = (self.spec, self.algo);
+        let mut stats = SweepStats::default();
+        let write = &mut self.arenas[0];
+        for (v, input) in inputs.into_iter().enumerate() {
+            let (state, outbox) = algo.boot(&spec.ctx(v, 0), input);
+            self.nodes[v].state = Some(state);
+            route_outbox(
+                spec,
+                v,
+                0,
+                outbox.msgs,
+                write,
+                &mut self.edge_load,
+                &mut stats,
+            );
         }
-        _ => {
-            let mut stats = SweepStats::default();
-            let mut scratch = Vec::with_capacity(ps.spec.max_degree);
-            run_nodes(ps, sweep, domain, 0, len, &mut scratch, &mut stats);
-            stats
-        }
+        stats
     }
-}
 
-/// Runs one sweep over the domain positions `lo..hi` (a claimed chunk).
-///
-/// Errors are *recorded*, not early-returned: every domain position is
-/// processed so the merged minimum-node error is identical under any
-/// chunk schedule (serial included).
-///
-/// SAFETY discipline: positions `lo..hi` are exclusively owned by this
-/// caller for this sweep, so `get_mut` on node cells/inputs resolved
-/// from the range is exclusive (the live and halted segments are
-/// disjoint node sets except for stale-halted entries, which the live
-/// segment only reads); slot writes go through the sender-unique
-/// `write_slot` mapping and slot reads through the destination-unique
-/// inbox range (see [`super::cells`] for the full argument).
-fn run_nodes<A: Algorithm>(
-    ps: &PhaseState<'_, A>,
-    sweep: &Sweep<'_, A>,
-    domain: &Domain<'_>,
-    lo: usize,
-    hi: usize,
-    scratch: &mut Vec<(Port, A::Msg)>,
-    stats: &mut SweepStats,
-) {
-    let spec = ps.spec;
-    match sweep {
-        Sweep::Boot { inputs, write } => {
-            for i in lo..hi {
-                let v = match domain {
-                    Domain::All(_) => i,
-                    Domain::Lists { live, halted } => {
-                        if i < live.len() {
-                            live[i] as usize
-                        } else {
-                            halted[i - live.len()] as usize
-                        }
-                    }
-                };
-                inputs.claim(v, 0);
-                // SAFETY: `v` is in this worker's claimed chunk — chunks
-                // are disjoint (see `ChunkClaimer`), so no other worker
-                // touches input or node cell `v` this sweep.
-                let input = unsafe { inputs.get_mut(v) }
-                    .take()
-                    .expect("exactly one input per node");
-                let ctx = spec.ctx(v, 0);
-                let (state, outbox) = ps.algo.boot(&ctx, input);
-                ps.nodes.claim(v, 0);
-                // SAFETY: as above.
-                unsafe { ps.nodes.get_mut(v) }.state = Some(state);
-                route_outbox(ps, v, 0, outbox.msgs, write, stats);
+    /// Round `round ≥ 1`: delivers the inboxes the previous round wrote,
+    /// steps the `live` nodes (ascending ids; entries that halted since
+    /// the last compaction are skipped) and routes their outboxes into
+    /// the other arena. `halted` lists the halted nodes whose inbox went
+    /// non-empty; they only get the messages-to-halted check.
+    ///
+    /// Errors are recorded, not returned early: the round runs to its
+    /// end, and the lowest node's error is the one reported.
+    pub(crate) fn round(&mut self, round: u64, live: &[u32], halted: &[u32]) -> SweepStats {
+        let (spec, algo) = (self.spec, self.algo);
+        let mut stats = SweepStats::default();
+        let [even, odd] = &mut self.arenas;
+        let (read, write) = if round % 2 == 1 {
+            (even, odd)
+        } else {
+            (odd, even)
+        };
+        for &v in live {
+            let v = v as usize;
+            let cell = &mut self.nodes[v];
+            if cell.halted {
+                // Stale live-list entry awaiting compaction. Its inbox,
+                // if any, is handled in the halted segment.
+                continue;
             }
-        }
-        Sweep::Round { round, read, write } => {
-            for i in lo..hi {
-                let (v, halted_with_inbox) = match domain {
-                    Domain::All(_) => (i, false),
-                    Domain::Lists { live, halted } => {
-                        if i < live.len() {
-                            (live[i] as usize, false)
-                        } else {
-                            (halted[i - live.len()] as usize, true)
-                        }
+            let inbox = &mut self.scratch;
+            inbox.clear();
+            if read.pending[v] > 0 {
+                let base = spec.slot_base[v];
+                let slots = &mut read.slots[base..spec.slot_base[v + 1]];
+                for (port, slot) in slots.iter_mut().enumerate() {
+                    if let Some(m) = slot.take() {
+                        inbox.push((Port(port as u32), m));
                     }
-                };
-                if halted_with_inbox {
-                    // A halted node whose inbox went non-empty: the
-                    // protocol violation check, nothing else.
-                    let pending = read.pending(v);
-                    if pending > 0 {
-                        if spec.strict {
-                            stats.record_err(
-                                v,
-                                CongestError::MessageToHalted {
-                                    phase: spec.name.to_string(),
-                                    node: NodeId::from_index(v),
-                                    round: *round,
-                                },
-                            );
-                            continue;
-                        }
-                        // Lax mode: drop the inbox (the drain machine
-                        // consumes every slot, then clears pending).
-                        let mem = ArenaSlotMem {
-                            arena: read,
-                            edge_load: &ps.edge_load,
-                            epoch: *round,
-                        };
-                        let mut drain = DrainSm::new(v, spec.slot_base[v], spec.slot_base[v + 1]);
-                        while drain.step(&mem).is_some() {}
-                        stats.delivered += pending as usize;
-                    }
-                    continue;
                 }
-                ps.nodes.claim(v, *round);
-                // SAFETY: `v` is in this worker's claimed chunk — chunks
-                // are disjoint, so this is the sweep's only borrow of
-                // cell `v` (if `v` is a stale-halted entry, the halted
-                // segment touches only its inbox, never this cell).
-                let cell = unsafe { ps.nodes.get_mut(v) };
-                if cell.halted {
-                    // Stale live-list entry awaiting compaction. Its
-                    // inbox, if any, is handled by the halted segment.
-                    continue;
-                }
-                scratch.clear();
-                if read.pending(v) > 0 {
-                    let mem = ArenaSlotMem {
-                        arena: read,
-                        edge_load: &ps.edge_load,
-                        epoch: *round,
-                    };
-                    let mut drain = DrainSm::new(v, spec.slot_base[v], spec.slot_base[v + 1]);
-                    while let Some(step) = drain.step(&mem) {
-                        if let DrainStep::Took {
-                            port,
-                            payload: Some(m),
-                        } = step
-                        {
-                            scratch.push((Port(port), m));
-                        }
-                    }
-                    stats.delivered += scratch.len();
-                }
-                let ctx = spec.ctx(v, *round);
-                let state = cell.state.as_mut().expect("live node has state");
-                let outbox = match ps.algo.round(state, &ctx, scratch) {
-                    Step::Continue(o) => o,
-                    Step::Halt(o) => {
-                        cell.halted = true;
-                        stats.halts += 1;
-                        o
-                    }
-                };
-                route_outbox(ps, v, *round, outbox.msgs, write, stats);
+                read.pending[v] = 0;
+                stats.delivered += inbox.len();
             }
+            let state = cell.state.as_mut().expect("live node has state");
+            let outbox = match algo.round(state, &spec.ctx(v, round), inbox) {
+                Step::Continue(o) => o,
+                Step::Halt(o) => {
+                    cell.halted = true;
+                    stats.halts += 1;
+                    o
+                }
+            };
+            if outbox.msgs.is_empty() {
+                // Most calls send nothing: waiting nodes are stepped too.
+                continue;
+            }
+            route_outbox(
+                spec,
+                v,
+                round,
+                outbox.msgs,
+                write,
+                &mut self.edge_load,
+                &mut stats,
+            );
         }
+        for &v in halted {
+            let v = v as usize;
+            let pending = read.pending[v];
+            if pending == 0 {
+                continue;
+            }
+            if spec.strict {
+                stats.record_err(
+                    v,
+                    CongestError::MessageToHalted {
+                        phase: spec.name.to_string(),
+                        node: NodeId::from_index(v),
+                        round,
+                    },
+                );
+                continue;
+            }
+            // Lax mode: drop the inbox.
+            read.slots[spec.slot_base[v]..spec.slot_base[v + 1]].fill_with(|| None);
+            read.pending[v] = 0;
+            stats.delivered += pending as usize;
+        }
+        stats
     }
 }
 
 /// Validates and routes one node's outbox into the write arena. The
-/// engine's invariants are enforced here: ports must exist, a port may
-/// carry at most one message per round (slot occupancy *is* the
-/// `DoubleSend` check — the slot belongs to this sender alone), and
-/// strict mode rejects over-budget messages. Each send drives one
-/// [`SendSm`] over the arena: the occupancy check first, then — with
-/// the bandwidth validation and metering sandwiched in between, exactly
-/// where the engine's error precedence demands — the load/pending/write
-/// completion.
-fn route_outbox<A: Algorithm>(
-    ps: &PhaseState<'_, A>,
+/// engine's invariants are enforced here, in this order per send: the
+/// port must exist; a port may carry at most one message per round
+/// (slot occupancy *is* the `DoubleSend` check, since the slot belongs
+/// to this sender alone); strict mode rejects over-budget messages.
+/// Only then is the send metered, added to the edge's load and the
+/// destination's pending count, and written.
+fn route_outbox<M: Message>(
+    spec: &PhaseSpec<'_>,
     v: usize,
     round: u64,
-    msgs: Vec<(Port, A::Msg)>,
-    write: &SlotArena<A::Msg>,
+    msgs: Vec<(Port, M)>,
+    write: &mut SlotArena<M>,
+    edge_load: &mut [u64],
     stats: &mut SweepStats,
 ) {
-    let spec = ps.spec;
     let degree = spec.neighbors[v].len();
     let base = spec.slot_base[v];
-    let mem = ArenaSlotMem {
-        arena: write,
-        edge_load: &ps.edge_load,
-        epoch: round,
-    };
     for (port, msg) in msgs {
         let p = port.index();
         if p >= degree {
@@ -497,12 +258,7 @@ fn route_outbox<A: Algorithm>(
             return;
         }
         let slot = spec.write_slot[base + p];
-        let (dest, _) = spec.routing[v][p];
-        let bits = msg.bit_len();
-        let mut sm = SendSm::new(slot, dest as usize, bits as u64);
-        if (sm.step(&mem, &mut None)) == (SendStep::Checked { occupied: true }) {
-            // The machine is abandoned here having touched nothing:
-            // slot occupancy is the DoubleSend condition.
+        if write.slots[slot].is_some() {
             stats.record_err(
                 v,
                 CongestError::DoubleSend {
@@ -514,6 +270,7 @@ fn route_outbox<A: Algorithm>(
             );
             return;
         }
+        let bits = msg.bit_len();
         if bits > spec.bandwidth_bits {
             if spec.strict {
                 stats.record_err(
@@ -534,10 +291,15 @@ fn route_outbox<A: Algorithm>(
         stats.messages += 1;
         stats.bits += bits as u64;
         stats.max_message_bits = stats.max_message_bits.max(bits);
-        if sm.complete(&mem, msg) {
+        edge_load[slot] += bits as u64;
+        let dest = spec.routing[v][p].0;
+        let pending = &mut write.pending[dest as usize];
+        if *pending == 0 {
             // First message into `dest` this round: nominate it for the
             // next round's touched set.
             stats.touched.push(dest);
         }
+        *pending += 1;
+        write.slots[slot] = Some(msg);
     }
 }

@@ -50,11 +50,7 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the executor's slot arena and per-node cells opt
-// back in with module-scoped `#![allow(unsafe_code)]` and a documented
-// disjointness discipline (see `executor::cells`). Everything else in the
-// crate remains statically unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;
@@ -74,7 +70,7 @@ pub use algorithm::{Algorithm, FinishResult, Outbox, ProtocolViolation, Step};
 pub use config::NetworkConfig;
 pub use engine::{Network, RunOutcome};
 pub use error::CongestError;
-pub use executor::{ExecutorKind, ParallelExecutor, RoundExecutor, SerialExecutor};
+pub use executor::{ExecutorKind, RoundExecutor, SerialExecutor};
 pub use message::{id_bits, value_bits, Message};
 pub use metrics::{MetricsLedger, PhaseGroup, PhaseMetrics, SimPhaseStats};
 pub use node::{Intervals, NeighborInfo, NodeCtx, Port, TreeInfo};

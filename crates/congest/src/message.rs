@@ -11,11 +11,7 @@
 pub const TAG_BITS: usize = 4;
 
 /// A CONGEST message: cloneable, debuggable, with a declared bit size.
-///
-/// Messages must be [`Send`]: the parallel round executor moves them
-/// between worker threads through the slot arena (the sender's worker
-/// writes a slot, the destination's worker consumes it next round).
-pub trait Message: Clone + Send + std::fmt::Debug {
+pub trait Message: Clone + std::fmt::Debug {
     /// The size of this message in bits, charged against the per-edge
     /// bandwidth budget.
     fn bit_len(&self) -> usize;

@@ -37,8 +37,7 @@ mod profile;
 pub use chrome::export_chrome_trace;
 pub use event::{Event, EventKind, NONE};
 pub use profile::{
-    cc_begin, cc_end, cc_end_split, total_begin, total_end, worker_begin, worker_end, CcToken,
-    CostCenter, Profile, WorkerStat,
+    cc_begin, cc_end, cc_end_split, total_begin, total_end, CcToken, CostCenter, Profile,
 };
 
 use std::collections::{BTreeMap, VecDeque};
@@ -121,7 +120,7 @@ pub struct ObsReport {
     /// Events overwritten because the ring was full — never silently:
     /// every exporter surfaces this count.
     pub dropped: u64,
-    /// The host-measured profile (cost centers + worker utilization).
+    /// The host-measured profile (cost centers).
     pub profile: Profile,
 }
 
@@ -158,10 +157,10 @@ struct PhaseRec {
 }
 
 /// The shared event sink. All mutation goes through `&self` (interior
-/// mutability), so executors and scoped workers feed one sink through
-/// shared references; single-threaded recording order is deterministic,
-/// and the only concurrently-recorded data (worker utilization) lives
-/// in the host-only [`Profile`].
+/// mutability), so the engine, the executors and every network holding
+/// a clone of the [`ObsHandle`] feed one sink through shared
+/// references. Events are recorded in call order, which a run fixes,
+/// so the stream is deterministic.
 #[derive(Debug)]
 pub struct ObsSink {
     cap: usize,
@@ -183,8 +182,8 @@ impl ObsSink {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A worker panic cannot corrupt Inner (no invariants span
-        // pushes), so recording survives poisoning.
+        // A panic mid-record cannot corrupt Inner (no invariant spans
+        // a push), so recording survives poisoning.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -294,12 +293,6 @@ impl ObsSink {
 
     pub(crate) fn add_total(&self, ns: u64) {
         self.lock().profile.total_ns += ns;
-    }
-
-    pub(crate) fn note_worker(&self, worker: usize, chunks: u64, nodes: u64, busy_ns: u64) {
-        self.lock()
-            .profile
-            .note_worker(worker, chunks, nodes, busy_ns);
     }
 
     /// Snapshots everything recorded so far.

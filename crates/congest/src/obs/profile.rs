@@ -1,5 +1,5 @@
 //! The in-process profiler: tick-loop cost centers of the faulty
-//! executor and per-worker chunk utilization of the parallel executor.
+//! executor.
 //!
 //! The replay-exact paths (`sim/`, `dist/`) are forbidden from naming
 //! wall-clock types (the `determinism` lint), so all timing flows
@@ -11,8 +11,7 @@
 //!
 //! Profile numbers are **host measurements**: they are excluded from
 //! the deterministic virtual-event stream and exist to answer "where
-//! does the wall time go" (the transport-sharding and worker-pool
-//! ROADMAP items), not to be replayed.
+//! does the wall time go", not to be replayed.
 
 use super::ObsSink;
 use std::time::Instant;
@@ -89,33 +88,14 @@ impl CostCenter {
     }
 }
 
-/// One parallel-executor worker's lifetime totals (accumulated across
-/// every sweep the phase ran). Chunk claiming is an atomic-cursor race,
-/// so these numbers are honest host measurements — per-worker splits
-/// vary run to run even though the merged results never do.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStat {
-    /// Sweeps this worker participated in.
-    pub sweeps: u64,
-    /// Chunks claimed from the sweep cursors.
-    pub chunks: u64,
-    /// Domain positions (nodes) executed.
-    pub nodes: u64,
-    /// Nanoseconds spent inside sweep loops (claim + run, not spawn).
-    pub busy_ns: u64,
-}
-
-/// The aggregated profile of one sink: cost-center nanoseconds, the
-/// total span they are measured against, and per-worker utilization.
+/// The aggregated profile of one sink: cost-center nanoseconds and the
+/// total span they are measured against.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     centers: [u64; CostCenter::ALL.len()],
     /// Total nanoseconds of the measured executor spans (the
     /// denominator of [`Profile::coverage`]).
     pub total_ns: u64,
-    /// Per-worker utilization of the parallel executor, indexed by
-    /// worker (empty unless a parallel phase ran under this sink).
-    pub workers: Vec<WorkerStat>,
 }
 
 impl Profile {
@@ -142,22 +122,11 @@ impl Profile {
     pub(crate) fn add(&mut self, center: CostCenter, ns: u64) {
         self.centers[center.index()] += ns;
     }
-
-    pub(crate) fn note_worker(&mut self, worker: usize, chunks: u64, nodes: u64, busy_ns: u64) {
-        if self.workers.len() <= worker {
-            self.workers.resize(worker + 1, WorkerStat::default());
-        }
-        let w = &mut self.workers[worker];
-        w.sweeps += 1;
-        w.chunks += chunks;
-        w.nodes += nodes;
-        w.busy_ns += busy_ns;
-    }
 }
 
 /// An opaque in-flight timing span: a timestamp when a sink is
 /// attached, nothing otherwise. Obtained from [`cc_begin`] /
-/// [`total_begin`] / [`worker_begin`] and consumed by the matching
+/// [`total_begin`] and consumed by the matching
 /// `*_end` call. Deliberately opaque so replay-exact code never names
 /// a clock type.
 #[derive(Copy, Clone, Debug)]
@@ -223,20 +192,6 @@ pub fn total_end(obs: Option<&ObsSink>, token: CcToken) {
     }
 }
 
-/// Opens one worker's sweep span (parallel executor).
-pub fn worker_begin(obs: Option<&ObsSink>) -> CcToken {
-    cc_begin(obs)
-}
-
-/// Closes a worker sweep span, crediting `worker` with the chunks and
-/// nodes it processed.
-pub fn worker_end(obs: Option<&ObsSink>, token: CcToken, worker: usize, chunks: u64, nodes: u64) {
-    let ns = token.elapsed_ns();
-    if let Some(sink) = obs {
-        sink.note_worker(worker, chunks, nodes, ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,26 +232,5 @@ mod tests {
         assert_eq!(cc_end(None, t, CostCenter::Execute), 0);
         assert_eq!(cc_end_split(None, t, CostCenter::ChannelScan, 5), 0);
         total_end(None, total_begin(None));
-        worker_end(None, worker_begin(None), 3, 1, 1);
-    }
-
-    #[test]
-    fn worker_stats_accumulate_by_index() {
-        let mut p = Profile::default();
-        p.note_worker(2, 3, 40, 100);
-        p.note_worker(2, 1, 10, 50);
-        p.note_worker(0, 2, 20, 30);
-        assert_eq!(p.workers.len(), 3);
-        assert_eq!(
-            p.workers[2],
-            WorkerStat {
-                sweeps: 2,
-                chunks: 4,
-                nodes: 50,
-                busy_ns: 150
-            }
-        );
-        assert_eq!(p.workers[1], WorkerStat::default());
-        assert_eq!(p.workers[0].nodes, 20);
     }
 }

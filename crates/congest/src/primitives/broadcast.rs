@@ -14,9 +14,6 @@ use std::marker::PhantomData;
 /// Rounds: `height + 1`.
 #[derive(Clone, Debug, Default)]
 pub struct Broadcast<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -201,13 +198,10 @@ fn row_entry_bits<T: Message>(route: Route, item: &T) -> usize {
 #[derive(Clone)]
 pub struct BroadcastItems<T, A, F> {
     fold: F,
-    // `fn() -> (T, A)` keeps the marker `Send + Sync` for any `T` and
-    // `A`: the protocol struct carries no values of either, and the
-    // parallel executor shares it across workers.
     _marker: PhantomData<fn() -> (T, A)>,
 }
 
-impl<T, A, F: Fn(&mut A, &T) + Sync> BroadcastItems<T, A, F> {
+impl<T, A, F: Fn(&mut A, &T)> BroadcastItems<T, A, F> {
     /// Creates the phase object; `fold` absorbs one row into a node's
     /// accumulator.
     pub fn new(fold: F) -> Self {
@@ -241,7 +235,7 @@ pub struct BciState<T, A> {
 /// folds into.
 pub type StreamInput<T, A> = (TreeInfo, Intervals, Vec<(Route, T)>, A);
 
-impl<T: Message, A: Send, F: Fn(&mut A, &T) + Sync> Algorithm for BroadcastItems<T, A, F> {
+impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
     type Input = StreamInput<T, A>;
     type State = BciState<T, A>;
     type Msg = StreamMsg<(Route, T)>;
@@ -750,17 +744,11 @@ mod tests {
 
     #[test]
     fn every_executor_folds_the_same_accumulators() {
-        // 64 nodes: above the parallel executor's minimum chunk (32), so
-        // with the inline threshold off its workers really split sweeps.
         let g = generators::torus2d(8, 8).unwrap();
         let mut rows = to_all(&(0..6).map(|i| i * 7 + 3).collect::<Vec<_>>());
         rows.extend(mixed_rows(64));
         let run = |executor: crate::ExecutorKind| {
-            let cfg = NetworkConfig {
-                parallel_inline_threshold: 0,
-                ..NetworkConfig::default()
-            }
-            .with_executor(executor);
+            let cfg = NetworkConfig::default().with_executor(executor);
             let mut net = Network::new(&g, cfg).unwrap();
             let inputs = stream_inputs(&g, &rows, Vec::new());
             let out = net
@@ -775,11 +763,6 @@ mod tests {
         let plan = crate::sim::FaultPlan::with_drop(100, 7)
             .delayed(2)
             .duplicated(50);
-        for executor in [
-            crate::ExecutorKind::Parallel { threads: 2 },
-            crate::ExecutorKind::Faulty(plan),
-        ] {
-            assert_eq!(run(executor), serial);
-        }
+        assert_eq!(run(crate::ExecutorKind::Faulty(plan)), serial);
     }
 }

@@ -10,9 +10,8 @@ use crate::message::{value_bits, Message, TAG_BITS};
 use crate::node::{NodeCtx, Port, TreeInfo};
 use std::marker::PhantomData;
 
-/// A value that can be aggregated up a tree. (`Send` because aggregates
-/// ride in messages, which the parallel executor moves across workers.)
-pub trait Aggregate: Clone + Send + std::fmt::Debug {
+/// A value that can be aggregated up a tree.
+pub trait Aggregate: Clone + std::fmt::Debug {
     /// Commutative, associative combination.
     fn combine(&self, other: &Self) -> Self;
     /// Transmission size in bits.
@@ -100,9 +99,6 @@ impl<T: Aggregate> Message for AggMsg<T> {
 /// of the tree-wide aggregate at each root, `None` elsewhere.
 #[derive(Clone, Debug, Default)]
 pub struct Convergecast<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
     _marker: PhantomData<fn() -> T>,
 }
 

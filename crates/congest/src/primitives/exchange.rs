@@ -17,9 +17,6 @@ use std::marker::PhantomData;
 /// boot and collects what its neighbors sent. Rounds: 1.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborExchange<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -81,9 +78,6 @@ impl<T: Message> Algorithm for NeighborExchange<T> {
 /// `Σ |Some entries|`.
 #[derive(Clone, Debug, Default)]
 pub struct PortDeltaExchange<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
     _marker: PhantomData<fn() -> T>,
 }
 

@@ -20,9 +20,6 @@ use std::marker::PhantomData;
 /// at the root is deterministic but unspecified.
 #[derive(Clone, Debug, Default)]
 pub struct UpcastItems<T> {
-    // `fn() -> T` keeps the marker `Send + Sync` for any `T`: these
-    // protocol structs carry no `T` values, and the parallel executor
-    // shares them across workers.
     _marker: PhantomData<fn() -> T>,
 }
 

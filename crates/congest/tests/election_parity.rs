@@ -1,8 +1,7 @@
 //! Election parity: every node's full `LeaderBfsOutput` — leader, parent
 //! port, depth, children — must equal the sequential oracle
 //! (`leader_bfs::oracle`: the BFS tree from node 0, parent = the
-//! smallest port one level up) on every topology, under both round
-//! executors.
+//! smallest port one level up) on every topology.
 //!
 //! Strict mode is on throughout, so any protocol violation the
 //! radius-doubling schedule could introduce (a probe or ack reaching a
@@ -10,14 +9,14 @@
 //! not just the assertions.
 
 use congest::primitives::leader_bfs::{self, LeaderBfs, LeaderBfsOutput};
-use congest::{ExecutorKind, Network, NetworkConfig};
+use congest::{Network, NetworkConfig};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One graph from the three stress families, keyed by `family % 3`
-/// (mirrors the executor parity suite).
+/// (random trees, tori, cliques).
 fn make_graph(family: u8, seed: u64, size: usize) -> WeightedGraph {
     match family % 3 {
         // Random tree: node i attaches to a uniform ancestor — deep
@@ -45,34 +44,23 @@ fn make_graph(family: u8, seed: u64, size: usize) -> WeightedGraph {
 }
 
 /// Runs the election; returns the outputs, messages and rounds.
-fn run_election(g: &WeightedGraph, kind: ExecutorKind) -> (Vec<LeaderBfsOutput>, u64, u64) {
-    let cfg = NetworkConfig {
-        executor: kind,
-        parallel_inline_threshold: 0,
-        ..Default::default()
-    };
-    let mut net = Network::new(g, cfg).expect("valid topology");
+fn run_election(g: &WeightedGraph) -> (Vec<LeaderBfsOutput>, u64, u64) {
+    let mut net = Network::new(g, NetworkConfig::default()).expect("valid topology");
     let out = net
         .run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
         .expect("election succeeds in strict mode");
     (out.outputs, out.metrics.messages, out.metrics.rounds)
 }
 
-const EXECUTORS: [ExecutorKind; 2] = [ExecutorKind::Serial, ExecutorKind::Parallel { threads: 3 }];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Election ≡ oracle, node by node, field by field, under the serial
-    /// and the parallel executor.
+    /// Election ≡ oracle, node by node, field by field.
     #[test]
     fn election_equals_oracle_everywhere(family in 0u8..3, seed in 0u64..1000, size in 2usize..40) {
         let g = make_graph(family, seed, size);
-        let want = leader_bfs::oracle(&g);
-        for kind in EXECUTORS {
-            let (got, _, _) = run_election(&g, kind.clone());
-            prop_assert_eq!(&got, &want, "executor {:?}", kind);
-        }
+        let (got, _, _) = run_election(&g);
+        prop_assert_eq!(got, leader_bfs::oracle(&g));
     }
 }
 
@@ -85,26 +73,20 @@ fn election_equals_oracle_on_random_graphs() {
     for n in [2usize, 5, 17, 40, 90] {
         for p in [0.06, 0.2, 0.6] {
             let g = generators::erdos_renyi_connected(n, p, &mut rng).unwrap();
-            let want = leader_bfs::oracle(&g);
-            for kind in EXECUTORS {
-                let (got, _, _) = run_election(&g, kind.clone());
-                assert_eq!(got, want, "n = {n}, p = {p}, {kind:?}");
-            }
+            let (got, _, _) = run_election(&g);
+            assert_eq!(got, leader_bfs::oracle(&g), "n = {n}, p = {p}");
         }
     }
 }
 
 /// torus24x24 has one local minimum under row-major ids, so the
-/// election is one wave of `2m + n − 1` messages; both executors move
-/// exactly that many, in the same rounds.
+/// election is one wave of `2m + n − 1` messages.
 #[test]
-fn torus24x24_election_is_pinned_under_both_executors() {
+fn torus24x24_election_is_pinned() {
     let g = generators::torus2d(24, 24).unwrap();
     let (n, m) = (g.node_count() as u64, g.edge_count() as u64);
-    for kind in EXECUTORS {
-        let (got, messages, rounds) = run_election(&g, kind.clone());
-        assert_eq!(got, leader_bfs::oracle(&g), "{kind:?}");
-        assert_eq!(messages, 2 * m + n - 1, "{kind:?}");
-        assert_eq!((messages, rounds), (2_879, 86), "{kind:?}");
-    }
+    let (got, messages, rounds) = run_election(&g);
+    assert_eq!(got, leader_bfs::oracle(&g));
+    assert_eq!(messages, 2 * m + n - 1);
+    assert_eq!((messages, rounds), (2_879, 86));
 }

@@ -108,52 +108,15 @@ fn chrome_trace_parses_balances_and_matches_the_ledger() {
 }
 
 #[test]
-fn the_parallel_sweep_reports_worker_utilization() {
-    let g = generators::torus2d(12, 12).expect("valid torus");
-    let n = g.node_count();
-    let obs = ObsHandle::new();
-    let cfg = NetworkConfig {
-        // Force the threaded path: the default threshold (1024 nodes)
-        // keeps instances this small inline.
-        parallel_inline_threshold: 0,
-        ..NetworkConfig::default()
-    }
-    .with_executor(ExecutorKind::Parallel { threads: 3 })
-    .with_obs(obs.clone());
-    let mut net = Network::new(&g, cfg).expect("valid topology");
-    net.run("leader_bfs", &LeaderBfs::new(), vec![(); n])
-        .expect("bfs succeeds");
-
-    let profile = obs.sink().profile();
-    assert_eq!(profile.workers.len(), 3, "one stat row per worker");
-    let sweeps = profile.workers[0].sweeps;
-    assert!(sweeps > 0, "the threaded path ran");
-    assert!(
-        profile.workers.iter().all(|w| w.sweeps == sweeps),
-        "every worker joins every threaded sweep: {:?}",
-        profile.workers
-    );
-    // Chunk claiming is racy across workers, but collectively each
-    // threaded sweep's domain is claimed exactly once — and late
-    // sweeps (few live nodes) drop back to inline, so the total is
-    // bounded by sweeps × n without reaching it.
-    let nodes: u64 = profile.workers.iter().map(|w| w.nodes).sum();
-    assert!(nodes > 0 && nodes <= sweeps * n as u64);
-    // Worker numbers are host-schedule-dependent by design: they must
-    // never leak into the deterministic virtual stream.
-    assert!(!obs.sink().virtual_stream().contains("worker"));
-}
-
-#[test]
 fn the_profiler_attributes_the_faulty_executors_wall_time() {
     let (obs, _) = run_lossy_session();
     let profile = obs.sink().profile();
     assert!(profile.total_ns > 0, "the wrapped run was timed");
     // The contractual bound is >= 0.9, asserted by the release-mode
     // `trace_export` gate in CI where the process is alone on the
-    // host. Under the debug test harness other tests (some spawning
-    // threads) run concurrently, and scheduler preemption between
-    // spans lands in the unattributed gap — so this keeps headroom.
+    // host. Under the debug test harness other tests run
+    // concurrently, and scheduler preemption between spans lands in
+    // the unattributed gap — so this keeps headroom.
     assert!(
         profile.coverage() >= 0.75,
         "cost centers must attribute the bulk of the wall time, got {:.3}",
@@ -162,6 +125,4 @@ fn the_profiler_attributes_the_faulty_executors_wall_time() {
     // A lossy plan retransmits; the nested center must have seen it.
     assert!(profile.center_ns(congest::obs::CostCenter::Retransmit) > 0);
     assert!(profile.center_ns(congest::obs::CostCenter::Execute) > 0);
-    // The faulty executor is single-threaded: no worker stats.
-    assert!(profile.workers.is_empty());
 }

@@ -10,9 +10,8 @@
 //! Items and rows have random widths, so messages mix lone items and
 //! batches of every size. Every instance runs at the model's β = 8 (at
 //! most 64 bits here, a few items a message) and at β = 32, where whole
-//! queues share a message; at both, the serial, parallel and faulty
-//! executors agree on outputs and counters, and no message exceeds the
-//! budget.
+//! queues share a message; at both, the serial and faulty executors
+//! agree on outputs and counters, and no message exceeds the budget.
 
 use congest::primitives::broadcast::Route;
 use congest::primitives::leader_bfs;
@@ -39,9 +38,9 @@ fn wide(rng: &mut StdRng) -> u64 {
     rng.gen_range(0..1u64 << bits)
 }
 
-/// Runs `alg` at β = 8 and β = 32 on the serial, parallel and faulty
-/// executors; checks the agreement and the budget, and returns the
-/// serial outputs per β.
+/// Runs `alg` at β = 8 and β = 32 on the serial and faulty executors;
+/// checks the agreement and the budget, and returns the serial outputs
+/// per β.
 fn run_everywhere<A>(
     g: &WeightedGraph,
     seed: u64,
@@ -67,15 +66,9 @@ where
             (m.rounds, m.messages, m.bits, m.max_message_bits)
         };
         let plan = FaultPlan::with_drop(150, seed).delayed(2).duplicated(80);
-        for executor in [
-            ExecutorKind::Parallel { threads: 2 },
-            ExecutorKind::Faulty(plan),
-        ] {
-            let tag = format!("β = {factor}, {executor:?}");
-            let other = run(executor);
-            assert_eq!(other.outputs, serial.outputs, "{tag}");
-            assert_eq!(counters(&other), counters(&serial), "{tag}");
-        }
+        let faulty = run(ExecutorKind::Faulty(plan));
+        assert_eq!(faulty.outputs, serial.outputs, "β = {factor}");
+        assert_eq!(counters(&faulty), counters(&serial), "β = {factor}");
         outputs.push(serial.outputs);
     }
     outputs

@@ -68,8 +68,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct ExactConfig {
     /// CONGEST model parameters (bandwidth `β`, strictness, round cap,
     /// and which round executor drives the phases — `network.executor`
-    /// selects serial or deterministic-parallel execution; the result is
-    /// executor-independent, see `tests/executor_parity.rs`).
+    /// selects the serial or the fault-injecting executor; the result is
+    /// executor-independent, see `tests/sim_parity.rs`).
     pub network: NetworkConfig,
     /// Greedy tree packing policy (how many trees, mirroring the
     /// sequential packing).
@@ -79,7 +79,9 @@ pub struct ExactConfig {
 }
 
 impl ExactConfig {
-    /// This config with the given round executor on its network.
+    /// This config with the given round executor on its network:
+    /// [`ExecutorKind::Serial`] (the default) or
+    /// [`ExecutorKind::Faulty`] (see [`ExactConfig::with_fault_plan`]).
     pub fn with_executor(self, executor: ExecutorKind) -> Self {
         ExactConfig {
             network: self.network.with_executor(executor),

@@ -8,6 +8,8 @@
 //! * [`congest`] — the CONGEST-model simulator,
 //! * [`mincut`] — the paper's algorithms (distributed and sequential).
 
+#![forbid(unsafe_code)]
+
 pub use congest;
 pub use graphs;
 pub use mincut;

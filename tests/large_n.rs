@@ -24,25 +24,22 @@ fn exact_mincut_above_the_old_u16_cap() {
     // tree and force case-2 edges (LCA in a third fragment), whose
     // contributions travel through the pair-keyed grouped sum this test
     // is about. The same instance is `mincut_bench::large_n_graph`,
-    // which `bench_smoke` times serial against parallel and perfbench
-    // runs as `large_sparse`; keep the constructors in sync.
+    // which perfbench runs as `large_sparse`; keep the constructors in
+    // sync.
     let g = torus3d_with_chords(42, 41, 41, 300).expect("valid torus construction");
     let n = g.node_count();
     assert!(n > 65535 + 4000, "n = {n} must be ≥ 70000");
 
     // One packed tree suffices: the minimum cut here is a singleton, and
     // the pipeline always considers the minimum-degree singleton seed.
-    // Run on the parallel executor (4 workers): this is the scale the
-    // executor exists for, and the parity suites guarantee the outputs
-    // and metrics asserted below are identical to a serial run.
     let cfg = ExactConfig {
         packing: PackingConfig {
             size: PackingSize::Fixed(1),
             max_trees: 1,
         },
         ..Default::default()
-    }
-    .with_executor(ExecutorKind::Parallel { threads: 4 });
+    };
+    assert_eq!(cfg.network.executor, ExecutorKind::Serial);
     // Defaults are strict mode with β = 8: every message is hard-checked
     // against the 8·⌈log₂ n⌉-bit budget, so success *proves* compliance.
     assert!(cfg.network.strict);
