@@ -259,7 +259,7 @@ fn phase_lints(rel: &str, pieces: &[Piece], out: &mut Vec<Violation>) {
                 }
             }
             Piece::Str { text, line } => {
-                if ends_with_word(&ctx, ".run(") || ends_with_word(&ctx, ".run_with(") {
+                if ends_with_word(&ctx, ".run(") {
                     // A phase name passed directly to Network::run (the
                     // method-call form — a bare `run("…")` is some local
                     // helper whose argument is not a phase name).

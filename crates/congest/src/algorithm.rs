@@ -78,8 +78,7 @@ pub enum Step<M> {
     /// Keep participating; send the queued messages.
     Continue(Outbox<M>),
     /// Send the queued messages, then stop: the engine will not call this
-    /// node again, and (in strict mode) it is an error for anyone to message
-    /// it afterwards.
+    /// node again, and it is an error for anyone to message it afterwards.
     Halt(Outbox<M>),
 }
 

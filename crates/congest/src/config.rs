@@ -1,5 +1,5 @@
-//! Network configuration: bandwidth budget, enforcement policy, the
-//! round executor, and the optional observability sink.
+//! Network configuration: bandwidth budget, the round executor, and the
+//! optional observability sink.
 
 use crate::executor::ExecutorKind;
 use crate::obs::ObsHandle;
@@ -11,13 +11,6 @@ pub struct NetworkConfig {
     /// `β·⌈log₂ n⌉` bits per round. The model says `O(log n)`; β makes the
     /// constant explicit and sweepable.
     pub bandwidth_factor: usize,
-    /// Strict mode: bandwidth violations, double sends, and messages to
-    /// halted nodes are hard errors. Lax mode records them in the metrics
-    /// and proceeds (useful for exploratory experiments only).
-    pub strict: bool,
-    /// Safety valve: a phase running longer than this many rounds is an
-    /// error (`0` = derive a generous default from `n` and `m`).
-    pub max_rounds: u64,
     /// Which round executor drives the phases. Outputs, round counts, and
     /// metrics are identical across executors; only wall time differs.
     pub executor: ExecutorKind,
@@ -31,12 +24,10 @@ pub struct NetworkConfig {
 
 impl Default for NetworkConfig {
     /// β = 8 (room for one tag + two ids + one value per message),
-    /// strict enforcement, auto round cap, serial executor, no sink.
+    /// serial executor, no sink.
     fn default() -> Self {
         NetworkConfig {
             bandwidth_factor: 8,
-            strict: true,
-            max_rounds: 0,
             executor: ExecutorKind::Serial,
             obs: None,
         }
@@ -44,7 +35,7 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// Strict config with a custom bandwidth factor.
+    /// The default config with a custom bandwidth factor.
     pub fn with_bandwidth_factor(factor: usize) -> Self {
         NetworkConfig {
             bandwidth_factor: factor,
@@ -82,18 +73,6 @@ impl NetworkConfig {
     pub fn bandwidth_bits(&self, n: usize) -> usize {
         self.bandwidth_factor * crate::message::id_bits(n).max(8)
     }
-
-    /// The effective round cap for a network with `n` nodes.
-    pub fn effective_max_rounds(&self, n: usize) -> u64 {
-        if self.max_rounds > 0 {
-            self.max_rounds
-        } else {
-            // Generous: quadratic-ish in n, enough for every phase in this
-            // workspace with huge slack, small enough to catch livelock.
-            let n = n.max(2) as u64;
-            (n + 16) * (n + 16)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,17 +84,5 @@ mod tests {
         let c = NetworkConfig::default();
         assert_eq!(c.bandwidth_bits(1024), 8 * 10);
         assert_eq!(c.bandwidth_bits(1025), 8 * 11);
-        assert!(c.strict);
-    }
-
-    #[test]
-    fn explicit_round_cap_wins() {
-        let c = NetworkConfig {
-            max_rounds: 77,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_max_rounds(1000), 77);
-        let d = NetworkConfig::default();
-        assert!(d.effective_max_rounds(10) >= 100);
     }
 }

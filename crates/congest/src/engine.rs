@@ -1,17 +1,15 @@
 //! The synchronous round engine.
 //!
-//! [`Network`] owns the topology (adjacency views, port routing, and the
-//! CSR slot-arena geometry shared by every phase) and the session metrics
-//! ledger; the actual round loop lives behind the
-//! [`RoundExecutor`](crate::executor::RoundExecutor) seam and is selected
-//! per network by [`NetworkConfig::executor`].
+//! [`Network`] owns the topology (the graph, whose adjacency order is
+//! the port order, and the CSR slot-arena geometry shared by every
+//! phase) and the session metrics ledger; each phase's rounds are
+//! driven by the executor that [`NetworkConfig::executor`] names.
 
 use crate::algorithm::Algorithm;
 use crate::config::NetworkConfig;
 use crate::error::CongestError;
-use crate::executor::{ExecutorKind, PhaseSpec, RoundExecutor, SerialExecutor};
+use crate::executor::{run_serial, ExecutorKind, PhaseSpec};
 use crate::metrics::{MetricsLedger, PhaseMetrics};
-use crate::node::NeighborInfo;
 use graphs::WeightedGraph;
 
 /// The result of running one phase.
@@ -32,10 +30,6 @@ pub struct Network<'g> {
     graph: &'g WeightedGraph,
     config: NetworkConfig,
     ledger: MetricsLedger,
-    /// `neighbors[v]` — the local view of node `v` (adjacency order).
-    neighbors: Vec<Vec<NeighborInfo>>,
-    /// `routing[v][p]` = (destination node, destination port) of `v`'s port `p`.
-    routing: Vec<Vec<(u32, u32)>>,
     /// CSR offsets of the slot arena: node `v`'s inbox slots (one per
     /// port) are `slot_base[v]..slot_base[v + 1]`; the total slot count
     /// (`slot_base[n]`) is the number of directed edges.
@@ -48,6 +42,14 @@ pub struct Network<'g> {
     bandwidth_bits: usize,
 }
 
+/// The round cap of a phase on `n` nodes: quadratic in `n`, enough for
+/// every phase in this workspace with huge slack, small enough to catch
+/// livelock.
+fn round_cap(n: usize) -> u64 {
+    let n = n.max(2) as u64;
+    (n + 16) * (n + 16)
+}
+
 impl<'g> Network<'g> {
     /// Builds a network over `graph` with the given configuration.
     ///
@@ -58,60 +60,39 @@ impl<'g> Network<'g> {
     /// be routed back).
     pub fn new(graph: &'g WeightedGraph, config: NetworkConfig) -> Result<Self, CongestError> {
         let n = graph.node_count();
-        let mut neighbors: Vec<Vec<NeighborInfo>> = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            neighbors.push(
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|a| NeighborInfo {
-                        id: a.neighbor,
-                        weight: a.weight,
-                        edge: a.edge,
-                    })
-                    .collect(),
-            );
-        }
-        // Port-level routing: v's port p leads to u; find u's port back to v.
-        let mut routing: Vec<Vec<(u32, u32)>> = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            let mut row = Vec::with_capacity(neighbors[v.index()].len());
-            for ni in &neighbors[v.index()] {
-                let u = ni.id;
-                let back = neighbors[u.index()].iter().position(|b| b.id == v).ok_or(
-                    CongestError::AsymmetricAdjacency {
-                        node: v,
-                        neighbor: u,
-                    },
-                )?;
-                row.push((u.raw(), back as u32));
-            }
-            routing.push(row);
-        }
         // Slot-arena geometry: one slot per directed edge, grouped by
         // destination, so a phase preallocates its whole delivery
         // structure once and rounds allocate nothing.
         let mut slot_base = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
         slot_base.push(0);
-        for row in &neighbors {
-            acc += row.len();
-            slot_base.push(acc);
+        for v in graph.nodes() {
+            slot_base.push(slot_base[v.index()] + graph.degree(v));
         }
-        let mut write_slot = vec![0usize; acc];
-        for v in 0..n {
-            for (p, &(dest, dest_port)) in routing[v].iter().enumerate() {
-                write_slot[slot_base[v] + p] = slot_base[dest as usize] + dest_port as usize;
+        // Executors slice the graph's CSR adjacency with `slot_base`.
+        debug_assert_eq!(graph.adjacency().len(), slot_base[n]);
+        // Port-level routing: v's port p leads to u; the message lands in
+        // the slot of u's port back to v.
+        let mut write_slot = Vec::with_capacity(slot_base[n]);
+        for v in graph.nodes() {
+            for a in graph.neighbors(v) {
+                let u = a.neighbor;
+                let back = graph
+                    .neighbors(u)
+                    .iter()
+                    .position(|b| b.neighbor == v)
+                    .ok_or(CongestError::AsymmetricAdjacency {
+                        node: v,
+                        neighbor: u,
+                    })?;
+                write_slot.push(slot_base[u.index()] + back);
             }
         }
-        let max_degree = neighbors.iter().map(Vec::len).max().unwrap_or(0);
+        let max_degree = graph.nodes().map(|v| graph.degree(v)).max().unwrap_or(0);
         let bandwidth_bits = config.bandwidth_bits(n);
         Ok(Network {
             graph,
             config,
             ledger: MetricsLedger::new(),
-            neighbors,
-            routing,
             slot_base,
             write_slot,
             max_degree,
@@ -133,11 +114,6 @@ impl<'g> Network<'g> {
     /// The session metrics ledger.
     pub fn ledger(&self) -> &MetricsLedger {
         &self.ledger
-    }
-
-    /// Clears the session metrics ledger.
-    pub fn reset_ledger(&mut self) {
-        self.ledger.reset();
     }
 
     /// The per-edge, per-direction, per-round budget in bits.
@@ -177,41 +153,14 @@ impl<'g> Network<'g> {
     /// # Errors
     ///
     /// Returns [`CongestError`] on wrong input count, invalid or double
-    /// sends, bandwidth violations (strict mode), messages to halted nodes
-    /// (strict mode), or when the round cap is exceeded. When several
-    /// nodes err in the same round, the lowest-id node's error is
-    /// returned, under every executor; the rest of that round still
-    /// executes (errors are collected, not short-circuited, so the
-    /// choice does not depend on the order nodes are stepped in).
+    /// sends, bandwidth violations, messages to halted nodes, or when the
+    /// round cap `(n + 16)²` is exceeded. When several nodes err in the
+    /// same round, the lowest-id node's error is returned, under every
+    /// executor; the rest of that round still executes (errors are
+    /// collected, not short-circuited, so the choice does not depend on
+    /// the order nodes are stepped in).
     pub fn run<A: Algorithm>(
         &mut self,
-        name: &str,
-        algo: &A,
-        inputs: Vec<A::Input>,
-    ) -> Result<RunOutcome<A::Output>, CongestError> {
-        // Clone the kind out first: `run_with` borrows all of `self`,
-        // and `ExecutorKind` is no longer `Copy` (fault plans carry
-        // crash schedules).
-        let kind = self.config.executor.clone();
-        match kind {
-            ExecutorKind::Serial => self.run_with(&SerialExecutor, name, algo, inputs),
-            ExecutorKind::Faulty(plan) => {
-                self.run_with(&crate::sim::FaultyExecutor::new(plan), name, algo, inputs)
-            }
-        }
-    }
-
-    /// Like [`Network::run`], but drives the phase with an explicit
-    /// [`RoundExecutor`] instead of the configured one — the plug-in
-    /// point for custom executors (the planned α-synchronizer /
-    /// fault-injection layer) without any engine changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Network::run`].
-    pub fn run_with<E: RoundExecutor, A: Algorithm>(
-        &mut self,
-        executor: &E,
         name: &str,
         algo: &A,
         inputs: Vec<A::Input>,
@@ -233,13 +182,11 @@ impl<'g> Network<'g> {
         let spec = PhaseSpec {
             name,
             n,
-            neighbors: &self.neighbors,
-            routing: &self.routing,
+            adj: self.graph.adjacency(),
             slot_base: &self.slot_base,
             write_slot: &self.write_slot,
             bandwidth_bits: self.bandwidth_bits,
-            strict: self.config.strict,
-            cap: self.config.effective_max_rounds(n),
+            cap: round_cap(n),
             max_degree: self.max_degree,
             base_round,
             obs,
@@ -247,14 +194,16 @@ impl<'g> Network<'g> {
         if let Some(sink) = obs {
             sink.phase_begin(name, base_round);
         }
-        // Wall-clock lives only in the ledger's side vector, the trace
-        // line, and the obs phase records — never inside the
-        // `Eq`-compared `PhaseMetrics` or the virtual event stream, so
-        // replay parity across executors and reruns is unaffected.
+        // Wall-clock lives only in the ledger's side vector and the obs
+        // phase records — never inside the `Eq`-compared `PhaseMetrics`
+        // or the virtual event stream, so replay parity across executors
+        // and reruns is unaffected.
         let t = std::time::Instant::now();
-        let (outputs, metrics) = executor.run_phase(&spec, algo, inputs)?;
+        let (outputs, metrics) = match &self.config.executor {
+            ExecutorKind::Serial => run_serial(&spec, algo, inputs),
+            ExecutorKind::Faulty(plan) => crate::sim::run_faulty(plan, &spec, algo, inputs),
+        }?;
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        crate::obs::trace_phase_line(name, &metrics, wall_ms);
         if let Some(sink) = obs {
             sink.phase_end(metrics.rounds, metrics.ticks(), wall_ms);
         }
@@ -436,18 +385,6 @@ mod tests {
         assert!(matches!(err, CongestError::BandwidthExceeded { .. }));
     }
 
-    #[test]
-    fn lax_mode_counts_violations() {
-        let g = graphs::generators::path(4).unwrap();
-        let cfg = NetworkConfig {
-            strict: false,
-            ..Default::default()
-        };
-        let mut net = Network::new(&g, cfg).unwrap();
-        let out = net.run("fat", &FatSender, vec![(); 4]).unwrap();
-        assert_eq!(out.metrics.violations, 1);
-    }
-
     /// Sends two messages on the same port.
     struct DoubleSender;
     impl Algorithm for DoubleSender {
@@ -497,18 +434,15 @@ mod tests {
         }
     }
 
+    /// The cap is `(n + 16)²`: 361 rounds on three nodes.
     #[test]
     fn livelock_hits_round_cap() {
         let g = graphs::generators::path(3).unwrap();
-        let cfg = NetworkConfig {
-            max_rounds: 50,
-            ..Default::default()
-        };
-        let mut net = Network::new(&g, cfg).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let err = net.run("livelock", &Livelock, vec![(); 3]).unwrap_err();
         assert!(matches!(
             err,
-            CongestError::MaxRoundsExceeded { cap: 50, .. }
+            CongestError::MaxRoundsExceeded { cap: 361, .. }
         ));
     }
 
@@ -555,6 +489,16 @@ mod tests {
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let err = net.run("late", &LateSender, vec![(); 3]).unwrap_err();
         assert!(matches!(err, CongestError::MessageToHalted { .. }));
+        // The round-2 send reaches node 1 in round 3 while node 0 is still
+        // live: the halted-segment path of the sweep.
+        let err = Network::new(&g, NetworkConfig::default())
+            .unwrap()
+            .run("late", &HaltedDrummer, vec![(); 3])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CongestError::MessageToHalted { round: 3, .. }
+        ));
     }
 
     /// Two nodes err in round 3: node 1 (halted) receives a message, and
@@ -649,31 +593,6 @@ mod tests {
         }
     }
 
-    /// Lax mode drops a message at its halted destination and frees its
-    /// slot: the round-4 send reuses the slot of the round-2 one (same
-    /// arena half) without a `DoubleSend`.
-    #[test]
-    fn message_to_halted_is_dropped_in_lax_mode() {
-        let g = graphs::generators::path(3).unwrap();
-        let lax = NetworkConfig {
-            strict: false,
-            ..Default::default()
-        };
-        let out = Network::new(&g, lax)
-            .unwrap()
-            .run("late", &HaltedDrummer, vec![(); 3])
-            .unwrap();
-        assert_eq!((out.metrics.rounds, out.metrics.messages), (5, 3));
-        let err = Network::new(&g, NetworkConfig::default())
-            .unwrap()
-            .run("late", &HaltedDrummer, vec![(); 3])
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CongestError::MessageToHalted { round: 3, .. }
-        ));
-    }
-
     #[test]
     fn asymmetric_adjacency_is_a_typed_error() {
         // Node 0 lists node 1 as a neighbor, but node 1's adjacency is
@@ -745,17 +664,21 @@ mod tests {
         }
     }
 
+    /// `write_slot` is an involution, and each entry lands in the
+    /// neighbour's inbox at its port back to the sender.
     #[test]
     fn routing_is_symmetric() {
         let g = graphs::generators::grid2d(3, 3).unwrap();
         let net = Network::new(&g, NetworkConfig::default()).unwrap();
-        for v in 0..9 {
-            for (p, (dest, dest_port)) in net.routing[v].iter().enumerate() {
+        for v in g.nodes() {
+            for (p, a) in g.neighbors(v).iter().enumerate() {
+                let s = net.slot_base[v.index()] + p;
+                let d = net.write_slot[s];
                 // Following the reverse port comes back.
-                assert_eq!(
-                    net.routing[*dest as usize][*dest_port as usize],
-                    (v as u32, p as u32)
-                );
+                assert_eq!(net.write_slot[d], s);
+                let u = a.neighbor.index();
+                assert!((net.slot_base[u]..net.slot_base[u + 1]).contains(&d));
+                assert_eq!(g.neighbors(a.neighbor)[d - net.slot_base[u]].neighbor, v);
             }
         }
     }

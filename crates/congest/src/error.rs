@@ -8,7 +8,7 @@ use std::fmt;
 /// Errors from [`crate::Network::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CongestError {
-    /// A message exceeded the per-edge bandwidth budget (strict mode).
+    /// A message exceeded the per-edge bandwidth budget.
     BandwidthExceeded {
         /// Phase in which it happened.
         phase: String,
@@ -45,7 +45,7 @@ pub enum CongestError {
         /// The node's degree.
         degree: usize,
     },
-    /// A message arrived at a node that had already halted (strict mode).
+    /// A message arrived at a node that had already halted.
     MessageToHalted {
         /// Phase in which it happened.
         phase: String,

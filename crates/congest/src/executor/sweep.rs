@@ -66,10 +66,9 @@ pub(crate) struct SweepStats {
     pub(crate) messages: u64,
     pub(crate) bits: u64,
     pub(crate) max_message_bits: usize,
-    pub(crate) violations: u64,
     /// Nodes that halted during this sweep.
     pub(crate) halts: usize,
-    /// Messages consumed from the read arena (delivered or dropped).
+    /// Messages delivered from the read arena.
     pub(crate) delivered: usize,
     /// Destinations whose inbox went non-empty this sweep (each exactly
     /// once: pushed by the sender that flipped its pending count from 0).
@@ -201,11 +200,7 @@ impl<'a, A: Algorithm> PhaseState<'a, A> {
         }
         for &v in halted {
             let v = v as usize;
-            let pending = read.pending[v];
-            if pending == 0 {
-                continue;
-            }
-            if spec.strict {
+            if read.pending[v] > 0 {
                 stats.record_err(
                     v,
                     CongestError::MessageToHalted {
@@ -214,12 +209,7 @@ impl<'a, A: Algorithm> PhaseState<'a, A> {
                         round,
                     },
                 );
-                continue;
             }
-            // Lax mode: drop the inbox.
-            read.slots[spec.slot_base[v]..spec.slot_base[v + 1]].fill_with(|| None);
-            read.pending[v] = 0;
-            stats.delivered += pending as usize;
         }
         stats
     }
@@ -229,7 +219,7 @@ impl<'a, A: Algorithm> PhaseState<'a, A> {
 /// engine's invariants are enforced here, in this order per send: the
 /// port must exist; a port may carry at most one message per round
 /// (slot occupancy *is* the `DoubleSend` check, since the slot belongs
-/// to this sender alone); strict mode rejects over-budget messages.
+/// to this sender alone); a message must fit the bandwidth budget.
 /// Only then is the send metered, added to the edge's load and the
 /// destination's pending count, and written.
 fn route_outbox<M: Message>(
@@ -241,7 +231,8 @@ fn route_outbox<M: Message>(
     edge_load: &mut [u64],
     stats: &mut SweepStats,
 ) {
-    let degree = spec.neighbors[v].len();
+    let adj = spec.ports(v);
+    let degree = adj.len();
     let base = spec.slot_base[v];
     for (port, msg) in msgs {
         let p = port.index();
@@ -272,32 +263,29 @@ fn route_outbox<M: Message>(
         }
         let bits = msg.bit_len();
         if bits > spec.bandwidth_bits {
-            if spec.strict {
-                stats.record_err(
-                    v,
-                    CongestError::BandwidthExceeded {
-                        phase: spec.name.to_string(),
-                        node: NodeId::from_index(v),
-                        port,
-                        bits,
-                        budget: spec.bandwidth_bits,
-                        round,
-                    },
-                );
-                return;
-            }
-            stats.violations += 1;
+            stats.record_err(
+                v,
+                CongestError::BandwidthExceeded {
+                    phase: spec.name.to_string(),
+                    node: NodeId::from_index(v),
+                    port,
+                    bits,
+                    budget: spec.bandwidth_bits,
+                    round,
+                },
+            );
+            return;
         }
         stats.messages += 1;
         stats.bits += bits as u64;
         stats.max_message_bits = stats.max_message_bits.max(bits);
         edge_load[slot] += bits as u64;
-        let dest = spec.routing[v][p].0;
-        let pending = &mut write.pending[dest as usize];
+        let dest = adj[p].neighbor;
+        let pending = &mut write.pending[dest.index()];
         if *pending == 0 {
             // First message into `dest` this round: nominate it for the
             // next round's touched set.
-            stats.touched.push(dest);
+            stats.touched.push(dest.raw());
         }
         *pending += 1;
         write.slots[slot] = Some(msg);

@@ -13,7 +13,7 @@
 //!   locality is enforced by construction;
 //! * every message type implements [`Message::bit_len`]; the engine enforces
 //!   the per-edge, per-direction, per-round bandwidth `B = β·⌈log₂ n⌉`
-//!   (strict mode errors, lax mode counts violations);
+//!   (an over-budget message is an error);
 //! * rounds, messages, bits, and the worst per-edge load are metered per
 //!   phase in a [`MetricsLedger`], which is what the experiment suite
 //!   reports.
@@ -70,9 +70,9 @@ pub use algorithm::{Algorithm, FinishResult, Outbox, ProtocolViolation, Step};
 pub use config::NetworkConfig;
 pub use engine::{Network, RunOutcome};
 pub use error::CongestError;
-pub use executor::{ExecutorKind, RoundExecutor, SerialExecutor};
+pub use executor::ExecutorKind;
 pub use message::{id_bits, value_bits, Message};
 pub use metrics::{MetricsLedger, PhaseGroup, PhaseMetrics, SimPhaseStats};
-pub use node::{Intervals, NeighborInfo, NodeCtx, Port, TreeInfo};
+pub use node::{Intervals, NodeCtx, Port, TreeInfo};
 pub use obs::{ObsHandle, ObsReport, ObsSink, PhaseSummary};
-pub use sim::{CrashEvent, FaultPlan, FaultyExecutor, PartitionEvent, SuspicionPolicy};
+pub use sim::{CrashEvent, FaultPlan, PartitionEvent, SuspicionPolicy};

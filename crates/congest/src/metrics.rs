@@ -19,11 +19,8 @@ pub struct PhaseMetrics {
     /// per directed edge per round), but a phase that keeps streaming
     /// over one edge accumulates load here that no single message shows.
     pub max_edge_load_bits: usize,
-    /// Bandwidth violations observed (always 0 in strict mode — strict runs
-    /// fail fast instead).
-    pub violations: u64,
     /// Transport-layer counters of the faulty executor's α-synchronizer
-    /// (all zero under the fault-free executors).
+    /// (all zero under the serial executor).
     pub sim: SimPhaseStats,
 }
 
@@ -37,15 +34,16 @@ impl PhaseMetrics {
     }
 }
 
-/// What the α-synchronizer of [`crate::sim::FaultyExecutor`] did under
-/// the hood of one phase: the physical network ticks it spent, the
-/// frames it moved, and the faults the adversary injected. The
+/// What the α-synchronizer of the faulty executor
+/// ([`crate::ExecutorKind::Faulty`]) did under the hood of one phase:
+/// the physical network ticks it spent, the frames it moved, and the
+/// faults the adversary injected. The
 /// algorithm-level fields of [`PhaseMetrics`] (rounds, messages, bits,
 /// edge loads) stay *payload-level* — identical to a fault-free run of
 /// the same phase — so these counters are pure overhead accounting.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct SimPhaseStats {
-    /// Physical network ticks consumed (`0` under fault-free executors;
+    /// Physical network ticks consumed (`0` under the serial executor;
     /// always ≥ `rounds` under the faulty one — the ratio is the
     /// synchronizer's round-overhead factor).
     pub phys_rounds: u64,
@@ -176,11 +174,6 @@ impl MetricsLedger {
             .map(|p| p.max_edge_load_bits)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total violations (lax mode only).
-    pub fn total_violations(&self) -> u64 {
-        self.phases.iter().map(|p| p.violations).sum()
     }
 
     /// Sums the rounds of phases whose name contains `needle` — used by the
@@ -328,12 +321,6 @@ impl MetricsLedger {
             .map(|(_, w)| *w)
             .sum()
     }
-
-    /// Clears all recorded phases.
-    pub fn reset(&mut self) {
-        self.phases.clear();
-        self.walls.clear();
-    }
 }
 
 /// Totals of one phase-label stem (see [`MetricsLedger::grouped_by_stem`]).
@@ -364,7 +351,6 @@ mod tests {
             bits,
             max_message_bits: bits as usize,
             max_edge_load_bits: bits as usize,
-            violations: 0,
             sim: SimPhaseStats::default(),
         }
     }
@@ -383,8 +369,6 @@ mod tests {
         assert_eq!(l.messages_matching("a"), 102);
         assert_eq!(l.bits_matching("b"), 500);
         assert_eq!(l.phases().len(), 3);
-        l.reset();
-        assert_eq!(l.total_rounds(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Per-node local views: ports, neighbor info, node context, and the
-//! tree-structure handle shared by the tree primitives.
+//! Per-node local views: ports, node context, and the tree-structure
+//! handle shared by the tree primitives.
 
-use graphs::{EdgeId, NodeId, Weight};
+use graphs::{AdjEntry, NodeId};
 
 /// A node's local name for one of its incident edges: the index into its
 /// adjacency list (`0..degree`). Messages are addressed to ports, matching
@@ -22,26 +22,16 @@ impl std::fmt::Display for Port {
     }
 }
 
-/// What a node knows about one incident edge: the neighbor's identifier and
-/// the edge weight. (Nodes know incident edge weights per the paper's model
-/// statement; neighbor identifiers are learnable in one round and assumed
-/// known, as is standard.)
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct NeighborInfo {
-    /// The neighbor's node identifier.
-    pub id: NodeId,
-    /// The weight of the connecting edge.
-    pub weight: Weight,
-    /// The global edge identifier (used only for deterministic tie-breaking,
-    /// as an `O(log n)`-bit name both endpoints agree on).
-    pub edge: EdgeId,
-}
-
 /// The local context handed to node code each round.
 ///
 /// Contains exactly what a CONGEST node may know a priori: its own id, `n`,
 /// the bandwidth budget, the current round number (synchronous model), and
-/// its incident edges.
+/// its incident edges, each with the neighbor's identifier, the edge
+/// weight and the global edge identifier. (Nodes know incident edge
+/// weights per the paper's model statement; neighbor identifiers are
+/// learnable in one round and assumed known, as is standard; the edge
+/// identifier is an `O(log n)`-bit name both endpoints agree on, used only
+/// for deterministic tie-breaking.)
 #[derive(Clone, Debug)]
 pub struct NodeCtx<'a> {
     /// This node's identifier.
@@ -53,9 +43,10 @@ pub struct NodeCtx<'a> {
     /// Current round (1-based during [`crate::Algorithm::round`]; 0 in
     /// `boot`). All nodes see the same value — the model is synchronous.
     pub round: u64,
-    pub(crate) neighbors: &'a [NeighborInfo],
+    /// The graph's own adjacency list of this node: port `p` is entry `p`.
+    pub(crate) neighbors: &'a [AdjEntry],
     /// Per-port suspicion flags of the faulty executor's failure
-    /// detector (empty — nobody suspected — under fault-free executors
+    /// detector (empty — nobody suspected — under the serial executor
     /// and crash-free plans). Indexed like the adjacency list.
     pub(crate) suspected: &'a [bool],
 }
@@ -71,7 +62,7 @@ impl NodeCtx<'_> {
     /// # Panics
     ///
     /// Panics if the port is out of range.
-    pub fn neighbor(&self, port: Port) -> &NeighborInfo {
+    pub fn neighbor(&self, port: Port) -> &AdjEntry {
         &self.neighbors[port.index()]
     }
 
@@ -81,39 +72,21 @@ impl NodeCtx<'_> {
     }
 
     /// All `(port, neighbor)` pairs.
-    pub fn neighbors(&self) -> impl Iterator<Item = (Port, &NeighborInfo)> + '_ {
+    pub fn neighbors(&self) -> impl Iterator<Item = (Port, &AdjEntry)> + '_ {
         self.neighbors
             .iter()
             .enumerate()
             .map(|(i, ni)| (Port(i as u32), ni))
     }
 
-    /// Looks up the port leading to the neighbor with identifier `id`.
-    pub fn port_of(&self, id: NodeId) -> Option<Port> {
-        self.neighbors
-            .iter()
-            .position(|ni| ni.id == id)
-            .map(|i| Port(i as u32))
-    }
-
-    /// The node's weighted degree `δ(v)`.
-    pub fn weighted_degree(&self) -> Weight {
-        self.neighbors.iter().map(|ni| ni.weight).sum()
-    }
-
-    /// Does this node currently suspect the peer behind `port` of
-    /// having crashed? Driven by the faulty executor's timeout-based
-    /// failure detector (`docs/sim.md`); always `false` under the
-    /// fault-free executors and under crash-free plans. Suspicion is
-    /// *eventually accurate*, not instant: a crashed peer is suspected
-    /// only after [`crate::sim::FaultPlan::suspect_after`] silent ticks,
-    /// and a live peer wrongly suspected is rehabilitated by its next
-    /// arriving frame.
-    pub fn suspects(&self, port: Port) -> bool {
-        self.suspected.get(port.index()).copied().unwrap_or(false)
-    }
-
-    /// All currently suspected ports, in increasing order.
+    /// All ports whose peer this node currently suspects of having
+    /// crashed, in increasing order. Driven by the faulty executor's
+    /// timeout-based failure detector (`docs/sim.md`); always empty
+    /// under the serial executor and under crash-free plans. Suspicion
+    /// is *eventually accurate*, not instant: a crashed peer is
+    /// suspected only after [`crate::sim::FaultPlan::suspect_after`]
+    /// silent ticks, and a live peer wrongly suspected is rehabilitated
+    /// by its next arriving frame.
     pub fn suspected_ports(&self) -> impl Iterator<Item = Port> + '_ {
         self.suspected
             .iter()
@@ -125,7 +98,7 @@ impl NodeCtx<'_> {
     /// The node identifiers of all currently suspected neighbors.
     pub fn suspected_ids(&self) -> Vec<NodeId> {
         self.suspected_ports()
-            .map(|p| self.neighbor(p).id)
+            .map(|p| self.neighbor(p).neighbor)
             .collect()
     }
 }

@@ -16,7 +16,7 @@ pub const NONE: u32 = u32::MAX;
 ///
 /// The frame-lifecycle kinds (`Frame*`, `Keepalive`, `Suspect`,
 /// `Clear`, `Crash`, `Partition*`) are emitted only by the
-/// fault-injecting executor ([`crate::sim::FaultyExecutor`]); the
+/// fault-injecting executor ([`crate::ExecutorKind::Faulty`]); the
 /// phase/round kinds by every executor; [`EventKind::Stage`] by
 /// explicit [`crate::Network::obs_emit`] calls (the recovery driver's
 /// checkpoint/resume/census markers).
@@ -143,7 +143,7 @@ pub struct Event {
     /// Virtual round — for [`EventKind::Stage`], the emitted value.
     pub round: u64,
     /// Physical tick of the faulty executor's synchronizer (equal to
-    /// `round` under fault-free executors).
+    /// `round` under the serial executor).
     pub tick: u64,
 }
 

@@ -4,10 +4,10 @@
 //! ring-buffered **event sink** ([`ObsSink`], shared via the cheap
 //! clonable [`ObsHandle`]) that the engine and executors feed with
 //! structured events — phase begin/end, round boundaries, and (under
-//! [`crate::sim::FaultyExecutor`]) the full frame lifecycle: send,
-//! drop, duplicate, corrupt, retransmit, ack, keepalive, suspicion,
-//! crash, partition windows, and the recovery driver's
-//! checkpoint/resume stage markers. Attach a sink with
+//! the faulty executor, [`crate::ExecutorKind::Faulty`]) the full frame
+//! lifecycle: send, drop, duplicate, corrupt, retransmit, ack,
+//! keepalive, suspicion, crash, partition windows, and the recovery
+//! driver's checkpoint/resume stage markers. Attach a sink with
 //! [`crate::NetworkConfig::with_obs`]; read it back with
 //! [`ObsSink::snapshot`], [`ObsSink::virtual_stream`],
 //! [`ObsSink::profile`], or [`export_chrome_trace`].
@@ -24,10 +24,6 @@
 //!   reruns ([`ObsSink::virtual_stream`] is the comparable artifact).
 //!   Host timings live only in [`PhaseSummary::wall_ms`] and the
 //!   [`Profile`], which the stream never includes.
-//!
-//! This module also owns the session's single tracing switch: the
-//! `CONGEST_OBS` environment variable turns on the per-phase stderr
-//! summary lines.
 
 mod chrome;
 mod event;
@@ -41,7 +37,7 @@ pub use profile::{
 };
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Default event-ring capacity: 65,536 events, which bounds a chaos run
 /// on a large graph to a few MiB. It does not hold a whole faulty
@@ -367,25 +363,6 @@ impl ObsSink {
     pub fn clear(&self) {
         let mut inner = self.lock();
         *inner = Inner::default();
-    }
-}
-
-/// Whether the stderr phase-trace lines are enabled: the `CONGEST_OBS`
-/// environment variable (checked once per process).
-pub fn stderr_trace_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("CONGEST_OBS").is_some())
-}
-
-/// Prints the per-phase stderr summary line when
-/// [`stderr_trace_enabled`] — the single tracing switch the engine
-/// calls after every phase.
-pub(crate) fn trace_phase_line(name: &str, metrics: &crate::metrics::PhaseMetrics, wall_ms: f64) {
-    if stderr_trace_enabled() {
-        eprintln!(
-            "congest-trace: {name} rounds={} msgs={} bits={} wall_ms={wall_ms:.2}",
-            metrics.rounds, metrics.messages, metrics.bits,
-        );
     }
 }
 

@@ -25,7 +25,7 @@ pub enum CostCenter {
     Boot,
     /// Arrival processing: draining the tick's calendar slot, checksum
     /// verification, and the seq/cumulative-ack window bookkeeping of
-    /// [`crate::sim::FaultyExecutor`]'s stop-and-wait channels.
+    /// the faulty executor's stop-and-wait channels.
     AckBookkeeping,
     /// Stepping the nodes whose round inputs are complete (the
     /// algorithm's own `round` code under the synchronizer).

@@ -396,10 +396,10 @@ mod tests {
             },
             item: None,
         };
-        let neighbors = [crate::node::NeighborInfo {
-            id: graphs::NodeId::new(1),
-            weight: 1,
+        let neighbors = [graphs::AdjEntry {
+            neighbor: graphs::NodeId::new(1),
             edge: graphs::EdgeId::new(0),
+            weight: 1,
         }];
         let ctx = crate::node::NodeCtx {
             node: graphs::NodeId::new(0),

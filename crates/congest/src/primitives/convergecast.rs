@@ -31,42 +31,6 @@ impl Aggregate for SumU64 {
     }
 }
 
-/// Minimum of `u64` values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MinU64(pub u64);
-
-impl Aggregate for MinU64 {
-    fn combine(&self, other: &Self) -> Self {
-        MinU64(self.0.min(other.0))
-    }
-    fn bits(&self) -> usize {
-        value_bits(self.0)
-    }
-}
-
-/// Maximum of `u64` values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MaxU64(pub u64);
-
-impl Aggregate for MaxU64 {
-    fn combine(&self, other: &Self) -> Self {
-        MaxU64(self.0.max(other.0))
-    }
-    fn bits(&self) -> usize {
-        value_bits(self.0)
-    }
-}
-
-/// Pairs aggregate componentwise — handy for (value, argmin-id) reductions.
-impl<A: Aggregate, B: Aggregate> Aggregate for (A, B) {
-    fn combine(&self, other: &Self) -> Self {
-        (self.0.combine(&other.0), self.1.combine(&other.1))
-    }
-    fn bits(&self) -> usize {
-        self.0.bits() + self.1.bits()
-    }
-}
-
 /// Minimum of `(u64, u64)` pairs under lexicographic order — the standard
 /// "(value, tie-break id)" argmin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,23 +168,6 @@ mod tests {
         assert!(out.outputs[1..].iter().all(|o| o.is_none()));
         // Rounds bounded by height + slack.
         assert!(out.metrics.rounds <= 4 + 5 + 2);
-    }
-
-    #[test]
-    fn min_and_max() {
-        let g = generators::cycle(9).unwrap();
-        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, (MinU64, MaxU64))> = trees
-            .into_iter()
-            .enumerate()
-            .map(|(v, t)| (t, (MinU64((v as u64 + 3) * 7 % 11), MaxU64(v as u64))))
-            .collect();
-        let expect_min = (0..9u64).map(|v| (v + 3) * 7 % 11).min().unwrap();
-        let out = net.run("minmax", &Convergecast::new(), inputs).unwrap();
-        let (mn, mx) = out.outputs[0].expect("root output");
-        assert_eq!(mn.0, expect_min);
-        assert_eq!(mx.0, 8);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`FailureDetector`] is a deliberately silent algorithm: every node
 //! idles for a fixed number of virtual rounds and reports, at `finish`,
-//! which neighbors the transport-level detector of
-//! [`crate::sim::FaultyExecutor`] currently suspects. It sends **no
+//! which neighbors the transport-level detector of the faulty executor
+//! ([`crate::ExecutorKind::Faulty`]) currently suspects. It sends **no
 //! payloads at all** — virtual rounds advance purely on the
 //! α-synchronizer's safety gossip, and in crash mode the executor's
 //! keepalives keep every live channel warm — so the only channels that

@@ -21,7 +21,7 @@
 //!
 //! * **Local-minima candidacy.** Only nodes smaller than all their
 //!   neighbors flood. Neighbor identifiers are a-priori local knowledge
-//!   (see [`crate::node::NeighborInfo`]), so this costs no messages; it
+//!   (see [`crate::NodeCtx::neighbors`]), so this costs no messages; it
 //!   is sound because a non-minimal node can never win, and complete
 //!   because the global minimum is always a local minimum. It removes
 //!   the `Θ(Σ deg)` boot flood, and on identifier layouts with one local
@@ -308,7 +308,7 @@ impl Algorithm for LeaderBfs {
     fn boot(&self, ctx: &NodeCtx<'_>, _input: ()) -> (ElectionState, Outbox<LeaderMsg>) {
         let deg = ctx.degree();
         let me = ctx.node.raw();
-        let candidate = ctx.neighbors().all(|(_, ni)| ni.id.raw() > me);
+        let candidate = ctx.neighbors().all(|(_, a)| a.neighbor.raw() > me);
         let state = ElectionState {
             best: me,
             depth: 0,

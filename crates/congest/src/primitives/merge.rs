@@ -310,11 +310,10 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
 mod tests {
     use super::*;
     use crate::message::TAG_BITS;
-    use crate::node::NeighborInfo;
     use crate::primitives::grouped::{KeyedSum, SumMonoid};
-    use graphs::{EdgeId, NodeId};
+    use graphs::{AdjEntry, EdgeId, NodeId};
 
-    fn ctx_with_degree(neighbors: &[NeighborInfo]) -> NodeCtx<'_> {
+    fn ctx_with_degree(neighbors: &[AdjEntry]) -> NodeCtx<'_> {
         NodeCtx {
             node: NodeId::new(0),
             n: 8,
@@ -325,12 +324,12 @@ mod tests {
         }
     }
 
-    fn nbrs(degree: usize) -> Vec<NeighborInfo> {
+    fn nbrs(degree: usize) -> Vec<AdjEntry> {
         (0..degree)
-            .map(|i| NeighborInfo {
-                id: NodeId::new(i as u32 + 1),
-                weight: 1,
+            .map(|i| AdjEntry {
+                neighbor: NodeId::new(i as u32 + 1),
                 edge: EdgeId::new(i as u32),
+                weight: 1,
             })
             .collect()
     }

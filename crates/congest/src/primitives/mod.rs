@@ -48,7 +48,7 @@ pub mod subtree;
 pub mod upcast;
 
 pub use broadcast::{Broadcast, BroadcastItems};
-pub use convergecast::{Aggregate, Convergecast, MaxU64, MinU64, SumU64};
+pub use convergecast::{Aggregate, Convergecast, SumU64};
 pub use exchange::{NeighborExchange, PortDeltaExchange};
 pub use failure_detector::{FailureDetector, FdReport, JoinEcho};
 pub use grouped::{GroupedSum, KeyedSum, SumMonoid};

@@ -34,8 +34,7 @@
 //! [`Fill`] takes the first ready item whatever its size, since a stream
 //! must move, and beyond it only what fits. A message therefore exceeds
 //! the budget only when a lone item or a lone end marker does; the
-//! engine's bandwidth check then rejects it in strict mode or counts it
-//! in lax mode, as it did before packing.
+//! engine's bandwidth check then rejects it, as it did before packing.
 
 use crate::message::{value_bits, Message, TAG_BITS};
 

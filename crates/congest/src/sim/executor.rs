@@ -1,9 +1,9 @@
 //! The faulty executor: an α-synchronizer over an adversarial network.
 //!
-//! [`FaultyExecutor`] drives a phase over a network whose links drop,
+//! [`run_faulty`] drives a phase over a network whose links drop,
 //! duplicate, delay, and reorder frames according to a seeded
 //! [`FaultPlan`], while presenting node code with **exactly** the
-//! synchronous CONGEST semantics of [`crate::SerialExecutor`]: every
+//! synchronous CONGEST semantics of the serial executor: every
 //! algorithm in the workspace runs unmodified, and its per-node outputs,
 //! virtual round count, and payload-level metrics are bit-identical to a
 //! fault-free run (the `sim_parity` suites assert this on the full
@@ -101,9 +101,9 @@
 //! [`SuspicionPolicy`](crate::sim::SuspicionPolicy): abort the phase
 //! with a typed [`CongestError::NodeSuspected`] (default — a recovery
 //! driver's cue), or continue and expose the suspected set through
-//! [`crate::NodeCtx::suspects`]. Crash-free plans take none of these
-//! paths — no keepalives, no detector — and remain bit-identical to
-//! the fault-free executors.
+//! [`crate::NodeCtx::suspected_ports`]. Crash-free plans take none of
+//! these paths — no keepalives, no detector — and remain bit-identical
+//! to the serial executor.
 //!
 //! # Accounting
 //!
@@ -117,7 +117,7 @@
 
 use crate::algorithm::{Algorithm, Step};
 use crate::error::CongestError;
-use crate::executor::{PhaseSpec, RoundExecutor};
+use crate::executor::PhaseSpec;
 use crate::message::Message;
 use crate::metrics::{PhaseMetrics, SimPhaseStats};
 use crate::node::Port;
@@ -126,54 +126,34 @@ use crate::sim::plan::{FaultPlan, SuspicionPolicy};
 use graphs::NodeId;
 use std::collections::BTreeMap;
 
-/// The fault-injecting round executor. See the module docs for the
-/// protocol; construct one from a [`FaultPlan`] (or select it with
-/// [`crate::ExecutorKind::Faulty`]) and pass it to
-/// [`crate::Network::run_with`]. Not `Copy`: the plan may carry a
-/// crash schedule.
-#[derive(Clone, Debug, Default)]
-pub struct FaultyExecutor {
-    plan: FaultPlan,
-}
-
-impl FaultyExecutor {
-    /// An executor injecting faults per `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultyExecutor { plan }
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
 /// Partition windows one plan may schedule: the executor tracks each
 /// slot's windows in one `u64` bitmask.
 const MAX_PARTITIONS: usize = 64;
 
-impl RoundExecutor for FaultyExecutor {
-    fn run_phase<A: Algorithm>(
-        &self,
-        spec: &PhaseSpec<'_>,
-        algo: &A,
-        inputs: Vec<A::Input>,
-    ) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
-        // `FaultPlan`'s fields are public, so only the executor can
-        // refuse a plan it cannot represent — before the first tick.
-        if self.plan.partitions.len() > MAX_PARTITIONS {
-            return Err(CongestError::TooManyPartitions {
-                phase: spec.name.to_string(),
-                windows: self.plan.partitions.len(),
-                limit: MAX_PARTITIONS,
-            });
-        }
-        let sink = spec.obs;
-        let total = obs::total_begin(sink);
-        let out = Machine::new(&self.plan, spec, algo).run(inputs);
-        obs::total_end(sink, total);
-        out
+/// Drives one phase to completion with the fault-injecting executor
+/// under `plan` (see the module docs for the protocol). Returns per-node
+/// outputs and the phase metrics, or the error [`crate::Network::run`]
+/// documents.
+pub(crate) fn run_faulty<A: Algorithm>(
+    plan: &FaultPlan,
+    spec: &PhaseSpec<'_>,
+    algo: &A,
+    inputs: Vec<A::Input>,
+) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
+    // `FaultPlan`'s fields are public, so only the executor can refuse a
+    // plan it cannot represent — before the first tick.
+    if plan.partitions.len() > MAX_PARTITIONS {
+        return Err(CongestError::TooManyPartitions {
+            phase: spec.name.to_string(),
+            windows: plan.partitions.len(),
+            limit: MAX_PARTITIONS,
+        });
     }
+    let sink = spec.obs;
+    let total = obs::total_begin(sink);
+    let out = Machine::new(plan, spec, algo).run(inputs);
+    obs::total_end(sink, total);
+    out
 }
 
 /// One unacknowledged payload on a directed edge.
@@ -460,7 +440,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         }
         debug_assert!(
             plan.partitions.len() <= MAX_PARTITIONS,
-            "checked by run_phase"
+            "checked by run_faulty"
         );
         let cut_sets: Vec<std::collections::BTreeSet<(u32, u32)>> = plan
             .partitions
@@ -555,8 +535,8 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     }
 
     /// Records an error at (virtual `round`, `node`), keeping the
-    /// lexicographic minimum — the same selection rule as the fault-free
-    /// executors ("the earliest round's lowest-id node wins"). Execution
+    /// lexicographic minimum — the same selection rule as the serial
+    /// executor ("the earliest round's lowest-id node wins"). Execution
     /// continues, gated to rounds ≤ the current minimum error round (see
     /// [`Machine::may_advance`]), so every error the serial schedule
     /// would have hit first is observed before the phase returns.
@@ -622,11 +602,11 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     }
 
     /// Validates and enqueues one round's outbox of node `v`, mirroring
-    /// the fault-free executors' `route_outbox` enforcement (ports,
-    /// double sends, bandwidth) and payload-level metering.
+    /// the serial executor's `route_outbox` enforcement (ports, double
+    /// sends, bandwidth) and payload-level metering.
     fn enqueue_outbox(&mut self, v: usize, round: u64, msgs: Vec<(Port, A::Msg)>) {
-        let degree = self.spec.neighbors[v].len();
         let base = self.spec.slot_base[v];
+        let degree = self.spec.slot_base[v + 1] - base;
         for (port, msg) in msgs {
             let p = port.index();
             if p >= degree {
@@ -660,22 +640,19 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             }
             let bits = msg.bit_len();
             if bits > self.spec.bandwidth_bits {
-                if self.spec.strict {
-                    self.record_err(
+                self.record_err(
+                    round,
+                    v as u64,
+                    CongestError::BandwidthExceeded {
+                        phase: self.spec.name.to_string(),
+                        node: NodeId::from_index(v),
+                        port,
+                        bits,
+                        budget: self.spec.bandwidth_bits,
                         round,
-                        v as u64,
-                        CongestError::BandwidthExceeded {
-                            phase: self.spec.name.to_string(),
-                            node: NodeId::from_index(v),
-                            port,
-                            bits,
-                            budget: self.spec.bandwidth_bits,
-                            round,
-                        },
-                    );
-                    return;
-                }
-                self.metrics.violations += 1;
+                    },
+                );
+                return;
             }
             self.metrics.messages += 1;
             self.metrics.bits += bits as u64;
@@ -802,7 +779,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             let mut ctx = spec.ctx(v, q);
             // A node's receive slots are contiguous in the CSR arena, so
             // its detector view is a zero-copy slice (all-false under
-            // crash-free plans — identical to the fault-free executors).
+            // crash-free plans — identical to the serial executor).
             ctx.suspected = &self.suspected[spec.slot_base[v]..spec.slot_base[v + 1]];
             let step = algo.round(&mut state, &ctx, &inbox);
             self.nodes[v].state = Some(state);
@@ -827,22 +804,18 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             self.enqueue_outbox(v, q, outbox.msgs);
             if self.nodes[v].halted {
                 // Anything still buffered was addressed to a round this
-                // node will never execute — exactly the fault-free
-                // engines' message-to-halted condition.
+                // node will never execute — exactly the serial executor's
+                // message-to-halted condition.
                 if let Some((&round, _)) = self.inboxes[v].iter().next() {
-                    if spec.strict {
-                        self.record_err(
+                    self.record_err(
+                        round,
+                        v as u64,
+                        CongestError::MessageToHalted {
+                            phase: spec.name.to_string(),
+                            node: NodeId::from_index(v),
                             round,
-                            v as u64,
-                            CongestError::MessageToHalted {
-                                phase: spec.name.to_string(),
-                                node: NodeId::from_index(v),
-                                round,
-                            },
-                        );
-                    } else {
-                        self.inboxes[v].clear();
-                    }
+                        },
+                    );
                 }
             }
             self.refresh_safety(v);
@@ -918,20 +891,18 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                 );
                 self.rx[d].rcv_seq = dt.seq;
                 if self.nodes[v].halted {
-                    if self.spec.strict {
-                        self.record_err(
-                            dt.round + 1,
-                            v as u64,
-                            CongestError::MessageToHalted {
-                                phase: self.spec.name.to_string(),
-                                node: NodeId::from_index(v),
-                                round: dt.round + 1,
-                            },
-                        );
-                    }
-                    // Acked at the transport, dropped at the algorithm
-                    // (in strict mode the recorded error ends the phase
-                    // once every earlier round has been ruled out).
+                    // Acked at the transport, dropped at the algorithm:
+                    // the recorded error ends the phase once every
+                    // earlier round has been ruled out.
+                    self.record_err(
+                        dt.round + 1,
+                        v as u64,
+                        CongestError::MessageToHalted {
+                            phase: self.spec.name.to_string(),
+                            node: NodeId::from_index(v),
+                            round: dt.round + 1,
+                        },
+                    );
                 } else {
                     let port = Port((d - self.spec.slot_base[v]) as u32);
                     self.inboxes[v]
@@ -1812,8 +1783,8 @@ mod tests {
         }
     }
 
-    /// Node 0 messages node 1 after node 1 halted — the strict-mode
-    /// violation is detected under faults too, with the same fields the
+    /// Node 0 messages node 1 after node 1 halted — the violation is
+    /// detected under faults too, with the same fields the
     /// serial executor reports.
     #[test]
     fn strict_message_to_halted_is_detected() {
@@ -1946,16 +1917,13 @@ mod tests {
             }
         }
         let g = graphs::generators::path(3).unwrap();
-        let cfg = NetworkConfig {
-            max_rounds: 40,
-            ..Default::default()
-        }
-        .with_fault_plan(FaultPlan::lossless());
+        let cfg = NetworkConfig::default().with_fault_plan(FaultPlan::lossless());
         let mut net = Network::new(&g, cfg).unwrap();
         let err = net.run("livelock", &Livelock, vec![(); 3]).unwrap_err();
+        // The cap is `(n + 16)²`: 361 rounds on three nodes.
         assert!(matches!(
             err,
-            CongestError::MaxRoundsExceeded { cap: 40, .. }
+            CongestError::MaxRoundsExceeded { cap: 361, .. }
         ));
     }
 

@@ -10,12 +10,11 @@
 //!   retransmission timeout and budget, and a schedule of fail-stop
 //!   [`CrashEvent`]s (single nodes or correlated groups, with optional
 //!   rejoin rounds honored at phase boundaries);
-//! * [`FaultyExecutor`] is a third [`crate::executor::RoundExecutor`]
-//!   (select it with [`crate::ExecutorKind::Faulty`]) that layers an
-//!   **α-synchronizer** — per-message acks, stop-and-wait
+//! * the faulty executor (select it with [`crate::ExecutorKind::Faulty`])
+//!   layers an **α-synchronizer** — per-message acks, stop-and-wait
 //!   retransmission, safe-round detection — over the adversarial
 //!   transport, so node code still observes globally synchronous rounds
-//!   and produces outputs bit-identical to the fault-free executors.
+//!   and produces outputs bit-identical to the serial executor.
 //!
 //! When the plan schedules crashes, the executor arms a timeout-based
 //! **failure detector**: a channel silent for the plan's full suspicion
@@ -26,7 +25,7 @@
 //! with a typed [`crate::CongestError::NodeSuspected`] (default; a
 //! recovery driver catches it and re-runs on the surviving component),
 //! or continue and let the algorithm read the suspected set off
-//! [`crate::NodeCtx::suspects`] (how
+//! [`crate::NodeCtx::suspected_ports`] (how
 //! [`crate::primitives::failure_detector`] works).
 //!
 //! The cost of asynchrony is measured, not hidden: the transport's
@@ -58,5 +57,5 @@
 mod executor;
 mod plan;
 
-pub use executor::FaultyExecutor;
+pub(crate) use executor::run_faulty;
 pub use plan::{CrashEvent, FaultPlan, PartitionEvent, SuspicionPolicy, DEFAULT_SUSPECT_PATIENCE};

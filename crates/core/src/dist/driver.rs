@@ -66,10 +66,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// policy, and the MST stage setting.
 #[derive(Clone, Debug, Default)]
 pub struct ExactConfig {
-    /// CONGEST model parameters (bandwidth `β`, strictness, round cap,
-    /// and which round executor drives the phases — `network.executor`
-    /// selects the serial or the fault-injecting executor; the result is
-    /// executor-independent, see `tests/sim_parity.rs`).
+    /// CONGEST model parameters (bandwidth `β`, and which round executor
+    /// drives the phases — `network.executor` selects the serial or the
+    /// fault-injecting executor; the result is executor-independent, see
+    /// `tests/sim_parity.rs`).
     pub network: NetworkConfig,
     /// Greedy tree packing policy (how many trees, mirroring the
     /// sequential packing).
@@ -166,11 +166,11 @@ pub struct DistMinCutResult {
 ///
 /// [`MinCutError::TooSmall`] for `n < 2`, [`MinCutError::Disconnected`]
 /// for disconnected inputs, and [`MinCutError::Congest`] when the
-/// simulated network rejects the run (bandwidth violation in strict
-/// mode, round cap). There is no upper bound on `n`: the case-2 pair
-/// aggregation keys pairs of `T_F` fragment numbers, `lo·k + hi < k²`
-/// for `k ≤ n` fragments, in `u64`, so every `n` addressable by `u32`
-/// node ids is supported.
+/// simulated network rejects the run (bandwidth violation, round cap).
+/// There is no upper bound on `n`: the case-2 pair aggregation keys
+/// pairs of `T_F` fragment numbers, `lo·k + hi < k²` for `k ≤ n`
+/// fragments, in `u64`, so every `n` addressable by `u32` node ids is
+/// supported.
 pub fn exact_mincut(
     g: &WeightedGraph,
     config: &ExactConfig,
@@ -1869,7 +1869,6 @@ mod tests {
             (generators::torus2d(32, 32).unwrap(), 80, 495, 7),
         ] {
             let network = NetworkConfig::default();
-            assert!(network.strict);
             assert_eq!(network.bandwidth_bits(g.node_count()), budget);
             let mst = MstConfig { cap: Some(2) };
             let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
@@ -1905,7 +1904,6 @@ mod tests {
             let r = exact_mincut(&g, &cfg).unwrap();
             assert_eq!(r.phase_a_fragments[0], k);
             assert!(r.ledger.max_message_bits() <= budget);
-            assert_eq!(r.ledger.total_violations(), 0);
         }
     }
 

@@ -44,7 +44,8 @@
 //!
 //! All communication goes through the simulator: node code sees only its
 //! local state, its incident edges, and its inbox, and every message is
-//! charged against the `β·⌈log₂ n⌉`-bit budget (strict by default). The
+//! charged against the `β·⌈log₂ n⌉`-bit budget (an over-budget message is
+//! an error). The
 //! sequential driver performs only per-node-local bookkeeping between
 //! phases (the engine's documented "persistent local memory" convention)
 //! plus loop-termination decisions that a deployment would obtain from an

@@ -159,6 +159,13 @@ impl WeightedGraph {
         &self.adj[lo..hi]
     }
 
+    /// Every adjacency list back to back, in node order (the CSR array):
+    /// node `v`'s list, [`WeightedGraph::neighbors`], is the slice after
+    /// the degrees of nodes `0..v`.
+    pub fn adjacency(&self) -> &[AdjEntry] {
+        &self.adj
+    }
+
     /// Unweighted degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         self.neighbors(v).len()

@@ -5,10 +5,9 @@
 //! `n > 65535`. Its keys are now pairs of `T_F` fragment numbers,
 //! `lo·k + hi < k²`, whose width depends on the fragment count `k`, not
 //! on `n`. This test runs the full exact pipeline on a sparse ~70k-node
-//! graph with a certified minimum cut, in **strict** CONGEST mode with
-//! the default `8·⌈log₂ n⌉`-bit budget, checks that the case-2 pair
-//! aggregation (`s4a`) really carried keyed traffic, and pins the whole
-//! pipeline's cost.
+//! graph with a certified minimum cut under the default `8·⌈log₂ n⌉`-bit
+//! budget, checks that the case-2 pair aggregation (`s4a`) really carried
+//! keyed traffic, and pins the whole pipeline's cost.
 
 use mincut_repro::congest::message::TAG_BITS;
 use mincut_repro::congest::primitives::leader_bfs;
@@ -40,9 +39,8 @@ fn exact_mincut_above_the_old_u16_cap() {
         ..Default::default()
     };
     assert_eq!(cfg.network.executor, ExecutorKind::Serial);
-    // Defaults are strict mode with β = 8: every message is hard-checked
-    // against the 8·⌈log₂ n⌉-bit budget, so success *proves* compliance.
-    assert!(cfg.network.strict);
+    // The default is β = 8: every message is hard-checked against the
+    // 8·⌈log₂ n⌉-bit budget, so success *proves* compliance.
     assert_eq!(cfg.network.bandwidth_factor, 8);
 
     let res = exact_mincut(&g, &cfg).expect("pipeline must accept n > 65535");
@@ -51,10 +49,9 @@ fn exact_mincut_above_the_old_u16_cap() {
     assert_eq!(res.cut.value, 6);
     assert!(res.cut.is_proper());
 
-    // Strict mode already errors on violations; assert the budget
+    // An over-budget message is already an error; assert the budget
     // arithmetic explicitly anyway: ⌈log₂ 70602⌉ = 17.
     assert!(res.ledger.max_message_bits() <= 8 * 17);
-    assert_eq!(res.ledger.total_violations(), 0);
 
     // The case-2 pair aggregation really ran: `s4a` carried more bits
     // than the n − 1 end markers alone would (one tag each), i.e. actual

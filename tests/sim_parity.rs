@@ -179,7 +179,6 @@ impl Fnv {
                 bits,
                 max_message_bits,
                 max_edge_load_bits,
-                violations,
                 sim,
             } = p;
             let SimPhaseStats {
@@ -201,7 +200,6 @@ impl Fnv {
                 *bits,
                 *max_message_bits as u64,
                 *max_edge_load_bits as u64,
-                *violations,
                 *phys_rounds,
                 *data_frames,
                 *ctrl_frames,
@@ -370,61 +368,65 @@ fn transport_schedule_matches_pinned_digests() {
 /// with the executor that sorted its active-channel list every tick.
 /// The min-cut session's row is re-captured whenever a deliberate
 /// change to the pipeline moves the session's phases or traffic; the 54
-/// election rows have not moved since they were captured.
+/// election rows have moved only when the digest's field set did: when
+/// `PhaseMetrics::violations` was deleted, every row was recomputed on
+/// the previous commit's transport with just that term dropped, and
+/// the rows whose runs err before any phase lands in the ledger kept
+/// their values.
 const GOLDEN: [(&str, u64); 55] = [
-    ("torus6x6/lossy/r1", 0x32DB3C0CF3B2EE14),
+    ("torus6x6/lossy/r1", 0xDCFBC6F292BB9DF4),
     ("torus6x6/crash_continue/r1", 0xF54A137E57016AE4),
     ("torus6x6/crash_abort/r1", 0xFA900DADE6B4261D),
-    ("torus6x6/partition/r1", 0x948AA32FC8F8288F),
+    ("torus6x6/partition/r1", 0x5D7DE55C97A716EF),
     ("torus6x6/exhausted/r1", 0x5616609A1F44D93E),
-    ("torus6x6/lossless/r1", 0xE2D1F7CA673CC87A),
-    ("torus6x6/lossy/r4", 0xED063B356EE68252),
+    ("torus6x6/lossless/r1", 0xB4AF3BED5BF3E19A),
+    ("torus6x6/lossy/r4", 0x1397DFAEB6E51FB2),
     ("torus6x6/crash_continue/r4", 0x644AF1EDC634CDA9),
     ("torus6x6/crash_abort/r4", 0x2C6416F208E0B708),
-    ("torus6x6/partition/r4", 0x3B70E0FF5F3B570D),
+    ("torus6x6/partition/r4", 0x3DCDD204DE0E88ED),
     ("torus6x6/exhausted/r4", 0x9279C22F4E990841),
-    ("torus6x6/lossless/r4", 0x92DCCCFB9692550F),
-    ("torus6x6/lossy/r9", 0x48098FAC67A1F366),
+    ("torus6x6/lossless/r4", 0x27C08CD1D292BB2F),
+    ("torus6x6/lossy/r9", 0x445F5717D0B3C806),
     ("torus6x6/crash_continue/r9", 0x48488CD822D34EBF),
     ("torus6x6/crash_abort/r9", 0x1B43B6CF94704E62),
-    ("torus6x6/partition/r9", 0xF1BDFC0AE430EB07),
+    ("torus6x6/partition/r9", 0x01380E5AF8034127),
     ("torus6x6/exhausted/r9", 0x30D494A6E8FC47F1),
-    ("torus6x6/lossless/r9", 0x92DCCCFB9692550F),
-    ("cycle13/lossy/r1", 0x826012DFEABFD955),
+    ("torus6x6/lossless/r9", 0x27C08CD1D292BB2F),
+    ("cycle13/lossy/r1", 0x69B7A61550D41475),
     ("cycle13/crash_continue/r1", 0xAC5765784C43F8E6),
     ("cycle13/crash_abort/r1", 0xE0F877A4514C9305),
-    ("cycle13/partition/r1", 0xD0738372AC9B196F),
+    ("cycle13/partition/r1", 0x232F38873C4D338F),
     ("cycle13/exhausted/r1", 0x8AA0373921DA1839),
-    ("cycle13/lossless/r1", 0x253546CF268C7655),
-    ("cycle13/lossy/r4", 0x2ED5E15D91B03DB3),
+    ("cycle13/lossless/r1", 0xDFDDD8FE1D341AF5),
+    ("cycle13/lossy/r4", 0x766DE671C73A2493),
     ("cycle13/crash_continue/r4", 0x80D81AB34C4523D2),
     ("cycle13/crash_abort/r4", 0x7E0BA2ECBD3E8E9F),
-    ("cycle13/partition/r4", 0x85A5FBB5A0CB4731),
+    ("cycle13/partition/r4", 0x8FB5EBCAAC164991),
     ("cycle13/exhausted/r4", 0x011DD3EF612B036C),
-    ("cycle13/lossless/r4", 0x7AA8DC43BAFCAC45),
-    ("cycle13/lossy/r9", 0x94C32C92B4B48D57),
+    ("cycle13/lossless/r4", 0xCC2B5E811291CA25),
+    ("cycle13/lossy/r9", 0xAE2177DD8E91A2F7),
     ("cycle13/crash_continue/r9", 0x07A05B8FDF291465),
     ("cycle13/crash_abort/r9", 0x74B842A1C6FBC5F0),
-    ("cycle13/partition/r9", 0xEFAFBBBA7B7D8153),
+    ("cycle13/partition/r9", 0x4A77053F7FAFBF73),
     ("cycle13/exhausted/r9", 0xFE48E7EA6BF76EA3),
-    ("cycle13/lossless/r9", 0x7AA8DC43BAFCAC45),
-    ("complete9/lossy/r1", 0x38AA166B561856AD),
-    ("complete9/crash_continue/r1", 0x3CC4EA46571EA909),
+    ("cycle13/lossless/r9", 0xCC2B5E811291CA25),
+    ("complete9/lossy/r1", 0x64862CDE37B9C84D),
+    ("complete9/crash_continue/r1", 0x1A5A35EBA96735A9),
     ("complete9/crash_abort/r1", 0x8D57439E6A92776A),
-    ("complete9/partition/r1", 0x0E52DF38D729BFF2),
+    ("complete9/partition/r1", 0xAAA8B69262CF2D12),
     ("complete9/exhausted/r1", 0xAE08490519DD87BA),
-    ("complete9/lossless/r1", 0x5536F4F49B5E71AA),
-    ("complete9/lossy/r4", 0x19CE1D63E6FBF3DC),
-    ("complete9/crash_continue/r4", 0xF85A8C89C5AF3895),
+    ("complete9/lossless/r1", 0xFC92D984898AEB4A),
+    ("complete9/lossy/r4", 0xF4F0E9580986497C),
+    ("complete9/crash_continue/r4", 0xDC4A9507DE422875),
     ("complete9/crash_abort/r4", 0x2F81084C30993BCC),
-    ("complete9/partition/r4", 0xEC1BEF82FEA04B1D),
+    ("complete9/partition/r4", 0xCB9A3B9CD33FF1FD),
     ("complete9/exhausted/r4", 0x84F76EE18D3E0FD4),
-    ("complete9/lossless/r4", 0xEFED5A3F6666133F),
-    ("complete9/lossy/r9", 0x9C8F55008FCAE512),
-    ("complete9/crash_continue/r9", 0xB39E22E78FE4A6B3),
+    ("complete9/lossless/r4", 0x7F61B19A4CB3E3DF),
+    ("complete9/lossy/r9", 0xC8F74AA3067B7BF2),
+    ("complete9/crash_continue/r9", 0xB1199A2C5A6C7553),
     ("complete9/crash_abort/r9", 0x94D90F61A16AE954),
-    ("complete9/partition/r9", 0xF7ABCC9F98E9AFA1),
+    ("complete9/partition/r9", 0x880B7EB3EADFEA01),
     ("complete9/exhausted/r9", 0xF9F0387AD359676D),
-    ("complete9/lossless/r9", 0xEFED5A3F6666133F),
-    ("torus12x12/recover", 0xA7C730FB224B1E73),
+    ("complete9/lossless/r9", 0x7F61B19A4CB3E3DF),
+    ("torus12x12/recover", 0x640360465400AD93),
 ];
