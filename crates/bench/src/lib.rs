@@ -1,8 +1,6 @@
 //! Experiment harness: table formatting and shared runners for the
-//! experiment binaries (E1–E9) that regenerate the evaluation described in
-//! DESIGN.md / EXPERIMENTS.md.
-
-#![forbid(unsafe_code)]
+//! experiment binaries E1–E10 under `src/bin/` (`run_all` runs them all;
+//! README's "Running the evaluation" lists the commands).
 
 use graphs::WeightedGraph;
 use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};

@@ -127,15 +127,16 @@ impl<'g> Network<'g> {
     }
 
     /// Records a stage marker into the attached sink (a no-op without
-    /// one): `name` must be grammar-valid with a registered stem — the
-    /// same contract phase names carry, enforced at pipeline call sites
-    /// by `congest_lint` — and `value` is free-form (an epoch, a tree
-    /// count, a checkpoint index). This is how the recovery driver
-    /// stamps checkpoint/resume/census progress into the event stream.
+    /// one): `name` must be grammar-valid with a stem registered in
+    /// [`crate::phase::REGISTERED_STEMS`], which debug builds assert
+    /// whether or not a sink is attached, and `value` is free-form (an
+    /// epoch, a tree count, a checkpoint index). This is how the
+    /// recovery driver stamps checkpoint/resume/census progress into
+    /// the event stream.
     pub fn obs_emit(&self, name: &str, value: u64) {
         debug_assert!(
-            crate::phase::is_valid_name(name),
-            "obs event name {name:?} violates the stem.sub grammar (see congest::phase)"
+            crate::phase::is_registered(name),
+            "obs event name {name:?} is not grammar-valid with a registered stem (see congest::phase)"
         );
         if let Some(sink) = self.obs() {
             sink.emit(name, value);
@@ -662,6 +663,17 @@ mod tests {
             }
             other => panic!("expected Protocol, got {other:?}"),
         }
+    }
+
+    /// A typo'd stage-marker stem is caught on the spot in debug builds,
+    /// even with no sink attached.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "registered stem")]
+    fn obs_emit_rejects_an_unregistered_stem() {
+        let g = graphs::generators::path(2).unwrap();
+        let net = Network::new(&g, NetworkConfig::default()).unwrap();
+        net.obs_emit("chekpoint.resume", 0);
     }
 
     /// `write_slot` is an involution, and each entry lands in the

@@ -50,7 +50,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;

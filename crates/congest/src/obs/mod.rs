@@ -247,9 +247,9 @@ impl ObsSink {
     }
 
     /// Records an explicit stage marker (see
-    /// [`crate::Network::obs_emit`]): `name` must be grammar-valid with
-    /// a registered stem (the `congest_lint` contract for pipeline call
-    /// sites), `value` is free-form (a count, an epoch, a tree index).
+    /// [`crate::Network::obs_emit`], which debug-asserts that `name` is
+    /// grammar-valid with a registered stem); `value` is free-form (a
+    /// count, an epoch, a tree index).
     pub fn emit(&self, name: &str, value: u64) {
         let mut inner = self.lock();
         let label = Self::intern(&mut inner, name);

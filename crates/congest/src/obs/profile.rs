@@ -1,8 +1,9 @@
 //! The in-process profiler: tick-loop cost centers of the faulty
 //! executor.
 //!
-//! The replay-exact paths (`sim/`, `dist/`) are forbidden from naming
-//! wall-clock types (the `determinism` lint), so all timing flows
+//! The replay-exact modules (`congest::sim`, `congest::primitives`,
+//! `mincut::dist`) may not name wall-clock types (they deny clippy's
+//! `disallowed_types`, which `clippy.toml` sets), so all timing flows
 //! through the opaque [`CcToken`] and the free functions here:
 //! [`cc_begin`] captures a timestamp only when a sink is attached, and
 //! the matching `cc_end*` call attributes the elapsed nanoseconds to a

@@ -13,10 +13,12 @@
 //!    built on it) may emit are enumerated in [`REGISTERED_STEMS`]. A
 //!    stem that drifts (a typo in a `format!`, a renamed phase that
 //!    `trace_export`'s aborted-phase check no longer matches) breaks
-//!    the accounting without breaking any test — unless it is
-//!    caught, which is the job of the `congest_lint` binary in
-//!    `crates/analysis`: it extracts every phase string literal in the
-//!    pipeline and the gates and checks it against this module.
+//!    the accounting silently unless something checks it where the
+//!    names are emitted: the end-to-end suites
+//!    (`tests/end_to_end_exact.rs`, `tests/end_to_end_approx.rs`,
+//!    `tests/self_healing.rs`) assert [`is_registered`] for every phase
+//!    of every ledger they produce, and [`crate::Network::obs_emit`]
+//!    debug-asserts it for every stage marker.
 //!
 //! [`crate::Network::run`] additionally `debug_assert!`s the grammar at
 //! runtime (registry membership is *not* asserted there: unit tests and
@@ -31,9 +33,9 @@ pub const MAX_NAME_LEN: usize = 96;
 pub const MAX_SEGMENT_LEN: usize = 32;
 
 /// The phase stems the min-cut pipeline emits, in pipeline order. This
-/// is the single source of truth the static lint checks phase literals
-/// against — adding a new pipeline phase means registering its stem
-/// here (and nowhere else).
+/// is the single source of truth the end-to-end tests check ledger
+/// phases against — adding a new pipeline phase means registering its
+/// stem here (and nowhere else).
 pub const REGISTERED_STEMS: &[&str] = &[
     // Election + static-memory bootstrap.
     "leader_bfs",
@@ -72,8 +74,8 @@ pub const REGISTERED_STEMS: &[&str] = &[
     // The observability layer's frame-lifecycle events
     // (`transport.send`, `transport.drop`, … — see
     // `congest::obs::EventKind::wire_name`). Not a pipeline phase, but
-    // event names share the phase grammar and registry so the static
-    // lint catches typo'd obs events exactly like typo'd phases.
+    // event names share the phase grammar and registry, so typo'd obs
+    // events are caught exactly like typo'd phases.
     "transport",
 ];
 
@@ -101,8 +103,9 @@ pub fn stem_of(name: &str) -> &str {
 }
 
 /// Does `name` parse under the grammar *and* carry a stem registered in
-/// [`REGISTERED_STEMS`]? This is the property the static lint enforces
-/// for every phase literal in the pipeline and the CI gates.
+/// [`REGISTERED_STEMS`]? The end-to-end tests assert it for every
+/// ledger phase, and [`crate::Network::obs_emit`] for every stage
+/// marker.
 pub fn is_registered(name: &str) -> bool {
     is_valid_name(name) && REGISTERED_STEMS.contains(&stem_of(name))
 }

@@ -36,6 +36,9 @@
 //! exactly how the paper runs its intra-fragment steps in parallel across
 //! fragments.
 
+// Replay-exact: no hash-order or wall-clock types (see `clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 pub mod broadcast;
 pub mod convergecast;
 pub mod exchange;

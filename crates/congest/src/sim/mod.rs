@@ -54,6 +54,9 @@
 //! # }
 //! ```
 
+// Replay-exact: no hash-order or wall-clock types (see `clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 mod executor;
 mod plan;
 

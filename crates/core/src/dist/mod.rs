@@ -51,6 +51,9 @@
 //! plus loop-termination decisions that a deployment would obtain from an
 //! `O(D)` convergecast.
 
+// Replay-exact: no hash-order or wall-clock types (see `clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 pub mod approx;
 pub mod baselines;
 pub mod driver;

@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

@@ -1,6 +1,7 @@
 //! Nagamochi–Ibaraki sparse certificates and a Matula-style `(2+ε)`
 //! minimum-cut estimator — the sequential stand-in for the approximation
-//! quality of Ghaffari–Kuhn's `(2+ε)` algorithm (see DESIGN.md).
+//! quality of Ghaffari–Kuhn's `(2+ε)` algorithm, which experiment E4
+//! sets beside the paper's `(1+ε)` ladder.
 //!
 //! The NI scan (maximum-adjacency order) partitions edges into forests
 //! `F₁, F₂, …`; the union of the first `k` forests preserves every cut of

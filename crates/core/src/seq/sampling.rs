@@ -6,8 +6,8 @@
 //!
 //! Shared randomness: both endpoints of an edge must sample identically
 //! without communicating. We derive every coin from `splitmix64` applied to
-//! `(seed, edge id)` — the standard public-coin assumption, stated in
-//! DESIGN.md.
+//! `(seed, edge id)` — the standard public-coin assumption: every node
+//! knows `seed` before the first round, like its own id and `n`.
 
 use graphs::{Weight, WeightedGraph};
 

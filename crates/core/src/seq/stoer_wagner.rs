@@ -107,15 +107,6 @@ pub fn stoer_wagner(g: &WeightedGraph) -> Result<CutResult, MinCutError> {
     })
 }
 
-/// Convenience: just the minimum cut value.
-///
-/// # Errors
-///
-/// Same as [`stoer_wagner`].
-pub fn mincut_value(g: &WeightedGraph) -> Result<Weight, MinCutError> {
-    Ok(stoer_wagner(g)?.value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,9 @@
 //! edge over ancestor pairs) plus an `O(n²·m)` brute-force check, and the
 //! packing driver [`packing_mincut_two_respect`]. The sub-quadratic
 //! link-cut-tree version of Karger's paper (and its distributed successor,
-//! Mukhopadhyay–Nanongkai 2020) are out of scope — see DESIGN.md §6.
+//! Mukhopadhyay–Nanongkai 2020) are out of scope: the paper's pipeline
+//! needs only 1-respecting cuts, and this sequential scan serves the
+//! tree-count comparison of experiment E10, whose sizes it handles.
 
 use crate::seq::karger_dp::one_respecting_cuts;
 use crate::seq::tree_packing::next_packed_tree;

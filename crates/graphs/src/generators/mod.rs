@@ -35,7 +35,7 @@ pub use structured::{
 };
 pub use weights::randomize_weights;
 
-use crate::{GraphError, NodeId, WeightedGraph};
+use crate::{GraphError, WeightedGraph};
 use std::error::Error;
 use std::fmt;
 
@@ -133,11 +133,6 @@ pub fn assert_connected(g: &WeightedGraph) {
         g.node_count(),
         g.edge_count()
     );
-}
-
-/// Returns the node of minimum identifier — convenient as a canonical root.
-pub fn min_node(_g: &WeightedGraph) -> NodeId {
-    NodeId::new(0)
 }
 
 #[cfg(test)]

@@ -31,12 +31,13 @@ pub enum GraphError {
     },
     /// The graph would have more than `u32::MAX` edges after merging.
     TooManyEdges,
-    /// A parse error from the text format in [`crate::io`].
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Human-readable description of the problem.
-        reason: String,
+    /// A label map for [`crate::ops::contract_by_labels`] did not have
+    /// one entry per node.
+    LabelCount {
+        /// Entries in the label map.
+        labels: usize,
+        /// Nodes in the graph.
+        nodes: usize,
     },
 }
 
@@ -51,8 +52,8 @@ impl fmt::Display for GraphError {
                 write!(f, "zero-weight edge between {u} and {v}")
             }
             GraphError::TooManyEdges => write!(f, "graph exceeds u32::MAX edges"),
-            GraphError::Parse { line, reason } => {
-                write!(f, "parse error at line {line}: {reason}")
+            GraphError::LabelCount { labels, nodes } => {
+                write!(f, "label map has {labels} entries for {nodes} nodes")
             }
         }
     }
@@ -249,11 +250,6 @@ impl GraphBuilder {
     /// Number of nodes the graph will have.
     pub fn node_count(&self) -> usize {
         self.node_count
-    }
-
-    /// Number of raw (unmerged) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.raw_edges.len()
     }
 
     /// Adds an undirected edge `{u, v}` with weight `w`.

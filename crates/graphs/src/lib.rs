@@ -11,8 +11,7 @@
 //!   lower-bound instances, …);
 //! * [`traversal`] — BFS/DFS, connected components, diameter;
 //! * [`cut`] — evaluating the value of a cut given one side;
-//! * [`ops`] — subgraph sampling and contraction helpers;
-//! * [`io`] — a plain-text edge-list format.
+//! * [`ops`] — subgraph sampling and contraction helpers.
 //!
 //! # Example
 //!
@@ -33,13 +32,11 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cut;
 pub mod generators;
 mod graph;
-pub mod io;
 pub mod ops;
 pub mod traversal;
 

@@ -55,13 +55,9 @@ pub struct Contraction {
 /// Returns an error if `labels.len() != g.node_count()`.
 pub fn contract_by_labels(g: &WeightedGraph, labels: &[u32]) -> Result<Contraction, GraphError> {
     if labels.len() != g.node_count() {
-        return Err(GraphError::Parse {
-            line: 0,
-            reason: format!(
-                "label map has {} entries for {} nodes",
-                labels.len(),
-                g.node_count()
-            ),
+        return Err(GraphError::LabelCount {
+            labels: labels.len(),
+            nodes: g.node_count(),
         });
     }
     let mut compact: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
@@ -147,7 +143,13 @@ mod tests {
     #[test]
     fn contraction_rejects_bad_labels() {
         let g = k4();
-        assert!(contract_by_labels(&g, &[0, 1]).is_err());
+        assert_eq!(
+            contract_by_labels(&g, &[0, 1]).err(),
+            Some(GraphError::LabelCount {
+                labels: 2,
+                nodes: 4
+            })
+        );
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! from the property's name — no shrinking, but failures print the drawn
 //! values via the assertion message. See `crates/stubs/README.md`.
 
-#![forbid(unsafe_code)]
-
 use std::ops::Range;
 
 /// Per-block configuration.

@@ -8,8 +8,6 @@
 //! deterministic, fast, and statistically solid for test-instance
 //! generation. See `crates/stubs/README.md` for the rationale.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Core source of randomness: a stream of `u64`s.

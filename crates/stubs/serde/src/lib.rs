@@ -6,8 +6,6 @@
 //! actually serializes — so the traits are inert markers here. See
 //! `crates/stubs/README.md`.
 
-#![forbid(unsafe_code)]
-
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker counterpart of `serde::Serialize`.

@@ -19,7 +19,6 @@
 //!   `O(n/s)` connected subtrees of diameter `O(s)` (the sequential mirror
 //!   of Kutten–Peleg's partition, used as a test oracle).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decompose;

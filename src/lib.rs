@@ -8,8 +8,6 @@
 //! * [`congest`] — the CONGEST-model simulator,
 //! * [`mincut`] — the paper's algorithms (distributed and sequential).
 
-#![forbid(unsafe_code)]
-
 pub use congest;
 pub use graphs;
 pub use mincut;

@@ -1,6 +1,7 @@
 //! End-to-end: the (1+ε) approximation and the baselines are valid cuts
 //! within their advertised quality envelopes.
 
+use mincut_repro::congest::{phase, MetricsLedger};
 use mincut_repro::graphs::{cut::cut_of_side, generators};
 use mincut_repro::mincut::dist::approx::{approx_mincut, ApproxConfig};
 use mincut_repro::mincut::dist::baselines::{gk_baseline, su_baseline, BaselineConfig};
@@ -8,6 +9,17 @@ use mincut_repro::mincut::seq::stoer_wagner;
 use mincut_repro::mincut::verify::check_cut;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Every phase the run ledgered has a registered stem.
+fn assert_phases_registered(ledger: &MetricsLedger) {
+    for p in ledger.phases() {
+        assert!(
+            phase::is_registered(&p.name),
+            "unregistered phase {:?}",
+            p.name
+        );
+    }
+}
 
 #[test]
 fn approx_sound_and_near_optimal() {
@@ -23,6 +35,7 @@ fn approx_sound_and_near_optimal() {
             };
             let r = approx_mincut(&g, &cfg).unwrap();
             check_cut(&g, &r.cut).unwrap();
+            assert_phases_registered(&r.ledger);
             assert!(r.cut.value >= opt, "below optimum");
             // (1+ε) holds w.h.p.; with the p=1 ladder rung these sizes are
             // effectively exact — allow the formal slack anyway.
@@ -39,6 +52,7 @@ fn approx_sound_and_near_optimal() {
 fn approx_reports_its_ladder() {
     let p = generators::clique_pair(8, 2).unwrap();
     let r = approx_mincut(&p.graph, &ApproxConfig::default()).unwrap();
+    assert_phases_registered(&r.ledger);
     assert!(!r.guesses.is_empty());
     assert!(r.guesses.iter().all(|g| g.p > 0.0 && g.p <= 1.0));
     // λ̂ halves down the ladder.
@@ -55,9 +69,11 @@ fn baselines_are_valid_cuts() {
     let opt = stoer_wagner(&g).unwrap().value;
     let su = su_baseline(&g, &BaselineConfig::default()).unwrap();
     check_cut(&g, &su.cut).unwrap();
+    assert_phases_registered(&su.ledger);
     assert!(su.cut.value >= opt);
     let gk = gk_baseline(&g, &BaselineConfig::default()).unwrap();
     check_cut(&g, &gk.cut).unwrap();
+    assert_phases_registered(&gk.ledger);
     assert!(gk.cut.value >= opt);
     // The GK-style baseline is the (2+ε)-quality competitor: generous
     // envelope to keep the test seed-robust.
@@ -72,6 +88,7 @@ fn baselines_are_valid_cuts() {
 fn approx_on_torus_is_proper() {
     let g = generators::torus2d(5, 6).unwrap();
     let r = approx_mincut(&g, &ApproxConfig::default()).unwrap();
+    assert_phases_registered(&r.ledger);
     assert!(r.cut.is_proper());
     assert_eq!(cut_of_side(&g, &r.cut.side), r.cut.value);
     assert_eq!(r.cut.value, 4); // exact on this size (p = 1 rung)

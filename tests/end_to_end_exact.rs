@@ -1,6 +1,7 @@
 //! End-to-end: the exact distributed algorithm against the Stoer–Wagner
 //! oracle across graph families and seeds.
 
+use mincut_repro::congest::phase;
 use mincut_repro::graphs::{cut::cut_of_side, generators};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::seq::stoer_wagner;
@@ -17,6 +18,13 @@ fn assert_exact(g: &mincut_repro::graphs::WeightedGraph, label: &str) {
     );
     assert!(got.cut.is_proper(), "{label}: cut must be proper");
     assert_eq!(got.cut.value, want, "{label}: distributed != oracle");
+    for p in got.ledger.phases() {
+        assert!(
+            phase::is_registered(&p.name),
+            "{label}: unregistered phase {:?}",
+            p.name
+        );
+    }
 }
 
 #[test]

@@ -14,14 +14,15 @@
 //! `trace_export` CI bin.
 
 use mincut_repro::congest::sim::{CrashEvent, FaultPlan};
-use mincut_repro::congest::ExecutorKind;
+use mincut_repro::congest::{phase, ExecutorKind};
 use mincut_repro::graphs::{generators, NodeId, WeightedGraph};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::dist::{recover_mincut, RecoverConfig, RecoveredMinCut, Stage};
 use mincut_repro::mincut::seq::stoer_wagner;
 use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
 
-/// Runs the recovery twice and requires byte-identical merged ledgers.
+/// Runs the recovery twice and requires byte-identical merged ledgers
+/// whose every phase name has a registered stem.
 fn recover_twice(g: &WeightedGraph, cfg: &RecoverConfig) -> RecoveredMinCut {
     let r = recover_mincut(g, cfg).expect("the plan is recoverable");
     let again = recover_mincut(g, cfg).expect("deterministic rerun");
@@ -30,6 +31,13 @@ fn recover_twice(g: &WeightedGraph, cfg: &RecoverConfig) -> RecoveredMinCut {
         again.ledger.phases(),
         "same plan must give a byte-identical merged ledger"
     );
+    for p in r.ledger.phases() {
+        assert!(
+            phase::is_registered(&p.name),
+            "unregistered phase {:?}",
+            p.name
+        );
+    }
     r
 }
 
