@@ -3,7 +3,9 @@
 //! what saves deep trees (a naive subtree aggregation would pay Θ(depth)).
 
 use graphs::generators;
-use mincut_bench::{banner, f, scaling_unit, single_tree_run, table};
+use mincut_bench::{
+    banner, f, rounds_of_stems, scaling_unit, single_tree_run, table, CUT_STAGE_STEMS, MST_STEMS,
+};
 
 fn main() {
     banner(
@@ -33,11 +35,8 @@ fn main() {
         let r = single_tree_run(g);
         let unit = scaling_unit(g);
         // Per-stage breakdown from the ledger.
-        let steps = r.ledger.rounds_matching("s2")
-            + r.ledger.rounds_matching("s3")
-            + r.ledger.rounds_matching("s4")
-            + r.ledger.rounds_matching("s5");
-        let mst = r.ledger.rounds_matching("mst");
+        let steps = rounds_of_stems(&r.ledger, CUT_STAGE_STEMS);
+        let mst = rounds_of_stems(&r.ledger, MST_STEMS);
         rows.push(vec![
             name.clone(),
             g.node_count().to_string(),

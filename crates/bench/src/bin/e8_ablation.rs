@@ -5,7 +5,7 @@
 use graphs::generators;
 use mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut::dist::mst::MstConfig;
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::seq::tree_packing::PackingConfig;
 use mincut_bench::{banner, f, table};
 
 fn main() {
@@ -22,10 +22,7 @@ fn main() {
     for (name, cap) in caps {
         let cfg = ExactConfig {
             mst: MstConfig { cap: Some(cap) },
-            packing: PackingConfig {
-                size: PackingSize::Fixed(2),
-                max_trees: 2,
-            },
+            packing: PackingConfig::fixed(2),
             ..Default::default()
         };
         let r = exact_mincut(&g, &cfg).unwrap();

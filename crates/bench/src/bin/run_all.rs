@@ -1,4 +1,4 @@
-//! Runs every experiment (E1–E9) in sequence — the full evaluation.
+//! Runs every experiment (E1–E10) in sequence — the full evaluation.
 //!
 //! ```text
 //! cargo run --release -p mincut-bench --bin run_all | tee results.md

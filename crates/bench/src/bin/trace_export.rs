@@ -48,16 +48,13 @@ use congest::obs::{export_chrome_trace, json, CostCenter};
 use congest::{MetricsLedger, ObsHandle, SimPhaseStats};
 use graphs::generators;
 use mincut::dist::{recover_mincut, ExactConfig, RecoverConfig, RecoveredMinCut};
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::seq::tree_packing::PackingConfig;
 
 fn run(obs: Option<&ObsHandle>) -> RecoveredMinCut {
     let g = generators::torus2d(24, 24).expect("valid torus");
     let mut cfg = RecoverConfig {
         base: ExactConfig {
-            packing: PackingConfig {
-                size: PackingSize::Fixed(3),
-                max_trees: 3,
-            },
+            packing: PackingConfig::fixed(3),
             ..Default::default()
         },
         ..Default::default()

@@ -2,9 +2,11 @@
 //! experiment binaries E1–E10 under `src/bin/` (`run_all` runs them all;
 //! README's "Running the evaluation" lists the commands).
 
+use congest::phase::stem_of;
+use congest::MetricsLedger;
 use graphs::WeightedGraph;
 use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::seq::tree_packing::PackingConfig;
 
 /// The canonical deterministic fault plan of the CI harness: 5% drops,
 /// 2.5% duplication, delay window 2, fixed seed. The chaos session that
@@ -107,13 +109,28 @@ pub fn scaling_unit(g: &WeightedGraph) -> f64 {
 /// the MST), which is what the scaling experiments measure.
 pub fn single_tree_run(g: &WeightedGraph) -> DistMinCutResult {
     let cfg = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(1),
-            max_trees: 1,
-        },
+        packing: PackingConfig::fixed(1),
         ..Default::default()
     };
     exact_mincut(g, &cfg).expect("single-tree run")
+}
+
+/// The phase stems of the distributed MST, phases A and B.
+pub const MST_STEMS: &[&str] = &["mstA", "mstB"];
+
+/// The phase stems of the 1-respecting stage, the paper's steps 2–5.
+pub const CUT_STAGE_STEMS: &[&str] = &[
+    "s2a", "s2b", "s2c", "s3", "s4a", "s4b", "s5", "s5c", "s5d", "s5e", "s5f", "s5g",
+];
+
+/// Rounds of the ledger's phases whose stem is one of `stems`.
+pub fn rounds_of_stems(ledger: &MetricsLedger, stems: &[&str]) -> u64 {
+    ledger
+        .phases()
+        .iter()
+        .filter(|p| stems.contains(&stem_of(&p.name)))
+        .map(|p| p.rounds)
+        .sum()
 }
 
 /// Formats a float with the given precision.
@@ -125,4 +142,17 @@ pub fn f(x: f64, prec: usize) -> String {
 pub fn banner(id: &str, claim: &str) {
     println!("## {id} — {claim}");
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use congest::phase::REGISTERED_STEMS;
+
+    #[test]
+    fn summed_stems_are_registered() {
+        for stem in MST_STEMS.iter().chain(CUT_STAGE_STEMS) {
+            assert!(REGISTERED_STEMS.contains(stem), "{stem} is not registered");
+        }
+    }
 }

@@ -15,14 +15,18 @@
 
 use crate::dist::driver::{run_pipeline, PipelineOpts};
 use crate::dist::mst::MstConfig;
-use crate::dist::packing::PackingTarget;
 use crate::seq::sampling::{sampling_probability, skeleton_target};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::{MetricsLedger, NetworkConfig};
 use graphs::{CutResult, WeightedGraph};
 
-/// Configuration of [`approx_mincut`].
+/// The constant `c` of the skeleton target `c·ln n / ε²`.
+const SKELETON_C: f64 = 3.0;
+
+/// Configuration of [`approx_mincut`]. Every rung runs the default MST
+/// stage; a sampled rung packs `⌈2 ln n⌉` trees, and the final `p = 1`
+/// rung uses the exact algorithm's adaptive policy.
 #[derive(Clone, Debug)]
 pub struct ApproxConfig {
     /// Approximation slack: the returned value is `≤ (1+ε)·λ` w.h.p.
@@ -30,15 +34,8 @@ pub struct ApproxConfig {
     /// CONGEST model parameters, including which round executor drives
     /// the phases (`network.executor`) — results are executor-independent.
     pub network: NetworkConfig,
-    /// Distributed MST stage setting (phase A's fragment cap).
-    pub mst: MstConfig,
     /// Shared-coin seed of the skeleton sampling.
     pub seed: u64,
-    /// The constant `c` of the skeleton target `c·ln n / ε²`.
-    pub skeleton_c: f64,
-    /// Trees per sampled rung (`None`: `⌈2 ln n⌉`). The final `p = 1`
-    /// rung always uses the exact algorithm's adaptive policy.
-    pub trees_per_rung: Option<usize>,
 }
 
 impl Default for ApproxConfig {
@@ -46,10 +43,7 @@ impl Default for ApproxConfig {
         ApproxConfig {
             eps: 0.25,
             network: NetworkConfig::default(),
-            mst: MstConfig::default(),
             seed: 0x4150_5258,
-            skeleton_c: 3.0,
-            trees_per_rung: None,
         }
     }
 }
@@ -97,13 +91,11 @@ pub fn approx_mincut(
     if n < 2 {
         return Err(MinCutError::TooSmall { nodes: n });
     }
-    let target = skeleton_target(n, config.eps, config.skeleton_c);
-    let rung_trees = config
-        .trees_per_rung
-        .unwrap_or_else(|| (2.0 * (n.max(2) as f64).ln()).ceil() as usize);
+    let target = skeleton_target(n, config.eps, SKELETON_C);
+    let rung_trees = (2.0 * (n.max(2) as f64).ln()).ceil() as usize;
     let mut lambda_hat = g.min_weighted_degree().expect("n ≥ 2").max(1);
     let mut guesses = Vec::new();
-    let mut best: Option<PipelineBest> = None;
+    let mut best: Option<CutResult> = None;
     let mut rounds = 0u64;
     let mut messages = 0u64;
     let mut ledger = MetricsLedger::new();
@@ -113,11 +105,11 @@ pub fn approx_mincut(
         let exact_rung = p >= 1.0;
         let opts = PipelineOpts {
             network: config.network.clone(),
-            mst: config.mst.clone(),
-            target: if exact_rung {
-                PackingTarget::TrackBest(PackingConfig::default())
+            mst: MstConfig::default(),
+            packing: if exact_rung {
+                PackingConfig::default()
             } else {
-                PackingTarget::Fixed(rung_trees)
+                PackingConfig::fixed(rung_trees)
             },
             sample: (!exact_rung).then_some((p, config.seed ^ rung)),
         };
@@ -126,11 +118,8 @@ pub fn approx_mincut(
                 rounds += outcome.rounds;
                 messages += outcome.messages;
                 ledger.extend_from(&outcome.ledger, None);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| outcome.cut.value < b.cut.value)
-                {
-                    best = Some(PipelineBest { cut: outcome.cut });
+                if best.as_ref().is_none_or(|b| outcome.cut.value < b.value) {
+                    best = Some(outcome.cut);
                 }
             }
             // A too-aggressive skeleton can disconnect; the rung is
@@ -143,8 +132,8 @@ pub fn approx_mincut(
         }
         lambda_hat /= 2;
     }
-    let best = match best {
-        Some(b) => b,
+    let cut = match best {
+        Some(cut) => cut,
         None => {
             // Possible when ε is so large that p < 1 even at λ̂ = 1 and
             // every sampled skeleton disconnected: finish with one
@@ -155,28 +144,24 @@ pub fn approx_mincut(
             });
             let opts = PipelineOpts {
                 network: config.network.clone(),
-                mst: config.mst.clone(),
-                target: PackingTarget::TrackBest(PackingConfig::default()),
+                mst: MstConfig::default(),
+                packing: PackingConfig::default(),
                 sample: None,
             };
             let outcome = run_pipeline(g, &opts, None, None).map_err(|(e, _)| e)?;
             rounds += outcome.rounds;
             messages += outcome.messages;
             ledger.extend_from(&outcome.ledger, None);
-            PipelineBest { cut: outcome.cut }
+            outcome.cut
         }
     };
     Ok(ApproxResult {
-        cut: best.cut,
+        cut,
         rounds,
         messages,
         guesses,
         ledger,
     })
-}
-
-struct PipelineBest {
-    cut: CutResult,
 }
 
 #[cfg(test)]

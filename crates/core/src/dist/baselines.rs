@@ -18,45 +18,38 @@
 
 use crate::dist::driver::{run_pipeline, PipelineOpts};
 use crate::dist::mst::MstConfig;
-use crate::dist::packing::PackingTarget;
 use crate::seq::sampling::{sampling_probability, skeleton_target};
+use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::{MetricsLedger, NetworkConfig};
 use graphs::{CutResult, WeightedGraph};
 
-/// Shared configuration of the baselines.
+/// Quality slack of the Su-style baseline's sampling rate.
+const EPS: f64 = 0.5;
+
+/// Shared configuration of the baselines. Both run the default MST stage
+/// and pack `⌈ln n⌉ + 1` trees.
 #[derive(Clone, Debug)]
 pub struct BaselineConfig {
-    /// Quality slack of the baseline's sampling rate.
-    pub eps: f64,
     /// CONGEST model parameters, including which round executor drives
     /// the phases (`network.executor`) — results are executor-independent.
     pub network: NetworkConfig,
-    /// Distributed MST stage setting (phase A's fragment cap).
-    pub mst: MstConfig,
     /// Shared-coin seed (Su-style sampling).
     pub seed: u64,
-    /// Packed trees per run (`None`: `⌈ln n⌉ + 1`).
-    pub trees: Option<usize>,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
-            eps: 0.5,
             network: NetworkConfig::default(),
-            mst: MstConfig::default(),
             seed: 0x4241_5345,
-            trees: None,
         }
     }
 }
 
-impl BaselineConfig {
-    fn tree_budget(&self, n: usize) -> usize {
-        self.trees
-            .unwrap_or_else(|| (n.max(2) as f64).ln().ceil() as usize + 1)
-    }
+/// The baselines' fixed tree budget, `⌈ln n⌉ + 1`.
+fn tree_budget(n: usize) -> PackingConfig {
+    PackingConfig::fixed((n.max(2) as f64).ln().ceil() as usize + 1)
 }
 
 /// Result of a baseline run.
@@ -96,8 +89,8 @@ pub fn gk_baseline(
         g,
         &PipelineOpts {
             network: config.network.clone(),
-            mst: config.mst.clone(),
-            target: PackingTarget::Fixed(config.tree_budget(g.node_count())),
+            mst: MstConfig::default(),
+            packing: tree_budget(g.node_count()),
             sample: None,
         },
     )
@@ -119,11 +112,11 @@ pub fn su_baseline(
         return Err(MinCutError::TooSmall { nodes: n });
     }
     let lambda_hat = g.min_weighted_degree().expect("n ≥ 2").max(1);
-    let p = sampling_probability(lambda_hat, skeleton_target(n, config.eps, 2.0));
+    let p = sampling_probability(lambda_hat, skeleton_target(n, EPS, 2.0));
     let opts = PipelineOpts {
         network: config.network.clone(),
-        mst: config.mst.clone(),
-        target: PackingTarget::Fixed(config.tree_budget(n)),
+        mst: MstConfig::default(),
+        packing: tree_budget(n),
         sample: (p < 1.0).then_some((p, config.seed)),
     };
     match run_baseline(g, &opts) {

@@ -48,7 +48,7 @@ use crate::dist::one_respect::{
     SideFlood, SideInput, SideMsg, SizesUp, SumItem, TfItem, TfShape, Token, TokensInput, TokensUp,
     TotItem,
 };
-use crate::dist::packing::{better, Cand, PackingTarget};
+use crate::dist::packing::{better, Cand};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::primitives::broadcast::{Route, StreamInput};
@@ -178,7 +178,7 @@ pub fn exact_mincut(
     let opts = PipelineOpts {
         network: config.network.clone(),
         mst: config.mst.clone(),
-        target: PackingTarget::TrackBest(config.packing.clone()),
+        packing: config.packing.clone(),
         sample: None,
     };
     run_pipeline(g, &opts, None, None).map_err(|(e, _)| e)
@@ -195,8 +195,9 @@ pub(crate) struct PipelineOpts {
     pub network: NetworkConfig,
     /// MST stage setting.
     pub mst: MstConfig,
-    /// Packing-size policy.
-    pub target: PackingTarget,
+    /// Packing-size policy, re-evaluated as the best cut value `λ̂`
+    /// improves.
+    pub packing: PackingConfig,
     /// `Some((p, seed))`: pack trees on the Karger skeleton sampled with
     /// probability `p` (shared coins keyed by `(seed, edge id)`); cuts
     /// are always *evaluated* with the original weights.
@@ -1667,7 +1668,7 @@ fn drive_packing(
             pl.install_snap(tree);
         }
     }
-    while packed < opts.target.target(n, best_value) {
+    while packed < opts.packing.target_trees(n, best_value) {
         pl.reset_tree();
         pl.mst_phase_a_opt()?;
         let chosen = pl.mst_phase_b()?;
@@ -1750,7 +1751,7 @@ mod tests {
         PipelineOpts {
             network: NetworkConfig::default(),
             mst: MstConfig::default(),
-            target: PackingTarget::Fixed(k),
+            packing: PackingConfig::fixed(k),
             sample: None,
         }
     }

@@ -57,27 +57,6 @@ pub fn better(a: Option<Cand>, b: Option<Cand>) -> Option<Cand> {
     }
 }
 
-/// How the packing loop decides how many trees to pack.
-#[derive(Clone, Debug)]
-pub enum PackingTarget {
-    /// Re-evaluate the configured policy as the upper bound `λ̂`
-    /// improves — the exact algorithm's behaviour, mirroring
-    /// [`crate::seq::tree_packing::PackingConfig::target_trees`].
-    TrackBest(crate::seq::tree_packing::PackingConfig),
-    /// Pack exactly this many trees (skeleton rungs, baselines).
-    Fixed(usize),
-}
-
-impl PackingTarget {
-    /// Trees to pack given `n` and the current best known cut value.
-    pub fn target(&self, n: usize, lambda_hat: u64) -> usize {
-        match self {
-            PackingTarget::TrackBest(cfg) => cfg.target_trees(n, lambda_hat),
-            PackingTarget::Fixed(k) => (*k).max(1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,23 +78,6 @@ mod tests {
         assert_eq!(better(None, Some(b)), Some(b));
         assert_eq!(better(Some(a), None), Some(a));
         assert_eq!(better(None, None), None);
-    }
-
-    #[test]
-    fn fixed_target_is_constant_and_positive() {
-        let t = PackingTarget::Fixed(3);
-        assert_eq!(t.target(100, 1), 3);
-        assert_eq!(t.target(10, 99), 3);
-        assert_eq!(PackingTarget::Fixed(0).target(5, 5), 1);
-    }
-
-    #[test]
-    fn track_best_mirrors_sequential_policy() {
-        let cfg = crate::seq::tree_packing::PackingConfig::default();
-        let t = PackingTarget::TrackBest(cfg.clone());
-        for (n, l) in [(36usize, 4u64), (144, 4), (20, 1)] {
-            assert_eq!(t.target(n, l), cfg.target_trees(n, l));
-        }
     }
 
     #[test]

@@ -101,7 +101,6 @@ use crate::dist::driver::{
     run_pipeline, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree,
     ResumeSpec,
 };
-use crate::dist::packing::PackingTarget;
 use crate::seq::stoer_wagner;
 use crate::MinCutError;
 use congest::primitives::failure_detector::{FailureDetector, JoinEcho};
@@ -434,7 +433,7 @@ pub fn recover_mincut(
         let opts = PipelineOpts {
             network: cfg.base.network.clone().with_fault_plan(plan.clone()),
             mst: cfg.base.mst.clone(),
-            target: PackingTarget::TrackBest(cfg.base.packing.clone()),
+            packing: cfg.base.packing.clone(),
             sample: None,
         };
         let mut attempt_log = RecoveryLog::default();
@@ -878,7 +877,7 @@ mod tests {
         let opts = PipelineOpts {
             network: base.network.clone(),
             mst: base.mst.clone(),
-            target: PackingTarget::TrackBest(base.packing.clone()),
+            packing: base.packing.clone(),
             sample: None,
         };
         let mut log = RecoveryLog::default();
@@ -947,10 +946,7 @@ mod tests {
         // the second finishes (its "s5g" improvement broadcast) — two
         // checkpointed trees, one still to pack.
         let base = ExactConfig {
-            packing: crate::seq::tree_packing::PackingConfig {
-                size: crate::seq::tree_packing::PackingSize::Fixed(3),
-                max_trees: 3,
-            },
+            packing: crate::seq::tree_packing::PackingConfig::fixed(3),
             ..Default::default()
         };
         let clean = exact_mincut(&g, &base).unwrap();

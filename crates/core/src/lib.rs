@@ -10,9 +10,9 @@
 //!   tree** (Section 2, via Karger's identity `C(v↓) = δ↓(v) − 2ρ↓(v)`);
 //! * a `(1+ε)`-approximation in `Õ((√n + D)/poly(ε))` rounds via Karger's
 //!   skeleton sampling;
-//! * sequential oracles (Stoer–Wagner, Karger–Stein, brute force, the
-//!   1-respecting dynamic program, Nagamochi–Ibaraki/Matula) used for
-//!   verification and baselines;
+//! * sequential oracles (Stoer–Wagner, brute force, greedy packing, the
+//!   1- and 2-respecting dynamic programs, the Matula-style estimator)
+//!   used for verification and baselines;
 //! * distributed baselines in the spirit of Ghaffari–Kuhn (2+ε) and Su's
 //!   concurrent sampling algorithm.
 //!

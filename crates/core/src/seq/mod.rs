@@ -1,5 +1,6 @@
-//! Sequential algorithms: exact oracles, the 1-respecting dynamic program,
-//! tree packing, sparsification, and the Matula-style `(2+ε)` estimator.
+//! Sequential algorithms: exact oracles (Stoer–Wagner, brute force), the
+//! 1- and 2-respecting dynamic programs, greedy tree packing, Karger
+//! skeleton sampling, and the Matula-style `(2+ε)` estimator.
 //!
 //! Everything here exists for two reasons: (1) as verification oracles for
 //! the distributed pipeline, and (2) as the sequential baselines the
@@ -7,7 +8,6 @@
 
 pub mod brute_force;
 pub mod karger_dp;
-pub mod karger_stein;
 pub mod nagamochi_ibaraki;
 pub mod sampling;
 pub mod stoer_wagner;
@@ -16,8 +16,7 @@ pub mod two_respect;
 
 pub use brute_force::mincut_brute;
 pub use karger_dp::{min_one_respecting, one_respecting_cuts};
-pub use karger_stein::{karger_stein, karger_stein_repeated};
-pub use nagamochi_ibaraki::{matula_estimate, ni_certificate_mask};
+pub use nagamochi_ibaraki::matula_estimate;
 pub use sampling::{binomial, skeleton, splitmix64};
 pub use stoer_wagner::stoer_wagner;
 pub use tree_packing::{greedy_packing, packing_mincut, PackingConfig, PackingSize};

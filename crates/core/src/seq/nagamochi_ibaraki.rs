@@ -1,76 +1,24 @@
-//! Nagamochi–Ibaraki sparse certificates and a Matula-style `(2+ε)`
-//! minimum-cut estimator — the sequential stand-in for the approximation
-//! quality of Ghaffari–Kuhn's `(2+ε)` algorithm, which experiment E4
-//! sets beside the paper's `(1+ε)` ladder.
+//! A Matula-style `(2+ε)` minimum-cut estimator — the sequential stand-in
+//! for the approximation quality of Ghaffari–Kuhn's `(2+ε)` algorithm,
+//! which experiment E4 sets beside the paper's `(1+ε)` ladder.
 //!
-//! The NI scan (maximum-adjacency order) partitions edges into forests
-//! `F₁, F₂, …`; the union of the first `k` forests preserves every cut of
-//! value `< k`. Matula's algorithm alternates "contract non-certificate
-//! edges" with "re-read the minimum degree" to certify a value `λ̂` with
-//! `λ ≤ λ̂ ≤ (2+ε)·λ`.
+//! The Nagamochi–Ibaraki scan (maximum-adjacency order) partitions edges
+//! into forests `F₁, F₂, …`; the union of the first `k` forests preserves
+//! every cut of value `< k`. Matula's algorithm alternates "contract the
+//! edges beyond the first `k` forests" with "re-read the minimum degree"
+//! to certify a value `λ̂` with `λ ≤ λ̂ ≤ (2+ε)·λ`.
 
 use crate::MinCutError;
-use graphs::{EdgeId, Weight, WeightedGraph};
+use graphs::{Weight, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Computes the weighted NI certificate mask for threshold `k`: edge `e` is
-/// **kept** iff it intersects the first `k` scan forests (for weighted
-/// graphs an edge scanned when its endpoint had accumulated connectivity
-/// `r` covers forests `r+1 ..= r+w`). Cuts of value `< k` are fully
-/// preserved by the kept edges.
-///
-/// Returns `keep[e]` per edge.
-pub fn ni_certificate_mask(g: &WeightedGraph, k: Weight) -> Vec<bool> {
-    let n = g.node_count();
-    let mut keep = vec![false; g.edge_count()];
-    if n == 0 {
-        return keep;
-    }
-    let mut scanned = vec![false; n];
-    // r[v]: total weight of already-kept... in NI scanning, r[v] is the
-    // connectivity of v to the scanned set.
-    let mut r: Vec<Weight> = vec![0; n];
-    let mut heap: BinaryHeap<(Weight, Reverse<usize>)> = BinaryHeap::new();
-    for start in 0..n {
-        if scanned[start] {
-            continue;
-        }
-        heap.push((0, Reverse(start)));
-        while let Some((key, Reverse(v))) = heap.pop() {
-            if scanned[v] || key != r[v] {
-                continue;
-            }
-            scanned[v] = true;
-            for a in g.neighbors(graphs::NodeId::from_index(v)) {
-                let u = a.neighbor.index();
-                if scanned[u] {
-                    continue;
-                }
-                // Edge (v, u) covers forests r[u]+1 ..= r[u]+w.
-                if r[u] < k {
-                    keep[a.edge.index()] = true;
-                }
-                r[u] += a.weight;
-                heap.push((r[u], Reverse(u)));
-            }
-        }
-    }
-    keep
-}
-
-/// The edges of the first-`k`-forests certificate as a subgraph.
-pub fn ni_certificate(g: &WeightedGraph, k: Weight) -> WeightedGraph {
-    let keep = ni_certificate_mask(g, k);
-    graphs::ops::edge_subgraph(g, &keep)
-}
 
 /// Edges that are **safe to contract** at threshold `k`: edge `e = (v, u)`
 /// (scanned when `u` had accumulated connectivity `r`) has a unit of weight
 /// beyond the first `k` forests iff `r + w > k`, which by Nagamochi–Ibaraki
 /// certifies that `u` and `v` are `k`-edge-connected. Contracting them
 /// preserves every cut of value `< k`.
-pub fn ni_contractible_mask(g: &WeightedGraph, k: Weight) -> Vec<bool> {
+fn ni_contractible_mask(g: &WeightedGraph, k: Weight) -> Vec<bool> {
     let n = g.node_count();
     let mut contract = vec![false; g.edge_count()];
     if n == 0 {
@@ -180,16 +128,6 @@ pub fn matula_estimate(g: &WeightedGraph, eps: f64) -> Result<Weight, MinCutErro
     Ok(best)
 }
 
-/// Returns the ids of edges kept by the certificate (helper for tests).
-pub fn ni_certificate_edges(g: &WeightedGraph, k: Weight) -> Vec<EdgeId> {
-    ni_certificate_mask(g, k)
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b)
-        .map(|(i, _)| EdgeId::from_index(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,33 +135,6 @@ mod tests {
     use graphs::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn certificate_preserves_small_cuts() {
-        let mut rng = StdRng::seed_from_u64(19);
-        for n in [10usize, 20, 30] {
-            let base = generators::erdos_renyi_connected(n, 0.3, &mut rng).unwrap();
-            let g = generators::randomize_weights(&base, 1, 4, &mut rng).unwrap();
-            let lambda = stoer_wagner(&g).unwrap().value;
-            let cert = ni_certificate(&g, lambda + 1);
-            // The certificate is connected and has the same minimum cut.
-            let cert_lambda = stoer_wagner(&cert).unwrap().value;
-            assert_eq!(cert_lambda, lambda, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn certificate_is_sparse() {
-        // Dense graph, small threshold: certificate has ≤ k(n-1) weight-1
-        // edges (unweighted case).
-        let g = generators::complete(30, 1).unwrap();
-        let k = 3;
-        let edges = ni_certificate_edges(&g, k);
-        assert!(edges.len() <= (k as usize) * 29, "{} edges", edges.len());
-        // And it preserves connectivity.
-        let cert = ni_certificate(&g, k);
-        assert!(graphs::traversal::is_connected(&cert));
-    }
 
     #[test]
     fn matula_is_within_factor() {

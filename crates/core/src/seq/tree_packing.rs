@@ -50,25 +50,15 @@ impl PartialOrd for LoadKey {
 }
 
 /// How many trees to pack.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum PackingSize {
-    /// Thorup's theoretical bound `⌈λ̂⁷ ln³ n⌉` (capped by `max_trees`;
-    /// astronomically conservative, kept for completeness).
-    Thorup,
-    /// `⌈factor · λ̂ · ln n⌉`, re-evaluated as the upper bound `λ̂` improves
-    /// (the practical default; E1 validates it).
-    Heuristic {
-        /// Multiplier on `λ̂ ln n`.
-        factor: f64,
-    },
+    /// `⌈2 · λ̂ · ln n⌉`, re-evaluated as the upper bound `λ̂` improves
+    /// (the practical default; E1 validates it against Thorup's
+    /// `λ̂⁷ ln³ n`).
+    #[default]
+    Heuristic,
     /// Exactly this many trees.
     Fixed(usize),
-}
-
-impl Default for PackingSize {
-    fn default() -> Self {
-        PackingSize::Heuristic { factor: 2.0 }
-    }
 }
 
 /// Packing configuration.
@@ -90,15 +80,19 @@ impl Default for PackingConfig {
 }
 
 impl PackingConfig {
+    /// Exactly `k` trees; a zero budget still packs one.
+    pub fn fixed(k: usize) -> Self {
+        PackingConfig {
+            size: PackingSize::Fixed(k),
+            max_trees: k.max(1),
+        }
+    }
+
     /// Trees to pack given the current upper bound `λ̂` on the minimum cut.
     pub fn target_trees(&self, n: usize, lambda_hat: Weight) -> usize {
         let ln_n = (n.max(2) as f64).ln();
         let t = match self.size {
-            PackingSize::Thorup => {
-                let l = lambda_hat.max(1) as f64;
-                (l.powi(7) * ln_n.powi(3)).ceil()
-            }
-            PackingSize::Heuristic { factor } => (factor * lambda_hat.max(1) as f64 * ln_n).ceil(),
+            PackingSize::Heuristic => (2.0 * lambda_hat.max(1) as f64 * ln_n).ceil(),
             PackingSize::Fixed(k) => k as f64,
         };
         (t.max(1.0) as usize).min(self.max_trees)
@@ -318,20 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn fixed_and_thorup_sizes() {
+    fn fixed_and_heuristic_sizes() {
         let g = generators::cycle(5).unwrap();
-        let cfg = PackingConfig {
-            size: PackingSize::Fixed(3),
-            max_trees: 256,
-        };
-        let r = packing_mincut(&g, &cfg).unwrap();
+        let r = packing_mincut(&g, &PackingConfig::fixed(3)).unwrap();
         assert_eq!(r.trees_packed, 3);
-        // Thorup's bound is capped by max_trees.
+        assert_eq!(PackingConfig::fixed(3).target_trees(100, 1), 3);
+        assert_eq!(PackingConfig::fixed(3).target_trees(10, 99), 3);
+        // A zero budget still packs one tree.
+        assert_eq!(PackingConfig::fixed(0).target_trees(5, 5), 1);
+        // The heuristic is capped by max_trees.
         let cfg = PackingConfig {
-            size: PackingSize::Thorup,
+            size: PackingSize::Heuristic,
             max_trees: 10,
         };
-        assert_eq!(cfg.target_trees(5, 2), 10);
+        assert_eq!(cfg.target_trees(5, 1_000), 10);
         let r = packing_mincut(&g, &cfg).unwrap();
         assert_eq!(r.cut.value, 2);
     }

@@ -15,7 +15,7 @@
 
 use mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut::dist::mst::MstConfig;
-use mincut::seq::tree_packing::{greedy_packing, packing_mincut, PackingConfig, PackingSize};
+use mincut::seq::tree_packing::{greedy_packing, packing_mincut, PackingConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,10 +28,7 @@ fn random_tree(n: usize, rng: &mut StdRng) -> graphs::WeightedGraph {
 }
 
 fn assert_parity(tag: &str, g: &graphs::WeightedGraph, trees: usize) {
-    let packing = PackingConfig {
-        size: PackingSize::Fixed(trees),
-        max_trees: trees,
-    };
+    let packing = PackingConfig::fixed(trees);
     let cfg = ExactConfig {
         packing: packing.clone(),
         ..Default::default()

@@ -71,19 +71,6 @@ pub fn cut_result(g: &WeightedGraph, side: Vec<bool>) -> CutResult {
     CutResult { side, value }
 }
 
-/// Builds a [`CutResult`] whose side `X` is the given node set.
-///
-/// # Panics
-///
-/// Panics if any node is out of range.
-pub fn cut_of_set(g: &WeightedGraph, set: &[NodeId]) -> CutResult {
-    let mut side = vec![false; g.node_count()];
-    for &v in set {
-        side[v.index()] = true;
-    }
-    cut_result(g, side)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,13 +110,13 @@ mod tests {
     #[test]
     fn cut_result_helpers() {
         let g = square();
-        let r = cut_of_set(&g, &[NodeId::new(1)]);
+        let r = cut_result(&g, vec![false, true, false, false]);
         assert_eq!(r.value, 3);
         assert!(r.is_proper());
         assert_eq!(r.side_size(), 1);
         assert_eq!(r.smaller_side(), vec![NodeId::new(1)]);
 
-        let empty = cut_of_set(&g, &[]);
+        let empty = cut_result(&g, vec![false; 4]);
         assert!(!empty.is_proper());
     }
 

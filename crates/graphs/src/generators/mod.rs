@@ -10,8 +10,8 @@
 //!
 //! * [`structured`] — paths, cycles, stars, complete graphs, 2-D grids and
 //!   tori, hypercubes, caterpillars;
-//! * [`random`] — Erdős–Rényi `G(n, p)` (optionally forced connected),
-//!   `G(n, m)`, random geometric graphs;
+//! * [`random`] — Erdős–Rényi `G(n, p)` forced connected, random
+//!   geometric graphs;
 //! * [`regular`] — random `d`-regular graphs (configuration model);
 //! * [`planted`] — instances with a planted minimum cut: clique pairs,
 //!   community pairs, barbells, lollipops;
@@ -28,7 +28,7 @@ pub mod weights;
 
 pub use lower_bound::das_sarma_style;
 pub use planted::{barbell, clique_pair, community_pair, lollipop, PlantedCut};
-pub use random::{erdos_renyi, erdos_renyi_connected, gnm_connected, random_geometric};
+pub use random::{erdos_renyi_connected, random_geometric};
 pub use regular::random_regular;
 pub use structured::{
     caterpillar, complete, cycle, grid2d, hypercube, path, star, torus2d, torus3d_with_chords,

@@ -6,7 +6,7 @@
 //! verifiable.
 
 use super::{invalid, GeneratorError};
-use crate::{NodeId, Weight, WeightedGraph};
+use crate::{Weight, WeightedGraph};
 use rand::Rng;
 
 /// A generated instance with its planted cut.
@@ -205,16 +205,6 @@ impl PlantedCut {
     pub fn verify_planted_value(&self) -> bool {
         crate::cut::cut_of_side(&self.graph, &self.side) == self.planted_value
     }
-
-    /// The nodes on the planted left side.
-    pub fn left_side(&self) -> Vec<NodeId> {
-        self.side
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +244,7 @@ mod tests {
         assert_eq!(p.graph.node_count(), 60);
         assert!(p.verify_planted_value());
         assert_connected(&p.graph);
-        assert_eq!(p.left_side().len(), 30);
+        assert_eq!(p.side.iter().filter(|&&b| b).count(), 30);
     }
 
     #[test]

@@ -1,32 +1,16 @@
-//! Random graph families: Erdős–Rényi and random geometric graphs.
+//! Random graph families: connected Erdős–Rényi and random geometric
+//! graphs.
 
 use super::{connect_components, invalid, GeneratorError};
 use crate::{Weight, WeightedGraph};
 use rand::Rng;
-
-/// Erdős–Rényi `G(n, p)` with unit weights. Not necessarily connected.
-///
-/// # Errors
-///
-/// Fails if `n == 0` or `p` is not in `[0, 1]`.
-pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<WeightedGraph, GeneratorError> {
-    if n == 0 {
-        return Err(invalid("G(n, p) requires n ≥ 1"));
-    }
-    if !(0.0..=1.0).contains(&p) {
-        return Err(invalid("p must be in [0, 1]"));
-    }
-    let mut edges = Vec::new();
-    sample_gnp_edges(n, p, rng, &mut edges);
-    Ok(WeightedGraph::from_edges(n, edges)?)
-}
 
 /// Erdős–Rényi `G(n, p)` made connected by linking leftover components with
 /// random unit edges. Unit weights.
 ///
 /// # Errors
 ///
-/// Same as [`erdos_renyi`].
+/// Fails if `n == 0` or `p` is not in `[0, 1]`.
 pub fn erdos_renyi_connected<R: Rng>(
     n: usize,
     p: f64,
@@ -40,42 +24,6 @@ pub fn erdos_renyi_connected<R: Rng>(
     }
     let mut edges = Vec::new();
     sample_gnp_edges(n, p, rng, &mut edges);
-    connect_components(n, &mut edges, rng);
-    Ok(WeightedGraph::from_edges(n, edges)?)
-}
-
-/// `G(n, m)`-style random graph with exactly `m` distinct edges (before the
-/// connectivity patch) plus whatever the connectivity patch adds; unit
-/// weights.
-///
-/// # Errors
-///
-/// Fails if `m` exceeds `n·(n−1)/2` or `n == 0`.
-pub fn gnm_connected<R: Rng>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<WeightedGraph, GeneratorError> {
-    if n == 0 {
-        return Err(invalid("G(n, m) requires n ≥ 1"));
-    }
-    let max_m = n.saturating_mul(n.saturating_sub(1)) / 2;
-    if m > max_m {
-        return Err(invalid(format!("m = {m} exceeds max {max_m}")));
-    }
-    let mut set = std::collections::HashSet::with_capacity(m);
-    let mut edges: Vec<(u32, u32, Weight)> = Vec::with_capacity(m);
-    while edges.len() < m {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
-        if u == v {
-            continue;
-        }
-        let key = if u < v { (u, v) } else { (v, u) };
-        if set.insert(key) {
-            edges.push((key.0, key.1, 1));
-        }
-    }
     connect_components(n, &mut edges, rng);
     Ok(WeightedGraph::from_edges(n, edges)?)
 }
@@ -183,7 +131,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 200;
         let p = 0.1;
-        let g = erdos_renyi(n, p, &mut rng).unwrap();
+        let g = erdos_renyi_connected(n, p, &mut rng).unwrap();
         let expected = (n * (n - 1) / 2) as f64 * p;
         let m = g.edge_count() as f64;
         assert!(
@@ -195,10 +143,13 @@ mod tests {
     #[test]
     fn gnp_extremes() {
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(erdos_renyi(10, 0.0, &mut rng).unwrap().edge_count(), 0);
-        assert_eq!(erdos_renyi(10, 1.0, &mut rng).unwrap().edge_count(), 45);
-        assert!(erdos_renyi(0, 0.5, &mut rng).is_err());
-        assert!(erdos_renyi(5, 1.5, &mut rng).is_err());
+        let mut edges = |p| erdos_renyi_connected(10, p, &mut rng).map(|g| g.edge_count());
+        // At p = 0 the connectivity patch alone joins the 10 singletons
+        // into a tree.
+        assert_eq!(edges(0.0), Ok(9));
+        assert_eq!(edges(1.0), Ok(45));
+        assert!(erdos_renyi_connected(0, 0.5, &mut rng).is_err());
+        assert!(erdos_renyi_connected(5, 1.5, &mut rng).is_err());
     }
 
     #[test]
@@ -208,15 +159,6 @@ mod tests {
             let g = erdos_renyi_connected(n, 0.01, &mut rng).unwrap();
             assert!(is_connected(&g), "n = {n}");
         }
-    }
-
-    #[test]
-    fn gnm_has_requested_edges() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = gnm_connected(50, 100, &mut rng).unwrap();
-        assert!(g.edge_count() >= 100);
-        assert_connected(&g);
-        assert!(gnm_connected(5, 100, &mut rng).is_err());
     }
 
     #[test]

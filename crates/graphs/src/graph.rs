@@ -133,22 +133,6 @@ impl WeightedGraph {
         self.weights[e.index()]
     }
 
-    /// Given edge `e` and one endpoint `v`, returns the other endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not an endpoint of `e`.
-    pub fn other_endpoint(&self, e: EdgeId, v: NodeId) -> NodeId {
-        let (a, b) = self.endpoints(e);
-        if v == a {
-            b
-        } else if v == b {
-            a
-        } else {
-            panic!("{v} is not an endpoint of {e}")
-        }
-    }
-
     /// The adjacency list of `v`, sorted by neighbor index.
     ///
     /// # Panics
@@ -197,11 +181,6 @@ impl WeightedGraph {
             .zip(self.weights.iter())
             .enumerate()
             .map(|(i, (&(u, v), &w))| (EdgeId::from_index(i), u, v, w))
-    }
-
-    /// Maximum edge weight, or 0 for an edgeless graph.
-    pub fn max_weight(&self) -> Weight {
-        self.weights.iter().copied().max().unwrap_or(0)
     }
 
     /// Minimum weighted degree over all nodes; an upper bound on the minimum
@@ -504,7 +483,7 @@ mod tests {
         assert_eq!(ns, vec![1, 2, 3, 4]);
         for v in g.nodes() {
             for a in g.neighbors(v) {
-                assert_eq!(g.other_endpoint(a.edge, v), a.neighbor);
+                assert_eq!(g.endpoints(a.edge), (v.min(a.neighbor), v.max(a.neighbor)));
                 assert_eq!(g.weight(a.edge), a.weight);
             }
         }
@@ -532,16 +511,5 @@ mod tests {
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.min_weighted_degree(), None);
-        assert_eq!(g.max_weight(), 0);
-    }
-
-    #[test]
-    fn other_endpoint_panics_for_non_endpoint() {
-        let g = triangle();
-        let result = std::panic::catch_unwind(|| {
-            let e = g.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
-            g.other_endpoint(e, NodeId::new(2))
-        });
-        assert!(result.is_err());
     }
 }

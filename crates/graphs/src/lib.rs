@@ -9,9 +9,9 @@
 //! * [`generators`] — the graph families used by the experiment suite
 //!   (random connected, tori, expanders, planted-cut instances,
 //!   lower-bound instances, …);
-//! * [`traversal`] — BFS/DFS, connected components, diameter;
+//! * [`traversal`] — BFS, connectivity, diameter;
 //! * [`cut`] — evaluating the value of a cut given one side;
-//! * [`ops`] — subgraph sampling and contraction helpers.
+//! * [`ops`] — reweighting and contraction helpers.
 //!
 //! # Example
 //!

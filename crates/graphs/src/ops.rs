@@ -1,25 +1,9 @@
-//! Graph operations: edge-subset subgraphs, reweighting, and contraction.
+//! Graph operations: reweighting and contraction.
 //!
-//! These are used by the sampling-based algorithms (Karger skeletons, the
-//! Su-style baseline) and by the sequential contraction algorithms.
+//! Reweighting builds the Karger skeletons of the sampling-based
+//! algorithms; contraction serves the Matula-style estimator.
 
 use crate::{EdgeId, GraphError, NodeId, Weight, WeightedGraph};
-
-/// Returns the subgraph containing exactly the edges with `keep[e] == true`,
-/// on the same node set (node indices are preserved).
-///
-/// # Panics
-///
-/// Panics if `keep.len() != g.edge_count()`.
-pub fn edge_subgraph(g: &WeightedGraph, keep: &[bool]) -> WeightedGraph {
-    assert_eq!(keep.len(), g.edge_count(), "edge mask length must equal m");
-    let edges = g
-        .edge_tuples()
-        .filter(|(e, _, _, _)| keep[e.index()])
-        .map(|(_, u, v, w)| (u.raw(), v.raw(), w));
-    WeightedGraph::from_edges(g.node_count(), edges)
-        .expect("subgraph of a valid graph is always valid")
-}
 
 /// Returns a graph with the same topology but weights replaced by
 /// `new_weight(e)`; edges mapped to weight 0 are dropped.
@@ -76,17 +60,9 @@ pub fn contract_by_labels(g: &WeightedGraph, labels: &[u32]) -> Result<Contracti
     Ok(Contraction { graph, super_node })
 }
 
-/// Keeps each edge independently with probability `p` using the supplied
-/// random source; returns the edge mask. Deterministic given the RNG state.
-pub fn bernoulli_edge_mask<R: rand::Rng>(g: &WeightedGraph, p: f64, rng: &mut R) -> Vec<bool> {
-    g.edges().map(|_| rng.gen_bool(p.clamp(0.0, 1.0))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn k4() -> WeightedGraph {
         WeightedGraph::from_edges(
@@ -101,20 +77,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn subgraph_keeps_selected_edges() {
-        let g = k4();
-        let mut keep = vec![false; 6];
-        keep[0] = true; // (0,1)
-        keep[5] = true; // (2,3)
-        let s = edge_subgraph(&g, &keep);
-        assert_eq!(s.node_count(), 4);
-        assert_eq!(s.edge_count(), 2);
-        assert!(s.edge_between(NodeId::new(0), NodeId::new(1)).is_some());
-        assert!(s.edge_between(NodeId::new(2), NodeId::new(3)).is_some());
-        assert!(s.edge_between(NodeId::new(0), NodeId::new(2)).is_none());
     }
 
     #[test]
@@ -150,14 +112,6 @@ mod tests {
                 nodes: 4
             })
         );
-    }
-
-    #[test]
-    fn bernoulli_mask_extremes() {
-        let g = k4();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(bernoulli_edge_mask(&g, 1.0, &mut rng).iter().all(|&b| b));
-        assert!(bernoulli_edge_mask(&g, 0.0, &mut rng).iter().all(|&b| !b));
     }
 
     #[test]

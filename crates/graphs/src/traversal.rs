@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversals, connectivity, and diameter.
+//! Breadth-first traversal, connectivity, and diameter.
 
 use crate::{NodeId, WeightedGraph};
 use std::collections::VecDeque;
@@ -53,33 +53,6 @@ pub fn is_connected(g: &WeightedGraph) -> bool {
     r.order.len() == g.node_count()
 }
 
-/// Labels connected components; returns `(labels, component_count)` where
-/// `labels[v]` is in `0..component_count` and components are numbered by
-/// their smallest node.
-pub fn connected_components(g: &WeightedGraph) -> (Vec<u32>, usize) {
-    let n = g.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0u32;
-    for s in 0..n {
-        if label[s] != u32::MAX {
-            continue;
-        }
-        let mut q = VecDeque::new();
-        label[s] = count;
-        q.push_back(NodeId::from_index(s));
-        while let Some(v) = q.pop_front() {
-            for a in g.neighbors(v) {
-                if label[a.neighbor.index()] == u32::MAX {
-                    label[a.neighbor.index()] = count;
-                    q.push_back(a.neighbor);
-                }
-            }
-        }
-        count += 1;
-    }
-    (label, count as usize)
-}
-
 /// Exact eccentricity of `v`: the maximum hop distance to any reachable node.
 pub fn eccentricity(g: &WeightedGraph, v: NodeId) -> u32 {
     bfs(g, v)
@@ -117,51 +90,6 @@ pub fn two_sweep_diameter(g: &WeightedGraph) -> u32 {
     eccentricity(g, far)
 }
 
-/// DFS preorder and postorder from `src` (iterative, stack-based).
-#[derive(Clone, Debug)]
-pub struct DfsResult {
-    /// Nodes in preorder.
-    pub preorder: Vec<NodeId>,
-    /// Nodes in postorder.
-    pub postorder: Vec<NodeId>,
-    /// `parent[v]` in the DFS tree (None for the source and unvisited nodes).
-    pub parent: Vec<Option<NodeId>>,
-}
-
-/// Runs an iterative DFS from `src`.
-pub fn dfs(g: &WeightedGraph, src: NodeId) -> DfsResult {
-    let n = g.node_count();
-    let mut parent = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut preorder = Vec::new();
-    let mut postorder = Vec::new();
-    // Stack of (node, next neighbor index to try).
-    let mut stack: Vec<(NodeId, usize)> = vec![(src, 0)];
-    visited[src.index()] = true;
-    preorder.push(src);
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        let adj = g.neighbors(v);
-        if *i < adj.len() {
-            let u = adj[*i].neighbor;
-            *i += 1;
-            if !visited[u.index()] {
-                visited[u.index()] = true;
-                parent[u.index()] = Some(v);
-                preorder.push(u);
-                stack.push((u, 0));
-            }
-        } else {
-            postorder.push(v);
-            stack.pop();
-        }
-    }
-    DfsResult {
-        preorder,
-        postorder,
-        parent,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,11 +113,6 @@ mod tests {
         assert!(is_connected(&path(4)));
         let g = WeightedGraph::from_edges(4, [(0, 1, 1), (2, 3, 1)]).unwrap();
         assert!(!is_connected(&g));
-        let (labels, c) = connected_components(&g);
-        assert_eq!(c, 2);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
     }
 
     #[test]
@@ -210,19 +133,6 @@ mod tests {
         assert!(is_connected(&g));
         assert_eq!(exact_diameter(&g), 0);
         assert_eq!(two_sweep_diameter(&g), 0);
-    }
-
-    #[test]
-    fn dfs_visits_all_reachable() {
-        let g = path(6);
-        let r = dfs(&g, NodeId::new(0));
-        assert_eq!(r.preorder.len(), 6);
-        assert_eq!(r.postorder.len(), 6);
-        // On a path from node 0, preorder is the path order and postorder is
-        // its reverse.
-        assert_eq!(r.preorder.first(), Some(&NodeId::new(0)));
-        assert_eq!(r.postorder.last(), Some(&NodeId::new(0)));
-        assert_eq!(r.parent[5], Some(NodeId::new(4)));
     }
 
     #[test]

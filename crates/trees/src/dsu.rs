@@ -79,12 +79,6 @@ impl DisjointSets {
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +96,6 @@ mod tests {
         assert_eq!(d.set_count(), 3);
         assert!(d.same(1, 3));
         assert!(!d.same(1, 4));
-        assert_eq!(d.set_size(3), 4);
-        assert_eq!(d.set_size(5), 1);
     }
 
     #[test]

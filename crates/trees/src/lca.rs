@@ -1,8 +1,6 @@
-//! Lowest common ancestors: sparse-table RMQ over the Euler tour (O(n log n)
-//! build, O(1) query) and binary lifting (O(n log n) build, O(log n) query).
-//!
-//! Both structures exist so they can cross-check each other and serve as the
-//! sequential oracle for the paper's distributed LCA computation (Step 5).
+//! Lowest common ancestors by sparse-table RMQ over the Euler tour
+//! (O(n log n) build, O(1) query): the sequential oracle for the paper's
+//! distributed LCA computation (Step 5).
 
 use crate::euler::EulerTour;
 use crate::RootedTree;
@@ -75,80 +73,6 @@ impl SparseTableLca {
     }
 }
 
-/// O(log n)-query LCA via binary lifting, with ancestor-at-distance queries.
-#[derive(Clone, Debug)]
-pub struct BinaryLiftingLca {
-    /// `up[k][v]` = the `2^k`-th ancestor of `v` (clamped at the root).
-    up: Vec<Vec<u32>>,
-    depth: Vec<u32>,
-}
-
-impl BinaryLiftingLca {
-    /// Builds the structure for `tree`.
-    pub fn new(tree: &RootedTree) -> Self {
-        let n = tree.len();
-        let levels = (usize::BITS - n.max(1).leading_zeros()) as usize;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(levels.max(1));
-        let base: Vec<u32> = (0..n)
-            .map(|v| {
-                tree.parent(NodeId::from_index(v))
-                    .map(|p| p.raw())
-                    .unwrap_or(v as u32)
-            })
-            .collect();
-        up.push(base);
-        for k in 1..levels.max(1) {
-            let prev = &up[k - 1];
-            let row: Vec<u32> = (0..n).map(|v| prev[prev[v] as usize]).collect();
-            up.push(row);
-        }
-        let depth = (0..n).map(|v| tree.depth(NodeId::from_index(v))).collect();
-        BinaryLiftingLca { up, depth }
-    }
-
-    /// The ancestor of `v` at distance `d` (clamped at the root).
-    pub fn ancestor_at(&self, v: NodeId, d: u32) -> NodeId {
-        let mut x = v.raw();
-        let mut d = d;
-        let mut k = 0;
-        while d > 0 && k < self.up.len() {
-            if d & 1 == 1 {
-                x = self.up[k][x as usize];
-            }
-            d >>= 1;
-            k += 1;
-        }
-        NodeId::new(x)
-    }
-
-    /// Returns the lowest common ancestor of `u` and `v`.
-    pub fn lca(&self, u: NodeId, v: NodeId) -> NodeId {
-        let (mut a, mut b) = (u, v);
-        let (da, db) = (self.depth[a.index()], self.depth[b.index()]);
-        if da > db {
-            a = self.ancestor_at(a, da - db);
-        } else if db > da {
-            b = self.ancestor_at(b, db - da);
-        }
-        if a == b {
-            return a;
-        }
-        for k in (0..self.up.len()).rev() {
-            let (na, nb) = (self.up[k][a.index()], self.up[k][b.index()]);
-            if na != nb {
-                a = NodeId::new(na);
-                b = NodeId::new(nb);
-            }
-        }
-        NodeId::new(self.up[0][a.index()])
-    }
-
-    /// Depth of `v`.
-    pub fn depth(&self, v: NodeId) -> u32 {
-        self.depth[v.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +113,6 @@ mod tests {
     fn known_lcas() {
         let t = sample();
         let st = SparseTableLca::new(&t);
-        let bl = BinaryLiftingLca::new(&t);
         for (u, v, want) in [
             (3, 4, 1),
             (3, 6, 1),
@@ -199,13 +122,12 @@ mod tests {
             (0, 6, 0),
             (5, 5, 5),
         ] {
-            assert_eq!(st.lca(node(u), node(v)), node(want), "st {u},{v}");
-            assert_eq!(bl.lca(node(u), node(v)), node(want), "bl {u},{v}");
+            assert_eq!(st.lca(node(u), node(v)), node(want), "{u},{v}");
         }
     }
 
     #[test]
-    fn structures_agree_with_naive_on_random_trees() {
+    fn sparse_table_agrees_with_naive_on_random_trees() {
         let mut rng = StdRng::seed_from_u64(99);
         for n in [2usize, 5, 17, 64, 200] {
             // Random parent array: parent of v is a random earlier node.
@@ -215,27 +137,13 @@ mod tests {
             }
             let t = RootedTree::from_parents(node(0), &parents).unwrap();
             let st = SparseTableLca::new(&t);
-            let bl = BinaryLiftingLca::new(&t);
             for _ in 0..200 {
                 let u = node(rng.gen_range(0..n as u32));
                 let v = node(rng.gen_range(0..n as u32));
                 let want = naive_lca(&t, u, v);
                 assert_eq!(st.lca(u, v), want);
-                assert_eq!(bl.lca(u, v), want);
             }
         }
-    }
-
-    #[test]
-    fn ancestor_at_distance() {
-        let t = sample();
-        let bl = BinaryLiftingLca::new(&t);
-        assert_eq!(bl.ancestor_at(node(6), 1), node(4));
-        assert_eq!(bl.ancestor_at(node(6), 2), node(1));
-        assert_eq!(bl.ancestor_at(node(6), 3), node(0));
-        // Clamped at the root.
-        assert_eq!(bl.ancestor_at(node(6), 99), node(0));
-        assert_eq!(bl.depth(node(6)), 3);
     }
 
     #[test]
@@ -246,9 +154,7 @@ mod tests {
             .collect();
         let t = RootedTree::from_parents(node(0), &parents).unwrap();
         let st = SparseTableLca::new(&t);
-        let bl = BinaryLiftingLca::new(&t);
         assert_eq!(st.lca(node(30), node(45)), node(30));
-        assert_eq!(bl.lca(node(30), node(45)), node(30));
-        assert_eq!(bl.lca(node(49), node(0)), node(0));
+        assert_eq!(st.lca(node(49), node(0)), node(0));
     }
 }

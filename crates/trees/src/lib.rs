@@ -6,15 +6,14 @@
 //! * [`RootedTree`] — parent/children/depth arrays built from a parent map
 //!   or a set of tree edges;
 //! * [`euler`] — Euler tours of rooted trees;
-//! * [`lca`] — two LCA structures (sparse-table RMQ and binary lifting),
-//!   used both directly by sequential oracles and as test oracles for the
-//!   distributed LCA of the paper's Step 5;
+//! * [`lca`] — sparse-table LCA over the Euler tour, the sequential oracle
+//!   for the distributed LCA of the paper's Step 5;
 //! * [`subtree`] — entry/exit times, ancestor tests, subtree sums (the
 //!   sequential counterpart of the paper's `δ↓`/`ρ↓` aggregation);
 //! * [`dsu`] — union-find;
-//! * [`mst`] — Kruskal / Prim / Borůvka with pluggable keys (the packing
-//!   algorithm orders edges by `(load, weight, id)`);
-//! * [`spanning`] — BFS/DFS/random spanning trees;
+//! * [`mst`] — Kruskal with a pluggable key (the packing algorithm orders
+//!   edges by `(load, weight, id)`);
+//! * [`spanning`] — random spanning trees and edge sets to rooted trees;
 //! * [`decompose`] — sequential fragment decomposition of a tree into
 //!   `O(n/s)` connected subtrees of diameter `O(s)` (the sequential mirror
 //!   of Kutten–Peleg's partition, used as a test oracle).

@@ -1,13 +1,13 @@
-//! Sequential minimum spanning trees/forests: Kruskal, Prim, Borůvka.
+//! Sequential minimum spanning trees/forests: Kruskal's algorithm under a
+//! pluggable edge key.
 //!
-//! All three support custom edge keys. The greedy tree packing of Thorup
-//! orders edges by the lexicographic key `(load, weight, edge id)`, which is
-//! a strict total order, so the minimum spanning tree is unique and every
-//! algorithm (including the distributed one) must produce the same tree —
-//! the tests exploit that.
+//! The greedy tree packing of Thorup orders edges by the lexicographic key
+//! `(load, weight, edge id)`, which is a strict total order, so the minimum
+//! spanning tree is unique and the distributed MST must produce the same
+//! tree — the parity tests exploit that.
 
 use crate::DisjointSets;
-use graphs::{EdgeId, NodeId, Weight, WeightedGraph};
+use graphs::{EdgeId, Weight, WeightedGraph};
 
 /// The result of an MST/MSF computation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,11 +24,6 @@ impl MstResult {
     /// (i.e. it is a tree, not a forest).
     pub fn is_spanning_tree(&self, n: usize) -> bool {
         self.edges.len() + 1 == n
-    }
-
-    /// The tree edges as `(u, v)` endpoint pairs.
-    pub fn endpoint_pairs(&self, g: &WeightedGraph) -> Vec<(NodeId, NodeId)> {
-        self.edges.iter().map(|&e| g.endpoints(e)).collect()
     }
 }
 
@@ -61,108 +56,10 @@ pub fn kruskal_by<K: Ord>(g: &WeightedGraph, key: impl Fn(EdgeId, Weight) -> K) 
     }
 }
 
-/// Prim's algorithm (binary heap), restarted per component, under the
-/// natural key `(weight, edge id)`.
-pub fn prim(g: &WeightedGraph) -> MstResult {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = g.node_count();
-    let mut in_tree = vec![false; n];
-    let mut edges = Vec::new();
-    let mut total = 0;
-    let mut heap: BinaryHeap<Reverse<(Weight, u32, u32)>> = BinaryHeap::new();
-    for start in 0..n {
-        if in_tree[start] {
-            continue;
-        }
-        in_tree[start] = true;
-        for a in g.neighbors(NodeId::from_index(start)) {
-            heap.push(Reverse((a.weight, a.edge.raw(), a.neighbor.raw())));
-        }
-        while let Some(Reverse((w, e, v))) = heap.pop() {
-            if in_tree[v as usize] {
-                continue;
-            }
-            in_tree[v as usize] = true;
-            edges.push(EdgeId::new(e));
-            total += w;
-            for a in g.neighbors(NodeId::new(v)) {
-                if !in_tree[a.neighbor.index()] {
-                    heap.push(Reverse((a.weight, a.edge.raw(), a.neighbor.raw())));
-                }
-            }
-        }
-    }
-    edges.sort_unstable();
-    MstResult {
-        edges,
-        total_weight: total,
-    }
-}
-
-/// Borůvka's algorithm under a custom total order on edges. This is the
-/// sequential mirror of the distributed MST (which is Borůvka-structured),
-/// so agreement between the two is a strong correctness check.
-pub fn boruvka_by<K: Ord + Clone>(
-    g: &WeightedGraph,
-    key: impl Fn(EdgeId, Weight) -> K,
-) -> MstResult {
-    let n = g.node_count();
-    let mut dsu = DisjointSets::new(n);
-    let mut chosen: Vec<EdgeId> = Vec::new();
-    let mut total = 0;
-    loop {
-        // Minimum-key outgoing edge per component.
-        let mut best: std::collections::HashMap<usize, (K, EdgeId)> =
-            std::collections::HashMap::new();
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            let (ru, rv) = (dsu.find(u.index()), dsu.find(v.index()));
-            if ru == rv {
-                continue;
-            }
-            let k = key(e, g.weight(e));
-            for r in [ru, rv] {
-                match best.get(&r) {
-                    Some((bk, _)) if *bk <= k => {}
-                    _ => {
-                        best.insert(r, (k.clone(), e));
-                    }
-                }
-            }
-        }
-        if best.is_empty() {
-            break;
-        }
-        let mut progressed = false;
-        for (_, (_, e)) in best {
-            let (u, v) = g.endpoints(e);
-            if dsu.union(u.index(), v.index()) {
-                chosen.push(e);
-                total += g.weight(e);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    chosen.sort_unstable();
-    MstResult {
-        edges: chosen,
-        total_weight: total,
-    }
-}
-
-/// Borůvka's algorithm under the natural key `(weight, edge id)`.
-pub fn boruvka(g: &WeightedGraph) -> MstResult {
-    boruvka_by(g, |e, w| (w, e.raw()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::generators;
+    use graphs::{generators, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -177,24 +74,36 @@ mod tests {
         let k = kruskal(&g);
         assert_eq!(k.total_weight, 6);
         assert!(k.is_spanning_tree(4));
-        assert_eq!(prim(&g).total_weight, 6);
-        assert_eq!(boruvka(&g).total_weight, 6);
     }
 
     #[test]
-    fn algorithms_agree_on_random_graphs() {
+    fn kruskal_satisfies_the_cycle_property() {
+        // Under the strict (w, id) order the MST is unique, and a spanning
+        // tree is that MST iff every non-tree edge's key exceeds every key
+        // on the tree path between its endpoints.
         let mut rng = StdRng::seed_from_u64(31);
         for n in [5usize, 20, 60] {
             let base = generators::erdos_renyi_connected(n, 0.15, &mut rng).unwrap();
             let g = generators::randomize_weights(&base, 1, 1000, &mut rng).unwrap();
             let k = kruskal(&g);
-            let p = prim(&g);
-            let b = boruvka(&g);
-            assert_eq!(k.total_weight, p.total_weight);
-            assert_eq!(k.total_weight, b.total_weight);
             assert!(k.is_spanning_tree(n));
-            // Under the strict (w, id) order the MST is unique.
-            assert_eq!(k.edges, b.edges);
+            let t = crate::spanning::to_rooted(&g, &k.edges, NodeId::new(0)).unwrap();
+            let key = |e: EdgeId| (g.weight(e), e.raw());
+            for (e, u, v, _) in g.edge_tuples() {
+                if k.edges.binary_search(&e).is_ok() {
+                    continue;
+                }
+                let (mut a, mut b) = (u, v);
+                while a != b {
+                    if t.depth(a) < t.depth(b) {
+                        std::mem::swap(&mut a, &mut b);
+                    }
+                    let p = t.parent(a).expect("a deeper node has a parent");
+                    let on_path = g.edge_between(a, p).expect("tree edges are graph edges");
+                    assert!(key(on_path) < key(e), "n = {n}: {e} beats {on_path}");
+                    a = p;
+                }
+            }
         }
     }
 
@@ -204,8 +113,6 @@ mod tests {
         let k = kruskal(&g);
         assert_eq!(k.edges.len(), 2);
         assert!(!k.is_spanning_tree(5));
-        assert_eq!(prim(&g).edges, k.edges);
-        assert_eq!(boruvka(&g).edges, k.edges);
     }
 
     #[test]
@@ -221,19 +128,6 @@ mod tests {
         // cycle 0-2-3, so 2 (1,2) joins node 1 instead.
         let max_tree = kruskal_by(&g, |e, w| (std::cmp::Reverse(w), e.raw()));
         assert_eq!(max_tree.total_weight, 10 + 4 + 2);
-        let b = boruvka_by(&g, |e, w| (std::cmp::Reverse(w), e.raw()));
-        assert_eq!(b.edges, max_tree.edges);
-    }
-
-    #[test]
-    fn endpoint_pairs_match_graph() {
-        let g = graphs::WeightedGraph::from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)]).unwrap();
-        let k = kruskal(&g);
-        let pairs = k.endpoint_pairs(&g);
-        assert_eq!(pairs.len(), 2);
-        for (u, v) in pairs {
-            assert!(g.edge_between(u, v).is_some());
-        }
     }
 
     #[test]
@@ -242,6 +136,6 @@ mod tests {
         assert!(kruskal(&g1).edges.is_empty());
         assert!(kruskal(&g1).is_spanning_tree(1));
         let g0 = graphs::WeightedGraph::from_edges(0, []).unwrap();
-        assert!(prim(&g0).edges.is_empty());
+        assert!(kruskal(&g0).edges.is_empty());
     }
 }

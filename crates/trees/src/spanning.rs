@@ -1,39 +1,13 @@
-//! Spanning trees of graphs: BFS, DFS, randomized-Kruskal, and Wilson's
-//! uniform spanning trees; plus conversion to [`RootedTree`].
+//! Random spanning trees of graphs (Kruskal on shuffled edges) and the
+//! conversion of a tree's edge set to a [`RootedTree`].
 
 use crate::{RootedTree, TreeError};
 use graphs::{EdgeId, NodeId, WeightedGraph};
 use rand::Rng;
 
-/// Edges of the BFS spanning tree from `root`.
-///
-/// Returns fewer than `n − 1` edges if the graph is disconnected.
-pub fn bfs_spanning_edges(g: &WeightedGraph, root: NodeId) -> Vec<EdgeId> {
-    let r = graphs::traversal::bfs(g, root);
-    let mut edges = Vec::new();
-    for v in g.nodes() {
-        if let Some(p) = r.parent[v.index()] {
-            edges.push(g.edge_between(p, v).expect("BFS parent must be a neighbor"));
-        }
-    }
-    edges
-}
-
-/// Edges of the DFS spanning tree from `root`.
-pub fn dfs_spanning_edges(g: &WeightedGraph, root: NodeId) -> Vec<EdgeId> {
-    let r = graphs::traversal::dfs(g, root);
-    let mut edges = Vec::new();
-    for v in g.nodes() {
-        if let Some(p) = r.parent[v.index()] {
-            edges.push(g.edge_between(p, v).expect("DFS parent must be a neighbor"));
-        }
-    }
-    edges
-}
-
-/// A random spanning tree via Kruskal on uniformly shuffled edges.
-/// (Not uniform over all spanning trees — see [`wilson_spanning_tree`] for
-/// that — but fast and well-mixed for test purposes.)
+/// A random spanning tree via Kruskal on uniformly shuffled edges (not
+/// uniform over all spanning trees, but fast and well-mixed for test
+/// purposes).
 pub fn random_spanning_edges<R: Rng>(g: &WeightedGraph, rng: &mut R) -> Vec<EdgeId> {
     use rand::seq::SliceRandom;
     let mut order: Vec<EdgeId> = g.edges().collect();
@@ -48,74 +22,6 @@ pub fn random_spanning_edges<R: Rng>(g: &WeightedGraph, rng: &mut R) -> Vec<Edge
     }
     edges.sort_unstable();
     edges
-}
-
-/// Wilson's algorithm: a **uniformly random** spanning tree via loop-erased
-/// random walks. Requires a connected graph.
-///
-/// # Errors
-///
-/// Returns [`TreeError::NotATree`] if the graph is disconnected (the walk
-/// cannot reach the root from some node).
-pub fn wilson_spanning_tree<R: Rng>(
-    g: &WeightedGraph,
-    root: NodeId,
-    rng: &mut R,
-) -> Result<Vec<EdgeId>, TreeError> {
-    let n = g.node_count();
-    let mut in_tree = vec![false; n];
-    in_tree[root.index()] = true;
-    let mut next: Vec<Option<NodeId>> = vec![None; n];
-    for start in 0..n {
-        if in_tree[start] {
-            continue;
-        }
-        // Random walk from `start` until hitting the tree, recording the
-        // latest exit edge from each node (loop erasure).
-        let mut v = NodeId::from_index(start);
-        let mut steps = 0usize;
-        let budget = 100 * n * n + 1000;
-        while !in_tree[v.index()] {
-            let nbrs = g.neighbors(v);
-            if nbrs.is_empty() {
-                return Err(TreeError::NotATree {
-                    reason: format!("isolated node {v}"),
-                });
-            }
-            let a = &nbrs[rng.gen_range(0..nbrs.len())];
-            next[v.index()] = Some(a.neighbor);
-            v = a.neighbor;
-            steps += 1;
-            if steps > budget {
-                return Err(TreeError::NotATree {
-                    reason: "random walk did not reach the tree (disconnected?)".to_string(),
-                });
-            }
-        }
-        // Retrace the loop-erased path and add it to the tree.
-        let mut v = NodeId::from_index(start);
-        while !in_tree[v.index()] {
-            in_tree[v.index()] = true;
-            v = next[v.index()].expect("walked nodes have a successor");
-        }
-    }
-    let mut edges = Vec::new();
-    for v in 0..n {
-        if v != root.index() {
-            if let Some(u) = next[v] {
-                // Only nodes whose pointer was consumed into the tree count;
-                // all non-root nodes have one.
-                if in_tree[v] {
-                    edges.push(
-                        g.edge_between(NodeId::from_index(v), u)
-                            .expect("walk steps follow edges"),
-                    );
-                }
-            }
-        }
-    }
-    edges.sort_unstable();
-    Ok(edges)
 }
 
 /// Converts a set of tree edge ids into a [`RootedTree`] rooted at `root`.
@@ -140,24 +46,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn bfs_tree_is_spanning_and_shallow() {
-        let g = generators::grid2d(5, 5).unwrap();
-        let edges = bfs_spanning_edges(&g, NodeId::new(0));
-        assert_eq!(edges.len(), 24);
-        let t = to_rooted(&g, &edges, NodeId::new(0)).unwrap();
-        // BFS tree depth equals the eccentricity of the root.
-        assert_eq!(t.height(), 8);
-    }
-
-    #[test]
-    fn dfs_tree_is_spanning() {
-        let g = generators::grid2d(4, 4).unwrap();
-        let edges = dfs_spanning_edges(&g, NodeId::new(0));
-        assert_eq!(edges.len(), 15);
-        assert!(to_rooted(&g, &edges, NodeId::new(0)).is_ok());
-    }
-
-    #[test]
     fn random_spanning_is_spanning() {
         let mut rng = StdRng::seed_from_u64(41);
         let g = generators::erdos_renyi_connected(40, 0.2, &mut rng).unwrap();
@@ -166,40 +54,5 @@ mod tests {
             assert_eq!(edges.len(), 39);
             assert!(to_rooted(&g, &edges, NodeId::new(0)).is_ok());
         }
-    }
-
-    #[test]
-    fn wilson_produces_spanning_trees() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let g = generators::cycle(10).unwrap();
-        let edges = wilson_spanning_tree(&g, NodeId::new(0), &mut rng).unwrap();
-        assert_eq!(edges.len(), 9);
-        assert!(to_rooted(&g, &edges, NodeId::new(0)).is_ok());
-    }
-
-    #[test]
-    fn wilson_uniformity_smoke() {
-        // On a triangle there are exactly 3 spanning trees; with many samples
-        // each should appear roughly 1/3 of the time.
-        let g = generators::cycle(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(47);
-        let mut counts = std::collections::HashMap::new();
-        let trials = 3000;
-        for _ in 0..trials {
-            let edges = wilson_spanning_tree(&g, NodeId::new(0), &mut rng).unwrap();
-            *counts.entry(edges).or_insert(0usize) += 1;
-        }
-        assert_eq!(counts.len(), 3);
-        for (_, c) in counts {
-            let frac = c as f64 / trials as f64;
-            assert!((frac - 1.0 / 3.0).abs() < 0.05, "frac = {frac}");
-        }
-    }
-
-    #[test]
-    fn wilson_fails_on_disconnected() {
-        let g = graphs::WeightedGraph::from_edges(4, [(0, 1, 1), (2, 3, 1)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(wilson_spanning_tree(&g, NodeId::new(0), &mut rng).is_err());
     }
 }

@@ -72,28 +72,6 @@ pub fn subtree_sums(tree: &RootedTree, values: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Generic subtree aggregation over any commutative monoid: `out[v]` is the
-/// fold of `values[u]` over `u ∈ v↓`.
-///
-/// # Panics
-///
-/// Panics if `values.len() != tree.len()`.
-pub fn subtree_fold<T, F>(tree: &RootedTree, values: &[T], identity: T, mut combine: F) -> Vec<T>
-where
-    T: Clone,
-    F: FnMut(&T, &T) -> T,
-{
-    assert_eq!(values.len(), tree.len(), "one value per node required");
-    let _ = &identity;
-    let mut out: Vec<T> = values.to_vec();
-    for v in tree.bottom_up() {
-        if let Some(p) = tree.parent(v) {
-            out[p.index()] = combine(&out[p.index()], &out[v.index()]);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,16 +119,6 @@ mod tests {
         assert_eq!(s[1], 10 + 1000 + 10000);
         assert_eq!(s[2], 100 + 100000);
         assert_eq!(s[0], vals.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn fold_with_max() {
-        let t = sample();
-        let vals = [3u64, 1, 4, 1, 5, 9];
-        let m = subtree_fold(&t, &vals, 0, |a, b| *a.max(b));
-        assert_eq!(m[1], 5);
-        assert_eq!(m[2], 9);
-        assert_eq!(m[0], 9);
     }
 
     #[test]

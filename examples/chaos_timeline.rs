@@ -25,7 +25,7 @@ use mincut_repro::congest::ObsHandle;
 use mincut_repro::graphs::generators;
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::dist::{recover_mincut, RecoverConfig};
-use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut_repro::mincut::seq::tree_packing::PackingConfig;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,10 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // event history fits in the sink's ring — the point here is to
     // read a timeline end to end, not to stress the packing bound.
     let base = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(3),
-            max_trees: 3,
-        },
+        packing: PackingConfig::fixed(3),
         ..Default::default()
     };
 

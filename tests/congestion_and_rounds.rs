@@ -6,7 +6,7 @@ use mincut_repro::congest::NetworkConfig;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::dist::one_respect::shape_row_capacity;
-use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut_repro::mincut::seq::tree_packing::PackingConfig;
 
 fn run(
     g: &mincut_repro::graphs::WeightedGraph,
@@ -112,10 +112,7 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
     // counts are bounds, and the exact values are pinned beside them.
     let g = generators::torus2d(24, 24).unwrap();
     let cfg = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(3),
-            max_trees: 3,
-        },
+        packing: PackingConfig::fixed(3),
         ..Default::default()
     };
     let r = exact_mincut(&g, &cfg).unwrap();

@@ -15,7 +15,7 @@ use mincut_repro::congest::{ExecutorKind, NetworkConfig};
 use mincut_repro::graphs::generators::torus3d_with_chords;
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::dist::one_respect::shape_row_capacity;
-use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut_repro::mincut::seq::tree_packing::PackingConfig;
 
 #[test]
 fn exact_mincut_above_the_old_u16_cap() {
@@ -32,10 +32,7 @@ fn exact_mincut_above_the_old_u16_cap() {
     // One packed tree suffices: the minimum cut here is a singleton, and
     // the pipeline always considers the minimum-degree singleton seed.
     let cfg = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(1),
-            max_trees: 1,
-        },
+        packing: PackingConfig::fixed(1),
         ..Default::default()
     };
     assert_eq!(cfg.network.executor, ExecutorKind::Serial);

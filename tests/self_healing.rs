@@ -19,7 +19,7 @@ use mincut_repro::graphs::{generators, NodeId, WeightedGraph};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
 use mincut_repro::mincut::dist::{recover_mincut, RecoverConfig, RecoveredMinCut, Stage};
 use mincut_repro::mincut::seq::stoer_wagner;
-use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut_repro::mincut::seq::tree_packing::PackingConfig;
 
 /// Runs the recovery twice and requires byte-identical merged ledgers
 /// whose every phase name has a registered stem.
@@ -163,10 +163,7 @@ fn checkpointed_resume_rebuilds_for_at_most_half_of_a_fresh_run() {
     edges.push((0, 1, 100));
     let g = WeightedGraph::from_edges(cliques.node_count() + 1, edges).unwrap();
     let base = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(5),
-            max_trees: 5,
-        },
+        packing: PackingConfig::fixed(5),
         ..Default::default()
     };
     // Crash two rounds after the fourth tree's `s5g`, its improvement

@@ -247,7 +247,7 @@ fn transport_schedule_matches_pinned_digests() {
     use mincut_repro::congest::primitives::leader_bfs::LeaderBfs;
     use mincut_repro::congest::{Network, NetworkConfig, ObsHandle};
     use mincut_repro::mincut::dist::{recover_mincut, RecoverConfig};
-    use mincut_repro::mincut::seq::tree_packing::{PackingConfig, PackingSize};
+    use mincut_repro::mincut::seq::tree_packing::PackingConfig;
 
     let graphs = [
         ("torus6x6", generators::torus2d(6, 6).unwrap()),
@@ -332,10 +332,7 @@ fn transport_schedule_matches_pinned_digests() {
         .with_crash(0, 60);
     let cfg = RecoverConfig {
         base: ExactConfig {
-            packing: PackingConfig {
-                size: PackingSize::Fixed(2),
-                max_trees: 2,
-            },
+            packing: PackingConfig::fixed(2),
             ..Default::default()
         },
         ..Default::default()
