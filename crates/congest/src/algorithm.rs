@@ -75,8 +75,22 @@ pub type FinishResult<O> = Result<O, ProtocolViolation>;
 /// A node's decision at the end of a round.
 #[derive(Clone, Debug)]
 pub enum Step<M> {
-    /// Keep participating; send the queued messages.
+    /// Keep participating; send the queued messages. The engine calls
+    /// this node again next round, inbox or not.
     Continue(Outbox<M>),
+    /// Send the queued messages, then sleep: the engine does not call
+    /// this node again until a message arrives for it or round `wake`
+    /// begins, whichever comes first (`None`: only a message wakes it).
+    ///
+    /// **The contract:** a waiting node never needs a call to make
+    /// progress. Called before its wake round with an empty inbox, it
+    /// must do nothing — return `Wait` again with an empty outbox and
+    /// the same wake round, and leave its state as it was — so the
+    /// call can be skipped. The serial executor skips it; the faulty
+    /// executor makes every call, as for `Continue`, and debug builds
+    /// check the returned step there. A wake round at or before the
+    /// next round makes `Wait` a `Continue`.
+    Wait(Outbox<M>, Option<u64>),
     /// Send the queued messages, then stop: the engine will not call this
     /// node again, and it is an error for anyone to message it afterwards.
     Halt(Outbox<M>),
@@ -86,6 +100,12 @@ impl<M: Message> Step<M> {
     /// A `Continue` with an empty outbox (idle round).
     pub fn idle() -> Self {
         Step::Continue(Outbox::new())
+    }
+
+    /// A `Wait` with an empty outbox and no wake round: sleep until a
+    /// message arrives.
+    pub fn wait() -> Self {
+        Step::Wait(Outbox::new(), None)
     }
 
     /// A `Halt` with an empty outbox.
@@ -99,7 +119,8 @@ impl<M: Message> Step<M> {
 /// The engine instantiates per-node state via [`Algorithm::boot`] (from a
 /// per-node input, modelling local knowledge carried over from earlier
 /// phases), then calls [`Algorithm::round`] once per round per live node
-/// with that node's inbox, and finally [`Algorithm::finish`] to extract the
+/// with that node's inbox — except while the node waits (see
+/// [`Step::Wait`]) — and finally [`Algorithm::finish`] to extract the
 /// per-node output.
 ///
 /// Node code receives only `&mut` its own state, the local [`NodeCtx`], and
@@ -120,6 +141,11 @@ pub trait Algorithm {
 
     /// Executes one round at one node: consume the inbox (pairs of arrival
     /// port and message, sorted by port), update state, emit messages.
+    ///
+    /// A node that returned [`Step::Wait`] may or may not be called
+    /// before its wake round with an empty inbox, depending on the
+    /// executor; such a call must change nothing and wait again (the
+    /// `Wait` contract), so a waiting node never needs it.
     fn round(
         &self,
         state: &mut Self::State,
@@ -151,6 +177,8 @@ mod tests {
     fn step_helpers() {
         let s: Step<u64> = Step::idle();
         assert!(matches!(s, Step::Continue(o) if o.is_empty()));
+        let w: Step<u64> = Step::wait();
+        assert!(matches!(w, Step::Wait(o, None) if o.is_empty()));
         let h: Step<u64> = Step::halt();
         assert!(matches!(h, Step::Halt(o) if o.is_empty()));
     }

@@ -1,14 +1,15 @@
 //! The synchronous round engine.
 //!
 //! [`Network`] owns the topology (the graph, whose adjacency order is
-//! the port order, and the CSR slot-arena geometry shared by every
-//! phase) and the session metrics ledger; each phase's rounds are
-//! driven by the executor that [`NetworkConfig::executor`] names.
+//! the port order, and the CSR slot geometry shared by every phase),
+//! the serial executor's kept buffers and the session metrics ledger;
+//! each phase's rounds are driven by the executor that
+//! [`NetworkConfig::executor`] names.
 
 use crate::algorithm::Algorithm;
 use crate::config::NetworkConfig;
 use crate::error::CongestError;
-use crate::executor::{run_serial, ExecutorKind, PhaseSpec};
+use crate::executor::{run_serial, ExecutorKind, PhaseSpec, SweepBuffers};
 use crate::metrics::{MetricsLedger, PhaseMetrics};
 use graphs::WeightedGraph;
 
@@ -30,9 +31,9 @@ pub struct Network<'g> {
     graph: &'g WeightedGraph,
     config: NetworkConfig,
     ledger: MetricsLedger,
-    /// CSR offsets of the slot arena: node `v`'s inbox slots (one per
-    /// port) are `slot_base[v]..slot_base[v + 1]`; the total slot count
-    /// (`slot_base[n]`) is the number of directed edges.
+    /// CSR offsets of the message slots: node `v`'s inbox slots (one
+    /// per port) are `slot_base[v]..slot_base[v + 1]`; the total slot
+    /// count (`slot_base[n]`) is the number of directed edges.
     slot_base: Vec<usize>,
     /// `write_slot[slot_base[v] + p]` = the destination slot of the
     /// directed edge leaving `v` through port `p` — precomputed so
@@ -40,6 +41,9 @@ pub struct Network<'g> {
     write_slot: Vec<usize>,
     max_degree: usize,
     bandwidth_bits: usize,
+    /// The serial executor's message-type-independent buffers, kept
+    /// across phases (allocated by the first serial phase).
+    sweep: SweepBuffers,
 }
 
 /// The round cap of a phase on `n` nodes: quadratic in `n`, enough for
@@ -60,9 +64,9 @@ impl<'g> Network<'g> {
     /// be routed back).
     pub fn new(graph: &'g WeightedGraph, config: NetworkConfig) -> Result<Self, CongestError> {
         let n = graph.node_count();
-        // Slot-arena geometry: one slot per directed edge, grouped by
-        // destination, so a phase preallocates its whole delivery
-        // structure once and rounds allocate nothing.
+        // Slot geometry: one slot per directed edge, grouped by
+        // destination, so the serial executor's per-slot buffers are
+        // sized once per network.
         let mut slot_base = Vec::with_capacity(n + 1);
         slot_base.push(0);
         for v in graph.nodes() {
@@ -97,6 +101,7 @@ impl<'g> Network<'g> {
             write_slot,
             max_degree,
             bandwidth_bits,
+            sweep: SweepBuffers::default(),
         })
     }
 
@@ -155,7 +160,10 @@ impl<'g> Network<'g> {
     ///
     /// Returns [`CongestError`] on wrong input count, invalid or double
     /// sends, bandwidth violations, messages to halted nodes, or when the
-    /// round cap `(n + 16)²` is exceeded. When several nodes err in the
+    /// round cap `(n + 16)²` is exceeded — which the serial executor
+    /// reports at once when every node still running waits for mail that
+    /// cannot come (nothing awake, in flight or scheduled to wake; see
+    /// [`crate::Step::Wait`]). When several nodes err in the
     /// same round, the lowest-id node's error is returned, under every
     /// executor; the rest of that round still executes (errors are
     /// collected, not short-circuited, so the choice does not depend on
@@ -179,7 +187,9 @@ impl<'g> Network<'g> {
             });
         }
         let base_round = self.ledger.total_rounds();
-        let obs = self.obs();
+        // Borrowed from `config` alone (not through `self.obs()`), so the
+        // serial executor can borrow `sweep` mutably below.
+        let obs = self.config.obs.as_ref().map(|h| h.sink());
         let spec = PhaseSpec {
             name,
             n,
@@ -200,15 +210,15 @@ impl<'g> Network<'g> {
         // or the virtual event stream, so replay parity across executors
         // and reruns is unaffected.
         let t = std::time::Instant::now();
-        let (outputs, metrics) = match &self.config.executor {
-            ExecutorKind::Serial => run_serial(&spec, algo, inputs),
+        let (outputs, metrics, steps) = match &self.config.executor {
+            ExecutorKind::Serial => run_serial(&spec, &mut self.sweep, algo, inputs),
             ExecutorKind::Faulty(plan) => crate::sim::run_faulty(plan, &spec, algo, inputs),
         }?;
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         if let Some(sink) = obs {
             sink.phase_end(metrics.rounds, metrics.ticks(), wall_ms);
         }
-        self.ledger.push_timed(metrics.clone(), wall_ms);
+        self.ledger.push_timed(metrics.clone(), wall_ms, steps);
         Ok(RunOutcome { outputs, metrics })
     }
 }
@@ -592,6 +602,185 @@ mod tests {
         fn finish(&self, _s: (), _c: &NodeCtx<'_>) -> FinishResult<()> {
             Ok(())
         }
+    }
+
+    /// How [`Faulting`] breaks the rules in the middle of its flood.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        DoubleSend,
+        Fat,
+        ToHalted,
+    }
+
+    /// A beat of the given bit length.
+    #[derive(Clone, Debug)]
+    struct Beat(usize);
+    impl Message for Beat {
+        fn bit_len(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Every node beats on every port at boot and in every round; in
+    /// round 2 node 9 sends a second beat on port 0 or an over-budget
+    /// one, or node 5, halted in round 1, hears its neighbors. The phase
+    /// fails with beats stored in both halves and loads counted.
+    struct Faulting(Fault);
+    impl Algorithm for Faulting {
+        type Input = ();
+        type State = ();
+        type Msg = Beat;
+        type Output = ();
+        fn boot(&self, ctx: &NodeCtx<'_>, _i: ()) -> ((), Outbox<Beat>) {
+            let mut o = Outbox::new();
+            o.send_all(ctx.ports(), Beat(5));
+            ((), o)
+        }
+        fn round(&self, _s: &mut (), ctx: &NodeCtx<'_>, _i: &[(Port, Beat)]) -> Step<Beat> {
+            let (v, round) = (ctx.node.raw(), ctx.round);
+            if matches!(self.0, Fault::ToHalted) && (v, round) == (5, 1) {
+                return Step::halt();
+            }
+            let mut o = Outbox::new();
+            o.send_all(ctx.ports(), Beat(5));
+            if (v, round) == (9, 2) {
+                match self.0 {
+                    Fault::DoubleSend => {
+                        o.send(Port(0), Beat(5));
+                    }
+                    Fault::Fat => o.msgs[1].1 = Beat(10_000),
+                    Fault::ToHalted => {}
+                }
+            }
+            Step::Continue(o)
+        }
+        fn finish(&self, _s: (), _c: &NodeCtx<'_>) -> FinishResult<()> {
+            Ok(())
+        }
+    }
+
+    /// The network keeps its delivery buffers across phases: after a
+    /// phase that fails mid-round, the next phase's outputs and metrics
+    /// equal a fresh network's.
+    #[test]
+    fn a_failed_phase_leaves_no_trace_in_the_next() {
+        let g = graphs::generators::grid2d(4, 4).unwrap();
+        let flood = MinFlood { ttl: 6 };
+        let fresh = Network::new(&g, NetworkConfig::default())
+            .unwrap()
+            .run("flood", &flood, vec![(); 16])
+            .unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        for fault in [Fault::DoubleSend, Fault::Fat, Fault::ToHalted] {
+            let err = net
+                .run("fault", &Faulting(fault), vec![(); 16])
+                .unwrap_err();
+            let failed_as_planned = match fault {
+                Fault::DoubleSend => {
+                    matches!(err, CongestError::DoubleSend { node, round: 2, .. } if node.raw() == 9)
+                }
+                Fault::Fat => {
+                    matches!(err, CongestError::BandwidthExceeded { node, round: 2, .. } if node.raw() == 9)
+                }
+                Fault::ToHalted => {
+                    matches!(err, CongestError::MessageToHalted { node, round: 2, .. } if node.raw() == 5)
+                }
+            };
+            assert!(failed_as_planned, "{fault:?}: {err:?}");
+            let after = net.run("flood", &flood, vec![(); 16]).unwrap();
+            assert_eq!(after.outputs, fresh.outputs, "after {fault:?}");
+            assert_eq!(after.metrics, fresh.metrics, "after {fault:?}");
+        }
+        assert!(fresh.metrics.max_edge_load_bits > fresh.metrics.max_message_bits);
+    }
+
+    /// Waits for mail in round 1, then sends in round 3 without any:
+    /// it breaks the `Wait` contract.
+    struct Impatient;
+    impl Algorithm for Impatient {
+        type Input = ();
+        type State = ();
+        type Msg = u32;
+        type Output = ();
+        fn boot(&self, _c: &NodeCtx<'_>, _i: ()) -> ((), Outbox<u32>) {
+            ((), Outbox::new())
+        }
+        fn round(&self, _s: &mut (), ctx: &NodeCtx<'_>, _i: &[(Port, u32)]) -> Step<u32> {
+            if ctx.round < 3 {
+                return Step::wait();
+            }
+            let mut o = Outbox::new();
+            o.send(Port(0), 1);
+            Step::Halt(o)
+        }
+        fn finish(&self, _s: (), _c: &NodeCtx<'_>) -> FinishResult<()> {
+            Ok(())
+        }
+    }
+
+    /// The faulty executor calls waiting nodes, and debug builds check
+    /// that each such call keeps waiting.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Step::Wait contract")]
+    fn a_node_that_acts_while_waiting_trips_the_contract_check() {
+        let g = graphs::generators::path(2).unwrap();
+        let cfg = NetworkConfig::default().with_executor(ExecutorKind::faulty());
+        let mut net = Network::new(&g, cfg).unwrap();
+        let _ = net.run("impatient", &Impatient, vec![(); 2]);
+    }
+
+    /// A broadcast down a 1,000-node path whose forest misses the last
+    /// edge leaves the last node waiting for an item that never comes.
+    /// The serial executor returns the round cap's error, (n + 16)², as
+    /// soon as nothing is awake, in flight or scheduled.
+    #[test]
+    fn a_stalled_phase_fails_at_once() {
+        use crate::primitives::broadcast::Broadcast;
+        use crate::TreeInfo;
+        let n = 1_000;
+        let g = graphs::generators::path(n).unwrap();
+        let port_to = |v: usize, u: usize| {
+            let p = g
+                .neighbors(NodeId::from_index(v))
+                .iter()
+                .position(|a| a.neighbor.index() == u);
+            Port(p.expect("path neighbors") as u32)
+        };
+        let inputs: Vec<(TreeInfo, Option<u64>)> = (0..n)
+            .map(|v| {
+                let tree = TreeInfo {
+                    parent: (v > 0).then(|| port_to(v, v - 1)),
+                    // Node n − 2 does not list node n − 1 as its child.
+                    children: if v + 2 < n {
+                        vec![port_to(v, v + 1)]
+                    } else {
+                        vec![]
+                    },
+                    depth: v as u32,
+                };
+                (tree, (v == 0).then_some(7))
+            })
+            .collect();
+        let obs = crate::ObsHandle::new();
+        let cfg = NetworkConfig::default().with_obs(obs.clone());
+        let err = Network::new(&g, cfg)
+            .unwrap()
+            .run("bcast", &Broadcast::new(), inputs)
+            .unwrap_err();
+        assert!(
+            matches!(err, CongestError::MaxRoundsExceeded { cap: 1_032_256, .. }),
+            "{err:?}"
+        );
+        // The item reaches node n − 2 in round n − 2; the phase stops
+        // there, not at the cap.
+        let report = obs.snapshot();
+        let rounds = report
+            .events
+            .iter()
+            .filter(|e| e.kind == crate::obs::EventKind::RoundEnd)
+            .count();
+        assert_eq!((rounds, report.dropped), (n - 2, 0));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`crate::NetworkConfig`] names:
 //!
 //! * [`ExecutorKind::Serial`] — one single-threaded sweep per round over
-//!   the slot-arena delivery structures of `executor::sweep` (the
-//!   default);
+//!   the nodes that have something to do, with the message store of
+//!   `executor::sweep`, whose type-independent buffers the network
+//!   keeps across phases (the default);
 //! * [`ExecutorKind::Faulty`] — the α-synchronizer of [`crate::sim`]
 //!   over a seeded adversary: a from-scratch simulation loop that
 //!   perturbs *delivery timing*, and therefore shares the phase's
@@ -15,7 +16,21 @@
 //!
 //! Outputs, round counts and every [`PhaseMetrics`] field are identical
 //! under both; the faulty executor's transport overhead is metered on
-//! the side.
+//! the side. The number of [`Algorithm::round`] calls is not: it is
+//! recorded beside the wall time in the ledger
+//! ([`crate::MetricsLedger::total_steps`]).
+//!
+//! # The `Wait` contract
+//!
+//! A node that returns [`crate::Step::Wait`] never needs a call to make
+//! progress: called before its wake round with an empty inbox, it
+//! returns `Wait` again with an empty outbox and the same wake round,
+//! and changes nothing. The serial executor relies on it and does not
+//! call a waiting node until mail arrives or its wake round comes. The
+//! faulty executor calls every live node every round, treating `Wait`
+//! as `Continue`, so it makes exactly the calls the serial one skips,
+//! and debug builds check each of them against the contract: the
+//! executor-parity tests check it across the whole pipeline.
 
 pub(crate) mod sweep;
 
@@ -24,6 +39,7 @@ use crate::error::CongestError;
 use crate::metrics::PhaseMetrics;
 use crate::node::NodeCtx;
 use graphs::{AdjEntry, NodeId};
+pub(crate) use sweep::SweepBuffers;
 use sweep::{PhaseState, SweepStats};
 
 /// Which round executor a [`crate::Network`] uses. (Not `Copy`: a
@@ -51,7 +67,7 @@ impl ExecutorKind {
 
 /// The read-only geometry and policy of one phase run, borrowed from the
 /// [`crate::Network`]: the graph's adjacency (whose order is the port
-/// order), the CSR slot-arena layout, the budget and the round cap.
+/// order), the CSR slot layout, the budget and the round cap.
 /// Executors receive it by reference.
 pub(crate) struct PhaseSpec<'a> {
     pub(crate) name: &'a str,
@@ -103,15 +119,31 @@ impl PhaseSpec<'_> {
 }
 
 /// Drives one phase to completion with the serial executor: boot, one
-/// sweep per round, finish. Returns per-node outputs and the phase
-/// metrics, or the error [`crate::Network::run`] documents.
+/// sweep per round, finish. Returns per-node outputs, the phase metrics
+/// and the number of [`Algorithm::round`] calls, or the error
+/// [`crate::Network::run`] documents. `bufs` are the network's kept
+/// buffers; a failed phase leaves them reset.
 pub(crate) fn run_serial<A: Algorithm>(
     spec: &PhaseSpec<'_>,
+    bufs: &mut SweepBuffers,
     algo: &A,
     inputs: Vec<A::Input>,
-) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
+) -> Result<(Vec<A::Output>, PhaseMetrics, u64), CongestError> {
+    bufs.prepare(spec.n, spec.slot_base[spec.n]);
+    let out = serial_phase(spec, bufs, algo, inputs);
+    if out.is_err() {
+        bufs.reset();
+    }
+    out
+}
+
+fn serial_phase<A: Algorithm>(
+    spec: &PhaseSpec<'_>,
+    bufs: &mut SweepBuffers,
+    algo: &A,
+    inputs: Vec<A::Input>,
+) -> Result<(Vec<A::Output>, PhaseMetrics, u64), CongestError> {
     let n = spec.n;
-    let mut ps = PhaseState::new(spec, algo);
     let mut metrics = PhaseMetrics {
         name: spec.name.to_string(),
         ..Default::default()
@@ -121,24 +153,21 @@ pub(crate) fn run_serial<A: Algorithm>(
     // from the sweep stats instead of scanning queues every round.
     let mut in_flight = 0usize;
 
-    let boot = ps.boot(inputs);
-    let mut touched = absorb(&mut metrics, &mut live, &mut in_flight, boot)?;
+    let (mut ps, boot) = PhaseState::boot(spec, algo, bufs, inputs);
+    absorb(&mut metrics, &mut live, &mut in_flight, boot)?;
 
-    // Round sweeps cover the live nodes plus any halted node whose
-    // inbox went non-empty — not all `n` — so long pipelined tails
-    // where most of the network has halted cost only the nodes still
-    // working. The live list is compacted lazily (when ≥ ¼ of it is
-    // stale) to keep its maintenance amortized.
-    let mut live_list: Vec<u32> = (0..n as u32).collect();
-    let mut stale_halts = 0usize;
+    // After round 1, a round steps only the nodes that are awake, got
+    // mail or are due (see `sweep`), so waiting nodes and long
+    // pipelined tails where most of the network has halted cost
+    // nothing per round.
     let mut round: u64 = 0;
     loop {
         if live == 0 {
             if in_flight > 0 {
                 // Someone sent to a halted node (everyone is halted).
-                let dest = ps.arenas[(round % 2) as usize]
-                    .first_pending()
-                    .expect("in-flight messages occupy a slot");
+                let dest = ps
+                    .first_pending(round)
+                    .expect("in-flight messages are pending");
                 return Err(CongestError::MessageToHalted {
                     phase: spec.name.to_string(),
                     node: NodeId::from_index(dest),
@@ -147,6 +176,15 @@ pub(crate) fn run_serial<A: Algorithm>(
             }
             break;
         }
+        if ps.stalled() {
+            // Some node waits for mail that never comes: the round cap
+            // would end the phase with this error, without a step
+            // between here and there.
+            return Err(CongestError::MaxRoundsExceeded {
+                phase: spec.name.to_string(),
+                cap: spec.cap,
+            });
+        }
         round += 1;
         if round > spec.cap {
             return Err(CongestError::MaxRoundsExceeded {
@@ -154,34 +192,22 @@ pub(crate) fn run_serial<A: Algorithm>(
                 cap: spec.cap,
             });
         }
-        // Last round's touched destinations that are halted get
-        // their own sweep segment; live ones are already in the list.
-        let halted_touched: Vec<u32> = touched
-            .iter()
-            .copied()
-            .filter(|&v| ps.nodes[v as usize].halted)
-            .collect();
-        let stats = ps.round(round, &live_list, &halted_touched);
-        let halts = stats.halts;
-        touched = absorb(&mut metrics, &mut live, &mut in_flight, stats)?;
+        let stats = ps.round(round);
+        absorb(&mut metrics, &mut live, &mut in_flight, stats)?;
         if let Some(sink) = spec.obs {
             // One physical tick per round.
             sink.round_end(round, round);
         }
-        stale_halts += halts;
-        if stale_halts * 4 >= live_list.len() {
-            live_list.retain(|&v| !ps.nodes[v as usize].halted);
-            stale_halts = 0;
-        }
     }
     metrics.rounds = round;
-    metrics.max_edge_load_bits = ps.max_edge_load_bits();
+    metrics.max_edge_load_bits = ps.take_max_edge_load_bits();
 
+    let steps = ps.steps;
     let mut outputs = Vec::with_capacity(n);
     for (v, cell) in ps.nodes.into_iter().enumerate() {
         let ctx = spec.ctx(v, round);
         let out = algo
-            .finish(cell.state.expect("state present"), &ctx)
+            .finish(cell.state, &ctx)
             .map_err(|violation| CongestError::Protocol {
                 phase: spec.name.to_string(),
                 node: NodeId::from_index(v),
@@ -189,17 +215,17 @@ pub(crate) fn run_serial<A: Algorithm>(
             })?;
         outputs.push(out);
     }
-    Ok((outputs, metrics))
+    Ok((outputs, metrics, steps))
 }
 
-/// Folds one sweep's stats into the phase accounting, returning the
-/// sweep's touched destinations — or surfaces its lowest node's error.
+/// Folds one sweep's stats into the phase accounting — or surfaces its
+/// lowest node's error.
 fn absorb(
     metrics: &mut PhaseMetrics,
     live: &mut usize,
     in_flight: &mut usize,
     stats: SweepStats,
-) -> Result<Vec<u32>, CongestError> {
+) -> Result<(), CongestError> {
     if let Some((_, e)) = stats.err {
         return Err(e);
     }
@@ -209,5 +235,5 @@ fn absorb(
     *live -= stats.halts;
     *in_flight += stats.messages as usize;
     *in_flight -= stats.delivered;
-    Ok(stats.touched)
+    Ok(())
 }

@@ -98,15 +98,27 @@ impl SimPhaseStats {
 
 /// Accumulated metrics of a session: one entry per executed phase.
 ///
-/// Wall-clock timings ride in a *parallel* vector rather than inside
-/// [`PhaseMetrics`]: phase metrics derive `Eq` and the parity suites
-/// compare them byte-for-byte across executors, which host timings would
-/// break. The ledger itself is deliberately not `PartialEq`.
+/// Wall-clock timings and step counts ride in a *parallel* vector rather
+/// than inside [`PhaseMetrics`]: phase metrics derive `Eq` and the
+/// parity suites compare them byte-for-byte across executors, which host
+/// timings would break, and the executors make different numbers of
+/// `round` calls for the same phase. The ledger itself is deliberately
+/// not `PartialEq`.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsLedger {
     phases: Vec<PhaseMetrics>,
-    /// Host wall-clock per phase, milliseconds (`walls.len() == phases.len()`).
-    walls: Vec<f64>,
+    /// What each phase cost the host (`costs.len() == phases.len()`).
+    costs: Vec<HostCost>,
+}
+
+/// What running one phase cost the host, beside its replay-exact
+/// [`PhaseMetrics`].
+#[derive(Clone, Copy, Debug)]
+struct HostCost {
+    /// Wall-clock, milliseconds.
+    wall_ms: f64,
+    /// [`crate::Algorithm::round`] calls the executor made.
+    steps: u64,
 }
 
 impl MetricsLedger {
@@ -116,25 +128,26 @@ impl MetricsLedger {
     }
 
     /// Records a finished phase together with its host wall-clock cost in
-    /// milliseconds. The timing lives outside [`PhaseMetrics`] so the
-    /// replay-exact payload metrics stay host-independent.
-    pub fn push_timed(&mut self, m: PhaseMetrics, wall_ms: f64) {
+    /// milliseconds and the number of [`crate::Algorithm::round`] calls
+    /// the executor made. Both live outside [`PhaseMetrics`] so the
+    /// replay-exact payload metrics stay host- and executor-independent.
+    pub fn push_timed(&mut self, m: PhaseMetrics, wall_ms: f64, steps: u64) {
         self.phases.push(m);
-        self.walls.push(wall_ms);
+        self.costs.push(HostCost { wall_ms, steps });
     }
 
-    /// Appends every phase of `other` in order, wall-clock timings
-    /// included — how drivers that run several networks merge their
-    /// ledgers. With `Some(prefix)`, each appended name that does not
-    /// already start with `prefix` becomes `{prefix}{name}`, so phases
-    /// born with the prefix are never prefixed twice.
+    /// Appends every phase of `other` in order, wall-clock timings and
+    /// step counts included — how drivers that run several networks
+    /// merge their ledgers. With `Some(prefix)`, each appended name that
+    /// does not already start with `prefix` becomes `{prefix}{name}`, so
+    /// phases born with the prefix are never prefixed twice.
     pub fn extend_from(&mut self, other: &MetricsLedger, prefix: Option<&str>) {
-        for (p, &wall_ms) in other.phases.iter().zip(&other.walls) {
+        for (p, cost) in other.phases.iter().zip(&other.costs) {
             let mut p = p.clone();
             if let Some(prefix) = prefix.filter(|&pre| !p.name.starts_with(pre)) {
                 p.name = format!("{prefix}{}", p.name);
             }
-            self.push_timed(p, wall_ms);
+            self.push_timed(p, cost.wall_ms, cost.steps);
         }
     }
 
@@ -306,7 +319,25 @@ impl MetricsLedger {
 
     /// Total host wall-clock across phases, milliseconds.
     pub fn total_wall_ms(&self) -> f64 {
-        self.walls.iter().sum()
+        self.costs.iter().map(|c| c.wall_ms).sum()
+    }
+
+    /// Total [`crate::Algorithm::round`] calls across phases.
+    /// Deterministic for a given executor: the serial one skips waiting
+    /// nodes ([`crate::Step::Wait`]), the faulty one calls every live
+    /// node every round.
+    pub fn total_steps(&self) -> u64 {
+        self.costs.iter().map(|c| c.steps).sum()
+    }
+
+    /// The costs of the phases whose name *stem* (up to the first `'.'`)
+    /// equals `stem`.
+    fn costs_of_stem<'a>(&'a self, stem: &'a str) -> impl Iterator<Item = &'a HostCost> + 'a {
+        self.phases
+            .iter()
+            .zip(&self.costs)
+            .filter(move |(p, _)| p.name.split('.').next().unwrap_or(&p.name) == stem)
+            .map(|(_, c)| c)
     }
 
     /// Sums the wall-clock milliseconds of the phases whose name *stem*
@@ -314,12 +345,13 @@ impl MetricsLedger {
     /// [`MetricsLedger::grouped_by_stem`], which carry no timings of
     /// their own because [`PhaseGroup`] derives `Eq`.
     pub fn wall_ms_of_stem(&self, stem: &str) -> f64 {
-        self.phases
-            .iter()
-            .zip(&self.walls)
-            .filter(|(p, _)| p.name.split('.').next().unwrap_or(&p.name) == stem)
-            .map(|(_, w)| *w)
-            .sum()
+        self.costs_of_stem(stem).map(|c| c.wall_ms).sum()
+    }
+
+    /// Sums the [`crate::Algorithm::round`] calls of the phases whose
+    /// name stem equals `stem`, like [`MetricsLedger::wall_ms_of_stem`].
+    pub fn steps_of_stem(&self, stem: &str) -> u64 {
+        self.costs_of_stem(stem).map(|c| c.steps).sum()
     }
 }
 
@@ -358,9 +390,9 @@ mod tests {
     #[test]
     fn ledger_totals() {
         let mut l = MetricsLedger::new();
-        l.push_timed(phase("a", 10, 100, 1000), 0.0);
-        l.push_timed(phase("b", 5, 50, 500), 0.0);
-        l.push_timed(phase("a2", 1, 2, 3), 0.0);
+        l.push_timed(phase("a", 10, 100, 1000), 0.0, 7);
+        l.push_timed(phase("b", 5, 50, 500), 0.0, 5);
+        l.push_timed(phase("a2", 1, 2, 3), 0.0, 1);
         assert_eq!(l.total_rounds(), 16);
         assert_eq!(l.total_messages(), 152);
         assert_eq!(l.total_bits(), 1503);
@@ -369,16 +401,17 @@ mod tests {
         assert_eq!(l.messages_matching("a"), 102);
         assert_eq!(l.bits_matching("b"), 500);
         assert_eq!(l.phases().len(), 3);
+        assert_eq!(l.total_steps(), 13);
     }
 
     #[test]
     fn grouping_by_stem_preserves_first_appearance_order() {
         let mut l = MetricsLedger::new();
-        l.push_timed(phase("leader_bfs", 10, 100, 1000), 0.0);
-        l.push_timed(phase("mstA.l0.exch", 1, 20, 200), 0.0);
-        l.push_timed(phase("mstA.l0.cand", 2, 30, 300), 0.0);
-        l.push_timed(phase("s4a", 4, 5, 50), 0.0);
-        l.push_timed(phase("mstA.l1.exch", 1, 10, 100), 0.0);
+        l.push_timed(phase("leader_bfs", 10, 100, 1000), 0.0, 0);
+        l.push_timed(phase("mstA.l0.exch", 1, 20, 200), 0.0, 0);
+        l.push_timed(phase("mstA.l0.cand", 2, 30, 300), 0.0, 0);
+        l.push_timed(phase("s4a", 4, 5, 50), 0.0, 0);
+        l.push_timed(phase("mstA.l1.exch", 1, 10, 100), 0.0, 0);
         let groups = l.grouped_by_stem();
         assert_eq!(
             groups.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
@@ -400,8 +433,8 @@ mod tests {
     #[test]
     fn extend_from_keeps_walls_and_prefixes_once() {
         let mut attempt = MetricsLedger::new();
-        attempt.push_timed(phase("recover.e1.resume.bfs", 3, 4, 5), 1.5);
-        attempt.push_timed(phase("mstA.l0.cd", 2, 3, 4), 2.5);
+        attempt.push_timed(phase("recover.e1.resume.bfs", 3, 4, 5), 1.5, 9);
+        attempt.push_timed(phase("mstA.l0.cd", 2, 3, 4), 2.5, 6);
         let mut merged = MetricsLedger::new();
         merged.extend_from(&attempt, Some("recover.e1."));
         merged.extend_from(&attempt, None);
@@ -419,14 +452,17 @@ mod tests {
         assert_eq!(merged.wall_ms_of_stem("recover"), 5.5);
         assert_eq!(merged.wall_ms_of_stem("mstA"), 2.5);
         assert_eq!(merged.total_rounds(), 10);
+        assert_eq!(merged.total_steps(), 30);
+        assert_eq!(merged.steps_of_stem("recover"), 24);
+        assert_eq!(merged.steps_of_stem("mstA"), 6);
     }
 
     #[test]
     fn phases_matching_counts_names() {
         let mut l = MetricsLedger::new();
-        l.push_timed(phase("mstA.l0.cand", 1, 1, 1), 0.0);
-        l.push_timed(phase("mstA.l1.cand", 1, 1, 1), 0.0);
-        l.push_timed(phase("s4a", 1, 1, 1), 0.0);
+        l.push_timed(phase("mstA.l0.cand", 1, 1, 1), 0.0, 0);
+        l.push_timed(phase("mstA.l1.cand", 1, 1, 1), 0.0, 0);
+        l.push_timed(phase("s4a", 1, 1, 1), 0.0, 0);
         assert_eq!(l.phases_matching("mstA"), 2);
         assert_eq!(l.phases_matching("cand"), 2);
         assert_eq!(l.phases_matching("s4a"), 1);
@@ -449,9 +485,9 @@ mod tests {
             corrupted: 2,
         };
         let mut l = MetricsLedger::new();
-        l.push_timed(faulty, 0.0);
-        l.push_timed(phase("mstA.l1.exch", 10, 5, 50), 0.0); // fault-free: sim zeros
-        l.push_timed(phase("s4a", 6, 2, 20), 0.0);
+        l.push_timed(faulty, 0.0, 0);
+        l.push_timed(phase("mstA.l1.exch", 10, 5, 50), 0.0, 0); // fault-free: sim zeros
+        l.push_timed(phase("s4a", 6, 2, 20), 0.0, 0);
         let groups = l.grouped_by_stem();
         let msta = &groups[0].1;
         assert_eq!(msta.sim.phys_rounds, 40);

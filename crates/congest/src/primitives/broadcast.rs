@@ -60,7 +60,7 @@ impl<T: Message> Algorithm for Broadcast<T> {
             out.send_all(s.tree.children.iter().copied(), item.clone());
             return Step::Halt(out);
         }
-        Step::idle()
+        Step::wait()
     }
 
     fn finish(&self, s: BcState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<T> {
@@ -317,7 +317,7 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
         // Only the parent speaks, at most once per round.
         debug_assert!(inbox.len() <= 1, "one upstream message per round");
         let Some((_, msg)) = inbox.first() else {
-            return Step::idle();
+            return Step::wait();
         };
         let rows = msg.items();
         for (route, item) in rows {
@@ -342,7 +342,8 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
         if end {
             Step::Halt(out)
         } else {
-            Step::Continue(out)
+            // The next batch, or the end marker, comes from the parent.
+            Step::Wait(out, None)
         }
     }
 

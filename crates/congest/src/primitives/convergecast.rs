@@ -126,7 +126,7 @@ impl<T: Aggregate> Algorithm for Convergecast<T> {
                 None => Step::halt(),
             }
         } else {
-            Step::idle()
+            Step::wait()
         }
     }
 

@@ -223,6 +223,19 @@ fn radius_at(r0: u64, round: u64) -> u64 {
     }
 }
 
+/// The first round whose [`radius_at`] exceeds `depth`: the start of the
+/// first stage whose radius does, when a probe pending at that depth
+/// fires.
+fn release_round(r0: u64, depth: u64) -> u64 {
+    let mut start = 0u64;
+    let mut radius = r0.max(1);
+    while radius <= depth {
+        start = start.saturating_add(radius.saturating_add(2));
+        radius = radius.saturating_mul(2);
+    }
+    start
+}
+
 /// Node state for [`LeaderBfs`].
 #[derive(Debug)]
 pub struct ElectionState {
@@ -390,7 +403,8 @@ impl Algorithm for LeaderBfs {
         // wait for are never skipped — when the next stage begins. The
         // first radius is ⌈log₂ n⌉, and every node knows `n`, so the
         // schedule is globally agreed.
-        if s.probe_pending && u64::from(s.depth) < radius_at(id_bits(ctx.n) as u64, ctx.round) {
+        let r0 = id_bits(ctx.n) as u64;
+        if s.probe_pending && u64::from(s.depth) < radius_at(r0, ctx.round) {
             s.probe_pending = false;
             s.flood(ctx, &mut out);
         }
@@ -417,7 +431,10 @@ impl Algorithm for LeaderBfs {
                 }
             }
         }
-        Step::Continue(out)
+        // Nothing more happens here until a message arrives, or, with a
+        // probe pending, until the schedule releases this depth.
+        let release = s.probe_pending.then(|| release_round(r0, s.depth.into()));
+        Step::Wait(out, release)
     }
 
     fn finish(&self, s: ElectionState, ctx: &NodeCtx<'_>) -> FinishResult<LeaderBfsOutput> {
@@ -456,6 +473,22 @@ mod tests {
         assert_eq!(out.outputs, oracle(g), "n = {}", g.node_count());
         assert!(out.metrics.max_message_bits <= net.bandwidth_bits());
         (out.metrics.rounds, out.metrics.messages)
+    }
+
+    /// A pending probe sleeps until exactly the round the schedule
+    /// releases its depth.
+    #[test]
+    fn release_round_is_the_first_round_past_the_depth() {
+        for r0 in 0..6 {
+            for depth in 0..200 {
+                let first = (0..).find(|&r| radius_at(r0, r) > depth);
+                assert_eq!(
+                    Some(release_round(r0, depth)),
+                    first,
+                    "r0 = {r0}, depth = {depth}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -405,7 +405,7 @@ mod tests {
             KeyedStreamReduce::new(&ctx, &leaf_tree(), vec![]);
         match leaf.relay_round(64, |_| true, |_| ()) {
             Step::Halt(o) => assert!(matches!(&o.msgs[..], [(_, StreamMsg::End)])),
-            Step::Continue(_) => panic!("leaf must halt after its End"),
+            Step::Continue(_) | Step::Wait(..) => panic!("leaf must halt after its End"),
         }
     }
 
@@ -434,7 +434,7 @@ mod tests {
         let mut sent = Vec::new();
         for _ in 0..2000 {
             let (halted, out) = match core.relay_round(budget, &mut keep, |_| ()) {
-                Step::Continue(o) => (false, o),
+                Step::Continue(o) | Step::Wait(o, _) => (false, o),
                 Step::Halt(o) => (true, o),
             };
             assert!(out.len() <= 1, "one message per edge per round");

@@ -72,7 +72,7 @@ impl Algorithm for SubtreeSums {
                 None => Step::halt(),
             }
         } else {
-            Step::idle()
+            Step::wait()
         }
     }
 

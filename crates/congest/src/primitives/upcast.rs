@@ -95,10 +95,10 @@ impl<T: Message> Algorithm for UpcastItems<T> {
                 if s.open_children == 0 {
                     Step::halt()
                 } else {
-                    Step::idle()
+                    Step::wait()
                 }
             }
-            Some(_) if s.queue.is_empty() && s.open_children > 0 => Step::idle(),
+            Some(_) if s.queue.is_empty() && s.open_children > 0 => Step::wait(),
             Some(p) => {
                 // The queue's fitting prefix, and the end marker after
                 // it once every child has closed and it fits.
@@ -116,6 +116,9 @@ impl<T: Message> Algorithm for UpcastItems<T> {
                 out.send(p, msg);
                 if end {
                     Step::Halt(out)
+                } else if s.queue.is_empty() && s.open_children > 0 {
+                    // Nothing to send until a child's next message.
+                    Step::Wait(out, None)
                 } else {
                     Step::Continue(out)
                 }

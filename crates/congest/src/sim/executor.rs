@@ -132,14 +132,14 @@ const MAX_PARTITIONS: usize = 64;
 
 /// Drives one phase to completion with the fault-injecting executor
 /// under `plan` (see the module docs for the protocol). Returns per-node
-/// outputs and the phase metrics, or the error [`crate::Network::run`]
-/// documents.
+/// outputs, the phase metrics and the number of [`Algorithm::round`]
+/// calls, or the error [`crate::Network::run`] documents.
 pub(crate) fn run_faulty<A: Algorithm>(
     plan: &FaultPlan,
     spec: &PhaseSpec<'_>,
     algo: &A,
     inputs: Vec<A::Input>,
-) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
+) -> Result<(Vec<A::Output>, PhaseMetrics, u64), CongestError> {
     // `FaultPlan`'s fields are public, so only the executor can refuse a
     // plan it cannot represent — before the first tick.
     if plan.partitions.len() > MAX_PARTITIONS {
@@ -217,6 +217,9 @@ struct SimNode<S> {
     unacked: u32,
     /// Safe count: all sends of rounds `< safe` are acked.
     safe: u64,
+    /// `Some(wake)` when the last step was [`Step::Wait`] with that wake
+    /// round: debug builds check the `Wait` contract on the next call.
+    wait: Option<Option<u64>>,
 }
 
 /// One frame on the wire.
@@ -268,6 +271,31 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The [`Step::Wait`] contract, which lets the serial executor skip a
+/// waiting node: the faulty executor calls every live node every round,
+/// so it sees the calls the serial one skips — node `v` in `round`,
+/// after a `Wait` until `waited`, with an empty inbox (`idle`) and before
+/// its wake round — and each must return `Wait` again with an empty
+/// outbox and the same wake round.
+fn check_wait_contract<M>(
+    phase: &str,
+    v: usize,
+    round: u64,
+    waited: Option<Option<u64>>,
+    idle: bool,
+    step: &Step<M>,
+) {
+    let Some(wake) = waited else { return };
+    if !idle || wake.is_some_and(|w| round >= w) {
+        return;
+    }
+    assert!(
+        matches!(step, Step::Wait(o, w) if o.msgs.is_empty() && *w == wake),
+        "phase {phase}: node {v} returned Wait until {wake:?} but acted when called in round \
+         {round} with an empty inbox (the Step::Wait contract)"
+    );
 }
 
 /// One node's buffered future inboxes: virtual round → (port, payload).
@@ -344,6 +372,8 @@ struct Machine<'a, A: Algorithm> {
     /// retransmissions, so the channel-scan cost center can be reported
     /// net of the nested retransmit one (always 0 with obs detached).
     retrans_ns: u64,
+    /// [`Algorithm::round`] calls so far.
+    steps: u64,
 }
 
 impl<'a, A: Algorithm> Machine<'a, A> {
@@ -372,6 +402,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                     halted: false,
                     unacked: 0,
                     safe: 0,
+                    wait: None,
                 })
                 .collect(),
             inboxes: (0..n).map(|_| BTreeMap::new()).collect(),
@@ -419,6 +450,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                 .fold(plan.seed, |h, b| splitmix64(h ^ u64::from(b))),
             cur_tick: 0,
             retrans_ns: 0,
+            steps: 0,
         }
     }
 
@@ -782,6 +814,14 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             // crash-free plans — identical to the serial executor).
             ctx.suspected = &self.suspected[spec.slot_base[v]..spec.slot_base[v + 1]];
             let step = algo.round(&mut state, &ctx, &inbox);
+            self.steps += 1;
+            if cfg!(debug_assertions) {
+                check_wait_contract(spec.name, v, q, self.nodes[v].wait, inbox.is_empty(), &step);
+            }
+            self.nodes[v].wait = match &step {
+                Step::Wait(_, wake) => Some(*wake),
+                _ => None,
+            };
             self.nodes[v].state = Some(state);
             self.nodes[v].round = q;
             if q > self.max_round {
@@ -793,8 +833,10 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                     sink.round_end(q, self.cur_tick);
                 }
             }
+            // Every live node runs every round, so a waiting node is
+            // called like a continuing one.
             let outbox = match step {
-                Step::Continue(o) => o,
+                Step::Continue(o) | Step::Wait(o, _) => o,
                 Step::Halt(o) => {
                     self.nodes[v].halted = true;
                     self.live -= 1;
@@ -1294,7 +1336,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     fn run(
         mut self,
         inputs: Vec<A::Input>,
-    ) -> Result<(Vec<A::Output>, PhaseMetrics), CongestError> {
+    ) -> Result<(Vec<A::Output>, PhaseMetrics, u64), CongestError> {
         let spec = self.spec;
         let algo = self.algo;
         let obs = spec.obs;
@@ -1552,7 +1594,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             outputs.push(out);
         }
         obs::cc_end(obs, span, CostCenter::Finish);
-        Ok((outputs, self.metrics))
+        Ok((outputs, self.metrics, self.steps))
     }
 }
 

@@ -384,6 +384,8 @@ impl Algorithm for CandDec {
                 }
                 return Step::Halt(out);
             }
+            // The children's aggregates arrive at `maxdepth`.
+            Step::Wait(out, Some(maxdepth))
         } else {
             if ctx.round == maxdepth - depth {
                 let agg = s.compute();
@@ -400,8 +402,14 @@ impl Algorithm for CandDec {
                 }
                 return Step::Halt(out);
             }
+            // Next: the send slot, then the decision's arrival.
+            let wake = if ctx.round < maxdepth - depth {
+                maxdepth - depth
+            } else {
+                maxdepth + depth
+            };
+            Step::Wait(out, Some(wake))
         }
-        Step::Continue(out)
     }
 
     fn finish(&self, s: CdState, _ctx: &NodeCtx<'_>) -> FinishResult<CdOutput> {
@@ -626,7 +634,8 @@ impl Algorithm for FragHook {
                 }
             }
         }
-        Step::Continue(out)
+        // Requests come in round 1 only; after it, a reply or a flood.
+        Step::Wait(out, None)
     }
 
     fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {

@@ -365,7 +365,7 @@ impl Algorithm for FragReroot {
             }
             return Step::Halt(out);
         }
-        Step::idle()
+        Step::wait()
     }
 
     fn finish(&self, s: RerootState, _ctx: &NodeCtx<'_>) -> FinishResult<(Option<Port>, u32)> {
@@ -433,7 +433,7 @@ impl Algorithm for SizesUp {
                 None => Step::halt(),
             }
         } else {
-            Step::idle()
+            Step::wait()
         }
     }
 
@@ -517,7 +517,7 @@ impl Algorithm for IntervalDown {
             s.iv = Some(iv);
             return Step::Halt(out);
         }
-        Step::idle()
+        Step::wait()
     }
 
     fn finish(&self, s: IntervalState, _ctx: &NodeCtx<'_>) -> FinishResult<Intervals> {
@@ -948,7 +948,7 @@ impl Algorithm for SideFlood {
             out.send_all(s.input.children.iter().copied(), inside);
             return Step::Halt(out);
         }
-        Step::idle()
+        Step::wait()
     }
 
     fn finish(&self, s: SideState, _ctx: &NodeCtx<'_>) -> FinishResult<bool> {

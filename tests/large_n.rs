@@ -169,4 +169,8 @@ fn exact_mincut_above_the_old_u16_cap() {
     // The whole pipeline, so that a saving in one stage cannot move cost
     // into another unseen.
     assert_eq!((res.rounds, res.messages), (2_567, 5_779_703));
+
+    // The serial executor's `round` calls: every node in round 1, then
+    // only the nodes that are awake, got mail or are due (`Step::Wait`).
+    assert_eq!(res.ledger.total_steps(), 9_546_183);
 }
