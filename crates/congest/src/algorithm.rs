@@ -127,7 +127,10 @@ impl<M: Message> Step<M> {
 /// its inbox — it cannot observe the graph or other nodes, which is what
 /// makes simulated round counts meaningful.
 pub trait Algorithm {
-    /// Per-node input (local knowledge from previous phases).
+    /// Per-node input (local knowledge from previous phases). It may
+    /// borrow the node's share of the caller's memory for the phase and
+    /// write to it in place; if the phase fails, such writes can be
+    /// partial, and the caller must not trust that memory afterwards.
     type Input;
     /// Per-node mutable state.
     type State;

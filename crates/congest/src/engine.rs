@@ -1,7 +1,8 @@
 //! The synchronous round engine.
 //!
 //! [`Network`] owns the topology (the graph, whose adjacency order is
-//! the port order, and the CSR slot geometry shared by every phase),
+//! the port order and whose CSR offsets lay out every phase's per-slot
+//! arrays, plus the routing table built from them),
 //! the serial executor's kept buffers and the session metrics ledger;
 //! each phase's rounds are driven by the executor that
 //! [`NetworkConfig::executor`] names.
@@ -31,11 +32,7 @@ pub struct Network<'g> {
     graph: &'g WeightedGraph,
     config: NetworkConfig,
     ledger: MetricsLedger,
-    /// CSR offsets of the message slots: node `v`'s inbox slots (one
-    /// per port) are `slot_base[v]..slot_base[v + 1]`; the total slot
-    /// count (`slot_base[n]`) is the number of directed edges.
-    slot_base: Vec<usize>,
-    /// `write_slot[slot_base[v] + p]` = the destination slot of the
+    /// `write_slot[offsets[v] + p]` = the destination slot of the
     /// directed edge leaving `v` through port `p` — precomputed so
     /// routing a message is one indexed store.
     write_slot: Vec<usize>,
@@ -65,18 +62,13 @@ impl<'g> Network<'g> {
     pub fn new(graph: &'g WeightedGraph, config: NetworkConfig) -> Result<Self, CongestError> {
         let n = graph.node_count();
         // Slot geometry: one slot per directed edge, grouped by
-        // destination, so the serial executor's per-slot buffers are
-        // sized once per network.
-        let mut slot_base = Vec::with_capacity(n + 1);
-        slot_base.push(0);
-        for v in graph.nodes() {
-            slot_base.push(slot_base[v.index()] + graph.degree(v));
-        }
-        // Executors slice the graph's CSR adjacency with `slot_base`.
-        debug_assert_eq!(graph.adjacency().len(), slot_base[n]);
-        // Port-level routing: v's port p leads to u; the message lands in
-        // the slot of u's port back to v.
-        let mut write_slot = Vec::with_capacity(slot_base[n]);
+        // destination, laid out by the graph's own CSR offsets (node
+        // `v`'s inbox slots are its ports), so the serial executor's
+        // per-slot buffers are sized once per network. Port-level
+        // routing: v's port p leads to u; the message lands in the slot
+        // of u's port back to v.
+        let offsets = graph.offsets();
+        let mut write_slot = Vec::with_capacity(graph.adjacency().len());
         for v in graph.nodes() {
             for a in graph.neighbors(v) {
                 let u = a.neighbor;
@@ -88,7 +80,7 @@ impl<'g> Network<'g> {
                         node: v,
                         neighbor: u,
                     })?;
-                write_slot.push(slot_base[u.index()] + back);
+                write_slot.push(offsets[u.index()] as usize + back);
             }
         }
         let max_degree = graph.nodes().map(|v| graph.degree(v)).max().unwrap_or(0);
@@ -97,7 +89,6 @@ impl<'g> Network<'g> {
             graph,
             config,
             ledger: MetricsLedger::new(),
-            slot_base,
             write_slot,
             max_degree,
             bandwidth_bits,
@@ -194,7 +185,7 @@ impl<'g> Network<'g> {
             name,
             n,
             adj: self.graph.adjacency(),
-            slot_base: &self.slot_base,
+            offsets: self.graph.offsets(),
             write_slot: &self.write_slot,
             bandwidth_bits: self.bandwidth_bits,
             cap: round_cap(n),
@@ -871,15 +862,16 @@ mod tests {
     fn routing_is_symmetric() {
         let g = graphs::generators::grid2d(3, 3).unwrap();
         let net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let base = |v: usize| g.offsets()[v] as usize;
         for v in g.nodes() {
             for (p, a) in g.neighbors(v).iter().enumerate() {
-                let s = net.slot_base[v.index()] + p;
+                let s = base(v.index()) + p;
                 let d = net.write_slot[s];
                 // Following the reverse port comes back.
                 assert_eq!(net.write_slot[d], s);
                 let u = a.neighbor.index();
-                assert!((net.slot_base[u]..net.slot_base[u + 1]).contains(&d));
-                assert_eq!(g.neighbors(a.neighbor)[d - net.slot_base[u]].neighbor, v);
+                assert!((base(u)..base(u + 1)).contains(&d));
+                assert_eq!(g.neighbors(a.neighbor)[d - base(u)].neighbor, v);
             }
         }
     }

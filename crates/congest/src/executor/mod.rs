@@ -73,12 +73,13 @@ pub(crate) struct PhaseSpec<'a> {
     pub(crate) name: &'a str,
     pub(crate) n: usize,
     /// The graph's CSR adjacency ([`graphs::WeightedGraph::adjacency`]):
-    /// node `v`'s port `p` is `adj[slot_base[v] + p]`.
+    /// node `v`'s port `p` is `adj[offsets[v] + p]`.
     pub(crate) adj: &'a [AdjEntry],
-    /// CSR offsets: node `v`'s inbox slots (= its ports, = its outgoing
-    /// directed edges) are `slot_base[v]..slot_base[v + 1]`.
-    pub(crate) slot_base: &'a [usize],
-    /// `write_slot[slot_base[v] + p]` = the global slot of the directed
+    /// The graph's CSR offsets ([`graphs::WeightedGraph::offsets`]):
+    /// node `v`'s inbox slots (= its ports, = its outgoing directed
+    /// edges) are [`PhaseSpec::slots`]`(v)`.
+    pub(crate) offsets: &'a [u32],
+    /// `write_slot[offsets[v] + p]` = the global slot of the directed
     /// edge leaving `v` through port `p` (i.e. the reverse-port slot in
     /// the destination's inbox range).
     pub(crate) write_slot: &'a [usize],
@@ -114,7 +115,12 @@ impl PhaseSpec<'_> {
     /// Node `v`'s adjacency list, indexed by port: the graph's own
     /// `neighbors(v)` slice.
     pub(crate) fn ports(&self, v: usize) -> &[AdjEntry] {
-        &self.adj[self.slot_base[v]..self.slot_base[v + 1]]
+        &self.adj[self.slots(v)]
+    }
+
+    /// Node `v`'s slots, one per port, in every per-slot array.
+    pub(crate) fn slots(&self, v: usize) -> std::ops::Range<usize> {
+        self.offsets[v] as usize..self.offsets[v + 1] as usize
     }
 }
 
@@ -129,7 +135,7 @@ pub(crate) fn run_serial<A: Algorithm>(
     algo: &A,
     inputs: Vec<A::Input>,
 ) -> Result<(Vec<A::Output>, PhaseMetrics, u64), CongestError> {
-    bufs.prepare(spec.n, spec.slot_base[spec.n]);
+    bufs.prepare(spec.n, spec.adj.len());
     let out = serial_phase(spec, bufs, algo, inputs);
     if out.is_err() {
         bufs.reset();

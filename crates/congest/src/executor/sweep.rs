@@ -53,7 +53,7 @@ pub(crate) struct SweepBuffers {
     /// their slots.
     pending: [Vec<u32>; 2],
     /// Per half: for each directed edge (its slot, CSR by destination:
-    /// node `v`'s inbox is `slot_base[v]..slot_base[v + 1]`, one slot
+    /// node `v`'s inbox is `PhaseSpec::slots(v)`, one slot
     /// per port), the position of its message in that half's message
     /// vector, or [`EMPTY`]. A slot belongs to one sender, so a
     /// non-empty entry *is* the `DoubleSend` check.
@@ -349,8 +349,7 @@ impl<'a, A: Algorithm> PhaseState<'a, A> {
             let inbox = &mut self.scratch;
             inbox.clear();
             if read_pending[v] > 0 {
-                let base = spec.slot_base[v];
-                let slots = &mut read_index[base..spec.slot_base[v + 1]];
+                let slots = &mut read_index[spec.slots(v)];
                 for (port, at) in slots.iter_mut().enumerate() {
                     if *at != EMPTY {
                         let m = read_msgs[*at as usize].take().expect("indexed once");
@@ -449,7 +448,7 @@ impl<M: Message> Router<'_, M> {
     ) {
         let adj = spec.ports(v);
         let degree = adj.len();
-        let base = spec.slot_base[v];
+        let base = spec.offsets[v] as usize;
         for (port, msg) in msgs {
             let p = port.index();
             if p >= degree {

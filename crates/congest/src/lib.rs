@@ -21,7 +21,14 @@
 //! Algorithms are composed out of *phases*: each phase is one `Algorithm`
 //! run to completion by [`Network::run`], and per-node outputs of one phase
 //! are handed to the next phase as per-node inputs (modelling persistent
-//! local memory). The [`primitives`] module supplies the standard building
+//! local memory). An input may also *borrow* that memory from the driver
+//! for the one phase: a node reads its own rows and writes them in place
+//! (say, the per-port view of
+//! [`primitives::exchange::PortDeltaExchange`]), so the memory is neither
+//! copied in nor handed back. A phase that fails can leave such writes
+//! half done; a driver that borrows must discard that memory after an
+//! error, as `mincut`'s pipeline does by dropping its whole state with
+//! the error. The [`primitives`] module supplies the standard building
 //! blocks (leader election + BFS tree with echo termination, convergecast,
 //! broadcast, pipelined upcast/downcast, grouped aggregation, neighbor
 //! exchange) that the paper's algorithm is assembled from.

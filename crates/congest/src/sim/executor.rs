@@ -379,7 +379,7 @@ struct Machine<'a, A: Algorithm> {
 impl<'a, A: Algorithm> Machine<'a, A> {
     fn new(plan: &'a FaultPlan, spec: &'a PhaseSpec<'a>, algo: &'a A) -> Self {
         let n = spec.n;
-        let total = spec.slot_base[n];
+        let total = spec.adj.len();
         // Wheel entries and arrival-order keys hold a slot in 32 bits.
         assert!(
             u32::try_from(total).is_ok(),
@@ -387,7 +387,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         );
         let mut slot_owner = vec![0u32; total];
         for v in 0..n {
-            slot_owner[spec.slot_base[v]..spec.slot_base[v + 1]].fill(v as u32);
+            slot_owner[spec.slots(v)].fill(v as u32);
         }
         let part_mask = Self::partition_masks(plan, spec, &slot_owner);
         Machine {
@@ -563,7 +563,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     /// The sender's port number for edge `d`.
     fn sender_port(&self, d: usize) -> Port {
         let u = self.sender(d);
-        Port((self.rev(d) - self.spec.slot_base[u]) as u32)
+        Port((self.rev(d) - self.spec.offsets[u] as usize) as u32)
     }
 
     /// Records an error at (virtual `round`, `node`), keeping the
@@ -615,7 +615,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     /// every neighbor that might still be waiting on it.
     fn set_safe(&mut self, v: usize, safe: u64) {
         self.nodes[v].safe = safe;
-        for s in self.spec.slot_base[v]..self.spec.slot_base[v + 1] {
+        for s in self.spec.slots(v) {
             let out = self.spec.write_slot[s];
             // `s` receives from the same neighbor `out` sends to: a peer
             // announced permanently safe never advances again and needs
@@ -637,8 +637,8 @@ impl<'a, A: Algorithm> Machine<'a, A> {
     /// the serial executor's `route_outbox` enforcement (ports, double
     /// sends, bandwidth) and payload-level metering.
     fn enqueue_outbox(&mut self, v: usize, round: u64, msgs: Vec<(Port, A::Msg)>) {
-        let base = self.spec.slot_base[v];
-        let degree = self.spec.slot_base[v + 1] - base;
+        let slots = self.spec.slots(v);
+        let (base, degree) = (slots.start, slots.len());
         for (port, msg) in msgs {
             let p = port.index();
             if p >= degree {
@@ -754,7 +754,8 @@ impl<'a, A: Algorithm> Machine<'a, A> {
         // progress around a crash). Its recorded safe count is left
         // untouched so a false suspicion, once revoked, restores the
         // exact synchronous gating.
-        (self.spec.slot_base[v]..self.spec.slot_base[v + 1])
+        self.spec
+            .slots(v)
             .all(|s| self.suspected[s] || self.rx[s].peer_safe >= next)
     }
 
@@ -812,7 +813,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             // A node's receive slots are contiguous in the CSR arena, so
             // its detector view is a zero-copy slice (all-false under
             // crash-free plans — identical to the serial executor).
-            ctx.suspected = &self.suspected[spec.slot_base[v]..spec.slot_base[v + 1]];
+            ctx.suspected = &self.suspected[spec.slots(v)];
             let step = algo.round(&mut state, &ctx, &inbox);
             self.steps += 1;
             if cfg!(debug_assertions) {
@@ -946,7 +947,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
                         },
                     );
                 } else {
-                    let port = Port((d - self.spec.slot_base[v]) as u32);
+                    let port = Port((d - self.spec.offsets[v] as usize) as u32);
                     self.inboxes[v]
                         .entry(dt.round + 1)
                         .or_default()
@@ -1582,7 +1583,7 @@ impl<'a, A: Algorithm> Machine<'a, A> {
             // dead node reports no suspects, which is how a recovery
             // driver tells survivor reports from zombie ones.
             if !self.crashed[v] {
-                ctx.suspected = &self.suspected[spec.slot_base[v]..spec.slot_base[v + 1]];
+                ctx.suspected = &self.suspected[spec.slots(v)];
             }
             let out = algo
                 .finish(node.state.expect("state present"), &ctx)

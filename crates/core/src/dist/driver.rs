@@ -11,9 +11,23 @@
 //! bit for bit, which the unit tests assert.
 //!
 //! Between phases the driver performs only **per-node-local**
-//! bookkeeping on each node's `NodeMem` (the engine's documented
+//! bookkeeping on each node's memory (the engine's documented
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
+//!
+//! That memory has two parts. Phase A's state and the packing's per-port
+//! weights and loads are flat columns (`Columns`): per-node ones indexed
+//! by node id, per-port ones laid out by the graph's CSR offsets, so
+//! node `v`'s port `p` sits at `offsets[v] + p` in each. They live for
+//! the whole run and are reset in place for each tree, and phase A's
+//! phases borrow every node's rows instead of copying them in and out:
+//! `.exch` writes the neighbors' labels into the port view, `.cd` its
+//! child caches, and the outputs carry only what a phase decided. Edge
+//! ids and weights are read from `g.neighbors(v)`, the adjacency nodes
+//! see through `NodeCtx`. The rest — BFS labels, `T_F` roles, intervals
+//! and the best tree's snapshot — is one `NodeMem` per node. A failed
+//! phase can leave the columns half updated; `run_pipeline` then drops
+//! the whole pipeline with the error, so nothing reads them again.
 //!
 //! Phase B of the MST ends at its upcast: the chosen inter-fragment
 //! edges reach the leader with both fragments and both endpoints' BFS
@@ -40,8 +54,8 @@
 //! in `s2c.down`.
 
 use crate::dist::mst::{
-    CandDec, CdInput, DecMsg, FilteredUpcast, FragHook, FragLabel, FragMsg, HookInput, HookRole,
-    InterEdge, MstConfig, OptAgg, OptCand,
+    CandDec, CdInput, FilteredUpcast, FragHook, FragLabel, FragMsg, HookInput, HookRole, InterEdge,
+    MstConfig, OptAgg, OptCand,
 };
 use crate::dist::one_respect::{
     AttItem, FragReroot, IntervalDown, IntervalInput, LcaCase, NbMsg, PairItem, RerootInput,
@@ -53,14 +67,16 @@ use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::primitives::broadcast::{Route, StreamInput};
 use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
+use congest::primitives::exchange::DeltaInput;
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::subtree::SubtreeSums;
 use congest::primitives::{
     Broadcast, BroadcastItems, GroupedSum, NeighborExchange, PortDeltaExchange, UpcastItems,
 };
 use congest::{ExecutorKind, Intervals, MetricsLedger, Network, NetworkConfig, Port, TreeInfo};
-use graphs::{CutResult, NodeId, WeightedGraph};
+use graphs::{AdjEntry, CutResult, NodeId, WeightedGraph};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Configuration of [`exact_mincut`]: the network model, the packing
 /// policy, and the MST stage setting.
@@ -342,7 +358,8 @@ fn tree_infos(g: &WeightedGraph, parents: &[Option<u32>]) -> Vec<TreeInfo> {
     infos
 }
 
-/// Per-node persistent local memory threaded through the phases.
+/// Per-node persistent local memory threaded through the phases, beside
+/// the flat columns of [`Columns`].
 #[derive(Clone, Debug, Default)]
 struct NodeMem {
     // -- static for the run (local knowledge) --
@@ -350,17 +367,8 @@ struct NodeMem {
     /// This node's and its children's pre-order intervals in the BFS
     /// tree: the labels the leader's routed rows travel by.
     bfs_iv: Intervals,
-    edge_ids: Vec<u32>,
-    weights: Vec<u64>,
-    pack_w: Vec<u64>,
     delta: u64,
-    loads: Vec<u64>,
     // -- per packed tree --
-    frag: u32,
-    frozen: bool,
-    parent: Option<Port>,
-    tree_ports: BTreeSet<Port>,
-    inter_ports: BTreeSet<Port>,
     inter_parent: Option<Port>,
     /// The ports of the child-fragment connectors attached here, sorted,
     /// each with that child fragment's number.
@@ -368,22 +376,6 @@ struct NodeMem {
     /// This node's fragment's number in `T_F`'s pre-order (from
     /// `orient`; the root fragment is 0).
     num: u32,
-    port_frag: Vec<u32>,
-    port_frozen: Vec<bool>,
-    /// mstA: ports whose neighbor must still be told this node's
-    /// `(frag, frozen)` at the next `.exch` (boundary ports of a
-    /// relabel/freeze; old-fragment neighbors infer the change locally).
-    ann_mask: Vec<bool>,
-    /// mstA: this node's fragment-tree depth (maintained by the hook
-    /// handshake; drives the `.cd` send schedule).
-    depth: u32,
-    /// mstA: aggregate last sent up in `.cd` (delta cache).
-    cd_sent: Option<OptAgg>,
-    /// mstA: last aggregate received per port in `.cd`.
-    cd_children: Vec<Option<OptAgg>>,
-    /// mstA: the fragment was restructured since the last `.cd` pass —
-    /// drop the caches and speak unconditionally.
-    cd_purge: bool,
     iv: Option<Intervals>,
     /// s2c: the in-fragment in-times of this fragment's attachments,
     /// keyed by the number of the child fragment hung at each.
@@ -394,43 +386,174 @@ struct NodeMem {
     snap_children: Vec<Port>,
 }
 
-impl NodeMem {
-    /// The in-fragment tree info (fragment forest view).
-    fn ftree(&self) -> TreeInfo {
-        TreeInfo {
-            parent: self.parent,
-            children: self
-                .tree_ports
+/// Node `v`'s slots in a per-slot column: its ports, laid out by the
+/// graph's CSR offsets.
+fn slots(off: &[u32], v: usize) -> Range<usize> {
+    off[v] as usize..off[v + 1] as usize
+}
+
+/// A per-slot column cut into one mutable row per node, in node order.
+fn rows_mut<'a, T>(mut col: &'a mut [T], off: &'a [u32]) -> impl Iterator<Item = &'a mut [T]> {
+    off.windows(2).map(move |w| {
+        let (row, rest) = std::mem::take(&mut col).split_at_mut((w[1] - w[0]) as usize);
+        col = rest;
+        row
+    })
+}
+
+/// The port of a node's adjacency `adj` that carries edge `e`, if any.
+fn port_of_edge(adj: &[AdjEntry], e: u32) -> Option<Port> {
+    adj.iter()
+        .position(|a| a.edge.raw() == e)
+        .map(|p| Port(p as u32))
+}
+
+/// The memory of phase A and the packing's per-port state, as flat
+/// columns that live for the whole run and are reset in place for each
+/// tree. Per-node columns are indexed by node id. Per-slot columns hold
+/// node `v`'s port `p` at `offsets[v] + p`, the graph's own CSR layout
+/// ([`WeightedGraph::offsets`]), so node `v`'s row of one is
+/// `col[slots(offsets, v)]`. Edge ids and weights are not copied: nodes
+/// read them from `g.neighbors(v)`, as through `NodeCtx`.
+///
+/// Each phase-A phase borrows every node's rows for its run: the
+/// announce flags and the fragment-tree flags shared, the port view and
+/// the `.cd` child cache mutably, written in place. A failed phase can
+/// leave them half updated, which is harmless: [`run_pipeline`] drops
+/// the pipeline with the error and never reads them again.
+#[derive(Debug)]
+struct Columns {
+    // -- per node, per tree --
+    /// Phase-A fragment id.
+    frag: Vec<u32>,
+    /// The fragment reached the size cap.
+    frozen: Vec<bool>,
+    /// Fragment-tree depth (maintained by the hook handshake; drives
+    /// the `.cd` send schedule).
+    depth: Vec<u32>,
+    /// Fragment-tree parent port.
+    parent: Vec<Option<Port>>,
+    /// `.cd`: aggregate last sent up (delta cache).
+    cd_sent: Vec<Option<OptAgg>>,
+    /// `.cd`: the fragment was restructured since the last pass — speak
+    /// unconditionally.
+    cd_purge: Vec<bool>,
+    // -- per slot, per tree --
+    /// The neighbor's `(frag, frozen)` as this node last heard or
+    /// inferred it.
+    view: Vec<FragMsg>,
+    /// The neighbor must be told this node's `(frag, frozen)` at the
+    /// next `.exch` (boundary ports of a relabel/freeze; old-fragment
+    /// neighbors infer the change locally).
+    ann: Vec<bool>,
+    /// `.cd`: last aggregate received from the port.
+    cd_children: Vec<Option<OptAgg>>,
+    /// The port is a fragment-tree edge (to the parent or a child).
+    tree: Vec<bool>,
+    // -- per slot, for the run --
+    /// The edge's packing weight.
+    pack_w: Vec<u64>,
+    /// Trees packed so far that use the edge.
+    loads: Vec<u64>,
+}
+
+impl Columns {
+    /// Columns for `g`, every per-tree entry in its reset state.
+    fn new(g: &WeightedGraph, pack_edge: &[u64]) -> Self {
+        let (n, slots) = (g.node_count(), g.adjacency().len());
+        let mut cols = Columns {
+            frag: vec![0; n],
+            frozen: vec![false; n],
+            depth: vec![0; n],
+            parent: vec![None; n],
+            cd_sent: vec![None; n],
+            cd_purge: vec![false; n],
+            view: vec![
+                FragMsg {
+                    frag: 0,
+                    frozen: false
+                };
+                slots
+            ],
+            ann: vec![false; slots],
+            cd_children: vec![None; slots],
+            tree: vec![false; slots],
+            pack_w: g
+                .adjacency()
                 .iter()
-                .copied()
-                .filter(|p| Some(*p) != self.parent)
+                .map(|a| pack_edge[a.edge.index()])
+                .collect(),
+            loads: vec![0; slots],
+        };
+        cols.reset(g);
+        cols
+    }
+
+    /// Resets the per-tree columns before packing the next tree: every
+    /// node is its own fragment, unfrozen, with empty caches.
+    fn reset(&mut self, g: &WeightedGraph) {
+        for (v, f) in self.frag.iter_mut().enumerate() {
+            *f = v as u32;
+        }
+        self.frozen.fill(false);
+        self.depth.fill(0);
+        self.parent.fill(None);
+        self.cd_sent.fill(None);
+        self.cd_purge.fill(false);
+        // Level-0 fragment ids are node ids, and neighbor ids are
+        // a-priori local knowledge in CONGEST — so phase A's initial
+        // per-port view costs zero messages.
+        for (view, a) in self.view.iter_mut().zip(g.adjacency()) {
+            *view = FragMsg {
+                frag: a.neighbor.raw(),
+                frozen: false,
+            };
+        }
+        self.ann.fill(false);
+        self.cd_children.fill(None);
+        self.tree.fill(false);
+    }
+
+    /// Node `v`'s in-fragment tree info (fragment forest view).
+    fn ftree(&self, off: &[u32], v: usize) -> TreeInfo {
+        TreeInfo {
+            parent: self.parent[v],
+            children: crate::dist::mst::tree_ports(&self.tree[slots(off, v)], self.parent[v])
                 .collect(),
             depth: 0,
         }
     }
+}
 
-    /// The global-tree parent port (in-fragment parent, or the
-    /// inter-fragment edge at a fragment root; `None` at the leader).
-    fn t_parent(&self) -> Option<Port> {
-        self.parent.or(self.inter_parent)
+/// The local best phase-A candidate of a node in fragment `frag`, from
+/// its adjacency `adj` and its rows of the port view, packing weights
+/// and loads: the minimum-key incident edge with packing weight that
+/// leaves the fragment, with the fragment across it.
+fn local_cand(
+    frag: u32,
+    adj: &[AdjEntry],
+    view: &[FragMsg],
+    pack_w: &[u64],
+    loads: &[u64],
+) -> Option<OptCand> {
+    let mut best: Option<(usize, Cand)> = None;
+    for (p, a) in adj.iter().enumerate() {
+        if view[p].frag != frag && pack_w[p] > 0 {
+            let cand = Cand {
+                load: loads[p],
+                weight: pack_w[p],
+                edge: a.edge.raw(),
+            };
+            if better(best.map(|(_, c)| c), Some(cand)) == Some(cand) {
+                best = Some((p, cand));
+            }
+        }
     }
-
-    /// The global-tree child ports (in-fragment children plus attached
-    /// child-fragment connectors).
-    fn t_children(&self) -> Vec<Port> {
-        let mut c = self.ftree().children;
-        c.extend(self.inter_children.iter().map(|&(p, _)| p));
-        c.sort_unstable();
-        c
-    }
-
-    /// The port carrying global edge id `e`, if incident.
-    fn port_of_edge(&self, e: u32) -> Option<Port> {
-        self.edge_ids
-            .iter()
-            .position(|&x| x == e)
-            .map(|i| Port(i as u32))
-    }
+    best.map(|(p, cand)| OptCand {
+        cand,
+        target_frag: view[p].frag,
+        target_frozen: view[p].frozen,
+    })
 }
 
 /// Inputs of a table stream down the BFS tree: the leader streams the
@@ -468,6 +591,7 @@ struct Pipeline<'g> {
     net: Network<'g>,
     mst: MstConfig,
     mems: Vec<NodeMem>,
+    cols: Columns,
     leader: NodeId,
     n: usize,
     /// The current tree's `T_F` shape, numbered in pre-order. Every node
@@ -581,18 +705,11 @@ impl<'g> Pipeline<'g> {
         let mems = g
             .nodes()
             .zip(bfs)
-            .map(|(v, (bfs, bfs_iv))| {
-                let adj = g.neighbors(v);
-                NodeMem {
-                    bfs,
-                    bfs_iv,
-                    edge_ids: adj.iter().map(|a| a.edge.raw()).collect(),
-                    weights: adj.iter().map(|a| a.weight).collect(),
-                    pack_w: adj.iter().map(|a| pack_edge[a.edge.index()]).collect(),
-                    delta: g.weighted_degree(v),
-                    loads: vec![0; adj.len()],
-                    ..Default::default()
-                }
+            .map(|(v, (bfs, bfs_iv))| NodeMem {
+                bfs,
+                bfs_iv,
+                delta: g.weighted_degree(v),
+                ..Default::default()
             })
             .collect();
         Pipeline {
@@ -600,6 +717,7 @@ impl<'g> Pipeline<'g> {
             net,
             mst,
             mems,
+            cols: Columns::new(g, pack_edge),
             leader,
             n: g.node_count(),
             shape: TfShape::new(&[]),
@@ -651,9 +769,12 @@ impl<'g> Pipeline<'g> {
             "re-rooted at the leader"
         );
         self.reset_tree();
-        for (m, t) in self.mems.iter_mut().zip(tree) {
-            m.parent = t.parent;
-            m.tree_ports = t.children.iter().copied().chain(t.parent).collect();
+        let off = self.g.offsets();
+        for (v, t) in tree.iter().enumerate() {
+            self.cols.parent[v] = t.parent;
+            for p in t.children.iter().chain(&t.parent) {
+                self.cols.tree[off[v] as usize + p.index()] = true;
+            }
         }
     }
 
@@ -662,9 +783,10 @@ impl<'g> Pipeline<'g> {
     /// of every tree edge count one more use. Evidence-resume
     /// bookkeeping — zero rounds.
     fn replay_tree_loads(&mut self, tree: &[TreeInfo]) {
-        for (m, t) in self.mems.iter_mut().zip(tree) {
-            for p in t.children.iter().copied().chain(t.parent) {
-                m.loads[p.index()] += 1;
+        let off = self.g.offsets();
+        for (v, t) in tree.iter().enumerate() {
+            for p in t.children.iter().chain(&t.parent) {
+                self.cols.loads[off[v] as usize + p.index()] += 1;
             }
         }
     }
@@ -679,11 +801,26 @@ impl<'g> Pipeline<'g> {
         }
     }
 
+    /// Node `v`'s global-tree parent port (in-fragment parent, or the
+    /// inter-fragment edge at a fragment root; `None` at the leader).
+    fn t_parent(&self, v: usize) -> Option<Port> {
+        self.cols.parent[v].or(self.mems[v].inter_parent)
+    }
+
+    /// Node `v`'s global-tree child ports (in-fragment children plus
+    /// attached child-fragment connectors), sorted.
+    fn t_children(&self, v: usize) -> Vec<Port> {
+        let mut c = self.cols.ftree(self.g.offsets(), v).children;
+        c.extend(self.mems[v].inter_children.iter().map(|&(p, _)| p));
+        c.sort_unstable();
+        c
+    }
+
     /// The current global tree as a parent map (checkpoint capture).
     fn tree_parents(&self) -> Vec<Option<u32>> {
         (0..self.n)
             .map(|v| {
-                self.mems[v].t_parent().map(|p| {
+                self.t_parent(v).map(|p| {
                     self.g.neighbors(NodeId::from_index(v))[p.index()]
                         .neighbor
                         .raw()
@@ -714,11 +851,13 @@ impl<'g> Pipeline<'g> {
     /// The sorted edge ids of a tree (the `tree_edges` outcome entry for
     /// restored trees).
     fn edge_ids_of(&self, tree: &[TreeInfo]) -> Vec<graphs::EdgeId> {
-        let mut ids: Vec<graphs::EdgeId> = self
-            .mems
+        let mut ids: Vec<graphs::EdgeId> = tree
             .iter()
-            .zip(tree)
-            .filter_map(|(m, t)| t.parent.map(|p| graphs::EdgeId::new(m.edge_ids[p.index()])))
+            .enumerate()
+            .filter_map(|(v, t)| {
+                t.parent
+                    .map(|p| self.g.neighbors(NodeId::from_index(v))[p.index()].edge)
+            })
             .collect();
         ids.sort_unstable();
         ids
@@ -740,58 +879,17 @@ impl<'g> Pipeline<'g> {
 
     /// Resets the per-tree memory before packing the next tree.
     fn reset_tree(&mut self) {
-        let g = self.g;
         self.shape = TfShape::new(&[]);
         self.tf.clear();
-        for (v, m) in self.mems.iter_mut().enumerate() {
-            let deg = m.edge_ids.len();
-            m.frag = v as u32;
-            m.frozen = false;
-            m.parent = None;
-            m.tree_ports.clear();
-            m.inter_ports.clear();
+        self.cols.reset(self.g);
+        for m in &mut self.mems {
             m.inter_parent = None;
             m.inter_children.clear();
             m.num = 0;
-            // Level-0 fragment ids are node ids, and neighbor ids are
-            // a-priori local knowledge in CONGEST — so phase A's initial
-            // per-port view costs zero messages.
-            m.port_frag = g
-                .neighbors(NodeId::from_index(v))
-                .iter()
-                .map(|a| a.neighbor.raw())
-                .collect();
-            m.port_frozen = vec![false; deg];
-            m.ann_mask = vec![false; deg];
-            m.depth = 0;
-            m.cd_sent = None;
-            m.cd_children = vec![None; deg];
-            m.cd_purge = false;
             m.iv = None;
             m.att.clear();
             m.cval = 0;
         }
-    }
-
-    /// The local best phase-A candidate of node `v`: the minimum-key
-    /// incident edge with packing weight that leaves `v`'s fragment, and
-    /// its port.
-    fn local_cand(&self, v: usize) -> Option<(Port, Cand)> {
-        let m = &self.mems[v];
-        let mut best: Option<(Port, Cand)> = None;
-        for (p, &other) in m.port_frag.iter().enumerate() {
-            if other != m.frag && m.pack_w[p] > 0 {
-                let cand = Cand {
-                    load: m.loads[p],
-                    weight: m.pack_w[p],
-                    edge: m.edge_ids[p],
-                };
-                if better(best.map(|(_, c)| c), Some(cand)) == Some(cand) {
-                    best = Some((Port(p as u32), cand));
-                }
-            }
-        }
-        best
     }
 
     /// Phase A, capped fragment growth (see [`crate::dist::mst`] and
@@ -799,7 +897,9 @@ impl<'g> Pipeline<'g> {
     /// per level (delta-convergecast up, decision broadcast down only
     /// when the fragment hooks or freezes), deterministic
     /// lowest-differing-bit mating, and frozen fragments out of the
-    /// loop entirely.
+    /// loop entirely. Its state is the per-tree part of [`Columns`],
+    /// updated in place: each phase borrows every node's rows, and the
+    /// driver applies what the outputs decided.
     ///
     /// The per-level `maxdepth` scalar handed to every node is driver
     /// control plane — a loop-scheduling decision a real deployment
@@ -807,104 +907,107 @@ impl<'g> Pipeline<'g> {
     /// checks above it (see the module docs).
     fn mst_phase_a_opt(&mut self) -> Result<(), MinCutError> {
         let cap = self.mst.effective_cap(self.n) as u64;
+        let g = self.g;
+        let off = g.offsets();
+        let Columns {
+            frag,
+            frozen,
+            depth,
+            parent,
+            cd_sent,
+            cd_purge,
+            view,
+            ann,
+            cd_children,
+            tree,
+            pack_w,
+            loads,
+        } = &mut self.cols;
         for level in 0..MAX_PHASE_A_LEVELS {
-            let frags: BTreeSet<u32> = self.mems.iter().map(|m| m.frag).collect();
-            if frags.len() == 1 || self.mems.iter().all(|m| m.frozen) {
+            if frag.iter().all(|&f| f == frag[0]) || frozen.iter().all(|&f| f) {
                 return Ok(());
             }
             // 1. Label refresh, per-port delta discipline: a relabeled or
             // freshly frozen node announces only on the ports its
-            // `ann_mask` marked (boundary edges of the change) — its
+            // announce flags marked (boundary edges of the change) — its
             // old-fragment neighbors relabeled with it and inferred the
             // new view for free. Level 0 is silent by construction
             // (fragment ids are node ids, already in every port view),
             // and a globally silent refresh skips the phase.
-            let inputs: Vec<Vec<Option<FragMsg>>> = self
-                .mems
-                .iter()
-                .map(|m| {
-                    let cur = FragMsg {
-                        frag: m.frag,
-                        frozen: m.frozen,
-                    };
-                    m.ann_mask.iter().map(|&a| a.then_some(cur)).collect()
-                })
-                .collect();
-            if inputs.iter().any(|i| i.iter().any(Option::is_some)) {
+            if ann.contains(&true) {
+                let inputs: Vec<DeltaInput<FragMsg>> = rows_mut(view, off)
+                    .enumerate()
+                    .map(|(v, view)| DeltaInput {
+                        value: FragMsg {
+                            frag: frag[v],
+                            frozen: frozen[v],
+                        },
+                        announce: &ann[slots(off, v)],
+                        view,
+                    })
+                    .collect();
                 let name = format!("mstA.l{level}.exch");
-                let out = self.net.run(&name, &PortDeltaExchange::new(), inputs)?;
-                for (m, o) in self.mems.iter_mut().zip(out.outputs) {
-                    m.ann_mask.iter_mut().for_each(|a| *a = false);
-                    for (p, got) in o.into_iter().enumerate() {
-                        if let Some(f) = got {
-                            m.port_frag[p] = f.frag;
-                            m.port_frozen[p] = f.frozen;
-                        }
-                    }
-                }
+                self.net.run(&name, &PortDeltaExchange::new(), inputs)?;
+                ann.fill(false);
             }
             // 2. Fused candidate/decision pass over the unfrozen
             // fragment trees.
-            let maxdepth = self
-                .mems
+            let maxdepth = depth
                 .iter()
-                .filter(|m| !m.frozen)
-                .map(|m| m.depth)
+                .zip(frozen.iter())
+                .filter(|&(_, &fz)| !fz)
+                .map(|(&d, _)| d)
                 .max()
                 .unwrap_or(0);
-            let inputs: Vec<CdInput> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    let local = if m.frozen {
+            let inputs: Vec<CdInput> = rows_mut(cd_children, off)
+                .enumerate()
+                .map(|(v, children)| {
+                    let s = slots(off, v);
+                    let adj = g.neighbors(NodeId::from_index(v));
+                    let local = if frozen[v] {
                         None
                     } else {
-                        self.local_cand(v).map(|(p, c)| OptCand {
-                            cand: c,
-                            target_frag: m.port_frag[p.index()],
-                            target_frozen: m.port_frozen[p.index()],
-                        })
+                        let (vw, pw, ld) =
+                            (&view[s.clone()], &pack_w[s.clone()], &loads[s.clone()]);
+                        local_cand(frag[v], adj, vw, pw, ld)
                     };
                     CdInput {
-                        tree: m.ftree(),
-                        depth: m.depth,
+                        tree: &tree[s],
+                        parent: parent[v],
+                        depth: depth[v],
                         maxdepth,
-                        frag: m.frag,
+                        frag: frag[v],
                         cap,
-                        frozen: m.frozen,
+                        frozen: frozen[v],
                         local,
-                        purge: m.cd_purge,
-                        sent: m.cd_sent,
-                        children: m.cd_children.clone(),
+                        purge: cd_purge[v],
+                        sent: cd_sent[v],
+                        children,
                     }
                 })
                 .collect();
             let name = format!("mstA.l{level}.cd");
-            let out = self.net.run(&name, &CandDec, inputs)?;
-            let mut decs: Vec<Option<DecMsg>> = Vec::with_capacity(self.n);
+            let decs = self.net.run(&name, &CandDec::default(), inputs)?.outputs;
             let mut any_hook = false;
-            for (v, o) in out.outputs.into_iter().enumerate() {
-                let m = &mut self.mems[v];
-                decs.push(o.dec);
-                m.cd_sent = o.sent;
-                m.cd_children = o.children;
-                m.cd_purge = false;
-                if let Some(d) = o.dec {
-                    any_hook |= d.hook_edge.is_some();
-                    if d.frozen && !m.frozen {
-                        m.frozen = true;
-                        // Fragment-internal neighbors froze with us (same
-                        // broadcast); boundary neighbors hear it at the
-                        // next refresh — unless they are frozen too (they
-                        // never consult their phase-A views again; the
-                        // full `mstB.exch` refreshes them) or the edge has
-                        // no packing weight (it can never be a candidate
-                        // of either side).
-                        for p in 0..m.port_frag.len() {
-                            if m.port_frag[p] == m.frag {
-                                m.port_frozen[p] = true;
-                            } else if !m.port_frozen[p] && m.pack_w[p] > 0 {
-                                m.ann_mask[p] = true;
-                            }
+            for (v, o) in decs.iter().enumerate() {
+                cd_sent[v] = o.sent;
+                cd_purge[v] = false;
+                let Some(d) = o.dec else { continue };
+                any_hook |= d.hook_edge.is_some();
+                if d.frozen && !frozen[v] {
+                    frozen[v] = true;
+                    // Fragment-internal neighbors froze with us (same
+                    // broadcast); boundary neighbors hear it at the
+                    // next refresh — unless they are frozen too (they
+                    // never consult their phase-A views again; the
+                    // full `mstB.exch` refreshes them) or the edge has
+                    // no packing weight (it can never be a candidate
+                    // of either side).
+                    for s in slots(off, v) {
+                        if view[s].frag == frag[v] {
+                            view[s].frozen = true;
+                        } else if !view[s].frozen && pack_w[s] > 0 {
+                            ann[s] = true;
                         }
                     }
                 }
@@ -917,47 +1020,50 @@ impl<'g> Pipeline<'g> {
             // no 2-cycles.
             let inputs: Vec<HookInput> = (0..self.n)
                 .map(|v| {
-                    let m = &self.mems[v];
-                    let hook_edge = decs[v].and_then(|d| d.hook_edge);
+                    let s = slots(off, v);
+                    let hook_edge = decs[v].dec.and_then(|d| d.hook_edge);
                     let role = match hook_edge {
-                        Some(e) => match m.port_of_edge(e) {
-                            Some(p) if m.port_frag[p.index()] != m.frag => HookRole::Connector {
-                                port: p,
-                                target_frag: m.port_frag[p.index()],
-                            },
+                        Some(e) => match port_of_edge(g.neighbors(NodeId::from_index(v)), e) {
+                            Some(p) if view[s.start + p.index()].frag != frag[v] => {
+                                HookRole::Connector {
+                                    port: p,
+                                    target_frag: view[s.start + p.index()].frag,
+                                }
+                            }
                             _ => HookRole::Await,
                         },
                         None => HookRole::Passive,
                     };
                     HookInput {
-                        tree_ports: m.tree_ports.iter().copied().collect(),
+                        tree: &tree[s],
                         role,
                         eligible: hook_edge.is_none(),
-                        frozen: m.frozen,
-                        depth: m.depth,
+                        frozen: frozen[v],
+                        depth: depth[v],
                     }
                 })
                 .collect();
             let name = format!("mstA.l{level}.hook");
-            let out = self.net.run(&name, &FragHook, inputs)?;
-            for (m, h) in self.mems.iter_mut().zip(out.outputs) {
+            let out = self.net.run(&name, &FragHook::default(), inputs)?;
+            for (v, h) in out.outputs.into_iter().enumerate() {
+                let s = slots(off, v);
                 if let Some((f, fz)) = h.new_frag {
-                    let old = m.frag;
-                    m.frag = f;
-                    m.frozen = fz;
+                    let old = frag[v];
+                    frag[v] = f;
+                    frozen[v] = fz;
                     // Only nodes whose parent flipped (the old-root →
                     // connector path of the re-root) have a restructured
                     // subtree; off-path members keep their child caches
                     // and stay silent next level unless their aggregate
                     // really changed.
-                    if m.parent != h.new_parent {
-                        m.cd_purge = true;
+                    if parent[v] != h.new_parent {
+                        cd_purge[v] = true;
                     }
-                    m.parent = h.new_parent;
+                    parent[v] = h.new_parent;
                     if let Some(p) = h.new_parent {
-                        m.tree_ports.insert(p);
+                        tree[s.start + p.index()] = true;
                     }
-                    m.depth = h.new_depth.expect("re-root floods carry a depth");
+                    depth[v] = h.new_depth.expect("re-root floods carry a depth");
                     // Neighbors in the old fragment relabeled with us —
                     // their view of this node updates by the same local
                     // inference we apply to our view of them. Everyone
@@ -965,18 +1071,20 @@ impl<'g> Pipeline<'g> {
                     // two exceptions as the freeze announcement: frozen
                     // neighbors and zero-packing-weight edges never read
                     // this view again.
-                    for p in 0..m.port_frag.len() {
-                        if m.port_frag[p] == old {
-                            m.port_frag[p] = f;
-                            m.port_frozen[p] = fz;
-                            m.ann_mask[p] = false;
+                    for s in s.clone() {
+                        if view[s].frag == old {
+                            view[s] = FragMsg {
+                                frag: f,
+                                frozen: fz,
+                            };
+                            ann[s] = false;
                         } else {
-                            m.ann_mask[p] = !m.port_frozen[p] && m.pack_w[p] > 0;
+                            ann[s] = !view[s].frozen && pack_w[s] > 0;
                         }
                     }
                 }
                 for p in h.accepted {
-                    m.tree_ports.insert(p);
+                    tree[s.start + p.index()] = true;
                 }
             }
         }
@@ -989,11 +1097,13 @@ impl<'g> Pipeline<'g> {
     fn mst_phase_b(&mut self) -> Result<Vec<InterEdge>, MinCutError> {
         // Every node tells every neighbor its final phase-A fragment and
         // its BFS in-time, which the neighbor's offered edge carries.
+        let cols = &self.cols;
         let inputs: Vec<FragLabel> = self
             .mems
             .iter()
-            .map(|m| FragLabel {
-                frag: m.frag,
+            .zip(&cols.frag)
+            .map(|(m, &frag)| FragLabel {
+                frag,
                 bfs_in: m.bfs_iv.in_t,
             })
             .collect();
@@ -1003,6 +1113,7 @@ impl<'g> Pipeline<'g> {
         // The lower-id endpoint of every inter-fragment edge with packing
         // weight offers it (neighbor ids are local knowledge).
         let g = self.g;
+        let off = g.offsets();
         let inputs: Vec<(TreeInfo, Vec<InterEdge>)> = self
             .mems
             .iter()
@@ -1010,18 +1121,18 @@ impl<'g> Pipeline<'g> {
             .enumerate()
             .map(|(v, (m, labels))| {
                 let adj = g.neighbors(NodeId::from_index(v));
+                let frag = cols.frag[v];
                 let mut offered = Vec::new();
-                for (p, label) in labels.into_iter().enumerate() {
+                for ((a, label), s) in adj.iter().zip(labels).zip(slots(off, v)) {
                     let label = label.expect("every neighbor sends");
-                    if label.frag != m.frag && m.pack_w[p] > 0 && (v as u32) < adj[p].neighbor.raw()
-                    {
+                    if label.frag != frag && cols.pack_w[s] > 0 && (v as u32) < a.neighbor.raw() {
                         offered.push(InterEdge {
                             cand: Cand {
-                                load: m.loads[p],
-                                weight: m.pack_w[p],
-                                edge: m.edge_ids[p],
+                                load: cols.loads[s],
+                                weight: cols.pack_w[s],
+                                edge: a.edge.raw(),
                             },
-                            frags: (m.frag, label.frag),
+                            frags: (frag, label.frag),
                             ends: (m.bfs_iv.in_t, label.bfs_in),
                         });
                     }
@@ -1033,12 +1144,9 @@ impl<'g> Pipeline<'g> {
         let chosen = out.outputs[self.leader.index()]
             .take()
             .expect("leader is the BFS root");
-        let k = self
-            .mems
-            .iter()
-            .map(|m| m.frag)
-            .collect::<BTreeSet<_>>()
-            .len();
+        // Every fragment has exactly one root: the node without a
+        // fragment-tree parent.
+        let k = self.cols.parent.iter().filter(|p| p.is_none()).count();
         if chosen.len() + 1 < k {
             return Err(MinCutError::InvalidConfig {
                 reason: format!(
@@ -1076,7 +1184,7 @@ impl<'g> Pipeline<'g> {
                 conn: b0,
             });
         }
-        let root_frag = self.mems[self.leader.index()].frag;
+        let root_frag = self.cols.frag[self.leader.index()];
         let mut seen = BTreeSet::from([root_frag]);
         let mut parents = Vec::new();
         let mut stack: Vec<(u32, Option<TfRow>)> = vec![(0, None)];
@@ -1100,15 +1208,13 @@ impl<'g> Pipeline<'g> {
         // port: the one inside the row's fragment is its connector and
         // takes the number, the other is the attachment and notes the
         // child fragment's number beside the port.
-        let roles = |m: &mut &mut NodeMem, item: &TfItem| {
-            let TfItem::Row { frag, edge, num } = *item else {
+        type Ends<'m> = (&'m mut NodeMem, u32, &'m [AdjEntry]);
+        let roles = |(m, frag, adj): &mut Ends<'_>, item: &TfItem| {
+            let TfItem::Row { frag: f, edge, num } = *item else {
                 return;
             };
-            let p = m
-                .port_of_edge(edge)
-                .expect("a row reaches its edge's endpoints");
-            m.inter_ports.insert(p);
-            if m.frag == frag {
+            let p = port_of_edge(adj, edge).expect("a row reaches its edge's endpoints");
+            if *frag == f {
                 m.inter_parent = Some(p);
                 m.num = num;
             } else {
@@ -1117,25 +1223,31 @@ impl<'g> Pipeline<'g> {
             }
         };
         let table = self.tf_stream();
-        let inputs = bfs_stream(&mut self.mems, self.leader, table, |_, m| m);
+        let (g, frag) = (self.g, &self.cols.frag);
+        let inputs = bfs_stream(&mut self.mems, self.leader, table, |v, m| {
+            (m, frag[v], g.neighbors(NodeId::from_index(v)))
+        });
         self.net
             .run("orient.tf", &BroadcastItems::new(roles), inputs)?;
         // Re-root every fragment at its connector (the leader for the
         // root fragment, number 0), flooding the fragment's number.
+        let off = g.offsets();
         let inputs: Vec<RerootInput> = (0..self.n)
             .map(|v| {
                 let m = &self.mems[v];
                 let starts = v == self.leader.index() || m.inter_parent.is_some();
                 RerootInput {
-                    tree_ports: m.tree_ports.iter().copied().collect(),
+                    tree: &self.cols.tree[slots(off, v)],
                     initiator: starts.then_some(m.num),
                 }
             })
             .collect();
-        let out = self.net.run("orient.flood", &FragReroot, inputs)?;
-        for (m, (parent, num)) in self.mems.iter_mut().zip(out.outputs) {
-            m.parent = parent;
-            m.num = num;
+        let out = self
+            .net
+            .run("orient.flood", &FragReroot::default(), inputs)?;
+        for (v, (parent, num)) in out.outputs.into_iter().enumerate() {
+            self.cols.parent[v] = parent;
+            self.mems[v].num = num;
         }
         Ok(())
     }
@@ -1164,16 +1276,16 @@ impl<'g> Pipeline<'g> {
     /// with `C(v↓)`; returns the leader's `(min, argmin)` over `v ≠ root`.
     fn cut_stage(&mut self) -> Result<(u64, NodeId), MinCutError> {
         let n = self.n;
+        let off = self.g.offsets();
         // s2a: in-fragment subtree sizes.
-        let inputs: Vec<TreeInfo> = self.mems.iter().map(NodeMem::ftree).collect();
+        let inputs: Vec<TreeInfo> = (0..n).map(|v| self.cols.ftree(off, v)).collect();
         let sizes = self.net.run("s2a", &SizesUp, inputs)?.outputs;
         // s2b: in-fragment Euler intervals.
-        let inputs: Vec<IntervalInput> = self
-            .mems
+        let inputs: Vec<IntervalInput> = sizes
             .iter()
-            .zip(sizes.iter())
-            .map(|(m, (size, child_sizes))| IntervalInput {
-                tree: m.ftree(),
+            .enumerate()
+            .map(|(v, (size, child_sizes))| IntervalInput {
+                tree: self.cols.ftree(off, v),
                 size: *size,
                 child_sizes: child_sizes.clone(),
             })
@@ -1187,31 +1299,34 @@ impl<'g> Pipeline<'g> {
         let inputs: Vec<(TreeInfo, Vec<AttItem>)> = self
             .mems
             .iter()
-            .map(|m| {
+            .enumerate()
+            .map(|(v, m)| {
                 let in_t = m.iv.as_ref().expect("intervals set").in_t;
                 let items = m
                     .inter_children
                     .iter()
                     .map(|&(_, num)| AttItem { num, in_t })
                     .collect();
-                (m.ftree(), items)
+                (self.cols.ftree(off, v), items)
             })
             .collect();
         let up = self.net.run("s2c.up", &UpcastItems::new(), inputs)?.outputs;
         let insert = |m: &mut &mut NodeMem, a: &AttItem| {
             m.att.insert(a.num, a.in_t);
         };
+        let cols = &self.cols;
         let inputs: Vec<_> = self
             .mems
             .iter_mut()
             .zip(up)
-            .map(|(m, list)| {
+            .enumerate()
+            .map(|(v, (m, list))| {
                 let rows = list
                     .into_iter()
                     .flatten()
                     .map(|a| (Route::All, a))
                     .collect();
-                (m.ftree(), Intervals::default(), rows, m)
+                (cols.ftree(off, v), Intervals::default(), rows, m)
             })
             .collect();
         self.net
@@ -1237,9 +1352,10 @@ impl<'g> Pipeline<'g> {
         for (v, nb) in out.outputs.into_iter().enumerate() {
             let m = &self.mems[v];
             let iv = m.iv.as_ref().expect("intervals set");
-            for (p, other) in nb.into_iter().enumerate() {
+            let adj = self.g.neighbors(NodeId::from_index(v));
+            for (other, a) in nb.into_iter().zip(adj) {
                 let other = other.expect("every neighbor sends");
-                let w = m.weights[p];
+                let w = a.weight;
                 if other.num == m.num {
                     // Case 1 (same fragment): the deeper-in-preorder
                     // endpoint routes a token toward the LCA.
@@ -1266,8 +1382,7 @@ impl<'g> Pipeline<'g> {
                     // fragment; aggregate by the pair of child fragments
                     // below it. The smaller endpoint id emits.
                     LcaCase::Merging { g1, g2 } => {
-                        let nbr_id = self.g.neighbors(NodeId::from_index(v))[p].neighbor.raw();
-                        if (v as u32) < nbr_id {
+                        if (v as u32) < a.neighbor.raw() {
                             let (lo, hi) = (g1.min(g2), g1.max(g2));
                             // Fragment numbers are below k, so one u64
                             // key `lo·k + hi < k²` holds the pair.
@@ -1318,7 +1433,7 @@ impl<'g> Pipeline<'g> {
                 let m = &self.mems[v];
                 let iv = m.iv.as_ref().expect("intervals set");
                 TokensInput {
-                    tree: m.ftree(),
+                    tree: self.cols.ftree(off, v),
                     iv: (iv.in_t, iv.out_t),
                     delta: m.delta,
                     tokens: std::mem::take(&mut tokens[v]),
@@ -1381,7 +1496,7 @@ impl<'g> Pipeline<'g> {
         let inputs: Vec<(TreeInfo, (u64, u64))> = (0..n)
             .map(|v| {
                 let m = &self.mems[v];
-                (m.ftree(), (m.delta + w[v].0, rho[v] + w[v].1))
+                (self.cols.ftree(off, v), (m.delta + w[v].0, rho[v] + w[v].1))
             })
             .collect();
         let down = self.net.run("s5e", &SubtreeSums::new(), inputs)?.outputs;
@@ -1421,19 +1536,27 @@ impl<'g> Pipeline<'g> {
             .map(|(flag, bfs)| (bfs, flag))
             .collect();
         let out = self.net.run("s5g", &Broadcast::new(), inputs)?;
-        for (m, flag) in self.mems.iter_mut().zip(out.outputs) {
+        let off = self.g.offsets();
+        for (v, flag) in out.outputs.into_iter().enumerate() {
             if flag {
-                m.snap_parent = m.t_parent();
-                m.snap_children = m.t_children();
+                self.mems[v].snap_parent = self.t_parent(v);
+                self.mems[v].snap_children = self.t_children(v);
             }
-            let ports: Vec<Port> = m
-                .tree_ports
+            let s = slots(off, v);
+            for (load, _) in self.cols.loads[s.clone()]
+                .iter_mut()
+                .zip(&self.cols.tree[s.clone()])
+                .filter(|(_, &t)| t)
+            {
+                *load += 1;
+            }
+            let m = &self.mems[v];
+            for p in m
+                .inter_parent
                 .iter()
-                .chain(m.inter_ports.iter())
-                .copied()
-                .collect();
-            for p in ports {
-                m.loads[p.index()] += 1;
+                .chain(m.inter_children.iter().map(|(p, _)| p))
+            {
+                self.cols.loads[s.start + p.index()] += 1;
             }
         }
         Ok(())
@@ -1481,13 +1604,24 @@ impl<'g> Pipeline<'g> {
     /// per-node port markings).
     #[cfg(test)]
     fn tree_edges(&self) -> Vec<graphs::EdgeId> {
-        let mut edges: BTreeSet<u32> = BTreeSet::new();
-        for m in &self.mems {
-            for &p in m.tree_ports.iter().chain(m.inter_ports.iter()) {
-                edges.insert(m.edge_ids[p.index()]);
-            }
+        let mut edges: BTreeSet<graphs::EdgeId> = BTreeSet::new();
+        for v in 0..self.n {
+            let adj = self.g.neighbors(NodeId::from_index(v));
+            let tree = &self.cols.tree[slots(self.g.offsets(), v)];
+            let m = &self.mems[v];
+            let inter = m
+                .inter_parent
+                .iter()
+                .chain(m.inter_children.iter().map(|(p, _)| p));
+            edges.extend(
+                adj.iter()
+                    .zip(tree)
+                    .filter(|(_, &t)| t)
+                    .map(|(a, _)| a.edge),
+            );
+            edges.extend(inter.map(|p| adj[p.index()].edge));
         }
-        edges.into_iter().map(graphs::EdgeId::new).collect()
+        edges.into_iter().collect()
     }
 }
 
@@ -1679,7 +1813,7 @@ fn drive_packing(
         // outside the row's fragment.
         let attachment = |r: &TfRow| {
             let (a, b) = pl.g.endpoints(graphs::EdgeId::new(r.edge));
-            if pl.mems[a.index()].frag == r.frag {
+            if pl.cols.frag[a.index()] == r.frag {
                 b
             } else {
                 a
@@ -1690,12 +1824,10 @@ fn drive_packing(
         // the inter-fragment links and re-roots the fragments, so only
         // now does every node but the leader hold its global-parent
         // edge).
-        let mut edges: Vec<graphs::EdgeId> = pl
-            .mems
-            .iter()
-            .filter_map(|m| {
-                m.t_parent()
-                    .map(|p| graphs::EdgeId::new(m.edge_ids[p.index()]))
+        let mut edges: Vec<graphs::EdgeId> = (0..n)
+            .filter_map(|v| {
+                pl.t_parent(v)
+                    .map(|p| pl.g.neighbors(NodeId::from_index(v))[p.index()].edge)
             })
             .collect();
         edges.sort_unstable();

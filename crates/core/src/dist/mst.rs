@@ -50,7 +50,13 @@
 //!   which is exactly the fragment decomposition Section 2 needs.
 //!
 //! This module holds the node-side algorithms and wire types; the phase
-//! sequencing lives in [`crate::dist::driver`].
+//! sequencing lives in [`crate::dist::driver`], which also owns phase A's
+//! memory. It keeps that memory in flat per-node and per-port columns
+//! across the levels of one tree, and each phase-A node borrows its own
+//! rows of them for one phase: [`CdInput`] reads its fragment-tree port
+//! flags and updates its child cache in place, [`HookInput`] reads the
+//! port flags, and the outputs ([`CdOutput`], [`HookOutput`]) carry only
+//! what the phase decided.
 
 use crate::dist::packing::Cand;
 use crate::seq::tree_packing::LoadKey;
@@ -58,6 +64,7 @@ use congest::message::TAG_BITS;
 use congest::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
 use congest::primitives::StreamMsg;
 use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
+use std::marker::PhantomData;
 
 /// Configuration of the distributed MST stage: phase A's fragment size
 /// cap, the one setting experiment E8 sweeps.
@@ -219,13 +226,29 @@ impl Message for CdMsg {
     }
 }
 
+/// The ports a fragment-tree node's port flags mark, ascending, except
+/// `except`: with the node's parent port, its children.
+pub(crate) fn tree_ports(tree: &[bool], except: Option<Port>) -> impl Iterator<Item = Port> + '_ {
+    (0..tree.len() as u32)
+        .map(Port)
+        .filter(move |&p| tree[p.index()] && Some(p) != except)
+}
+
 /// Input of [`CandDec`] for one node. The caches (`sent`, `children`)
-/// persist across levels in the driver's `NodeMem` — they are what makes
-/// the convergecast a *delta*: a quiescent subtree stays silent.
-#[derive(Clone, Debug)]
-pub struct CdInput {
-    /// Fragment-tree view (parent + children ports).
-    pub tree: congest::TreeInfo,
+/// persist across levels in the driver's phase-A columns — they are what
+/// makes the convergecast a *delta*: a quiescent subtree stays silent.
+/// `sent` travels by value and comes back in [`CdOutput::sent`];
+/// `children` is the driver's row, borrowed for the phase and updated in
+/// place, so the invariant "a parent's entry for a child equals that
+/// child's `sent`" holds in the driver's memory between levels. A failed
+/// phase can leave the row half updated; the driver then discards it.
+#[derive(Debug)]
+pub struct CdInput<'a> {
+    /// Fragment-tree port flags, one per port: the parent and the
+    /// children.
+    pub tree: &'a [bool],
+    /// Port to the fragment-tree parent (`None` at the fragment root).
+    pub parent: Option<Port>,
     /// This node's depth in its fragment tree (maintained by the hook
     /// phase; roots are 0).
     pub depth: u32,
@@ -246,21 +269,21 @@ pub struct CdInput {
     pub purge: bool,
     /// The aggregate last sent up (`None` before the first send).
     pub sent: Option<OptAgg>,
-    /// Last aggregate received per port (children caches).
-    pub children: Vec<Option<OptAgg>>,
+    /// Last aggregate received per port (children caches), one entry per
+    /// port; a child's `Up` overwrites its entry.
+    pub children: &'a mut [Option<OptAgg>],
 }
 
-/// Output of [`CandDec`] for one node.
-#[derive(Clone, Debug, Default)]
+/// Output of [`CandDec`] for one node: what the pass decided and sent.
+/// The child caches are already updated in the borrowed row.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CdOutput {
     /// The decision this node learned: at a root, its own (if it decided
     /// to act); elsewhere, the broadcast received. `None` = the fragment
     /// neither hooks nor freezes this level (the silent default).
     pub dec: Option<DecMsg>,
-    /// Updated `sent` cache, to persist in `NodeMem`.
+    /// Updated `sent` cache, to keep for the next level.
     pub sent: Option<OptAgg>,
-    /// Updated children caches, to persist in `NodeMem`.
-    pub children: Vec<Option<OptAgg>>,
 }
 
 /// The fused cand/dec round-trip (`mstA.l*.cd`): one up-then-down pass
@@ -286,16 +309,18 @@ pub struct CdOutput {
 /// the same order as the counting convergecast plus broadcast it fuses,
 /// one phase instead of two.
 #[derive(Clone, Debug, Default)]
-pub struct CandDec;
+pub struct CandDec<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`CandDec`].
 #[derive(Debug)]
-pub struct CdState {
-    input: CdInput,
+pub struct CdState<'a> {
+    input: CdInput<'a>,
     dec: Option<DecMsg>,
 }
 
-impl CdState {
+impl CdState<'_> {
     /// Own value + cached child aggregates. Every current child has a
     /// live cache entry by this node's send slot: unchanged children
     /// carried one over, restructured children were forced to speak.
@@ -304,7 +329,7 @@ impl CdState {
             size: 1,
             cand: self.input.local,
         };
-        for &p in &self.input.tree.children {
+        for p in tree_ports(self.input.tree, self.input.parent) {
             if let Some(c) = &self.input.children[p.index()] {
                 agg.size += c.size;
                 agg.cand = better_opt(agg.cand, c.cand);
@@ -325,15 +350,34 @@ impl CdState {
         };
         (frozen || hook_edge.is_some()).then_some(DecMsg { frozen, hook_edge })
     }
+
+    /// Sends the subtree aggregate to `parent` if it changed since the
+    /// last send, or unconditionally after a purge.
+    fn send_up(&mut self, parent: Port, out: &mut Outbox<CdMsg>) {
+        let agg = self.compute();
+        if self.input.purge || self.input.sent != Some(agg) {
+            self.input.sent = Some(agg);
+            out.send(parent, CdMsg::Up(agg));
+        }
+    }
+
+    /// Sends the decision, if any, to every child.
+    fn send_dec(&self, out: &mut Outbox<CdMsg>) {
+        if let Some(d) = self.dec {
+            for p in tree_ports(self.input.tree, self.input.parent) {
+                out.send(p, CdMsg::Dec(d));
+            }
+        }
+    }
 }
 
-impl Algorithm for CandDec {
-    type Input = CdInput;
-    type State = CdState;
+impl<'a> Algorithm for CandDec<'a> {
+    type Input = CdInput<'a>;
+    type State = CdState<'a>;
     type Msg = CdMsg;
     type Output = CdOutput;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: CdInput) -> (CdState, Outbox<CdMsg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: CdInput<'a>) -> (CdState<'a>, Outbox<CdMsg>) {
         let mut out = Outbox::new();
         // A purged node force-sends (its parent is new, or its child set
         // flipped) but keeps its caches: entries of *continuing* children
@@ -343,24 +387,25 @@ impl Algorithm for CandDec {
         if s.input.frozen {
             return (s, out);
         }
-        if s.input.tree.is_root() {
-            if s.input.maxdepth == 0 {
+        match s.input.parent {
+            None if s.input.maxdepth == 0 => {
                 // Singleton fragment: the aggregate is complete at boot.
                 s.dec = s.decide(s.compute());
                 // A singleton has no children to broadcast to.
             }
-        } else if s.input.depth == s.input.maxdepth {
             // Deepest nodes send at slot 0, i.e. at boot.
-            let agg = s.compute();
-            if s.input.purge || s.input.sent != Some(agg) {
-                s.input.sent = Some(agg);
-                out.send(s.input.tree.parent.unwrap(), CdMsg::Up(agg));
-            }
+            Some(parent) if s.input.depth == s.input.maxdepth => s.send_up(parent, &mut out),
+            _ => {}
         }
         (s, out)
     }
 
-    fn round(&self, s: &mut CdState, ctx: &NodeCtx<'_>, inbox: &[(Port, CdMsg)]) -> Step<CdMsg> {
+    fn round(
+        &self,
+        s: &mut CdState<'a>,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(Port, CdMsg)],
+    ) -> Step<CdMsg> {
         if s.input.frozen {
             return Step::halt();
         }
@@ -372,51 +417,37 @@ impl Algorithm for CandDec {
         }
         let mut out = Outbox::new();
         let (depth, maxdepth) = (s.input.depth as u64, s.input.maxdepth as u64);
-        if s.input.tree.is_root() {
+        let Some(parent) = s.input.parent else {
             if ctx.round >= maxdepth {
                 if ctx.round == maxdepth {
                     s.dec = s.decide(s.compute());
-                    if let Some(d) = s.dec {
-                        for &p in &s.input.tree.children {
-                            out.send(p, CdMsg::Dec(d));
-                        }
-                    }
+                    s.send_dec(&mut out);
                 }
                 return Step::Halt(out);
             }
             // The children's aggregates arrive at `maxdepth`.
-            Step::Wait(out, Some(maxdepth))
-        } else {
-            if ctx.round == maxdepth - depth {
-                let agg = s.compute();
-                if s.input.purge || s.input.sent != Some(agg) {
-                    s.input.sent = Some(agg);
-                    out.send(s.input.tree.parent.unwrap(), CdMsg::Up(agg));
-                }
-            }
-            if ctx.round >= maxdepth + depth {
-                if let Some(d) = s.dec {
-                    for &p in &s.input.tree.children {
-                        out.send(p, CdMsg::Dec(d));
-                    }
-                }
-                return Step::Halt(out);
-            }
-            // Next: the send slot, then the decision's arrival.
-            let wake = if ctx.round < maxdepth - depth {
-                maxdepth - depth
-            } else {
-                maxdepth + depth
-            };
-            Step::Wait(out, Some(wake))
+            return Step::Wait(out, Some(maxdepth));
+        };
+        if ctx.round == maxdepth - depth {
+            s.send_up(parent, &mut out);
         }
+        if ctx.round >= maxdepth + depth {
+            s.send_dec(&mut out);
+            return Step::Halt(out);
+        }
+        // Next: the send slot, then the decision's arrival.
+        let wake = if ctx.round < maxdepth - depth {
+            maxdepth - depth
+        } else {
+            maxdepth + depth
+        };
+        Step::Wait(out, Some(wake))
     }
 
-    fn finish(&self, s: CdState, _ctx: &NodeCtx<'_>) -> FinishResult<CdOutput> {
+    fn finish(&self, s: CdState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<CdOutput> {
         Ok(CdOutput {
             dec: s.dec,
             sent: s.input.sent,
-            children: s.input.children,
         })
     }
 }
@@ -427,11 +458,13 @@ impl Algorithm for CandDec {
 
 /// Input of [`FragHook`]. It carries this node's fragment-tree depth, so
 /// grants and re-root floods can maintain depths for the next level's
-/// `.cd` schedule.
+/// `.cd` schedule, and borrows the node's fragment-tree port flags from
+/// the driver's columns.
 #[derive(Clone, Debug)]
-pub struct HookInput {
-    /// Current in-fragment tree ports (undirected set: parent + children).
-    pub tree_ports: Vec<Port>,
+pub struct HookInput<'a> {
+    /// Current in-fragment tree ports, one flag per port (undirected:
+    /// parent + children).
+    pub tree: &'a [bool],
     /// This node's role.
     pub role: HookRole,
     /// Whether this node's fragment accepts incoming hooks this level:
@@ -445,7 +478,8 @@ pub struct HookInput {
     pub depth: u32,
 }
 
-/// Output of [`FragHook`].
+/// Output of [`FragHook`]: the changes the driver applies to the node's
+/// columns.
 #[derive(Clone, Debug, Default)]
 pub struct HookOutput {
     /// `Some((f, frozen))`: the fragment re-rooted, adopting fragment id
@@ -510,22 +544,24 @@ impl Message for HookMsg {
 /// side is the connector and the other side accepts like any target.
 /// Rounds: `2 + fragment diameter`; all fragments in parallel.
 #[derive(Clone, Debug, Default)]
-pub struct FragHook;
+pub struct FragHook<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`FragHook`].
 #[derive(Debug)]
-pub struct HookState {
-    input: HookInput,
+pub struct HookState<'a> {
+    input: HookInput<'a>,
     out: HookOutput,
 }
 
-impl Algorithm for FragHook {
-    type Input = HookInput;
-    type State = HookState;
+impl<'a> Algorithm for FragHook<'a> {
+    type Input = HookInput<'a>;
+    type State = HookState<'a>;
     type Msg = HookMsg;
     type Output = HookOutput;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput) -> (HookState, Outbox<HookMsg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput<'a>) -> (HookState<'a>, Outbox<HookMsg>) {
         let mut out = Outbox::new();
         if let HookRole::Connector { port, .. } = input.role {
             out.send(port, HookMsg::Request);
@@ -541,7 +577,7 @@ impl Algorithm for FragHook {
 
     fn round(
         &self,
-        s: &mut HookState,
+        s: &mut HookState<'a>,
         _ctx: &NodeCtx<'_>,
         inbox: &[(Port, HookMsg)],
     ) -> Step<HookMsg> {
@@ -597,7 +633,7 @@ impl Algorithm for FragHook {
                     } else {
                         HookMsg::Keep
                     };
-                    for &p in &s.input.tree_ports {
+                    for p in tree_ports(s.input.tree, None) {
                         out.send(p, flood);
                     }
                     return Step::Halt(out);
@@ -625,10 +661,8 @@ impl Algorithm for FragHook {
                     } else {
                         msg
                     };
-                    for &p in &s.input.tree_ports {
-                        if p != from {
-                            out.send(p, fwd);
-                        }
+                    for p in tree_ports(s.input.tree, Some(from)) {
+                        out.send(p, fwd);
                     }
                     return Step::Halt(out);
                 }
@@ -638,7 +672,7 @@ impl Algorithm for FragHook {
         Step::Wait(out, None)
     }
 
-    fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
+    fn finish(&self, s: HookState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
         Ok(s.out)
     }
 }
@@ -866,6 +900,96 @@ mod tests {
             .bit_len()
                 <= TAG_BITS + 7
         );
+    }
+
+    /// Two passes of `.cd` over one fixed fragment forest, sharing the
+    /// borrowed child caches: the first fills them, so the second sends
+    /// no `Up` at all, only the decision broadcast, and decides the same.
+    /// After each pass every parent's cache entry for a child equals the
+    /// child's `sent`, the invariant the delta convergecast rests on.
+    #[test]
+    fn a_second_cd_pass_over_the_same_caches_is_silent_up() {
+        use congest::{Network, NetworkConfig};
+        // The path 0–1–2–3–4–5 as two fragments: {0, 1, 2} rooted at 0
+        // (id 0) and {3, 4, 5} rooted at 5 (id 5), joined by edge 2–3.
+        let g = graphs::generators::path(6).unwrap();
+        let frag = [0, 0, 0, 5, 5, 5];
+        let depth = [0, 1, 2, 2, 1, 0];
+        let parent = [None, Some(0), Some(0), Some(1), Some(1), None].map(|p| p.map(Port));
+        let tree: [&[bool]; 6] = [
+            &[true],
+            &[true, true],
+            &[true, false],
+            &[false, true],
+            &[true, true],
+            &[true],
+        ];
+        let bridge = g.neighbors(graphs::NodeId::new(2))[1].edge.raw();
+        let local = |v: usize| {
+            [2, 3].contains(&v).then_some(OptCand {
+                cand: Cand {
+                    load: 0,
+                    weight: 1,
+                    edge: bridge,
+                },
+                target_frag: frag[5 - v],
+                target_frozen: false,
+            })
+        };
+        // Fragment 0 hooks toward 5 (lowest differing bit is 0 on its
+        // side); fragment 5 stays put.
+        assert!(hooks_toward(0, 5) && !hooks_toward(5, 0));
+        let mut caches = vec![None; g.adjacency().len()];
+        let mut sent = [None; 6];
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let mut passes = Vec::new();
+        for _ in 0..2 {
+            let mut rest: &mut [Option<OptAgg>] = &mut caches;
+            let inputs: Vec<CdInput> = (0..6)
+                .map(|v| {
+                    let (children, tail) = std::mem::take(&mut rest).split_at_mut(tree[v].len());
+                    rest = tail;
+                    CdInput {
+                        tree: tree[v],
+                        parent: parent[v],
+                        depth: depth[v],
+                        maxdepth: 2,
+                        frag: frag[v],
+                        cap: 100,
+                        frozen: false,
+                        local: local(v),
+                        purge: false,
+                        sent: sent[v],
+                        children,
+                    }
+                })
+                .collect();
+            let out = net.run("mstA.l0.cd", &CandDec::default(), inputs).unwrap();
+            for (v, o) in out.outputs.iter().enumerate() {
+                sent[v] = o.sent;
+                if let Some(p) = parent[v] {
+                    let u = g.neighbors(graphs::NodeId::from_index(v))[p.index()].neighbor;
+                    let back = g
+                        .neighbors(u)
+                        .iter()
+                        .position(|a| a.neighbor.index() == v)
+                        .unwrap();
+                    let at = g.offsets()[u.index()] as usize + back;
+                    assert_eq!(caches[at], o.sent, "parent's entry for child {v}");
+                }
+            }
+            let decs: Vec<Option<DecMsg>> = out.outputs.iter().map(|o| o.dec).collect();
+            passes.push((out.metrics.messages, decs));
+        }
+        let hook = Some(DecMsg {
+            frozen: false,
+            hook_edge: Some(bridge),
+        });
+        let want = vec![hook, hook, hook, None, None, None];
+        // First pass: four `Up`s and the two `Dec`s of fragment 0.
+        assert_eq!(passes[0], (6, want.clone()));
+        // Second pass: the two `Dec`s only.
+        assert_eq!(passes[1], (2, want));
     }
 
     #[test]

@@ -90,6 +90,7 @@
 //! `s5d` rows only to the node that reads them, along the BFS tree's
 //! pre-order intervals.
 
+use crate::dist::mst::tree_ports;
 use congest::message::{id_bits, TAG_BITS};
 use congest::primitives::stream::{batch_bits, Fill};
 use congest::{
@@ -308,13 +309,17 @@ impl Message for TfItem {
 /// the fragment's (undirected) tree edges; every member's new parent is
 /// the port the flood arrived on. Rounds: fragment diameter +1.
 #[derive(Clone, Debug, Default)]
-pub struct FragReroot;
+pub struct FragReroot<'a> {
+    _input: std::marker::PhantomData<fn() -> &'a ()>,
+}
 
-/// Input of [`FragReroot`].
+/// Input of [`FragReroot`]: the node's fragment-tree port flags, borrowed
+/// from the driver's columns, and whether it starts the flood.
 #[derive(Clone, Debug)]
-pub struct RerootInput {
-    /// In-fragment tree ports (undirected set).
-    pub tree_ports: Vec<Port>,
+pub struct RerootInput<'a> {
+    /// In-fragment tree ports, one flag per port (undirected: parent +
+    /// children).
+    pub tree: &'a [bool],
     /// The fragment's number if this node starts the flood (it is a
     /// connector, or the leader inside the root fragment).
     pub initiator: Option<u32>,
@@ -322,23 +327,23 @@ pub struct RerootInput {
 
 /// Node state for [`FragReroot`].
 #[derive(Debug)]
-pub struct RerootState {
-    input: RerootInput,
+pub struct RerootState<'a> {
+    input: RerootInput<'a>,
     parent: Option<Port>,
     num: Option<u32>,
 }
 
-impl Algorithm for FragReroot {
-    type Input = RerootInput;
-    type State = RerootState;
+impl<'a> Algorithm for FragReroot<'a> {
+    type Input = RerootInput<'a>;
+    type State = RerootState<'a>;
     type Msg = u32;
     /// The new in-fragment parent port and the fragment's number.
     type Output = (Option<Port>, u32);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: RerootInput) -> (RerootState, Outbox<u32>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: RerootInput<'a>) -> (RerootState<'a>, Outbox<u32>) {
         let mut out = Outbox::new();
         if let Some(num) = input.initiator {
-            out.send_all(input.tree_ports.iter().copied(), num);
+            out.send_all(tree_ports(input.tree, None), num);
         }
         (
             RerootState {
@@ -350,7 +355,12 @@ impl Algorithm for FragReroot {
         )
     }
 
-    fn round(&self, s: &mut RerootState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
+    fn round(
+        &self,
+        s: &mut RerootState<'a>,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(Port, u32)],
+    ) -> Step<u32> {
         if s.num.is_some() {
             return Step::halt();
         }
@@ -358,17 +368,15 @@ impl Algorithm for FragReroot {
             s.parent = Some(from);
             s.num = Some(num);
             let mut out = Outbox::new();
-            for &p in &s.input.tree_ports {
-                if p != from {
-                    out.send(p, num);
-                }
+            for p in tree_ports(s.input.tree, Some(from)) {
+                out.send(p, num);
             }
             return Step::Halt(out);
         }
         Step::wait()
     }
 
-    fn finish(&self, s: RerootState, _ctx: &NodeCtx<'_>) -> FinishResult<(Option<Port>, u32)> {
+    fn finish(&self, s: RerootState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<(Option<Port>, u32)> {
         let num = s.num.ok_or_else(|| {
             ProtocolViolation::new("never reached by its fragment's flood (no connector?)")
         })?;
@@ -1167,15 +1175,16 @@ mod tests {
         // One fragment spanning the path, number 6; initiator = node 3.
         let inputs: Vec<RerootInput> = (0..5)
             .map(|v| RerootInput {
-                tree_ports: match v {
-                    0 => vec![Port(0)],
-                    4 => vec![Port(0)],
-                    _ => vec![Port(0), Port(1)],
+                tree: match v {
+                    0 | 4 => &[true],
+                    _ => &[true, true],
                 },
                 initiator: (v == 3).then_some(6),
             })
             .collect();
-        let out = net.run("orient.flood", &FragReroot, inputs).unwrap();
+        let out = net
+            .run("orient.flood", &FragReroot::default(), inputs)
+            .unwrap();
         // One message per tree edge: the number rides on the flood.
         assert_eq!((out.metrics.messages, out.metrics.rounds), (4, 3));
         let (parents, nums): (Vec<_>, Vec<_>) = out.outputs.into_iter().unzip();

@@ -151,6 +151,14 @@ impl WeightedGraph {
         &self.adj
     }
 
+    /// The CSR offsets, `n + 1` of them: node `v`'s adjacency list is
+    /// `adjacency()[offsets()[v]..offsets()[v + 1]]`, and the last entry
+    /// is the number of directed edges. Any per-port array laid out like
+    /// the adjacency holds node `v`'s port `p` at `offsets()[v] + p`.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Unweighted degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         self.neighbors(v).len()

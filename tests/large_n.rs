@@ -173,4 +173,7 @@ fn exact_mincut_above_the_old_u16_cap() {
     // The serial executor's `round` calls: every node in round 1, then
     // only the nodes that are awake, got mail or are due (`Step::Wait`).
     assert_eq!(res.ledger.total_steps(), 9_546_183);
+    // Phase A's share, so that a fault in its state that wakes or skips
+    // different nodes fails by name.
+    assert_eq!(res.ledger.steps_of_stem("mstA"), 4_716_402);
 }
