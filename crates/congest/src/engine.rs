@@ -728,28 +728,21 @@ mod tests {
     #[test]
     fn a_stalled_phase_fails_at_once() {
         use crate::primitives::broadcast::Broadcast;
-        use crate::TreeInfo;
+        use crate::Tree;
         let n = 1_000;
         let g = graphs::generators::path(n).unwrap();
-        let port_to = |v: usize, u: usize| {
-            let p = g
-                .neighbors(NodeId::from_index(v))
-                .iter()
-                .position(|a| a.neighbor.index() == u);
-            Port(p.expect("path neighbors") as u32)
-        };
-        let inputs: Vec<(TreeInfo, Option<u64>)> = (0..n)
+        let adj = |v: usize| g.neighbors(NodeId::from_index(v)).iter();
+        // Node n − 2 does not flag its edge to node n − 1.
+        let rows: Vec<Vec<bool>> = (0..n)
             .map(|v| {
-                let tree = TreeInfo {
-                    parent: (v > 0).then(|| port_to(v, v - 1)),
-                    // Node n − 2 does not list node n − 1 as its child.
-                    children: if v + 2 < n {
-                        vec![port_to(v, v + 1)]
-                    } else {
-                        vec![]
-                    },
-                    depth: v as u32,
-                };
+                let flag = |u: usize| u + 1 == v || (u == v + 1 && v + 2 < n);
+                adj(v).map(|a| flag(a.neighbor.index())).collect()
+            })
+            .collect();
+        let inputs: Vec<(Tree, Option<u64>)> = (0..n)
+            .map(|v| {
+                let parent = adj(v).position(|a| a.neighbor.index() + 1 == v);
+                let tree = Tree::new(parent.map(|p| Port(p as u32)), &rows[v]);
                 (tree, (v == 0).then_some(7))
             })
             .collect();

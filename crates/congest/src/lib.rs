@@ -44,15 +44,16 @@
 //! let mut net = Network::new(&g, NetworkConfig::default())?;
 //! // Phase 0: elect a leader and build its BFS tree.
 //! let bfs = net.run("leader_bfs", &LeaderBfs::new(), vec![(); 8])?;
-//! // Phase 1: sum every node's weighted degree up the tree.
+//! // Phase 1: sum every node's weighted degree up the tree; each node
+//! // borrows its view of the tree from the election's output.
 //! let inputs = bfs
 //!     .outputs
 //!     .iter()
-//!     .map(|o| (o.tree.clone(), SumU64(2))) // each cycle node has degree 2
+//!     .map(|o| (o.tree(), SumU64(2))) // each cycle node has degree 2
 //!     .collect();
 //! let sums = net.run("degree_sum", &Convergecast::new(), inputs)?;
-//! let at_root = sums.outputs.iter().flatten().next().expect("root output");
-//! assert_eq!(at_root.0, 16);
+//! // Every node holds its subtree's sum; the leader, node 0, the total.
+//! assert_eq!(sums.outputs[0].0, 16);
 //! # Ok(())
 //! # }
 //! ```
@@ -79,6 +80,6 @@ pub use error::CongestError;
 pub use executor::ExecutorKind;
 pub use message::{id_bits, value_bits, Message};
 pub use metrics::{MetricsLedger, PhaseGroup, PhaseMetrics, SimPhaseStats};
-pub use node::{Intervals, NodeCtx, Port, TreeInfo};
+pub use node::{Intervals, NodeCtx, Port, Tree};
 pub use obs::{ObsHandle, ObsReport, ObsSink, PhaseSummary};
 pub use sim::{CrashEvent, FaultPlan, PartitionEvent, SuspicionPolicy};

@@ -1,5 +1,5 @@
-//! Per-node local views: ports, node context, and the tree-structure
-//! handle shared by the tree primitives.
+//! Per-node local views: ports, node context, and the tree view shared
+//! by the tree primitives.
 
 use graphs::{AdjEntry, NodeId};
 
@@ -103,30 +103,40 @@ impl NodeCtx<'_> {
     }
 }
 
-/// A node's local handle on a rooted tree (or forest): which port leads to
-/// the parent and which ports lead to children. This is the lingua franca of
-/// the tree primitives — [`crate::primitives::leader_bfs::LeaderBfs`]
-/// produces one for the global BFS tree, the MST orientation phase produces
-/// one per fragment.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct TreeInfo {
+/// A node's local view of a rooted tree (or forest), borrowed from the
+/// caller's memory: the port to its parent and a row of per-port flags
+/// marking its tree edges. The flags may include the parent's port;
+/// [`Tree::children`] skips it, so one undirected row of tree-edge flags
+/// serves every orientation of the tree. This is the lingua franca of
+/// the tree primitives: a caller that keeps its trees as per-port flag
+/// rows lends each node its row for the phase, and
+/// [`crate::primitives::leader_bfs::LeaderBfsOutput::tree`] is a node's
+/// view of the election's BFS tree.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+pub struct Tree<'a> {
     /// Port to the parent; `None` at a root.
     pub parent: Option<Port>,
-    /// Ports to the children, sorted.
-    pub children: Vec<Port>,
-    /// Depth of this node (roots have depth 0).
-    pub depth: u32,
+    /// One flag per port: the node's tree edges.
+    pub ports: &'a [bool],
 }
 
-impl TreeInfo {
+impl<'a> Tree<'a> {
+    /// The view with parent port `parent` over the flag row `ports`.
+    pub const fn new(parent: Option<Port>, ports: &'a [bool]) -> Self {
+        Tree { parent, ports }
+    }
+
     /// Returns `true` if this node is a root (no parent).
     pub fn is_root(&self) -> bool {
         self.parent.is_none()
     }
 
-    /// Returns `true` if this node is a leaf (no children).
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+    /// The ports to the children, ascending: every flagged port except
+    /// the parent's.
+    pub fn children(self) -> impl Iterator<Item = Port> + 'a {
+        (0..self.ports.len() as u32)
+            .map(Port)
+            .filter(move |&p| self.ports[p.index()] && Some(p) != self.parent)
     }
 }
 
@@ -185,23 +195,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_info_flags() {
-        let root = TreeInfo {
-            parent: None,
-            children: vec![Port(0)],
-            depth: 0,
-        };
+    fn children_are_the_flagged_ports_but_the_parent() {
+        let ports = [true, false, true, true, false, true];
+        let child = Tree::new(Some(Port(2)), &ports);
+        assert!(!child.is_root());
+        let got: Vec<Port> = child.children().collect();
+        assert_eq!(got, [Port(0), Port(3), Port(5)]);
+        let root = Tree::new(None, &ports);
         assert!(root.is_root());
-        assert!(!root.is_leaf());
-        let leaf = TreeInfo {
-            parent: Some(Port(1)),
-            children: vec![],
-            depth: 3,
-        };
-        assert!(!leaf.is_root());
-        assert!(leaf.is_leaf());
-        let default = TreeInfo::default();
-        assert!(default.is_root() && default.is_leaf());
+        let got: Vec<Port> = root.children().collect();
+        assert_eq!(got, [Port(0), Port(2), Port(3), Port(5)]);
+        let leaf = Tree::new(Some(Port(1)), &[false, true, false]);
+        assert_eq!(leaf.children().count(), 0);
+        let default = Tree::default();
+        assert!(default.is_root());
+        assert_eq!(default.children().count(), 0);
     }
 
     #[test]

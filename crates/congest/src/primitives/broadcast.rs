@@ -5,7 +5,7 @@
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, ProtocolViolation, Step};
 use crate::message::{value_bits, Message};
-use crate::node::{Intervals, NodeCtx, Port, TreeInfo};
+use crate::node::{Intervals, NodeCtx, Port, Tree};
 use crate::primitives::stream::{Fill, StreamMsg};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -13,11 +13,11 @@ use std::marker::PhantomData;
 /// Single-item broadcast: each root's item reaches every node of its tree.
 /// Rounds: `height + 1`.
 #[derive(Clone, Debug, Default)]
-pub struct Broadcast<T> {
-    _marker: PhantomData<fn() -> T>,
+pub struct Broadcast<'a, T> {
+    _marker: PhantomData<fn() -> (&'a (), T)>,
 }
 
-impl<T> Broadcast<T> {
+impl<T> Broadcast<'_, T> {
     /// Creates the phase object.
     pub fn new() -> Self {
         Broadcast {
@@ -28,28 +28,28 @@ impl<T> Broadcast<T> {
 
 /// Node state for [`Broadcast`].
 #[derive(Debug)]
-pub struct BcState<T> {
-    tree: TreeInfo,
+pub struct BcState<'a, T> {
+    tree: Tree<'a>,
     item: Option<T>,
 }
 
-impl<T: Message> Algorithm for Broadcast<T> {
-    /// `(TreeInfo, Some(item))` at roots, `(TreeInfo, None)` elsewhere.
-    type Input = (TreeInfo, Option<T>);
-    type State = BcState<T>;
+impl<'a, T: Message> Algorithm for Broadcast<'a, T> {
+    /// `(tree, Some(item))` at roots, `(tree, None)` elsewhere.
+    type Input = (Tree<'a>, Option<T>);
+    type State = BcState<'a, T>;
     type Msg = T;
     type Output = T;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, (tree, item): Self::Input) -> (BcState<T>, Outbox<T>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, (tree, item): Self::Input) -> (BcState<'a, T>, Outbox<T>) {
         let mut out = Outbox::new();
         if let Some(it) = &item {
             debug_assert!(tree.is_root(), "only roots may hold the initial item");
-            out.send_all(tree.children.iter().copied(), it.clone());
+            out.send_all(tree.children(), it.clone());
         }
         (BcState { tree, item }, out)
     }
 
-    fn round(&self, s: &mut BcState<T>, _ctx: &NodeCtx<'_>, inbox: &[(Port, T)]) -> Step<T> {
+    fn round(&self, s: &mut BcState<'a, T>, _ctx: &NodeCtx<'_>, inbox: &[(Port, T)]) -> Step<T> {
         if s.item.is_some() {
             // Root: sent at boot; done.
             return Step::halt();
@@ -57,13 +57,13 @@ impl<T: Message> Algorithm for Broadcast<T> {
         if let Some((_, item)) = inbox.first() {
             s.item = Some(item.clone());
             let mut out = Outbox::new();
-            out.send_all(s.tree.children.iter().copied(), item.clone());
+            out.send_all(s.tree.children(), item.clone());
             return Step::Halt(out);
         }
         Step::wait()
     }
 
-    fn finish(&self, s: BcState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<T> {
+    fn finish(&self, s: BcState<'a, T>, _ctx: &NodeCtx<'_>) -> FinishResult<T> {
         // A protocol violation (inconsistent forest input), not a panic:
         // the engine reports it as a typed `CongestError::Protocol`.
         s.item.ok_or_else(|| {
@@ -127,17 +127,13 @@ impl Route {
     }
 }
 
-/// The pre-order interval of each child of `tree`, in `tree.children`
-/// order; empty intervals on an unlabelled tree, which only
-/// [`Route::All`] rows cross.
-fn child_intervals<'a>(
-    tree: &'a TreeInfo,
-    iv: &'a Intervals,
-) -> impl Iterator<Item = (u32, u32)> + 'a {
-    tree.children
-        .iter()
+/// The pre-order interval of each child of `tree`, in port order;
+/// empty intervals on an unlabelled tree, which only [`Route::All`] rows
+/// cross.
+fn child_intervals<'a>(tree: Tree<'a>, iv: &'a Intervals) -> impl Iterator<Item = (u32, u32)> + 'a {
+    tree.children()
         .enumerate()
-        .map(|(c, &p)| match iv.children.get(c) {
+        .map(|(c, p)| match iv.children.get(c) {
             Some(&(q, lo, hi)) => {
                 debug_assert_eq!(p, q, "labels list the children in port order");
                 (lo, hi)
@@ -196,32 +192,34 @@ fn row_entry_bits<T: Message>(route: Route, item: &T) -> usize {
 /// over `n` nodes without `k·n` copies. A fold that pushes every row
 /// into a `Vec` recovers the plain list broadcast.
 #[derive(Clone)]
-pub struct BroadcastItems<T, A, F> {
+pub struct BroadcastItems<'a, T, A, F> {
     fold: F,
     _marker: PhantomData<fn() -> (T, A)>,
+    _input: PhantomData<fn() -> &'a ()>,
 }
 
-impl<T, A, F: Fn(&mut A, &T)> BroadcastItems<T, A, F> {
+impl<T, A, F: Fn(&mut A, &T)> BroadcastItems<'_, T, A, F> {
     /// Creates the phase object; `fold` absorbs one row into a node's
     /// accumulator.
     pub fn new(fold: F) -> Self {
         BroadcastItems {
             fold,
             _marker: PhantomData,
+            _input: PhantomData,
         }
     }
 }
 
 /// Node state for [`BroadcastItems`].
 #[derive(Debug)]
-pub struct BciState<T, A> {
-    tree: TreeInfo,
-    iv: Intervals,
+pub struct BciState<'a, T, A> {
+    tree: Tree<'a>,
+    iv: &'a Intervals,
     /// The folded rows (output).
     acc: A,
     /// Roots: the input rows, streamed by index. Empty elsewhere.
     items: Vec<(Route, T)>,
-    /// Roots: per child (in `tree.children` order), the rows routed
+    /// Roots: per child (in port order), the rows routed
     /// into its subtree that have not left yet — `(row index, route
     /// inside the subtree)` — or `None` once the child's end marker
     /// has left.
@@ -230,14 +228,14 @@ pub struct BciState<T, A> {
 
 /// Per-node input of [`BroadcastItems`]: the tree, the node's pre-order
 /// labels in it (needed only for targeted rows: [`Intervals::default`]
-/// serves a stream of [`Route::All`] rows), the routed rows (roots;
-/// non-roots must pass an empty list) and the accumulator the node
-/// folds into.
-pub type StreamInput<T, A> = (TreeInfo, Intervals, Vec<(Route, T)>, A);
+/// serves a stream of [`Route::All`] rows), both borrowed, the routed
+/// rows (roots; non-roots must pass an empty list) and the accumulator
+/// the node folds into.
+pub type StreamInput<'a, T, A> = (Tree<'a>, &'a Intervals, Vec<(Route, T)>, A);
 
-impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
-    type Input = StreamInput<T, A>;
-    type State = BciState<T, A>;
+impl<'a, T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<'a, T, A, F> {
+    type Input = StreamInput<'a, T, A>;
+    type State = BciState<'a, T, A>;
     type Msg = StreamMsg<(Route, T)>;
     type Output = A;
 
@@ -245,18 +243,18 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
         &self,
         _ctx: &NodeCtx<'_>,
         (tree, iv, items, mut acc): Self::Input,
-    ) -> (BciState<T, A>, Outbox<Self::Msg>) {
+    ) -> (BciState<'a, T, A>, Outbox<Self::Msg>) {
         debug_assert!(
             tree.is_root() || items.is_empty(),
             "only roots may hold items"
         );
         for (route, item) in &items {
-            if route.folds_at(&iv) {
+            if route.folds_at(iv) {
                 (self.fold)(&mut acc, item);
             }
         }
         let queues = if tree.is_root() {
-            child_intervals(&tree, &iv)
+            child_intervals(tree, iv)
                 .map(|child| {
                     let rows = items.iter().enumerate();
                     let routed =
@@ -279,7 +277,7 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
 
     fn round(
         &self,
-        s: &mut BciState<T, A>,
+        s: &mut BciState<'a, T, A>,
         ctx: &NodeCtx<'_>,
         inbox: &[(Port, Self::Msg)],
     ) -> Step<Self::Msg> {
@@ -288,7 +286,7 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
             // Each child's queue leaves as fast as its edge takes it,
             // and the end marker closes it in or after its last message.
             let items = &s.items;
-            for (&p, slot) in s.tree.children.iter().zip(&mut s.queues) {
+            for (p, slot) in s.tree.children().zip(&mut s.queues) {
                 let Some(queue) = slot else { continue };
                 let mut fill = Fill::new(ctx.bandwidth_bits);
                 let c = queue
@@ -321,14 +319,14 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
         };
         let rows = msg.items();
         for (route, item) in rows {
-            if route.folds_at(&s.iv) {
+            if route.folds_at(s.iv) {
                 (self.fold)(&mut s.acc, item);
             }
         }
         // One sub-batch per child, its rows in arrival order; the end
         // marker goes on to every child with the message that brought it.
         let end = msg.ends();
-        for (&p, child) in s.tree.children.iter().zip(child_intervals(&s.tree, &s.iv)) {
+        for (p, child) in s.tree.children().zip(child_intervals(s.tree, s.iv)) {
             let sub = || {
                 rows.iter()
                     .filter_map(move |(r, x)| Some((r.toward(child)?, x)))
@@ -347,7 +345,7 @@ impl<T: Message, A, F: Fn(&mut A, &T)> Algorithm for BroadcastItems<T, A, F> {
         }
     }
 
-    fn finish(&self, s: BciState<T, A>, _ctx: &NodeCtx<'_>) -> FinishResult<A> {
+    fn finish(&self, s: BciState<'a, T, A>, _ctx: &NodeCtx<'_>) -> FinishResult<A> {
         Ok(s.acc)
     }
 }
@@ -358,27 +356,21 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::engine::Network;
     use crate::message::TAG_BITS;
-    use crate::primitives::leader_bfs::{self, LeaderBfs};
+    use crate::primitives::leader_bfs::{self, LeaderBfs, LeaderBfsOutput};
     use graphs::generators;
-
-    fn bfs_trees(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<TreeInfo> {
-        net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
-            .unwrap()
-            .outputs
-            .into_iter()
-            .map(|o| o.tree)
-            .collect()
-    }
 
     #[test]
     fn single_broadcast_reaches_everyone() {
         let g = generators::grid2d(4, 4).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, Option<u64>)> = trees
-            .into_iter()
+        let bfs = net
+            .run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
+            .unwrap()
+            .outputs;
+        let inputs: Vec<(Tree, Option<u64>)> = bfs
+            .iter()
             .enumerate()
-            .map(|(v, t)| (t, (v == 0).then_some(42u64)))
+            .map(|(v, o)| (o.tree(), (v == 0).then_some(42u64)))
             .collect();
         let out = net.run("bcast", &Broadcast::new(), inputs).unwrap();
         assert!(out.outputs.iter().all(|&x| x == 42));
@@ -390,11 +382,7 @@ mod tests {
         // A node that never received the item reports a protocol
         // violation from `finish` instead of aborting the process.
         let state: BcState<u64> = BcState {
-            tree: TreeInfo {
-                parent: Some(crate::node::Port(0)),
-                children: vec![],
-                depth: 1,
-            },
+            tree: Tree::new(Some(Port(0)), &[true]),
             item: None,
         };
         let neighbors = [graphs::AdjEntry {
@@ -419,20 +407,19 @@ mod tests {
         acc.push(*item);
     }
 
-    /// The election's labelled BFS tree of `g` (the oracle's, which the
+    /// The election's labelled BFS tree `bfs` (the oracle's, which the
     /// election tests prove equal) with `rows` at the root (node 0) and
     /// `acc` at every node.
-    fn stream_inputs<A: Clone>(
-        g: &graphs::WeightedGraph,
+    fn stream_inputs<'a, A: Clone>(
+        bfs: &'a [LeaderBfsOutput],
         rows: &[(Route, u64)],
         acc: A,
-    ) -> Vec<StreamInput<u64, A>> {
-        leader_bfs::oracle(g)
-            .into_iter()
+    ) -> Vec<StreamInput<'a, u64, A>> {
+        bfs.iter()
             .enumerate()
             .map(|(v, o)| {
                 let list = if v == 0 { rows.to_vec() } else { vec![] };
-                (o.tree, o.iv, list, acc.clone())
+                (o.tree(), &o.iv, list, acc.clone())
             })
             .collect()
     }
@@ -442,19 +429,15 @@ mod tests {
     }
 
     /// Path of 6 split into {0,1,2} rooted at 0 and {3,4,5} rooted at 3.
-    fn two_paths() -> Vec<TreeInfo> {
-        let t = |parent: Option<u32>, children: Vec<u32>, depth: u32| TreeInfo {
-            parent: parent.map(Port),
-            children: children.into_iter().map(Port).collect(),
-            depth,
-        };
+    fn two_paths() -> Vec<Tree<'static>> {
+        let t = |parent: Option<u32>, ports: &'static [bool]| Tree::new(parent.map(Port), ports);
         vec![
-            t(None, vec![0], 0),
-            t(Some(0), vec![1], 1),
-            t(Some(0), vec![], 2),
-            t(None, vec![1], 0),
-            t(Some(0), vec![1], 1),
-            t(Some(0), vec![], 2),
+            t(None, &[true]),
+            t(Some(0), &[true, true]),
+            t(Some(0), &[true, false]),
+            t(None, &[false, true]),
+            t(Some(0), &[true, true]),
+            t(Some(0), &[true]),
         ]
     }
 
@@ -470,7 +453,8 @@ mod tests {
         for (factor, per_edge) in [(8, 4u64), (2, 20)] {
             let cfg = NetworkConfig::with_bandwidth_factor(factor);
             let mut net = Network::new(&g, cfg).unwrap();
-            let inputs = stream_inputs(&g, &to_all(&items), Vec::new());
+            let bfs = leader_bfs::oracle(&g);
+            let inputs = stream_inputs(&bfs, &to_all(&items), Vec::new());
             let out = net
                 .run("bcast_items", &BroadcastItems::new(collect), inputs)
                 .unwrap();
@@ -491,10 +475,11 @@ mod tests {
         let g = generators::path(6).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         let lists = [vec![7, 8], vec![], vec![], vec![9], vec![], vec![]];
+        let unlabelled = Intervals::default();
         let inputs: Vec<_> = two_paths()
             .into_iter()
             .zip(lists)
-            .map(|(t, list)| (t, Intervals::default(), to_all(&list), Vec::new()))
+            .map(|(t, list)| (t, &unlabelled, to_all(&list), Vec::new()))
             .collect();
         let out = net
             .run("forest_bcast", &BroadcastItems::new(collect), inputs)
@@ -511,7 +496,8 @@ mod tests {
         // and must not fold it again while streaming it.
         let g = generators::grid2d(3, 4).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let inputs = stream_inputs(&g, &to_all(&[5, 1, 4]), (0u64, 0u64));
+        let bfs = leader_bfs::oracle(&g);
+        let inputs = stream_inputs(&bfs, &to_all(&[5, 1, 4]), (0u64, 0u64));
         let count = |acc: &mut (u64, u64), item: &u64| {
             acc.0 += 1;
             acc.1 += item;
@@ -526,7 +512,8 @@ mod tests {
     fn an_empty_list_sends_only_the_end_marker() {
         let g = generators::grid2d(3, 4).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let inputs = stream_inputs(&g, &[], 7u64);
+        let bfs = leader_bfs::oracle(&g);
+        let inputs = stream_inputs(&bfs, &[], 7u64);
         let add = |acc: &mut u64, item: &u64| *acc += item;
         let out = net
             .run("bcast_items", &BroadcastItems::new(add), inputs)
@@ -633,7 +620,7 @@ mod tests {
             }
             let height = subtree
                 .iter()
-                .map(|&v| u64::from(bfs[v].tree.depth))
+                .map(|&v| u64::from(bfs[v].depth))
                 .max()
                 .unwrap_or(0);
             rounds = rounds.max(sent.len() as u64 + height);
@@ -671,18 +658,15 @@ mod tests {
         ] {
             let n = g.node_count() as u32;
             let rows = mixed_rows(n);
-            let height = leader_bfs::oracle(&g)
-                .iter()
-                .map(|o| o.tree.depth)
-                .max()
-                .unwrap();
+            let bfs = leader_bfs::oracle(&g);
+            let height = bfs.iter().map(|o| o.depth).max().unwrap();
             // 24 bits carry about one row a message, 64 a few, 256 most
             // of the table.
             for factor in [3, 8, 32] {
                 let cfg = NetworkConfig::with_bandwidth_factor(factor);
                 let mut net = Network::new(&g, cfg).unwrap();
                 let budget = net.bandwidth_bits();
-                let inputs = stream_inputs(&g, &rows, Vec::new());
+                let inputs = stream_inputs(&bfs, &rows, Vec::new());
                 let out = net
                     .run("bcast_routed", &BroadcastItems::new(collect), inputs)
                     .unwrap();
@@ -720,7 +704,8 @@ mod tests {
         for (factor, messages, rounds) in [(2, 9 + 6 + 8, 2 + 9 + 1), (8, 9, 1 + 9)] {
             let cfg = NetworkConfig::with_bandwidth_factor(factor);
             let mut net = Network::new(&g, cfg).unwrap();
-            let inputs = stream_inputs(&g, &rows, Vec::new());
+            let bfs = leader_bfs::oracle(&g);
+            let inputs = stream_inputs(&bfs, &rows, Vec::new());
             let out = net
                 .run("bcast_routed", &BroadcastItems::new(collect), inputs)
                 .unwrap();
@@ -751,7 +736,8 @@ mod tests {
         let run = |executor: crate::ExecutorKind| {
             let cfg = NetworkConfig::default().with_executor(executor);
             let mut net = Network::new(&g, cfg).unwrap();
-            let inputs = stream_inputs(&g, &rows, Vec::new());
+            let bfs = leader_bfs::oracle(&g);
+            let inputs = stream_inputs(&bfs, &rows, Vec::new());
             let out = net
                 .run("bcast_items", &BroadcastItems::new(collect), inputs)
                 .unwrap();

@@ -1,33 +1,38 @@
 //! Convergecast: aggregate one value per node toward the root(s) of a
-//! tree/forest under a commutative, associative combine.
+//! tree/forest under a commutative, associative combine, every node
+//! learning its own subtree's aggregate on the way.
 //!
 //! Rounds: `height + 1`. Works on forests — every root gets the aggregate of
 //! its own tree, so running one convergecast per fragment in parallel is the
-//! same single phase.
+//! same single phase. Per-node outputs are the distributed counterpart of
+//! `trees::subtree::subtree_sums`: the cut stage's Step 3
+//! (`Σ_{u ∈ Fᵢ ∩ v↓} δ(u)`) sums δ and ρ as one `(u64, u64)` aggregate.
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::{value_bits, Message, TAG_BITS};
-use crate::node::{NodeCtx, Port, TreeInfo};
+use crate::node::{NodeCtx, Port, Tree};
 use std::marker::PhantomData;
 
-/// A value that can be aggregated up a tree.
-pub trait Aggregate: Clone + std::fmt::Debug {
+/// A value that can be aggregated up a tree. The partial aggregate is
+/// itself the message a node sends its parent.
+pub trait Aggregate: Message {
     /// Commutative, associative combination.
     fn combine(&self, other: &Self) -> Self;
-    /// Transmission size in bits.
-    fn bits(&self) -> usize;
 }
 
 /// Sum of `u64` values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SumU64(pub u64);
 
+impl Message for SumU64 {
+    fn bit_len(&self) -> usize {
+        TAG_BITS + value_bits(self.0)
+    }
+}
+
 impl Aggregate for SumU64 {
     fn combine(&self, other: &Self) -> Self {
         SumU64(self.0 + other.0)
-    }
-    fn bits(&self) -> usize {
-        value_bits(self.0)
     }
 }
 
@@ -35,6 +40,12 @@ impl Aggregate for SumU64 {
 /// "(value, tie-break id)" argmin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MinPair(pub u64, pub u64);
+
+impl Message for MinPair {
+    fn bit_len(&self) -> usize {
+        TAG_BITS + value_bits(self.0) + value_bits(self.1)
+    }
+}
 
 impl Aggregate for MinPair {
     fn combine(&self, other: &Self) -> Self {
@@ -44,29 +55,25 @@ impl Aggregate for MinPair {
             *other
         }
     }
-    fn bits(&self) -> usize {
-        value_bits(self.0) + value_bits(self.1)
+}
+
+/// Componentwise sums of `(u64, u64)` pairs, each partial sum charged
+/// like two `u64` messages.
+impl Aggregate for (u64, u64) {
+    fn combine(&self, other: &Self) -> Self {
+        (self.0 + other.0, self.1 + other.1)
     }
 }
 
-/// Message wrapper for an aggregate.
-#[derive(Clone, Debug)]
-pub struct AggMsg<T>(pub T);
-
-impl<T: Aggregate> Message for AggMsg<T> {
-    fn bit_len(&self) -> usize {
-        TAG_BITS + self.0.bits()
-    }
-}
-
-/// The convergecast phase. Input per node: `(TreeInfo, T)`; output: `Some`
-/// of the tree-wide aggregate at each root, `None` elsewhere.
+/// The convergecast phase. Input per node: `(Tree, T)`; output at
+/// **every** node: the aggregate over its subtree (at a root, its whole
+/// tree's).
 #[derive(Clone, Debug, Default)]
-pub struct Convergecast<T> {
-    _marker: PhantomData<fn() -> T>,
+pub struct Convergecast<'a, T> {
+    _marker: PhantomData<fn() -> (&'a (), T)>,
 }
 
-impl<T> Convergecast<T> {
+impl<T> Convergecast<'_, T> {
     /// Creates the phase object.
     pub fn new() -> Self {
         Convergecast {
@@ -78,49 +85,39 @@ impl<T> Convergecast<T> {
 /// Node state for [`Convergecast`].
 #[derive(Debug)]
 pub struct CcState<T> {
-    tree: TreeInfo,
+    parent: Option<Port>,
     acc: T,
     waiting: usize,
     sent: bool,
 }
 
-impl<T: Aggregate> Algorithm for Convergecast<T> {
-    type Input = (TreeInfo, T);
+impl<'a, T: Aggregate> Algorithm for Convergecast<'a, T> {
+    type Input = (Tree<'a>, T);
     type State = CcState<T>;
-    type Msg = AggMsg<T>;
-    type Output = Option<T>;
+    type Msg = T;
+    type Output = T;
 
-    fn boot(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        (tree, value): (TreeInfo, T),
-    ) -> (CcState<T>, Outbox<AggMsg<T>>) {
-        let waiting = tree.children.len();
+    fn boot(&self, _ctx: &NodeCtx<'_>, (tree, value): (Tree<'a>, T)) -> (CcState<T>, Outbox<T>) {
         let state = CcState {
-            tree,
+            parent: tree.parent,
             acc: value,
-            waiting,
+            waiting: tree.children().count(),
             sent: false,
         };
         (state, Outbox::new())
     }
 
-    fn round(
-        &self,
-        s: &mut CcState<T>,
-        _ctx: &NodeCtx<'_>,
-        inbox: &[(Port, AggMsg<T>)],
-    ) -> Step<AggMsg<T>> {
-        for (_, AggMsg(v)) in inbox {
+    fn round(&self, s: &mut CcState<T>, _ctx: &NodeCtx<'_>, inbox: &[(Port, T)]) -> Step<T> {
+        for (_, v) in inbox {
             s.acc = s.acc.combine(v);
             s.waiting -= 1;
         }
         if s.waiting == 0 && !s.sent {
             s.sent = true;
-            match s.tree.parent {
+            match s.parent {
                 Some(p) => {
                     let mut o = Outbox::new();
-                    o.send(p, AggMsg(s.acc.clone()));
+                    o.send(p, s.acc.clone());
                     Step::Halt(o)
                 }
                 None => Step::halt(),
@@ -130,8 +127,8 @@ impl<T: Aggregate> Algorithm for Convergecast<T> {
         }
     }
 
-    fn finish(&self, s: CcState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<Option<T>> {
-        Ok(s.tree.parent.is_none().then_some(s.acc))
+    fn finish(&self, s: CcState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<T> {
+        Ok(s.acc)
     }
 }
 
@@ -140,32 +137,27 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::engine::Network;
-    use crate::primitives::leader_bfs::LeaderBfs;
-    use graphs::generators;
+    use crate::primitives::leader_bfs::{LeaderBfs, LeaderBfsOutput};
+    use graphs::{generators, NodeId};
 
-    fn bfs_trees(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<TreeInfo> {
+    fn bfs(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<LeaderBfsOutput> {
         net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
             .unwrap()
             .outputs
-            .into_iter()
-            .map(|o| o.tree)
-            .collect()
     }
 
     #[test]
     fn sums_node_ids_on_grid() {
         let g = generators::grid2d(4, 5).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, SumU64)> = trees
-            .into_iter()
+        let outs = bfs(&g, &mut net);
+        let inputs: Vec<(Tree, SumU64)> = outs
+            .iter()
             .enumerate()
-            .map(|(v, t)| (t, SumU64(v as u64)))
+            .map(|(v, o)| (o.tree(), SumU64(v as u64)))
             .collect();
         let out = net.run("sum", &Convergecast::new(), inputs).unwrap();
-        let root_val = out.outputs[0].expect("node 0 is the BFS root");
-        assert_eq!(root_val.0, (0..20).sum::<u64>());
-        assert!(out.outputs[1..].iter().all(|o| o.is_none()));
+        assert_eq!(out.outputs[0].0, (0..20).sum::<u64>(), "node 0 is the root");
         // Rounds bounded by height + slack.
         assert!(out.metrics.rounds <= 4 + 5 + 2);
     }
@@ -183,24 +175,49 @@ mod tests {
         let g = generators::path(6).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
         // Ports on a path: node 0 has port0 -> 1; nodes 1..4 have port0 -> left, port1 -> right; node 5 port0 -> 4.
-        let t = |parent: Option<u32>, children: Vec<u32>, depth: u32| TreeInfo {
-            parent: parent.map(Port),
-            children: children.into_iter().map(Port).collect(),
-            depth,
-        };
-        let inputs: Vec<(TreeInfo, SumU64)> = vec![
-            (t(None, vec![0], 0), SumU64(1)),
-            (t(Some(0), vec![1], 1), SumU64(2)),
-            (t(Some(0), vec![], 2), SumU64(4)),
-            (t(None, vec![1], 0), SumU64(8)),
-            (t(Some(0), vec![1], 1), SumU64(16)),
-            (t(Some(0), vec![], 2), SumU64(32)),
+        let t = |parent: Option<u32>, ports: &'static [bool]| Tree::new(parent.map(Port), ports);
+        let inputs: Vec<(Tree, SumU64)> = vec![
+            (t(None, &[true]), SumU64(1)),
+            (t(Some(0), &[true, true]), SumU64(2)),
+            (t(Some(0), &[true, false]), SumU64(4)),
+            (t(None, &[false, true]), SumU64(8)),
+            (t(Some(0), &[true, true]), SumU64(16)),
+            (t(Some(0), &[true]), SumU64(32)),
         ];
         let out = net.run("forest_sum", &Convergecast::new(), inputs).unwrap();
-        assert_eq!(out.outputs[0], Some(SumU64(7)));
-        assert_eq!(out.outputs[3], Some(SumU64(56)));
-        for v in [1, 2, 4, 5] {
-            assert_eq!(out.outputs[v], None);
-        }
+        let got: Vec<u64> = out.outputs.iter().map(|s| s.0).collect();
+        assert_eq!(got, [7, 6, 4, 56, 48, 32]);
+    }
+
+    #[test]
+    fn subtree_sums_match_sequential() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let g = generators::erdos_renyi_connected(50, 0.08, &mut rng).unwrap();
+        let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
+        let outs = bfs(&g, &mut net);
+        let a: Vec<u64> = (0..50).map(|_| rng.gen_range(0..100)).collect();
+        let b: Vec<u64> = (0..50).map(|_| rng.gen_range(0..1 << 40)).collect();
+        let inputs: Vec<(Tree, (u64, u64))> = outs
+            .iter()
+            .enumerate()
+            .map(|(v, o)| (o.tree(), (a[v], b[v])))
+            .collect();
+        let out = net.run("ss", &Convergecast::new(), inputs).unwrap();
+        // One message per tree edge, each charged like two `u64`s.
+        assert_eq!(out.metrics.messages, 49);
+        // Sequential oracle over the same tree, component by component.
+        let parent_ids: Vec<Option<NodeId>> = outs
+            .iter()
+            .enumerate()
+            .map(|(v, o)| {
+                o.parent
+                    .map(|p| g.neighbors(NodeId::from_index(v))[p.index()].neighbor)
+            })
+            .collect();
+        let rt = trees::RootedTree::from_parents(NodeId::new(0), &parent_ids).unwrap();
+        let (got_a, got_b): (Vec<u64>, Vec<u64>) = out.outputs.into_iter().unzip();
+        assert_eq!(got_a, trees::subtree::subtree_sums(&rt, &a));
+        assert_eq!(got_b, trees::subtree::subtree_sums(&rt, &b));
     }
 }

@@ -10,9 +10,10 @@
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::{value_bits, Message, TAG_BITS};
-use crate::node::{NodeCtx, Port, TreeInfo};
+use crate::node::{NodeCtx, Port, Tree};
 use crate::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
 use crate::primitives::stream::StreamMsg;
+use std::marker::PhantomData;
 
 /// One `(key, partial sum)` pair in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,16 +53,20 @@ impl KeyedMonoid for SumMonoid {
     }
 }
 
-/// The grouped-sum phase. Input per node: `(TreeInfo, Vec<(key, value)>)`
+/// The grouped-sum phase. Input per node: `(Tree, Vec<(key, value)>)`
 /// (any order, duplicates allowed); output: `Some(sorted per-key totals)` at
 /// each root, `None` elsewhere.
 #[derive(Clone, Debug, Default)]
-pub struct GroupedSum;
+pub struct GroupedSum<'a> {
+    _marker: PhantomData<fn() -> &'a ()>,
+}
 
-impl GroupedSum {
+impl GroupedSum<'_> {
     /// Creates the phase object.
     pub fn new() -> Self {
-        GroupedSum
+        GroupedSum {
+            _marker: PhantomData,
+        }
     }
 }
 
@@ -75,8 +80,8 @@ pub struct GsState {
     out: Vec<(u64, u64)>,
 }
 
-impl Algorithm for GroupedSum {
-    type Input = (TreeInfo, Vec<(u64, u64)>);
+impl<'a> Algorithm for GroupedSum<'a> {
+    type Input = (Tree<'a>, Vec<(u64, u64)>);
     type State = GsState;
     type Msg = StreamMsg<KeyedSum>;
     type Output = Option<Vec<(u64, u64)>>;
@@ -89,7 +94,7 @@ impl Algorithm for GroupedSum {
         (
             GsState {
                 is_root: tree.is_root(),
-                core: KeyedStreamReduce::new(ctx, &tree, own),
+                core: KeyedStreamReduce::new(ctx, tree, own),
                 out: Vec::new(),
             },
             Outbox::new(),
@@ -118,18 +123,15 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::engine::Network;
-    use crate::primitives::leader_bfs::LeaderBfs;
+    use crate::primitives::leader_bfs::{LeaderBfs, LeaderBfsOutput};
     use graphs::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn bfs_trees(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<TreeInfo> {
+    fn bfs(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<LeaderBfsOutput> {
         net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
             .unwrap()
             .outputs
-            .into_iter()
-            .map(|o| o.tree)
-            .collect()
     }
 
     fn naive_grouped(inputs: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
@@ -148,7 +150,7 @@ mod tests {
         for n in [3usize, 10, 40] {
             let g = generators::erdos_renyi_connected(n, 0.2, &mut rng).unwrap();
             let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-            let trees = bfs_trees(&g, &mut net);
+            let outs = bfs(&g, &mut net);
             let lists: Vec<Vec<(u64, u64)>> = (0..n)
                 .map(|_| {
                     (0..rng.gen_range(0..6))
@@ -157,8 +159,11 @@ mod tests {
                 })
                 .collect();
             let want = naive_grouped(&lists);
-            let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> =
-                trees.into_iter().zip(lists.iter().cloned()).collect();
+            let inputs: Vec<(Tree, Vec<(u64, u64)>)> = outs
+                .iter()
+                .map(|o| o.tree())
+                .zip(lists.iter().cloned())
+                .collect();
             let out = net.run("grouped", &GroupedSum::new(), inputs).unwrap();
             let got = out.outputs[0].clone().expect("root output");
             assert_eq!(got, want, "n = {n}");
@@ -172,17 +177,17 @@ mod tests {
         let k = 30u64;
         let g = generators::path(n).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = trees
-            .into_iter()
+        let outs = bfs(&g, &mut net);
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> = outs
+            .iter()
             .enumerate()
-            .map(|(v, t)| {
+            .map(|(v, o)| {
                 let items = if v == n - 1 {
                     (0..k).map(|i| (i, 1u64)).collect()
                 } else {
                     vec![]
                 };
-                (t, items)
+                (o.tree(), items)
             })
             .collect();
         let out = net.run("grouped_path", &GroupedSum::new(), inputs).unwrap();
@@ -200,11 +205,11 @@ mod tests {
         let n = 10;
         let g = generators::star(n).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = trees
-            .into_iter()
+        let outs = bfs(&g, &mut net);
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> = outs
+            .iter()
             .enumerate()
-            .map(|(v, t)| (t, vec![(1, v as u64), (2, 1u64)]))
+            .map(|(v, o)| (o.tree(), vec![(1, v as u64), (2, 1u64)]))
             .collect();
         let out = net.run("grouped_star", &GroupedSum::new(), inputs).unwrap();
         let got = out.outputs[0].clone().unwrap();
@@ -215,9 +220,9 @@ mod tests {
     fn empty_everywhere() {
         let g = generators::cycle(5).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> =
-            trees.into_iter().map(|t| (t, vec![])).collect();
+        let outs = bfs(&g, &mut net);
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> =
+            outs.iter().map(|o| (o.tree(), vec![])).collect();
         let out = net
             .run("grouped_empty", &GroupedSum::new(), inputs)
             .unwrap();
@@ -229,11 +234,11 @@ mod tests {
         // Keys above 2³² — the whole point of the u64 widening.
         let g = generators::star(4).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
+        let outs = bfs(&g, &mut net);
         let big = (1u64 << 40) + 17;
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = trees
-            .into_iter()
-            .map(|t| (t, vec![(big, 3), (1, 1)]))
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> = outs
+            .iter()
+            .map(|o| (o.tree(), vec![(big, 3), (1, 1)]))
             .collect();
         let out = net.run("grouped_u64", &GroupedSum::new(), inputs).unwrap();
         assert_eq!(out.outputs[0], Some(vec![(1, 4), (big, 12)]));

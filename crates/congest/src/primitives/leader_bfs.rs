@@ -68,7 +68,7 @@
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::{id_bits, value_bits, Message, TAG_BITS};
-use crate::node::{Intervals, NodeCtx, Port, TreeInfo};
+use crate::node::{Intervals, NodeCtx, Port, Tree};
 use graphs::{NodeId, WeightedGraph};
 
 /// Messages of the leader/BFS phase.
@@ -114,11 +114,24 @@ impl Message for LeaderMsg {
 pub struct LeaderBfsOutput {
     /// The elected leader (the minimum identifier in the network).
     pub leader: NodeId,
-    /// Parent/children/depth in the leader's BFS tree.
-    pub tree: TreeInfo,
+    /// Port to the parent in the leader's BFS tree (`None` at the
+    /// leader).
+    pub parent: Option<Port>,
+    /// Depth in the BFS tree (the leader's is 0).
+    pub depth: u32,
     /// This node's and its children's pre-order intervals in the BFS
     /// tree (the leader is entered at 0, children in port order).
     pub iv: Intervals,
+    /// One flag per port: the node's BFS-tree edges, to its parent and
+    /// to its children.
+    pub ports: Vec<bool>,
+}
+
+impl LeaderBfsOutput {
+    /// This node's view of the BFS tree, borrowing its flag row.
+    pub fn tree(&self) -> Tree<'_> {
+        Tree::new(self.parent, &self.ports)
+    }
 }
 
 /// The leader-election + BFS-tree phase. See module docs.
@@ -136,9 +149,9 @@ impl LeaderBfs {
 /// output every node must produce. Node 0, the minimum identifier,
 /// leads; depths are BFS distances from it
 /// ([`graphs::traversal::bfs`]); a node's parent is its smallest port
-/// one level up, and its children are the sorted ports whose neighbor
-/// chose it as parent. The intervals number the tree in pre-order from
-/// the leader, visiting children in port order.
+/// one level up, and its children are the ports whose neighbor chose it
+/// as parent. The intervals number the tree in pre-order from the
+/// leader, visiting children in port order.
 pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
     let dist = graphs::traversal::bfs(g, NodeId::new(0)).dist;
     let parent: Vec<Option<Port>> = g
@@ -150,26 +163,19 @@ pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
                 .map(|p| Port(p as u32))
         })
         .collect();
-    let trees: Vec<TreeInfo> = g
+    let ports: Vec<Vec<bool>> = g
         .nodes()
         .map(|v| {
-            let children = g
-                .neighbors(v)
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| {
-                    parent[a.neighbor.index()]
-                        .is_some_and(|p| g.neighbors(a.neighbor)[p.index()].neighbor == v)
-                })
-                .map(|(p, _)| Port(p as u32))
-                .collect();
-            TreeInfo {
-                parent: parent[v.index()],
-                children,
-                depth: dist[v.index()],
-            }
+            let adj = g.neighbors(v).iter().enumerate();
+            adj.map(|(p, a)| {
+                let child = parent[a.neighbor.index()]
+                    .is_some_and(|q| g.neighbors(a.neighbor)[q.index()].neighbor == v);
+                child || parent[v.index()] == Some(Port(p as u32))
+            })
+            .collect()
         })
         .collect();
+    let tree = |v: usize| Tree::new(parent[v], &ports[v]);
     let child = |v: usize, p: Port| {
         g.neighbors(NodeId::from_index(v))[p.index()]
             .neighbor
@@ -180,28 +186,27 @@ pub fn oracle(g: &WeightedGraph) -> Vec<LeaderBfsOutput> {
     // Subtree sizes deepest first, then intervals shallowest first.
     let mut size = vec![1u32; order.len()];
     for &v in order.iter().rev() {
-        size[v] += trees[v]
-            .children
-            .iter()
-            .map(|&p| size[child(v, p)])
-            .sum::<u32>();
+        size[v] += tree(v).children().map(|p| size[child(v, p)]).sum::<u32>();
     }
     let mut in_t = vec![0u32; order.len()];
     let mut ivs = vec![Intervals::default(); order.len()];
     for &v in &order {
-        let child_sizes = trees[v].children.iter().map(|&p| (p, size[child(v, p)]));
+        let child_sizes = tree(v).children().map(|p| (p, size[child(v, p)]));
         ivs[v] = Intervals::assign(in_t[v], size[v], child_sizes);
         for &(p, lo, _) in &ivs[v].children {
             in_t[child(v, p)] = lo;
         }
     }
-    trees
+    ports
         .into_iter()
         .zip(ivs)
-        .map(|(tree, iv)| LeaderBfsOutput {
+        .enumerate()
+        .map(|(v, (ports, iv))| LeaderBfsOutput {
             leader: NodeId::new(0),
-            tree,
+            parent: parent[v],
+            depth: dist[v],
             iv,
+            ports,
         })
         .collect()
 }
@@ -438,20 +443,18 @@ impl Algorithm for LeaderBfs {
     }
 
     fn finish(&self, s: ElectionState, ctx: &NodeCtx<'_>) -> FinishResult<LeaderBfsOutput> {
-        let children: Vec<Port> = ctx
+        let ports = ctx
             .ports()
-            .filter(|p| s.child_size[p.index()] > 0)
+            .map(|p| s.child_size[p.index()] > 0 || s.parent == Some(p))
             .collect();
         Ok(LeaderBfsOutput {
             leader: NodeId::new(s.best),
-            tree: TreeInfo {
-                parent: s.parent,
-                children,
-                depth: s.depth,
-            },
+            parent: s.parent,
+            depth: s.depth,
             // Every node that halted was reached by the done wave; only
             // a crashed node's zombie output lacks labels.
             iv: s.iv.unwrap_or_default(),
+            ports,
         })
     }
 }

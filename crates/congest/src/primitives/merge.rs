@@ -78,7 +78,7 @@
 
 use crate::algorithm::{Outbox, Step};
 use crate::message::Message;
-use crate::node::{NodeCtx, Port, TreeInfo};
+use crate::node::{NodeCtx, Port, Tree};
 use crate::primitives::stream::{Fill, StreamMsg};
 use std::collections::VecDeque;
 
@@ -144,7 +144,7 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
     /// (arbitrary order, duplicate keys allowed) and opens one stream per
     /// child of `tree`. `ctx` supplies the node's degree for the port
     /// map.
-    pub fn new(ctx: &NodeCtx<'_>, tree: &TreeInfo, mut own: Vec<M::Item>) -> Self {
+    pub fn new(ctx: &NodeCtx<'_>, tree: Tree<'_>, mut own: Vec<M::Item>) -> Self {
         own.sort_unstable_by_key(M::key);
         let mut merged: VecDeque<M::Item> = VecDeque::with_capacity(own.len());
         for item in own {
@@ -156,13 +156,13 @@ impl<M: KeyedMonoid> KeyedStreamReduce<M> {
                 _ => merged.push_back(item),
             }
         }
-        let mut streams = Vec::with_capacity(1 + tree.children.len());
+        let mut streams = Vec::with_capacity(1 + tree.children().count());
         streams.push(Stream {
             buf: merged,
             ended: true, // the node's own input is complete from the start
         });
         let mut slot_of_port = vec![usize::MAX; ctx.degree()];
-        for (i, &c) in tree.children.iter().enumerate() {
+        for (i, c) in tree.children().enumerate() {
             slot_of_port[c.index()] = 1 + i;
             streams.push(Stream {
                 buf: VecDeque::new(),
@@ -345,13 +345,9 @@ mod tests {
     fn out_of_order_ends_do_not_unblock_early() {
         let neighbors = nbrs(3);
         let ctx = ctx_with_degree(&neighbors);
-        let tree = TreeInfo {
-            parent: None,
-            children: vec![Port(0), Port(1), Port(2)],
-            depth: 0,
-        };
+        let tree = Tree::new(None, &[true, true, true]);
         let mut core: KeyedStreamReduce<SumMonoid> =
-            KeyedStreamReduce::new(&ctx, &tree, vec![KeyedSum { key: 5, value: 1 }]);
+            KeyedStreamReduce::new(&ctx, tree, vec![KeyedSum { key: 5, value: 1 }]);
         // Child 1 ends before sending anything; child 2 sends an item.
         core.absorb(&[(Port(1), StreamMsg::End), (Port(2), item(5, 2))]);
         // Child 0 is still silent: no key is decided.
@@ -378,7 +374,7 @@ mod tests {
         let ctx = ctx_with_degree(&neighbors);
         let mut core: KeyedStreamReduce<SumMonoid> = KeyedStreamReduce::new(
             &ctx,
-            &TreeInfo::default(),
+            Tree::default(),
             vec![
                 KeyedSum { key: 9, value: 1 },
                 KeyedSum { key: 2, value: 2 },
@@ -399,28 +395,24 @@ mod tests {
         let neighbors = nbrs(1);
         let ctx = ctx_with_degree(&neighbors);
         let mut root: KeyedStreamReduce<SumMonoid> =
-            KeyedStreamReduce::new(&ctx, &TreeInfo::default(), vec![]);
+            KeyedStreamReduce::new(&ctx, Tree::default(), vec![]);
         assert!(matches!(root.relay_round(64, |_| true, |_| ()), Step::Halt(o) if o.is_empty()));
         let mut leaf: KeyedStreamReduce<SumMonoid> =
-            KeyedStreamReduce::new(&ctx, &leaf_tree(), vec![]);
+            KeyedStreamReduce::new(&ctx, leaf_tree(), vec![]);
         match leaf.relay_round(64, |_| true, |_| ()) {
             Step::Halt(o) => assert!(matches!(&o.msgs[..], [(_, StreamMsg::End)])),
             Step::Continue(_) | Step::Wait(..) => panic!("leaf must halt after its End"),
         }
     }
 
-    fn leaf_tree() -> TreeInfo {
-        TreeInfo {
-            parent: Some(Port(0)),
-            children: vec![],
-            depth: 1,
-        }
+    fn leaf_tree() -> Tree<'static> {
+        Tree::new(Some(Port(0)), &[true])
     }
 
     /// A childless non-root holding `(key, 1)` for every key in `keys`.
     fn leaf_with(ctx: &NodeCtx<'_>, keys: std::ops::Range<u64>) -> KeyedStreamReduce<SumMonoid> {
         let own = keys.map(|key| KeyedSum { key, value: 1 }).collect();
-        KeyedStreamReduce::new(ctx, &leaf_tree(), own)
+        KeyedStreamReduce::new(ctx, leaf_tree(), own)
     }
 
     /// Runs `core` to its halt under `budget`: every message it sends,

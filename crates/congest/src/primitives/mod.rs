@@ -4,8 +4,8 @@
 //!   construction and echo-based termination: local-minima candidates,
 //!   radius-doubling probe fronts, `O(D)` rounds; the echo and done
 //!   waves also label the tree with pre-order [`crate::Intervals`].
-//! * [`convergecast`] — aggregate one value per node up a tree/forest
-//!   (`O(height)` rounds).
+//! * [`convergecast`] — aggregate one value per node up a tree/forest,
+//!   every node learning its subtree's aggregate (`O(height)` rounds).
 //! * [`stream`] — the pipelined streams' wire format ([`StreamMsg`]:
 //!   one item, the end marker, or a batch) and the one packing rule
 //!   ([`Fill`]) by which every stream puts as many ready items on an
@@ -30,11 +30,12 @@
 //!   neighbors the transport's timeout detector suspects (the recovery
 //!   driver's view of who died).
 //!
-//! All tree primitives take a [`crate::TreeInfo`] per node and work on
-//! *forests*: a "root" is any node with `parent == None`, and disjoint trees
-//! run concurrently without interference (their edges are disjoint). That is
-//! exactly how the paper runs its intra-fragment steps in parallel across
-//! fragments.
+//! All tree primitives take a [`crate::Tree`] per node — a parent port
+//! and a row of tree-edge flags, borrowed from the caller's memory — and
+//! work on *forests*: a "root" is any node with `parent == None`, and
+//! disjoint trees run concurrently without interference (their edges are
+//! disjoint). That is exactly how the paper runs its intra-fragment steps
+//! in parallel across fragments.
 
 // Replay-exact: no hash-order or wall-clock types (see `clippy.toml`).
 #![deny(clippy::disallowed_types)]
@@ -47,7 +48,6 @@ pub mod grouped;
 pub mod leader_bfs;
 pub mod merge;
 pub mod stream;
-pub mod subtree;
 pub mod upcast;
 
 pub use broadcast::{Broadcast, BroadcastItems};
@@ -58,5 +58,4 @@ pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
 pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
 pub use stream::{Fill, StreamMsg};
-pub use subtree::SubtreeSums;
 pub use upcast::UpcastItems;

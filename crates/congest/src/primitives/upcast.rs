@@ -10,20 +10,20 @@
 
 use crate::algorithm::{Algorithm, FinishResult, Outbox, Step};
 use crate::message::Message;
-use crate::node::{NodeCtx, Port, TreeInfo};
+use crate::node::{NodeCtx, Port, Tree};
 use crate::primitives::stream::{Fill, StreamMsg};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-/// The pipelined upcast phase. Input per node: `(TreeInfo, Vec<T>)`; output:
+/// The pipelined upcast phase. Input per node: `(Tree, Vec<T>)`; output:
 /// `Some(all items of the tree)` at each root, `None` elsewhere. Item order
 /// at the root is deterministic but unspecified.
 #[derive(Clone, Debug, Default)]
-pub struct UpcastItems<T> {
-    _marker: PhantomData<fn() -> T>,
+pub struct UpcastItems<'a, T> {
+    _marker: PhantomData<fn() -> (&'a (), T)>,
 }
 
-impl<T> UpcastItems<T> {
+impl<T> UpcastItems<'_, T> {
     /// Creates the phase object.
     pub fn new() -> Self {
         UpcastItems {
@@ -35,7 +35,8 @@ impl<T> UpcastItems<T> {
 /// Node state for [`UpcastItems`].
 #[derive(Debug)]
 pub struct UpState<T> {
-    tree: TreeInfo,
+    /// Port to the parent (`None` at a root).
+    parent: Option<Port>,
     /// Items still to forward to the parent.
     queue: VecDeque<T>,
     /// Children that have not yet sent `End`.
@@ -44,8 +45,8 @@ pub struct UpState<T> {
     collected: Vec<T>,
 }
 
-impl<T: Message> Algorithm for UpcastItems<T> {
-    type Input = (TreeInfo, Vec<T>);
+impl<'a, T: Message> Algorithm for UpcastItems<'a, T> {
+    type Input = (Tree<'a>, Vec<T>);
     type State = UpState<T>;
     type Msg = StreamMsg<T>;
     type Output = Option<Vec<T>>;
@@ -55,16 +56,15 @@ impl<T: Message> Algorithm for UpcastItems<T> {
         _ctx: &NodeCtx<'_>,
         (tree, items): Self::Input,
     ) -> (UpState<T>, Outbox<StreamMsg<T>>) {
-        let open_children = tree.children.len();
         let (queue, collected) = if tree.is_root() {
             (VecDeque::new(), items)
         } else {
             (items.into(), Vec::new())
         };
         let state = UpState {
-            tree,
+            parent: tree.parent,
             queue,
-            open_children,
+            open_children: tree.children().count(),
             collected,
         };
         (state, Outbox::new())
@@ -76,7 +76,7 @@ impl<T: Message> Algorithm for UpcastItems<T> {
         ctx: &NodeCtx<'_>,
         inbox: &[(Port, StreamMsg<T>)],
     ) -> Step<StreamMsg<T>> {
-        let is_root = s.tree.is_root();
+        let is_root = s.parent.is_none();
         for (_, msg) in inbox {
             // The lone forms skip the batch path: most messages are one.
             match msg {
@@ -90,7 +90,7 @@ impl<T: Message> Algorithm for UpcastItems<T> {
                 s.open_children -= 1;
             }
         }
-        match s.tree.parent {
+        match s.parent {
             None => {
                 if s.open_children == 0 {
                     Step::halt()
@@ -127,7 +127,7 @@ impl<T: Message> Algorithm for UpcastItems<T> {
     }
 
     fn finish(&self, s: UpState<T>, _ctx: &NodeCtx<'_>) -> FinishResult<Option<Vec<T>>> {
-        Ok(s.tree.parent.is_none().then_some(s.collected))
+        Ok(s.parent.is_none().then_some(s.collected))
     }
 }
 
@@ -136,28 +136,25 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::engine::Network;
-    use crate::primitives::leader_bfs::LeaderBfs;
+    use crate::primitives::leader_bfs::{LeaderBfs, LeaderBfsOutput};
     use graphs::generators;
 
-    fn bfs_trees(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<TreeInfo> {
+    fn bfs(g: &graphs::WeightedGraph, net: &mut Network<'_>) -> Vec<LeaderBfsOutput> {
         net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
             .unwrap()
             .outputs
-            .into_iter()
-            .map(|o| o.tree)
-            .collect()
     }
 
     #[test]
     fn collects_everything_at_root() {
         let g = generators::grid2d(5, 5).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
+        let outs = bfs(&g, &mut net);
         // Each node contributes its id twice.
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = trees
-            .into_iter()
+        let inputs: Vec<(Tree, Vec<u64>)> = outs
+            .iter()
             .enumerate()
-            .map(|(v, t)| (t, vec![v as u64, v as u64 + 1000]))
+            .map(|(v, o)| (o.tree(), vec![v as u64, v as u64 + 1000]))
             .collect();
         let out = net.run("upcast", &UpcastItems::new(), inputs).unwrap();
         let mut got = out.outputs[0].clone().expect("root collects");
@@ -174,18 +171,18 @@ mod tests {
         let n = 30;
         let g = generators::path(n).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
+        let outs = bfs(&g, &mut net);
         let k = 10;
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = trees
-            .into_iter()
+        let inputs: Vec<(Tree, Vec<u64>)> = outs
+            .iter()
             .enumerate()
-            .map(|(v, t)| {
+            .map(|(v, o)| {
                 let items = if v == n - 1 {
                     (0..k as u64).collect()
                 } else {
                     vec![]
                 };
-                (t, items)
+                (o.tree(), items)
             })
             .collect();
         let out = net.run("upcast_path", &UpcastItems::new(), inputs).unwrap();
@@ -201,8 +198,8 @@ mod tests {
     fn empty_inputs_still_terminate() {
         let g = generators::star(12).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = trees.into_iter().map(|t| (t, vec![])).collect();
+        let outs = bfs(&g, &mut net);
+        let inputs: Vec<(Tree, Vec<u64>)> = outs.iter().map(|o| (o.tree(), vec![])).collect();
         let out = net
             .run("upcast_empty", &UpcastItems::new(), inputs)
             .unwrap();
@@ -213,18 +210,14 @@ mod tests {
     fn forest_upcast_collects_per_fragment() {
         let g = generators::path(6).unwrap();
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let t = |parent: Option<u32>, children: Vec<u32>, depth: u32| TreeInfo {
-            parent: parent.map(Port),
-            children: children.into_iter().map(Port).collect(),
-            depth,
-        };
-        let inputs: Vec<(TreeInfo, Vec<u64>)> = vec![
-            (t(None, vec![0], 0), vec![1]),
-            (t(Some(0), vec![1], 1), vec![2]),
-            (t(Some(0), vec![], 2), vec![3]),
-            (t(None, vec![1], 0), vec![4]),
-            (t(Some(0), vec![1], 1), vec![5]),
-            (t(Some(0), vec![], 2), vec![6]),
+        let t = |parent: Option<u32>, ports: &'static [bool]| Tree::new(parent.map(Port), ports);
+        let inputs: Vec<(Tree, Vec<u64>)> = vec![
+            (t(None, &[true]), vec![1]),
+            (t(Some(0), &[true, true]), vec![2]),
+            (t(Some(0), &[true, false]), vec![3]),
+            (t(None, &[false, true]), vec![4]),
+            (t(Some(0), &[true, true]), vec![5]),
+            (t(Some(0), &[true]), vec![6]),
         ];
         let out = net
             .run("forest_upcast", &UpcastItems::new(), inputs)

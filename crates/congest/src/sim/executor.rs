@@ -98,7 +98,7 @@
 //! frame — so it is *eventually accurate*: every crashed neighbor is
 //! eventually suspected, and no live node stays suspected. What the
 //! first suspicion does is the plan's
-//! [`SuspicionPolicy`](crate::sim::SuspicionPolicy): abort the phase
+//! [`SuspicionPolicy`]: abort the phase
 //! with a typed [`CongestError::NodeSuspected`] (default — a recovery
 //! driver's cue), or continue and expose the suspected set through
 //! [`crate::NodeCtx::suspected_ports`]. Crash-free plans take none of

@@ -17,9 +17,9 @@
 //! `crates/core/tests/mstb_up_props.rs`.
 
 use congest::primitives::leader_bfs::LeaderBfs;
-use congest::primitives::GroupedSum;
+use congest::primitives::{GroupedSum, LeaderBfsOutput};
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, TreeInfo};
+use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, Tree};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,18 +36,12 @@ fn graph_from(seed: u64, n: usize) -> WeightedGraph {
     generators::erdos_renyi_connected(n, 0.25, &mut rng).expect("valid parameters")
 }
 
-/// The leader's BFS trees (node 0 wins the min-id election), or the
-/// trivial forest for the single-node network.
-fn bfs_trees(g: &WeightedGraph, net: &mut Network<'_>) -> Vec<TreeInfo> {
-    if g.node_count() == 1 {
-        return vec![TreeInfo::default()];
-    }
+/// The leader's BFS tree (node 0 wins the min-id election; on the
+/// single-node network it is the trivial forest).
+fn bfs(g: &WeightedGraph, net: &mut Network<'_>) -> Vec<LeaderBfsOutput> {
     net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
         .unwrap()
         .outputs
-        .into_iter()
-        .map(|o| o.tree)
-        .collect()
 }
 
 proptest! {
@@ -62,7 +56,7 @@ proptest! {
     fn grouped_sum_matches_oracle(seed in 0u64..5000, n in 1usize..33, spread in 1u64..9) {
         let g = graph_from(seed, n);
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let trees = bfs_trees(&g, &mut net);
+        let outs = bfs(&g, &mut net);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         // Roughly a third of the nodes hold nothing (early-`End` streams).
         let lists: Vec<Vec<(u64, u64)>> = (0..n)
@@ -79,8 +73,8 @@ proptest! {
             }
         }
         let want: Vec<(u64, u64)> = want.into_iter().collect();
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> =
-            trees.into_iter().zip(lists).collect();
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> =
+            outs.iter().map(|o| o.tree()).zip(lists).collect();
         for factor in [8, 32] {
             let run = |executor: ExecutorKind| -> RunOutcome<Option<Vec<(u64, u64)>>> {
                 let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);

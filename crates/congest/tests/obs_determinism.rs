@@ -17,7 +17,7 @@
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::GroupedSum;
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, MetricsLedger, Network, NetworkConfig, ObsHandle, TreeInfo};
+use congest::{ExecutorKind, MetricsLedger, Network, NetworkConfig, ObsHandle, Tree};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,10 +80,10 @@ fn run_session(
     let bfs = net
         .run("leader_bfs", &LeaderBfs::new(), vec![(); n])
         .expect("bfs succeeds");
-    let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = bfs
+    let inputs: Vec<(Tree, Vec<(u64, u64)>)> = bfs
         .outputs
         .iter()
-        .map(|o| o.tree.clone())
+        .map(|o| o.tree())
         .zip(lists.iter().cloned())
         .collect();
     let gs = net

@@ -9,7 +9,7 @@ use congest::obs::{export_chrome_trace, json};
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::GroupedSum;
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, Network, NetworkConfig, ObsHandle, TreeInfo};
+use congest::{ExecutorKind, Network, NetworkConfig, ObsHandle, Tree};
 use graphs::generators;
 use std::collections::BTreeMap;
 
@@ -27,11 +27,11 @@ fn run_lossy_session() -> (ObsHandle, congest::MetricsLedger) {
     let bfs = net
         .run("leader_bfs", &LeaderBfs::new(), vec![(); n])
         .expect("bfs succeeds");
-    let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = bfs
+    let inputs: Vec<(Tree, Vec<(u64, u64)>)> = bfs
         .outputs
         .iter()
         .enumerate()
-        .map(|(v, o)| (o.tree.clone(), vec![(v as u64 % 5, 1 + v as u64)]))
+        .map(|(v, o)| (o.tree(), vec![(v as u64 % 5, 1 + v as u64)]))
         .collect();
     net.run("grouped_sum", &GroupedSum::new(), inputs)
         .expect("grouped sum succeeds");

@@ -22,7 +22,7 @@
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::GroupedSum;
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, MetricsLedger, Network, NetworkConfig, TreeInfo};
+use congest::{ExecutorKind, MetricsLedger, Network, NetworkConfig, Tree};
 use graphs::{generators, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -79,10 +79,10 @@ fn run_session(
     let bfs = net
         .run("leader_bfs", &LeaderBfs::new(), vec![(); n])
         .expect("bfs succeeds");
-    let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = bfs
+    let inputs: Vec<(Tree, Vec<(u64, u64)>)> = bfs
         .outputs
         .iter()
-        .map(|o| o.tree.clone())
+        .map(|o| o.tree())
         .zip(lists.iter().cloned())
         .collect();
     let gs = net

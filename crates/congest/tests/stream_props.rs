@@ -93,7 +93,7 @@ proptest! {
             })
             .collect();
         let inputs = || -> Vec<_> {
-            bfs.iter().zip(&lists).map(|(o, l)| (o.tree.clone(), l.clone())).collect()
+            bfs.iter().zip(&lists).map(|(o, l)| (o.tree(), l.clone())).collect()
         };
         for outputs in run_everywhere(&g, seed, &UpcastItems::new(), inputs) {
             let got = outputs[0].as_ref().expect("node 0 is the root");
@@ -146,7 +146,7 @@ proptest! {
                 .enumerate()
                 .map(|(v, o)| {
                     let list = if v == 0 { rows.clone() } else { Vec::new() };
-                    (o.tree.clone(), o.iv.clone(), list, Vec::new())
+                    (o.tree(), &o.iv, list, Vec::new())
                 })
                 .collect()
         };

@@ -15,19 +15,21 @@
 //! "persistent local memory" convention) and loop-termination decisions
 //! that a real deployment would obtain from an `O(D)` convergecast.
 //!
-//! That memory has two parts. Phase A's state and the packing's per-port
-//! weights and loads are flat columns (`Columns`): per-node ones indexed
-//! by node id, per-port ones laid out by the graph's CSR offsets, so
-//! node `v`'s port `p` sits at `offsets[v] + p` in each. They live for
-//! the whole run and are reset in place for each tree, and phase A's
-//! phases borrow every node's rows instead of copying them in and out:
-//! `.exch` writes the neighbors' labels into the port view, `.cd` its
-//! child caches, and the outputs carry only what a phase decided. Edge
-//! ids and weights are read from `g.neighbors(v)`, the adjacency nodes
-//! see through `NodeCtx`. The rest — BFS labels, `T_F` roles, intervals
-//! and the best tree's snapshot — is one `NodeMem` per node. A failed
-//! phase can leave the columns half updated; `run_pipeline` then drops
-//! the whole pipeline with the error, so nothing reads them again.
+//! That memory is flat columns (`Columns`): per-node ones indexed by
+//! node id, per-port ones laid out by the graph's CSR offsets, so node
+//! `v`'s port `p` sits at `offsets[v] + p` in each. They live for the
+//! whole run, the per-tree ones reset in place for each tree. Every tree
+//! the driver keeps — the BFS tree, the fragment forest, the best tree's
+//! snapshot, a restored checkpoint tree — is one column-form `Forest`:
+//! a parent port per node and a tree-edge flag per port. Phases borrow
+//! every node's rows instead of copying them in and out: each tree phase
+//! takes node `v`'s [`Tree`] view of a forest, `.exch` writes the
+//! neighbors' labels into the port view, `.cd` its child caches,
+//! `orient.tf` the `T_F` roles, and the outputs carry only what a phase
+//! decided. Edge ids, weights and weighted degrees are read from `g`,
+//! the adjacency nodes see through `NodeCtx`. A failed phase can leave
+//! the columns half updated; `run_pipeline` then drops the whole
+//! pipeline with the error, so nothing reads them again.
 //!
 //! Phase B of the MST ends at its upcast: the chosen inter-fragment
 //! edges reach the leader with both fragments and both endpoints' BFS
@@ -69,12 +71,12 @@ use congest::primitives::broadcast::{Route, StreamInput};
 use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
 use congest::primitives::exchange::DeltaInput;
 use congest::primitives::leader_bfs::LeaderBfs;
-use congest::primitives::subtree::SubtreeSums;
 use congest::primitives::{
     Broadcast, BroadcastItems, GroupedSum, NeighborExchange, PortDeltaExchange, UpcastItems,
 };
-use congest::{ExecutorKind, Intervals, MetricsLedger, Network, NetworkConfig, Port, TreeInfo};
+use congest::{ExecutorKind, Intervals, MetricsLedger, Network, NetworkConfig, Port, Tree};
 use graphs::{AdjEntry, CutResult, NodeId, WeightedGraph};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -314,76 +316,69 @@ fn reroot(n: usize, edges: &[(u32, u32)], root: u32) -> Vec<Option<u32>> {
     parents
 }
 
-/// Per-node [`TreeInfo`] views of a parent map (ports and depths
-/// derived locally — every node knows its neighbors a priori, so the
-/// restoration costs zero messages). The driver's one conversion from a
-/// checkpointed parent map to ports: every restored tree is installed
-/// from its output.
-fn tree_infos(g: &WeightedGraph, parents: &[Option<u32>]) -> Vec<TreeInfo> {
-    let n = parents.len();
-    let port_to = |v: usize, u: u32| -> Port {
-        Port(
-            g.neighbors(NodeId::from_index(v))
-                .iter()
-                .position(|a| a.neighbor.raw() == u)
-                .expect("tree edges are graph edges") as u32,
-        )
-    };
-    let mut infos: Vec<TreeInfo> = (0..n)
-        .map(|v| TreeInfo {
-            parent: parents[v].map(|u| port_to(v, u)),
-            children: Vec::new(),
-            depth: 0,
-        })
-        .collect();
-    let mut kids: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, &p) in parents.iter().enumerate() {
-        if let Some(u) = p {
-            infos[u as usize]
-                .children
-                .push(port_to(u as usize, v as u32));
-            kids[u as usize].push(v as u32);
-        }
-    }
-    let root = (0..n).find(|&v| parents[v].is_none()).expect("rooted tree");
-    let mut queue = std::collections::VecDeque::from([root as u32]);
-    while let Some(v) = queue.pop_front() {
-        let d = infos[v as usize].depth + 1;
-        infos[v as usize].children.sort_unstable();
-        for &c in &kids[v as usize] {
-            infos[c as usize].depth = d;
-            queue.push_back(c);
-        }
-    }
-    infos
+/// A rooted forest in column form, the one shape in which the driver
+/// keeps a tree: a parent port per node, and a flag per CSR slot that
+/// marks both directions of every tree edge. Node `v`'s view of it,
+/// [`Forest::tree`], borrows its parent port and its row of flags, so a
+/// phase reads the tree where it lies. The BFS tree, the fragment
+/// forest, the best tree's snapshot and a restored checkpoint tree all
+/// take this form.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Forest {
+    /// Per node: the port to its parent (`None` at a root).
+    parent: Vec<Option<Port>>,
+    /// Per slot: the port's edge is a tree edge.
+    ports: Vec<bool>,
 }
 
-/// Per-node persistent local memory threaded through the phases, beside
-/// the flat columns of [`Columns`].
-#[derive(Clone, Debug, Default)]
-struct NodeMem {
-    // -- static for the run (local knowledge) --
-    bfs: TreeInfo,
-    /// This node's and its children's pre-order intervals in the BFS
-    /// tree: the labels the leader's routed rows travel by.
-    bfs_iv: Intervals,
-    delta: u64,
-    // -- per packed tree --
-    inter_parent: Option<Port>,
-    /// The ports of the child-fragment connectors attached here, sorted,
-    /// each with that child fragment's number.
-    inter_children: Vec<(Port, u32)>,
-    /// This node's fragment's number in `T_F`'s pre-order (from
-    /// `orient`; the root fragment is 0).
-    num: u32,
-    iv: Option<Intervals>,
-    /// s2c: the in-fragment in-times of this fragment's attachments,
-    /// keyed by the number of the child fragment hung at each.
-    att: BTreeMap<u32, u32>,
-    cval: u64,
-    // -- snapshot of the best tree seen so far --
-    snap_parent: Option<Port>,
-    snap_children: Vec<Port>,
+impl Forest {
+    /// The empty forest on `g`: every node a root, no tree edge.
+    fn new(g: &WeightedGraph) -> Self {
+        Forest {
+            parent: vec![None; g.node_count()],
+            ports: vec![false; g.adjacency().len()],
+        }
+    }
+
+    /// The tree of a parent map (`parents[v] = Some(u)`: `u` is `v`'s
+    /// parent, `None` at the root), each node finding its ports locally:
+    /// every node knows its neighbors a priori, so the conversion costs
+    /// zero messages. The driver's one conversion from a checkpointed
+    /// parent map: every restored tree is installed from its output.
+    fn from_parents(g: &WeightedGraph, parents: &[Option<u32>]) -> Self {
+        let off = g.offsets();
+        let slot_to = |v: usize, u: u32| -> usize {
+            let adj = g.neighbors(NodeId::from_index(v));
+            let p = adj.iter().position(|a| a.neighbor.raw() == u);
+            off[v] as usize + p.expect("tree edges are graph edges")
+        };
+        let mut f = Forest::new(g);
+        for (v, &p) in parents.iter().enumerate() {
+            if let Some(u) = p {
+                let up = slot_to(v, u);
+                f.parent[v] = Some(Port(up as u32 - off[v]));
+                f.ports[up] = true;
+                f.ports[slot_to(u as usize, v as u32)] = true;
+            }
+        }
+        f
+    }
+
+    /// Node `v`'s view of the forest.
+    fn tree(&self, off: &[u32], v: usize) -> Tree<'_> {
+        Tree::new(self.parent[v], &self.ports[slots(off, v)])
+    }
+
+    /// Every node's view, in node order.
+    fn trees<'a>(&'a self, off: &'a [u32]) -> impl Iterator<Item = Tree<'a>> + 'a {
+        (0..self.parent.len()).map(move |v| self.tree(off, v))
+    }
+
+    /// Empties the forest in place.
+    fn clear(&mut self) {
+        self.parent.fill(None);
+        self.ports.fill(false);
+    }
 }
 
 /// Node `v`'s slots in a per-slot column: its ports, laid out by the
@@ -408,22 +403,35 @@ fn port_of_edge(adj: &[AdjEntry], e: u32) -> Option<Port> {
         .map(|p| Port(p as u32))
 }
 
-/// The memory of phase A and the packing's per-port state, as flat
-/// columns that live for the whole run and are reset in place for each
-/// tree. Per-node columns are indexed by node id. Per-slot columns hold
-/// node `v`'s port `p` at `offsets[v] + p`, the graph's own CSR layout
+/// Every node's memory, as flat columns that live for the whole run;
+/// the per-tree ones are reset in place for each tree. Per-node columns
+/// are indexed by node id. Per-slot columns hold node `v`'s port `p` at
+/// `offsets[v] + p`, the graph's own CSR layout
 /// ([`WeightedGraph::offsets`]), so node `v`'s row of one is
-/// `col[slots(offsets, v)]`. Edge ids and weights are not copied: nodes
-/// read them from `g.neighbors(v)`, as through `NodeCtx`.
+/// `col[slots(offsets, v)]`. Edge ids, weights and weighted degrees are
+/// not copied: nodes read them from `g`, as through `NodeCtx`.
 ///
-/// Each phase-A phase borrows every node's rows for its run: the
-/// announce flags and the fragment-tree flags shared, the port view and
-/// the `.cd` child cache mutably, written in place. A failed phase can
-/// leave them half updated, which is harmless: [`run_pipeline`] drops
-/// the pipeline with the error and never reads them again.
+/// Each phase borrows every node's rows for its run: trees as
+/// [`Tree`] views of a [`Forest`], labels and flags shared, and the
+/// rows a phase writes (the port view, the `.cd` child cache, the `T_F`
+/// roles) mutably, written in place. A failed phase can leave them half
+/// updated, which is harmless: [`run_pipeline`] drops the pipeline with
+/// the error and never reads them again.
 #[derive(Debug)]
 struct Columns {
-    // -- per node, per tree --
+    // -- for the run --
+    /// The leader's BFS tree.
+    bfs: Forest,
+    /// Per node: its own and its BFS children's pre-order intervals,
+    /// the labels the leader's routed rows travel by.
+    labels: Vec<Intervals>,
+    /// Per slot: the edge's packing weight.
+    pack_w: Vec<u64>,
+    /// Per slot: trees packed so far that use the edge.
+    loads: Vec<u64>,
+    /// The best tree seen so far: `side`'s flood scaffold.
+    snap: Forest,
+    // -- per node, per tree: phase A --
     /// Phase-A fragment id.
     frag: Vec<u32>,
     /// The fragment reached the size cap.
@@ -431,14 +439,15 @@ struct Columns {
     /// Fragment-tree depth (maintained by the hook handshake; drives
     /// the `.cd` send schedule).
     depth: Vec<u32>,
-    /// Fragment-tree parent port.
-    parent: Vec<Option<Port>>,
     /// `.cd`: aggregate last sent up (delta cache).
     cd_sent: Vec<Option<OptAgg>>,
     /// `.cd`: the fragment was restructured since the last pass — speak
     /// unconditionally.
     cd_purge: Vec<bool>,
-    // -- per slot, per tree --
+    /// The fragment forest: each node's fragment-tree parent port and
+    /// the flags of its fragment-tree edges.
+    forest: Forest,
+    // -- per slot, per tree: phase A --
     /// The neighbor's `(frag, frozen)` as this node last heard or
     /// inferred it.
     view: Vec<FragMsg>,
@@ -448,26 +457,49 @@ struct Columns {
     ann: Vec<bool>,
     /// `.cd`: last aggregate received from the port.
     cd_children: Vec<Option<OptAgg>>,
-    /// The port is a fragment-tree edge (to the parent or a child).
-    tree: Vec<bool>,
-    // -- per slot, for the run --
-    /// The edge's packing weight.
-    pack_w: Vec<u64>,
-    /// Trees packed so far that use the edge.
-    loads: Vec<u64>,
+    // -- per tree: orientation and the cut stage --
+    /// Per node: its `T_F` parent port, the inter-fragment edge at the
+    /// connector of a non-root fragment.
+    tf_parent: Vec<Option<Port>>,
+    /// Per slot: at an attachment, the number of the child fragment
+    /// whose connector the port reaches.
+    tf_child: Vec<Option<u32>>,
+    /// Per node: its fragment's number in `T_F`'s pre-order (from
+    /// `orient`; the root fragment is 0).
+    num: Vec<u32>,
+    /// Per node: its in-fragment pre-order interval `(in, out)`, from
+    /// `s2b`.
+    span: Vec<(u32, u32)>,
+    /// Per fragment number: the in-fragment in-time of the fragment's
+    /// attachment, from `s2c`. Every member of the parent fragment
+    /// learns it, and the column is the one copy of their identical
+    /// tables, as [`Pipeline::shape`] is of the shape.
+    att: Vec<Option<u32>>,
+    /// Per node: `C(v↓)`, from `s5e`.
+    cval: Vec<u64>,
 }
 
 impl Columns {
-    /// Columns for `g`, every per-tree entry in its reset state.
-    fn new(g: &WeightedGraph, pack_edge: &[u64]) -> Self {
+    /// Columns for `g` over the BFS tree `bfs` with its `labels`, every
+    /// per-tree entry in its reset state.
+    fn new(g: &WeightedGraph, pack_edge: &[u64], bfs: Forest, labels: Vec<Intervals>) -> Self {
         let (n, slots) = (g.node_count(), g.adjacency().len());
         let mut cols = Columns {
+            bfs,
+            labels,
+            pack_w: g
+                .adjacency()
+                .iter()
+                .map(|a| pack_edge[a.edge.index()])
+                .collect(),
+            loads: vec![0; slots],
+            snap: Forest::new(g),
             frag: vec![0; n],
             frozen: vec![false; n],
             depth: vec![0; n],
-            parent: vec![None; n],
             cd_sent: vec![None; n],
             cd_purge: vec![false; n],
+            forest: Forest::new(g),
             view: vec![
                 FragMsg {
                     frag: 0,
@@ -477,29 +509,29 @@ impl Columns {
             ],
             ann: vec![false; slots],
             cd_children: vec![None; slots],
-            tree: vec![false; slots],
-            pack_w: g
-                .adjacency()
-                .iter()
-                .map(|a| pack_edge[a.edge.index()])
-                .collect(),
-            loads: vec![0; slots],
+            tf_parent: vec![None; n],
+            tf_child: vec![None; slots],
+            num: vec![0; n],
+            span: vec![(0, 0); n],
+            att: Vec::new(),
+            cval: vec![0; n],
         };
         cols.reset(g);
         cols
     }
 
     /// Resets the per-tree columns before packing the next tree: every
-    /// node is its own fragment, unfrozen, with empty caches.
+    /// node is its own fragment, unfrozen, with empty caches and no
+    /// `T_F` role.
     fn reset(&mut self, g: &WeightedGraph) {
         for (v, f) in self.frag.iter_mut().enumerate() {
             *f = v as u32;
         }
         self.frozen.fill(false);
         self.depth.fill(0);
-        self.parent.fill(None);
         self.cd_sent.fill(None);
         self.cd_purge.fill(false);
+        self.forest.clear();
         // Level-0 fragment ids are node ids, and neighbor ids are
         // a-priori local knowledge in CONGEST — so phase A's initial
         // per-port view costs zero messages.
@@ -511,17 +543,26 @@ impl Columns {
         }
         self.ann.fill(false);
         self.cd_children.fill(None);
-        self.tree.fill(false);
+        self.tf_parent.fill(None);
+        self.tf_child.fill(None);
+        self.num.fill(0);
+        self.span.fill((0, 0));
+        self.att.clear();
+        self.cval.fill(0);
     }
 
-    /// Node `v`'s in-fragment tree info (fragment forest view).
-    fn ftree(&self, off: &[u32], v: usize) -> TreeInfo {
-        TreeInfo {
-            parent: self.parent[v],
-            children: crate::dist::mst::tree_ports(&self.tree[slots(off, v)], self.parent[v])
-                .collect(),
-            depth: 0,
-        }
+    /// Node `v`'s global-tree parent port: its in-fragment parent, or
+    /// the inter-fragment edge at a connector (`None` at the leader).
+    fn t_parent(&self, v: usize) -> Option<Port> {
+        self.forest.parent[v].or(self.tf_parent[v])
+    }
+
+    /// Whether node `v`'s slot `s` is a global-tree edge: a
+    /// fragment-tree edge or one of its `T_F` edges.
+    fn t_port(&self, off: &[u32], v: usize, s: usize) -> bool {
+        self.forest.ports[s]
+            || self.tf_child[s].is_some()
+            || self.tf_parent[v].is_some_and(|p| off[v] as usize + p.index() == s)
     }
 }
 
@@ -556,24 +597,29 @@ fn local_cand(
     })
 }
 
-/// Inputs of a table stream down the BFS tree: the leader streams the
-/// routed rows of `table`, and the nodes each row reaches fold it into
-/// the accumulator `acc` builds from their id and memory.
-fn bfs_stream<'m, T, A>(
-    mems: &'m mut [NodeMem],
+/// Inputs of a table stream down the BFS tree `bfs` with its `labels`:
+/// the leader streams the routed rows of `table`, and the nodes each
+/// row reaches fold it into their accumulator, one of `accs` per node
+/// in node order.
+fn bfs_stream<'a, T, A>(
+    bfs: &'a Forest,
+    labels: &'a [Intervals],
+    off: &'a [u32],
     leader: NodeId,
     mut table: Vec<(Route, T)>,
-    mut acc: impl FnMut(usize, &'m mut NodeMem) -> A,
-) -> Vec<StreamInput<T, A>> {
-    mems.iter_mut()
+    accs: impl IntoIterator<Item = A>,
+) -> Vec<StreamInput<'a, T, A>> {
+    bfs.trees(off)
+        .zip(labels)
+        .zip(accs)
         .enumerate()
-        .map(|(v, m)| {
+        .map(|(v, ((tree, iv), acc))| {
             let list = if v == leader.index() {
                 std::mem::take(&mut table)
             } else {
                 Vec::new()
             };
-            (m.bfs.clone(), m.bfs_iv.clone(), list, acc(v, m))
+            (tree, iv, list, acc)
         })
         .collect()
 }
@@ -590,7 +636,6 @@ struct Pipeline<'g> {
     g: &'g WeightedGraph,
     net: Network<'g>,
     mst: MstConfig,
-    mems: Vec<NodeMem>,
     cols: Columns,
     leader: NodeId,
     n: usize,
@@ -639,8 +684,15 @@ impl<'g> Pipeline<'g> {
             }
         };
         let leader = bfs.outputs[0].leader;
-        let trees = bfs.outputs.into_iter().map(|o| (o.tree, o.iv)).collect();
-        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, trees))
+        let off = g.offsets();
+        let mut tree = Forest::new(g);
+        let mut labels = Vec::with_capacity(g.node_count());
+        for (v, o) in bfs.outputs.into_iter().enumerate() {
+            tree.parent[v] = o.parent;
+            tree.ports[slots(off, v)].copy_from_slice(&o.ports);
+            labels.push(o.iv);
+        }
+        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, tree, labels))
     }
 
     /// [`Pipeline::new`] minus the election: restores a checkpointed
@@ -659,65 +711,48 @@ impl<'g> Pipeline<'g> {
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
         let net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let trees = tree_infos(g, &bfs.parents)
-            .into_iter()
-            .enumerate()
-            .map(|(v, tree)| {
+        let tree = Forest::from_parents(g, &bfs.parents);
+        let off = g.offsets();
+        let labels = (0..g.node_count())
+            .map(|v| {
                 let (in_t, out_t) = bfs.labels[v];
                 let adj = g.neighbors(NodeId::from_index(v));
                 let children = tree
-                    .children
-                    .iter()
-                    .map(|&p| {
+                    .tree(off, v)
+                    .children()
+                    .map(|p| {
                         let (lo, hi) = bfs.labels[adj[p.index()].neighbor.index()];
                         (p, lo, hi)
                     })
                     .collect();
-                let iv = Intervals {
+                Intervals {
                     in_t,
                     out_t,
                     children,
-                };
-                (tree, iv)
+                }
             })
             .collect();
-        Ok(Self::with_bfs(
-            g,
-            net,
-            mst,
-            pack_edge,
-            NodeId::new(leader),
-            trees,
-        ))
+        let leader = NodeId::new(leader);
+        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, tree, labels))
     }
 
-    /// The pipeline over an established, labelled BFS tree (`bfs[v]` is
-    /// node `v`'s view of it): every node's static memory is its local
-    /// knowledge plus its BFS view.
+    /// The pipeline over an established, labelled BFS tree: every
+    /// node's static memory is its local knowledge plus its view of the
+    /// tree and its labels.
     fn with_bfs(
         g: &'g WeightedGraph,
         net: Network<'g>,
         mst: MstConfig,
         pack_edge: &[u64],
         leader: NodeId,
-        bfs: Vec<(TreeInfo, Intervals)>,
+        bfs: Forest,
+        labels: Vec<Intervals>,
     ) -> Self {
-        let mems = g
-            .nodes()
-            .zip(bfs)
-            .map(|(v, (bfs, bfs_iv))| NodeMem {
-                bfs,
-                bfs_iv,
-                delta: g.weighted_degree(v),
-                ..Default::default()
-            })
-            .collect();
         Pipeline {
             g,
             net,
             mst,
-            mems,
-            cols: Columns::new(g, pack_edge),
+            cols: Columns::new(g, pack_edge, bfs, labels),
             leader,
             n: g.node_count(),
             shape: TfShape::new(&[]),
@@ -736,14 +771,16 @@ impl<'g> Pipeline<'g> {
         name: &str,
         parents: &[Option<u32>],
     ) -> Result<(), MinCutError> {
-        let infos = tree_infos(self.g, parents);
-        let inputs: Vec<(TreeInfo, SumU64)> =
-            (0..self.n).map(|v| (infos[v].clone(), SumU64(1))).collect();
+        let tree = Forest::from_parents(self.g, parents);
+        let inputs: Vec<(Tree, SumU64)> = tree
+            .trees(self.g.offsets())
+            .map(|t| (t, SumU64(1)))
+            .collect();
         let out = self.net.run(name, &Convergecast::new(), inputs)?;
         let root = (0..self.n)
             .find(|&v| parents[v].is_none())
             .expect("rooted tree");
-        let count = out.outputs[root].map_or(0, |SumU64(c)| c);
+        let SumU64(count) = out.outputs[root];
         if count != self.n as u64 {
             return Err(MinCutError::InvalidConfig {
                 reason: format!(
@@ -762,65 +799,37 @@ impl<'g> Pipeline<'g> {
     /// 1-respecting minimum of the restored tree (the single-fragment
     /// degradation of the fragment decomposition — every incident edge
     /// is a same-fragment case).
-    fn install_tree(&mut self, tree: &[TreeInfo]) {
+    fn install_tree(&mut self, tree: Forest) {
         debug_assert_eq!(
-            tree[self.leader.index()].parent,
+            tree.parent[self.leader.index()],
             None,
             "re-rooted at the leader"
         );
         self.reset_tree();
-        let off = self.g.offsets();
-        for (v, t) in tree.iter().enumerate() {
-            self.cols.parent[v] = t.parent;
-            for p in t.children.iter().chain(&t.parent) {
-                self.cols.tree[off[v] as usize + p.index()] = true;
-            }
-        }
+        self.cols.forest = tree;
     }
 
     /// Replays a checkpointed tree's per-port load increments (what its
     /// `finish_tree` did when it originally completed): both endpoints
     /// of every tree edge count one more use. Evidence-resume
     /// bookkeeping — zero rounds.
-    fn replay_tree_loads(&mut self, tree: &[TreeInfo]) {
-        let off = self.g.offsets();
-        for (v, t) in tree.iter().enumerate() {
-            for p in t.children.iter().chain(&t.parent) {
-                self.cols.loads[off[v] as usize + p.index()] += 1;
-            }
+    fn replay_tree_loads(&mut self, tree: &Forest) {
+        for (load, _) in self
+            .cols
+            .loads
+            .iter_mut()
+            .zip(&tree.ports)
+            .filter(|(_, &t)| t)
+        {
+            *load += 1;
         }
-    }
-
-    /// Re-installs the best-tree snapshot (`side()`'s flood scaffold)
-    /// from a checkpointed tree — what `finish_tree(true)` stored when
-    /// that tree originally improved the bound.
-    fn install_snap(&mut self, tree: &[TreeInfo]) {
-        for (m, t) in self.mems.iter_mut().zip(tree) {
-            m.snap_parent = t.parent;
-            m.snap_children = t.children.clone();
-        }
-    }
-
-    /// Node `v`'s global-tree parent port (in-fragment parent, or the
-    /// inter-fragment edge at a fragment root; `None` at the leader).
-    fn t_parent(&self, v: usize) -> Option<Port> {
-        self.cols.parent[v].or(self.mems[v].inter_parent)
-    }
-
-    /// Node `v`'s global-tree child ports (in-fragment children plus
-    /// attached child-fragment connectors), sorted.
-    fn t_children(&self, v: usize) -> Vec<Port> {
-        let mut c = self.cols.ftree(self.g.offsets(), v).children;
-        c.extend(self.mems[v].inter_children.iter().map(|&(p, _)| p));
-        c.sort_unstable();
-        c
     }
 
     /// The current global tree as a parent map (checkpoint capture).
     fn tree_parents(&self) -> Vec<Option<u32>> {
         (0..self.n)
             .map(|v| {
-                self.t_parent(v).map(|p| {
+                self.cols.t_parent(v).map(|p| {
                     self.g.neighbors(NodeId::from_index(v))[p.index()]
                         .neighbor
                         .raw()
@@ -833,7 +842,7 @@ impl<'g> Pipeline<'g> {
     fn logged_bfs(&self) -> LoggedBfs {
         let parents = (0..self.n)
             .map(|v| {
-                self.mems[v].bfs.parent.map(|p| {
+                self.cols.bfs.parent[v].map(|p| {
                     self.g.neighbors(NodeId::from_index(v))[p.index()]
                         .neighbor
                         .raw()
@@ -841,23 +850,22 @@ impl<'g> Pipeline<'g> {
             })
             .collect();
         let labels = self
-            .mems
+            .cols
+            .labels
             .iter()
-            .map(|m| (m.bfs_iv.in_t, m.bfs_iv.out_t))
+            .map(|iv| (iv.in_t, iv.out_t))
             .collect();
         LoggedBfs { parents, labels }
     }
 
     /// The sorted edge ids of a tree (the `tree_edges` outcome entry for
     /// restored trees).
-    fn edge_ids_of(&self, tree: &[TreeInfo]) -> Vec<graphs::EdgeId> {
+    fn edge_ids_of(&self, tree: &Forest) -> Vec<graphs::EdgeId> {
         let mut ids: Vec<graphs::EdgeId> = tree
+            .parent
             .iter()
             .enumerate()
-            .filter_map(|(v, t)| {
-                t.parent
-                    .map(|p| self.g.neighbors(NodeId::from_index(v))[p.index()].edge)
-            })
+            .filter_map(|(v, p)| p.map(|p| self.g.neighbors(NodeId::from_index(v))[p.index()].edge))
             .collect();
         ids.sort_unstable();
         ids
@@ -866,14 +874,16 @@ impl<'g> Pipeline<'g> {
     /// The minimum-weighted-degree singleton: the packing's seed
     /// candidate and initial `λ̂`, via one convergecast.
     fn init_deg(&mut self) -> Result<(u64, NodeId), MinCutError> {
-        let inputs: Vec<(TreeInfo, MinPair)> = self
-            .mems
-            .iter()
-            .enumerate()
-            .map(|(v, m)| (m.bfs.clone(), MinPair(m.delta, v as u64)))
+        let g = self.g;
+        let inputs: Vec<(Tree, MinPair)> = self
+            .cols
+            .bfs
+            .trees(g.offsets())
+            .zip(g.nodes())
+            .map(|(t, v)| (t, MinPair(g.weighted_degree(v), v.raw().into())))
             .collect();
         let out = self.net.run("init.deg", &Convergecast::new(), inputs)?;
-        let MinPair(d, v) = out.outputs[self.leader.index()].expect("leader is the BFS root");
+        let MinPair(d, v) = out.outputs[self.leader.index()];
         Ok((d, NodeId::new(v as u32)))
     }
 
@@ -882,14 +892,6 @@ impl<'g> Pipeline<'g> {
         self.shape = TfShape::new(&[]);
         self.tf.clear();
         self.cols.reset(self.g);
-        for m in &mut self.mems {
-            m.inter_parent = None;
-            m.inter_children.clear();
-            m.num = 0;
-            m.iv = None;
-            m.att.clear();
-            m.cval = 0;
-        }
     }
 
     /// Phase A, capped fragment growth (see [`crate::dist::mst`] and
@@ -913,15 +915,18 @@ impl<'g> Pipeline<'g> {
             frag,
             frozen,
             depth,
-            parent,
             cd_sent,
             cd_purge,
+            forest: Forest {
+                parent,
+                ports: tree,
+            },
             view,
             ann,
             cd_children,
-            tree,
             pack_w,
             loads,
+            ..
         } = &mut self.cols;
         for level in 0..MAX_PHASE_A_LEVELS {
             if frag.iter().all(|&f| f == frag[0]) || frozen.iter().all(|&f| f) {
@@ -972,8 +977,7 @@ impl<'g> Pipeline<'g> {
                         local_cand(frag[v], adj, vw, pw, ld)
                     };
                     CdInput {
-                        tree: &tree[s],
-                        parent: parent[v],
+                        tree: Tree::new(parent[v], &tree[s]),
                         depth: depth[v],
                         maxdepth,
                         frag: frag[v],
@@ -1098,13 +1102,13 @@ impl<'g> Pipeline<'g> {
         // Every node tells every neighbor its final phase-A fragment and
         // its BFS in-time, which the neighbor's offered edge carries.
         let cols = &self.cols;
-        let inputs: Vec<FragLabel> = self
-            .mems
+        let inputs: Vec<FragLabel> = cols
+            .frag
             .iter()
-            .zip(&cols.frag)
-            .map(|(m, &frag)| FragLabel {
+            .zip(&cols.labels)
+            .map(|(&frag, iv)| FragLabel {
                 frag,
-                bfs_in: m.bfs_iv.in_t,
+                bfs_in: iv.in_t,
             })
             .collect();
         let out = self
@@ -1114,12 +1118,12 @@ impl<'g> Pipeline<'g> {
         // weight offers it (neighbor ids are local knowledge).
         let g = self.g;
         let off = g.offsets();
-        let inputs: Vec<(TreeInfo, Vec<InterEdge>)> = self
-            .mems
-            .iter()
+        let inputs: Vec<(Tree, Vec<InterEdge>)> = cols
+            .bfs
+            .trees(off)
             .zip(out.outputs)
             .enumerate()
-            .map(|(v, (m, labels))| {
+            .map(|(v, (tree, labels))| {
                 let adj = g.neighbors(NodeId::from_index(v));
                 let frag = cols.frag[v];
                 let mut offered = Vec::new();
@@ -1133,20 +1137,22 @@ impl<'g> Pipeline<'g> {
                                 edge: a.edge.raw(),
                             },
                             frags: (frag, label.frag),
-                            ends: (m.bfs_iv.in_t, label.bfs_in),
+                            ends: (cols.labels[v].in_t, label.bfs_in),
                         });
                     }
                 }
-                (m.bfs.clone(), offered)
+                (tree, offered)
             })
             .collect();
-        let mut out = self.net.run("mstB.up", &FilteredUpcast, inputs)?;
+        let mut out = self
+            .net
+            .run("mstB.up", &FilteredUpcast::default(), inputs)?;
         let chosen = out.outputs[self.leader.index()]
             .take()
             .expect("leader is the BFS root");
         // Every fragment has exactly one root: the node without a
         // fragment-tree parent.
-        let k = self.cols.parent.iter().filter(|p| p.is_none()).count();
+        let k = cols.forest.parent.iter().filter(|p| p.is_none()).count();
         if chosen.len() + 1 < k {
             return Err(MinCutError::InvalidConfig {
                 reason: format!(
@@ -1208,37 +1214,55 @@ impl<'g> Pipeline<'g> {
         // port: the one inside the row's fragment is its connector and
         // takes the number, the other is the attachment and notes the
         // child fragment's number beside the port.
-        type Ends<'m> = (&'m mut NodeMem, u32, &'m [AdjEntry]);
-        let roles = |(m, frag, adj): &mut Ends<'_>, item: &TfItem| {
-            let TfItem::Row { frag: f, edge, num } = *item else {
+        type Roles<'m> = (
+            &'m mut Option<Port>,
+            &'m mut u32,
+            &'m mut [Option<u32>],
+            u32,
+            &'m [AdjEntry],
+        );
+        let roles = |(parent, num, child, frag, adj): &mut Roles<'_>, item: &TfItem| {
+            let TfItem::Row {
+                frag: f,
+                edge,
+                num: n,
+            } = *item
+            else {
                 return;
             };
             let p = port_of_edge(adj, edge).expect("a row reaches its edge's endpoints");
             if *frag == f {
-                m.inter_parent = Some(p);
-                m.num = num;
+                **parent = Some(p);
+                **num = n;
             } else {
-                let at = m.inter_children.partition_point(|&(q, _)| q < p);
-                m.inter_children.insert(at, (p, num));
+                child[p.index()] = Some(n);
             }
         };
         let table = self.tf_stream();
-        let (g, frag) = (self.g, &self.cols.frag);
-        let inputs = bfs_stream(&mut self.mems, self.leader, table, |v, m| {
-            (m, frag[v], g.neighbors(NodeId::from_index(v)))
-        });
+        let g = self.g;
+        let off = g.offsets();
+        let cols = &mut self.cols;
+        let accs = cols
+            .tf_parent
+            .iter_mut()
+            .zip(cols.num.iter_mut())
+            .zip(rows_mut(&mut cols.tf_child, off))
+            .zip(&cols.frag)
+            .enumerate()
+            .map(|(v, (((parent, num), child), &frag))| {
+                (parent, num, child, frag, g.neighbors(NodeId::from_index(v)))
+            });
+        let inputs = bfs_stream(&cols.bfs, &cols.labels, off, self.leader, table, accs);
         self.net
             .run("orient.tf", &BroadcastItems::new(roles), inputs)?;
         // Re-root every fragment at its connector (the leader for the
         // root fragment, number 0), flooding the fragment's number.
-        let off = g.offsets();
         let inputs: Vec<RerootInput> = (0..self.n)
             .map(|v| {
-                let m = &self.mems[v];
-                let starts = v == self.leader.index() || m.inter_parent.is_some();
+                let starts = v == self.leader.index() || cols.tf_parent[v].is_some();
                 RerootInput {
-                    tree: &self.cols.tree[slots(off, v)],
-                    initiator: starts.then_some(m.num),
+                    tree: &cols.forest.ports[slots(off, v)],
+                    initiator: starts.then_some(cols.num[v]),
                 }
             })
             .collect();
@@ -1246,8 +1270,8 @@ impl<'g> Pipeline<'g> {
             .net
             .run("orient.flood", &FragReroot::default(), inputs)?;
         for (v, (parent, num)) in out.outputs.into_iter().enumerate() {
-            self.cols.parent[v] = parent;
-            self.mems[v].num = num;
+            cols.forest.parent[v] = parent;
+            cols.num[v] = num;
         }
         Ok(())
     }
@@ -1276,73 +1300,79 @@ impl<'g> Pipeline<'g> {
     /// with `C(v↓)`; returns the leader's `(min, argmin)` over `v ≠ root`.
     fn cut_stage(&mut self) -> Result<(u64, NodeId), MinCutError> {
         let n = self.n;
-        let off = self.g.offsets();
+        let g = self.g;
+        let off = g.offsets();
+        let cols = &mut self.cols;
         // s2a: in-fragment subtree sizes.
-        let inputs: Vec<TreeInfo> = (0..n).map(|v| self.cols.ftree(off, v)).collect();
-        let sizes = self.net.run("s2a", &SizesUp, inputs)?.outputs;
+        let inputs: Vec<Tree> = cols.forest.trees(off).collect();
+        let sizes = self.net.run("s2a", &SizesUp::default(), inputs)?.outputs;
         // s2b: in-fragment Euler intervals.
-        let inputs: Vec<IntervalInput> = sizes
-            .iter()
-            .enumerate()
-            .map(|(v, (size, child_sizes))| IntervalInput {
-                tree: self.cols.ftree(off, v),
-                size: *size,
-                child_sizes: child_sizes.clone(),
+        let inputs: Vec<IntervalInput> = cols
+            .forest
+            .trees(off)
+            .zip(sizes)
+            .map(|(tree, (size, child_sizes))| IntervalInput {
+                tree,
+                size,
+                child_sizes,
             })
             .collect();
-        let ivs = self.net.run("s2b", &IntervalDown, inputs)?.outputs;
-        for (m, iv) in self.mems.iter_mut().zip(ivs) {
-            m.iv = Some(iv);
+        let ivs = self
+            .net
+            .run("s2b", &IntervalDown::default(), inputs)?
+            .outputs;
+        for (span, iv) in cols.span.iter_mut().zip(ivs) {
+            *span = (iv.in_t, iv.out_t);
         }
         // s2c: gather + spread the attachment in-times per fragment,
         // keyed by the number of the child fragment hung at each.
-        let inputs: Vec<(TreeInfo, Vec<AttItem>)> = self
-            .mems
-            .iter()
+        let inputs: Vec<(Tree, Vec<AttItem>)> = cols
+            .forest
+            .trees(off)
             .enumerate()
-            .map(|(v, m)| {
-                let in_t = m.iv.as_ref().expect("intervals set").in_t;
-                let items = m
-                    .inter_children
+            .map(|(v, tree)| {
+                let in_t = cols.span[v].0;
+                let items = cols.tf_child[slots(off, v)]
                     .iter()
-                    .map(|&(_, num)| AttItem { num, in_t })
+                    .flatten()
+                    .map(|&num| AttItem { num, in_t })
                     .collect();
-                (self.cols.ftree(off, v), items)
+                (tree, items)
             })
             .collect();
         let up = self.net.run("s2c.up", &UpcastItems::new(), inputs)?.outputs;
-        let insert = |m: &mut &mut NodeMem, a: &AttItem| {
-            m.att.insert(a.num, a.in_t);
+        // Every member of a fragment notes each attachment in-time of
+        // its fragment as the row passes; the members' identical notes
+        // share the one `att` column.
+        cols.att.resize(self.shape.k(), None);
+        let att = Cell::from_mut(&mut cols.att[..]).as_slice_of_cells();
+        let note = |att: &mut &[Cell<Option<u32>>], a: &AttItem| {
+            att[a.num as usize].set(Some(a.in_t));
         };
-        let cols = &self.cols;
-        let inputs: Vec<_> = self
-            .mems
-            .iter_mut()
+        let unlabelled = Intervals::default();
+        let inputs: Vec<_> = cols
+            .forest
+            .trees(off)
             .zip(up)
-            .enumerate()
-            .map(|(v, (m, list))| {
+            .map(|(tree, list)| {
                 let rows = list
                     .into_iter()
                     .flatten()
                     .map(|a| (Route::All, a))
                     .collect();
-                (cols.ftree(off, v), Intervals::default(), rows, m)
+                (tree, &unlabelled, rows, att)
             })
             .collect();
         self.net
-            .run("s2c.down", &BroadcastItems::new(insert), inputs)?;
+            .run("s2c.down", &BroadcastItems::new(note), inputs)?;
         // s3: per-edge exchange of in-times and fragment numbers.
-        let out = self.net.run(
-            "s3",
-            &NeighborExchange::new(),
-            self.mems
-                .iter()
-                .map(|m| NbMsg {
-                    in_t: m.iv.as_ref().expect("intervals set").in_t,
-                    num: m.num,
-                })
-                .collect(),
-        )?;
+        let inputs = cols
+            .span
+            .iter()
+            .zip(&cols.num)
+            .map(|(&(in_t, _), &num)| NbMsg { in_t, num })
+            .collect();
+        let out = self.net.run("s3", &NeighborExchange::new(), inputs)?;
         // Local LCA case analysis: each endpoint places its edge in `T_F`
         // from the two fragment numbers and the shape `orient.tf`
         // delivered.
@@ -1350,16 +1380,15 @@ impl<'g> Pipeline<'g> {
         let mut tokens: Vec<Vec<Token>> = vec![Vec::new(); n];
         let mut pairs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
         for (v, nb) in out.outputs.into_iter().enumerate() {
-            let m = &self.mems[v];
-            let iv = m.iv.as_ref().expect("intervals set");
-            let adj = self.g.neighbors(NodeId::from_index(v));
+            let (in_t, num) = (cols.span[v].0, cols.num[v]);
+            let adj = g.neighbors(NodeId::from_index(v));
             for (other, a) in nb.into_iter().zip(adj) {
                 let other = other.expect("every neighbor sends");
                 let w = a.weight;
-                if other.num == m.num {
+                if other.num == num {
                     // Case 1 (same fragment): the deeper-in-preorder
                     // endpoint routes a token toward the LCA.
-                    if iv.in_t > other.in_t {
+                    if in_t > other.in_t {
                         tokens[v].push(Token {
                             t_in: other.in_t,
                             w,
@@ -1367,15 +1396,13 @@ impl<'g> Pipeline<'g> {
                     }
                     continue;
                 }
-                match self.shape.classify(m.num, other.num) {
+                match self.shape.classify(num, other.num) {
                     // Case 3 with the LCA in my fragment: target the
                     // attachment of the child fragment toward the other
                     // side.
                     LcaCase::InMine { child } => {
-                        let a_in = *m
-                            .att
-                            .get(&child)
-                            .expect("attachment table covers the child");
+                        let a_in =
+                            cols.att[child as usize].expect("attachment table covers the child");
                         tokens[v].push(Token { t_in: a_in, w });
                     }
                     // Case 2: the LCA is a merging node in a third
@@ -1395,12 +1422,10 @@ impl<'g> Pipeline<'g> {
             }
         }
         // s4a/s4b: merging-node contributions through the leader.
-        let inputs: Vec<(TreeInfo, Vec<(u64, u64)>)> = (0..n)
-            .map(|v| (self.mems[v].bfs.clone(), std::mem::take(&mut pairs[v])))
-            .collect();
-        let out = self.net.run("s4a", &GroupedSum::new(), inputs)?;
+        let inputs: Vec<(Tree, Vec<(u64, u64)>)> = cols.bfs.trees(off).zip(pairs).collect();
+        let mut out = self.net.run("s4a", &GroupedSum::new(), inputs)?;
         let pair_totals = out.outputs[self.leader.index()]
-            .clone()
+            .take()
             .expect("leader is the BFS root");
         // Each pair travels to the attachment of its first child
         // fragment, which holds the in-fragment in-time of the second's
@@ -1415,45 +1440,45 @@ impl<'g> Pipeline<'g> {
                 (Route::One(self.tf[g1 - 1].att), PairItem { num: g2, w })
             })
             .collect();
-        let aim = |(att, toks): &mut (&BTreeMap<u32, u32>, Vec<Token>), item: &PairItem| {
-            let t_in = *att.get(&item.num).expect("attachment table covers g2");
+        let aim = |(att, toks): &mut (&[Option<u32>], &mut Vec<Token>), item: &PairItem| {
+            let t_in = att[item.num as usize].expect("attachment table covers g2");
             toks.push(Token { t_in, w: item.w });
         };
-        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, m| {
-            (&m.att, Vec::new())
-        });
-        let out = self.net.run("s4b", &BroadcastItems::new(aim), inputs)?;
-        for (toks, (_, aimed)) in tokens.iter_mut().zip(out.outputs) {
-            toks.extend(aimed);
-        }
+        let accs = tokens.iter_mut().map(|toks| (&cols.att[..], toks));
+        let inputs = bfs_stream(&cols.bfs, &cols.labels, off, self.leader, items, accs);
+        self.net.run("s4b", &BroadcastItems::new(aim), inputs)?;
         // s5: route the case-1/3 tokens and the pair tokens to their LCAs;
         // the end wave brings each fragment's (Σδ, Σρ) to its root.
-        let inputs: Vec<TokensInput> = (0..n)
-            .map(|v| {
-                let m = &self.mems[v];
-                let iv = m.iv.as_ref().expect("intervals set");
-                TokensInput {
-                    tree: self.cols.ftree(off, v),
-                    iv: (iv.in_t, iv.out_t),
-                    delta: m.delta,
-                    tokens: std::mem::take(&mut tokens[v]),
-                }
+        let inputs: Vec<TokensInput> = cols
+            .forest
+            .trees(off)
+            .zip(&cols.span)
+            .zip(tokens)
+            .zip(g.nodes())
+            .map(|(((tree, &iv), tokens), v)| TokensInput {
+                tree,
+                iv,
+                delta: g.weighted_degree(v),
+                tokens,
             })
             .collect();
         let (rho, tots): (Vec<u64>, Vec<_>) = self
             .net
-            .run("s5", &TokensUp, inputs)?
+            .run("s5", &TokensUp::default(), inputs)?
             .outputs
             .into_iter()
             .unzip();
         // s5c: totals to the leader.
-        let inputs: Vec<(TreeInfo, Vec<TotItem>)> = (0..n)
-            .map(|v| {
-                let m = &self.mems[v];
-                let items = tots[v]
-                    .map(|(d, r)| vec![TotItem { num: m.num, d, r }])
+        let inputs: Vec<(Tree, Vec<TotItem>)> = cols
+            .bfs
+            .trees(off)
+            .zip(tots)
+            .zip(&cols.num)
+            .map(|((tree, tot), &num)| {
+                let items = tot
+                    .map(|(d, r)| vec![TotItem { num, d, r }])
                     .unwrap_or_default();
-                (m.bfs.clone(), items)
+                (tree, items)
             })
             .collect();
         let mut out = self.net.run("s5c", &UpcastItems::new(), inputs)?;
@@ -1486,38 +1511,45 @@ impl<'g> Pipeline<'g> {
             *wd += s.sd;
             *wr += s.sr;
         };
-        let inputs = bfs_stream(&mut self.mems, self.leader, items, |_, _| (0, 0));
+        let accs = std::iter::repeat_n((0, 0), n);
+        let inputs = bfs_stream(&cols.bfs, &cols.labels, off, self.leader, items, accs);
         let w: Vec<(u64, u64)> = self
             .net
             .run("s5d", &BroadcastItems::new(masses), inputs)?
             .outputs;
         // s5e: in-fragment subtree sums of (δ + Wδ, ρ + Wρ) give the
         // global (δ↓, ρ↓) at every node.
-        let inputs: Vec<(TreeInfo, (u64, u64))> = (0..n)
-            .map(|v| {
-                let m = &self.mems[v];
-                (self.cols.ftree(off, v), (m.delta + w[v].0, rho[v] + w[v].1))
+        let inputs: Vec<(Tree, (u64, u64))> = cols
+            .forest
+            .trees(off)
+            .zip(g.nodes())
+            .map(|(tree, v)| {
+                let (wd, wr) = w[v.index()];
+                (tree, (g.weighted_degree(v) + wd, rho[v.index()] + wr))
             })
             .collect();
-        let down = self.net.run("s5e", &SubtreeSums::new(), inputs)?.outputs;
-        for (v, (m, (d, r))) in self.mems.iter_mut().zip(down).enumerate() {
+        let down = self.net.run("s5e", &Convergecast::new(), inputs)?.outputs;
+        for (v, (c, (d, r))) in cols.cval.iter_mut().zip(down).enumerate() {
             debug_assert!(d >= 2 * r, "Karger identity underflow at node {v}");
-            m.cval = d - 2 * r;
+            *c = d - 2 * r;
         }
         // s5f: global argmin (the root's C is 0 by definition; excluded).
-        let inputs: Vec<(TreeInfo, MinPair)> = (0..n)
-            .map(|v| {
+        let inputs: Vec<(Tree, MinPair)> = cols
+            .bfs
+            .trees(off)
+            .zip(&cols.cval)
+            .enumerate()
+            .map(|(v, (tree, &c))| {
                 let c = if v == self.leader.index() {
                     u64::MAX
                 } else {
-                    self.mems[v].cval
+                    c
                 };
-                (self.mems[v].bfs.clone(), MinPair(c, v as u64))
+                (tree, MinPair(c, v as u64))
             })
             .collect();
         let out = self.net.run("s5f", &Convergecast::new(), inputs)?;
-        let MinPair(minc, argmin) =
-            out.outputs[self.leader.index()].expect("leader is the BFS root");
+        let MinPair(minc, argmin) = out.outputs[self.leader.index()];
         Ok((minc, NodeId::new(argmin as u32)))
     }
 
@@ -1525,38 +1557,27 @@ impl<'g> Pipeline<'g> {
     /// trees are snapshotted, and every node bumps the loads of its
     /// incident tree edges.
     fn finish_tree(&mut self, improved: bool) -> Result<(), MinCutError> {
-        let inputs: Vec<(TreeInfo, Option<bool>)> = (0..self.n)
-            .map(|v| {
-                let m = &self.mems[v];
-                (
-                    (v == self.leader.index()).then_some(improved),
-                    m.bfs.clone(),
-                )
-            })
-            .map(|(flag, bfs)| (bfs, flag))
+        let off = self.g.offsets();
+        let cols = &mut self.cols;
+        let inputs: Vec<(Tree, Option<bool>)> = cols
+            .bfs
+            .trees(off)
+            .enumerate()
+            .map(|(v, tree)| (tree, (v == self.leader.index()).then_some(improved)))
             .collect();
         let out = self.net.run("s5g", &Broadcast::new(), inputs)?;
-        let off = self.g.offsets();
         for (v, flag) in out.outputs.into_iter().enumerate() {
+            for s in slots(off, v) {
+                let t = cols.t_port(off, v, s);
+                if flag {
+                    cols.snap.ports[s] = t;
+                }
+                if t {
+                    cols.loads[s] += 1;
+                }
+            }
             if flag {
-                self.mems[v].snap_parent = self.t_parent(v);
-                self.mems[v].snap_children = self.t_children(v);
-            }
-            let s = slots(off, v);
-            for (load, _) in self.cols.loads[s.clone()]
-                .iter_mut()
-                .zip(&self.cols.tree[s.clone()])
-                .filter(|(_, &t)| t)
-            {
-                *load += 1;
-            }
-            let m = &self.mems[v];
-            for p in m
-                .inter_parent
-                .iter()
-                .chain(m.inter_children.iter().map(|(p, _)| p))
-            {
-                self.cols.loads[s.start + p.index()] += 1;
+                cols.snap.parent[v] = cols.t_parent(v);
             }
         }
         Ok(())
@@ -1573,30 +1594,27 @@ impl<'g> Pipeline<'g> {
             singleton: best_node.is_none(),
             v: best_node.unwrap_or(singleton).raw(),
         };
-        let inputs: Vec<(TreeInfo, Option<SideMsg>)> = (0..self.n)
-            .map(|v| {
-                (
-                    self.mems[v].bfs.clone(),
-                    (v == self.leader.index()).then_some(msg),
-                )
-            })
+        let off = self.g.offsets();
+        let inputs: Vec<(Tree, Option<SideMsg>)> = self
+            .cols
+            .bfs
+            .trees(off)
+            .enumerate()
+            .map(|(v, tree)| (tree, (v == self.leader.index()).then_some(msg)))
             .collect();
         let out = self.net.run("side.bc", &Broadcast::new(), inputs)?;
         let announced = out.outputs;
         if msg.singleton {
             return Ok((0..self.n).map(|v| v as u32 == announced[v].v).collect());
         }
-        let inputs: Vec<SideInput> = (0..self.n)
-            .map(|v| {
-                let m = &self.mems[v];
-                SideInput {
-                    parent: m.snap_parent,
-                    children: m.snap_children.clone(),
-                    vstar: announced[v].v,
-                }
-            })
+        let inputs: Vec<SideInput> = self
+            .cols
+            .snap
+            .trees(off)
+            .zip(announced)
+            .map(|(tree, a)| SideInput { tree, vstar: a.v })
             .collect();
-        let out = self.net.run("side.flood", &SideFlood, inputs)?;
+        let out = self.net.run("side.flood", &SideFlood::default(), inputs)?;
         Ok(out.outputs)
     }
 
@@ -1604,23 +1622,11 @@ impl<'g> Pipeline<'g> {
     /// per-node port markings).
     #[cfg(test)]
     fn tree_edges(&self) -> Vec<graphs::EdgeId> {
-        let mut edges: BTreeSet<graphs::EdgeId> = BTreeSet::new();
-        for v in 0..self.n {
-            let adj = self.g.neighbors(NodeId::from_index(v));
-            let tree = &self.cols.tree[slots(self.g.offsets(), v)];
-            let m = &self.mems[v];
-            let inter = m
-                .inter_parent
-                .iter()
-                .chain(m.inter_children.iter().map(|(p, _)| p));
-            edges.extend(
-                adj.iter()
-                    .zip(tree)
-                    .filter(|(_, &t)| t)
-                    .map(|(a, _)| a.edge),
-            );
-            edges.extend(inter.map(|p| adj[p.index()].edge));
-        }
+        let off = self.g.offsets();
+        let edges: BTreeSet<graphs::EdgeId> = (0..self.n)
+            .flat_map(|v| slots(off, v).filter(move |&s| self.cols.t_port(off, v, s)))
+            .map(|s| self.g.adjacency()[s].edge)
+            .collect();
         edges.into_iter().collect()
     }
 }
@@ -1755,51 +1761,57 @@ fn drive_packing(
     // stages, the expensive part, are skipped either way).
     if let Some(spec) = resume {
         pl.net.obs_emit("recover.resume", spec.trees.len() as u64);
-        let mut snap: Option<Vec<TreeInfo>> = None;
+        let mut snap: Option<Forest> = None;
         for (edges, cut) in &spec.trees {
             let parents = reroot(n, edges, pl.leader.raw());
-            let tree = tree_infos(pl.g, &parents);
+            let tree = Forest::from_parents(pl.g, &parents);
             tree_edges.push(pl.edge_ids_of(&tree));
             packed += 1;
-            let (minc, argmin, replayed) = match cut {
+            let (minc, argmin) = match *cut {
                 Some((c, (x, y))) => {
                     pl.replay_tree_loads(&tree);
+                    // A replayed tree runs no phases, so the driver
+                    // installs its snapshot after the loop, if it is
+                    // still the best then.
+                    if c < best_value {
+                        snap = Some(tree);
+                    }
                     // The checkpointed argmin names a tree edge; its
                     // argmin *node* is whichever endpoint is the child
                     // under this attempt's rooting (a fresh leader may
                     // have flipped the orientation).
-                    let a = if parents[*x as usize] == Some(*y) {
-                        *x
+                    let a = if parents[x as usize] == Some(y) {
+                        x
                     } else {
-                        debug_assert_eq!(parents[*y as usize], Some(*x));
-                        *y
+                        debug_assert_eq!(parents[y as usize], Some(x));
+                        y
                     };
-                    (*c, NodeId::new(a), true)
+                    (c, NodeId::new(a))
                 }
                 None => {
-                    pl.install_tree(&tree);
+                    pl.install_tree(tree);
                     let (minc, argmin) = pl.cut_stage()?;
+                    // A structural tree that improves the bound
+                    // snapshots itself inside `finish_tree`.
+                    if minc < best_value {
+                        snap = None;
+                    }
                     pl.finish_tree(minc < best_value)?;
-                    (minc, argmin, false)
+                    (minc, argmin)
                 }
             };
             if minc < best_value {
                 best_value = minc;
                 best_node = Some(argmin);
                 trees_to_best = packed;
-                // A structural tree that improves the bound snapshots
-                // itself inside `finish_tree`; a replayed one runs no
-                // phases, so the driver re-installs its snapshot after
-                // the loop (only if it is still the best).
-                snap = replayed.then_some(tree);
             }
             if let Some(log) = log.as_deref_mut() {
                 log.trees.push((parents, (minc, argmin.raw())));
                 pl.net.obs_emit("recover.checkpoint", packed as u64);
             }
         }
-        if let Some(tree) = &snap {
-            pl.install_snap(tree);
+        if let Some(tree) = snap {
+            pl.cols.snap = tree;
         }
     }
     while packed < opts.packing.target_trees(n, best_value) {
@@ -1826,7 +1838,8 @@ fn drive_packing(
         // edge).
         let mut edges: Vec<graphs::EdgeId> = (0..n)
             .filter_map(|v| {
-                pl.t_parent(v)
+                pl.cols
+                    .t_parent(v)
                     .map(|p| pl.g.neighbors(NodeId::from_index(v))[p.index()].edge)
             })
             .collect();
@@ -1963,7 +1976,9 @@ mod tests {
             pl.mst_phase_a_opt().unwrap();
             let chosen = pl.mst_phase_b().unwrap();
             pl.orient(chosen).unwrap();
-            shared_attachment |= pl.mems.iter().any(|m| m.inter_children.len() > 1);
+            let off = g.offsets();
+            shared_attachment |= (0..g.node_count())
+                .any(|v| pl.cols.tf_child[slots(off, v)].iter().flatten().count() > 1);
             let (minc, argmin) = pl.cut_stage().unwrap();
             // Sequential oracle on the same tree, rooted at the leader.
             let edges = pl.tree_edges();
@@ -1971,7 +1986,7 @@ mod tests {
             let cuts = crate::seq::karger_dp::one_respecting_cuts(g, &tree);
             for (v, &want) in cuts.iter().enumerate() {
                 assert_eq!(
-                    pl.mems[v].cval,
+                    pl.cols.cval[v],
                     want,
                     "C(v↓) mismatch at node {v} (n = {})",
                     g.node_count()
@@ -2134,7 +2149,7 @@ mod tests {
         assert_eq!(stems(&restored), stems(&fresh));
     }
 
-    /// Restored trees install from [`tree_infos`], and the trees packed
+    /// Restored trees install from [`Forest::from_parents`], and the trees packed
     /// after them see the loads they leave: resuming an uninterrupted
     /// run's first two trees, with their cut values replayed as
     /// evidence or their cut stage re-run on the restored structure,
@@ -2169,6 +2184,37 @@ mod tests {
             assert_eq!(resumed.tree_edges, fresh.tree_edges, "trusted: {trusted}");
             assert_eq!(resumed.cut.value, fresh.cut.value, "trusted: {trusted}");
             assert_eq!(resumed.cut.side, fresh.cut.side, "trusted: {trusted}");
+        }
+    }
+
+    /// What the evidence path installs for a checkpointed tree is what
+    /// the tree left behind when it ran: for every tree of the packing
+    /// above, the snapshot `finish_tree(true)` stores equals, column for
+    /// column, the forest [`Forest::from_parents`] builds from the
+    /// tree's checkpointed parent map, and replaying that forest's loads
+    /// adds exactly what `finish_tree` added.
+    #[test]
+    fn a_snapshot_survives_the_restore_path() {
+        let g = generators::clique_pair(6, 2).unwrap().graph;
+        let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
+        let network = NetworkConfig::default();
+        let mut pl = Pipeline::new(&g, network, MstConfig::default(), &pack_edge).unwrap();
+        pl.init_deg().unwrap();
+        for tree in 0..4 {
+            pl.reset_tree();
+            pl.mst_phase_a_opt().unwrap();
+            let chosen = pl.mst_phase_b().unwrap();
+            pl.orient(chosen).unwrap();
+            pl.cut_stage().unwrap();
+            let before = pl.cols.loads.clone();
+            pl.finish_tree(true).unwrap();
+            let restored = Forest::from_parents(&g, &pl.tree_parents());
+            let edges = restored.parent.iter().flatten().count();
+            assert_eq!(edges, g.node_count() - 1, "tree {tree} spans the graph");
+            assert_eq!(pl.cols.snap, restored, "tree {tree}");
+            let after = std::mem::replace(&mut pl.cols.loads, before);
+            pl.replay_tree_loads(&restored);
+            assert_eq!(pl.cols.loads, after, "tree {tree}");
         }
     }
 

@@ -63,7 +63,7 @@ use crate::seq::tree_packing::LoadKey;
 use congest::message::TAG_BITS;
 use congest::primitives::merge::{KeyedMonoid, KeyedStreamReduce};
 use congest::primitives::StreamMsg;
-use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
+use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step, Tree};
 use std::marker::PhantomData;
 
 /// Configuration of the distributed MST stage: phase A's fragment size
@@ -226,14 +226,6 @@ impl Message for CdMsg {
     }
 }
 
-/// The ports a fragment-tree node's port flags mark, ascending, except
-/// `except`: with the node's parent port, its children.
-pub(crate) fn tree_ports(tree: &[bool], except: Option<Port>) -> impl Iterator<Item = Port> + '_ {
-    (0..tree.len() as u32)
-        .map(Port)
-        .filter(move |&p| tree[p.index()] && Some(p) != except)
-}
-
 /// Input of [`CandDec`] for one node. The caches (`sent`, `children`)
 /// persist across levels in the driver's phase-A columns — they are what
 /// makes the convergecast a *delta*: a quiescent subtree stays silent.
@@ -244,11 +236,9 @@ pub(crate) fn tree_ports(tree: &[bool], except: Option<Port>) -> impl Iterator<I
 /// phase can leave the row half updated; the driver then discards it.
 #[derive(Debug)]
 pub struct CdInput<'a> {
-    /// Fragment-tree port flags, one per port: the parent and the
-    /// children.
-    pub tree: &'a [bool],
-    /// Port to the fragment-tree parent (`None` at the fragment root).
-    pub parent: Option<Port>,
+    /// This node's view of its fragment tree: the parent port (`None`
+    /// at the fragment root) and the driver's row of tree-edge flags.
+    pub tree: Tree<'a>,
     /// This node's depth in its fragment tree (maintained by the hook
     /// phase; roots are 0).
     pub depth: u32,
@@ -329,7 +319,7 @@ impl CdState<'_> {
             size: 1,
             cand: self.input.local,
         };
-        for p in tree_ports(self.input.tree, self.input.parent) {
+        for p in self.input.tree.children() {
             if let Some(c) = &self.input.children[p.index()] {
                 agg.size += c.size;
                 agg.cand = better_opt(agg.cand, c.cand);
@@ -364,9 +354,7 @@ impl CdState<'_> {
     /// Sends the decision, if any, to every child.
     fn send_dec(&self, out: &mut Outbox<CdMsg>) {
         if let Some(d) = self.dec {
-            for p in tree_ports(self.input.tree, self.input.parent) {
-                out.send(p, CdMsg::Dec(d));
-            }
+            out.send_all(self.input.tree.children(), CdMsg::Dec(d));
         }
     }
 }
@@ -387,7 +375,7 @@ impl<'a> Algorithm for CandDec<'a> {
         if s.input.frozen {
             return (s, out);
         }
-        match s.input.parent {
+        match s.input.tree.parent {
             None if s.input.maxdepth == 0 => {
                 // Singleton fragment: the aggregate is complete at boot.
                 s.dec = s.decide(s.compute());
@@ -417,7 +405,7 @@ impl<'a> Algorithm for CandDec<'a> {
         }
         let mut out = Outbox::new();
         let (depth, maxdepth) = (s.input.depth as u64, s.input.maxdepth as u64);
-        let Some(parent) = s.input.parent else {
+        let Some(parent) = s.input.tree.parent else {
             if ctx.round >= maxdepth {
                 if ctx.round == maxdepth {
                     s.dec = s.decide(s.compute());
@@ -633,9 +621,7 @@ impl<'a> Algorithm for FragHook<'a> {
                     } else {
                         HookMsg::Keep
                     };
-                    for p in tree_ports(s.input.tree, None) {
-                        out.send(p, flood);
-                    }
+                    out.send_all(Tree::new(None, s.input.tree).children(), flood);
                     return Step::Halt(out);
                 }
             }
@@ -661,9 +647,7 @@ impl<'a> Algorithm for FragHook<'a> {
                     } else {
                         msg
                     };
-                    for p in tree_ports(s.input.tree, Some(from)) {
-                        out.send(p, fwd);
-                    }
+                    out.send_all(Tree::new(Some(from), s.input.tree).children(), fwd);
                     return Step::Halt(out);
                 }
             }
@@ -790,11 +774,13 @@ impl FragForest {
 /// its subtree's edges, in Kruskal order, and the root receives the MST
 /// of the whole fragment graph: `k − 1` edges for `k` connected
 /// fragments. No node forwards more than `k − 1` edges, so the phase
-/// takes `O(k + height)` rounds. Input per node: `(TreeInfo, offered
+/// takes `O(k + height)` rounds. Input per node: `(Tree, offered
 /// edges)` in any order; output: `Some(the kept edges, in key order)`
 /// at each root, `None` elsewhere.
 #[derive(Clone, Debug, Default)]
-pub struct FilteredUpcast;
+pub struct FilteredUpcast<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`FilteredUpcast`].
 #[derive(Debug)]
@@ -806,8 +792,8 @@ pub struct FuState {
     out: Vec<InterEdge>,
 }
 
-impl Algorithm for FilteredUpcast {
-    type Input = (congest::TreeInfo, Vec<InterEdge>);
+impl<'a> Algorithm for FilteredUpcast<'a> {
+    type Input = (Tree<'a>, Vec<InterEdge>);
     type State = FuState;
     type Msg = StreamMsg<InterEdge>;
     type Output = Option<Vec<InterEdge>>;
@@ -815,7 +801,7 @@ impl Algorithm for FilteredUpcast {
     fn boot(&self, ctx: &NodeCtx<'_>, (tree, own): Self::Input) -> (FuState, Outbox<Self::Msg>) {
         let state = FuState {
             is_root: tree.is_root(),
-            core: KeyedStreamReduce::new(ctx, &tree, own),
+            core: KeyedStreamReduce::new(ctx, tree, own),
             forest: FragForest::default(),
             out: Vec::new(),
         };
@@ -950,8 +936,7 @@ mod tests {
                     let (children, tail) = std::mem::take(&mut rest).split_at_mut(tree[v].len());
                     rest = tail;
                     CdInput {
-                        tree: tree[v],
-                        parent: parent[v],
+                        tree: Tree::new(parent[v], tree[v]),
                         depth: depth[v],
                         maxdepth: 2,
                         frag: frag[v],

@@ -90,14 +90,14 @@
 //! `s5d` rows only to the node that reads them, along the BFS tree's
 //! pre-order intervals.
 
-use crate::dist::mst::tree_ports;
 use congest::message::{id_bits, TAG_BITS};
 use congest::primitives::stream::{batch_bits, Fill};
 use congest::{
     value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
-    ProtocolViolation, Step, TreeInfo,
+    ProtocolViolation, Step, Tree,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ impl Message for TfItem {
 /// the port the flood arrived on. Rounds: fragment diameter +1.
 #[derive(Clone, Debug, Default)]
 pub struct FragReroot<'a> {
-    _input: std::marker::PhantomData<fn() -> &'a ()>,
+    _input: PhantomData<fn() -> &'a ()>,
 }
 
 /// Input of [`FragReroot`]: the node's fragment-tree port flags, borrowed
@@ -343,7 +343,7 @@ impl<'a> Algorithm for FragReroot<'a> {
     fn boot(&self, _ctx: &NodeCtx<'_>, input: RerootInput<'a>) -> (RerootState<'a>, Outbox<u32>) {
         let mut out = Outbox::new();
         if let Some(num) = input.initiator {
-            out.send_all(tree_ports(input.tree, None), num);
+            out.send_all(Tree::new(None, input.tree).children(), num);
         }
         (
             RerootState {
@@ -368,9 +368,7 @@ impl<'a> Algorithm for FragReroot<'a> {
             s.parent = Some(from);
             s.num = Some(num);
             let mut out = Outbox::new();
-            for p in tree_ports(s.input.tree, Some(from)) {
-                out.send(p, num);
-            }
+            out.send_all(Tree::new(Some(from), s.input.tree).children(), num);
             return Step::Halt(out);
         }
         Step::wait()
@@ -392,29 +390,31 @@ impl<'a> Algorithm for FragReroot<'a> {
 /// *retains* each child's contribution — needed to assign child Euler
 /// intervals in [`IntervalDown`]. Rounds: fragment height + 1.
 #[derive(Clone, Debug, Default)]
-pub struct SizesUp;
+pub struct SizesUp<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`SizesUp`].
 #[derive(Debug)]
 pub struct SizesState {
-    tree: TreeInfo,
+    parent: Option<Port>,
     acc: u32,
     child_sizes: Vec<(Port, u32)>,
     waiting: usize,
     sent: bool,
 }
 
-impl Algorithm for SizesUp {
-    type Input = TreeInfo;
+impl<'a> Algorithm for SizesUp<'a> {
+    type Input = Tree<'a>;
     type State = SizesState;
     type Msg = u32;
     type Output = (u32, Vec<(Port, u32)>);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, tree: TreeInfo) -> (SizesState, Outbox<u32>) {
-        let waiting = tree.children.len();
+    fn boot(&self, _ctx: &NodeCtx<'_>, tree: Tree<'a>) -> (SizesState, Outbox<u32>) {
+        let waiting = tree.children().count();
         (
             SizesState {
-                tree,
+                parent: tree.parent,
                 acc: 1,
                 child_sizes: Vec::with_capacity(waiting),
                 waiting,
@@ -432,7 +432,7 @@ impl Algorithm for SizesUp {
         }
         if s.waiting == 0 && !s.sent {
             s.sent = true;
-            match s.tree.parent {
+            match s.parent {
                 Some(p) => {
                     let mut o = Outbox::new();
                     o.send(p, s.acc);
@@ -459,12 +459,12 @@ impl Algorithm for SizesUp {
 // s2b: in-fragment Euler intervals
 // ---------------------------------------------------------------------------
 
-/// Input of [`IntervalDown`]: the fragment tree info plus the sizes from
+/// Input of [`IntervalDown`]: the fragment tree plus the sizes from
 /// [`SizesUp`].
 #[derive(Clone, Debug)]
-pub struct IntervalInput {
-    /// In-fragment tree info.
-    pub tree: TreeInfo,
+pub struct IntervalInput<'a> {
+    /// In-fragment tree.
+    pub tree: Tree<'a>,
     /// Own subtree size.
     pub size: u32,
     /// Per-child subtree sizes (sorted by port).
@@ -476,56 +476,61 @@ pub struct IntervalInput {
 /// each node receives its own entry time, computes its children's from
 /// the retained sizes, and forwards. Rounds: fragment height + 1.
 #[derive(Clone, Debug, Default)]
-pub struct IntervalDown;
+pub struct IntervalDown<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
-/// Node state for [`IntervalDown`].
+/// Node state for [`IntervalDown`]: the retained sizes, and the
+/// intervals once the node knows its entry time.
 #[derive(Debug)]
 pub struct IntervalState {
-    input: IntervalInput,
+    size: u32,
+    child_sizes: Vec<(Port, u32)>,
     iv: Option<Intervals>,
 }
 
-impl IntervalInput {
-    /// This node's intervals once it knows its entry time.
-    fn intervals(&self, in_t: u32) -> Intervals {
-        Intervals::assign(in_t, self.size, self.child_sizes.iter().copied())
+impl IntervalState {
+    /// Takes this node's intervals, entered at `in_t`, and hands each
+    /// child its entry time.
+    fn enter(&mut self, in_t: u32) -> Outbox<u32> {
+        let iv = Intervals::assign(in_t, self.size, self.child_sizes.iter().copied());
+        let mut out = Outbox::new();
+        for &(port, lo, _) in &iv.children {
+            out.send(port, lo);
+        }
+        self.iv = Some(iv);
+        out
     }
 }
 
-impl Algorithm for IntervalDown {
-    type Input = IntervalInput;
+impl<'a> Algorithm for IntervalDown<'a> {
+    type Input = IntervalInput<'a>;
     type State = IntervalState;
     type Msg = u32;
     type Output = Intervals;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: IntervalInput) -> (IntervalState, Outbox<u32>) {
-        let mut out = Outbox::new();
-        let iv = if input.tree.is_root() {
-            let iv = input.intervals(0);
-            for &(port, lo, _) in &iv.children {
-                out.send(port, lo);
-            }
-            Some(iv)
-        } else {
-            None
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: IntervalInput<'a>) -> (IntervalState, Outbox<u32>) {
+        let mut s = IntervalState {
+            size: input.size,
+            child_sizes: input.child_sizes,
+            iv: None,
         };
-        (IntervalState { input, iv }, out)
+        let out = if input.tree.is_root() {
+            s.enter(0)
+        } else {
+            Outbox::new()
+        };
+        (s, out)
     }
 
     fn round(&self, s: &mut IntervalState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
         if s.iv.is_some() {
             return Step::halt();
         }
-        if let Some(&(_, my_in)) = inbox.first() {
-            let iv = s.input.intervals(my_in);
-            let mut out = Outbox::new();
-            for &(port, lo, _) in &iv.children {
-                out.send(port, lo);
-            }
-            s.iv = Some(iv);
-            return Step::Halt(out);
+        match inbox.first() {
+            Some(&(_, in_t)) => Step::Halt(s.enter(in_t)),
+            None => Step::wait(),
         }
-        Step::wait()
     }
 
     fn finish(&self, s: IntervalState, _ctx: &NodeCtx<'_>) -> FinishResult<Intervals> {
@@ -688,9 +693,9 @@ impl Message for TokenMsg {
 
 /// Input of [`TokensUp`].
 #[derive(Clone, Debug)]
-pub struct TokensInput {
-    /// In-fragment tree info.
-    pub tree: TreeInfo,
+pub struct TokensInput<'a> {
+    /// In-fragment tree.
+    pub tree: Tree<'a>,
     /// Own in-fragment interval.
     pub iv: (u32, u32),
     /// This node's weighted degree δ(v).
@@ -711,12 +716,15 @@ pub struct TokensInput {
 /// messages — 161 on the 70,602-node benchmark instance, within
 /// `2(h + D + k) = 316` (see `tests/large_n.rs`).
 #[derive(Clone, Debug, Default)]
-pub struct TokensUp;
+pub struct TokensUp<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`TokensUp`].
 #[derive(Debug)]
 pub struct TokensState {
-    tree: TreeInfo,
+    /// Port to the fragment-tree parent (`None` at the fragment root).
+    parent: Option<Port>,
     iv: (u32, u32),
     /// Pending tokens, one per distinct key, in the order their keys
     /// opened.
@@ -749,17 +757,17 @@ impl TokensState {
     }
 }
 
-impl Algorithm for TokensUp {
-    type Input = TokensInput;
+impl<'a> Algorithm for TokensUp<'a> {
+    type Input = TokensInput<'a>;
     type State = TokensState;
     type Msg = TokenMsg;
     /// ρ(v); at fragment roots also the fragment's `(Σδ, Σρ)`.
     type Output = (u64, Option<(u64, u64)>);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: TokensInput) -> (TokensState, Outbox<TokenMsg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: TokensInput<'a>) -> (TokensState, Outbox<TokenMsg>) {
         let mut s = TokensState {
-            open_children: input.tree.children.len(),
-            tree: input.tree,
+            open_children: input.tree.children().count(),
+            parent: input.tree.parent,
             iv: input.iv,
             queue: VecDeque::new(),
             pending: BTreeMap::new(),
@@ -792,7 +800,7 @@ impl Algorithm for TokensUp {
                 }
             }
         }
-        let Some(p) = s.tree.parent else {
+        let Some(p) = s.parent else {
             // The fragment root's interval spans the whole fragment, so
             // every token has been absorbed on arrival.
             debug_assert!(
@@ -840,7 +848,7 @@ impl Algorithm for TokensUp {
         s: TokensState,
         _ctx: &NodeCtx<'_>,
     ) -> FinishResult<(u64, Option<(u64, u64)>)> {
-        Ok((s.rho, s.tree.is_root().then_some(s.totals)))
+        Ok((s.rho, s.parent.is_none().then_some(s.totals)))
     }
 }
 
@@ -904,12 +912,11 @@ impl Message for SideMsg {
 /// Input of [`SideFlood`]: the snapshotted winning tree plus the
 /// announced winner.
 #[derive(Clone, Debug)]
-pub struct SideInput {
-    /// Snapshot parent port in the winning tree (`None` at the leader).
-    pub parent: Option<Port>,
-    /// Snapshot child ports in the winning tree (in-fragment children
-    /// plus attached child-fragment connectors).
-    pub children: Vec<Port>,
+pub struct SideInput<'a> {
+    /// This node's view of the winning tree's snapshot: its parent port
+    /// (`None` at the leader) and its tree-edge flags, in-fragment and
+    /// inter-fragment alike.
+    pub tree: Tree<'a>,
     /// The announced `v*`.
     pub vstar: u32,
 }
@@ -918,26 +925,28 @@ pub struct SideInput {
 /// the root carrying an "inside" bit that flips at `v*`. Rounds: tree
 /// depth — paid **once per run**, only for the final winner.
 #[derive(Clone, Debug, Default)]
-pub struct SideFlood;
+pub struct SideFlood<'a> {
+    _input: PhantomData<fn() -> &'a ()>,
+}
 
 /// Node state for [`SideFlood`].
 #[derive(Debug)]
-pub struct SideState {
-    input: SideInput,
+pub struct SideState<'a> {
+    input: SideInput<'a>,
     inside: Option<bool>,
 }
 
-impl Algorithm for SideFlood {
-    type Input = SideInput;
-    type State = SideState;
+impl<'a> Algorithm for SideFlood<'a> {
+    type Input = SideInput<'a>;
+    type State = SideState<'a>;
     type Msg = bool;
     type Output = bool;
 
-    fn boot(&self, ctx: &NodeCtx<'_>, input: SideInput) -> (SideState, Outbox<bool>) {
+    fn boot(&self, ctx: &NodeCtx<'_>, input: SideInput<'a>) -> (SideState<'a>, Outbox<bool>) {
         let mut out = Outbox::new();
-        let inside = if input.parent.is_none() {
+        let inside = if input.tree.is_root() {
             let inside = ctx.node.raw() == input.vstar;
-            out.send_all(input.children.iter().copied(), inside);
+            out.send_all(input.tree.children(), inside);
             Some(inside)
         } else {
             None
@@ -945,7 +954,12 @@ impl Algorithm for SideFlood {
         (SideState { input, inside }, out)
     }
 
-    fn round(&self, s: &mut SideState, ctx: &NodeCtx<'_>, inbox: &[(Port, bool)]) -> Step<bool> {
+    fn round(
+        &self,
+        s: &mut SideState<'a>,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(Port, bool)],
+    ) -> Step<bool> {
         if s.inside.is_some() {
             return Step::halt();
         }
@@ -953,13 +967,13 @@ impl Algorithm for SideFlood {
             let inside = upstream || ctx.node.raw() == s.input.vstar;
             s.inside = Some(inside);
             let mut out = Outbox::new();
-            out.send_all(s.input.children.iter().copied(), inside);
+            out.send_all(s.input.tree.children(), inside);
             return Step::Halt(out);
         }
         Step::wait()
     }
 
-    fn finish(&self, s: SideState, _ctx: &NodeCtx<'_>) -> FinishResult<bool> {
+    fn finish(&self, s: SideState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<bool> {
         s.inside.ok_or_else(|| {
             ProtocolViolation::new("never received the side wave (snapshot tree inconsistent?)")
         })
@@ -978,41 +992,45 @@ mod tests {
         Network::new(g, NetworkConfig::default()).unwrap()
     }
 
-    fn t(parent: Option<u32>, children: Vec<u32>) -> TreeInfo {
-        TreeInfo {
-            parent: parent.map(Port),
-            children: children.into_iter().map(Port).collect(),
-            depth: 0,
-        }
+    /// The path rooted at node 2: 2 -> {1 (port0), 3 (port1)}, 1 -> {0},
+    /// 3 -> {4}, 4 -> {5}.
+    fn rooted_path6() -> [Tree<'static>; 6] {
+        let t = |parent: Option<u32>, ports: &'static [bool]| Tree::new(parent.map(Port), ports);
+        [
+            t(Some(0), &[true]),
+            t(Some(1), &[true, true]),
+            t(None, &[true, true]),
+            t(Some(0), &[true, true]),
+            t(Some(0), &[true, true]),
+            t(Some(0), &[true]),
+        ]
     }
 
     #[test]
     fn sizes_and_intervals_on_a_rooted_path_fragment() {
         let g = generators::path(6).unwrap();
         let mut net = path6_net(&g);
-        // Rooted at 2: 2 -> {1 (port0), 3 (port1)}, 1 -> {0}, 3 -> {4}, 4 -> {5}.
-        let forest = vec![
-            t(Some(0), vec![]),
-            t(Some(1), vec![0]),
-            t(None, vec![0, 1]),
-            t(Some(0), vec![1]),
-            t(Some(0), vec![1]),
-            t(Some(0), vec![]),
-        ];
-        let sizes = net.run("s2a", &SizesUp, forest.clone()).unwrap().outputs;
+        let forest = rooted_path6();
+        let sizes = net
+            .run("s2a", &SizesUp::default(), forest.to_vec())
+            .unwrap()
+            .outputs;
         assert_eq!(sizes[2].0, 6);
         assert_eq!(sizes[1].0, 2);
         assert_eq!(sizes[3].0, 3);
         let inputs: Vec<IntervalInput> = forest
-            .iter()
-            .zip(sizes.iter())
-            .map(|(tree, (size, cs))| IntervalInput {
-                tree: tree.clone(),
-                size: *size,
-                child_sizes: cs.clone(),
+            .into_iter()
+            .zip(sizes)
+            .map(|(tree, (size, child_sizes))| IntervalInput {
+                tree,
+                size,
+                child_sizes,
             })
             .collect();
-        let ivs = net.run("s2b", &IntervalDown, inputs).unwrap().outputs;
+        let ivs = net
+            .run("s2b", &IntervalDown::default(), inputs)
+            .unwrap()
+            .outputs;
         // Pre-order from 2: 2=0, then child port0 (node 1) subtree {1,0},
         // then port1 (node 3) subtree {3,4,5}.
         assert_eq!((ivs[2].in_t, ivs[2].out_t), (0, 5));
@@ -1031,14 +1049,7 @@ mod tests {
     fn tokens_are_absorbed_at_the_lca() {
         let g = generators::path(6).unwrap();
         let mut net = path6_net(&g);
-        let forest = [
-            t(Some(0), vec![]),
-            t(Some(1), vec![0]),
-            t(None, vec![0, 1]),
-            t(Some(0), vec![1]),
-            t(Some(0), vec![1]),
-            t(Some(0), vec![]),
-        ];
+        let forest = rooted_path6();
         // Intervals as in the previous test.
         let iv = [(2, 2), (1, 2), (0, 5), (3, 5), (4, 5), (5, 5)];
         // Node 5 holds a token looking for node 4 (its parent): LCA = 4.
@@ -1055,14 +1066,14 @@ mod tests {
             .iter()
             .zip(iv.iter())
             .zip(tokens.iter())
-            .map(|((tree, &(lo, hi)), toks)| TokensInput {
-                tree: tree.clone(),
+            .map(|((&tree, &(lo, hi)), toks)| TokensInput {
+                tree,
                 iv: (lo, hi),
                 delta: 1,
                 tokens: toks.clone(),
             })
             .collect();
-        let out = net.run("s5", &TokensUp, inputs).unwrap().outputs;
+        let out = net.run("s5", &TokensUp::default(), inputs).unwrap().outputs;
         let (rho, tots): (Vec<u64>, Vec<_>) = out.into_iter().unzip();
         assert_eq!(rho, vec![0, 0, 7, 0, 3, 0]);
         assert_eq!(tots, vec![None, None, Some((6, 10)), None, None, None]);
@@ -1097,7 +1108,7 @@ mod tests {
         ];
         let inputs: Vec<TokensInput> = (0..5)
             .map(|v| TokensInput {
-                tree: bfs[v].tree.clone(),
+                tree: bfs[v].tree(),
                 iv: (bfs[v].iv.in_t, bfs[v].iv.out_t),
                 delta: g.weighted_degree(NodeId::from_index(v)),
                 tokens: tokens[v].clone(),
@@ -1118,7 +1129,7 @@ mod tests {
         // the root halts.
         for (factor, messages, rounds) in [(2, 5 + 4, 5), (8, 4, 3)] {
             let mut net = Network::new(&g, NetworkConfig::with_bandwidth_factor(factor)).unwrap();
-            let out = net.run("s5", &TokensUp, inputs.clone()).unwrap();
+            let out = net.run("s5", &TokensUp::default(), inputs.clone()).unwrap();
             assert_eq!(
                 (out.metrics.messages, out.metrics.rounds),
                 (messages, rounds)
@@ -1155,16 +1166,14 @@ mod tests {
         let g = generators::path(6).unwrap();
         let mut net = path6_net(&g);
         // Same rooted tree; winner v* = 3 → side {3,4,5}.
-        let parents = [Some(0u32), Some(1), None, Some(0), Some(0), Some(0)];
-        let children: [Vec<u32>; 6] = [vec![], vec![0], vec![0, 1], vec![1], vec![1], vec![]];
-        let inputs: Vec<SideInput> = (0..6)
-            .map(|v| SideInput {
-                parent: parents[v].map(Port),
-                children: children[v].iter().copied().map(Port).collect(),
-                vstar: 3,
-            })
+        let inputs: Vec<SideInput> = rooted_path6()
+            .into_iter()
+            .map(|tree| SideInput { tree, vstar: 3 })
             .collect();
-        let side = net.run("side", &SideFlood, inputs).unwrap().outputs;
+        let side = net
+            .run("side", &SideFlood::default(), inputs)
+            .unwrap()
+            .outputs;
         assert_eq!(side, vec![false, false, false, true, true, true]);
     }
 

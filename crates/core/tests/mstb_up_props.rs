@@ -19,7 +19,7 @@
 
 use congest::primitives::leader_bfs::{LeaderBfs, LeaderBfsOutput};
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, TreeInfo};
+use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome};
 use graphs::{generators, NodeId, WeightedGraph};
 use mincut::dist::mst::{FilteredUpcast, InterEdge};
 use mincut::dist::packing::Cand;
@@ -37,11 +37,12 @@ fn graph_from(seed: u64, n: usize) -> WeightedGraph {
     generators::erdos_renyi_connected(n, 0.25, &mut rng).expect("valid parameters")
 }
 
-/// One drawn instance: the graph, the upcast's per-node inputs, and the
-/// sequential Kruskal answer.
+/// One drawn instance: the graph, its BFS tree, every node's offered
+/// edges, and the sequential Kruskal answer.
 struct Instance {
     g: WeightedGraph,
-    inputs: Vec<(TreeInfo, Vec<InterEdge>)>,
+    bfs: Vec<LeaderBfsOutput>,
+    offered: Vec<Vec<InterEdge>>,
     want: Vec<InterEdge>,
 }
 
@@ -50,8 +51,10 @@ fn instance(seed: u64, n: usize) -> Instance {
     let bfs: Vec<LeaderBfsOutput> = if n == 1 {
         vec![LeaderBfsOutput {
             leader: NodeId::new(0),
-            tree: TreeInfo::default(),
+            parent: None,
+            depth: 0,
             iv: Default::default(),
+            ports: Vec::new(),
         }]
     } else {
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
@@ -75,8 +78,8 @@ fn instance(seed: u64, n: usize) -> Instance {
             (rng.gen_range(0..4u64), weight)
         })
         .collect();
-    let mut offered: Vec<InterEdge> = Vec::new();
-    let inputs = (0..n)
+    let mut all: Vec<InterEdge> = Vec::new();
+    let offered = (0..n)
         .map(|v| {
             let mut own = Vec::new();
             for a in g.neighbors(NodeId::from_index(v)) {
@@ -94,17 +97,22 @@ fn instance(seed: u64, n: usize) -> Instance {
                     });
                 }
             }
-            offered.extend(&own);
-            (bfs[v].tree.clone(), own)
+            all.extend(&own);
+            own
         })
         .collect();
-    offered.sort_by_key(|e| e.cand.key());
+    all.sort_by_key(|e| e.cand.key());
     let mut dsu = trees::DisjointSets::new(n);
-    let want = offered
+    let want = all
         .into_iter()
         .filter(|e| dsu.union(e.frags.0 as usize, e.frags.1 as usize))
         .collect();
-    Instance { g, inputs, want }
+    Instance {
+        g,
+        bfs,
+        offered,
+        want,
+    }
 }
 
 fn run(
@@ -114,7 +122,9 @@ fn run(
 ) -> RunOutcome<Option<Vec<InterEdge>>> {
     let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);
     let mut net = Network::new(&inst.g, cfg).unwrap();
-    net.run("mstB.up", &FilteredUpcast, inst.inputs.clone())
+    let trees = inst.bfs.iter().map(LeaderBfsOutput::tree);
+    let inputs = trees.zip(inst.offered.iter().cloned()).collect();
+    net.run("mstB.up", &FilteredUpcast::default(), inputs)
         .unwrap()
 }
 

@@ -20,7 +20,7 @@
 
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::sim::FaultPlan;
-use congest::{ExecutorKind, Network, NetworkConfig, RunOutcome, TreeInfo};
+use congest::{ExecutorKind, Network, NetworkConfig, Port, RunOutcome, Tree};
 use graphs::{generators, NodeId, WeightedGraph};
 use mincut::dist::one_respect::{
     IntervalDown, IntervalInput, SizesUp, Token, TokensInput, TokensUp,
@@ -40,7 +40,7 @@ fn graph_from(seed: u64, n: usize) -> WeightedGraph {
 }
 
 /// The neighbor of `v` across port `p`.
-fn across(g: &WeightedGraph, v: usize, p: congest::Port) -> usize {
+fn across(g: &WeightedGraph, v: usize, p: Port) -> usize {
     g.neighbors(NodeId::from_index(v))[p.index()]
         .neighbor
         .index()
@@ -53,18 +53,19 @@ proptest! {
     fn tokens_up_matches_the_lca_oracle(seed in 0u64..5000, n in 1usize..33) {
         let g = graph_from(seed, n);
         let mut net = Network::new(&g, NetworkConfig::default()).unwrap();
-        let bfs: Vec<TreeInfo> = if n == 1 {
-            vec![TreeInfo::default()]
+        // Every node's BFS parent port and tree-edge flags.
+        let (mut parent, mut ports): (Vec<Option<Port>>, Vec<Vec<bool>>) = if n == 1 {
+            (vec![None], vec![vec![]])
         } else {
             net.run("leader_bfs", &LeaderBfs::new(), vec![(); n])
                 .unwrap()
                 .outputs
                 .into_iter()
-                .map(|o| o.tree)
-                .collect()
+                .map(|o| (o.parent, o.ports))
+                .unzip()
         };
         let bfs_parent: Vec<Option<usize>> = (0..n)
-            .map(|v| bfs[v].parent.map(|p| across(&g, v, p)))
+            .map(|v| parent[v].map(|p| across(&g, v, p)))
             .collect();
         let rooted = trees::RootedTree::from_parents(
             NodeId::new(0),
@@ -76,13 +77,20 @@ proptest! {
         // Cut about a quarter of the tree edges: each cut child roots a
         // fragment of its own.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7015);
-        let mut forest = bfs.clone();
         for v in 0..n {
             if let (Some(u), true) = (bfs_parent[v], rng.gen_range(0..4u32) == 0) {
-                forest[v].parent = None;
-                forest[u].children.retain(|&c| across(&g, u, c) != v);
+                let up = parent[v].take().expect("a cut child had a parent");
+                ports[v][up.index()] = false;
+                for (c, flag) in ports[u].iter_mut().enumerate() {
+                    if across(&g, u, Port(c as u32)) == v {
+                        *flag = false;
+                    }
+                }
             }
         }
+        let forest: Vec<Tree> = (0..n)
+            .map(|v| Tree::new(parent[v], &ports[v]))
+            .collect();
         let frag_root = |mut v: usize| {
             while let Some(p) = forest[v].parent {
                 v = across(&g, v, p);
@@ -92,17 +100,23 @@ proptest! {
         let frag: Vec<usize> = (0..n).map(frag_root).collect();
 
         // In-fragment intervals, as `s2a`/`s2b` hand them out.
-        let sizes = net.run("s2a", &SizesUp, forest.clone()).unwrap().outputs;
+        let sizes = net
+            .run("s2a", &SizesUp::default(), forest.clone())
+            .unwrap()
+            .outputs;
         let inputs: Vec<IntervalInput> = forest
             .iter()
             .zip(sizes)
-            .map(|(tree, (size, child_sizes))| IntervalInput {
-                tree: tree.clone(),
+            .map(|(&tree, (size, child_sizes))| IntervalInput {
+                tree,
                 size,
                 child_sizes,
             })
             .collect();
-        let ivs = net.run("s2b", &IntervalDown, inputs).unwrap().outputs;
+        let ivs = net
+            .run("s2b", &IntervalDown::default(), inputs)
+            .unwrap()
+            .outputs;
 
         // Random tokens aimed inside the origin's fragment, and the
         // sequential answers.
@@ -126,7 +140,7 @@ proptest! {
         }
         let inputs: Vec<TokensInput> = (0..n)
             .map(|v| TokensInput {
-                tree: forest[v].clone(),
+                tree: forest[v],
                 iv: (ivs[v].in_t, ivs[v].out_t),
                 delta: delta[v],
                 tokens: tokens[v].clone(),
@@ -138,7 +152,7 @@ proptest! {
             let run = |executor: ExecutorKind| -> RunOutcome<(u64, Option<(u64, u64)>)> {
                 let cfg = NetworkConfig::with_bandwidth_factor(factor).with_executor(executor);
                 let mut net = Network::new(&g, cfg).unwrap();
-                net.run("s5", &TokensUp, inputs.clone()).unwrap()
+                net.run("s5", &TokensUp::default(), inputs.clone()).unwrap()
             };
             let serial = run(ExecutorKind::Serial);
             let (rho, tot): (Vec<u64>, Vec<_>) = serial.outputs.iter().copied().unzip();

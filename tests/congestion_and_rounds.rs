@@ -129,7 +129,7 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
         .tf_attachments
         .iter()
         .flatten()
-        .map(|a| u64::from(bfs[a.index()].tree.depth))
+        .map(|a| u64::from(bfs[a.index()].depth))
         .sum();
     let budget = NetworkConfig::default().bandwidth_bits(g.node_count());
     let shape_rows: Vec<u64> = r
@@ -165,7 +165,7 @@ fn phase_a_fragment_counts_size_the_table_broadcasts() {
         .collect();
     let per_tree = ["mstB.exch", "mstB.up"];
     assert_eq!(mst_b, per_tree.repeat(r.trees_packed));
-    let h = bfs.iter().map(|o| u64::from(o.tree.depth)).max().unwrap();
+    let h = bfs.iter().map(|o| u64::from(o.depth)).max().unwrap();
     let up = phases.iter().filter(|p| p.name == "mstB.up");
     for (tree, (p, &k)) in up.zip(&r.phase_a_fragments).enumerate() {
         assert!(

@@ -94,7 +94,7 @@ fn exact_mincut_above_the_old_u16_cap() {
     let bfs = leader_bfs::oracle(&g);
     let paths: u64 = attachments
         .iter()
-        .map(|a| u64::from(bfs[a.index()].tree.depth))
+        .map(|a| u64::from(bfs[a.index()].depth))
         .sum();
     let budget = NetworkConfig::default().bandwidth_bits(n);
     let s = (k - 2).div_ceil(shape_row_capacity(k as usize, budget) as u64);
@@ -122,7 +122,7 @@ fn exact_mincut_above_the_old_u16_cap() {
             .rounds
     };
     let h = rounds_of("s2a") - 1;
-    let depth = bfs.iter().map(|o| u64::from(o.tree.depth)).max().unwrap();
+    let depth = bfs.iter().map(|o| u64::from(o.depth)).max().unwrap();
     assert_eq!((h, depth, k), (83, 33, 42));
     assert!(
         rounds_of("s5") <= 2 * (h + depth + k),

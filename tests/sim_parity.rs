@@ -311,8 +311,8 @@ fn transport_schedule_matches_pinned_digests() {
                     Ok(out) => {
                         for o in &out.outputs {
                             h.u64(u64::from(o.leader.raw()));
-                            h.u64(o.tree.parent.map_or(u64::MAX, |p| u64::from(p.0)));
-                            h.u64(u64::from(o.tree.depth));
+                            h.u64(o.parent.map_or(u64::MAX, |p| u64::from(p.0)));
+                            h.u64(u64::from(o.depth));
                         }
                     }
                     Err(e) => h.str(&e.to_string()),
