@@ -61,8 +61,8 @@ use crate::dist::mst::{
 };
 use crate::dist::one_respect::{
     AttItem, FragReroot, IntervalDown, IntervalInput, LcaCase, NbMsg, PairItem, RerootInput,
-    SideFlood, SideInput, SideMsg, SizesUp, SumItem, TfItem, TfShape, Token, TokensInput, TokensUp,
-    TotItem,
+    SideFlood, SideInput, SideMsg, SizesInput, SizesUp, SumItem, TfItem, TfShape, Token,
+    TokensInput, TokensUp, TotItem,
 };
 use crate::dist::packing::{better, Cand};
 use crate::seq::tree_packing::PackingConfig;
@@ -230,90 +230,56 @@ pub(crate) struct PipelineOpts {
 /// [`ResumeSpec`] — capture is pure bookkeeping over state the
 /// sequential driver already holds, so it costs zero rounds.
 ///
-/// Ids are in the current graph's id space; the recovery driver
-/// translates through its compaction maps.
+/// Every tree keeps one form from capture to restore: its edges as
+/// undirected node-id pairs, which [`Forest::from_pairs`] orients from
+/// whatever leader the restoring attempt has. Ids are in the current
+/// graph's id space; the recovery driver translates through its
+/// compaction maps.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RecoveryLog {
-    /// The elected leader.
-    pub leader: Option<u32>,
-    /// The BFS tree with its labels.
+    /// The election stage.
     pub bfs: Option<LoggedBfs>,
     /// One entry per finished packed tree, in packing order.
     pub trees: Vec<LoggedTree>,
 }
 
-/// A checkpointed BFS tree: `parents[v] = Some(u)` ⇒ `u` is `v`'s
-/// parent (`None` at the leader), and `labels[v]` is `v`'s pre-order
-/// interval `(in, out)` from the election. Restoring keeps the labels —
-/// each node remembers its own — so excising nodes only leaves gaps in
-/// the numbering.
-#[derive(Clone, Debug, Default)]
+/// A checkpointed BFS tree: the leader, the tree's edges, and `labels[v]`,
+/// `v`'s pre-order interval `(in, out)` from the election. Restoring
+/// keeps the labels — each node remembers its own — so excising nodes
+/// only leaves gaps in the numbering.
+#[derive(Clone, Debug)]
 pub(crate) struct LoggedBfs {
-    pub parents: Vec<Option<u32>>,
+    pub leader: u32,
+    pub edges: Vec<(u32, u32)>,
     pub labels: Vec<(u32, u32)>,
 }
 
-/// One checkpointed packed tree: the global tree's parent map plus its
-/// 1-respecting minimum `(value, argmin)`.
-pub(crate) type LoggedTree = (Vec<Option<u32>>, (u64, u32));
-
-/// One restorable packed tree in a [`ResumeSpec`]: an undirected edge
-/// list plus the optionally still-trusted checkpointed minimum
-/// `(value, (x, y))` — see [`ResumeSpec::trees`].
-pub(crate) type RestoredTree = (Vec<(u32, u32)>, Option<(u64, (u32, u32))>);
+/// A checkpointed packed tree: its edges, and its 1-respecting minimum
+/// `(value, (x, y))`, attained by cutting the tree edge `(x, y)`. The
+/// edge survives re-rooting: the argmin node is whichever endpoint is
+/// the child under the restoring attempt's leader. `None` in a
+/// [`ResumeSpec`] ⇒ the minimum is no longer trusted and the restored
+/// tree's cut must be re-evaluated distributed.
+pub(crate) type LoggedTree = (Vec<(u32, u32)>, Option<(u64, (u32, u32))>);
 
 /// A resume order handed to the pipeline by the self-healing driver:
 /// checkpointed structures already validated against the survivor set,
 /// to be restored instead of recomputed.
 #[derive(Clone, Debug)]
 pub(crate) struct ResumeSpec {
-    /// Restore the election stage: `(leader, BFS tree)`, already known
-    /// to be a spanning tree of the current graph rooted at a live
-    /// leader. `None` ⇒ re-elect from scratch (the checkpointed leader
-    /// died).
-    pub bfs: Option<(u32, LoggedBfs)>,
-    /// Checkpointed packed trees to restore, oldest first, as
-    /// undirected edge lists (the driver re-roots them at whatever
-    /// leader the attempt ends up with). `Some((value, (x, y)))` ⇒ the
-    /// checkpointed 1-respecting minimum is still trustworthy and is
-    /// attained by cutting tree edge `(x, y)` — either because the
-    /// participant set is unchanged, or because every excised node was
-    /// pendant in the checkpoint's graph (a degree-1 node's only edge
-    /// crosses no survivor subtree cut, so every surviving cut value is
-    /// untouched by the excision). The edge form survives re-rooting:
-    /// the argmin node is whichever endpoint is the child under the
-    /// new orientation. `None` ⇒ the restored tree's cut must be
-    /// re-evaluated distributed.
-    pub trees: Vec<RestoredTree>,
+    /// Restore the election stage: a BFS tree already known to span the
+    /// current graph from a live leader. `None` ⇒ re-elect from scratch.
+    pub bfs: Option<LoggedBfs>,
+    /// Checkpointed packed trees to restore, oldest first, each spanning
+    /// the current graph. A minimum is kept only while it is still
+    /// trustworthy: the participant set is unchanged, or every excised
+    /// node was pendant in the checkpoint's graph (a degree-1 node's
+    /// only edge crosses no survivor subtree cut, so every surviving cut
+    /// value is untouched by the excision).
+    pub trees: Vec<LoggedTree>,
     /// Name prefix of the resume validation phases
     /// (`recover.e{epoch}.resume`).
     pub prefix: String,
-}
-
-/// Orients an undirected spanning-tree edge list into a parent map
-/// rooted at `root` (driver-side re-rooting: checkpointed trees stay
-/// usable under a freshly elected leader).
-fn reroot(n: usize, edges: &[(u32, u32)], root: u32) -> Vec<Option<u32>> {
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-    }
-    let mut parents: Vec<Option<u32>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[root as usize] = true;
-    let mut queue = std::collections::VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for &u in &adj[v as usize] {
-            if !seen[u as usize] {
-                seen[u as usize] = true;
-                parents[u as usize] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    debug_assert!(seen.iter().all(|&s| s), "resume spec trees span the graph");
-    parents
 }
 
 /// A rooted forest in column form, the one shape in which the driver
@@ -340,27 +306,38 @@ impl Forest {
         }
     }
 
-    /// The tree of a parent map (`parents[v] = Some(u)`: `u` is `v`'s
-    /// parent, `None` at the root), each node finding its ports locally:
-    /// every node knows its neighbors a priori, so the conversion costs
-    /// zero messages. The driver's one conversion from a checkpointed
-    /// parent map: every restored tree is installed from its output.
-    fn from_parents(g: &WeightedGraph, parents: &[Option<u32>]) -> Self {
+    /// The tree whose edges are `pairs`, undirected node-id pairs,
+    /// oriented from `root`: each node flags the ports of its pairs and
+    /// takes the one toward `root` as its parent port. Every node knows
+    /// its neighbors a priori, so the conversion costs zero messages.
+    /// The driver's one conversion of a checkpointed tree into its
+    /// columns.
+    fn from_pairs(g: &WeightedGraph, pairs: &[(u32, u32)], root: NodeId) -> Self {
         let off = g.offsets();
-        let slot_to = |v: usize, u: u32| -> usize {
-            let adj = g.neighbors(NodeId::from_index(v));
+        let port = |v: u32, u: u32| {
+            let adj = g.neighbors(NodeId::new(v));
             let p = adj.iter().position(|a| a.neighbor.raw() == u);
-            off[v] as usize + p.expect("tree edges are graph edges")
+            Port(p.expect("tree edges are graph edges") as u32)
         };
         let mut f = Forest::new(g);
-        for (v, &p) in parents.iter().enumerate() {
-            if let Some(u) = p {
-                let up = slot_to(v, u);
-                f.parent[v] = Some(Port(up as u32 - off[v]));
-                f.ports[up] = true;
-                f.ports[slot_to(u as usize, v as u32)] = true;
+        for &(x, y) in pairs {
+            f.ports[off[x as usize] as usize + port(x, y).index()] = true;
+            f.ports[off[y as usize] as usize + port(y, x).index()] = true;
+        }
+        let mut stack = vec![root.index()];
+        while let Some(v) = stack.pop() {
+            let adj = g.neighbors(NodeId::from_index(v));
+            for c in Tree::new(f.parent[v], &f.ports[slots(off, v)]).children() {
+                let u = adj[c.index()].neighbor;
+                f.parent[u.index()] = Some(port(u.raw(), v as u32));
+                stack.push(u.index());
             }
         }
+        debug_assert_eq!(
+            f.parent.iter().flatten().count() + 1,
+            f.parent.len(),
+            "the pairs span the graph"
+        );
         f
     }
 
@@ -394,6 +371,47 @@ fn rows_mut<'a, T>(mut col: &'a mut [T], off: &'a [u32]) -> impl Iterator<Item =
         col = rest;
         row
     })
+}
+
+/// The edges of the tree whose parent port at node `v` is `parent(v)`,
+/// each node with its parent, as the undirected node-id pairs a
+/// checkpoint keeps (checkpoint capture).
+fn pairs(g: &WeightedGraph, parent: impl Fn(usize) -> Option<Port>) -> Vec<(u32, u32)> {
+    (0..g.node_count())
+        .filter_map(|v| {
+            let p = parent(v)?;
+            Some((
+                v as u32,
+                g.neighbors(NodeId::from_index(v))[p.index()].neighbor.raw(),
+            ))
+        })
+        .collect()
+}
+
+/// Distributed re-validation of a restored tree rooted at `root`: one
+/// convergecast counting the nodes the tree's edges actually reach. A
+/// count short of `n` means the restored structure is stale (a logic
+/// error — the recovery driver validates structurally before
+/// restoring); a node that died since the checkpoint surfaces as the
+/// usual suspicion abort, which the recovery loop catches.
+fn validate_restored(
+    net: &mut Network<'_>,
+    name: &str,
+    tree: &Forest,
+    root: NodeId,
+) -> Result<(), MinCutError> {
+    let inputs: Vec<(Tree, SumU64)> = tree
+        .trees(net.graph().offsets())
+        .map(|t| (t, SumU64(1)))
+        .collect();
+    let SumU64(count) = net.run(name, &Convergecast::new(), inputs)?.outputs[root.index()];
+    let n = tree.parent.len();
+    if count != n as u64 {
+        return Err(MinCutError::InvalidConfig {
+            reason: format!("restored checkpoint tree reached {count} of {n} survivors"),
+        });
+    }
+    Ok(())
 }
 
 /// The port of a node's adjacency `adj` that carries edge `e`, if any.
@@ -467,6 +485,10 @@ struct Columns {
     /// Per node: its fragment's number in `T_F`'s pre-order (from
     /// `orient`; the root fragment is 0).
     num: Vec<u32>,
+    /// Per slot: at a fragment-tree parent, the child's subtree size,
+    /// from `s2a`. `s2a` writes every child's entry before `s2b` reads
+    /// it, so the column is never reset.
+    sizes: Vec<u32>,
     /// Per node: its in-fragment pre-order interval `(in, out)`, from
     /// `s2b`.
     span: Vec<(u32, u32)>,
@@ -512,6 +534,7 @@ impl Columns {
             tf_parent: vec![None; n],
             tf_child: vec![None; slots],
             num: vec![0; n],
+            sizes: vec![0; slots],
             span: vec![(0, 0); n],
             att: Vec::new(),
             cval: vec![0; n],
@@ -665,90 +688,70 @@ struct TfRow {
 }
 
 impl<'g> Pipeline<'g> {
-    /// Elects the leader, builds its BFS tree, and initialises every
-    /// node's static memory. On failure the ledger accumulated so far
-    /// rides along with the error (see [`run_pipeline`]).
+    /// The pipeline over the leader's labelled BFS tree: every node's
+    /// static memory is its local knowledge plus its view of that tree
+    /// and its labels. The tree comes from the election, or, given a
+    /// resume order that restores it, from the checkpoint: installed
+    /// with its labels and re-validated by one convergecast
+    /// (`{prefix}.bfs`). On failure the ledger accumulated so far rides
+    /// along with the error (see [`run_pipeline`]).
     fn new(
         g: &'g WeightedGraph,
         network: NetworkConfig,
         mst: MstConfig,
         pack_edge: &[u64],
+        resume: Option<&ResumeSpec>,
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
         let mut net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let bfs = match net.run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()]) {
-            Ok(out) => out,
-            Err(e) => {
-                let ledger = net.ledger().clone();
-                return Err((MinCutError::from(e), ledger));
-            }
-        };
-        let leader = bfs.outputs[0].leader;
         let off = g.offsets();
-        let mut tree = Forest::new(g);
-        let mut labels = Vec::with_capacity(g.node_count());
-        for (v, o) in bfs.outputs.into_iter().enumerate() {
-            tree.parent[v] = o.parent;
-            tree.ports[slots(off, v)].copy_from_slice(&o.ports);
-            labels.push(o.iv);
-        }
-        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, tree, labels))
-    }
-
-    /// [`Pipeline::new`] minus the election: restores a checkpointed
-    /// BFS tree (leader, parent map and labels) instead of running
-    /// `leader_bfs`. The caller must follow up with
-    /// [`Pipeline::validate_restored`] — the distributed re-validation
-    /// that every restored node is actually alive and reachable along
-    /// the restored edges.
-    fn new_restored(
-        g: &'g WeightedGraph,
-        network: NetworkConfig,
-        mst: MstConfig,
-        pack_edge: &[u64],
-        leader: u32,
-        bfs: &LoggedBfs,
-    ) -> Result<Self, (MinCutError, MetricsLedger)> {
-        let net =
-            Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let tree = Forest::from_parents(g, &bfs.parents);
-        let off = g.offsets();
-        let labels = (0..g.node_count())
-            .map(|v| {
-                let (in_t, out_t) = bfs.labels[v];
-                let adj = g.neighbors(NodeId::from_index(v));
-                let children = tree
-                    .tree(off, v)
-                    .children()
-                    .map(|p| {
-                        let (lo, hi) = bfs.labels[adj[p.index()].neighbor.index()];
-                        (p, lo, hi)
+        let mut bfs = Forest::new(g);
+        let established = match resume.and_then(|s| Some((s.bfs.as_ref()?, &s.prefix))) {
+            None => net
+                .run("leader_bfs", &LeaderBfs::new(), vec![(); g.node_count()])
+                .map_err(MinCutError::from)
+                .map(|out| {
+                    let leader = out.outputs[0].leader;
+                    let labels = out
+                        .outputs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(v, o)| {
+                            bfs.parent[v] = o.parent;
+                            bfs.ports[slots(off, v)].copy_from_slice(&o.ports);
+                            o.iv
+                        })
+                        .collect();
+                    (leader, labels)
+                }),
+            Some((logged, prefix)) => {
+                let leader = NodeId::new(logged.leader);
+                bfs = Forest::from_pairs(g, &logged.edges, leader);
+                let labels = (0..g.node_count())
+                    .map(|v| {
+                        let (in_t, out_t) = logged.labels[v];
+                        let adj = g.neighbors(NodeId::from_index(v));
+                        let children = bfs
+                            .tree(off, v)
+                            .children()
+                            .map(|p| {
+                                let (lo, hi) = logged.labels[adj[p.index()].neighbor.index()];
+                                (p, lo, hi)
+                            })
+                            .collect();
+                        Intervals {
+                            in_t,
+                            out_t,
+                            children,
+                        }
                     })
                     .collect();
-                Intervals {
-                    in_t,
-                    out_t,
-                    children,
-                }
-            })
-            .collect();
-        let leader = NodeId::new(leader);
-        Ok(Self::with_bfs(g, net, mst, pack_edge, leader, tree, labels))
-    }
-
-    /// The pipeline over an established, labelled BFS tree: every
-    /// node's static memory is its local knowledge plus its view of the
-    /// tree and its labels.
-    fn with_bfs(
-        g: &'g WeightedGraph,
-        net: Network<'g>,
-        mst: MstConfig,
-        pack_edge: &[u64],
-        leader: NodeId,
-        bfs: Forest,
-        labels: Vec<Intervals>,
-    ) -> Self {
-        Pipeline {
+                let name = format!("{prefix}.bfs");
+                validate_restored(&mut net, &name, &bfs, leader).map(|()| (leader, labels))
+            }
+        };
+        let (leader, labels) = established.map_err(|e| (e, net.ledger().clone()))?;
+        Ok(Pipeline {
             g,
             net,
             mst,
@@ -757,115 +760,35 @@ impl<'g> Pipeline<'g> {
             n: g.node_count(),
             shape: TfShape::new(&[]),
             tf: Vec::new(),
-        }
-    }
-
-    /// Distributed re-validation of a restored tree: one convergecast
-    /// counting the nodes the tree's edges actually reach. A count
-    /// short of `n` means the restored structure is stale (a logic
-    /// error — the driver validates structurally before restoring);
-    /// a node that died since the checkpoint surfaces as the usual
-    /// suspicion abort, which the recovery loop catches.
-    fn validate_restored(
-        &mut self,
-        name: &str,
-        parents: &[Option<u32>],
-    ) -> Result<(), MinCutError> {
-        let tree = Forest::from_parents(self.g, parents);
-        let inputs: Vec<(Tree, SumU64)> = tree
-            .trees(self.g.offsets())
-            .map(|t| (t, SumU64(1)))
-            .collect();
-        let out = self.net.run(name, &Convergecast::new(), inputs)?;
-        let root = (0..self.n)
-            .find(|&v| parents[v].is_none())
-            .expect("rooted tree");
-        let SumU64(count) = out.outputs[root];
-        if count != self.n as u64 {
-            return Err(MinCutError::InvalidConfig {
-                reason: format!(
-                    "restored checkpoint tree reached {count} of {} survivors",
-                    self.n
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Installs a restored spanning tree as **one fragment** rooted at
-    /// the leader: after the reset every node carries fragment number 0
-    /// in the one-fragment `T_F`, and there are no inter-fragment edges,
-    /// so `cut_stage` on this memory computes the exact global
-    /// 1-respecting minimum of the restored tree (the single-fragment
-    /// degradation of the fragment decomposition — every incident edge
-    /// is a same-fragment case).
-    fn install_tree(&mut self, tree: Forest) {
-        debug_assert_eq!(
-            tree.parent[self.leader.index()],
-            None,
-            "re-rooted at the leader"
-        );
-        self.reset_tree();
-        self.cols.forest = tree;
-    }
-
-    /// Replays a checkpointed tree's per-port load increments (what its
-    /// `finish_tree` did when it originally completed): both endpoints
-    /// of every tree edge count one more use. Evidence-resume
-    /// bookkeeping — zero rounds.
-    fn replay_tree_loads(&mut self, tree: &Forest) {
-        for (load, _) in self
-            .cols
-            .loads
-            .iter_mut()
-            .zip(&tree.ports)
-            .filter(|(_, &t)| t)
-        {
-            *load += 1;
-        }
-    }
-
-    /// The current global tree as a parent map (checkpoint capture).
-    fn tree_parents(&self) -> Vec<Option<u32>> {
-        (0..self.n)
-            .map(|v| {
-                self.cols.t_parent(v).map(|p| {
-                    self.g.neighbors(NodeId::from_index(v))[p.index()]
-                        .neighbor
-                        .raw()
-                })
-            })
-            .collect()
+        })
     }
 
     /// The labelled BFS tree (checkpoint capture).
     fn logged_bfs(&self) -> LoggedBfs {
-        let parents = (0..self.n)
-            .map(|v| {
-                self.cols.bfs.parent[v].map(|p| {
-                    self.g.neighbors(NodeId::from_index(v))[p.index()]
-                        .neighbor
-                        .raw()
-                })
-            })
-            .collect();
-        let labels = self
-            .cols
-            .labels
-            .iter()
-            .map(|iv| (iv.in_t, iv.out_t))
-            .collect();
-        LoggedBfs { parents, labels }
+        LoggedBfs {
+            leader: self.leader.raw(),
+            edges: pairs(self.g, |v| self.cols.bfs.parent[v]),
+            labels: self
+                .cols
+                .labels
+                .iter()
+                .map(|iv| (iv.in_t, iv.out_t))
+                .collect(),
+        }
     }
 
-    /// The sorted edge ids of a tree (the `tree_edges` outcome entry for
-    /// restored trees).
-    fn edge_ids_of(&self, tree: &Forest) -> Vec<graphs::EdgeId> {
-        let mut ids: Vec<graphs::EdgeId> = tree
-            .parent
-            .iter()
-            .enumerate()
-            .filter_map(|(v, p)| p.map(|p| self.g.neighbors(NodeId::from_index(v))[p.index()].edge))
+    /// Node `v`'s adjacency entry toward its parent in the current
+    /// global tree (`None` at the leader).
+    fn t_up(&self, v: usize) -> Option<&AdjEntry> {
+        let p = self.cols.t_parent(v)?;
+        Some(&self.g.neighbors(NodeId::from_index(v))[p.index()])
+    }
+
+    /// The current global tree's sorted edge ids (its `tree_edges`
+    /// outcome entry).
+    fn tree_edges(&self) -> Vec<graphs::EdgeId> {
+        let mut ids: Vec<graphs::EdgeId> = (0..self.n)
+            .filter_map(|v| Some(self.t_up(v)?.edge))
             .collect();
         ids.sort_unstable();
         ids
@@ -1303,27 +1226,30 @@ impl<'g> Pipeline<'g> {
         let g = self.g;
         let off = g.offsets();
         let cols = &mut self.cols;
-        // s2a: in-fragment subtree sizes.
-        let inputs: Vec<Tree> = cols.forest.trees(off).collect();
+        // s2a: in-fragment subtree sizes, each child's at its port.
+        let inputs: Vec<SizesInput> = cols
+            .forest
+            .trees(off)
+            .zip(rows_mut(&mut cols.sizes, off))
+            .map(|(tree, sizes)| SizesInput { tree, sizes })
+            .collect();
         let sizes = self.net.run("s2a", &SizesUp::default(), inputs)?.outputs;
         // s2b: in-fragment Euler intervals.
         let inputs: Vec<IntervalInput> = cols
             .forest
             .trees(off)
             .zip(sizes)
-            .map(|(tree, (size, child_sizes))| IntervalInput {
+            .enumerate()
+            .map(|(v, (tree, size))| IntervalInput {
                 tree,
                 size,
-                child_sizes,
+                sizes: &cols.sizes[slots(off, v)],
             })
             .collect();
-        let ivs = self
+        cols.span = self
             .net
             .run("s2b", &IntervalDown::default(), inputs)?
             .outputs;
-        for (span, iv) in cols.span.iter_mut().zip(ivs) {
-            *span = (iv.in_t, iv.out_t);
-        }
         // s2c: gather + spread the attachment in-times per fragment,
         // keyed by the number of the child fragment hung at each.
         let inputs: Vec<(Tree, Vec<AttItem>)> = cols
@@ -1553,34 +1479,41 @@ impl<'g> Pipeline<'g> {
         Ok((minc, NodeId::new(argmin as u32)))
     }
 
-    /// Announces whether this tree improved the global best; improving
-    /// trees are snapshotted, and every node bumps the loads of its
-    /// incident tree edges.
-    fn finish_tree(&mut self, improved: bool) -> Result<(), MinCutError> {
-        let off = self.g.offsets();
-        let cols = &mut self.cols;
-        let inputs: Vec<(Tree, Option<bool>)> = cols
+    /// The leader announces whether the tree it evaluated improved the
+    /// global best (`s5g`), which is what tells every node to snapshot
+    /// it in [`Pipeline::finish_tree`].
+    fn announce(&mut self, improved: bool) -> Result<(), MinCutError> {
+        let inputs: Vec<(Tree, Option<bool>)> = self
+            .cols
             .bfs
-            .trees(off)
+            .trees(self.g.offsets())
             .enumerate()
             .map(|(v, tree)| (tree, (v == self.leader.index()).then_some(improved)))
             .collect();
-        let out = self.net.run("s5g", &Broadcast::new(), inputs)?;
-        for (v, flag) in out.outputs.into_iter().enumerate() {
+        self.net.run("s5g", &Broadcast::new(), inputs)?;
+        Ok(())
+    }
+
+    /// Every node bumps the loads of its incident edges of the installed
+    /// tree, and snapshots the tree if it improved the global best: the
+    /// same bookkeeping for a packed tree and a restored one.
+    fn finish_tree(&mut self, improved: bool) {
+        let off = self.g.offsets();
+        let cols = &mut self.cols;
+        for v in 0..self.n {
             for s in slots(off, v) {
                 let t = cols.t_port(off, v, s);
-                if flag {
+                if improved {
                     cols.snap.ports[s] = t;
                 }
                 if t {
                     cols.loads[s] += 1;
                 }
             }
-            if flag {
+            if improved {
                 cols.snap.parent[v] = cols.t_parent(v);
             }
         }
-        Ok(())
     }
 
     /// Extracts the winning side: a broadcast of the winner plus — for
@@ -1617,27 +1550,17 @@ impl<'g> Pipeline<'g> {
         let out = self.net.run("side.flood", &SideFlood::default(), inputs)?;
         Ok(out.outputs)
     }
-
-    /// The current tree's edge set (test/debug view assembled from the
-    /// per-node port markings).
-    #[cfg(test)]
-    fn tree_edges(&self) -> Vec<graphs::EdgeId> {
-        let off = self.g.offsets();
-        let edges: BTreeSet<graphs::EdgeId> = (0..self.n)
-            .flat_map(|v| slots(off, v).filter(move |&s| self.cols.t_port(off, v, s)))
-            .map(|s| self.g.adjacency()[s].edge)
-            .collect();
-        edges.into_iter().collect()
-    }
 }
 
 /// Runs the packing pipeline (see [`PipelineOpts`]), with the
 /// self-healing driver's checkpoint seam: `resume` restores
-/// pre-validated structures from an earlier attempt's [`RecoveryLog`]
-/// (skipping the stages that produced them), and `log` captures this
-/// attempt's own stage outputs as they complete. `exact_mincut`, the
-/// approximation and the baselines pass `None` for both and pay nothing
-/// for the seam.
+/// pre-validated structures from an earlier attempt's [`RecoveryLog`],
+/// and `log` captures this attempt's own stage outputs as they complete.
+/// A restored BFS tree replaces the election; each restored packed tree
+/// enters the packing loop in place of one MST and takes the packed
+/// trees' path from there, its cut stage skipped while its minimum is
+/// trusted. `exact_mincut`, the approximation and the baselines pass
+/// `None` for both and pay nothing for the seam.
 ///
 /// On failure the metrics ledger accumulated up to that point rides
 /// along with the error; the callers that need only the error drop it.
@@ -1684,57 +1607,20 @@ pub(crate) fn run_pipeline(
         }
     }
 
-    let mut pl = match resume.and_then(|s| s.bfs.as_ref()) {
-        Some((leader, bfs)) => Pipeline::new_restored(
-            g,
-            opts.network.clone(),
-            opts.mst.clone(),
-            &pack_edge,
-            *leader,
-            bfs,
-        )?,
-        None => Pipeline::new(g, opts.network.clone(), opts.mst.clone(), &pack_edge)?,
-    };
-    // Fail-fast distributed re-validation of the restored structures: a
-    // node that died since the checkpoint aborts here (cheaply), before
-    // any restored evidence is acted on. The structural re-runs of the
-    // shrunk-survivor path validate themselves (each restored tree's
-    // cut stage runs in full), so the explicit phases only cover the
-    // evidence path.
-    if let Some(spec) = resume {
-        if let Some((_, bfs)) = &spec.bfs {
-            if let Err(e) = pl.validate_restored(&format!("{}.bfs", spec.prefix), &bfs.parents) {
-                let ledger = pl.net.ledger().clone();
-                return Err((e, ledger));
-            }
-        }
-        // Trusted trees replay their cut values without re-running the
-        // cut stage, so their structure is the evidence — validate the
-        // deepest trusted entry whether the BFS tree was restored or
-        // freshly elected (the pendant-excision trust path arrives
-        // here with `bfs: None`: the dead leader invalidated the BFS
-        // tree but not the finished trees' cut values).
-        if let Some((edges, _)) = spec.trees.iter().rev().find(|(_, c)| c.is_some()) {
-            let parents = reroot(n, edges, pl.leader.raw());
-            if let Err(e) = pl.validate_restored(&format!("{}.trees", spec.prefix), &parents) {
-                let ledger = pl.net.ledger().clone();
-                return Err((e, ledger));
-            }
-        }
-    }
-    match drive_packing(&mut pl, opts, resume, log) {
-        Ok(outcome) => Ok(outcome),
-        Err(e) => {
-            let ledger = pl.net.ledger().clone();
-            Err((e, ledger))
-        }
-    }
+    let mut pl = Pipeline::new(
+        g,
+        opts.network.clone(),
+        opts.mst.clone(),
+        &pack_edge,
+        resume,
+    )?;
+    drive_packing(&mut pl, opts, resume, log).map_err(|e| (e, pl.net.ledger().clone()))
 }
 
-/// The packing loop proper, on an initialised pipeline: packs trees until
-/// the target is met and assembles the outcome. Split out of
-/// [`run_pipeline`] so a failure leaves `pl` — and its ledger —
-/// accessible to the caller.
+/// The packing loop proper, on an initialised pipeline: restores the
+/// checkpointed trees, packs trees until the target is met, and
+/// assembles the outcome. Split out of [`run_pipeline`] so a failure
+/// leaves `pl` — and its ledger — accessible to the caller.
 fn drive_packing(
     pl: &mut Pipeline<'_>,
     opts: &PipelineOpts,
@@ -1742,110 +1628,95 @@ fn drive_packing(
     mut log: Option<&mut RecoveryLog>,
 ) -> Result<DistMinCutResult, MinCutError> {
     let n = pl.n;
+    let restored = resume.map_or(&[][..], |s| &s.trees);
+    // Fail-fast distributed re-validation: a trusted tree replays its
+    // cut value without re-running the cut stage, so its structure is
+    // the evidence — validate the deepest trusted entry whether the BFS
+    // tree was restored or freshly elected (the pendant-excision trust
+    // path arrives with no BFS tree: the dead leader invalidated it but
+    // not the finished trees' cut values). A node that died since the
+    // checkpoint aborts here, before any evidence is acted on; an
+    // untrusted tree validates itself by running its cut stage.
+    if let (Some(spec), Some((edges, _))) = (resume, restored.iter().rfind(|(_, c)| c.is_some())) {
+        let tree = Forest::from_pairs(pl.g, edges, pl.leader);
+        let name = format!("{}.trees", spec.prefix);
+        validate_restored(&mut pl.net, &name, &tree, pl.leader)?;
+    }
     if let Some(log) = log.as_deref_mut() {
-        log.leader = Some(pl.leader.raw());
         log.bfs = Some(pl.logged_bfs());
         log.trees.clear();
     }
     let (mut best_value, singleton) = pl.init_deg()?;
+    if resume.is_some() {
+        pl.net.obs_emit("recover.resume", restored.len() as u64);
+    }
     let mut best_node: Option<NodeId> = None;
     let mut trees_to_best = 0usize;
     let mut packed = 0usize;
     let mut tree_edges: Vec<Vec<graphs::EdgeId>> = Vec::new();
     let mut phase_a_fragments: Vec<usize> = Vec::new();
     let mut tf_attachments: Vec<Vec<NodeId>> = Vec::new();
-    // Restore the checkpointed trees before packing new ones. Trusted
-    // entries (unchanged participant set) replay their bookkeeping —
-    // loads, best-so-far, the side-flood snapshot — at zero rounds; the
-    // rest re-run their cut stage on the restored structure (the MST
-    // stages, the expensive part, are skipped either way).
-    if let Some(spec) = resume {
-        pl.net.obs_emit("recover.resume", spec.trees.len() as u64);
-        let mut snap: Option<Forest> = None;
-        for (edges, cut) in &spec.trees {
-            let parents = reroot(n, edges, pl.leader.raw());
-            let tree = Forest::from_parents(pl.g, &parents);
-            tree_edges.push(pl.edge_ids_of(&tree));
-            packed += 1;
-            let (minc, argmin) = match *cut {
-                Some((c, (x, y))) => {
-                    pl.replay_tree_loads(&tree);
-                    // A replayed tree runs no phases, so the driver
-                    // installs its snapshot after the loop, if it is
-                    // still the best then.
-                    if c < best_value {
-                        snap = Some(tree);
-                    }
-                    // The checkpointed argmin names a tree edge; its
-                    // argmin *node* is whichever endpoint is the child
-                    // under this attempt's rooting (a fresh leader may
-                    // have flipped the orientation).
-                    let a = if parents[x as usize] == Some(y) {
-                        x
-                    } else {
-                        debug_assert_eq!(parents[y as usize], Some(x));
-                        y
-                    };
-                    (c, NodeId::new(a))
-                }
-                None => {
-                    pl.install_tree(tree);
-                    let (minc, argmin) = pl.cut_stage()?;
-                    // A structural tree that improves the bound
-                    // snapshots itself inside `finish_tree`.
-                    if minc < best_value {
-                        snap = None;
-                    }
-                    pl.finish_tree(minc < best_value)?;
-                    (minc, argmin)
-                }
-            };
-            if minc < best_value {
-                best_value = minc;
-                best_node = Some(argmin);
-                trees_to_best = packed;
-            }
-            if let Some(log) = log.as_deref_mut() {
-                log.trees.push((parents, (minc, argmin.raw())));
-                pl.net.obs_emit("recover.checkpoint", packed as u64);
-            }
+    // The checkpointed trees come first, whatever the target; then the
+    // packing goes on until the target is met.
+    let mut restored = restored.iter();
+    loop {
+        let checkpoint = restored.next();
+        if checkpoint.is_none() && packed >= opts.packing.target_trees(n, best_value) {
+            break;
         }
-        if let Some(tree) = snap {
-            pl.cols.snap = tree;
-        }
-    }
-    while packed < opts.packing.target_trees(n, best_value) {
         pl.reset_tree();
-        pl.mst_phase_a_opt()?;
-        let chosen = pl.mst_phase_b()?;
-        pl.orient(chosen)?;
-        phase_a_fragments.push(pl.shape.k());
-        // The leader knows each attachment by its BFS in-time; the
-        // outcome names it by node id, the endpoint of the row's edge
-        // outside the row's fragment.
-        let attachment = |r: &TfRow| {
-            let (a, b) = pl.g.endpoints(graphs::EdgeId::new(r.edge));
-            if pl.cols.frag[a.index()] == r.frag {
-                b
-            } else {
-                a
+        let trusted = match checkpoint {
+            // A restored spanning tree is installed as one fragment
+            // rooted at the leader: every node carries fragment number 0
+            // in the one-fragment `T_F`, and there are no inter-fragment
+            // edges, so `cut_stage` on it computes the exact global
+            // 1-respecting minimum (the single-fragment degradation of
+            // the fragment decomposition — every incident edge is a
+            // same-fragment case). Its MST stages are skipped.
+            Some((edges, cut)) => {
+                pl.cols.forest = Forest::from_pairs(pl.g, edges, pl.leader);
+                *cut
+            }
+            None => {
+                pl.mst_phase_a_opt()?;
+                let chosen = pl.mst_phase_b()?;
+                pl.orient(chosen)?;
+                phase_a_fragments.push(pl.shape.k());
+                // The leader knows each attachment by its BFS in-time;
+                // the outcome names it by node id, the endpoint of the
+                // row's edge outside the row's fragment.
+                let attachment = |r: &TfRow| {
+                    let (a, b) = pl.g.endpoints(graphs::EdgeId::new(r.edge));
+                    if pl.cols.frag[a.index()] == r.frag {
+                        b
+                    } else {
+                        a
+                    }
+                };
+                tf_attachments.push(pl.tf.iter().map(attachment).collect());
+                None
             }
         };
-        tf_attachments.push(pl.tf.iter().map(attachment).collect());
-        // Snapshot the finished tree's edge set (orientation installs
-        // the inter-fragment links and re-roots the fragments, so only
-        // now does every node but the leader hold its global-parent
-        // edge).
-        let mut edges: Vec<graphs::EdgeId> = (0..n)
-            .filter_map(|v| {
-                pl.cols
-                    .t_parent(v)
-                    .map(|p| pl.g.neighbors(NodeId::from_index(v))[p.index()].edge)
-            })
-            .collect();
-        edges.sort_unstable();
-        tree_edges.push(edges);
-        let (minc, argmin) = pl.cut_stage()?;
+        let (minc, argmin) = match trusted {
+            // The checkpointed argmin names a tree edge; its argmin node
+            // is whichever endpoint is the child under this attempt's
+            // rooting (a fresh leader may have flipped the orientation).
+            Some((c, (x, y))) => {
+                let up = |v: u32| pl.t_up(v as usize).map(|a| a.neighbor.raw());
+                let a = if up(x) == Some(y) {
+                    x
+                } else {
+                    debug_assert_eq!(up(y), Some(x));
+                    y
+                };
+                (c, NodeId::new(a))
+            }
+            None => {
+                let (minc, argmin) = pl.cut_stage()?;
+                pl.announce(minc < best_value)?;
+                (minc, argmin)
+            }
+        };
         packed += 1;
         let improved = minc < best_value;
         if improved {
@@ -1853,9 +1724,13 @@ fn drive_packing(
             best_node = Some(argmin);
             trees_to_best = packed;
         }
-        pl.finish_tree(improved)?;
+        pl.finish_tree(improved);
+        tree_edges.push(pl.tree_edges());
         if let Some(log) = log.as_deref_mut() {
-            log.trees.push((pl.tree_parents(), (minc, argmin.raw())));
+            let up = pl.t_up(argmin.index()).expect("the argmin is not the root");
+            let edges = pairs(pl.g, |v| pl.cols.t_parent(v));
+            let cut = (minc, (argmin.raw(), up.neighbor.raw()));
+            log.trees.push((edges, Some(cut)));
             pl.net.obs_emit("recover.checkpoint", packed as u64);
         }
     }
@@ -1922,6 +1797,7 @@ mod tests {
                 NetworkConfig::default(),
                 MstConfig::default(),
                 &pack_edge,
+                None,
             )
             .unwrap();
             pl.init_deg().unwrap();
@@ -1940,7 +1816,8 @@ mod tests {
                 assert_eq!(got_w, want_w);
                 // Advance the loads exactly like the packing loop.
                 pl.cut_stage().unwrap();
-                pl.finish_tree(false).unwrap();
+                pl.announce(false).unwrap();
+                pl.finish_tree(false);
             }
         }
     }
@@ -1970,7 +1847,7 @@ mod tests {
             .flat_map(|g| [(g, MstConfig::default()), (g, MstConfig { cap: Some(2) })])
         {
             let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
-            let mut pl = Pipeline::new(g, NetworkConfig::default(), mst, &pack_edge).unwrap();
+            let mut pl = Pipeline::new(g, NetworkConfig::default(), mst, &pack_edge, None).unwrap();
             pl.init_deg().unwrap();
             pl.reset_tree();
             pl.mst_phase_a_opt().unwrap();
@@ -2020,7 +1897,7 @@ mod tests {
             assert_eq!(network.bandwidth_bits(g.node_count()), budget);
             let mst = MstConfig { cap: Some(2) };
             let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
-            let mut pl = Pipeline::new(&g, network, mst.clone(), &pack_edge).unwrap();
+            let mut pl = Pipeline::new(&g, network, mst.clone(), &pack_edge, None).unwrap();
             pl.init_deg().unwrap();
             pl.reset_tree();
             pl.mst_phase_a_opt().unwrap();
@@ -2098,11 +1975,18 @@ mod tests {
             NetworkConfig::default(),
             MstConfig::default(),
             &pack_edge,
+            None,
         )
         .unwrap();
         let logged = pl.logged_bfs();
         let bfs = LoggedBfs {
-            parents: logged.parents[..n].to_vec(),
+            leader: logged.leader,
+            edges: logged
+                .edges
+                .iter()
+                .copied()
+                .filter(|&(x, y)| x.max(y) < n as u32)
+                .collect(),
             labels: logged.labels[..n].to_vec(),
         };
         let dead_in = logged.labels[n].0;
@@ -2110,23 +1994,20 @@ mod tests {
             bfs.labels.iter().all(|&(t, _)| t != dead_in) && dead_in < n as u32,
             "the leaf's in-time is a gap inside the numbering"
         );
-        let pack_g: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
-        let restored = Pipeline::new_restored(
-            &g,
-            NetworkConfig::default(),
-            MstConfig::default(),
-            &pack_g,
-            0,
-            &bfs,
-        )
-        .map_err(|(e, _)| e)
-        .unwrap();
-        assert_eq!(restored.logged_bfs().labels, bfs.labels);
         let spec = ResumeSpec {
-            bfs: Some((0, bfs)),
+            bfs: Some(bfs),
             trees: Vec::new(),
             prefix: "recover.e1.resume".to_string(),
         };
+        let pack_g: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
+        let network = NetworkConfig::default();
+        let restored = Pipeline::new(&g, network, MstConfig::default(), &pack_g, Some(&spec))
+            .map_err(|(e, _)| e)
+            .unwrap();
+        assert_eq!(
+            restored.logged_bfs().labels,
+            spec.bfs.as_ref().unwrap().labels
+        );
         let opts = opts_fixed(2);
         let fresh = run_pipeline(&g, &opts, None, None)
             .map_err(|(e, _)| e)
@@ -2149,11 +2030,12 @@ mod tests {
         assert_eq!(stems(&restored), stems(&fresh));
     }
 
-    /// Restored trees install from [`Forest::from_parents`], and the trees packed
-    /// after them see the loads they leave: resuming an uninterrupted
-    /// run's first two trees, with their cut values replayed as
-    /// evidence or their cut stage re-run on the restored structure,
-    /// packs the same later trees and finds the same cut and side.
+    /// Restored trees install from [`Forest::from_pairs`], and the trees
+    /// packed after them see the loads they leave: resuming an
+    /// uninterrupted run's first two trees, with their cut values
+    /// replayed as evidence or their cut stage re-run on the restored
+    /// structure — both, one of each in either order — packs the same
+    /// later trees and finds the same cut and side.
     #[test]
     fn resumed_trees_leave_the_loads_of_an_uninterrupted_run() {
         let g = generators::clique_pair(6, 2).unwrap().graph;
@@ -2162,43 +2044,37 @@ mod tests {
         let fresh = run_pipeline(&g, &opts, None, Some(&mut log))
             .map_err(|(e, _)| e)
             .unwrap();
-        for trusted in [true, false] {
+        for trusted in [[true, true], [false, false], [true, false], [false, true]] {
             let trees = log.trees[..2]
                 .iter()
-                .map(|(parents, (value, argmin))| {
-                    let edges = (0..parents.len() as u32)
-                        .filter_map(|v| parents[v as usize].map(|u| (v, u)))
-                        .collect();
-                    let cut = parents[*argmin as usize].map(|u| (*value, (*argmin, u)));
-                    (edges, cut.filter(|_| trusted))
-                })
+                .zip(trusted)
+                .map(|((edges, cut), t)| (edges.clone(), cut.filter(|_| t)))
                 .collect();
             let spec = ResumeSpec {
-                bfs: Some((log.leader.unwrap(), log.bfs.clone().unwrap())),
+                bfs: log.bfs.clone(),
                 trees,
                 prefix: "recover.e1.resume".to_string(),
             };
             let resumed = run_pipeline(&g, &opts, Some(&spec), None)
                 .map_err(|(e, _)| e)
                 .unwrap();
-            assert_eq!(resumed.tree_edges, fresh.tree_edges, "trusted: {trusted}");
-            assert_eq!(resumed.cut.value, fresh.cut.value, "trusted: {trusted}");
-            assert_eq!(resumed.cut.side, fresh.cut.side, "trusted: {trusted}");
+            assert_eq!(resumed.tree_edges, fresh.tree_edges, "trusted: {trusted:?}");
+            assert_eq!(resumed.cut.value, fresh.cut.value, "trusted: {trusted:?}");
+            assert_eq!(resumed.cut.side, fresh.cut.side, "trusted: {trusted:?}");
         }
     }
 
-    /// What the evidence path installs for a checkpointed tree is what
+    /// What the restore path installs for a checkpointed tree is what
     /// the tree left behind when it ran: for every tree of the packing
-    /// above, the snapshot `finish_tree(true)` stores equals, column for
-    /// column, the forest [`Forest::from_parents`] builds from the
-    /// tree's checkpointed parent map, and replaying that forest's loads
-    /// adds exactly what `finish_tree` added.
+    /// above, the tree's pairs, installed as one fragment, take the
+    /// bookkeeping to the snapshot and the loads the packed tree left.
     #[test]
     fn a_snapshot_survives_the_restore_path() {
         let g = generators::clique_pair(6, 2).unwrap().graph;
         let pack_edge: Vec<u64> = g.edges().map(|e| g.weight(e)).collect();
         let network = NetworkConfig::default();
-        let mut pl = Pipeline::new(&g, network, MstConfig::default(), &pack_edge).unwrap();
+        let mst = MstConfig::default();
+        let mut pl = Pipeline::new(&g, network, mst, &pack_edge, None).unwrap();
         pl.init_deg().unwrap();
         for tree in 0..4 {
             pl.reset_tree();
@@ -2207,14 +2083,55 @@ mod tests {
             pl.orient(chosen).unwrap();
             pl.cut_stage().unwrap();
             let before = pl.cols.loads.clone();
-            pl.finish_tree(true).unwrap();
-            let restored = Forest::from_parents(&g, &pl.tree_parents());
-            let edges = restored.parent.iter().flatten().count();
-            assert_eq!(edges, g.node_count() - 1, "tree {tree} spans the graph");
-            assert_eq!(pl.cols.snap, restored, "tree {tree}");
-            let after = std::mem::replace(&mut pl.cols.loads, before);
-            pl.replay_tree_loads(&restored);
+            pl.finish_tree(true);
+            let (snap, after) = (pl.cols.snap.clone(), pl.cols.loads.clone());
+            let edges = pairs(&g, |v| pl.cols.t_parent(v));
+            assert_eq!(
+                edges.len(),
+                g.node_count() - 1,
+                "tree {tree} spans the graph"
+            );
+            pl.reset_tree();
+            pl.cols.forest = Forest::from_pairs(&g, &edges, pl.leader);
+            pl.cols.loads = before;
+            pl.finish_tree(true);
+            assert_eq!(pl.cols.snap, snap, "tree {tree}");
             assert_eq!(pl.cols.loads, after, "tree {tree}");
+        }
+    }
+
+    /// The one conversion of a checkpointed tree: for every tree of a
+    /// small packing and every node as the root, the forest built from
+    /// the tree's pairs gives each non-root a parent port one hop toward
+    /// the root, and flags exactly the tree's edges, in both directions.
+    #[test]
+    fn pairs_orient_from_every_root() {
+        for g in [
+            generators::clique_pair(6, 2).unwrap().graph,
+            generators::torus2d(4, 4).unwrap(),
+        ] {
+            let off = g.offsets();
+            for tree in greedy_packing(&g, 4).unwrap() {
+                let edges: Vec<(u32, u32)> = tree
+                    .iter()
+                    .map(|&e| {
+                        let (x, y) = g.endpoints(e);
+                        (x.raw(), y.raw())
+                    })
+                    .collect();
+                for root in g.nodes() {
+                    let f = Forest::from_pairs(&g, &edges, root);
+                    let want = trees::spanning::to_rooted(&g, &tree, root).unwrap();
+                    for v in g.nodes() {
+                        let adj = g.neighbors(v);
+                        let up = f.parent[v.index()].map(|p| adj[p.index()].neighbor);
+                        assert_eq!(up, want.parent(v), "root {root:?}, node {v:?}");
+                        for (a, s) in adj.iter().zip(slots(off, v.index())) {
+                            assert_eq!(f.ports[s], tree.contains(&a.edge), "slot {s}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -93,8 +93,8 @@
 use congest::message::{id_bits, TAG_BITS};
 use congest::primitives::stream::{batch_bits, Fill};
 use congest::{
-    value_bits, Algorithm, FinishResult, Intervals, Message, NodeCtx, Outbox, Port,
-    ProtocolViolation, Step, Tree,
+    value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, ProtocolViolation, Step,
+    Tree,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
@@ -383,51 +383,66 @@ impl<'a> Algorithm for FragReroot<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// s2a: in-fragment subtree sizes (retaining per-child sizes)
+// s2a: in-fragment subtree sizes (written per child port)
 // ---------------------------------------------------------------------------
 
 /// Convergecast of subtree sizes over the fragment forest that also
-/// *retains* each child's contribution — needed to assign child Euler
-/// intervals in [`IntervalDown`]. Rounds: fragment height + 1.
+/// writes each child's size into the node's row of a per-port column,
+/// which [`IntervalDown`] reads to assign the children's intervals.
+/// Rounds: fragment height + 1.
 #[derive(Clone, Debug, Default)]
 pub struct SizesUp<'a> {
     _input: PhantomData<fn() -> &'a ()>,
 }
 
+/// Input of [`SizesUp`]: the fragment tree and the node's row of the
+/// size column, one entry per port, borrowed from the driver's columns;
+/// each child's size overwrites its entry.
+#[derive(Debug)]
+pub struct SizesInput<'a> {
+    /// In-fragment tree.
+    pub tree: Tree<'a>,
+    /// Per port: the child's subtree size, once the child has sent it.
+    pub sizes: &'a mut [u32],
+}
+
 /// Node state for [`SizesUp`].
 #[derive(Debug)]
-pub struct SizesState {
+pub struct SizesState<'a> {
     parent: Option<Port>,
+    sizes: &'a mut [u32],
     acc: u32,
-    child_sizes: Vec<(Port, u32)>,
     waiting: usize,
     sent: bool,
 }
 
 impl<'a> Algorithm for SizesUp<'a> {
-    type Input = Tree<'a>;
-    type State = SizesState;
+    type Input = SizesInput<'a>;
+    type State = SizesState<'a>;
     type Msg = u32;
-    type Output = (u32, Vec<(Port, u32)>);
+    /// The node's own subtree size.
+    type Output = u32;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, tree: Tree<'a>) -> (SizesState, Outbox<u32>) {
-        let waiting = tree.children().count();
-        (
-            SizesState {
-                parent: tree.parent,
-                acc: 1,
-                child_sizes: Vec::with_capacity(waiting),
-                waiting,
-                sent: false,
-            },
-            Outbox::new(),
-        )
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: SizesInput<'a>) -> (SizesState<'a>, Outbox<u32>) {
+        let state = SizesState {
+            parent: input.tree.parent,
+            sizes: input.sizes,
+            acc: 1,
+            waiting: input.tree.children().count(),
+            sent: false,
+        };
+        (state, Outbox::new())
     }
 
-    fn round(&self, s: &mut SizesState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
+    fn round(
+        &self,
+        s: &mut SizesState<'a>,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(Port, u32)],
+    ) -> Step<u32> {
         for &(port, v) in inbox {
             s.acc += v;
-            s.child_sizes.push((port, v));
+            s.sizes[port.index()] = v;
             s.waiting -= 1;
         }
         if s.waiting == 0 && !s.sent {
@@ -445,13 +460,8 @@ impl<'a> Algorithm for SizesUp<'a> {
         }
     }
 
-    fn finish(
-        &self,
-        mut s: SizesState,
-        _ctx: &NodeCtx<'_>,
-    ) -> FinishResult<(u32, Vec<(Port, u32)>)> {
-        s.child_sizes.sort_unstable_by_key(|&(p, _)| p);
-        Ok((s.acc, s.child_sizes))
+    fn finish(&self, s: SizesState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<u32> {
+        Ok(s.acc)
     }
 }
 
@@ -461,60 +471,64 @@ impl<'a> Algorithm for SizesUp<'a> {
 
 /// Input of [`IntervalDown`]: the fragment tree plus the sizes from
 /// [`SizesUp`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct IntervalInput<'a> {
     /// In-fragment tree.
     pub tree: Tree<'a>,
     /// Own subtree size.
     pub size: u32,
-    /// Per-child subtree sizes (sorted by port).
-    pub child_sizes: Vec<(Port, u32)>,
+    /// The node's row of the size column [`SizesUp`] wrote: each
+    /// child's subtree size at its port.
+    pub sizes: &'a [u32],
 }
 
 /// One top-down wave assigning pre-order intervals within each fragment
-/// (the [`Intervals`] the election also hands out for the BFS tree):
-/// each node receives its own entry time, computes its children's from
-/// the retained sizes, and forwards. Rounds: fragment height + 1.
+/// (the labels [`congest::Intervals`] holds for the BFS tree): each node
+/// receives its own entry time, hands its children theirs in port order
+/// from their sizes, and keeps only its own `(in, out)`. Rounds:
+/// fragment height + 1.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalDown<'a> {
     _input: PhantomData<fn() -> &'a ()>,
 }
 
-/// Node state for [`IntervalDown`]: the retained sizes, and the
-/// intervals once the node knows its entry time.
+/// Node state for [`IntervalDown`]: the input, and the node's interval
+/// once it knows its entry time.
 #[derive(Debug)]
-pub struct IntervalState {
-    size: u32,
-    child_sizes: Vec<(Port, u32)>,
-    iv: Option<Intervals>,
+pub struct IntervalState<'a> {
+    input: IntervalInput<'a>,
+    iv: Option<(u32, u32)>,
 }
 
-impl IntervalState {
-    /// Takes this node's intervals, entered at `in_t`, and hands each
-    /// child its entry time.
+impl IntervalState<'_> {
+    /// Takes this node's interval, entered at `in_t`, and hands each
+    /// child its entry time: child subtrees take consecutive ranges
+    /// after `in_t`, in port order.
     fn enter(&mut self, in_t: u32) -> Outbox<u32> {
-        let iv = Intervals::assign(in_t, self.size, self.child_sizes.iter().copied());
         let mut out = Outbox::new();
-        for &(port, lo, _) in &iv.children {
-            out.send(port, lo);
+        let mut next = in_t + 1;
+        for p in self.input.tree.children() {
+            out.send(p, next);
+            next += self.input.sizes[p.index()];
         }
-        self.iv = Some(iv);
+        self.iv = Some((in_t, in_t + self.input.size - 1));
         out
     }
 }
 
 impl<'a> Algorithm for IntervalDown<'a> {
     type Input = IntervalInput<'a>;
-    type State = IntervalState;
+    type State = IntervalState<'a>;
     type Msg = u32;
-    type Output = Intervals;
+    /// The node's in-fragment pre-order interval `(in, out)`.
+    type Output = (u32, u32);
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: IntervalInput<'a>) -> (IntervalState, Outbox<u32>) {
-        let mut s = IntervalState {
-            size: input.size,
-            child_sizes: input.child_sizes,
-            iv: None,
-        };
+    fn boot(
+        &self,
+        _ctx: &NodeCtx<'_>,
+        input: IntervalInput<'a>,
+    ) -> (IntervalState<'a>, Outbox<u32>) {
+        let mut s = IntervalState { input, iv: None };
         let out = if input.tree.is_root() {
             s.enter(0)
         } else {
@@ -523,7 +537,12 @@ impl<'a> Algorithm for IntervalDown<'a> {
         (s, out)
     }
 
-    fn round(&self, s: &mut IntervalState, _ctx: &NodeCtx<'_>, inbox: &[(Port, u32)]) -> Step<u32> {
+    fn round(
+        &self,
+        s: &mut IntervalState<'a>,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(Port, u32)],
+    ) -> Step<u32> {
         if s.iv.is_some() {
             return Step::halt();
         }
@@ -533,7 +552,7 @@ impl<'a> Algorithm for IntervalDown<'a> {
         }
     }
 
-    fn finish(&self, s: IntervalState, _ctx: &NodeCtx<'_>) -> FinishResult<Intervals> {
+    fn finish(&self, s: IntervalState<'a>, _ctx: &NodeCtx<'_>) -> FinishResult<(u32, u32)> {
         s.iv.ok_or_else(|| {
             ProtocolViolation::new("never received its interval (inconsistent fragment forest?)")
         })
@@ -1011,21 +1030,25 @@ mod tests {
         let g = generators::path(6).unwrap();
         let mut net = path6_net(&g);
         let forest = rooted_path6();
-        let sizes = net
-            .run("s2a", &SizesUp::default(), forest.to_vec())
-            .unwrap()
-            .outputs;
-        assert_eq!(sizes[2].0, 6);
-        assert_eq!(sizes[1].0, 2);
-        assert_eq!(sizes[3].0, 3);
+        // The size column, one row per node, one entry per port.
+        let mut rows: Vec<Vec<u32>> = forest.iter().map(|t| vec![0; t.ports.len()]).collect();
+        let inputs: Vec<SizesInput> = forest
+            .iter()
+            .zip(&mut rows)
+            .map(|(&tree, sizes)| SizesInput { tree, sizes })
+            .collect();
+        let sizes = net.run("s2a", &SizesUp::default(), inputs).unwrap().outputs;
+        assert_eq!(sizes[2], 6);
+        assert_eq!(sizes[1], 2);
+        assert_eq!(sizes[3], 3);
+        // Each child's size sits at its port in the parent's row.
+        assert_eq!(rows[2], [2, 3]);
+        assert_eq!(rows[3][1], 2);
         let inputs: Vec<IntervalInput> = forest
             .into_iter()
             .zip(sizes)
-            .map(|(tree, (size, child_sizes))| IntervalInput {
-                tree,
-                size,
-                child_sizes,
-            })
+            .zip(&rows)
+            .map(|((tree, size), sizes)| IntervalInput { tree, size, sizes })
             .collect();
         let ivs = net
             .run("s2b", &IntervalDown::default(), inputs)
@@ -1033,16 +1056,16 @@ mod tests {
             .outputs;
         // Pre-order from 2: 2=0, then child port0 (node 1) subtree {1,0},
         // then port1 (node 3) subtree {3,4,5}.
-        assert_eq!((ivs[2].in_t, ivs[2].out_t), (0, 5));
-        assert_eq!((ivs[1].in_t, ivs[1].out_t), (1, 2));
-        assert_eq!((ivs[0].in_t, ivs[0].out_t), (2, 2));
-        assert_eq!((ivs[3].in_t, ivs[3].out_t), (3, 5));
-        assert_eq!((ivs[4].in_t, ivs[4].out_t), (4, 5));
-        assert_eq!((ivs[5].in_t, ivs[5].out_t), (5, 5));
+        assert_eq!(ivs[2], (0, 5));
+        assert_eq!(ivs[1], (1, 2));
+        assert_eq!(ivs[0], (2, 2));
+        assert_eq!(ivs[3], (3, 5));
+        assert_eq!(ivs[4], (4, 5));
+        assert_eq!(ivs[5], (5, 5));
         // Ancestor tests work from intervals alone.
-        assert!(ivs[3].contains(ivs[5].in_t));
-        assert!(!ivs[1].contains(ivs[5].in_t));
-        assert_eq!(ivs[2].children[0], (Port(0), ivs[1].in_t, ivs[1].out_t));
+        let contains = |(lo, hi): (u32, u32), t: u32| lo <= t && t <= hi;
+        assert!(contains(ivs[3], ivs[5].0));
+        assert!(!contains(ivs[1], ivs[5].0));
     }
 
     #[test]

@@ -45,18 +45,23 @@
 //!    *parks* rejoin-pending events of excised nodes rather than
 //!    dropping them) and shifted ([`FaultPlan::rebased`]). The next
 //!    attempt then resumes from the deepest checkpoint whose structures
-//!    survive the excision instead of restarting from round 0:
-//!    * the BFS tree is restored when the leader and every survivor's
-//!      parent chain survived (skipping re-election), and re-validated
-//!      by one distributed convergecast (`recover.e{epoch}.resume.bfs`);
-//!    * checkpointed packed trees are kept as long as their edge sets,
-//!      restricted to the survivors, still span them (validated by
-//!      union-find; a dead *leaf* — even a dead leader — keeps the tree
-//!      usable, re-rooted driver-side at the current leader);
+//!    survive the excision instead of restarting from round 0. Every
+//!    checkpointed tree is a list of undirected node-id pairs, and with
+//!    `k` survivors it survives when `k − 1` of its pairs join
+//!    survivors: any set of a tree's edges is a forest, and a forest
+//!    with `k − 1` edges on `k` nodes spans them.
+//!    * the BFS tree is restored when its leader survived too (skipping
+//!      re-election), and re-validated by one distributed convergecast
+//!      (`recover.e{epoch}.resume.bfs`);
+//!    * checkpointed packed trees are kept as the longest prefix that
+//!      survives (a dead *leaf* — even a dead leader — costs one pair
+//!      and keeps the tree usable). Each enters the packing loop in
+//!      place of one MST, installed as one fragment oriented from the
+//!      current leader, and takes a packed tree's bookkeeping from there;
 //!    * with the participant set unchanged (rejoin, partition retry),
-//!      the checkpointed cut values are *evidence*: loads and
-//!      best-so-far are replayed at zero rounds and only a validation
-//!      convergecast runs (`recover.e{epoch}.resume.trees`);
+//!      the checkpointed cut values are *evidence*: a trusted tree runs
+//!      no phase, and only one validation convergecast runs for the
+//!      deepest of them (`recover.e{epoch}.resume.trees`);
 //!    * the same evidence replay applies when every excised node was
 //!      *pendant* (degree 1) in the checkpoint's graph: a pendant's
 //!      only edge crosses no survivor subtree cut, so every surviving
@@ -98,8 +103,7 @@
 //! byte-identical merged ledgers (asserted in `tests/self_healing.rs`).
 
 use crate::dist::driver::{
-    run_pipeline, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree,
-    ResumeSpec,
+    run_pipeline, ExactConfig, LoggedBfs, LoggedTree, PipelineOpts, RecoveryLog, ResumeSpec,
 };
 use crate::seq::stoer_wagner;
 use crate::MinCutError;
@@ -231,54 +235,49 @@ struct MasterLog {
     /// Original ids of the participants when the log was captured,
     /// ascending. Cut values are evidence only for this exact set.
     participants: Vec<u32>,
-    /// Original id of the leader of that attempt.
-    leader: Option<u32>,
-    /// The labelled BFS tree, indexed by original id.
+    /// The labelled BFS tree, its labels indexed by original id.
     bfs: Option<LoggedBfs>,
-    /// Finished packed trees, in packing order: parent map (original
-    /// ids) plus the tree's 1-respecting minimum `(value, argmin)`.
+    /// Finished packed trees, in packing order, with their minima.
     trees: Vec<LoggedTree>,
 }
 
 /// Translates an attempt's [`RecoveryLog`] (current ids) into the
 /// original id space through the compaction map `orig`.
 fn to_orig(log: &RecoveryLog, orig: &[u32], n0: usize) -> MasterLog {
-    let tr = |parents: &[Option<u32>]| -> Vec<Option<u32>> {
-        let mut out = vec![None; n0];
-        for (v, p) in parents.iter().enumerate() {
-            out[orig[v] as usize] = p.map(|u| orig[u as usize]);
-        }
-        out
-    };
+    let o = |v: u32| orig[v as usize];
+    let pairs = |edges: &[(u32, u32)]| edges.iter().map(|&(x, y)| (o(x), o(y))).collect();
     MasterLog {
         participants: orig.to_vec(),
-        leader: log.leader.map(|l| orig[l as usize]),
         bfs: log.bfs.as_ref().map(|b| {
             let mut labels = vec![(0, 0); n0];
             for (v, &l) in b.labels.iter().enumerate() {
                 labels[orig[v] as usize] = l;
             }
             LoggedBfs {
-                parents: tr(&b.parents),
+                leader: o(b.leader),
+                edges: pairs(&b.edges),
                 labels,
             }
         }),
         trees: log
             .trees
             .iter()
-            .map(|(p, (c, a))| (tr(p), (*c, orig[*a as usize])))
+            .map(|(edges, cut)| (pairs(edges), cut.map(|(c, (x, y))| (c, (o(x), o(y))))))
             .collect(),
     }
 }
 
 /// Validates the master log against the current survivor set and builds
 /// the deepest restorable [`ResumeSpec`], falling back one stage at a
-/// time: trees are kept as the longest prefix still spanning the
-/// survivors; the BFS restore requires the leader and every parent
-/// chain alive; cut values are trusted when the participant set is
-/// exactly unchanged, or when every excised node was pendant in the
-/// checkpoint's graph (see below). Returns `None` when nothing
-/// survived validation.
+/// time. A checkpointed tree, the BFS tree or a packed one, is kept
+/// when `k − 1` of its edges join survivors, `k` the survivor count:
+/// any set of a tree's edges is a forest, so `k − 1` of them on `k`
+/// nodes span them (a dead leaf costs its one edge and nothing else; a
+/// dead cut vertex costs more). The BFS tree also needs a live leader,
+/// and the packed trees are kept as the longest prefix that spans. Cut
+/// values are trusted when the participant set is exactly unchanged,
+/// or when every excised node was pendant in the checkpoint's graph
+/// (see below). Returns `None` when nothing survived validation.
 fn build_resume(
     g: &WeightedGraph,
     m: &MasterLog,
@@ -286,11 +285,11 @@ fn build_resume(
     n0: usize,
     epoch: usize,
 ) -> Option<(ResumeSpec, Stage)> {
-    let k = orig.len();
     let mut cur_of: Vec<Option<u32>> = vec![None; n0];
     for (v, &o) in orig.iter().enumerate() {
         cur_of[o as usize] = Some(v as u32);
     }
+    let cur = |o: u32| cur_of[o as usize];
     let full = m.participants == orig;
     // Pendant-excision trust: when every node excised since the
     // checkpoint was pendant (degree 1) in the checkpoint's graph — the
@@ -302,7 +301,7 @@ fn build_resume(
         .participants
         .iter()
         .copied()
-        .filter(|&o| cur_of[o as usize].is_none())
+        .filter(|&o| cur(o).is_none())
         .collect();
     let shrunk =
         !excised.is_empty() && orig.iter().all(|o| m.participants.binary_search(o).is_ok());
@@ -314,66 +313,34 @@ fn build_resume(
                 .count()
                 == 1
         });
-    let bfs = m
-        .leader
-        .and_then(|l| cur_of[l as usize])
-        .and_then(|leader_cur| {
-            let b = m.bfs.as_ref()?;
-            let mut parents: Vec<Option<u32>> = vec![None; k];
-            for (v, &o) in orig.iter().enumerate() {
-                match b.parents[o as usize] {
-                    None => {
-                        if Some(o) != m.leader {
-                            return None;
-                        }
-                    }
-                    Some(u) => {
-                        parents[v] = Some(cur_of[u as usize]?);
-                    }
-                }
-            }
+    // A tree's edges between survivors, in current ids, if they span.
+    let spanning = |edges: &[(u32, u32)]| {
+        let kept: Vec<(u32, u32)> = edges
+            .iter()
+            .filter_map(|&(x, y)| Some((cur(x)?, cur(y)?)))
+            .collect();
+        (kept.len() + 1 == orig.len()).then_some(kept)
+    };
+    let bfs = m.bfs.as_ref().and_then(|b| {
+        Some(LoggedBfs {
+            leader: cur(b.leader)?,
+            edges: spanning(&b.edges)?,
             // Each survivor keeps its labels: the excised nodes only
             // leave gaps in the numbering.
-            let labels = orig.iter().map(|&o| b.labels[o as usize]).collect();
-            Some((leader_cur, LoggedBfs { parents, labels }))
-        });
-    let mut kept: Vec<RestoredTree> = Vec::new();
-    for (p, (c, a)) in &m.trees {
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (v, &o) in orig.iter().enumerate() {
-            if let Some(u) = p[o as usize] {
-                if let Some(ucur) = cur_of[u as usize] {
-                    edges.push((v as u32, ucur));
-                }
-            }
-        }
-        // Spanning-tree check on the survivors: k-1 surviving edges
-        // connecting all k (a dead leaf costs its one edge and nothing
-        // else; a dead cut vertex disconnects the restriction).
-        if edges.len() + 1 != k {
-            break;
-        }
-        let mut dsu = trees::DisjointSets::new(k);
-        for &(x, y) in &edges {
-            dsu.union(x as usize, y as usize);
-        }
-        if dsu.set_count() != 1 {
-            break;
-        }
-        // The trusted payload carries the best *edge* `(argmin, its
-        // checkpointed parent)` rather than the argmin node alone: the
-        // attempt re-roots the tree at whatever leader it elects, and
-        // only the edge identity survives a flipped orientation. A
-        // dead endpoint voids the entry (the minimum may have been the
-        // excised pendant's own cut) and falls back to a re-run.
-        let trusted = ((full && bfs.is_some()) || pendant_trust)
-            .then(|| {
-                let x = cur_of[*a as usize]?;
-                let y = cur_of[p[*a as usize]? as usize]?;
-                Some((*c, (x, y)))
-            })
-            .flatten();
-        kept.push((edges, trusted));
+            labels: orig.iter().map(|&o| b.labels[o as usize]).collect(),
+        })
+    });
+    let trusted = (full && bfs.is_some()) || pendant_trust;
+    let mut kept: Vec<LoggedTree> = Vec::new();
+    for (edges, cut) in &m.trees {
+        let Some(edges) = spanning(edges) else { break };
+        // The minimum is kept as its tree edge: a dead endpoint voids
+        // it (the minimum may have been the excised pendant's own cut)
+        // and the tree's cut stage re-runs.
+        let cut = cut
+            .filter(|_| trusted)
+            .and_then(|(c, (x, y))| Some((c, (cur(x)?, cur(y)?))));
+        kept.push((edges, cut));
     }
     if bfs.is_none() && kept.is_empty() {
         return None;
@@ -885,14 +852,16 @@ mod tests {
             .map_err(|(e, _)| e)
             .unwrap();
         assert!(!log.trees.is_empty(), "the clean run checkpoints its trees");
-        let (parents, _) = &log.trees[0];
-        let mut is_parent = [false; 16];
-        for p in parents.iter().flatten() {
-            is_parent[*p as usize] = true;
+        let (edges, _) = &log.trees[0];
+        let mut degree = [0; 16];
+        for &(x, y) in edges {
+            degree[x as usize] += 1;
+            degree[y as usize] += 1;
         }
+        let root = log.bfs.as_ref().unwrap().leader;
         let victim = (0..16u32)
             .rev()
-            .find(|&v| !is_parent[v as usize] && parents[v as usize].is_some())
+            .find(|&v| degree[v as usize] == 1 && v != root)
             .expect("every tree has a non-root leaf");
         // Crash after the second tree's mstA begins: 1 tree checkpointed.
         let mut seen_trees = 0;
@@ -924,6 +893,15 @@ mod tests {
             "resume must be cheaper: {work} vs {}",
             scratch.rounds
         );
+        // Exact traffic of the re-run path: the restored tree's cut
+        // stage runs again on the survivors.
+        assert_eq!(victim, 15);
+        assert_eq!(
+            (ckpt.resumed_from, ckpt.rounds, ckpt.messages),
+            (Some(Stage::Packed(1)), 1_968, 8_175)
+        );
+        assert_eq!(ckpt.wasted_rounds, [162, 5]);
+        assert_eq!(ckpt.wasted_messages, [604, 14]);
     }
 
     #[test]
@@ -1002,6 +980,13 @@ mod tests {
             "evidence replay must at least halve the rebuild: {work} vs {}",
             scratch.rounds
         );
+        // Exact traffic of the evidence path.
+        assert_eq!(
+            (ckpt.resumed_from, ckpt.rounds, ckpt.messages),
+            (Some(Stage::Packed(2)), 423, 1_797)
+        );
+        assert_eq!(ckpt.wasted_rounds, [299, 6]);
+        assert_eq!(ckpt.wasted_messages, [1_165, 15]);
     }
 
     #[test]

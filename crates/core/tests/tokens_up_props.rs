@@ -23,7 +23,7 @@ use congest::sim::FaultPlan;
 use congest::{ExecutorKind, Network, NetworkConfig, Port, RunOutcome, Tree};
 use graphs::{generators, NodeId, WeightedGraph};
 use mincut::dist::one_respect::{
-    IntervalDown, IntervalInput, SizesUp, Token, TokensInput, TokensUp,
+    IntervalDown, IntervalInput, SizesInput, SizesUp, Token, TokensInput, TokensUp,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,19 +99,23 @@ proptest! {
         };
         let frag: Vec<usize> = (0..n).map(frag_root).collect();
 
-        // In-fragment intervals, as `s2a`/`s2b` hand them out.
+        // In-fragment intervals, as `s2a`/`s2b` hand them out, through
+        // a per-port size column.
+        let mut rows: Vec<Vec<u32>> = ports.iter().map(|p| vec![0; p.len()]).collect();
+        let inputs: Vec<SizesInput> = forest
+            .iter()
+            .zip(&mut rows)
+            .map(|(&tree, sizes)| SizesInput { tree, sizes })
+            .collect();
         let sizes = net
-            .run("s2a", &SizesUp::default(), forest.clone())
+            .run("s2a", &SizesUp::default(), inputs)
             .unwrap()
             .outputs;
         let inputs: Vec<IntervalInput> = forest
             .iter()
             .zip(sizes)
-            .map(|(&tree, (size, child_sizes))| IntervalInput {
-                tree,
-                size,
-                child_sizes,
-            })
+            .zip(&rows)
+            .map(|((&tree, size), sizes)| IntervalInput { tree, size, sizes })
             .collect();
         let ivs = net
             .run("s2b", &IntervalDown::default(), inputs)
@@ -130,7 +134,7 @@ proptest! {
             for _ in 0..rng.gen_range(0..5usize) {
                 let u = members[rng.gen_range(0..members.len())];
                 let w = rng.gen_range(1..50u64);
-                tokens[v].push(Token { t_in: ivs[u].in_t, w });
+                tokens[v].push(Token { t_in: ivs[u].0, w });
                 let a = lca.lca(NodeId::from_index(v), NodeId::from_index(u));
                 want_rho[a.index()] += w;
                 hops += u64::from(rooted.depth(NodeId::from_index(v)) - rooted.depth(a));
@@ -141,7 +145,7 @@ proptest! {
         let inputs: Vec<TokensInput> = (0..n)
             .map(|v| TokensInput {
                 tree: forest[v],
-                iv: (ivs[v].in_t, ivs[v].out_t),
+                iv: ivs[v],
                 delta: delta[v],
                 tokens: tokens[v].clone(),
             })

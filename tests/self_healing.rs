@@ -207,6 +207,13 @@ fn checkpointed_resume_rebuilds_for_at_most_half_of_a_fresh_run() {
         fresh.rounds,
         fresh.messages
     );
+    // The exact traffic: all four trees replayed as evidence.
+    assert_eq!(
+        (r.resumed_from, r.rounds, r.messages),
+        (Some(Stage::Packed(4)), 497, 11_424)
+    );
+    assert_eq!(rebuild, (100, 2_644));
+    assert_eq!((fresh.rounds, fresh.messages), (365, 10_510));
 }
 
 /// A node that dies mid-MST and comes back during the census is
@@ -242,6 +249,12 @@ fn scheduled_rejoin_during_the_census_keeps_the_full_graph() {
         r.resumed_from.is_some(),
         "an unchanged participant set resumes"
     );
+    // The exact traffic: the BFS tree restored, every tree packed.
+    assert_eq!(
+        (r.resumed_from, r.rounds, r.messages),
+        (Some(Stage::Bfs), 4_876, 35_863)
+    );
+    assert_eq!((r.recovery_rounds, r.recovery_messages), (111, 393));
 }
 
 /// A partition that heals inside the suspicion window is invisible to
